@@ -5,6 +5,11 @@ The load-bearing assertion is fingerprint identity between the incremental
 bottleneck-group arbiter and the global-recompute reference: any semantic
 drift in the incremental arbitration fails this benchmark regardless of
 timing noise.
+
+The reports written to ``benchmarks/results/`` are tracked files, so they
+carry only what repeats exactly per seed (event counts, peak flows, the
+fingerprint verdict); wall-clock and events/s go to stdout and to the
+pytest-benchmark table, which a test run does not commit.
 """
 
 from repro.experiments import perf
@@ -19,10 +24,10 @@ def test_bench_perf_closed_loop_sweep(benchmark, report_writer):
     lines = ["closed-loop fleet sweep (incremental arbiter):"]
     for sample in samples:
         lines.append(
-            f"  {sample.extra['clients']:>4} clients: {sample.wall_s:.3f}s, "
-            f"{sample.events_per_s:,.0f} events/s, "
+            f"  {sample.extra['clients']:>4} clients: {sample.events} events, "
             f"peak {sample.extra['peak_active_flows']} active flows"
         )
+        print(f"{sample.name}: {sample.wall_s:.3f}s, {sample.events_per_s:,.0f} events/s")
     report_writer("perf_closed_loop", "\n".join(lines))
     # Every client keeps d+p chunk flows in flight at peak.
     assert samples[1].extra["peak_active_flows"] > samples[0].extra["peak_active_flows"]
@@ -33,12 +38,15 @@ def test_bench_perf_arbiter_fingerprint_gate(benchmark, report_writer):
     comparison = benchmark.pedantic(
         lambda: perf.compare_arbiters(clients=64), rounds=1, iterations=1
     )
-    report_writer(
-        "perf_arbiter_gate",
-        f"arbiter comparison at {comparison['clients']} clients: "
+    print(
         f"incremental {comparison['incremental_wall_s']:.3f}s vs "
         f"reference {comparison['reference_wall_s']:.3f}s "
-        f"({comparison['speedup']:.1f}x); fingerprints "
+        f"({comparison['speedup']:.1f}x)"
+    )
+    report_writer(
+        "perf_arbiter_gate",
+        f"arbiter comparison at {comparison['clients']} clients "
+        "(incremental vs reference): fingerprints "
         + ("identical" if comparison["fingerprints_identical"] else "DIVERGED"),
     )
     assert comparison["fingerprints_identical"], (

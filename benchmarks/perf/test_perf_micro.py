@@ -4,6 +4,9 @@ Unlike the figure benchmarks (which regenerate paper content), the perf
 suite measures the *simulator's own* throughput — events dispatched per
 wall-clock second — so regressions in the engine or the flow arbiter show
 up as timing deltas here and as events/sec drops in ``BENCH_perf.json``.
+
+The tracked reports under ``benchmarks/results/`` hold only the counts that
+repeat exactly; timings are printed, not committed.
 """
 
 from repro.experiments import perf
@@ -13,11 +16,11 @@ def test_bench_perf_event_queue(benchmark, report_writer):
     sample = benchmark.pedantic(
         lambda: perf.micro_event_queue(events=20_000), rounds=1, iterations=1
     )
+    print(f"{sample.name}: {sample.wall_s:.3f}s, {sample.events_per_s:,.0f} events/s")
     report_writer(
         "perf_event_queue",
-        f"event queue micro: {sample.events} events in {sample.wall_s:.3f}s "
-        f"({sample.events_per_s:,.0f} events/s; "
-        f"{sample.extra['cancelled']} of {sample.extra['scheduled']} cancelled)",
+        f"event queue micro: {sample.events} events dispatched "
+        f"({sample.extra['cancelled']} of {sample.extra['scheduled']} cancelled)",
     )
     # Half the scheduled events are cancelled before dispatch; the live
     # counter must see exactly the surviving half run.
@@ -32,13 +35,15 @@ def test_bench_perf_flow_churn(benchmark, report_writer):
         iterations=1,
     )
     reference = perf.micro_flow_churn(flows=1_000, arbiter="reference")
+    for sample in (incremental, reference):
+        print(f"{sample.name}: {sample.wall_s:.3f}s, {sample.events_per_s:,.0f} events/s")
     report_writer(
         "perf_flow_churn",
         "flow churn micro (1000 staggered transfers over 32 NICs / 8 uplinks):\n"
-        f"  incremental: {incremental.wall_s:.3f}s "
-        f"({incremental.events_per_s:,.0f} events/s)\n"
-        f"  reference:   {reference.wall_s:.3f}s "
-        f"({reference.events_per_s:,.0f} events/s)",
+        f"  incremental: {incremental.events} events, "
+        f"peak {incremental.extra['peak_active_flows']} active flows\n"
+        f"  reference:   {reference.events} events, "
+        f"peak {reference.extra['peak_active_flows']} active flows",
     )
     # Identical workload, identical event counts — only the arbitration
     # strategy differs.

@@ -260,7 +260,7 @@ def _chaos(argv: list[str]) -> int:
     if first.replay.requests != expected:
         print(
             f"FAIL: {expected - first.replay.requests} requests never "
-            "completed — the hardened path leaked a failure",
+            "completed — the request path leaked a failure",
             file=sys.stderr,
         )
         return 1

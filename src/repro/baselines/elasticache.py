@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.baselines.pricing import ElastiCacheInstanceType, elasticache_instance
 from repro.exceptions import ConfigurationError
-from repro.simulation.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
 from repro.utils.units import MILLISECOND
 
 

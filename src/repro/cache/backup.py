@@ -27,7 +27,7 @@ from repro.cache.node import LambdaCacheNode
 from repro.cache.proxy import Proxy
 from repro.exceptions import BackupError, BackupSyncInterruptedError, TransientFaultError
 from repro.faas.platform import FaaSPlatform
-from repro.simulation.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
 from repro.utils.units import MILLISECOND
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.erasure.codec import Chunk as ErasureChunk
+from repro.erasure.codec import StripeMetadata
 from repro.exceptions import ConfigurationError
 
 
@@ -44,6 +45,16 @@ class ObjectDescriptor:
     def stored_bytes(self) -> int:
         """Bytes the stripe occupies in the cache (chunk size times chunk count)."""
         return self.chunk_size * self.total_chunks
+
+    def stripe_metadata(self) -> StripeMetadata:
+        """The codec-level view of this stripe, for decoding its chunks."""
+        return StripeMetadata(
+            key=self.key,
+            object_size=self.object_size,
+            data_shards=self.data_shards,
+            parity_shards=self.parity_shards,
+            chunk_size=self.chunk_size,
+        )
 
 
 @dataclass(frozen=True)

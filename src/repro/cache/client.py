@@ -29,11 +29,11 @@ from typing import Optional
 from repro.cache.chunk import CacheChunk, ObjectDescriptor, descriptor_for
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.consistent_hash import ConsistentHashRing
-from repro.cache.proxy import Proxy, ProxyGetResult
+from repro.cache.proxy import Proxy, ProxyGetResult, ProxyPutResult
 from repro.erasure.codec import Chunk as ErasureChunk
-from repro.erasure.codec import ErasureCodec, StripeMetadata
+from repro.erasure.codec import ErasureCodec
 from repro.exceptions import CacheMissError, ConfigurationError
-from repro.simulation.clock import SimClock
+from repro.sim import SimClock
 
 
 @dataclass
@@ -47,6 +47,9 @@ class PutResult:
     node_ids: list[str] = field(default_factory=list)
     evicted_keys: list[str] = field(default_factory=list)
     hosts_touched: int = 0
+    #: ``False`` when a chunk store failed for good and the proxy rolled the
+    #: object back: nothing is cached under ``key`` (the caller may re-PUT).
+    complete: bool = True
 
 
 @dataclass
@@ -67,10 +70,10 @@ class GetResult:
     #: chunks were lost to function reclamation — the condition that triggers
     #: a RESET (re-fetch from the backing store) in the paper's replay.
     data_lost: bool = False
-    #: Hardened path only: the object is still cached but fewer than
-    #: ``data_shards`` chunks were reachable after retries and hedging; the
-    #: caller serves this request from the backing store (a degraded hit,
-    #: not an error) and leaves the stripe for the failure detector to heal.
+    #: The object is still cached but fewer than ``data_shards`` chunks were
+    #: reachable within the proxy's attempt budget; the caller serves this
+    #: request from the backing store (a degraded hit, not an error) and
+    #: leaves the stripe for the failure detector to heal.
     degraded: bool = False
 
 
@@ -129,6 +132,8 @@ class InfiniCacheClient:
 
     # ------------------------------------------------------------------ helpers
     def _proxy_for(self, key: str) -> Proxy:
+        if not key:
+            raise ConfigurationError("object key must be non-empty")
         return self.ring.lookup(key)
 
     def _encode_time(self, size: int) -> float:
@@ -153,98 +158,121 @@ class InfiniCacheClient:
         return self.hits / total if total else 0.0
 
     # ------------------------------------------------------------------ PUT
-    def put(self, key: str, value: bytes) -> PutResult:
-        """Erasure-code and insert a real object."""
-        if not key:
-            raise ConfigurationError("object key must be non-empty")
-        if not value:
-            raise ConfigurationError(f"cannot cache an empty object {key!r}")
-        now = self.clock.now
-        erasure_chunks = self.codec.encode(key, value)
-        descriptor = descriptor_for(
-            key, len(value), self.config.data_shards, self.config.parity_shards
-        )
-        chunks = [CacheChunk.from_erasure_chunk(chunk) for chunk in erasure_chunks]
-        proxy = self._proxy_for(key)
-        outcome = proxy.put(key, descriptor, chunks, now)
-        self.puts += 1
-        return PutResult(
-            key=key,
-            size=len(value),
-            latency_s=self._encode_time(len(value)) + outcome.latency_s,
-            proxy_id=proxy.proxy_id,
-            node_ids=outcome.node_ids,
-            evicted_keys=outcome.evicted_keys,
-            hosts_touched=outcome.hosts_touched,
-        )
+    def _prepare_put(
+        self, key: str, size: int, value: Optional[bytes]
+    ) -> tuple[Proxy, ObjectDescriptor, list[CacheChunk]]:
+        """Validate a PUT, pick its proxy and cut the object into chunks.
 
-    def put_sized(self, key: str, size: int) -> PutResult:
-        """Insert an object by size only (for large-scale trace replay)."""
-        if not key:
-            raise ConfigurationError("object key must be non-empty")
+        With ``value`` the chunks carry the Reed-Solomon coded bytes; without
+        it they are size-only placeholders (trace-replay mode).
+        """
+        proxy = self._proxy_for(key)
         if size <= 0:
-            raise ConfigurationError(f"object size must be positive, got {size}")
-        now = self.clock.now
+            raise ConfigurationError(f"object {key!r} must have a positive size, got {size}")
         descriptor = descriptor_for(
             key, size, self.config.data_shards, self.config.parity_shards
         )
-        chunks = [
-            CacheChunk.sized(key, index, descriptor.chunk_size)
-            for index in range(descriptor.total_chunks)
-        ]
-        proxy = self._proxy_for(key)
-        outcome = proxy.put(key, descriptor, chunks, now)
-        self.puts += 1
+        if value is None:
+            chunks = [
+                CacheChunk.sized(key, index, descriptor.chunk_size)
+                for index in range(descriptor.total_chunks)
+            ]
+        else:
+            chunks = [
+                CacheChunk.from_erasure_chunk(chunk)
+                for chunk in self.codec.encode(key, value)
+            ]
+        return proxy, descriptor, chunks
+
+    def _put_result(
+        self, key: str, size: int, latency_s: float, proxy: Proxy, outcome: ProxyPutResult
+    ) -> PutResult:
+        """Count a PUT the proxy kept and build the application's result."""
+        if outcome.complete:
+            self.puts += 1
         return PutResult(
             key=key,
             size=size,
-            latency_s=self._encode_time(size) + outcome.latency_s,
+            latency_s=latency_s,
             proxy_id=proxy.proxy_id,
             node_ids=outcome.node_ids,
             evicted_keys=outcome.evicted_keys,
             hosts_touched=outcome.hosts_touched,
+            complete=outcome.complete,
         )
 
+    def _put(self, key: str, size: int, value: Optional[bytes]) -> PutResult:
+        proxy, descriptor, chunks = self._prepare_put(key, size, value)
+        outcome = proxy.put(key, descriptor, chunks, self.clock.now)
+        latency_s = self._encode_time(size) + outcome.latency_s
+        return self._put_result(key, size, latency_s, proxy, outcome)
+
+    def put(self, key: str, value: bytes) -> PutResult:
+        """Erasure-code and insert a real object."""
+        return self._put(key, len(value), value)
+
+    def put_sized(self, key: str, size: int) -> PutResult:
+        """Insert an object by size only (for large-scale trace replay)."""
+        return self._put(key, size, None)
+
     # ------------------------------------------------------------------ GET
-    def get(self, key: str) -> GetResult:
-        """Fetch an object; returns a miss result if it cannot be reconstructed."""
-        if not key:
-            raise ConfigurationError("object key must be non-empty")
-        now = self.clock.now
-        proxy = self._proxy_for(key)
-        outcome = proxy.get(key, now)
+    def _get_result(self, key: str, proxy: Proxy, outcome: ProxyGetResult) -> GetResult:
+        """Count a GET and build its result; the caller fills in the latency.
+
+        A *degraded* outcome (mapping intact, chunks transiently unreachable)
+        is a miss with nothing to decode: the caller falls back to the backing
+        store without invalidating or re-inserting the object.
+        """
         self.gets += 1
-        if outcome.is_miss:
-            self.misses += 1
-            return GetResult(
-                key=key,
-                hit=False,
-                size=outcome.descriptor.object_size if outcome.descriptor else 0,
-                latency_s=0.0,
-                proxy_id=proxy.proxy_id,
-                chunks_lost=outcome.chunks_lost,
-                data_lost=outcome.found and not outcome.recoverable,
-            )
-        self.hits += 1
         descriptor = outcome.descriptor
-        value, decoded = self._reconstruct(descriptor, outcome)
-        latency = outcome.latency_s
-        if decoded:
-            latency += self._decode_time(descriptor)
+        hit = outcome.recoverable and not outcome.degraded
+        if hit:
+            self.hits += 1
+            value, decoded = self._reconstruct(descriptor, outcome)
+        else:
+            self.misses += 1
+            value, decoded = None, False
         return GetResult(
             key=key,
-            hit=True,
-            size=descriptor.object_size,
-            latency_s=latency,
+            hit=hit,
+            size=descriptor.object_size if descriptor else 0,
+            latency_s=0.0,
             proxy_id=proxy.proxy_id,
             value=value,
             decoded=decoded,
             chunks_lost=outcome.chunks_lost,
             recovery_performed=outcome.recovery_performed,
-            hosts_touched=outcome.hosts_touched,
+            hosts_touched=outcome.hosts_touched if outcome.recoverable else 0,
+            data_lost=outcome.found and not outcome.recoverable,
+            degraded=outcome.degraded,
         )
 
+    def get(self, key: str) -> GetResult:
+        """Fetch an object; returns a miss result if it cannot be reconstructed."""
+        proxy = self._proxy_for(key)
+        outcome = proxy.get(key, self.clock.now)
+        result = self._get_result(key, proxy, outcome)
+        if result.hit:
+            result.latency_s = outcome.latency_s
+            if result.decoded:
+                result.latency_s += self._decode_time(outcome.descriptor)
+        return result
+
     # ------------------------------------------------------------------ event-driven path
+    def _put_process(self, key: str, size: int, value: Optional[bytes], env, span):
+        proxy, descriptor, chunks = self._prepare_put(key, size, value)
+        tracer = env.tracer
+        op_span = tracer.begin("client.put", span, client=self.client_id, key=key)
+        start = env.now
+        encode_s = self._encode_time(size)
+        if encode_s > 0:
+            encode_span = tracer.begin("client.encode", op_span, bytes=size)
+            yield encode_s
+            tracer.finish(encode_span)
+        outcome = yield from proxy.put_process(key, descriptor, chunks, env, span=op_span)
+        tracer.finish(op_span)
+        return self._put_result(key, size, env.now - start, proxy, outcome)
+
     def put_process(self, key: str, value: bytes, env, span=None):
         """Event-driven PUT coroutine (see :meth:`put` for the facade).
 
@@ -252,71 +280,11 @@ class InfiniCacheClient:
         handed to the proxy, so a closed-loop client cannot issue its next
         request until the whole PUT — coding included — has finished.
         """
-        if not key:
-            raise ConfigurationError("object key must be non-empty")
-        if not value:
-            raise ConfigurationError(f"cannot cache an empty object {key!r}")
-        tracer = env.tracer
-        op_span = tracer.begin("client.put", span, client=self.client_id, key=key)
-        start = env.now
-        erasure_chunks = self.codec.encode(key, value)
-        descriptor = descriptor_for(
-            key, len(value), self.config.data_shards, self.config.parity_shards
-        )
-        chunks = [CacheChunk.from_erasure_chunk(chunk) for chunk in erasure_chunks]
-        proxy = self._proxy_for(key)
-        encode_s = self._encode_time(len(value))
-        if encode_s > 0:
-            encode_span = tracer.begin("client.encode", op_span, bytes=len(value))
-            yield encode_s
-            tracer.finish(encode_span)
-        outcome = yield from proxy.put_process(key, descriptor, chunks, env, span=op_span)
-        self.puts += 1
-        tracer.finish(op_span)
-        return PutResult(
-            key=key,
-            size=len(value),
-            latency_s=env.now - start,
-            proxy_id=proxy.proxy_id,
-            node_ids=outcome.node_ids,
-            evicted_keys=outcome.evicted_keys,
-            hosts_touched=outcome.hosts_touched,
-        )
+        return self._put_process(key, len(value), value, env, span)
 
     def put_sized_process(self, key: str, size: int, env, span=None):
         """Event-driven size-only PUT coroutine (trace-replay mode)."""
-        if not key:
-            raise ConfigurationError("object key must be non-empty")
-        if size <= 0:
-            raise ConfigurationError(f"object size must be positive, got {size}")
-        tracer = env.tracer
-        op_span = tracer.begin("client.put", span, client=self.client_id, key=key)
-        start = env.now
-        descriptor = descriptor_for(
-            key, size, self.config.data_shards, self.config.parity_shards
-        )
-        chunks = [
-            CacheChunk.sized(key, index, descriptor.chunk_size)
-            for index in range(descriptor.total_chunks)
-        ]
-        proxy = self._proxy_for(key)
-        encode_s = self._encode_time(size)
-        if encode_s > 0:
-            encode_span = tracer.begin("client.encode", op_span, bytes=size)
-            yield encode_s
-            tracer.finish(encode_span)
-        outcome = yield from proxy.put_process(key, descriptor, chunks, env, span=op_span)
-        self.puts += 1
-        tracer.finish(op_span)
-        return PutResult(
-            key=key,
-            size=size,
-            latency_s=env.now - start,
-            proxy_id=proxy.proxy_id,
-            node_ids=outcome.node_ids,
-            evicted_keys=outcome.evicted_keys,
-            hosts_touched=outcome.hosts_touched,
-        )
+        return self._put_process(key, size, None, env, span)
 
     def get_process(self, key: str, env, span=None):
         """Event-driven GET coroutine: chunk fetches race on the event loop.
@@ -324,65 +292,26 @@ class InfiniCacheClient:
         Decode time (charged when parity chunks were needed) is likewise
         spent on the clock before the result is returned to the caller.
         """
-        if not key:
-            raise ConfigurationError("object key must be non-empty")
+        proxy = self._proxy_for(key)
         tracer = env.tracer
         op_span = tracer.begin("client.get", span, client=self.client_id, key=key)
         start = env.now
-        proxy = self._proxy_for(key)
         outcome = yield from proxy.get_process(key, env, span=op_span)
-        self.gets += 1
-        if outcome.degraded:
-            # The mapping survived but the chunks were transiently
-            # unreachable: no bytes to decode, the caller falls back to the
-            # backing store without invalidating or re-inserting the object.
-            self.misses += 1
-            tracer.finish(op_span, hit=False, degraded=True)
-            return GetResult(
-                key=key,
-                hit=False,
-                size=outcome.descriptor.object_size if outcome.descriptor else 0,
-                latency_s=env.now - start,
-                proxy_id=proxy.proxy_id,
-                chunks_lost=outcome.chunks_lost,
-                hosts_touched=outcome.hosts_touched,
-                degraded=True,
-            )
-        if outcome.is_miss:
-            self.misses += 1
-            tracer.finish(op_span, hit=False)
-            return GetResult(
-                key=key,
-                hit=False,
-                size=outcome.descriptor.object_size if outcome.descriptor else 0,
-                latency_s=env.now - start,
-                proxy_id=proxy.proxy_id,
-                chunks_lost=outcome.chunks_lost,
-                data_lost=outcome.found and not outcome.recoverable,
-            )
-        self.hits += 1
-        descriptor = outcome.descriptor
-        value, decoded = self._reconstruct(descriptor, outcome)
-        if decoded:
-            decode_s = self._decode_time(descriptor)
+        result = self._get_result(key, proxy, outcome)
+        if result.decoded:
+            decode_s = self._decode_time(outcome.descriptor)
             if decode_s > 0:
                 decode_span = tracer.begin("client.decode", op_span,
-                                           bytes=descriptor.chunk_size)
+                                           bytes=outcome.descriptor.chunk_size)
                 yield decode_s
                 tracer.finish(decode_span)
-        tracer.finish(op_span, hit=True, decoded=decoded)
-        return GetResult(
-            key=key,
-            hit=True,
-            size=descriptor.object_size,
-            latency_s=env.now - start,
-            proxy_id=proxy.proxy_id,
-            value=value,
-            decoded=decoded,
-            chunks_lost=outcome.chunks_lost,
-            recovery_performed=outcome.recovery_performed,
-            hosts_touched=outcome.hosts_touched,
+        result.latency_s = env.now - start
+        outcome_attrs = (
+            {"decoded": result.decoded} if result.hit
+            else {"degraded": True} if result.degraded else {}
         )
+        tracer.finish(op_span, hit=result.hit, **outcome_attrs)
+        return result
 
     def get_or_raise(self, key: str) -> GetResult:
         """Like :meth:`get`, but raises :class:`CacheMissError` on a miss."""
@@ -403,13 +332,7 @@ class InfiniCacheClient:
             # Size-only mode: no bytes to return, but the decode cost is still
             # charged when parity chunks were needed.
             return None, decoded
-        metadata = StripeMetadata(
-            key=descriptor.key,
-            object_size=descriptor.object_size,
-            data_shards=descriptor.data_shards,
-            parity_shards=descriptor.parity_shards,
-            chunk_size=descriptor.chunk_size,
-        )
+        metadata = descriptor.stripe_metadata()
         erasure_chunks = [
             ErasureChunk(key=chunk.key, index=chunk.index, payload=chunk.payload,
                          metadata=metadata)
@@ -420,8 +343,7 @@ class InfiniCacheClient:
     # ------------------------------------------------------------------ invalidation
     def invalidate(self, key: str) -> bool:
         """Drop a cached object (called on overwrite, per the write-through model)."""
-        proxy = self._proxy_for(key)
-        return proxy.invalidate(key)
+        return self._proxy_for(key).invalidate(key)
 
     def exists(self, key: str) -> bool:
         """Whether the responsible proxy still tracks this key."""

@@ -80,16 +80,19 @@ class CircuitBreakerPolicy:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Request-path hardening knobs; everything defaults to *off*.
+    """Supervision policy for the event-driven request path.
 
-    With the default (all-``None``) configuration the proxy takes the
-    original un-instrumented GET/PUT code path byte for byte — no extra
-    events, no extra RNG draws — which is what keeps the committed golden
-    figure fingerprints stable.  Chaos scenarios switch the knobs on.
+    There is one request path: every chunk transfer runs under a supervisor
+    that absorbs transient faults, and a request that cannot reach
+    ``data_shards`` chunks degrades instead of aborting the run.  These
+    fields only set the supervisor's budget.  The default is one attempt,
+    no deadline and no breaker — a supervisor that is invisible when
+    nothing fails: it schedules no extra event and draws no extra random
+    number, so fault-free replays are byte-identical whatever is set here.
     """
 
     #: Retry transient chunk failures with exponential backoff; ``None``
-    #: disables retries (a failed chunk is immediately unreachable).
+    #: means one attempt (a failed chunk is immediately unreachable).
     retry: RetryPolicy | None = None
     #: Per-chunk transfer deadline; on expiry a hedged re-fetch races the
     #: original attempt.  ``None`` disables timeouts and hedging.
@@ -106,13 +109,9 @@ class ResilienceConfig:
             raise ConfigurationError("chunk timeout must be positive when set")
 
     @property
-    def hardened(self) -> bool:
-        """Whether any hardening feature is active (selects the proxy path)."""
-        return (
-            self.retry is not None
-            or self.chunk_timeout_s is not None
-            or self.circuit_breaker is not None
-        )
+    def chunk_attempts(self) -> int:
+        """Transfer attempts each chunk gets before it counts as unreachable."""
+        return self.retry.max_attempts if self.retry is not None else 1
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,9 @@ class InfiniCacheConfig:
     #: Re-insert chunks lost to reclamation when the object is still
     #: recoverable (the "Recovery" activity of Figure 14).
     repair_degraded_objects: bool = True
-    #: Request-path hardening (retry/hedging/circuit breaker/degraded
+    #: Chunk-supervision budget (retry/hedging/circuit breaker/degraded
     #: fallback); ``None`` behaves exactly like an all-defaults
-    #: :class:`ResilienceConfig` — everything off.
+    #: :class:`ResilienceConfig` — one attempt, no deadline, no breaker.
     resilience: ResilienceConfig | None = None
 
     # --- determinism -----------------------------------------------------------------------

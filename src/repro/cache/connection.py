@@ -19,7 +19,7 @@ destination replica and a late "return" from the source must be ignored.
 These classes model the *control protocol*: which messages flow and what
 overhead they add to a request.  Data transfer timing lives in
 :mod:`repro.network.transfer`.  :class:`CircuitBreaker` sits alongside them:
-a per-node health gate the hardened request path consults before issuing a
+a per-node health gate the chunk supervisor consults before issuing a
 chunk transfer, so a node that keeps failing is skipped for a cool-down
 instead of burning the retry budget of every request that maps onto it.
 """

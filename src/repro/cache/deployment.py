@@ -32,8 +32,8 @@ from repro.faas.reclamation import ReclamationPolicy
 from repro.network.flows import resolve_arbiter
 from repro.network.transfer import TransferModel
 from repro.exceptions import ConfigurationError
+from repro.obs.metrics import MetricRegistry
 from repro.sim.loop import PeriodicTask, Simulator
-from repro.simulation.metrics import MetricRegistry
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MINUTE
 

@@ -32,7 +32,7 @@ from repro.cache.namespacing import owner_of
 from repro.cache.node import LambdaCacheNode
 from repro.cache.runtime import RequestEnv
 from repro.erasure.codec import Chunk as ErasureChunk
-from repro.erasure.codec import ErasureCodec, StripeMetadata
+from repro.erasure.codec import ErasureCodec
 from repro.exceptions import (
     CacheError,
     DecodingError,
@@ -41,8 +41,8 @@ from repro.exceptions import (
 )
 from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import TransferModel
+from repro.obs.metrics import MetricRegistry
 from repro.sim.process import SimFuture, all_of, first_n
-from repro.simulation.metrics import MetricRegistry
 from repro.utils.rng import SeededRNG
 
 
@@ -75,10 +75,11 @@ class ProxyGetResult:
     chunks_lost: int = 0
     recovery_performed: bool = False
     hosts_touched: int = 0
-    #: Hardened path only: fewer than ``data_shards`` chunks were *reachable*
-    #: after retries and hedging, but the mapping table still holds the
-    #: object — the caller serves the request from the backing store (a
-    #: degraded hit, not a miss) and the failure detector heals the stripe.
+    #: Event-driven path only: fewer than ``data_shards`` chunks were
+    #: *reachable* within the attempt budget, but the mapping table still
+    #: holds the object — the caller serves the request from the backing
+    #: store (a degraded hit, not a miss) and the failure detector heals the
+    #: stripe.
     degraded: bool = False
 
     @property
@@ -96,9 +97,9 @@ class ProxyPutResult:
     node_ids: list[str]
     evicted_keys: list[str] = field(default_factory=list)
     hosts_touched: int = 0
-    #: Hardened path only: ``False`` when at least one chunk store exhausted
-    #: its retries, in which case the partial object was rolled back out of
-    #: the mapping table (the caller may re-try the PUT later).
+    #: Event-driven path only: ``False`` when at least one chunk store
+    #: exhausted its attempts, in which case the partial object was rolled
+    #: back out of the mapping table (the caller may re-try the PUT later).
     complete: bool = True
 
 
@@ -108,6 +109,36 @@ class _ObjectEntry:
     #: chunk index -> node id
     placement: dict[int, str]
     inserted_at: float
+
+
+def _chunk_quorum(futures: list[SimFuture], needed: int, label: str) -> SimFuture:
+    """A future resolving with the first ``needed`` truthy results in
+    completion order, or ``None`` as soon as that quorum becomes impossible.
+
+    ``first_n`` cannot express this: a chunk process that exhausts its
+    attempts *resolves* (with ``None``) rather than cancelling, so counting
+    resolutions would declare victory on failures.
+    """
+    quorum = SimFuture(label=label)
+    winners: list[object] = []
+    spare = len(futures) - needed  # failures the quorum can still absorb
+
+    def on_done(future: SimFuture) -> None:
+        nonlocal spare
+        if quorum.done:
+            return
+        if future.result:
+            winners.append(future.result)
+            if len(winners) == needed:
+                quorum.resolve(winners)
+        else:
+            spare -= 1
+            if spare < 0:
+                quorum.resolve(None)
+
+    for future in futures:
+        future.add_done_callback(on_done)
+    return quorum
 
 
 class Proxy:
@@ -128,8 +159,8 @@ class Proxy:
         self.transfer_model = transfer_model
         self.rng = rng
         self.metrics = metrics or MetricRegistry()
-        #: Request-path hardening knobs; the all-defaults config keeps every
-        #: feature off and the proxy on the original un-instrumented path.
+        #: Request-path supervision policy; unconfigured means one attempt
+        #: per chunk, no deadline and no breaker.
         self.resilience = config.resilience or ResilienceConfig()
         #: Chaos-engine override of the configured straggler model during a
         #: straggler-inflation fault window; ``None`` outside windows.
@@ -356,13 +387,7 @@ class Proxy:
         ]
         if len(with_payload) < descriptor.data_shards:
             return {}
-        metadata = StripeMetadata(
-            key=descriptor.key,
-            object_size=descriptor.object_size,
-            data_shards=descriptor.data_shards,
-            parity_shards=descriptor.parity_shards,
-            chunk_size=descriptor.chunk_size,
-        )
+        metadata = descriptor.stripe_metadata()
         erasure_chunks = [
             ErasureChunk(key=key, index=chunk.index, payload=chunk.payload,
                          metadata=metadata)
@@ -580,16 +605,17 @@ class Proxy:
         return existed
 
     # ------------------------------------------------------------------ PUT
-    def put(
+    def _admit_put(
         self,
         key: str,
         descriptor: ObjectDescriptor,
         chunks: list[CacheChunk],
-        now: float,
-        placement: Optional[list[str]] = None,
-        category: str = "serving",
-    ) -> ProxyPutResult:
-        """Store an object's chunks on the pool and record the placement."""
+        placement: Optional[list[str]],
+    ) -> tuple[list[str], list[LambdaCacheNode], list[str]]:
+        """Validate a PUT, drop the previous version and evict until it fits.
+
+        Returns the placement vector, its nodes, and the keys evicted.
+        """
         if len(chunks) != descriptor.total_chunks:
             raise CacheError(
                 f"object {key!r} descriptor expects {descriptor.total_chunks} chunks, "
@@ -601,313 +627,93 @@ class Proxy:
             raise CacheError("placement vector length does not match the chunk count")
         if len(set(placement)) != len(placement):
             raise CacheError("placement vector must name distinct nodes")
-
         # Overwrite: drop the previous version first (write-through semantics).
         self._remove_object(key)
-
         needed_by_node = {
             node_id: chunk.size for node_id, chunk in zip(placement, chunks)
         }
         evicted = self._evict_until_fits(needed_by_node, sum(needed_by_node.values()))
+        return placement, [self.node(node_id) for node_id in placement], evicted
 
-        target_nodes = [self.node(node_id) for node_id in placement]
-        flows = self._flows_per_host(target_nodes)
-        owner = owner_of(key)
-        chunk_times = []
-        for chunk, node in zip(chunks, target_nodes):
-            time_s = self._chunk_transfer_time(
-                chunk.size, node, flows, len(chunks), now, category, owner
-            )
-            node.store_chunk(chunk)
-            chunk_times.append(time_s)
-
-        entry = _ObjectEntry(
+    def _commit_put(
+        self,
+        key: str,
+        descriptor: ObjectDescriptor,
+        chunks: list[CacheChunk],
+        placement: list[str],
+        now: float,
+    ) -> None:
+        """Record the object in the mapping table and the CLOCK ring."""
+        self._objects[key] = _ObjectEntry(
             descriptor=descriptor,
             placement={chunk.index: node_id for chunk, node_id in zip(chunks, placement)},
             inserted_at=now,
         )
-        self._objects[key] = entry
         self._lru.insert(key, descriptor.stored_bytes)
-        if category == "serving":
-            # Maintenance traffic (rebalance migrations) must not pollute the
-            # autoscaler's client-request-rate signal.
-            self.requests_served += 1
-            self.metrics.counter("proxy.puts").increment()
-        else:
-            self.metrics.counter(f"proxy.{category}_puts").increment()
-        self.metrics.gauge("proxy.bytes_used").set(self.pool_bytes_used())
 
+    def _put_result(
+        self,
+        key: str,
+        latency_s: float,
+        placement: list[str],
+        target_nodes: list[LambdaCacheNode],
+        evicted: list[str],
+        category: str,
+        complete: bool = True,
+    ) -> ProxyPutResult:
+        """Count a finished PUT; an incomplete one is rolled back first."""
+        if not complete:
+            # At least one chunk store exhausted its attempts: roll the
+            # partial object back so a later GET is a clean miss rather than
+            # a permanently degraded stripe.
+            self._remove_object(key)
+            self.metrics.counter("proxy.put_failures").increment()
+        else:
+            if category == "serving":
+                # Maintenance traffic (rebalance migrations) must not pollute
+                # the autoscaler's client-request-rate signal.
+                self.requests_served += 1
+                self.metrics.counter("proxy.puts").increment()
+            else:
+                self.metrics.counter(f"proxy.{category}_puts").increment()
+            self.metrics.gauge("proxy.bytes_used").set(self.pool_bytes_used())
         return ProxyPutResult(
             key=key,
-            latency_s=max(chunk_times) if chunk_times else 0.0,
+            latency_s=latency_s,
             node_ids=list(placement),
             evicted_keys=evicted,
             hosts_touched=self._hosts_touched(target_nodes),
+            complete=complete,
         )
 
-    # ------------------------------------------------------------------ GET
-    def get(self, key: str, now: float) -> ProxyGetResult:
-        """Fetch an object's chunks with first-d parallel streaming."""
-        self.requests_served += 1
-        entry = self._objects.get(key)
-        if entry is None:
-            self.metrics.counter("proxy.misses").increment()
-            return ProxyGetResult(key=key, found=False, recoverable=False, descriptor=None)
-
-        self._lru.touch(key)
-        descriptor = entry.descriptor
-        involved_nodes = [self.node(node_id) for node_id in entry.placement.values()]
-        flows = self._flows_per_host(involved_nodes)
-        owner = owner_of(key)
-        fetches: list[ChunkFetch] = []
-        for chunk_index, node_id in sorted(entry.placement.items()):
-            node = self.node(node_id)
-            chunk_id = f"{key}#{chunk_index}"
-            chunk = node.fetch_chunk(chunk_id) if node.is_alive else None
-            if chunk is None:
-                fetches.append(
-                    ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=None,
-                               time_s=float("inf"), lost=True)
-                )
-                continue
-            time_s = self._chunk_transfer_time(
-                chunk.size, node, flows, descriptor.total_chunks, now, "serving", owner
-            )
-            fetches.append(
-                ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=chunk,
-                           time_s=time_s, lost=False)
-            )
-
-        available = [fetch for fetch in fetches if not fetch.lost]
-        lost_count = descriptor.total_chunks - len(available)
-        hosts_touched = self._hosts_touched(involved_nodes)
-
-        if len(available) < descriptor.data_shards:
-            # Unrecoverable: the caller must RESET from the backing store.
-            self._remove_object(key)
-            self.metrics.counter("proxy.object_losses").increment()
-            self.metrics.counter("proxy.misses").increment()
-            return ProxyGetResult(
-                key=key,
-                found=True,
-                recoverable=False,
-                descriptor=descriptor,
-                fetches=fetches,
-                chunks_lost=lost_count,
-                hosts_touched=hosts_touched,
-            )
-
-        # First-d: the request completes when the fastest d chunks are in.
-        fastest = sorted(available, key=lambda fetch: fetch.time_s)[: descriptor.data_shards]
-        latency = max(fetch.time_s for fetch in fastest)
-        used_chunks = [fetch.chunk for fetch in fastest]
-
-        recovery_performed = False
-        if lost_count > 0:
-            self.metrics.counter("proxy.degraded_reads").increment()
-            if self.config.repair_degraded_objects:
-                recovery_performed = self._repair_object(key, entry, fetches, now)
-
-        self.metrics.counter("proxy.hits").increment()
-        return ProxyGetResult(
-            key=key,
-            found=True,
-            recoverable=True,
-            descriptor=descriptor,
-            fetches=fetches,
-            used_chunks=used_chunks,
-            latency_s=latency,
-            chunks_lost=lost_count,
-            recovery_performed=recovery_performed,
-            hosts_touched=hosts_touched,
-        )
-
-    # ------------------------------------------------------------------ event-driven path
-    def _chunk_transfer_process(
+    def put(
         self,
         key: str,
-        chunk_index: int,
-        chunk: CacheChunk,
-        effective_bytes: float,
-        node: LambdaCacheNode,
-        env: RequestEnv,
-        owner: Optional[str],
-        category: str,
-        fetch: Optional[ChunkFetch] = None,
-        store: bool = False,
-        span_parent=None,
-    ):
-        """Coroutine moving one chunk between a node and this proxy.
+        descriptor: ObjectDescriptor,
+        chunks: list[CacheChunk],
+        now: float,
+        placement: Optional[list[str]] = None,
+        category: str = "serving",
+    ) -> ProxyPutResult:
+        """Store an object's chunks on the pool and record the placement.
 
-        Invokes the node (opening its billed session), waits out the
-        invocation overhead and network latency, then streams the bytes as a
-        flow whose bandwidth share is recomputed as other flows come and go.
-        If the process is cancelled mid-flow (an abandoned straggler fetch),
-        the ``finally`` block still bills the partial transfer the Lambda
-        actually performed.
+        The clock-free facade of :meth:`put_process`: the same admission,
+        eviction and bookkeeping, with each chunk's transfer time computed
+        analytically at ``now`` instead of streamed on the event loop.
         """
-        arrival = env.now
-        tracer = env.tracer
-        span = tracer.begin("chunk.store" if store else "chunk.fetch", span_parent,
-                            chunk=chunk_index, node=node.node_id)
-        access = node.ensure_active(arrival, category)
-        if store:
-            node.store_chunk(chunk)
-        env.begin_transfer(node)
-        env.watch_session(node)
-        latency = self.transfer_model.base_latency_s
-        preamble = access.overhead_s + latency
-        flow = None
-        try:
-            if preamble > 0:
-                invoke_span = tracer.begin("lambda.invoke", span, node=node.node_id,
-                                           cold=access.cold_start)
-                try:
-                    yield preamble
-                finally:
-                    tracer.finish(invoke_span)
-            host_id = node.primary.host_id if node.primary is not None else node.node_id
-            flow = env.flows.transfer(
-                size_bytes=effective_bytes,
-                function_bandwidth_bps=node.bandwidth_bps,
-                host_id=host_id,
-                host_capacity_bps=self.platform.limits.host_nic_bandwidth,
-                proxy_id=self.proxy_id,
-                label=f"{self.proxy_id}:{category}:{key}#{chunk_index}",
-            )
-            if span.recording:
-                flow.parent_span = span
-            yield flow.future
-        finally:
-            # Runs on completion *and* on abandonment (generator close): the
-            # node is billed for the work it actually performed either way.
-            # The busy interval is anchored to *end now* — anchoring it at
-            # arrival would let the billing window lapse mid-flight when the
-            # preamble includes a cold start.
-            if flow is not None:
-                service = latency + (env.now - flow.started_at)
-            else:
-                service = env.now - arrival
-            env.end_transfer(node)
-            node.record_service(env.now - service, service, category, owner)
-            env.watch_session(node)
-            if fetch is not None:
-                fetch.time_s = env.now - arrival
-            if span.recording and fetch is not None:
-                span.annotate(abandoned=fetch.abandoned)
-            tracer.finish(span)
-        return fetch
-
-    def get_process(self, key: str, env: RequestEnv, span=None):
-        """Event-driven GET coroutine: the d-of-n chunk fetches genuinely race.
-
-        Matches :meth:`get` for hits, misses, and degraded reads, with two
-        refinements only the event engine can express: concurrent chunk
-        flows share bandwidth dynamically while in flight, and once the
-        fastest ``data_shards`` chunks have landed the stragglers are
-        *abandoned* (billed for their partial transfer), as in the paper's
-        first-d streaming.
-        """
-        if self.resilience.hardened:
-            result = yield from self._get_process_hardened(key, env, span)
-            return result
-        start = env.now
-        tracer = env.tracer
-        op_span = tracer.begin("proxy.get", span, proxy=self.proxy_id, key=key)
-        self.requests_served += 1
-        entry = self._objects.get(key)
-        if entry is None:
-            self.metrics.counter("proxy.misses").increment()
-            tracer.finish(op_span, outcome="miss")
-            return ProxyGetResult(key=key, found=False, recoverable=False, descriptor=None)
-
-        self._lru.touch(key)
-        descriptor = entry.descriptor
-        involved_nodes = [self.node(node_id) for node_id in entry.placement.values()]
+        placement, target_nodes, evicted = self._admit_put(
+            key, descriptor, chunks, placement
+        )
+        flows = self._flows_per_host(target_nodes)
         owner = owner_of(key)
-        fetches: list[ChunkFetch] = []
-        pending: list[tuple[ChunkFetch, LambdaCacheNode]] = []
-        for chunk_index, node_id in sorted(entry.placement.items()):
-            node = self.node(node_id)
-            chunk = node.fetch_chunk(f"{key}#{chunk_index}") if node.is_alive else None
-            if chunk is None:
-                fetches.append(
-                    ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=None,
-                               time_s=float("inf"), lost=True)
-                )
-                continue
-            fetch = ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=chunk,
-                               time_s=0.0, lost=False)
-            fetches.append(fetch)
-            pending.append((fetch, node))
-
-        lost_count = descriptor.total_chunks - len(pending)
-        hosts_touched = self._hosts_touched(involved_nodes)
-
-        if len(pending) < descriptor.data_shards:
-            # Unrecoverable: no transfer is even attempted (the mapping table
-            # already knows); the caller must RESET from the backing store.
-            self._remove_object(key)
-            self.metrics.counter("proxy.object_losses").increment()
-            self.metrics.counter("proxy.misses").increment()
-            tracer.finish(op_span, outcome="lost")
-            return ProxyGetResult(
-                key=key,
-                found=True,
-                recoverable=False,
-                descriptor=descriptor,
-                fetches=fetches,
-                chunks_lost=lost_count,
-                hosts_touched=hosts_touched,
-            )
-
-        tasks = []
-        for fetch, node in pending:
-            effective = (
-                fetch.chunk.size
-                * self._straggler_factor()
-                * self.transfer_model.draw_jitter()
-            )
-            tasks.append(env.loop.spawn(
-                self._chunk_transfer_process(
-                    key, fetch.chunk_index, fetch.chunk, effective, node, env,
-                    owner, "serving", fetch=fetch, span_parent=op_span,
-                ),
-                label=f"{self.proxy_id}:fetch:{key}#{fetch.chunk_index}",
+        latency = 0.0
+        for chunk, node in zip(chunks, target_nodes):
+            latency = max(latency, self._chunk_transfer_time(
+                chunk.size, node, flows, len(chunks), now, category, owner
             ))
-
-        # First-d: the request completes when the fastest d chunks are in.
-        winners = yield first_n(
-            descriptor.data_shards, [task.future for task in tasks],
-            label=f"{self.proxy_id}:first_d:{key}",
-        )
-        latency = env.now - start
-        for (fetch, _node), task in zip(pending, tasks):
-            if not task.done:
-                fetch.abandoned = True
-                task.cancel()
-        used_chunks = [fetch.chunk for fetch in winners]
-
-        recovery_performed = False
-        if lost_count > 0:
-            self.metrics.counter("proxy.degraded_reads").increment()
-            if self.config.repair_degraded_objects:
-                recovery_performed = self._repair_object(key, entry, fetches, env.now)
-
-        self.metrics.counter("proxy.hits").increment()
-        tracer.finish(op_span, outcome="hit", chunks_lost=lost_count)
-        return ProxyGetResult(
-            key=key,
-            found=True,
-            recoverable=True,
-            descriptor=descriptor,
-            fetches=fetches,
-            used_chunks=used_chunks,
-            latency_s=latency,
-            chunks_lost=lost_count,
-            recovery_performed=recovery_performed,
-            hosts_touched=hosts_touched,
-        )
+            node.store_chunk(chunk)
+        self._commit_put(key, descriptor, chunks, placement, now)
+        return self._put_result(key, latency, placement, target_nodes, evicted, category)
 
     def put_process(
         self,
@@ -923,498 +729,407 @@ class Proxy:
 
         Chunks are reserved on their nodes at arrival (so racing requests
         cannot oversubscribe a node's memory) and the coroutine completes
-        when the slowest upload lands.
+        when the slowest upload settles.  A chunk store that exhausts its
+        attempts rolls the partial object back out of the mapping table and
+        flags the result ``complete=False`` instead of raising into the
+        driver.
         """
-        if self.resilience.hardened:
-            result = yield from self._put_process_hardened(
-                key, descriptor, chunks, env, placement, category, span
-            )
-            return result
-        if len(chunks) != descriptor.total_chunks:
-            raise CacheError(
-                f"object {key!r} descriptor expects {descriptor.total_chunks} chunks, "
-                f"got {len(chunks)}"
-            )
-        if placement is None:
-            placement = self.choose_placement(descriptor.total_chunks)
-        if len(placement) != descriptor.total_chunks:
-            raise CacheError("placement vector length does not match the chunk count")
-        if len(set(placement)) != len(placement):
-            raise CacheError("placement vector must name distinct nodes")
-
+        placement, target_nodes, evicted = self._admit_put(
+            key, descriptor, chunks, placement
+        )
         start = env.now
         tracer = env.tracer
         op_span = tracer.begin("proxy.put", span, proxy=self.proxy_id, key=key,
                                category=category)
-        # Overwrite: drop the previous version first (write-through semantics).
-        self._remove_object(key)
-        needed_by_node = {
-            node_id: chunk.size for node_id, chunk in zip(placement, chunks)
-        }
-        evicted = self._evict_until_fits(needed_by_node, sum(needed_by_node.values()))
-
-        target_nodes = [self.node(node_id) for node_id in placement]
         owner = owner_of(key)
+        attempts = self.resilience.chunk_attempts
+        timeout_s = self.resilience.chunk_timeout_s
         tasks = []
         for chunk, node in zip(chunks, target_nodes):
-            effective = (
-                chunk.size * self._straggler_factor() * self.transfer_model.draw_jitter()
-            )
             tasks.append(env.loop.spawn(
-                self._chunk_transfer_process(
-                    key, chunk.index, chunk, effective, node, env,
-                    owner, category, store=True, span_parent=op_span,
-                ),
+                self._chunk_process(key, chunk, node, env, owner, category, op_span,
+                                    attempts, timeout_s, store=True),
                 label=f"{self.proxy_id}:store:{key}#{chunk.index}",
             ))
+        self._commit_put(key, descriptor, chunks, placement, start)
 
-        entry = _ObjectEntry(
-            descriptor=descriptor,
-            placement={chunk.index: node_id for chunk, node_id in zip(chunks, placement)},
-            inserted_at=start,
+        stored = yield all_of(
+            [task.future for task in tasks], label=f"{self.proxy_id}:put:{key}"
         )
-        self._objects[key] = entry
-        self._lru.insert(key, descriptor.stored_bytes)
-
-        yield all_of([task.future for task in tasks], label=f"{self.proxy_id}:put:{key}")
-
-        if category == "serving":
-            self.requests_served += 1
-            self.metrics.counter("proxy.puts").increment()
+        complete = all(stored)
+        if complete:
+            tracer.finish(op_span)
         else:
-            self.metrics.counter(f"proxy.{category}_puts").increment()
-        self.metrics.gauge("proxy.bytes_used").set(self.pool_bytes_used())
-
-        tracer.finish(op_span)
-        return ProxyPutResult(
-            key=key,
-            latency_s=env.now - start,
-            node_ids=list(placement),
-            evicted_keys=evicted,
-            hosts_touched=self._hosts_touched(target_nodes),
+            tracer.finish(op_span, outcome="failed")
+        return self._put_result(
+            key, env.now - start, placement, target_nodes, evicted, category, complete
         )
 
-    # ------------------------------------------------------------------ hardened path
-    #
-    # The methods below are taken only when ``config.resilience`` switches a
-    # hardening feature on (chaos scenarios).  The un-hardened coroutines
-    # above stay byte-for-byte on their original event/RNG sequence, which is
-    # what keeps the committed golden figure fingerprints stable.
+    # ------------------------------------------------------------------ GET
+    def _locate_chunks(
+        self, key: str
+    ) -> Optional[tuple[_ObjectEntry, list[ChunkFetch], list[LambdaCacheNode]]]:
+        """Look an object up and check which of its chunks are still there.
 
-    def _attempt_chunk_process(
-        self,
-        key: str,
-        chunk_index: int,
-        chunk: CacheChunk,
-        node: LambdaCacheNode,
-        env: RequestEnv,
-        owner: Optional[str],
-        category: str,
-        fetch: Optional[ChunkFetch] = None,
-        store: bool = False,
-        span_parent=None,
-    ):
-        """One guarded transfer attempt: resolves ``True`` on success.
-
-        Transient failures (injected invocation faults, reclaimed-mid-flight)
-        resolve ``False`` instead of raising — an exception out of a spawned
-        process would escape into the event loop's callback chain and abort
-        the whole run.  The node's circuit breaker (when installed) gates the
-        attempt and records the outcome.
+        Returns the mapping entry, one :class:`ChunkFetch` per stripe chunk in
+        index order (``lost`` where the node or the chunk is gone) and the
+        nodes they sit on — or ``None``, counted as a miss, for an unknown key.
         """
-        breaker = node.breaker
-        if breaker is not None and not breaker.allow(env.now):
-            self.metrics.counter("proxy.breaker_rejections").increment()
-            return False
-        effective = (
-            chunk.size * self._straggler_factor() * self.transfer_model.draw_jitter()
-        )
-        try:
-            yield from self._chunk_transfer_process(
-                key, chunk_index, chunk, effective, node, env, owner, category,
-                fetch=fetch, store=store, span_parent=span_parent,
-            )
-        except TransientFaultError:
-            if breaker is not None:
-                breaker.record_failure(env.now)
-            self.metrics.counter("proxy.chunk_faults").increment()
-            return False
-        if breaker is not None:
-            breaker.record_success(env.now)
-        return True
-
-    def _chunk_supervisor_process(
-        self,
-        key: str,
-        chunk_index: int,
-        chunk: CacheChunk,
-        node: LambdaCacheNode,
-        env: RequestEnv,
-        owner: Optional[str],
-        category: str,
-        fetch: Optional[ChunkFetch] = None,
-        store: bool = False,
-        span_parent=None,
-    ):
-        """Retry/timeout/hedge harness around one chunk's transfer attempts.
-
-        Per attempt: race the transfer against the configured chunk deadline;
-        on deadline expiry spawn one *hedged* second attempt and take
-        whichever settles first.  Between attempts sleep an exponential
-        backoff stretched by seeded jitter (drawn from the dedicated retry
-        stream only when a retry actually fires).  Resolves ``True`` once an
-        attempt lands the chunk, ``False`` when the budget is exhausted;
-        never raises.  Cancellation (straggler abandonment by the first-d
-        quorum) propagates to the in-flight attempt, whose ``finally`` block
-        bills the partial transfer as usual.
-        """
-        policy = self.resilience.retry
-        timeout_s = self.resilience.chunk_timeout_s
-        max_attempts = policy.max_attempts if policy is not None else 1
-        task = hedge = None
-        timer: Optional[SimFuture] = None
-        try:
-            for attempt in range(max_attempts):
-                if attempt > 0:
-                    backoff = (
-                        policy.base_backoff_s
-                        * policy.backoff_multiplier ** (attempt - 1)
-                        * (1.0 + policy.jitter_fraction * self._retry_rng.random())
-                    )
-                    self.metrics.counter("proxy.chunk_retries").increment()
-                    yield backoff
-                hedge = None
-                timer = None
-                task = env.loop.spawn(
-                    self._attempt_chunk_process(
-                        key, chunk_index, chunk, node, env, owner, category,
-                        fetch=fetch, store=store, span_parent=span_parent,
-                    ),
-                    label=f"{self.proxy_id}:attempt{attempt}:{key}#{chunk_index}",
-                )
-                if timeout_s is None:
-                    succeeded = yield task.future
-                else:
-                    timer = env.loop.timeout(
-                        timeout_s, label=f"{self.proxy_id}:deadline:{key}#{chunk_index}"
-                    )
-                    yield first_n(
-                        1, [task.future, timer],
-                        label=f"{self.proxy_id}:race:{key}#{chunk_index}",
-                    )
-                    if task.done:
-                        timer.cancel()
-                        succeeded = task.future.result
-                    else:
-                        # Deadline passed: hedge a second attempt against the
-                        # original, under a second deadline of its own — if
-                        # neither lands (the node's link is blackholed, say)
-                        # the attempt pair counts as failed and the backoff/
-                        # retry loop takes over instead of stalling until the
-                        # fault clears.
-                        self.metrics.counter("proxy.chunk_hedges").increment()
-                        hedge = env.loop.spawn(
-                            self._attempt_chunk_process(
-                                key, chunk_index, chunk, node, env, owner,
-                                category, store=store, span_parent=span_parent,
-                            ),
-                            label=f"{self.proxy_id}:hedge{attempt}:{key}#{chunk_index}",
-                        )
-                        timer = env.loop.timeout(
-                            timeout_s,
-                            label=f"{self.proxy_id}:hedge_deadline:{key}#{chunk_index}",
-                        )
-                        yield first_n(
-                            1, [task.future, hedge.future, timer],
-                            label=f"{self.proxy_id}:hedge_race:{key}#{chunk_index}",
-                        )
-                        if task.done or hedge.done:
-                            timer.cancel()
-                            winner, loser = (task, hedge) if task.done else (hedge, task)
-                            succeeded = bool(winner.future.result)
-                            loser.cancel()
-                        else:
-                            task.cancel()
-                            hedge.cancel()
-                            succeeded = False
-                if succeeded:
-                    return True
-            return False
-        finally:
-            for running in (task, hedge):
-                if running is not None and not running.done:
-                    running.cancel()
-            if timer is not None and not timer.done:
-                timer.cancel()
-
-    def _chunk_quorum(
-        self,
-        tasks: list[tuple[SimFuture, Optional[ChunkFetch]]],
-        needed: int,
-        label: str,
-    ) -> SimFuture:
-        """A future resolving with the first ``needed`` winning fetches, or
-        ``None`` as soon as reaching the quorum becomes impossible.
-
-        ``first_n`` cannot express this: a failed supervisor *resolves* (with
-        ``False``) rather than cancelling, so counting resolutions would
-        declare victory on failures.
-        """
-        quorum = SimFuture(label=label)
-        winners: list[Optional[ChunkFetch]] = []
-        state = {"failures": 0}
-        total = len(tasks)
-
-        def make_callback(fetch: Optional[ChunkFetch]):
-            def on_done(future: SimFuture) -> None:
-                if quorum.done:
-                    return
-                success = (not future.cancelled) and bool(future.result)
-                if success:
-                    winners.append(fetch)
-                    if len(winners) >= needed:
-                        quorum.resolve(list(winners))
-                else:
-                    state["failures"] += 1
-                    if total - state["failures"] < needed:
-                        quorum.resolve(None)
-            return on_done
-
-        for future, fetch in tasks:
-            future.add_done_callback(make_callback(fetch))
-        return quorum
-
-    def _get_process_hardened(self, key: str, env: RequestEnv, span=None):
-        """The GET coroutine with the request path hardened.
-
-        Identical to :meth:`get_process` except that every chunk transfer
-        runs under a retry/timeout/hedge supervisor, and a request that
-        cannot reach ``data_shards`` chunks degrades gracefully (backing
-        store fallback, mapping left intact for the failure detector)
-        instead of raising or dropping the object.
-        """
-        start = env.now
-        tracer = env.tracer
-        op_span = tracer.begin("proxy.get", span, proxy=self.proxy_id, key=key)
         self.requests_served += 1
         entry = self._objects.get(key)
         if entry is None:
             self.metrics.counter("proxy.misses").increment()
-            tracer.finish(op_span, outcome="miss")
-            return ProxyGetResult(key=key, found=False, recoverable=False, descriptor=None)
-
+            return None
         self._lru.touch(key)
-        descriptor = entry.descriptor
-        involved_nodes = [self.node(node_id) for node_id in entry.placement.values()]
-        owner = owner_of(key)
         fetches: list[ChunkFetch] = []
-        pending: list[tuple[ChunkFetch, LambdaCacheNode]] = []
+        nodes: list[LambdaCacheNode] = []
         for chunk_index, node_id in sorted(entry.placement.items()):
             node = self.node(node_id)
             chunk = node.fetch_chunk(f"{key}#{chunk_index}") if node.is_alive else None
-            if chunk is None:
-                fetches.append(
-                    ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=None,
-                               time_s=float("inf"), lost=True)
-                )
-                continue
-            fetch = ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=chunk,
-                               time_s=0.0, lost=False)
-            fetches.append(fetch)
-            pending.append((fetch, node))
-
-        lost_count = descriptor.total_chunks - len(pending)
-        hosts_touched = self._hosts_touched(involved_nodes)
-
-        if len(pending) < descriptor.data_shards:
-            # More than ``p`` chunks already gone from the mapping: this is
-            # the ordinary RESET path, not a transient fault — the caller
-            # re-fetches and re-inserts from the backing store.
-            self._remove_object(key)
-            self.metrics.counter("proxy.object_losses").increment()
-            self.metrics.counter("proxy.misses").increment()
-            tracer.finish(op_span, outcome="lost")
-            return ProxyGetResult(
-                key=key,
-                found=True,
-                recoverable=False,
-                descriptor=descriptor,
-                fetches=fetches,
-                chunks_lost=lost_count,
-                hosts_touched=hosts_touched,
-            )
-
-        tasks = []
-        for fetch, node in pending:
-            tasks.append(env.loop.spawn(
-                self._chunk_supervisor_process(
-                    key, fetch.chunk_index, fetch.chunk, node, env, owner,
-                    "serving", fetch=fetch, span_parent=op_span,
-                ),
-                label=f"{self.proxy_id}:fetch:{key}#{fetch.chunk_index}",
+            fetches.append(ChunkFetch(
+                chunk_index=chunk_index, node_id=node_id, chunk=chunk,
+                time_s=float("inf") if chunk is None else 0.0, lost=chunk is None,
             ))
+            nodes.append(node)
+        return entry, fetches, nodes
 
-        winners = yield self._chunk_quorum(
-            [(task.future, fetch) for task, (fetch, _node) in zip(tasks, pending)],
-            descriptor.data_shards,
-            label=f"{self.proxy_id}:quorum:{key}",
+    def _get_result(
+        self,
+        key: str,
+        entry: _ObjectEntry,
+        fetches: list[ChunkFetch],
+        hosts_touched: int,
+        winners: Optional[list[ChunkFetch]],
+        latency_s: float,
+        now: float,
+        degraded: bool = False,
+    ) -> ProxyGetResult:
+        """Count a located GET and build its result.
+
+        ``winners`` are the fastest-d fetches.  ``None`` means no quorum:
+        either the chunks were only transiently unreachable (``degraded``:
+        the mapping stays for the failure detector to heal), or fewer than
+        ``data_shards`` survive, so the object is dropped and the caller
+        must RESET it from the backing store.
+        """
+        lost_count = sum(fetch.lost for fetch in fetches)
+        result = ProxyGetResult(
+            key=key,
+            found=True,
+            recoverable=degraded or winners is not None,
+            descriptor=entry.descriptor,
+            fetches=fetches,
+            latency_s=latency_s,
+            chunks_lost=lost_count,
+            hosts_touched=hosts_touched,
+            degraded=degraded,
         )
-        latency = env.now - start
-        for (fetch, _node), task in zip(pending, tasks):
-            if not task.done:
-                fetch.abandoned = True
-                task.cancel()
-
+        if degraded:
+            return result
         if winners is None:
-            # Fewer than d chunks reachable after retries and hedging.
-            self.metrics.counter("proxy.degraded_fallbacks").increment()
-            if self.resilience.degraded_fallback:
-                tracer.finish(op_span, outcome="degraded")
-                return ProxyGetResult(
-                    key=key,
-                    found=True,
-                    recoverable=True,
-                    descriptor=descriptor,
-                    fetches=fetches,
-                    latency_s=latency,
-                    chunks_lost=lost_count,
-                    hosts_touched=hosts_touched,
-                    degraded=True,
-                )
             self._remove_object(key)
             self.metrics.counter("proxy.object_losses").increment()
             self.metrics.counter("proxy.misses").increment()
-            tracer.finish(op_span, outcome="lost")
-            return ProxyGetResult(
-                key=key,
-                found=True,
-                recoverable=False,
-                descriptor=descriptor,
-                fetches=fetches,
-                chunks_lost=lost_count,
-                hosts_touched=hosts_touched,
-            )
-
-        used_chunks = [fetch.chunk for fetch in winners]
-        recovery_performed = False
+            return result
+        result.used_chunks = [fetch.chunk for fetch in winners]
         if lost_count > 0:
             self.metrics.counter("proxy.degraded_reads").increment()
             if self.config.repair_degraded_objects:
                 try:
-                    recovery_performed = self._repair_object(key, entry, fetches, env.now)
+                    result.recovery_performed = self._repair_object(
+                        key, entry, fetches, now
+                    )
                 except TransientFaultError:
                     # A repair node faulted mid-repair; the stripe keeps its
                     # stale placement and the next audit sweep re-detects it.
                     self.metrics.counter("proxy.repair_faults").increment()
-
         self.metrics.counter("proxy.hits").increment()
-        tracer.finish(op_span, outcome="hit", chunks_lost=lost_count)
-        return ProxyGetResult(
-            key=key,
-            found=True,
-            recoverable=True,
-            descriptor=descriptor,
-            fetches=fetches,
-            used_chunks=used_chunks,
-            latency_s=latency,
-            chunks_lost=lost_count,
-            recovery_performed=recovery_performed,
-            hosts_touched=hosts_touched,
+        return result
+
+    def get(self, key: str, now: float) -> ProxyGetResult:
+        """Fetch an object's chunks with first-d parallel streaming.
+
+        The clock-free facade of :meth:`get_process`: the same lookup, loss
+        handling and bookkeeping, with each chunk's transfer time computed
+        analytically at ``now`` and the fastest ``d`` picked by sorting.
+        """
+        located = self._locate_chunks(key)
+        if located is None:
+            return ProxyGetResult(key=key, found=False, recoverable=False, descriptor=None)
+        entry, fetches, nodes = located
+        descriptor = entry.descriptor
+        flows = self._flows_per_host(nodes)
+        owner = owner_of(key)
+        available = []
+        for fetch, node in zip(fetches, nodes):
+            if not fetch.lost:
+                fetch.time_s = self._chunk_transfer_time(
+                    fetch.chunk.size, node, flows, descriptor.total_chunks, now,
+                    "serving", owner,
+                )
+                available.append(fetch)
+        winners = None
+        latency = 0.0
+        if len(available) >= descriptor.data_shards:
+            # First-d: the request completes when the fastest d chunks are in.
+            available.sort(key=lambda fetch: fetch.time_s)
+            winners = available[: descriptor.data_shards]
+            latency = winners[-1].time_s
+        return self._get_result(
+            key, entry, fetches, self._hosts_touched(nodes), winners, latency, now
         )
 
-    def _put_process_hardened(
-        self,
-        key: str,
-        descriptor: ObjectDescriptor,
-        chunks: list[CacheChunk],
-        env: RequestEnv,
-        placement: Optional[list[str]] = None,
-        category: str = "serving",
-        span=None,
-    ):
-        """The PUT coroutine with every chunk store under a retry supervisor.
+    def get_process(self, key: str, env: RequestEnv, span=None):
+        """Event-driven GET coroutine: the d-of-n chunk fetches genuinely race.
 
-        A chunk store that exhausts its retries rolls the partial object back
-        out of the mapping table and flags the result ``complete=False``
-        instead of raising into the driver.
+        Matches :meth:`get` for hits, misses, and degraded reads, with the
+        refinements only the event engine can express: concurrent chunk
+        flows share bandwidth dynamically while in flight; once the fastest
+        ``data_shards`` chunks have landed the stragglers are *abandoned*
+        (billed for their partial transfer), as in the paper's first-d
+        streaming; and a request whose chunks are unreachable rather than
+        gone degrades gracefully (backing-store fallback, mapping left
+        intact) instead of raising or dropping the object.
         """
-        if len(chunks) != descriptor.total_chunks:
-            raise CacheError(
-                f"object {key!r} descriptor expects {descriptor.total_chunks} chunks, "
-                f"got {len(chunks)}"
-            )
-        if placement is None:
-            placement = self.choose_placement(descriptor.total_chunks)
-        if len(placement) != descriptor.total_chunks:
-            raise CacheError("placement vector length does not match the chunk count")
-        if len(set(placement)) != len(placement):
-            raise CacheError("placement vector must name distinct nodes")
-
         start = env.now
         tracer = env.tracer
-        op_span = tracer.begin("proxy.put", span, proxy=self.proxy_id, key=key,
-                               category=category)
-        self._remove_object(key)
-        needed_by_node = {
-            node_id: chunk.size for node_id, chunk in zip(placement, chunks)
-        }
-        evicted = self._evict_until_fits(needed_by_node, sum(needed_by_node.values()))
-
-        target_nodes = [self.node(node_id) for node_id in placement]
-        owner = owner_of(key)
-        tasks = []
-        for chunk, node in zip(chunks, target_nodes):
-            tasks.append(env.loop.spawn(
-                self._chunk_supervisor_process(
-                    key, chunk.index, chunk, node, env, owner, category,
-                    store=True, span_parent=op_span,
-                ),
-                label=f"{self.proxy_id}:store:{key}#{chunk.index}",
-            ))
-
-        entry = _ObjectEntry(
-            descriptor=descriptor,
-            placement={chunk.index: node_id for chunk, node_id in zip(chunks, placement)},
-            inserted_at=start,
-        )
-        self._objects[key] = entry
-        self._lru.insert(key, descriptor.stored_bytes)
-
-        results = yield all_of(
-            [task.future for task in tasks], label=f"{self.proxy_id}:put:{key}"
-        )
-
-        if not all(bool(result) for result in results):
-            # At least one chunk store exhausted its retries: roll the
-            # partial object back so a later GET is a clean miss rather than
-            # a permanently degraded stripe.
-            self._remove_object(key)
-            self.metrics.counter("proxy.put_failures").increment()
-            tracer.finish(op_span, outcome="failed")
-            return ProxyPutResult(
-                key=key,
-                latency_s=env.now - start,
-                node_ids=list(placement),
-                evicted_keys=evicted,
-                hosts_touched=self._hosts_touched(target_nodes),
-                complete=False,
+        op_span = tracer.begin("proxy.get", span, proxy=self.proxy_id, key=key)
+        located = self._locate_chunks(key)
+        if located is None:
+            tracer.finish(op_span, outcome="miss")
+            return ProxyGetResult(key=key, found=False, recoverable=False, descriptor=None)
+        entry, fetches, nodes = located
+        needed = entry.descriptor.data_shards
+        hosts_touched = self._hosts_touched(nodes)
+        pending = [(fetch, node) for fetch, node in zip(fetches, nodes) if not fetch.lost]
+        winners = None
+        degraded = False
+        # With more than ``p`` chunks already gone no transfer is even
+        # attempted: the mapping table already knows the object is lost.
+        if len(pending) >= needed:
+            owner = owner_of(key)
+            attempts = self.resilience.chunk_attempts
+            timeout_s = self.resilience.chunk_timeout_s
+            tasks = []
+            for fetch, node in pending:
+                tasks.append(env.loop.spawn(
+                    self._chunk_process(key, fetch.chunk, node, env, owner, "serving",
+                                        op_span, attempts, timeout_s, fetch=fetch),
+                    label=f"{self.proxy_id}:fetch:{key}#{fetch.chunk_index}",
+                ))
+            # First-d: the request completes when the fastest d chunks are in.
+            winners = yield _chunk_quorum(
+                [task.future for task in tasks], needed,
+                label=f"{self.proxy_id}:first_d:{key}",
             )
-
-        if category == "serving":
-            self.requests_served += 1
-            self.metrics.counter("proxy.puts").increment()
-        else:
-            self.metrics.counter(f"proxy.{category}_puts").increment()
-        self.metrics.gauge("proxy.bytes_used").set(self.pool_bytes_used())
-
-        tracer.finish(op_span)
-        return ProxyPutResult(
-            key=key,
-            latency_s=env.now - start,
-            node_ids=list(placement),
-            evicted_keys=evicted,
-            hosts_touched=self._hosts_touched(target_nodes),
+            for (fetch, _node), task in zip(pending, tasks):
+                if not task.done:
+                    fetch.abandoned = True
+                    task.cancel()
+            if winners is None:
+                # Fewer than d chunks reachable within the attempt budget.
+                self.metrics.counter("proxy.degraded_fallbacks").increment()
+                degraded = self.resilience.degraded_fallback
+        result = self._get_result(
+            key, entry, fetches, hosts_touched, winners, env.now - start, env.now,
+            degraded,
         )
+        if degraded:
+            tracer.finish(op_span, outcome="degraded")
+        elif winners is None:
+            tracer.finish(op_span, outcome="lost")
+        else:
+            tracer.finish(op_span, outcome="hit", chunks_lost=result.chunks_lost)
+        return result
+
+    # ------------------------------------------------------------------ chunk supervision
+    def _chunk_process(
+        self,
+        key: str,
+        chunk: CacheChunk,
+        node: LambdaCacheNode,
+        env: RequestEnv,
+        owner: Optional[str],
+        category: str,
+        span_parent,
+        attempts: int,
+        timeout_s: Optional[float],
+        fetch: Optional[ChunkFetch] = None,
+        store: bool = False,
+    ):
+        """Supervised coroutine moving one chunk between a node and this proxy.
+
+        Every chunk of every event-driven request runs here.  An attempt
+        passes the node's circuit breaker (when installed), invokes the node
+        (opening its billed session), waits out the invocation overhead and
+        network latency, then streams the bytes as a flow whose bandwidth
+        share is recomputed as other flows come and go.  A transient failure
+        (injected invocation fault, reclaimed mid-flight) fails the attempt
+        instead of raising — an exception out of a spawned process would
+        escape into the event loop's callback chain and abort the whole run.
+
+        Up to ``attempts`` attempts are made, separated by an exponential
+        backoff stretched by seeded jitter (drawn from the dedicated retry
+        stream only when a retry actually fires); with ``timeout_s`` set each
+        attempt is raced against that deadline (:meth:`_race_chunk_deadline`).
+        Resolves with ``fetch`` (``True`` for a store) once an attempt lands
+        the chunk and ``None`` when the budget is exhausted; never raises a
+        transient fault.  With one attempt, no deadline and no breaker — an
+        unconfigured deployment — nothing here schedules an event or draws a
+        number that the bare transfer would not.
+
+        If the process is cancelled mid-flow (a straggler abandoned by the
+        first-d quorum), the ``finally`` block still bills the partial
+        transfer the Lambda actually performed.
+        """
+        tracer = env.tracer
+        for attempt in range(attempts):
+            if attempt > 0:
+                policy = self.resilience.retry
+                self.metrics.counter("proxy.chunk_retries").increment()
+                yield (
+                    policy.base_backoff_s
+                    * policy.backoff_multiplier ** (attempt - 1)
+                    * (1.0 + policy.jitter_fraction * self._retry_rng.random())
+                )
+            if timeout_s is not None:
+                landed = yield from self._race_chunk_deadline(
+                    key, chunk, node, env, owner, category, span_parent,
+                    timeout_s, attempt, fetch, store,
+                )
+                if landed:
+                    return fetch or True
+                continue
+            breaker = node.breaker
+            if breaker is not None and not breaker.allow(env.now):
+                self.metrics.counter("proxy.breaker_rejections").increment()
+                continue
+            effective_bytes = (
+                chunk.size * self._straggler_factor() * self.transfer_model.draw_jitter()
+            )
+            arrival = env.now
+            try:
+                span = tracer.begin("chunk.store" if store else "chunk.fetch",
+                                    span_parent, chunk=chunk.index, node=node.node_id)
+                access = node.ensure_active(arrival, category)
+                if store:
+                    node.store_chunk(chunk)
+                env.begin_transfer(node)
+                env.watch_session(node)
+                latency = self.transfer_model.base_latency_s
+                preamble = access.overhead_s + latency
+                flow = None
+                try:
+                    if preamble > 0:
+                        invoke_span = tracer.begin("lambda.invoke", span,
+                                                   node=node.node_id,
+                                                   cold=access.cold_start)
+                        try:
+                            yield preamble
+                        finally:
+                            tracer.finish(invoke_span)
+                    host_id = (
+                        node.primary.host_id if node.primary is not None else node.node_id
+                    )
+                    flow = env.flows.transfer(
+                        size_bytes=effective_bytes,
+                        function_bandwidth_bps=node.bandwidth_bps,
+                        host_id=host_id,
+                        host_capacity_bps=self.platform.limits.host_nic_bandwidth,
+                        proxy_id=self.proxy_id,
+                        label=f"{self.proxy_id}:{category}:{key}#{chunk.index}",
+                    )
+                    if span.recording:
+                        flow.parent_span = span
+                    yield flow.future
+                finally:
+                    # Runs on completion *and* on abandonment (generator
+                    # close): the node is billed for the work it actually
+                    # performed either way.  The busy interval is anchored
+                    # to *end now* — anchoring it at arrival would let the
+                    # billing window lapse mid-flight when the preamble
+                    # includes a cold start.
+                    if flow is not None:
+                        service = latency + (env.now - flow.started_at)
+                    else:
+                        service = env.now - arrival
+                    env.end_transfer(node)
+                    node.record_service(env.now - service, service, category, owner)
+                    env.watch_session(node)
+                    if fetch is not None:
+                        fetch.time_s = env.now - arrival
+                        if span.recording:
+                            span.annotate(abandoned=fetch.abandoned)
+                    tracer.finish(span)
+            except TransientFaultError:
+                if breaker is not None:
+                    breaker.record_failure(env.now)
+                self.metrics.counter("proxy.chunk_faults").increment()
+                continue
+            if breaker is not None:
+                breaker.record_success(env.now)
+            return fetch or True
+        return None
+
+    def _race_chunk_deadline(
+        self,
+        key: str,
+        chunk: CacheChunk,
+        node: LambdaCacheNode,
+        env: RequestEnv,
+        owner: Optional[str],
+        category: str,
+        span_parent,
+        timeout_s: float,
+        attempt: int,
+        fetch: Optional[ChunkFetch],
+        store: bool,
+    ):
+        """Race one chunk attempt against the configured chunk deadline.
+
+        On expiry spawn one *hedged* second attempt against the original,
+        under a second deadline of its own, and take whichever settles
+        first — if neither lands (the node's link is blackholed, say) the
+        pair counts as failed and the caller's backoff/retry loop takes over
+        instead of stalling until the fault clears.  Resolves truthy when an
+        attempt landed the chunk.  Cancellation propagates to the in-flight
+        attempts, whose ``finally`` blocks bill the partial transfers.
+        """
+        # A supervisor with one attempt and no deadline is a bare attempt.
+        where = f"{key}#{chunk.index}"
+        task = env.loop.spawn(
+            self._chunk_process(key, chunk, node, env, owner, category, span_parent,
+                                1, None, fetch=fetch, store=store),
+            label=f"{self.proxy_id}:attempt{attempt}:{where}",
+        )
+        hedge = None
+        timer = env.loop.timeout(timeout_s, label=f"{self.proxy_id}:deadline:{where}")
+        try:
+            yield first_n(1, [task.future, timer], label=f"{self.proxy_id}:race:{where}")
+            if task.done:
+                return task.future.result
+            self.metrics.counter("proxy.chunk_hedges").increment()
+            hedge = env.loop.spawn(
+                self._chunk_process(key, chunk, node, env, owner, category,
+                                    span_parent, 1, None, store=store),
+                label=f"{self.proxy_id}:hedge{attempt}:{where}",
+            )
+            timer = env.loop.timeout(
+                timeout_s, label=f"{self.proxy_id}:hedge_deadline:{where}"
+            )
+            yield first_n(
+                1, [task.future, hedge.future, timer],
+                label=f"{self.proxy_id}:hedge_race:{where}",
+            )
+            if task.done:
+                return task.future.result
+            return hedge.future.result if hedge.done else None
+        finally:
+            for running in (task, hedge):
+                if running is not None and not running.done:
+                    running.cancel()
+            if not timer.done:
+                timer.cancel()
 
     # ------------------------------------------------------------------ recovery
     def _repair_object(

@@ -38,8 +38,8 @@ from repro.cache.deployment import InfiniCacheDeployment
 from repro.cache.proxy import Proxy
 from repro.cluster.rebalancer import Rebalancer
 from repro.exceptions import ConfigurationError
-from repro.simulation.events import PeriodicTask
-from repro.simulation.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
+from repro.sim import PeriodicTask
 
 #: Names accepted by :attr:`AutoscalerConfig.policy`.
 SCALING_POLICIES = ("reactive", "predictive", "predictive_trend")

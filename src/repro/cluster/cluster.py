@@ -35,7 +35,7 @@ from repro.cluster.rebalancer import FailureDetector, Rebalancer
 from repro.cluster.router import ClusterRouter, TenantClient
 from repro.cluster.tenants import TenantManager, TenantQuota
 from repro.faas.reclamation import ReclamationPolicy
-from repro.simulation.events import Simulator
+from repro.sim import Simulator
 from repro.utils.units import MINUTE
 
 

@@ -29,8 +29,8 @@ from repro.cache.consistent_hash import ConsistentHashRing
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.cache.proxy import Proxy
 from repro.exceptions import CacheError, TransientFaultError
-from repro.simulation.events import PeriodicTask
-from repro.simulation.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
+from repro.sim import PeriodicTask
 from repro.utils.units import MINUTE
 
 

@@ -25,7 +25,7 @@ from repro.cache.chunk import descriptor_for
 from repro.cache.client import GetResult, InfiniCacheClient, PutResult
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.cluster.tenants import Tenant, TenantManager, namespace_key, validate_app_key
-from repro.simulation.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
 
 #: Reserved client id for the router's shared underlying client.
 ROUTER_CLIENT_ID = "cluster-router"
@@ -143,7 +143,11 @@ class ClusterRouter:
     def _account_put(
         self, tenant: Tenant, namespaced: str, key: str, size: int, result: PutResult
     ) -> PutResult:
-        self.tenants.record_put(tenant, namespaced, size, self._stored_bytes(size))
+        if result.complete:
+            self.tenants.record_put(tenant, namespaced, size, self._stored_bytes(size))
+        else:
+            # The proxy rolled the object (and any earlier version) back out.
+            self.tenants.record_gone(namespaced)
         for evicted in result.evicted_keys:
             self.tenants.record_gone(evicted)
         self.metrics.counter("cluster.router.puts").increment()

@@ -12,7 +12,7 @@ single anonymous client.  This module adds the isolation layer:
   reaches the consistent-hash ring;
 * per-tenant counters (gets/puts/hits/misses/throttles/rejections) and
   bytes-stored gauges are recorded in the shared
-  :class:`~repro.simulation.metrics.MetricRegistry` under ``tenant.<id>.*``.
+  :class:`~repro.obs.metrics.MetricRegistry` under ``tenant.<id>.*``.
 
 Byte accounting is **parity-inclusive**: a tenant's quota is charged for the
 ``(d+p)/d`` stripe bytes the pool actually stores for it, not just the
@@ -47,7 +47,7 @@ from repro.exceptions import (
     TenantError,
 )
 from repro.faas.billing import UNATTRIBUTED_TENANT, BillingModel
-from repro.simulation.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
 
 
 def validate_app_key(key: str) -> str:

@@ -8,8 +8,9 @@ The hierarchy distinguishes **retryable** from **fatal** failures: anything
 deriving from :class:`TransientFaultError` (a reclaimed function, an injected
 invocation fault, a chunk timeout, an open circuit breaker, an interrupted
 backup sync) describes a condition that a later attempt may not hit again, so
-the hardened request path retries it with backoff.  Everything else — config
-errors, protocol misuse, unrecoverable data loss — is fatal and propagates.
+the request path's chunk supervisor retries it with backoff.  Everything else
+— config errors, protocol misuse, unrecoverable data loss — is fatal and
+propagates.
 Use :func:`is_retryable` rather than ``isinstance`` checks so callers stay
 agnostic of the concrete fault class.
 """
@@ -28,7 +29,7 @@ class ReproError(Exception):
 class TransientFaultError(ReproError):
     """A failure a later attempt may not hit again (safe to retry).
 
-    The hardened request path treats every subclass uniformly: back off with
+    The chunk supervisor treats every subclass uniformly: back off with
     seeded jitter and re-attempt, up to the configured retry budget.
     """
 

@@ -22,7 +22,7 @@ from repro.faas.reclamation import (
     ReclamationPolicy,
     ZipfBurstReclamationPolicy,
 )
-from repro.simulation.events import Simulator
+from repro.sim import Simulator
 from repro.utils.rng import SeededRNG
 from repro.utils.units import HOUR, MINUTE, MIB
 

@@ -28,7 +28,7 @@ from repro.cache.config import InfiniCacheConfig
 from repro.cache.consistent_hash import stable_hash
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.faas.reclamation import ReclamationPolicy
-from repro.simulation.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
 from repro.workload.replay import (
     ClosedLoopDriver,
     ConcurrentReplayReport,

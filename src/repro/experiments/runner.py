@@ -14,7 +14,7 @@ which owns seeding, driver construction, and report fingerprinting.
 JSON; the ``figures-smoke`` CI job uploads that file as an artifact so
 fingerprint drift between commits is visible at a glance.
 ``--metrics PATH`` additionally collects every harness's labelled metrics
-into one shared :class:`~repro.simulation.metrics.MetricRegistry` and
+into one shared :class:`~repro.obs.metrics.MetricRegistry` and
 writes it in Prometheus text exposition format when the run finishes.
 """
 
@@ -47,7 +47,7 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.harness import ExperimentHarness
-from repro.simulation.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
 from repro.utils.units import MB
 
 __all__ = ["ExperimentHarness", "ExperimentSpec", "run_all", "main"]

@@ -33,8 +33,8 @@ from repro.faas.function import FunctionInstance, FunctionState
 from repro.faas.host import HostManager
 from repro.faas.limits import LambdaLimits, validate_memory_bytes
 from repro.faas.reclamation import NoReclamationPolicy, ReclamationPolicy
+from repro.obs.metrics import MetricRegistry
 from repro.sim.loop import PeriodicTask, Simulator
-from repro.simulation.metrics import MetricRegistry
 from repro.utils.units import MINUTE
 
 

@@ -1,4 +1,5 @@
-"""Observability: request tracing, trace export, and critical-path analysis.
+"""Observability: request tracing, trace export, critical-path analysis,
+and the metric primitives (:mod:`repro.obs.metrics`, imported by name).
 
 The package is deliberately dependency-light — it reads the sim clock and
 nothing else — so any component can emit spans without import cycles, and a

@@ -22,7 +22,7 @@ from repro.baselines.elasticache import ElastiCacheCluster
 from repro.baselines.s3 import ObjectStore
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.exceptions import WorkloadError
-from repro.simulation.metrics import TimeSeries
+from repro.obs.metrics import TimeSeries
 from repro.utils.stats import summarize
 from repro.workload.replay import bucket_latencies, hourly_costs
 from repro.workload.trace import Trace

@@ -50,9 +50,9 @@ from repro.baselines.s3 import ObjectStore
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.exceptions import WorkloadError
 from repro.network.flows import FlowInterval, peak_concurrency
+from repro.obs.metrics import MetricRegistry, TimeSeries
 from repro.sim.loop import EventLoop
 from repro.sim.process import CountdownLatch, all_of
-from repro.simulation.metrics import MetricRegistry, TimeSeries
 from repro.utils.stats import summarize
 from repro.utils.units import HOUR
 from repro.workload.trace import Trace
@@ -119,11 +119,10 @@ class RequestSample:
     #: Distinct VM hosts the request's chunks touched (Figure 4's x-axis);
     #: zero for baseline systems, which have no chunk fan-out.
     hosts_touched: int = 0
-    #: Hardened path only: the request was served from the backing store
-    #: because fewer than ``data_shards`` chunks were reachable (a degraded
-    #: hit).  Deliberately *not* part of :meth:`ConcurrentReplayReport.
-    #: fingerprint` — fault-free runs never set it, so the golden figure
-    #: fingerprints are untouched.
+    #: The request was served from the backing store because fewer than
+    #: ``data_shards`` chunks were reachable (a degraded hit).  Deliberately
+    #: *not* part of :meth:`ConcurrentReplayReport.fingerprint` — fault-free
+    #: runs never set it, so the golden figure fingerprints are untouched.
     degraded: bool = False
 
     @property
@@ -151,7 +150,7 @@ class ConcurrentReplayReport:
     resets: int = 0
     recoveries: int = 0
     #: Requests served from the backing store because the cache's chunks
-    #: were transiently unreachable (hardened path under fault injection).
+    #: were transiently unreachable (fault injection).
     degraded_hits: int = 0
     #: Resilience counters harvested from the deployment after the run
     #: (chunk retries, hedges, breaker rejections, injected faults, ...).
@@ -396,8 +395,8 @@ class _EventDriver:
                 # series stays monotone even when requests overlap.
                 report.recovery_events.record(env.now, 1.0)
         elif result.degraded:
-            # Hardened path: the object is still cached but its chunks were
-            # transiently unreachable — serve from the backing store and
+            # The object is still cached but its chunks were transiently
+            # unreachable — serve from the backing store and
             # count a degraded hit (not an error, not a RESET), leaving the
             # mapping for the failure detector to heal.
             report.degraded_hits += 1

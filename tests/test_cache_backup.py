@@ -8,8 +8,8 @@ from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.proxy import Proxy
 from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import TransferModel
-from repro.simulation.events import Simulator
-from repro.simulation.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
+from repro.sim import Simulator
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MIB
 

@@ -6,7 +6,7 @@ from repro.cache.chunk import CacheChunk
 from repro.cache.node import LambdaCacheNode
 from repro.exceptions import CacheError
 from repro.faas.platform import FaaSPlatform
-from repro.simulation.events import Simulator
+from repro.sim import Simulator
 from repro.utils.units import MIB
 
 

@@ -8,7 +8,7 @@ from repro.cache.proxy import Proxy
 from repro.exceptions import CacheError, ObjectTooLargeError
 from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import TransferModel
-from repro.simulation.events import Simulator
+from repro.sim import Simulator
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MB, MIB
 

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
+from repro.cache.namespacing import owner_of
 from repro.cluster import (
     AutoscalerConfig,
     InfiniCacheCluster,
     TenantQuota,
 )
 from repro.exceptions import QuotaExceededError, RateLimitedError, TenantError
+from repro.utils.rng import SeededRNG
 from repro.utils.units import MB, MIB
 
 
@@ -104,6 +106,47 @@ class TestTenantDataPath:
             b.put_sized(f"b-{index}", 40 * MB)
         after = cluster.tenant_report()["a"]["bytes_stored"]
         assert after < before
+        cluster.stop()
+
+
+    def test_rolled_back_put_keeps_gauge_equal_to_node_contents(self):
+        """A PUT the proxy rolls back under faults stores nothing — and wipes
+        the version it was overwriting — so the tenant is charged nothing."""
+        cluster = make_cluster()
+        media = cluster.register_tenant("media")
+        deployment = cluster.deployment
+        loop = deployment.simulator
+
+        def put(key):
+            task = loop.spawn(media.put_sized_process(key, 2 * MB, deployment.request_env))
+            return loop.run_until_complete(task.future)
+
+        def bytes_on_nodes():
+            return sum(
+                node.peek_chunk(chunk_id).size
+                for proxy in deployment.proxies
+                for node in proxy.nodes
+                for chunk_id in node.chunk_ids()
+                if owner_of(chunk_id) == "media"
+            )
+
+        def gauge():
+            return cluster.tenant_report()["media"]["bytes_stored"]
+
+        assert put("a").complete
+        assert gauge() == bytes_on_nodes() > 0
+        cluster.run_until(loop.now + 30.0)  # let the nodes' billed sessions lapse
+        deployment.platform.set_invocation_faults(
+            failure_probability=1.0, rng=SeededRNG(99)
+        )
+        for key in ("b", "a"):  # a fresh key, then an overwrite
+            result = put(key)
+            assert not result.complete and result.key == key
+            assert not media.exists(key)
+            assert gauge() == bytes_on_nodes()
+        assert gauge() == 0
+        assert cluster.tenant_report()["media"]["puts"] == 1
+        assert cluster.router.client.puts == 1
         cluster.stop()
 
 

@@ -6,7 +6,7 @@ from repro.exceptions import ConfigurationError, FunctionReclaimedError, Invocat
 from repro.faas.function import FunctionState
 from repro.faas.platform import FaaSPlatform
 from repro.faas.reclamation import IdleTimeoutPolicy, PoissonReclamationPolicy
-from repro.simulation.events import Simulator
+from repro.sim import Simulator
 from repro.utils.rng import SeededRNG
 from repro.utils.units import HOUR, MINUTE, MIB
 

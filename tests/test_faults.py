@@ -1,7 +1,10 @@
-"""Tests for the chaos engine, the hardened request path, and resilience
+"""Tests for the chaos engine, the supervised request path, and resilience
 accounting: determinism of injected faults, retry/hedge/breaker behaviour,
-graceful degradation, billing invariants under faults, and the failure
-detector's robustness to nodes dying inside its own repair sweep."""
+graceful degradation, the supervisor's invisibility when nothing fails,
+billing invariants under faults, and the failure detector's robustness to
+nodes dying inside its own repair sweep."""
+
+import dataclasses
 
 import pytest
 
@@ -15,7 +18,8 @@ from repro.cache.config import (
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.cache.node import LambdaCacheNode
 from repro.cluster.rebalancer import FailureDetector
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InvocationFaultError
+from repro.experiments.chaos_availability import hardening_levels
 from repro.faas.billing import BILLING_CYCLE_SECONDS
 from repro.faults import (
     ChaosEngine,
@@ -223,12 +227,14 @@ class TestHardenedRequestPath:
         assert storm.window.details["reclaimed"] > 0
         assert storm.recovery_s is not None
 
-    def test_unhardened_config_keeps_original_path(self):
+    def test_unconfigured_resilience_installs_no_breaker_or_retry(self):
         config = demo_config(seed=5, hardened=False)
         assert config.resilience is None
         deployment = InfiniCacheDeployment(config)
         for proxy in deployment.proxies:
-            assert not proxy.resilience.hardened
+            assert proxy.resilience.retry is None
+            assert proxy.resilience.chunk_attempts == 1
+            assert proxy.resilience.chunk_timeout_s is None
             assert all(node.breaker is None for node in proxy.nodes)
 
     def test_hardened_run_without_faults_stays_healthy(self):
@@ -237,6 +243,100 @@ class TestHardenedRequestPath:
         assert result.replay.degraded_hits == 0
         assert result.resilience.counters.get("proxy.chunk_faults", 0) == 0
         assert result.resilience.slo_delta("p99") == 0.0
+
+
+# --------------------------------------------------------------------------- one request path
+FAULT_FREE = FaultSchedule(())
+
+
+@pytest.fixture(scope="module")
+def unconfigured_fault_free_fingerprint():
+    config = demo_config(seed=7, hardened=False)
+    return run_scenario(FAULT_FREE, seed=7, config=config, clients=5, rounds=20).fingerprint
+
+
+class TestSingleRequestPath:
+    """There is one event-driven request path; ``ResilienceConfig`` only sets
+    its budget.  The supervisor must be invisible until something fails, and
+    an unconfigured deployment must absorb faults instead of aborting the
+    run."""
+
+    @pytest.mark.parametrize("level", list(hardening_levels()))
+    def test_fault_free_replay_is_identical_at_every_level(
+        self, level, unconfigured_fault_free_fingerprint
+    ):
+        config = dataclasses.replace(
+            demo_config(seed=7), resilience=hardening_levels()[level]
+        )
+        result = run_scenario(FAULT_FREE, seed=7, config=config, clients=5, rounds=20)
+        assert result.fingerprint == unconfigured_fault_free_fingerprint
+
+    def test_unconfigured_get_spawns_one_process_per_chunk(self, monkeypatch):
+        """No deadline means nothing to race: the supervisor *is* the chunk's
+        one process, with no attempt process or timer beside it."""
+        deployment = make_detector_deployment()
+        client = deployment.new_client()
+        client.put_sized("obj", 2 * MB)
+        loop = deployment.simulator
+        labels: list[str] = []
+        spawn = loop.spawn
+
+        def counting_spawn(generator, label=""):
+            labels.append(label)
+            return spawn(generator, label=label)
+
+        monkeypatch.setattr(loop, "spawn", counting_spawn)
+        request = spawn(client.get_process("obj", deployment.request_env))
+        assert loop.run_until_complete(request.future).hit
+        total_chunks = deployment.config.total_chunks
+        assert len(labels) == total_chunks
+        assert all(":fetch:obj#" in label for label in labels)
+
+    def test_unconfigured_deployment_survives_invocation_faults(self):
+        """With no retry configured a faulted chunk attempt is simply
+        unreachable; the fault must not escape ``run_until_complete``."""
+        schedule = FaultSchedule((
+            InvocationFaults(at_s=3.0, duration_s=10.0, failure_probability=0.5),
+        ))
+        result = run_scenario(
+            schedule, seed=5, config=demo_config(5, hardened=False),
+            clients=4, rounds=10,
+        )
+        assert result.replay.requests == 40
+        assert len(result.replay.samples) == 40
+        assert result.replay.degraded_hits == 5
+        assert result.resilience.counters["proxy.chunk_faults"] > 0
+        assert result.resilience.counters.get("proxy.chunk_retries", 0) == 0
+
+    @pytest.mark.parametrize("event_driven", [True, False])
+    def test_repair_fault_during_degraded_read_is_absorbed(
+        self, monkeypatch, event_driven
+    ):
+        """A replacement node that fails to come up mid-repair leaves the
+        stale placement for the next sweep; the GET itself still hits."""
+        deployment = make_detector_deployment()
+        client = deployment.new_client()
+        placement = client.put_sized("obj", 2 * MB).node_ids
+        proxy = deployment.proxies[0]
+        kill_node(deployment, proxy.node(placement[0]))
+        original = LambdaCacheNode.ensure_active
+
+        def fail_replacements(self, now, category="serving"):
+            if self.node_id not in placement:
+                raise InvocationFaultError(self.node_id)
+            return original(self, now, category)
+
+        monkeypatch.setattr(LambdaCacheNode, "ensure_active", fail_replacements)
+        if event_driven:
+            loop = deployment.simulator
+            request = loop.spawn(client.get_process("obj", deployment.request_env))
+            result = loop.run_until_complete(request.future)
+        else:
+            result = client.get("obj")
+        assert result.hit and result.chunks_lost == 1
+        assert not result.recovery_performed
+        assert deployment.counters()["proxy.repair_faults"] == 1
+        assert proxy.contains("obj")
 
 
 # --------------------------------------------------------------------------- billing under faults

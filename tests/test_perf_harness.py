@@ -42,6 +42,18 @@ class TestMacroAndComparison:
         assert sample.events > 0
         assert len(sample.extra["fingerprint"]) == 64
 
+    def test_64_client_macro_dispatches_the_pinned_event_sequence(self):
+        """The chunk supervisor must stay invisible on a fault-free fleet:
+        5 862 events and this fingerprint are what a bare, un-supervised
+        transfer per chunk dispatches for 64 clients at seed 2020 (recorded
+        at commit 66fc670, before that coroutine pair was deleted)."""
+        sample = perf.macro_closed_loop(64)
+        assert sample.events == 5862
+        assert sample.extra["peak_active_flows"] == 384
+        assert sample.extra["fingerprint"] == (
+            "f77e93cfc09199aabdbb780ae20c17f62b5ab96ce64e57bab7e49679b8895985"
+        )
+
     def test_compare_arbiters_fingerprints_identical(self):
         comparison = perf.compare_arbiters(clients=8, requests_per_client=2)
         assert comparison["fingerprints_identical"] is True

@@ -197,15 +197,8 @@ class TestProcesses:
 
 
 class TestBackwardsCompatibility:
-    def test_simulation_package_reexports_the_engine(self):
-        from repro.simulation import Simulator as OldSimulator
-        from repro.simulation.events import Simulator as EventsSimulator
-
-        assert OldSimulator is EventLoop
-        assert EventsSimulator is EventLoop
-
     def test_simulator_alias_supports_processes(self):
-        from repro.simulation.events import Simulator
+        from repro.sim import Simulator
 
         loop = Simulator()
 

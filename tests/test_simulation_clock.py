@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulation.clock import SimClock
+from repro.sim import SimClock
 
 
 class TestSimClock:

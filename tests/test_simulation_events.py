@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulation.events import EventQueue, Simulator
+from repro.sim import EventQueue, Simulator
 
 
 class TestEventQueue:

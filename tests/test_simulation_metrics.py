@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation.metrics import Counter, Gauge, MetricRegistry, TimeSeries
+from repro.obs.metrics import Counter, Gauge, MetricRegistry, TimeSeries
 
 
 class TestCounter:
