@@ -27,9 +27,9 @@ setup(
     packages=find_packages("src"),
     package_dir={"": "src"},
     python_requires=">=3.10",
-    # The simulator is pure-python; numpy only accelerates the vectorized
-    # flow arbiter (``InfiniCacheConfig(flow_arbiter="vectorized")`` falls
-    # back to the byte-identical scalar arbiter without it).
+    # numpy (the ``[perf]`` extra) is imported by the erasure codec, the
+    # seeded samplers (``utils/rng.py``) and ``utils/stats.py``; the flow
+    # arbiter is scalar python and does not use it.
     install_requires=[],
     extras_require={
         "perf": ["numpy"],

@@ -471,7 +471,7 @@ def _perf(argv: list[str]) -> int:
     if comparison and not comparison["fingerprints_identical"]:
         print(
             "FAIL: the arbiters' replay fingerprints diverged (incremental "
-            "vs reference vs vectorized must be byte-identical)",
+            "vs reference must be byte-identical)",
             file=sys.stderr,
         )
         return 1

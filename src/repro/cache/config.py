@@ -155,14 +155,11 @@ class InfiniCacheConfig:
     #: heavier-tailed :attr:`straggler` model, which fires with a probability.
     transfer_jitter_fraction: float = 0.0
     #: Which flow arbiter backs the event-driven request path:
-    #: ``"vectorized"`` (numpy batch settlement over contiguous per-group
-    #: arrays, the default; falls back to ``incremental`` when numpy is not
-    #: installed), ``"incremental"`` (scalar bottleneck-group arbitration),
-    #: or ``"reference"`` (the global-recompute sweep with eager completion
-    #: events).  All three are byte-identical in settled bytes and finish
-    #: times — the scalar arbiters are kept for differential testing and as
-    #: perf-harness baselines.
-    flow_arbiter: str = "vectorized"
+    #: ``"incremental"`` (bottleneck-group arbitration, the default) or
+    #: ``"reference"`` (the global-recompute sweep with eager completion
+    #: events, byte-identical in settled bytes and finish times — the
+    #: oracle for differential tests and the ``repro perf`` fingerprint gate).
+    flow_arbiter: str = "incremental"
     #: If set, the flow network retains at most this many finished/abandoned
     #: transfer intervals (aggregate flow statistics are unaffected).  Long
     #: open-loop replays use it to keep memory flat; ``None`` retains all.
@@ -220,10 +217,15 @@ class InfiniCacheConfig:
             raise ConfigurationError("coding bandwidths must be positive")
         if self.transfer_jitter_fraction < 0:
             raise ConfigurationError("transfer jitter fraction must be non-negative")
-        if self.flow_arbiter not in ("vectorized", "incremental", "reference"):
+        if self.flow_arbiter == "vectorized":
             raise ConfigurationError(
-                "flow_arbiter must be 'vectorized', 'incremental', or "
-                f"'reference', got {self.flow_arbiter!r}"
+                "flow_arbiter 'vectorized' was removed (it was slower than the "
+                "scalar arbiter on every workload); use 'incremental'"
+            )
+        if self.flow_arbiter not in ("incremental", "reference"):
+            raise ConfigurationError(
+                "flow_arbiter must be 'incremental' or 'reference', "
+                f"got {self.flow_arbiter!r}"
             )
         if self.flow_trace_limit is not None and self.flow_trace_limit < 0:
             raise ConfigurationError("flow_trace_limit must be >= 0 when set")

@@ -70,10 +70,9 @@ class InfiniCacheDeployment:
         #: Flow-level network arbitration + the context the event-driven
         #: (process-based) request path runs in; the synchronous facade
         #: ignores both and uses the static-snapshot estimates instead.
-        #: ``config.flow_arbiter`` selects the numpy batch-settlement
-        #: arbiter (default, falling back to the scalar incremental arbiter
-        #: without numpy), the incremental bottleneck-group arbiter, or the
-        #: global-recompute reference sweep — all byte-identical.
+        #: ``config.flow_arbiter`` selects the incremental bottleneck-group
+        #: arbiter (default) or the byte-identical global-recompute
+        #: reference sweep.
         self.flows = resolve_arbiter(self.config.flow_arbiter)(
             self.simulator,
             self.transfer_model.fabric,

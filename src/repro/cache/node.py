@@ -112,9 +112,23 @@ class LambdaCacheNode:
         state = instance.runtime_state
         if "chunks" not in state:
             state["chunks"] = {}
+            #: Running sum of ``chunk.size`` over ``chunks``, kept by the
+            #: three mutation sites below; it lives in the replica's state so
+            #: reclamation drops it and fail-over carries it with the chunks.
+            state["bytes"] = 0
             state["clock"] = ClockLRU()
             state["synced_keys"] = set()
         return state
+
+    @staticmethod
+    def _put_chunk(state: dict, chunk: CacheChunk) -> None:
+        """Insert or overwrite ``chunk`` in one replica's store."""
+        existing = state["chunks"].get(chunk.chunk_id)
+        if existing is not None:
+            state["bytes"] -= existing.size
+        state["chunks"][chunk.chunk_id] = chunk
+        state["bytes"] += chunk.size
+        state["clock"].insert(chunk.chunk_id, chunk.size)
 
     def _primary_state(self) -> Optional[dict]:
         return self._state_of(self.primary)
@@ -134,9 +148,7 @@ class LambdaCacheNode:
     def bytes_used(self) -> int:
         """Bytes of chunk payload held by the primary replica."""
         state = self._primary_state()
-        if not state:
-            return 0
-        return sum(chunk.size for chunk in state["chunks"].values())
+        return state["bytes"] if state else 0
 
     def free_bytes(self) -> int:
         """Remaining chunk capacity on this node."""
@@ -231,14 +243,13 @@ class LambdaCacheNode:
             raise CacheError(f"node {self.node_id} has no alive replica to store into")
         existing = state["chunks"].get(chunk.chunk_id)
         freed = existing.size if existing is not None else 0
-        if self.bytes_used() - freed + chunk.size > self.capacity_bytes:
+        if state["bytes"] - freed + chunk.size > self.capacity_bytes:
             raise CacheError(
                 f"node {self.node_id} is out of memory "
-                f"({self.bytes_used()}/{self.capacity_bytes} bytes used, "
+                f"({state['bytes']}/{self.capacity_bytes} bytes used, "
                 f"cannot store {chunk.size} more)"
             )
-        state["chunks"][chunk.chunk_id] = chunk
-        state["clock"].insert(chunk.chunk_id, chunk.size)
+        self._put_chunk(state, chunk)
 
     def fetch_chunk(self, chunk_id: str) -> Optional[CacheChunk]:
         """Return a chunk from the primary replica, or ``None`` if it is gone."""
@@ -279,6 +290,7 @@ class LambdaCacheNode:
                 continue
             chunk = state["chunks"].pop(chunk_id, None)
             if chunk is not None:
+                state["bytes"] -= chunk.size
                 state["clock"].remove(chunk_id)
                 state["synced_keys"].discard(chunk_id)
                 if instance is self.primary:
@@ -327,8 +339,7 @@ class LambdaCacheNode:
         if state is None:
             raise CacheError(f"backup peer of node {self.node_id} is not alive")
         for chunk in chunks:
-            state["chunks"][chunk.chunk_id] = chunk
-            state["clock"].insert(chunk.chunk_id, chunk.size)
+            self._put_chunk(state, chunk)
             state["synced_keys"].add(chunk.chunk_id)
 
     def finish_sessions(self) -> None:

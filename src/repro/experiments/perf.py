@@ -13,10 +13,9 @@ benchmark their event cores.  This module is that measurement layer:
   fleet sizes (8 → 1024 clients) and report wall-clock, events/sec, and
   the peak number of simultaneously active flows;
 * the **arbiter comparison** runs the same closed-loop scenario under the
-  incremental bottleneck-group arbiter, the global-recompute
-  :class:`~repro.network.flows.ReferenceFlowNetwork`, and (when numpy is
-  installed) the vectorized batch-settlement arbiter, asserting all of
-  them produce byte-identical replay fingerprints and reporting speedups.
+  incremental bottleneck-group arbiter and the global-recompute
+  :class:`~repro.network.flows.ReferenceFlowNetwork`, asserting both
+  produce byte-identical replay fingerprints and reporting the speedup.
 
 ``python -m repro perf`` runs the suite and writes ``BENCH_perf.json``;
 CI runs it with ``--quick`` and fails the build on fingerprint drift
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
-from repro.network.flows import HAVE_NUMPY, resolve_arbiter
+from repro.network.flows import resolve_arbiter
 from repro.network.topology import NetworkFabric
 from repro.sim.loop import EventLoop
 from repro.utils.units import MB, MIB
@@ -353,8 +352,7 @@ def compare_arbiters(
     """
     incremental = macro_closed_loop(clients, arbiter="incremental", **macro_kwargs)
     reference = macro_closed_loop(clients, arbiter="reference", **macro_kwargs)
-    identical = incremental.extra["fingerprint"] == reference.extra["fingerprint"]
-    payload = {
+    return {
         "clients": clients,
         "incremental_wall_s": incremental.wall_s,
         "reference_wall_s": reference.wall_s,
@@ -362,16 +360,10 @@ def compare_arbiters(
         "incremental_events_per_s": incremental.events_per_s,
         "reference_events_per_s": reference.events_per_s,
         "fingerprint": incremental.extra["fingerprint"],
+        "fingerprints_identical": (
+            incremental.extra["fingerprint"] == reference.extra["fingerprint"]
+        ),
     }
-    if HAVE_NUMPY:
-        vectorized = macro_closed_loop(clients, arbiter="vectorized", **macro_kwargs)
-        identical = identical and (
-            vectorized.extra["fingerprint"] == incremental.extra["fingerprint"]
-        )
-        payload["vectorized_wall_s"] = vectorized.wall_s
-        payload["vectorized_events_per_s"] = vectorized.events_per_s
-    payload["fingerprints_identical"] = identical
-    return payload
 
 
 # ---------------------------------------------------------------------- suite
@@ -447,19 +439,15 @@ def run_suite(
         micro_event_queue(events=10_000 if quick else 50_000),
         micro_flow_churn(flows=500 if quick else 2_000, arbiter="incremental"),
         micro_flow_churn(flows=500 if quick else 2_000, arbiter="reference"),
-    ]
-    if HAVE_NUMPY:
         # The default churn geometry (32 hosts / 8 proxies) keeps bottleneck
-        # groups small, where the scalar arbiter's lower constant factor
-        # wins; the batched-settlement payoff appears once a group holds
-        # thousands of flows.  Record both regimes under both arbiters so
-        # the crossover stays a measured fact rather than folklore.
-        dense = dict(flows=300 if quick else 1_000, hosts=2, proxies=1)
-        micro.append(
-            micro_flow_churn(flows=500 if quick else 2_000, arbiter="vectorized")
-        )
-        micro.append(micro_flow_churn(arbiter="incremental", tag="dense", **dense))
-        micro.append(micro_flow_churn(arbiter="vectorized", tag="dense", **dense))
+        # groups small, as every workload does; the dense variant puts the
+        # whole population behind 2 NICs and 1 uplink — the incremental
+        # arbiter's O(group size) worst case, kept measured.
+        micro_flow_churn(
+            flows=300 if quick else 1_000, hosts=2, proxies=1,
+            arbiter="incremental", tag="dense",
+        ),
+    ]
     # The comparison runs before the big sweeps so its timing is not skewed
     # by heap growth from the larger fleets; the micro pass above doubles as
     # cache warm-up (hash-ring points, shared RS matrices).
@@ -542,16 +530,11 @@ def format_report(payload: dict[str, object]) -> str:
     comparison = payload.get("arbiter_comparison")
     if comparison:
         lines.append("")
-        vectorized = (
-            f" (vectorized {comparison['vectorized_wall_s']:.2f}s)"
-            if "vectorized_wall_s" in comparison
-            else ""
-        )
         lines.append(
             f"arbiter comparison at {comparison['clients']} clients: "
             f"incremental {comparison['incremental_wall_s']:.2f}s vs "
             f"reference {comparison['reference_wall_s']:.2f}s "
-            f"-> {comparison['speedup']:.1f}x speedup{vectorized}; "
+            f"-> {comparison['speedup']:.1f}x speedup; "
             "fingerprints "
             + ("identical" if comparison["fingerprints_identical"] else "DIVERGED")
         )

@@ -24,6 +24,7 @@ hold at either scale.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -153,6 +154,11 @@ def _run_cached(scale: ProductionScale) -> ProductionResults:
     trace_large = trace_all.large_objects_only(10 * MB)
 
     def replay_infinicache(label: str, trace: Trace, backup: bool, offset: int):
+        # The previous replay's deployment is one big reference cycle; free it
+        # now instead of whenever the generational collector's full pass
+        # fires, so two 400-node pools are never resident at the same time
+        # (peak RSS of a figure-suite run is decided here).
+        gc.collect()
         deployment = build_deployment(scale, backup_enabled=backup, seed_offset=offset)
         driver = harness.open_loop(deployment, backing_store=ObjectStore())
         return harness.record(label, driver.run(trace))

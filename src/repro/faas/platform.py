@@ -64,11 +64,10 @@ class InvocationResult:
 @dataclass
 class _RegisteredFunction:
     config: FunctionConfig
+    #: The alive instances in creation order; ``reclaim_instance`` drops a
+    #: reclaimed one, so scans cost the warm pool, not the function's history.
     instances: list[FunctionInstance] = field(default_factory=list)
     next_instance_index: int = 0
-
-    def alive_instances(self) -> list[FunctionInstance]:
-        return [inst for inst in self.instances if inst.is_alive]
 
 
 class FaaSPlatform:
@@ -189,7 +188,7 @@ class FaaSPlatform:
         fault_overhead = self._maybe_inject_invocation_fault(name)
         instance: Optional[FunctionInstance] = None
         if not force_new_instance:
-            for candidate in registered.alive_instances():
+            for candidate in registered.instances:
                 if candidate.state is FunctionState.IDLE:
                     instance = candidate
                     break
@@ -285,7 +284,7 @@ class FaaSPlatform:
     # --- instance inspection -------------------------------------------------------
     def warm_instance(self, name: str) -> Optional[FunctionInstance]:
         """The most recently used alive instance of a function, if any."""
-        alive = self._require(name).alive_instances()
+        alive = self._require(name).instances
         if not alive:
             return None
         return max(alive, key=lambda inst: inst.last_invoked_at)
@@ -293,10 +292,10 @@ class FaaSPlatform:
     def alive_instances(self, name: str | None = None) -> list[FunctionInstance]:
         """All alive instances, optionally restricted to one function name."""
         if name is not None:
-            return self._require(name).alive_instances()
+            return list(self._require(name).instances)
         result: list[FunctionInstance] = []
         for registered in self._functions.values():
-            result.extend(registered.alive_instances())
+            result.extend(registered.instances)
         return result
 
     def instance_count(self) -> int:
@@ -334,6 +333,10 @@ class FaaSPlatform:
         if not instance.is_alive:
             return
         instance.reclaim(self.simulator.now)
+        registered = self._functions[instance.function_name]
+        registered.instances = [
+            alive for alive in registered.instances if alive is not instance
+        ]
         self.host_manager.remove_function(instance.instance_id)
         self.metrics.counter("faas.reclaims").increment()
         self.metrics.series("faas.reclaim_events").record(self.simulator.now, 1.0)

@@ -172,11 +172,6 @@ class ScenarioSpec:
                 f"{type(self.popularity).__name__} evolves with virtual time "
                 "and needs timestamped (open-loop) arrivals"
             )
-        if self.faults is not None and len(self.faults) and self.resilience is None:
-            raise ConfigurationError(
-                "a fault schedule needs a resilience profile so requests can "
-                "complete during the faults (pass resilience=...)"
-            )
 
 
 # ------------------------------------------------------------------ cluster scenario

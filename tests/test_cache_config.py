@@ -82,6 +82,13 @@ class TestInfiniCacheConfig:
         with pytest.raises(ConfigurationError):
             InfiniCacheConfig(encode_bandwidth_bps=0)
 
+    def test_removed_vectorized_arbiter_names_its_replacement(self):
+        assert InfiniCacheConfig().flow_arbiter == "incremental"
+        with pytest.raises(ConfigurationError, match="'incremental'"):
+            InfiniCacheConfig(flow_arbiter="vectorized")
+        with pytest.raises(ConfigurationError):
+            InfiniCacheConfig(flow_arbiter="quantum")
+
     def test_no_parity_allowed(self):
         config = InfiniCacheConfig(data_shards=10, parity_shards=0, lambdas_per_proxy=20)
         assert config.total_chunks == 10

@@ -155,30 +155,14 @@ class TestCostAccounting:
 
 
 class TestArbiterSelection:
-    """``config.flow_arbiter`` picks the flow network; numpy is optional.
+    """``config.flow_arbiter`` picks the flow network."""
 
-    The default config says ``"vectorized"``; deployments built without the
-    ``[perf]`` extra must transparently get the byte-identical scalar
-    arbiter — same API, same simulation — instead of an import error.
-    """
+    def test_default_config_builds_the_scalar_arbiter(self):
+        from repro.network.flows import FlowNetwork
 
-    @pytest.mark.parametrize("have_numpy", [True, False])
-    def test_default_config_builds_with_and_without_numpy(self, have_numpy, monkeypatch):
-        import repro.network.flows as flows_module
-        from repro.network.flows import HAVE_NUMPY, FlowNetwork, VectorizedFlowNetwork
-
-        if have_numpy and not HAVE_NUMPY:
-            pytest.skip("numpy is not installed")
-        monkeypatch.setattr(flows_module, "HAVE_NUMPY", have_numpy)
         deployment = InfiniCacheDeployment(make_config())
-        assert deployment.config.flow_arbiter == "vectorized"
-        expected = VectorizedFlowNetwork if have_numpy else FlowNetwork
-        assert type(deployment.flows) is expected
-        # The deployment serves traffic identically either way.
-        client = deployment.new_client("fallback-probe")
-        client.put_sized("probe/key", 2 * MB)
-        result = client.get("probe/key")
-        assert result.hit
+        assert deployment.config.flow_arbiter == "incremental"
+        assert type(deployment.flows) is FlowNetwork
 
     def test_explicit_scalar_arbiters_are_honoured(self):
         from repro.network.flows import FlowNetwork, ReferenceFlowNetwork

@@ -1,8 +1,11 @@
 """Tests for the Lambda cache node (replicas, failover, chunk store)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.chunk import CacheChunk
+from repro.cache.config import InfiniCacheConfig
+from repro.cache.deployment import InfiniCacheDeployment
 from repro.cache.node import LambdaCacheNode
 from repro.exceptions import CacheError
 from repro.faas.platform import FaaSPlatform
@@ -202,3 +205,67 @@ class TestBackupDelta:
         platform.reclaim_instance(peer)
         with pytest.raises(CacheError):
             node.apply_backup(peer, [])
+
+
+class TestRunningByteTotal:
+    """``bytes_used()`` is a running total kept in the replica's state; it
+    must equal a fresh sum over the chunk store after any mutation, on the
+    primary and on the backup peer, through reclamation and fail-over."""
+
+    OPERATIONS = st.one_of(
+        st.tuples(
+            st.just("store"), st.integers(0, 1),
+            st.sampled_from("abcde"), st.integers(1, 50_000),
+        ),
+        st.tuples(st.just("delete"), st.integers(0, 1), st.sampled_from("abcde")),
+        st.tuples(st.just("backup"), st.integers(0, 1)),
+        st.tuples(st.just("reclaim_primary"), st.integers(0, 1)),
+        st.tuples(st.just("reclaim_backup"), st.integers(0, 1)),
+    )
+
+    @staticmethod
+    def _fresh_sum(node: LambdaCacheNode) -> int:
+        return sum(node.peek_chunk(chunk_id).size for chunk_id in node.chunk_ids())
+
+    @settings(max_examples=60, deadline=None)
+    @given(operations=st.lists(OPERATIONS, max_size=60))
+    def test_matches_a_fresh_sum_after_every_step(self, operations):
+        deployment = InfiniCacheDeployment(
+            InfiniCacheConfig(
+                num_proxies=1, lambdas_per_proxy=6, data_shards=4, parity_shards=2, seed=1
+            )
+        )
+        platform = deployment.platform
+        (proxy,) = deployment.proxies
+        (backups,) = deployment.backup_managers
+        failovers = 0
+        for step, (operation, index, *args) in enumerate(operations):
+            node = proxy.nodes[index]
+            now = 10.0 * step  # past every billing window: sessions close
+            if operation == "store":
+                key, size = args
+                node.ensure_active(now)
+                node.record_service(now, 0.001)
+                node.store_chunk(CacheChunk.sized(key, 0, size))
+            elif operation == "delete":
+                node.delete_chunk(f"{args[0]}#0")
+            elif operation == "backup":
+                node.duration_controller.expire_if_due(now)
+                backups.backup_node(node, now)
+            elif operation == "reclaim_primary" and node.primary is not None:
+                failovers += node.backup_peer is not None
+                platform.reclaim_instance(node.primary)
+            elif operation == "reclaim_backup" and node.backup_peer is not None:
+                platform.reclaim_instance(node.backup_peer)
+            for checked in proxy.nodes[:2]:
+                assert checked.bytes_used() == self._fresh_sum(checked)
+                for replica in (checked.primary, checked.backup_peer):
+                    state = checked._state_of(replica)
+                    if state is not None:
+                        assert state["bytes"] == sum(
+                            chunk.size for chunk in state["chunks"].values()
+                        )
+            assert proxy.pool_bytes_used() == sum(
+                self._fresh_sum(checked) for checked in proxy.nodes
+            )
+        assert sum(node.failovers for node in proxy.nodes) == failovers

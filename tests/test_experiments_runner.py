@@ -27,6 +27,29 @@ class TestRunAll:
         assert "crossover" in reports["figure17"]
         assert "availability" in reports["availability"]
 
+    def test_figure8_and_figure9_share_one_simulation(self, tmp_path, monkeypatch):
+        calls = []
+        real_run = runner.figure8.run
+
+        def counting_run(**kwargs):
+            calls.append(kwargs)
+            return real_run(fleet_size=6, hours=2)
+
+        monkeypatch.setattr(runner.figure8, "run", counting_run)
+        runner._figure8_result.cache_clear()
+        try:
+            reports = runner.run_all(output_dir=tmp_path, only=["figure8", "figure9"])
+            assert calls == [{"fleet_size": 150, "hours": 24}]
+            # A later call in the same process (bench's one-experiment-at-a-
+            # time loop) reuses the result too.
+            again = runner.run_all(output_dir=tmp_path, only=["figure9"])
+            assert len(calls) == 1
+            assert again["figure9"] == reports["figure9"]
+        finally:
+            runner._figure8_result.cache_clear()
+        assert "Figure 8" in reports["figure8"]
+        assert "Figure 9" in reports["figure9"]
+
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             runner.run_all(output_dir=tmp_path, only=["figure99"])

@@ -152,6 +152,46 @@ class TestReclamation:
         platform.reclaim_instance(result.instance)
         assert platform.metrics.counters()["faas.reclaims"] == 1
 
+    def test_reclaimed_instances_leave_the_scan_list(self, platform):
+        """``invoke`` scans the function's alive instances only: the list
+        does not grow with the number of instances ever reclaimed."""
+        platform.register_function("f", 256 * MIB)
+        busy = platform.invoke("f").instance  # stays RUNNING: peers cold-start
+        for _cycle in range(40):
+            peer = platform.invoke("f")
+            assert peer.cold_start
+            platform.complete_invocation(peer.instance, 0.01)
+            platform.reclaim_instance(peer.instance)
+            assert platform._functions["f"].instances == [busy]
+        assert platform.metrics.counters()["faas.cold_starts"] == 41
+        assert platform.alive_instances() == [busy]
+
+    def test_reclaim_preserves_creation_order(self, platform):
+        platform.register_function("f", 256 * MIB)
+        first, second, third = (
+            platform.invoke("f", force_new_instance=True).instance for _ in range(3)
+        )
+        for instance in (first, second, third):
+            platform.complete_invocation(instance, 0.01)
+        platform.reclaim_instance(second)
+        fourth = platform.invoke("f", force_new_instance=True).instance
+        platform.complete_invocation(fourth, 0.01)
+        assert platform.alive_instances("f") == [first, third, fourth]
+        # The first idle instance in creation order serves the next call.
+        assert platform.invoke("f").instance is first
+        platform.reclaim_instance(first)
+        assert platform.invoke("f").instance is third
+
+    def test_reclaimed_mid_invocation_is_still_billed(self, platform):
+        platform.register_function("f", 256 * MIB)
+        running = platform.invoke("f").instance
+        platform.reclaim_instance(running)
+        assert platform.alive_instances("f") == []
+        platform.complete_invocation(running, 0.25)
+        assert platform.billing.total_invocations == 1
+        assert platform.billing.total_cost > 0
+        assert running.state is FunctionState.RECLAIMED
+
     def test_reclaim_frees_host(self, platform):
         platform.register_function("f", 3008 * MIB)
         result = platform.invoke("f")

@@ -13,13 +13,11 @@ import random
 
 import pytest
 
-import repro.network.flows as flows_module
 from repro.exceptions import SimulationError
 from repro.network.flows import (
-    HAVE_NUMPY,
+    ARBITER_NAMES,
     FlowNetwork,
     ReferenceFlowNetwork,
-    VectorizedFlowNetwork,
     resolve_arbiter,
 )
 from repro.network.topology import NetworkFabric
@@ -27,12 +25,10 @@ from repro.sim import EventLoop, first_n
 
 MB = 1_000_000.0
 
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy is not installed")
-
-#: The two fast arbiters, each pinned against the reference sweep below.
-FAST_ARBITERS = [
-    pytest.param(FlowNetwork, id="incremental"),
-    pytest.param(VectorizedFlowNetwork, id="vectorized", marks=requires_numpy),
+#: Every arbiter, each pinned against a fresh reference sweep below (the
+#: reference leg pins the oracle's own run-to-run determinism).
+ARBITERS = [
+    pytest.param(resolve_arbiter(name), id=name) for name in ARBITER_NAMES
 ]
 
 
@@ -257,25 +253,25 @@ def _drive(network_cls, seed: int):
 
 
 class TestIncrementalMatchesReference:
-    """The tentpole's correctness pin: all arbiters are byte-identical."""
+    """The correctness pin: both arbiters are byte-identical."""
 
-    @pytest.mark.parametrize("network_cls", FAST_ARBITERS)
+    @pytest.mark.parametrize("network_cls", ARBITERS)
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2020, 31337])
     def test_differential_random_schedules(self, network_cls, seed):
-        incremental, inc_loop = _drive(network_cls, seed)
+        network, net_loop = _drive(network_cls, seed)
         reference, ref_loop = _drive(ReferenceFlowNetwork, seed)
         # Byte-for-byte: every retired interval (timestamps, byte counts,
         # completion flags) and the retirement order itself must match.
-        assert incremental.trace == reference.trace
-        assert incremental.max_concurrent() == reference.max_concurrent()
-        assert incremental.flow_stats() == reference.flow_stats()
+        assert network.trace == reference.trace
+        assert network.max_concurrent() == reference.max_concurrent()
+        assert network.flow_stats() == reference.flow_stats()
         # Virtual time is identical; the *dispatch* counts may differ (the
         # lazy completion timers add cheap early firings that re-arm, while
         # the eager reference cancels and reschedules instead) — but the
         # lazy idiom must never cancel more events than the eager one.
-        assert inc_loop.now == ref_loop.now
+        assert net_loop.now == ref_loop.now
         assert (
-            inc_loop.queue.stats()["cancelled"] <= ref_loop.queue.stats()["cancelled"]
+            net_loop.queue.stats()["cancelled"] <= ref_loop.queue.stats()["cancelled"]
         )
 
     def test_groups_empty_after_drain(self):
@@ -393,7 +389,7 @@ class TestQuorumTieOrder:
     timers and deferred-transition coalescing must reserve exactly the
     sequence numbers the eager cancel-and-reschedule idiom would have
     consumed, or a *different* chunk loses the race and every erasure-coded
-    fingerprint flips.  This pins that invariant across all three arbiters.
+    fingerprint flips.  This pins that invariant across both arbiters.
     """
 
     CHUNKS = 11
@@ -437,13 +433,9 @@ class TestQuorumTieOrder:
         ends = {end for _, _, end in expected}
         assert len(ends) == 1  # a genuine tie: every interval ends together
         assert self._drive_quorum(FlowNetwork) == expected
-        if HAVE_NUMPY:
-            assert self._drive_quorum(VectorizedFlowNetwork) == expected
 
 
 class TestArbiterResolution:
-    """``resolve_arbiter`` and the numpy fallback for the vectorized path."""
-
     def test_scalar_names_resolve(self):
         assert resolve_arbiter("incremental") is FlowNetwork
         assert resolve_arbiter("reference") is ReferenceFlowNetwork
@@ -452,18 +444,8 @@ class TestArbiterResolution:
         with pytest.raises(SimulationError):
             resolve_arbiter("quantum")
 
-    @requires_numpy
-    def test_vectorized_resolves_when_numpy_present(self):
-        assert resolve_arbiter("vectorized") is VectorizedFlowNetwork
-
-    def test_vectorized_falls_back_to_incremental_without_numpy(self, monkeypatch):
-        # Environments without the ``[perf]`` extra still accept the default
-        # ``flow_arbiter="vectorized"`` config; they get the byte-identical
-        # scalar arbiter instead of an import error.
-        monkeypatch.setattr(flows_module, "HAVE_NUMPY", False)
-        assert resolve_arbiter("vectorized") is FlowNetwork
-
-    def test_vectorized_class_itself_requires_numpy(self, monkeypatch):
-        monkeypatch.setattr(flows_module, "_np", None)
-        with pytest.raises(SimulationError):
-            VectorizedFlowNetwork(EventLoop(), NetworkFabric(proxy_uplink_bps=100 * MB))
+    def test_vectorized_name_is_rejected(self):
+        # The numpy arbiter was deleted, not aliased: the name is unknown.
+        assert ARBITER_NAMES == ("incremental", "reference")
+        with pytest.raises(SimulationError, match="incremental"):
+            resolve_arbiter("vectorized")

@@ -59,6 +59,7 @@ class TestMacroAndComparison:
         assert comparison["fingerprints_identical"] is True
         assert comparison["incremental_wall_s"] > 0
         assert comparison["reference_wall_s"] > 0
+        assert not any("vectorized" in key for key in comparison)
 
     def test_run_suite_quick_payload_is_json_ready(self):
         payload = perf.run_suite(quick=True, client_counts=(4, 8), compare_clients=8)
@@ -67,6 +68,12 @@ class TestMacroAndComparison:
         assert encoded["quick"] is True
         assert [sample["clients"] for sample in encoded["macro"]] == [4, 8]
         assert encoded["arbiter_comparison"]["fingerprints_identical"] is True
+        assert [sample["name"] for sample in encoded["micro"]] == [
+            "micro.event_queue",
+            "micro.flow_churn[incremental]",
+            "micro.flow_churn[reference]",
+            "micro.flow_churn[incremental,dense]",
+        ]
         for sample in encoded["micro"] + encoded["macro"]:
             assert sample["events_per_s"] >= 0
         # The profile section rides along at the largest swept fleet and

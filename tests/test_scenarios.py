@@ -15,7 +15,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.faults.scenario import demo_resilience
-from repro.faults.spec import FaultSchedule, ReclamationStorm
+from repro.faults.spec import FaultSchedule, InvocationFaults, ReclamationStorm
 from repro.scenarios import (
     Axis,
     ClusterScenarioSpec,
@@ -23,6 +23,7 @@ from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
     TenantShare,
+    execute,
 )
 from repro.scenarios.collectors import DATA_COLLECTORS, resolve_collectors
 from repro.scenarios.library import SCENARIOS, get_grid
@@ -58,12 +59,36 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="open-loop"):
             ScenarioSpec(arrival=ClosedLoopArrivals(), popularity=ZipfChurn())
 
-    def test_faults_require_resilience(self):
-        schedule = FaultSchedule((ReclamationStorm(at_s=5.0, fraction=0.5),))
-        with pytest.raises(ConfigurationError, match="resilience"):
-            ScenarioSpec(faults=schedule)
-        # With a resilience profile the same schedule is accepted.
+    def test_faults_without_resilience_run_and_account(self, monkeypatch):
+        # One supervised request path: a deployment with no resilience
+        # budget still completes every request under faults, so the spec
+        # accepts the schedule and the cell runs to a drained loop.
+        schedule = FaultSchedule((
+            ReclamationStorm(at_s=5.0, fraction=0.5),
+            InvocationFaults(at_s=6.0, duration_s=5.0, failure_probability=0.3),
+        ))
+        spec = ScenarioSpec(
+            arrival=PoissonArrivals(rate_rps=4.0, duration_s=20.0), faults=schedule
+        )
+        assert spec.resilience is None
         ScenarioSpec(faults=schedule, resilience=demo_resilience())
+        deployments = []
+        build = execute._build_deployment
+
+        def capture(*args):
+            deployments.append(build(*args))
+            return deployments[-1]
+
+        monkeypatch.setattr(execute, "_build_deployment", capture)
+        outcome = execute.execute_cell(spec, seed=7)
+        report = outcome.report
+        assert report.resilience["faas.injected_faults"] > 0
+        assert report.resilience["faas.reclaims"] > 0
+        assert report.requests == outcome.extras["offered_requests"]
+        assert report.hits + report.misses + report.degraded_hits == report.requests
+        assert len(report.samples) == report.requests
+        (deployment,) = deployments
+        assert deployment.flows.active_count == 0
 
     def test_axis_label_charset_enforced(self):
         with pytest.raises(ConfigurationError):
