@@ -1,4 +1,4 @@
-"""Micro benchmarks: event-queue churn and raw flow-arbitration cost.
+"""Micro benchmarks: event-queue churn, raw flow-arbitration cost, codec MB/s.
 
 Unlike the figure benchmarks (which regenerate paper content), the perf
 suite measures the *simulator's own* throughput — events dispatched per
@@ -49,3 +49,23 @@ def test_bench_perf_flow_churn(benchmark, report_writer):
     # strategy differs.
     assert incremental.events == reference.events
     assert incremental.extra["peak_active_flows"] == reference.extra["peak_active_flows"]
+
+
+def test_bench_perf_erasure(benchmark, report_writer):
+    sample = benchmark.pedantic(perf.micro_erasure, rounds=1, iterations=1)
+    print(
+        f"{sample.name} {sample.extra['code']}: "
+        f"encode {sample.extra['encode_MBps']:,.0f} MB/s, "
+        f"decode {sample.extra['decode_MBps']:,.0f} MB/s, "
+        f"rebuild {sample.extra['rebuild_MBps']:,.0f} MB/s"
+    )
+    report_writer(
+        "perf_erasure",
+        f"erasure micro: {sample.extra['code']}, {sample.extra['object_bytes']}-byte "
+        f"object, {sample.events} codec calls (encode, decode and rebuild with two "
+        "data chunks lost), every result byte-compared",
+    )
+    assert sample.events == 3 * perf.ERASURE_MICRO_CALLS
+    assert min(
+        sample.extra[key] for key in ("encode_MBps", "decode_MBps", "rebuild_MBps")
+    ) > 0

@@ -5,11 +5,13 @@ The paper's client library erasure-codes every object with a configurable
 from the *first d* chunks that arrive.  This package provides the same
 capability:
 
-* :mod:`repro.erasure.galois` — GF(2^8) arithmetic with numpy table lookups.
+* :mod:`repro.erasure.galois` — GF(2^8) arithmetic and the one bulk kernel
+  (``bytes.translate`` product tables, numpy XOR) everything else runs on.
 * :mod:`repro.erasure.matrix` — matrix algebra over GF(2^8), including the
-  systematic Vandermonde-derived encoding matrix and Gaussian-elimination
-  inversion used for decoding.
-* :mod:`repro.erasure.reed_solomon` — the stripe-level encoder/decoder.
+  systematic Vandermonde-derived encoding matrix, Gaussian-elimination
+  inversion, and applying chosen rows to a list of shard ``bytes``.
+* :mod:`repro.erasure.reed_solomon` — the stripe-level encoder/decoder; it
+  computes only the shards that are missing.
 * :mod:`repro.erasure.codec` — the object-level codec (padding, chunk
   identifiers, first-d reconstruction) that the client library uses.
 

@@ -11,6 +11,7 @@ original length in the stripe metadata, and reconstructs the object from any
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 from repro.erasure.reed_solomon import ReedSolomon
 from repro.exceptions import DecodingError, EncodingError
@@ -93,27 +94,36 @@ class ErasureCodec:
         return self.total_shards / self.data_shards
 
     # --- encode -------------------------------------------------------------------
-    def encode(self, key: str, payload: bytes) -> list[Chunk]:
+    def encode(self, key: str, payload: Union[bytes, bytearray, memoryview]) -> list[Chunk]:
         """Split and encode ``payload`` into ``d + p`` chunks.
 
-        The payload is zero-padded up to a multiple of ``d`` so every shard
-        has the same length; the true length is carried in the metadata and
-        re-applied on decode.
+        Any contiguous bytes-like object is accepted; every chunk holds
+        immutable ``bytes``.  The tail of the last data shards is zero-padded
+        so every shard has the same length; the true length is carried in the
+        metadata and re-applied on decode.
         """
         if not key:
             raise EncodingError("object key must be non-empty")
-        if len(payload) == 0:
+        try:
+            view = memoryview(payload).cast("B")
+        except TypeError as error:
+            raise EncodingError(
+                f"object {key!r} is not a contiguous bytes-like object: {error}"
+            ) from error
+        object_size = view.nbytes
+        if object_size == 0:
             raise EncodingError(f"cannot encode empty object {key!r}")
-        chunk_size = self.chunk_size_for(len(payload))
-        padded_length = chunk_size * self.data_shards
-        padded = payload + b"\x00" * (padded_length - len(payload))
+        chunk_size = self.chunk_size_for(object_size)
+        # Slicing a memoryview copies nothing; bytes() makes the one copy each
+        # shard needs, and slices past the end come back short (or empty).
         data_shards = [
-            padded[i * chunk_size : (i + 1) * chunk_size] for i in range(self.data_shards)
+            bytes(view[start : start + chunk_size]).ljust(chunk_size, b"\x00")
+            for start in range(0, chunk_size * self.data_shards, chunk_size)
         ]
         stripe = self.rs.encode(data_shards)
         metadata = StripeMetadata(
             key=key,
-            object_size=len(payload),
+            object_size=object_size,
             data_shards=self.data_shards,
             parity_shards=self.parity_shards,
             chunk_size=chunk_size,
@@ -124,18 +134,33 @@ class ErasureCodec:
         ]
 
     # --- decode -------------------------------------------------------------------
-    def decode(self, chunks: list[Chunk]) -> bytes:
-        """Reconstruct the original object from any ``d`` (or more) chunks.
+    def _shard_map(self, chunks: list[Chunk]) -> tuple[StripeMetadata, dict[int, bytes]]:
+        """Check that ``chunks`` are one object's and index their payloads.
 
         Raises:
-            DecodingError: if chunks belong to different objects, indices are
-                duplicated with conflicting payloads, or fewer than ``d``
-                distinct chunks are supplied.
+            DecodingError: if there are no chunks, they belong to different
+                objects or disagree on the stripe metadata, the metadata does
+                not describe a stripe of this codec that can hold the object,
+                an index appears twice with different payloads, or a payload
+                is not ``chunk_size`` long (equally truncated chunks would
+                otherwise decode to a silently short object).
         """
         if not chunks:
             raise DecodingError("no chunks supplied")
         metadata = chunks[0].metadata
         key = chunks[0].key
+        if (metadata.data_shards, metadata.parity_shards) != (
+            self.data_shards, self.parity_shards
+        ):
+            raise DecodingError(
+                f"object {key!r} is RS({metadata.data_shards}+{metadata.parity_shards}) "
+                f"coded, this codec is {self!r}"
+            )
+        if metadata.chunk_size * metadata.data_shards < metadata.object_size:
+            raise DecodingError(
+                f"stripe metadata for object {key!r} cannot hold its "
+                f"{metadata.object_size} bytes"
+            )
         shard_map: dict[int, bytes] = {}
         for chunk in chunks:
             if chunk.key != key:
@@ -144,15 +169,34 @@ class ErasureCodec:
                 )
             if chunk.metadata != metadata:
                 raise DecodingError(f"inconsistent stripe metadata for object {key!r}")
+            if len(chunk.payload) != metadata.chunk_size:
+                raise DecodingError(
+                    f"chunk {chunk.chunk_id!r} holds {len(chunk.payload)} bytes, "
+                    f"expected {metadata.chunk_size}"
+                )
             existing = shard_map.get(chunk.index)
             if existing is not None and existing != chunk.payload:
                 raise DecodingError(
                     f"conflicting payloads for chunk {chunk.chunk_id!r}"
                 )
             shard_map[chunk.index] = chunk.payload
+        return metadata, shard_map
+
+    def decode(self, chunks: list[Chunk]) -> bytes:
+        """Reconstruct the original object from any ``d`` (or more) chunks.
+
+        Raises:
+            DecodingError: if the chunks fail :meth:`_shard_map`'s checks or
+                fewer than ``d`` distinct chunks are supplied.
+        """
+        metadata, shard_map = self._shard_map(chunks)
         data_shards = self.rs.decode(shard_map)
-        padded = b"".join(data_shards)
-        return padded[: metadata.object_size]
+        # Drop the padding before joining, so the object is copied once.
+        whole, tail = divmod(metadata.object_size, metadata.chunk_size)
+        pieces = data_shards[:whole]
+        if tail:
+            pieces.append(data_shards[whole][:tail])
+        return b"".join(pieces)
 
     def needs_decoding(self, chunks: list[Chunk]) -> bool:
         """Whether reconstruction requires RS math (any data chunk missing).
@@ -166,11 +210,12 @@ class ErasureCodec:
         return not all(i in present for i in range(self.data_shards))
 
     def rebuild_missing(self, chunks: list[Chunk]) -> list[Chunk]:
-        """Regenerate the full stripe (used by the recovery / RESET path)."""
-        if not chunks:
-            raise DecodingError("no chunks supplied")
-        metadata = chunks[0].metadata
-        shard_map = {chunk.index: chunk.payload for chunk in chunks}
+        """Regenerate the full stripe (used by the recovery / RESET path).
+
+        Only the absent chunks are computed; the survivors' payloads are
+        passed through.  Raises :class:`DecodingError` as :meth:`decode` does.
+        """
+        metadata, shard_map = self._shard_map(chunks)
         stripe = self.rs.reconstruct_all(shard_map)
         return [
             Chunk(key=metadata.key, index=i, payload=stripe[i], metadata=metadata)

@@ -1,16 +1,25 @@
 """GF(2^8) finite-field arithmetic.
 
 Reed-Solomon coding works over a finite field; we use GF(2^8) with the
-AES/ISA-L polynomial ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D), the same field
-used by the Go ``reedsolomon`` library the paper builds on.  Multiplication
-and division go through exp/log tables; bulk operations on chunk payloads are
-vectorised with numpy take-style table lookups so encoding 100 MB objects in
-tests stays fast.
+polynomial ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D), the one ISA-L and the Go
+``reedsolomon`` library the paper builds on use (AES uses 0x11B, a different
+field).  Scalar multiplication and division go through exp/log tables.
+
+Bulk work — shard payloads and the rows of coefficient matrices alike — is
+done on ``bytes`` by one kernel, :meth:`GF256.combine`: each coefficient
+times a byte string is ``bytes.translate`` through that coefficient's
+256-byte product table (a C loop at about 2 GB/s), and the products are
+XOR-ed together with numpy.  See the "Erasure data path" section of
+``docs/performance.md`` for what was measured against it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
+
+from repro.exceptions import ErasureCodingError
 
 #: The primitive polynomial for GF(2^8): x^8 + x^4 + x^3 + x^2 + 1.
 PRIMITIVE_POLYNOMIAL = 0x11D
@@ -44,13 +53,16 @@ for _a in range(1, 256):
     _log_a = _LOG_TABLE[_a]
     _MUL_TABLE[_a, 1:] = _EXP_TABLE[_log_a + _LOG_TABLE[1:256]]
 
+#: ``bytes.translate`` tables: entry c maps every byte b to ``c * b``.
+_PRODUCT_TABLES = tuple(row.tobytes() for row in _MUL_TABLE)
+
 
 class GF256:
     """Arithmetic over GF(2^8).
 
     All methods are static/class-level; the class exists purely as a
     namespace with precomputed tables.  Scalars are Python ints in [0, 255];
-    vectors are ``numpy.uint8`` arrays.
+    vectors are ``bytes``.
     """
 
     exp_table = _EXP_TABLE
@@ -108,25 +120,47 @@ class GF256:
         return int(_EXP_TABLE[255 - _LOG_TABLE[a]])
 
     @staticmethod
-    def multiply_vector(scalar: int, vector: np.ndarray) -> np.ndarray:
-        """Multiply every byte of ``vector`` by ``scalar`` (vectorised)."""
-        if scalar == 0:
-            return np.zeros_like(vector)
-        if scalar == 1:
-            return vector.copy()
-        return _MUL_TABLE[scalar][vector]
+    def multiply_vector(scalar: int, vector: bytes) -> bytes:
+        """Multiply every byte of ``vector`` by ``scalar``."""
+        return GF256.combine((scalar,), (vector,))
 
     @staticmethod
-    def add_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Add (XOR) two byte vectors elementwise."""
-        return np.bitwise_xor(a, b)
+    def add_vectors(a: bytes, b: bytes) -> bytes:
+        """Add (XOR) two equal-length byte vectors elementwise."""
+        return GF256.combine((1, 1), (a, b))
 
     @staticmethod
-    def multiply_accumulate(accumulator: np.ndarray, scalar: int, vector: np.ndarray) -> None:
-        """In place: ``accumulator ^= scalar * vector`` (the encoder hot loop)."""
-        if scalar == 0:
-            return
-        if scalar == 1:
-            np.bitwise_xor(accumulator, vector, out=accumulator)
-            return
-        np.bitwise_xor(accumulator, _MUL_TABLE[scalar][vector], out=accumulator)
+    def combine(coefficients: Sequence[int], vectors: Sequence[bytes]) -> bytes:
+        """The linear combination ``sum(c * v)`` of equal-length byte vectors.
+
+        This is the one bulk kernel: the encoder, the decoder and the matrix
+        algebra all reduce to it.  Zero coefficients cost nothing and a
+        coefficient of one skips the table pass.
+
+        Raises:
+            ErasureCodingError: if the counts differ, no vector is given, or
+                the vectors are not all the same length.
+        """
+        if not vectors or len(coefficients) != len(vectors):
+            raise ErasureCodingError(
+                f"cannot combine {len(vectors)} vectors with {len(coefficients)} coefficients"
+            )
+        length = len(vectors[0])
+        buffer = bytearray(length)
+        accumulator = np.frombuffer(buffer, dtype=np.uint8)
+        for coefficient, vector in zip(coefficients, vectors):
+            if len(vector) != length:
+                # numpy would broadcast a one-byte vector silently.
+                raise ErasureCodingError(
+                    f"vectors must all have the same length, got {length} and {len(vector)}"
+                )
+            if coefficient == 0:
+                continue
+            product = (
+                vector if coefficient == 1
+                else vector.translate(_PRODUCT_TABLES[coefficient])
+            )
+            np.bitwise_xor(
+                accumulator, np.frombuffer(product, dtype=np.uint8), out=accumulator
+            )
+        return bytes(buffer)

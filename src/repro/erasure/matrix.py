@@ -14,6 +14,9 @@ data chunks arrive).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from typing import Optional
+
 import numpy as np
 
 from repro.erasure.galois import GF256
@@ -84,44 +87,30 @@ class GFMatrix:
         return f"GFMatrix(shape={self.data.shape})"
 
     # --- algebra ----------------------------------------------------------------
+    def multiply_shards(
+        self, shards: Sequence[bytes], rows: Optional[Sequence[int]] = None
+    ) -> list[bytes]:
+        """Apply the selected rows (default: all) to one shard per column.
+
+        Output ``i`` is ``sum(self[rows[i], k] * shards[k])``.  This is the
+        encoder/decoder hot path: it runs on the shard ``bytes`` as they are
+        and computes nothing for rows that were not asked for.
+        """
+        if len(shards) != self.cols:
+            raise ErasureCodingError(
+                f"matrix has {self.cols} columns but {len(shards)} shards were supplied"
+            )
+        selected = range(self.rows) if rows is None else rows
+        return [GF256.combine(self.data[row].tolist(), shards) for row in selected]
+
     def multiply(self, other: "GFMatrix") -> "GFMatrix":
         """Matrix product ``self @ other`` over GF(2^8)."""
         if self.cols != other.rows:
             raise ErasureCodingError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        result = np.zeros((self.rows, other.cols), dtype=np.uint8)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                coefficient = int(self.data[i, k])
-                if coefficient == 0:
-                    continue
-                GF256.multiply_accumulate(result[i], coefficient, other.data[k])
-        return GFMatrix(result)
-
-    def multiply_rows_into(self, shards: np.ndarray) -> np.ndarray:
-        """Apply the matrix to a stack of shard payloads.
-
-        Args:
-            shards: array of shape ``(cols, shard_len)`` holding one input
-                shard per matrix column.
-
-        Returns:
-            Array of shape ``(rows, shard_len)``: one output shard per matrix
-            row.  This is the encoder/decoder hot path and is fully
-            vectorised along the shard length.
-        """
-        if shards.shape[0] != self.cols:
-            raise ErasureCodingError(
-                f"matrix has {self.cols} columns but {shards.shape[0]} shards were supplied"
-            )
-        shard_len = shards.shape[1]
-        output = np.zeros((self.rows, shard_len), dtype=np.uint8)
-        for i in range(self.rows):
-            row = self.data[i]
-            for k in range(self.cols):
-                GF256.multiply_accumulate(output[i], int(row[k]), shards[k])
-        return output
+        product = self.multiply_shards([row.tobytes() for row in other.data])
+        return GFMatrix(np.array([list(row) for row in product], dtype=np.uint8))
 
     def inverse(self) -> "GFMatrix":
         """Invert a square matrix by Gauss-Jordan elimination over GF(2^8).
@@ -136,30 +125,23 @@ class GFMatrix:
                 f"only square matrices can be inverted, got {self.rows}x{self.cols}"
             )
         n = self.rows
-        work = np.concatenate(
-            [self.data.astype(np.uint8), np.eye(n, dtype=np.uint8)], axis=1
-        )
+        # Each row of [self | identity] is one byte string.
+        work = [
+            left.tobytes() + right.tobytes()
+            for left, right in zip(self.data, np.eye(n, dtype=np.uint8))
+        ]
         for col in range(n):
             # Find a pivot row with a non-zero entry in this column.
-            pivot = None
-            for row in range(col, n):
-                if work[row, col] != 0:
-                    pivot = row
-                    break
+            pivot = next((row for row in range(col, n) if work[row][col]), None)
             if pivot is None:
                 raise ErasureCodingError("matrix is singular and cannot be inverted")
-            if pivot != col:
-                work[[col, pivot]] = work[[pivot, col]]
+            work[col], work[pivot] = work[pivot], work[col]
             # Normalise the pivot row so the pivot becomes 1.
-            pivot_value = int(work[col, col])
-            if pivot_value != 1:
-                inverse_pivot = GF256.inverse(pivot_value)
-                work[col] = GF256.multiply_vector(inverse_pivot, work[col])
+            pivot_row = GF256.multiply_vector(GF256.inverse(work[col][col]), work[col])
+            work[col] = pivot_row
             # Eliminate the column from every other row.
             for row in range(n):
-                if row == col:
-                    continue
-                factor = int(work[row, col])
-                if factor:
-                    GF256.multiply_accumulate(work[row], factor, work[col])
-        return GFMatrix(work[:, n:])
+                factor = work[row][col]
+                if row != col and factor:
+                    work[row] = GF256.combine((1, factor), (work[row], pivot_row))
+        return GFMatrix(np.array([list(row[n:]) for row in work], dtype=np.uint8))

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-import numpy as np
-
 from repro.erasure.matrix import GFMatrix
 from repro.exceptions import ConfigurationError, DecodingError, EncodingError
 
@@ -25,7 +23,7 @@ from repro.exceptions import ConfigurationError, DecodingError, EncodingError
 #: (its "aggressive" example is RS(20+4)).
 MAX_TOTAL_SHARDS = 256
 
-#: Per-instance bound on cached decode matrices.  There are at most
+#: Per-instance bound on cached recovery matrices.  There are at most
 #: C(total, data) missing-shard patterns; in practice a handful recur
 #: (reclamation takes out the same nodes for many objects), so a small LRU
 #: captures nearly all repeat inversions.
@@ -55,15 +53,12 @@ class ReedSolomon:
         self.total_shards = total
         if parity_shards > 0:
             self._matrix = GFMatrix.systematic_encoding_matrix(data_shards, parity_shards)
-            self._parity_matrix = self._matrix.submatrix_rows(
-                list(range(data_shards, total))
-            )
         else:
             self._matrix = GFMatrix.identity(data_shards)
-            self._parity_matrix = None
-        #: LRU of inverted decode submatrices keyed by the surviving-shard
-        #: pattern; every request that lost the same shards reuses the same
-        #: inversion instead of re-running the GF(2^8) Gaussian elimination.
+        #: LRU of recovery matrices keyed by the surviving-shard pattern:
+        #: row ``i`` regenerates shard ``i`` (data or parity) from those
+        #: survivors.  Every request that lost the same shards reuses one
+        #: GF(2^8) Gaussian elimination.
         self._decode_matrices: OrderedDict[tuple[int, ...], GFMatrix] = OrderedDict()
 
     def __repr__(self) -> str:
@@ -91,13 +86,10 @@ class ReedSolomon:
         shard_len = lengths.pop()
         if shard_len == 0:
             raise EncodingError("data shards must be non-empty")
-        if self.parity_shards == 0:
-            return list(data_shard_payloads)
-        stacked = np.frombuffer(b"".join(data_shard_payloads), dtype=np.uint8).reshape(
-            self.data_shards, shard_len
+        parity = self._matrix.multiply_shards(
+            data_shard_payloads, range(self.data_shards, self.total_shards)
         )
-        parity = self._parity_matrix.multiply_rows_into(stacked)
-        return list(data_shard_payloads) + [parity[i].tobytes() for i in range(self.parity_shards)]
+        return list(data_shard_payloads) + parity
 
     # --- decoding ----------------------------------------------------------------
     def decode(self, shards: dict[int, bytes]) -> list[bytes]:
@@ -110,12 +102,27 @@ class ReedSolomon:
                 by index are used).
 
         Returns:
-            The ``data_shards`` reconstructed data payloads, in order.
+            The ``data_shards`` data payloads, in order.  Shards that were
+            supplied are returned as they are (the same objects); only the
+            missing ones are computed.
 
         Raises:
             DecodingError: if fewer than ``data_shards`` shards are available,
                 indices are out of range, or payload lengths are inconsistent.
         """
+        return self._recover(shards, range(self.data_shards))
+
+    def reconstruct_all(self, shards: dict[int, bytes]) -> list[bytes]:
+        """Reconstruct the *entire* stripe (data + parity) from any d shards.
+
+        Used by the recovery path when a reclaimed Lambda node's chunk must be
+        regenerated and re-inserted.  Like :meth:`decode`, it passes supplied
+        shards through and computes only the absent ones.
+        """
+        return self._recover(shards, range(self.total_shards))
+
+    def _recover(self, shards: dict[int, bytes], wanted: range) -> list[bytes]:
+        """Shards ``wanted``, taken from ``shards`` or rebuilt from them."""
         if not shards:
             raise DecodingError("no shards supplied")
         for index in shards:
@@ -130,48 +137,39 @@ class ReedSolomon:
         lengths = {len(payload) for payload in shards.values()}
         if len(lengths) != 1:
             raise DecodingError(f"shards must all have the same length, got {sorted(lengths)}")
-        shard_len = lengths.pop()
-        if shard_len == 0:
+        if lengths.pop() == 0:
             raise DecodingError("shards must be non-empty")
 
-        # Fast path: every data shard is present (systematic code).
-        if all(i in shards for i in range(self.data_shards)):
-            return [shards[i] for i in range(self.data_shards)]
-
+        absent = [i for i in wanted if i not in shards]
+        if not absent:
+            # The code is systematic: nothing wanted is missing, so no math.
+            return [shards[i] for i in wanted]
         if self.parity_shards == 0:
-            missing = [i for i in range(self.data_shards) if i not in shards]
             raise DecodingError(
-                f"stripe has no parity and data shards {missing} are missing"
+                f"stripe has no parity and data shards {absent} are missing"
             )
+        selected = sorted(shards)[: self.data_shards]
+        rebuilt = self._recovery_matrix(tuple(selected)).multiply_shards(
+            [shards[i] for i in selected], absent
+        )
+        recovered = {**shards, **dict(zip(absent, rebuilt))}
+        return [recovered[i] for i in wanted]
 
-        selected_indices = sorted(shards)[: self.data_shards]
-        decode_matrix = self._decode_matrix(tuple(selected_indices))
-        stacked = np.frombuffer(
-            b"".join(shards[i] for i in selected_indices), dtype=np.uint8
-        ).reshape(self.data_shards, shard_len)
-        reconstructed = decode_matrix.multiply_rows_into(stacked)
-        return [reconstructed[i].tobytes() for i in range(self.data_shards)]
+    def _recovery_matrix(self, selected_indices: tuple[int, ...]) -> GFMatrix:
+        """The matrix taking one surviving-shard pattern to the whole stripe (LRU).
 
-    def _decode_matrix(self, selected_indices: tuple[int, ...]) -> GFMatrix:
-        """The inverted decode submatrix for one surviving-shard pattern (LRU)."""
+        Its top ``data_shards`` rows are the inverted decode submatrix.
+        """
         cached = self._decode_matrices.get(selected_indices)
         if cached is not None:
             self._decode_matrices.move_to_end(selected_indices)
             return cached
-        matrix = self._matrix.submatrix_rows(list(selected_indices)).inverse()
+        inverse = self._matrix.submatrix_rows(list(selected_indices)).inverse()
+        matrix = self._matrix.multiply(inverse)
         self._decode_matrices[selected_indices] = matrix
         if len(self._decode_matrices) > DECODE_MATRIX_CACHE_SIZE:
             self._decode_matrices.popitem(last=False)
         return matrix
-
-    def reconstruct_all(self, shards: dict[int, bytes]) -> list[bytes]:
-        """Reconstruct the *entire* stripe (data + parity) from any d shards.
-
-        Used by the recovery path when a reclaimed Lambda node's chunk must be
-        regenerated and re-inserted.
-        """
-        data = self.decode(shards)
-        return self.encode(data)
 
     @classmethod
     def shared(cls, data_shards: int, parity_shards: int) -> "ReedSolomon":

@@ -7,8 +7,9 @@ measuring and guarding, exactly as caching simulators such as Icarus
 benchmark their event cores.  This module is that measurement layer:
 
 * **micro benchmarks** exercise one subsystem in isolation — the event
-  queue's push/cancel/pop cycle (tombstone compaction) and the flow
-  network's join/leave arbitration churn;
+  queue's push/cancel/pop cycle (tombstone compaction), the flow
+  network's join/leave arbitration churn, and the Reed-Solomon codec's
+  encode / decode / rebuild throughput on real bytes;
 * **macro benchmarks** run the closed-loop replay driver end to end at
   fleet sizes (8 → 1024 clients) and report wall-clock, events/sec, and
   the peak number of simultaneously active flows;
@@ -26,11 +27,13 @@ output.
 from __future__ import annotations
 
 import gc
+import random
 import time
 from dataclasses import dataclass, field
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
+from repro.erasure.codec import ErasureCodec
 from repro.network.flows import resolve_arbiter
 from repro.network.topology import NetworkFabric
 from repro.sim.loop import EventLoop
@@ -143,6 +146,54 @@ def micro_flow_churn(
             "hosts": hosts,
             "proxies": proxies,
             "peak_active_flows": network.max_concurrent(),
+        },
+    )
+
+
+#: ``micro_erasure`` geometry: the paper's default code on the object size
+#: ``bench/``'s ``bytes_rw`` workload and erasure micros use.
+ERASURE_MICRO_CODE = (10, 2)
+ERASURE_MICRO_OBJECT_BYTES = 4 * MB
+ERASURE_MICRO_CALLS = 4
+
+
+def micro_erasure() -> PerfSample:
+    """Codec throughput on real bytes: encode, decode, rebuild (MB/s each).
+
+    One RS(10+2) stripe of a seeded 4 MB object; ``decode`` and ``rebuild``
+    run with the first two *data* chunks missing, so both do the full
+    two-shard recovery.  Each operation's result is compared with the input
+    (outside the timed loop), so a kernel that got faster by getting wrong
+    fails here, not later.
+    """
+    codec = ErasureCodec(*ERASURE_MICRO_CODE)
+    payload = random.Random(0).randbytes(ERASURE_MICRO_OBJECT_BYTES)
+    chunks = codec.encode("perf.erasure", payload)  # also warms the matrices
+    survivors = chunks[2:]
+    codec.decode(survivors)
+    megabytes = ERASURE_MICRO_CALLS * ERASURE_MICRO_OBJECT_BYTES / MB
+    rates: dict[str, object] = {}
+    start = time.perf_counter()
+    for name, call, expected in (
+        ("encode", lambda: codec.encode("perf.erasure", payload), chunks),
+        ("decode", lambda: codec.decode(survivors), payload),
+        ("rebuild", lambda: codec.rebuild_missing(survivors), chunks),
+    ):
+        phase_start = time.perf_counter()
+        for _ in range(ERASURE_MICRO_CALLS):
+            result = call()
+        rates[f"{name}_MBps"] = megabytes / (time.perf_counter() - phase_start)
+        if result != expected:
+            raise RuntimeError(f"erasure {name} returned different bytes")
+    wall = time.perf_counter() - start
+    return PerfSample(
+        name="micro.erasure",
+        wall_s=wall,
+        events=3 * ERASURE_MICRO_CALLS,
+        extra={
+            "code": "RS({}+{})".format(*ERASURE_MICRO_CODE),
+            "object_bytes": ERASURE_MICRO_OBJECT_BYTES,
+            **rates,
         },
     )
 
@@ -447,6 +498,7 @@ def run_suite(
             flows=300 if quick else 1_000, hosts=2, proxies=1,
             arbiter="incremental", tag="dense",
         ),
+        micro_erasure(),
     ]
     # The comparison runs before the big sweeps so its timing is not skewed
     # by heap growth from the larger fleets; the micro pass above doubles as
@@ -490,8 +542,19 @@ def format_report(payload: dict[str, object]) -> str:
         format_table(
             ["benchmark", "wall_s", "events", "events/s"],
             micro_rows,
-            title="Micro benchmarks (event queue + flow arbitration)",
+            title="Micro benchmarks (event queue, flow arbitration, codec calls)",
         ),
+    ]
+    for sample in payload["micro"]:
+        if "encode_MBps" in sample:
+            lines.append(
+                f"{sample['name']} {sample['code']}, "
+                f"{sample['object_bytes'] / MB:.0f} MB object: "
+                f"encode {sample['encode_MBps']:.0f} MB/s, "
+                f"decode (2 data chunks lost) {sample['decode_MBps']:.0f} MB/s, "
+                f"rebuild {sample['rebuild_MBps']:.0f} MB/s"
+            )
+    lines += [
         "",
         format_table(
             ["clients", "wall_s", "events", "events/s", "peak_flows", "sim_s"],

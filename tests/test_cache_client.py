@@ -45,6 +45,14 @@ class TestPutGetRoundtrip:
             client.put(key, data)
             assert client.get(key).value == data
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_values_are_stored_as_immutable_bytes(self, client, deployment, wrap):
+        data = payload(4093)
+        client.put("buffer", wrap(data))
+        _descriptor, stored = deployment.proxies[0].export_object("buffer")
+        assert all(type(chunk.payload) is bytes for chunk in stored)
+        assert client.get("buffer").value == data
+
     def test_sized_objects_have_no_payload(self, client):
         client.put_sized("big", 50 * MB)
         result = client.get("big")

@@ -325,6 +325,20 @@ class TestPayloadCarryingRepair:
         assert len(exported) == descriptor.total_chunks
         assert sum(1 for chunk in exported if chunk.payload is None) == 3
 
+    def test_export_falls_back_to_placeholders_on_a_truncated_survivor(self):
+        """The codec refuses a chunk that is not ``chunk_size`` long; the
+        proxy then hands out placeholders, never a stripe built from it."""
+        proxy = build_proxy()
+        descriptor, chunks = make_real_chunks("obj", self.PAYLOAD)
+        put_result = proxy.put("obj", descriptor, chunks, now=0.0)
+        proxy.node(put_result.node_ids[1]).store_chunk(
+            CacheChunk(key="obj", index=1, size=100, payload=chunks[1].payload[:100])
+        )
+        self._lose_nodes(proxy, put_result.node_ids[:1])
+        _descriptor, exported = proxy.export_object("obj")
+        assert len(exported) == descriptor.total_chunks
+        assert exported[0].payload is None and exported[0].size == descriptor.chunk_size
+
     def test_sized_stripes_still_repair_with_placeholders(self):
         proxy = build_proxy()
         descriptor, chunks = make_chunks("obj", 6 * MB)

@@ -1,5 +1,9 @@
 """Tests for the object-level erasure codec."""
 
+import dataclasses
+import hashlib
+import random
+
 import pytest
 
 from repro.erasure.codec import Chunk, ErasureCodec
@@ -9,6 +13,9 @@ from repro.exceptions import DecodingError, EncodingError
 @pytest.fixture
 def codec() -> ErasureCodec:
     return ErasureCodec(4, 2)
+
+
+PINNED_STRIPE_SHA256 = "791ccc9e1eab2dd5960332c0e1c3a0fce8eec3831fad2b7c9e3b472ca3c44532"
 
 
 def sample_object(size: int = 1000) -> bytes:
@@ -43,6 +50,33 @@ class TestEncode:
     def test_empty_payload_rejected(self, codec):
         with pytest.raises(EncodingError):
             codec.encode("key", b"")
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_any_bytes_like_is_accepted_and_chunks_hold_bytes(self, codec, wrap):
+        payload = sample_object(1001)
+        chunks = codec.encode("key", wrap(payload))
+        assert chunks == codec.encode("key", payload)
+        assert all(type(chunk.payload) is bytes for chunk in chunks)
+
+    def test_encode_does_not_alias_a_mutable_payload(self, codec):
+        payload = bytearray(sample_object())
+        chunks = codec.encode("key", payload)
+        payload[:] = bytes(len(payload))
+        assert codec.decode(chunks) == sample_object()
+
+    @pytest.mark.parametrize("payload", ["text", 7, memoryview(bytes(64))[::2]])
+    def test_not_bytes_like_rejected(self, codec, payload):
+        with pytest.raises(EncodingError):
+            codec.encode("key", payload)
+
+    def test_parity_bytes_match_the_pinned_stripe(self):
+        """sha256 over the RS(10+2) stripe of a seeded 1 MB payload, computed
+        before the ``bytes.translate`` kernel replaced the numpy gather: a
+        change of kernel must not change a single stored byte."""
+        payload = random.Random(2020).randbytes(1_000_000)
+        chunks = ErasureCodec(10, 2).encode("pinned", payload)
+        digest = hashlib.sha256(b"".join(chunk.payload for chunk in chunks)).hexdigest()
+        assert digest == PINNED_STRIPE_SHA256
 
     def test_storage_overhead(self, codec):
         assert codec.storage_overhead() == pytest.approx(1.5)
@@ -95,6 +129,23 @@ class TestDecode:
         with pytest.raises(DecodingError):
             codec.decode([forged] + chunks)
 
+    def test_equally_truncated_chunks_rejected(self, codec):
+        """Four chunks cut to 100 bytes used to decode to a 400-byte object."""
+        chunks = codec.encode("key", sample_object(1000))
+        truncated = [dataclasses.replace(c, payload=c.payload[:100]) for c in chunks[:4]]
+        with pytest.raises(DecodingError):
+            codec.decode(truncated)
+
+    def test_metadata_too_small_for_the_object_rejected(self, codec):
+        chunks = codec.encode("key", sample_object(1000))
+        lying = dataclasses.replace(chunks[0].metadata, object_size=1001)
+        with pytest.raises(DecodingError):
+            codec.decode([dataclasses.replace(c, metadata=lying) for c in chunks])
+
+    def test_chunks_of_another_geometry_rejected(self, codec):
+        with pytest.raises(DecodingError):
+            codec.decode(ErasureCodec(5, 1).encode("key", sample_object(1000)))
+
     def test_no_chunks_rejected(self, codec):
         with pytest.raises(DecodingError):
             codec.decode([])
@@ -117,6 +168,31 @@ class TestFirstDSupport:
         assert len(rebuilt) == codec.total_shards
         assert [chunk.payload for chunk in rebuilt] == [chunk.payload for chunk in chunks]
         assert codec.decode(rebuilt) == payload
+
+    def test_rebuild_missing_matches_the_pinned_stripe(self):
+        payload = random.Random(2020).randbytes(1_000_000)
+        codec = ErasureCodec(10, 2)
+        chunks = codec.encode("pinned", payload)
+        rebuilt = codec.rebuild_missing(chunks[2:])  # two data chunks lost
+        assert rebuilt == chunks
+        digest = hashlib.sha256(b"".join(chunk.payload for chunk in rebuilt)).hexdigest()
+        assert digest == PINNED_STRIPE_SHA256
+        assert all(rebuilt[i].payload is chunks[i].payload for i in range(2, 12))
+
+    def test_rebuild_missing_validates_like_decode(self, codec):
+        chunks = codec.encode("key", sample_object())
+        other = codec.encode("other", sample_object())
+        with pytest.raises(DecodingError):  # two objects
+            codec.rebuild_missing(chunks[:3] + other[3:5])
+        relabelled = [dataclasses.replace(c, key="key") for c in other[3:5]]
+        with pytest.raises(DecodingError):  # same key, other stripe metadata
+            codec.rebuild_missing(chunks[:3] + relabelled)
+        conflicting = dataclasses.replace(chunks[0], payload=bytes(chunks[0].size))
+        with pytest.raises(DecodingError):
+            codec.rebuild_missing(chunks[:4] + [conflicting])
+        truncated = [dataclasses.replace(c, payload=c.payload[:100]) for c in chunks[:4]]
+        with pytest.raises(DecodingError):
+            codec.rebuild_missing(truncated)
 
     def test_rebuild_missing_empty_rejected(self, codec):
         with pytest.raises(DecodingError):

@@ -1,9 +1,9 @@
 """Tests for GF(2^8) arithmetic."""
 
-import numpy as np
 import pytest
 
 from repro.erasure.galois import GF256
+from repro.exceptions import ErasureCodingError
 
 
 class TestScalarArithmetic:
@@ -69,43 +69,52 @@ class TestScalarArithmetic:
 
 
 class TestVectorArithmetic:
+    """Vectors are ``bytes``; every bulk operation is :meth:`GF256.combine`."""
+
     def test_multiply_vector_matches_scalar(self):
-        vector = np.array([0, 1, 55, 200, 255], dtype=np.uint8)
+        vector = bytes([0, 1, 55, 200, 255])
         scalar = 37
         result = GF256.multiply_vector(scalar, vector)
-        expected = [GF256.multiply(scalar, int(v)) for v in vector]
-        assert list(result) == expected
+        assert type(result) is bytes
+        assert list(result) == [GF256.multiply(scalar, v) for v in vector]
 
     def test_multiply_vector_by_zero(self):
-        vector = np.array([1, 2, 3], dtype=np.uint8)
-        assert list(GF256.multiply_vector(0, vector)) == [0, 0, 0]
+        assert GF256.multiply_vector(0, bytes([1, 2, 3])) == bytes(3)
 
-    def test_multiply_vector_by_one_copies(self):
-        vector = np.array([9, 8, 7], dtype=np.uint8)
-        result = GF256.multiply_vector(1, vector)
-        assert list(result) == [9, 8, 7]
-        result[0] = 0
-        assert vector[0] == 9  # original untouched
+    def test_multiply_vector_by_one_is_unchanged(self):
+        assert GF256.multiply_vector(1, bytes([9, 8, 7])) == bytes([9, 8, 7])
 
     def test_add_vectors(self):
-        a = np.array([1, 2, 3], dtype=np.uint8)
-        b = np.array([3, 2, 1], dtype=np.uint8)
-        assert list(GF256.add_vectors(a, b)) == [2, 0, 2]
+        assert GF256.add_vectors(bytes([1, 2, 3]), bytes([3, 2, 1])) == bytes([2, 0, 2])
 
-    def test_multiply_accumulate_matches_manual(self):
-        accumulator = np.array([5, 10, 15], dtype=np.uint8)
-        vector = np.array([1, 2, 3], dtype=np.uint8)
+    def test_combine_matches_manual(self):
+        accumulator, vector = bytes([5, 10, 15]), bytes([1, 2, 3])
         expected = [
-            GF256.add(int(a), GF256.multiply(7, int(v)))
-            for a, v in zip(accumulator, vector)
+            GF256.add(a, GF256.multiply(7, v)) for a, v in zip(accumulator, vector)
         ]
-        GF256.multiply_accumulate(accumulator, 7, vector)
-        assert list(accumulator) == expected
+        assert list(GF256.combine((1, 7), (accumulator, vector))) == expected
 
-    def test_multiply_accumulate_zero_scalar_is_noop(self):
-        accumulator = np.array([5, 10], dtype=np.uint8)
-        GF256.multiply_accumulate(accumulator, 0, np.array([9, 9], dtype=np.uint8))
-        assert list(accumulator) == [5, 10]
+    def test_combine_skips_zero_coefficients(self):
+        assert GF256.combine((1, 0), (bytes([5, 10]), bytes([9, 9]))) == bytes([5, 10])
+        assert GF256.combine((0, 0), (bytes([5, 10]), bytes([9, 9]))) == bytes(2)
+
+    def test_combine_matches_scalar_for_every_coefficient(self):
+        every_byte = bytes(range(256))
+        for coefficient in range(256):
+            assert list(GF256.multiply_vector(coefficient, every_byte)) == [
+                GF256.multiply(coefficient, b) for b in every_byte
+            ]
+
+    def test_combine_rejects_unequal_lengths(self):
+        # A one-byte vector must not be broadcast across the other.
+        with pytest.raises(ErasureCodingError):
+            GF256.combine((1, 1), (bytes(4), bytes(1)))
+
+    def test_combine_rejects_count_mismatch_and_no_vectors(self):
+        with pytest.raises(ErasureCodingError):
+            GF256.combine((1,), (bytes(4), bytes(4)))
+        with pytest.raises(ErasureCodingError):
+            GF256.combine((), ())
 
     def test_exp_log_tables_consistent(self):
         # exp(log(a) + log(b)) == a*b for non-zero a, b.

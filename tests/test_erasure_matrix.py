@@ -64,20 +64,31 @@ class TestAlgebra:
         sub = matrix.submatrix_rows([2, 0])
         assert np.array_equal(sub.data, np.array([[3, 3], [1, 1]], dtype=np.uint8))
 
-    def test_multiply_rows_into_matches_multiply(self):
+    def test_multiply_shards_matches_multiply(self):
         matrix = GFMatrix.systematic_encoding_matrix(3, 2)
-        shards = np.array(
-            [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]], dtype=np.uint8
-        )
-        out = matrix.multiply_rows_into(shards)
-        assert out.shape == (5, 4)
-        # Systematic: first three output rows equal the inputs.
-        assert np.array_equal(out[:3], shards)
+        shards = [bytes([1, 2, 3, 4]), bytes([5, 6, 7, 8]), bytes([9, 10, 11, 12])]
+        out = matrix.multiply_shards(shards)
+        assert len(out) == 5 and all(type(shard) is bytes for shard in out)
+        # Systematic: first three outputs equal the inputs.
+        assert out[:3] == shards
+        as_matrix = GFMatrix(np.array([list(shard) for shard in shards], dtype=np.uint8))
+        assert [list(shard) for shard in out] == matrix.multiply(as_matrix).data.tolist()
 
-    def test_multiply_rows_into_shape_mismatch(self):
+    def test_multiply_shards_computes_only_the_selected_rows(self):
+        matrix = GFMatrix.systematic_encoding_matrix(3, 2)
+        shards = [bytes([1, 2, 3, 4]), bytes([5, 6, 7, 8]), bytes([9, 10, 11, 12])]
+        everything = matrix.multiply_shards(shards)
+        assert matrix.multiply_shards(shards, [4, 1]) == [everything[4], everything[1]]
+        assert matrix.multiply_shards(shards, []) == []
+
+    def test_multiply_shards_shape_mismatch(self):
         matrix = GFMatrix.identity(3)
         with pytest.raises(ErasureCodingError):
-            matrix.multiply_rows_into(np.zeros((2, 5), dtype=np.uint8))
+            matrix.multiply_shards([bytes(5), bytes(5)])
+
+    def test_multiply_shards_unequal_lengths(self):
+        with pytest.raises(ErasureCodingError):
+            GFMatrix.identity(2).multiply_shards([bytes(5), bytes(4)])
 
 
 class TestMDSProperty:

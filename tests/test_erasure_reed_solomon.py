@@ -170,6 +170,51 @@ class TestReconstructAndVerify:
         assert rs.decode(survivors) == payloads
 
 
+class TestOnlyTheMissingShardsAreComputed:
+    def test_decode_returns_surviving_data_shards_by_identity(self):
+        rs = ReedSolomon(4, 2)
+        data = make_shards(4)
+        stripe = rs.encode(data)
+        survivors = {i: stripe[i] for i in (0, 2, 4, 5)}  # data shards 1, 3 lost
+        decoded = rs.decode(survivors)
+        assert decoded == data
+        assert decoded[0] is stripe[0] and decoded[2] is stripe[2]
+
+    def test_reconstruct_all_passes_survivors_through(self):
+        rs = ReedSolomon(4, 2)
+        stripe = rs.encode(make_shards(4))
+        survivors = {i: stripe[i] for i in (0, 1, 3, 5)}  # one data, one parity lost
+        rebuilt = rs.reconstruct_all(survivors)
+        assert rebuilt == stripe
+        assert all(rebuilt[i] is stripe[i] for i in survivors)
+
+    def test_reconstruct_all_with_only_parity_lost(self):
+        rs = ReedSolomon(4, 2)
+        stripe = rs.encode(make_shards(4))
+        assert rs.reconstruct_all({i: stripe[i] for i in range(4)}) == stripe
+
+    def test_reconstruct_all_shares_the_decode_lru(self):
+        rs = ReedSolomon(4, 2)
+        stripe = rs.encode(make_shards(4))
+        survivors = {i: stripe[i] for i in (1, 2, 3, 4)}
+        rs.reconstruct_all(dict(survivors))
+        rs.decode(dict(survivors))
+        rs.reconstruct_all(dict(survivors))
+        assert list(rs._decode_matrices) == [(1, 2, 3, 4)]
+
+    def test_reconstruct_all_validates_like_decode(self):
+        rs = ReedSolomon(4, 2)
+        stripe = rs.encode(make_shards(4))
+        with pytest.raises(DecodingError):
+            rs.reconstruct_all({i: stripe[i] for i in (0, 1, 2)})
+        with pytest.raises(DecodingError):
+            rs.reconstruct_all({0: stripe[0], 1: stripe[1], 2: stripe[2], 9: stripe[3]})
+        with pytest.raises(DecodingError):
+            rs.reconstruct_all({0: stripe[0], 1: stripe[1], 2: stripe[2], 3: b"short"})
+        with pytest.raises(DecodingError):
+            ReedSolomon(3, 0).reconstruct_all({0: b"ab", 1: b"cd", 5: b"ef"})
+
+
 class TestDecodeMatrixCache:
     """The decode-submatrix LRU and shared-instance satellites."""
 

@@ -359,7 +359,7 @@ class TestRepoGate:
 
 # --------------------------------------------------------------------------- mypy
 def test_mypy_strict_core_passes():
-    """Strict typing gate for repro.sim / repro.network (CI-only dep)."""
+    """Strict typing gate for repro.sim / repro.network / repro.erasure (CI-only dep)."""
     mypy = shutil.which("mypy")
     if mypy is None:
         pytest.skip("mypy not installed (CI-only dev dependency)")

@@ -32,6 +32,15 @@ class TestMicroBenchmarks:
         assert incremental.events == reference.events
         assert incremental.extra["peak_active_flows"] == reference.extra["peak_active_flows"]
 
+    def test_erasure_micro_reports_three_rates_and_renders(self):
+        sample = perf.micro_erasure()
+        assert sample.events == 3 * perf.ERASURE_MICRO_CALLS
+        assert sample.extra["code"] == "RS(10+2)"
+        for key in ("encode_MBps", "decode_MBps", "rebuild_MBps"):
+            assert sample.extra[key] > 0
+        text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
+        assert "decode (2 data chunks lost)" in text and "MB/s" in text
+
 
 class TestMacroAndComparison:
     def test_macro_closed_loop_reports_fleet_metrics(self):
@@ -73,6 +82,7 @@ class TestMacroAndComparison:
             "micro.flow_churn[incremental]",
             "micro.flow_churn[reference]",
             "micro.flow_churn[incremental,dense]",
+            "micro.erasure",
         ]
         for sample in encoded["micro"] + encoded["macro"]:
             assert sample["events_per_s"] >= 0

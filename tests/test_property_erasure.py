@@ -7,10 +7,15 @@ payloads and any valid code configuration.
 
 from __future__ import annotations
 
+import itertools
+import random
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.galois import GF256
+from repro.erasure.matrix import GFMatrix
 from repro.erasure.reed_solomon import ReedSolomon
 
 # Keep payloads modest so the suite stays fast; sizes are drawn to hit both
@@ -43,6 +48,95 @@ class TestGaloisFieldProperties:
     def test_additive_identity_and_self_inverse(self, a):
         assert GF256.add(a, 0) == a
         assert GF256.add(a, a) == 0
+
+
+def scalar_oracle(matrix: list[list[int]], rows: list[int], shards: list[bytes]) -> list[bytes]:
+    """The reference the bulk kernel is compared against: one
+    :meth:`GF256.multiply` per coefficient and byte, nothing shared with
+    ``bytes.translate`` or numpy."""
+    outputs = []
+    for row in rows:
+        out = [0] * len(shards[0])
+        for coefficient, shard in zip(matrix[row], shards):
+            for position, byte in enumerate(shard):
+                out[position] ^= GF256.multiply(coefficient, byte)
+        outputs.append(bytes(out))
+    return outputs
+
+
+@st.composite
+def matrix_rows_and_shards(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    # 0 and 1 take the kernel's skip and pass-through branches; draw them often.
+    coefficient = st.one_of(st.sampled_from([0, 1]), st.integers(0, 255))
+    matrix = draw(st.lists(st.lists(coefficient, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    selected = draw(st.lists(st.integers(0, rows - 1), max_size=rows + 2))
+    length = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 63, 65]), st.integers(1, 200)))
+    shards = draw(st.lists(st.binary(min_size=length, max_size=length),
+                           min_size=cols, max_size=cols))
+    return matrix, selected, shards
+
+
+class TestKernelAgainstScalarOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_rows_and_shards())
+    def test_multiply_shards_matches_the_per_byte_oracle(self, case):
+        matrix, selected, shards = case
+        gf_matrix = GFMatrix(np.array(matrix, dtype=np.uint8))
+        assert gf_matrix.multiply_shards(shards, selected) == scalar_oracle(
+            matrix, selected, shards
+        )
+        assert gf_matrix.multiply_shards(shards) == scalar_oracle(
+            matrix, list(range(len(matrix))), shards
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.integers(1, 6), parity=st.integers(1, 3),
+           payload=st.binary(min_size=1, max_size=96))
+    def test_parity_matches_the_per_byte_oracle(self, data, parity, payload):
+        chunks = ErasureCodec(data, parity).encode("obj", payload)
+        matrix = GFMatrix.systematic_encoding_matrix(data, parity).data.tolist()
+        stripe = scalar_oracle(
+            matrix, list(range(data + parity)), [c.payload for c in chunks[:data]]
+        )
+        assert [c.payload for c in chunks] == stripe
+
+
+class TestEveryErasurePattern:
+    """Exhaustive over what hypothesis would only sample: every way of losing
+    up to ``p`` chunks, at object sizes that do not divide by ``d``."""
+
+    @staticmethod
+    def check(data: int, parity: int, size: int, patterns) -> None:
+        codec = ErasureCodec(data, parity)
+        payload = random.Random(size).randbytes(size)
+        chunks = codec.encode("obj", payload)
+        for lost in patterns:
+            survivors = [chunk for chunk in chunks if chunk.index not in lost]
+            assert codec.decode(survivors) == payload, (data, parity, size, lost)
+            assert codec.rebuild_missing(survivors) == chunks, (data, parity, size, lost)
+
+    def test_small_codes_exhaustively(self):
+        for data, parity in [(1, 1), (2, 2), (3, 3), (4, 2), (5, 1), (10, 2)]:
+            total = data + parity
+            patterns = [
+                set(lost)
+                for count in range(parity + 1)
+                for lost in itertools.combinations(range(total), count)
+            ]
+            for size in (1, max(1, data - 1), data + 1, 10 * data + 3, 1021):
+                self.check(data, parity, size, patterns)
+
+    def test_rs_20_4_sampled(self):
+        """C(24, ≤4) is 12 951 patterns; take every single loss, then a seeded
+        sample of the rest (the paper's "aggressive" code)."""
+        rng = random.Random(2020)
+        patterns = [{index} for index in range(24)]
+        patterns += [set(rng.sample(range(24), rng.randint(2, 4))) for _ in range(60)]
+        for size in (19, 1021, 40_003):
+            self.check(20, 4, size, patterns)
 
 
 class TestReedSolomonProperties:
