@@ -68,9 +68,7 @@ def main() -> None:
           f"({len(trace.unique_objects())} blobs > 10 MB)\n")
 
     # --- InfiniCache -------------------------------------------------------------
-    infinicache_report = OpenLoopDriver(
-        build_infinicache(), backing_store=ObjectStore()
-    ).run(trace)
+    infinicache_report = OpenLoopDriver(build_infinicache()).run(trace)
     # --- ElastiCache -------------------------------------------------------------
     elasticache_report = OpenLoopBaselineDriver(
         ElastiCacheTarget(ElastiCacheCluster("cache.r5.24xlarge"))

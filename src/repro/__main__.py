@@ -5,9 +5,8 @@ thin alias for :mod:`repro.experiments.runner`; see that module for the
 available flags — ``--only``, ``--output-dir``, ``--list``, and
 ``--fingerprints PATH``, which also writes every experiment's event-driver
 fingerprints as the JSON artifact the ``figures-smoke`` CI job uploads).
-Every experiment replays through the event-driven drivers
-(:mod:`repro.workload.replay`) — the synchronous facade is quarantined in
-:mod:`repro.workload.legacy` and not used by any experiment.
+Every experiment replays through the event-driven drivers of
+:mod:`repro.workload.replay`, the only replay stack.
 
 ``python -m repro cluster-demo [--duration SECONDS]`` instead runs the
 :mod:`repro.cluster` orchestration demo: autoscaling under a load surge,
@@ -138,11 +137,9 @@ def _chargeback(argv: list[str]) -> int:
     return 0 if drift <= 1e-9 + 1e-9 * result.total_cost else 1
 
 
-def _sim_smoke(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro sim-smoke",
-        description="Determinism + concurrency smoke test of the event-driven driver.",
-    )
+def _smoke_fleet_parser(prog: str, description: str) -> argparse.ArgumentParser:
+    """The arguments ``sim-smoke`` and ``trace`` share: fleet size and seed."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
         "--clients", type=int, default=16, metavar="N",
         help="concurrent closed-loop clients (default: 16)",
@@ -154,32 +151,40 @@ def _sim_smoke(argv: list[str]) -> int:
     parser.add_argument(
         "--seed", type=int, default=2020, help="simulation seed (default: 2020)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _smoke_fleet(args: argparse.Namespace, prefix: str, straggler_probability: float):
+    """A small seeded two-proxy deployment and its clients' GET plans."""
     from repro.cache.config import InfiniCacheConfig, StragglerModel
     from repro.cache.deployment import InfiniCacheDeployment
     from repro.utils.units import MB, MIB
+    from repro.workload.replay import seed_fleet
+
+    deployment = InfiniCacheDeployment(InfiniCacheConfig(
+        num_proxies=2,
+        lambdas_per_proxy=10,
+        lambda_memory_bytes=512 * MIB,
+        data_shards=4,
+        parity_shards=2,
+        backup_enabled=False,
+        straggler=StragglerModel(probability=straggler_probability),
+        seed=args.seed,
+    ))
+    return deployment, seed_fleet(
+        deployment, prefix, args.clients, 4, 4 * MB, args.requests
+    )
+
+
+def _sim_smoke(argv: list[str]) -> int:
+    args = _smoke_fleet_parser(
+        "repro sim-smoke",
+        "Determinism + concurrency smoke test of the event-driven driver.",
+    ).parse_args(argv)
     from repro.workload.replay import ClosedLoopDriver
 
     def run_once():
-        deployment = InfiniCacheDeployment(InfiniCacheConfig(
-            num_proxies=2,
-            lambdas_per_proxy=10,
-            lambda_memory_bytes=512 * MIB,
-            data_shards=4,
-            parity_shards=2,
-            backup_enabled=False,
-            straggler=StragglerModel(probability=0.1),
-            seed=args.seed,
-        ))
-        seeder = deployment.new_client("smoke-seeder")
-        objects = 4
-        for index in range(args.clients):
-            for obj in range(objects):
-                seeder.put_sized(f"smoke/{index}/obj-{obj}", 4 * MB)
-        plans = [
-            [(f"smoke/{index}/obj-{r % objects}", 4 * MB) for r in range(args.requests)]
-            for index in range(args.clients)
-        ]
+        deployment, plans = _smoke_fleet(args, "smoke", 0.1)
         return ClosedLoopDriver(deployment).run(plans)
 
     first, second = run_once(), run_once()
@@ -276,21 +281,10 @@ def _chaos(argv: list[str]) -> int:
 
 
 def _trace(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Traced closed-loop replay: emit a Perfetto-loadable trace "
+    parser = _smoke_fleet_parser(
+        "repro trace",
+        "Traced closed-loop replay: emit a Perfetto-loadable trace "
         "and print the per-request critical-path breakdown.",
-    )
-    parser.add_argument(
-        "--clients", type=int, default=16, metavar="N",
-        help="concurrent closed-loop clients (default: 16)",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=4, metavar="N",
-        help="requests per client (default: 4)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=2020, help="simulation seed (default: 2020)",
     )
     parser.add_argument(
         "--output", default="trace.json", metavar="PATH",
@@ -306,8 +300,6 @@ def _trace(argv: list[str]) -> int:
         help="how many slowest requests to list (default: 5)",
     )
     args = parser.parse_args(argv)
-    from repro.cache.config import InfiniCacheConfig, StragglerModel
-    from repro.cache.deployment import InfiniCacheDeployment
     from repro.obs import (
         SpanTracer,
         analyze,
@@ -316,37 +308,14 @@ def _trace(argv: list[str]) -> int:
         write_chrome_trace,
         write_jsonl,
     )
-    from repro.utils.units import MB, MIB
     from repro.workload.replay import ClosedLoopDriver
 
-    def build():
-        # Stragglers are likelier than in sim-smoke so the trace reliably
-        # shows racing chunk fetches being abandoned by the first-d barrier.
-        deployment = InfiniCacheDeployment(InfiniCacheConfig(
-            num_proxies=2,
-            lambdas_per_proxy=10,
-            lambda_memory_bytes=512 * MIB,
-            data_shards=4,
-            parity_shards=2,
-            backup_enabled=False,
-            straggler=StragglerModel(probability=0.3),
-            seed=args.seed,
-        ))
-        seeder = deployment.new_client("trace-seeder")
-        objects = 4
-        for index in range(args.clients):
-            for obj in range(objects):
-                seeder.put_sized(f"trace/{index}/obj-{obj}", 4 * MB)
-        plans = [
-            [(f"trace/{index}/obj-{r % objects}", 4 * MB) for r in range(args.requests)]
-            for index in range(args.clients)
-        ]
-        return deployment, plans
-
-    deployment, plans = build()
+    # Stragglers are likelier than in sim-smoke so the trace reliably
+    # shows racing chunk fetches being abandoned by the first-d barrier.
+    deployment, plans = _smoke_fleet(args, "trace", 0.3)
     baseline = ClosedLoopDriver(deployment).run(plans)
 
-    deployment, plans = build()
+    deployment, plans = _smoke_fleet(args, "trace", 0.3)
     tracer = SpanTracer(deployment.simulator.clock)
     deployment.request_env.attach_tracer(tracer)
     traced = ClosedLoopDriver(deployment).run(plans)

@@ -147,13 +147,10 @@ class InfiniCacheConfig:
     decode_bandwidth_bps: float = 1_500_000_000.0
 
     # --- performance model --------------------------------------------------------------
+    #: The one per-chunk slowdown mechanism: every chunk transfer draws its
+    #: factor from the proxy's seeded stream (there is no separate jitter).
     straggler: StragglerModel = field(default_factory=StragglerModel)
     base_network_latency_s: float = 1 * MILLISECOND
-    #: Uniform per-chunk transfer-time jitter in ``[1, 1 + fraction]`` applied
-    #: by the :class:`~repro.network.transfer.TransferModel` from a stream
-    #: seeded off :attr:`seed` (deterministic per seed).  Distinct from the
-    #: heavier-tailed :attr:`straggler` model, which fires with a probability.
-    transfer_jitter_fraction: float = 0.0
     #: Which flow arbiter backs the event-driven request path:
     #: ``"incremental"`` (bottleneck-group arbitration, the default) or
     #: ``"reference"`` (the global-recompute sweep with eager completion
@@ -215,8 +212,6 @@ class InfiniCacheConfig:
             raise ConfigurationError("warm-up and backup intervals must be positive")
         if self.encode_bandwidth_bps <= 0 or self.decode_bandwidth_bps <= 0:
             raise ConfigurationError("coding bandwidths must be positive")
-        if self.transfer_jitter_fraction < 0:
-            raise ConfigurationError("transfer jitter fraction must be non-negative")
         if self.flow_arbiter == "vectorized":
             raise ConfigurationError(
                 "flow_arbiter 'vectorized' was removed (it was slower than the "

@@ -64,8 +64,6 @@ class InfiniCacheDeployment:
         )
         self.transfer_model = TransferModel(
             base_latency_s=self.config.base_network_latency_s,
-            jitter_fraction=self.config.transfer_jitter_fraction,
-            rng=self.rng.child("transfer"),
         )
         #: Flow-level network arbitration + the context the event-driven
         #: (process-based) request path runs in; the synchronous facade

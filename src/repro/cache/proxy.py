@@ -230,14 +230,6 @@ class Proxy:
         """Keys of every object this proxy currently tracks."""
         return list(self._objects)
 
-    def objects_on_node(self, node_id: str) -> list[str]:
-        """Keys of objects with at least one chunk placed on the given node."""
-        return [
-            key
-            for key, entry in self._objects.items()
-            if node_id in entry.placement.values()
-        ]
-
     def pool_bytes_used(self) -> int:
         """Bytes of chunk data currently stored across the pool."""
         return sum(node.bytes_used() for node in self.nodes)
@@ -1004,9 +996,7 @@ class Proxy:
             if breaker is not None and not breaker.allow(env.now):
                 self.metrics.counter("proxy.breaker_rejections").increment()
                 continue
-            effective_bytes = (
-                chunk.size * self._straggler_factor() * self.transfer_model.draw_jitter()
-            )
+            effective_bytes = chunk.size * self._straggler_factor()
             arrival = env.now
             try:
                 span = tracer.begin("chunk.store" if store else "chunk.fetch",

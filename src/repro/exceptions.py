@@ -108,23 +108,6 @@ class InvocationFaultError(TransientFaultError, InvocationError):
         self.reason = reason
 
 
-class ChunkTimeoutError(TransientFaultError):
-    """A chunk transfer exceeded its per-chunk deadline (hedge/retry it)."""
-
-    def __init__(self, chunk_id: str, timeout_s: float):
-        super().__init__(f"chunk {chunk_id!r} timed out after {timeout_s:g}s")
-        self.chunk_id = chunk_id
-        self.timeout_s = timeout_s
-
-
-class CircuitOpenError(TransientFaultError):
-    """A per-node circuit breaker is open; the node is presumed unhealthy."""
-
-    def __init__(self, node_id: str):
-        super().__init__(f"circuit breaker for node {node_id!r} is open")
-        self.node_id = node_id
-
-
 class ConnectionClosedError(ReproError):
     """A simulated TCP connection between proxy and Lambda node was closed."""
 

@@ -28,12 +28,18 @@ from dataclasses import dataclass, field
 
 from repro.baselines.elasticache import ElastiCacheCluster
 from repro.cache.config import InfiniCacheConfig
+from repro.cache.deployment import InfiniCacheDeployment
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.report import format_table
 from repro.utils.stats import summarize
 from repro.utils.units import MB, MIB
 from repro.workload.microbenchmark import FIGURE11_OBJECT_SIZES, FIGURE11_RS_CODES
-from repro.workload.replay import ClientOp, ElastiCacheTarget
+from repro.workload.replay import (
+    ClientOp,
+    ClosedLoopDriver,
+    ElastiCacheTarget,
+    OpenLoopBaselineDriver,
+)
 from repro.workload.trace import Trace, TraceRecord
 
 #: Lambda memory configurations of the six sub-figures (MiB).
@@ -97,7 +103,7 @@ def _measure_infinicache(
         backup_enabled=False,
         seed=harness.seed_for(memory_mib, code, object_size),
     )
-    deployment = harness.deployment(config)
+    deployment = InfiniCacheDeployment(config)
     key = f"fig11/{memory_mib}/{data_shards}+{parity_shards}/{object_size}"
     # One scripted closed-loop client: seed the object, then a GET per
     # one-second round; a miss (a reclaimed chunk should not happen in these
@@ -107,7 +113,7 @@ def _measure_infinicache(
     for _round in range(requests):
         plan.append(ClientOp("SLEEP", delay_s=1.0))
         plan.append(ClientOp("GET", key=key, size=object_size))
-    driver = harness.closed_loop(deployment)
+    driver = ClosedLoopDriver(deployment)
     label = f"cell.{memory_mib}.{data_shards}+{parity_shards}.{object_size}"
     report = harness.record(label, driver.run([plan]))
     sample = LatencySample(
@@ -129,7 +135,7 @@ def _measure_elasticache(
         trace.append(
             TraceRecord(timestamp=1.0 + index, operation="GET", key=key, size=object_size)
         )
-    driver = harness.baseline_open_loop(ElastiCacheTarget(cluster))
+    driver = OpenLoopBaselineDriver(ElastiCacheTarget(cluster))
     report = harness.record(f"elasticache.{node_count}.{object_size}", driver.run(trace))
     latencies = [s.latency_s for s in report.hit_samples()]
     return summarize(latencies)["p50"] if latencies else float("nan")

@@ -13,8 +13,8 @@ the moment the previous one completes, so the clients' chunk transfers
 genuinely overlap and share bandwidth through the flow-level network model.
 Aggregate throughput is the object bytes delivered per second of simulated
 wall-clock time, and keeps rising with the client count until the proxy
-uplinks saturate — which the sequential facade (one request at a time on a
-scalar clock) cannot reproduce at all.
+uplinks saturate — which a one-request-at-a-time replay cannot reproduce
+at all.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
+from repro.cache.deployment import InfiniCacheDeployment
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.report import format_table
 from repro.utils.units import GB, MB, MIB
-from repro.workload.replay import ConcurrentReplayReport
+from repro.workload.replay import ClosedLoopDriver, ConcurrentReplayReport, seed_fleet
 
 
 @dataclass
@@ -84,24 +85,14 @@ def run(
             straggler=StragglerModel(probability=straggler_probability),
             seed=harness.seed_for("clients", clients),
         )
-        deployment = harness.deployment(config)
+        deployment = InfiniCacheDeployment(config)
         # Each client owns its own objects so requests spread over the proxies.
-        seeder = deployment.new_client("fig12-seeder")
-        for index in range(clients):
-            for obj in range(objects_per_client):
-                seeder.put_sized(f"fig12/{clients}/{index}/obj-{obj}", object_size)
-        plans = [
-            [
-                (
-                    f"fig12/{clients}/{index}/obj-{round_index % objects_per_client}",
-                    object_size,
-                )
-                for round_index in range(requests_per_client)
-            ]
-            for index in range(clients)
-        ]
+        plans = seed_fleet(
+            deployment, f"fig12/{clients}", clients,
+            objects_per_client, object_size, requests_per_client,
+        )
         report = harness.record(
-            f"clients.{clients}", harness.closed_loop(deployment).run(plans)
+            f"clients.{clients}", ClosedLoopDriver(deployment).run(plans)
         )
         result.reports[clients] = report
         result.throughput_bps[clients] = report.aggregate_throughput_bps

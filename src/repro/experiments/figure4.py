@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
+from repro.cache.deployment import InfiniCacheDeployment
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.report import format_table
 from repro.utils.stats import summarize
 from repro.utils.units import MB, MIB
-from repro.workload.replay import ClientOp
+from repro.workload.replay import ClientOp, ClosedLoopDriver
 
 
 @dataclass
@@ -74,7 +75,7 @@ def run(
             straggler=StragglerModel(probability=0.0),
             seed=harness.seed_for("pool", pool_size),
         )
-        deployment = harness.deployment(config)
+        deployment = InfiniCacheDeployment(config)
         key = f"fig4/{pool_size}"
         # One scripted closed-loop client: per round, advance a second (so
         # warm-ups interleave), re-place the object to re-sample its
@@ -85,7 +86,7 @@ def run(
             plan.append(ClientOp("INVALIDATE", key=key, size=object_size))
             plan.append(ClientOp("PUT", key=key, size=object_size))
             plan.append(ClientOp("GET", key=key, size=object_size))
-        driver = harness.closed_loop(deployment, warm_pool=True)
+        driver = ClosedLoopDriver(deployment, warm_pool=True)
         report = harness.record(f"pool.{pool_size}", driver.run([plan]))
         for sample in report.hit_samples():
             result.latency_by_hosts.setdefault(sample.hosts_touched, []).append(

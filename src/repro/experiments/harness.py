@@ -1,16 +1,14 @@
-"""Shared experiment harness: seeding, driver construction, fingerprints.
+"""Shared experiment harness: seeding, fingerprints, labelled metrics.
 
 Every figure/table reproduction that drives the cache goes through one
 :class:`ExperimentHarness` (constructed by the experiment's ``run()``, or
-handed in by the runner).  The harness owns the three things that used to
-be re-implemented per experiment:
+handed in by the runner).  Experiments build their deployments and the
+drivers of :mod:`repro.workload.replay` themselves; the harness owns what
+would otherwise be re-implemented per experiment:
 
 * **seeding** — :meth:`seed_for` derives stable sub-seeds from the
   experiment name and the sweep coordinates, so two experiments (or two
   sweep points) never share an RNG stream by accident;
-* **driver construction** — deployments and the closed-/open-loop drivers
-  of :mod:`repro.workload.replay` are built here, so scale parameters and
-  driver options stay in one place;
 * **report fingerprinting** — every driver run is recorded under a label,
   and :meth:`fingerprint` folds the per-run digests into one
   experiment-level digest.  The golden differential-replay suite
@@ -23,22 +21,13 @@ from __future__ import annotations
 import hashlib
 from typing import ClassVar, Optional
 
-from repro.baselines.s3 import ObjectStore
-from repro.cache.config import InfiniCacheConfig
 from repro.cache.consistent_hash import stable_hash
-from repro.cache.deployment import InfiniCacheDeployment
-from repro.faas.reclamation import ReclamationPolicy
 from repro.obs.metrics import MetricRegistry
-from repro.workload.replay import (
-    ClosedLoopDriver,
-    ConcurrentReplayReport,
-    OpenLoopBaselineDriver,
-    OpenLoopDriver,
-)
+from repro.workload.replay import ConcurrentReplayReport
 
 
 class ExperimentHarness:
-    """Owns seeding, driver construction, and fingerprinting for one run."""
+    """Owns seeding, fingerprinting, and the metrics registry for one run."""
 
     #: Shared registry new harnesses adopt when none is passed explicitly.
     #: The experiment runner installs one here (and removes it afterwards)
@@ -67,52 +56,6 @@ class ExperimentHarness:
         """
         token = f"{self.experiment}:{self.seed}:" + "/".join(str(part) for part in parts)
         return stable_hash(token) % (2 ** 31)
-
-    # ------------------------------------------------------------------ construction
-    def deployment(
-        self,
-        config: InfiniCacheConfig,
-        reclamation_policy: Optional[ReclamationPolicy] = None,
-    ) -> InfiniCacheDeployment:
-        """Build a deployment for one sweep point."""
-        return InfiniCacheDeployment(config, reclamation_policy=reclamation_policy)
-
-    def closed_loop(
-        self,
-        deployment: InfiniCacheDeployment,
-        backing_store: Optional[ObjectStore] = None,
-        insert_on_miss: bool = True,
-        warm_pool: bool = False,
-    ) -> ClosedLoopDriver:
-        """A closed-loop (N concurrent clients) driver over ``deployment``."""
-        return ClosedLoopDriver(
-            deployment, backing_store=backing_store,
-            insert_on_miss=insert_on_miss, warm_pool=warm_pool,
-        )
-
-    def open_loop(
-        self,
-        deployment: InfiniCacheDeployment,
-        backing_store: Optional[ObjectStore] = None,
-        insert_on_miss: bool = True,
-        warm_pool: bool = False,
-    ) -> OpenLoopDriver:
-        """An open-loop (arrival-timestamped) driver over ``deployment``."""
-        return OpenLoopDriver(
-            deployment, backing_store=backing_store,
-            insert_on_miss=insert_on_miss, warm_pool=warm_pool,
-        )
-
-    def baseline_open_loop(
-        self,
-        target,
-        backing_store: Optional[ObjectStore] = None,
-        insert_on_miss: bool = True,
-    ) -> OpenLoopBaselineDriver:
-        """An open-loop driver over a baseline system (ElastiCache / S3)."""
-        return OpenLoopBaselineDriver(
-            target, backing_store=backing_store, insert_on_miss=insert_on_miss
-        )
 
     # ------------------------------------------------------------------ fingerprints
     def record(self, label: str, report: ConcurrentReplayReport) -> ConcurrentReplayReport:

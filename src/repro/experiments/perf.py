@@ -38,7 +38,7 @@ from repro.network.flows import resolve_arbiter
 from repro.network.topology import NetworkFabric
 from repro.sim.loop import EventLoop
 from repro.utils.units import MB, MIB
-from repro.workload.replay import ClosedLoopDriver
+from repro.workload.replay import ClosedLoopDriver, seed_fleet
 
 #: The fleet sizes the full suite sweeps (the quick CI variant trims this).
 DEFAULT_CLIENT_COUNTS = (8, 64, 256, 1024, 4096)
@@ -240,17 +240,9 @@ def macro_closed_loop(
     measurements do not bleed into each other.
     """
     deployment = InfiniCacheDeployment(_fleet_config(clients, arbiter, seed))
-    seeder = deployment.new_client("perf-seeder")
-    for index in range(clients):
-        for obj in range(objects_per_client):
-            seeder.put_sized(f"perf/{index}/obj-{obj}", object_size)
-    plans = [
-        [
-            (f"perf/{index}/obj-{round_index % objects_per_client}", object_size)
-            for round_index in range(requests_per_client)
-        ]
-        for index in range(clients)
-    ]
+    plans = seed_fleet(
+        deployment, "perf", clients, objects_per_client, object_size, requests_per_client
+    )
     events_before = deployment.simulator.events_processed
     gc.collect()
     start = time.perf_counter()
@@ -296,17 +288,9 @@ def profile_closed_loop(
     bookkeeping, including those spawn-time steps).
     """
     deployment = InfiniCacheDeployment(_fleet_config(clients, "incremental", seed))
-    seeder = deployment.new_client("perf-profiler")
-    for index in range(clients):
-        for obj in range(objects_per_client):
-            seeder.put_sized(f"perf/{index}/obj-{obj}", object_size)
-    plans = [
-        [
-            (f"perf/{index}/obj-{round_index % objects_per_client}", object_size)
-            for round_index in range(requests_per_client)
-        ]
-        for index in range(clients)
-    ]
+    plans = seed_fleet(
+        deployment, "perf", clients, objects_per_client, object_size, requests_per_client
+    )
     deployment.simulator.enable_profiling()
     gc.collect()
     start = time.perf_counter()

@@ -42,6 +42,7 @@ from repro.workload.replay import (
     ElastiCacheTarget,
     ObjectStoreTarget,
     OpenLoopBaselineDriver,
+    OpenLoopDriver,
 )
 from repro.workload.trace import Trace
 
@@ -160,8 +161,7 @@ def _run_cached(scale: ProductionScale) -> ProductionResults:
         # (peak RSS of a figure-suite run is decided here).
         gc.collect()
         deployment = build_deployment(scale, backup_enabled=backup, seed_offset=offset)
-        driver = harness.open_loop(deployment, backing_store=ObjectStore())
-        return harness.record(label, driver.run(trace))
+        return harness.record(label, OpenLoopDriver(deployment).run(trace))
 
     infinicache_all = replay_infinicache("infinicache.all", trace_all, True, 1)
     infinicache_large = replay_infinicache("infinicache.large", trace_large, True, 2)
@@ -170,7 +170,7 @@ def _run_cached(scale: ProductionScale) -> ProductionResults:
     )
     elasticache_all = harness.record(
         "elasticache.all",
-        harness.baseline_open_loop(
+        OpenLoopBaselineDriver(
             ElastiCacheTarget(
                 ElastiCacheCluster(instance_type_name=scale.elasticache_instance)
             ),
@@ -179,7 +179,7 @@ def _run_cached(scale: ProductionScale) -> ProductionResults:
     s3_store = ObjectStore()
     s3_all = harness.record(
         "s3.all",
-        harness.baseline_open_loop(
+        OpenLoopBaselineDriver(
             ObjectStoreTarget(s3_store), backing_store=s3_store
         ).run(trace_all),
     )
@@ -209,8 +209,3 @@ def replay_elasticache_large(results: ProductionResults) -> ConcurrentReplayRepo
         )
     )
     return driver.run(results.trace_large)
-
-
-def quick_results() -> ProductionResults:
-    """The smallest production run (used by unit tests)."""
-    return run(ProductionScale.quick())

@@ -231,10 +231,14 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true", help="list available experiment names and exit",
     )
     args = parser.parse_args(argv)
+    available = sorted(_quick_specs())
     if args.list:
-        for name in sorted(_quick_specs()):
+        for name in available:
             print(name)
         return 0
+    unknown = sorted(set(args.only or ()) - set(available))
+    if unknown:
+        parser.error(f"unknown experiments {unknown}; available: {available}")
     run_all(
         output_dir=args.output_dir,
         only=args.only,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.s3 import ObjectStore
 from repro.cache.config import (
     CircuitBreakerPolicy,
     InfiniCacheConfig,
@@ -43,8 +42,8 @@ def demo_resilience() -> ResilienceConfig:
     )
 
 
-def demo_config(seed: int = 2020, hardened: bool = True) -> InfiniCacheConfig:
-    """A small two-proxy deployment sized for a fast, fault-rich replay."""
+def demo_config(seed: int = 2020) -> InfiniCacheConfig:
+    """A small hardened two-proxy deployment sized for a fast, fault-rich replay."""
     return InfiniCacheConfig(
         num_proxies=2,
         lambdas_per_proxy=16,
@@ -53,7 +52,7 @@ def demo_config(seed: int = 2020, hardened: bool = True) -> InfiniCacheConfig:
         parity_shards=2,
         warmup_interval_s=60.0,
         backup_interval_s=60.0,
-        resilience=demo_resilience() if hardened else None,
+        resilience=demo_resilience(),
         seed=seed,
     )
 
@@ -116,7 +115,7 @@ def run_chaos_scenario(
     deployment = InfiniCacheDeployment(config)
     engine = ChaosEngine(deployment, schedule)
     engine.install()
-    driver = ClosedLoopDriver(deployment, backing_store=ObjectStore(), warm_pool=True)
+    driver = ClosedLoopDriver(deployment, warm_pool=True)
     replay = driver.run(demo_plans(clients=clients, rounds=rounds))
     resilience = build_resilience_report(replay, engine.windows)
     return ChaosRunResult(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.network.topology import NetworkFabric
-from repro.utils.rng import SeededRNG
 from repro.utils.units import MB, MILLISECOND
 
 
@@ -44,35 +43,15 @@ class TransferModel:
         self,
         fabric: NetworkFabric | None = None,
         base_latency_s: float = 1.0 * MILLISECOND,
-        jitter_fraction: float = 0.0,
-        rng: SeededRNG | None = None,
     ) -> None:
         """Create a transfer model.
 
         Args:
             fabric: shared NIC registry; a fresh one is created if omitted.
             base_latency_s: fixed per-chunk latency (TCP + proxy forwarding).
-            jitter_fraction: if non-zero, every chunk transfer is scaled by a
-                factor drawn uniformly from ``[1, 1 + jitter_fraction]`` to
-                model stragglers.
-            rng: the seeded stream the jitter factors are drawn from, so runs
-                are exactly reproducible per seed.  Required when
-                ``jitter_fraction`` is non-zero.
         """
-        if jitter_fraction < 0:
-            raise ValueError(f"jitter fraction must be non-negative, got {jitter_fraction}")
-        if jitter_fraction > 0 and rng is None:
-            raise ValueError("a seeded rng is required when jitter_fraction is non-zero")
         self.fabric = fabric or NetworkFabric()
         self.base_latency_s = base_latency_s
-        self.jitter_fraction = jitter_fraction
-        self.rng = rng
-
-    def draw_jitter(self) -> float:
-        """One straggler factor in ``[1, 1 + jitter_fraction]`` from the seeded stream."""
-        if self.jitter_fraction <= 0 or self.rng is None:
-            return 1.0
-        return self.rng.uniform(1.0, 1.0 + self.jitter_fraction)
 
     def chunk_transfer_timing(
         self,
@@ -104,23 +83,16 @@ class TransferModel:
         host_share = nic.effective_bandwidth(max(flows_on_host, 1))
         proxy_share = self.fabric.proxy_share(max(concurrent_request_streams, 1))
         bandwidth = min(function_bandwidth_bps, host_share, proxy_share)
-        transfer_s = chunk_bytes / bandwidth * self.draw_jitter()
+        transfer_s = chunk_bytes / bandwidth
         return TransferTiming(
             latency_s=self.base_latency_s,
             bandwidth_bps=bandwidth,
             transfer_s=transfer_s,
         )
 
-    def object_store_get_time(
-        self, object_bytes: int, first_byte_latency_s: float, bandwidth_bps: float
-    ) -> float:
-        """Time to fetch an object from a backing store (S3-style)."""
-        return first_byte_latency_s + object_bytes / bandwidth_bps
-
     def describe(self) -> dict[str, float]:
         """Model parameters, for experiment reports."""
         return {
             "base_latency_ms": self.base_latency_s / MILLISECOND,
             "proxy_uplink_MBps": self.fabric.proxy_uplink_bps / MB,
-            "jitter_fraction": self.jitter_fraction,
         }

@@ -28,7 +28,7 @@ from repro.scenarios.spec import ClusterScenarioSpec, TenantSpec, default_tenant
 from repro.utils.rng import SeededRNG
 from repro.utils.stats import summarize
 from repro.utils.units import MIB
-from repro.workload.replay import ConcurrentReplayReport, RequestSample
+from repro.workload.replay import ConcurrentReplayReport, OpenLoopDriver, RequestSample
 
 __all__ = [
     "TenantSpec",
@@ -227,7 +227,7 @@ def run_cluster_scale(
         )
         for timestamp, ts, key in keyed_schedule
     ]
-    driver = harness.open_loop(cluster.deployment, backing_store=backing_store)
+    driver = OpenLoopDriver(cluster.deployment, backing_store=backing_store)
     driver.run_schedule(arrivals, report, finalize=False)
     cluster.run_until(max(duration_s, loop.now))
     cluster.stop()

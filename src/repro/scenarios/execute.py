@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.s3 import ObjectStore
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.faults.engine import ChaosEngine
@@ -124,7 +123,6 @@ def _draw_schedule(spec: ScenarioSpec, rng: SeededRNG,
 def _execute_workload(spec: ScenarioSpec, seed: int) -> ScenarioOutcome:
     deployment = _build_deployment(spec, seed)
     rng = SeededRNG(seed).child("scenario")
-    backing_store = ObjectStore()
 
     if isinstance(spec.arrival, ClosedLoopArrivals):
         # Closed loop: plans are pre-drawn per client in issue order; the
@@ -138,15 +136,14 @@ def _execute_workload(spec: ScenarioSpec, seed: int) -> ScenarioOutcome:
              for request in requests[index::arrival.clients]]
             for index in range(arrival.clients)
         ]
-        driver = ClosedLoopDriver(deployment, backing_store=backing_store)
-        report = driver.run(plans)
+        report = ClosedLoopDriver(deployment).run(plans)
         report.system = "scenario"
     else:
         times = spec.arrival.times(rng.child("arrivals"))
         requests, catalogue = _draw_schedule(spec, rng, times)
+        driver = OpenLoopDriver(deployment)
         for key, size in catalogue.items():
-            backing_store.put(key, size)
-        driver = OpenLoopDriver(deployment, backing_store=backing_store)
+            driver.backing_store.put(key, size)
         report = ConcurrentReplayReport(
             system="scenario", mode="open-loop", clients=len(spec.tenants),
         )
@@ -158,7 +155,7 @@ def _execute_workload(spec: ScenarioSpec, seed: int) -> ScenarioOutcome:
             (
                 request.at_s,
                 f"scenario.{request.tenant_id}",
-                lambda r=request: driver._request_process(
+                lambda r=request: driver.request_process(
                     clients[r.tenant_id], r.tenant_id, r.key, r.size, report
                 ),
             )

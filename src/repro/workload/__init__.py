@@ -13,6 +13,10 @@ synthesises traces that match the published marginals of Figure 1: object
 sizes spanning nine orders of magnitude with >20 % of objects above 10 MB,
 large objects accounting for >95 % of bytes, a long-tailed access-count
 distribution, and 37-46 % of large-object reuses within an hour.
+
+Every replay runs on the event-driven drivers of :mod:`repro.workload.replay`
+(closed loop, open loop, and the open-loop baseline driver); there is no
+other replay path.
 """
 
 from repro.workload.trace import TraceRecord, Trace
@@ -35,11 +39,8 @@ from repro.workload.replay import (
     OpenLoopBaselineDriver,
     OpenLoopDriver,
     RequestSample,
+    seed_fleet,
 )
-
-# The synchronous sequential facade (``TraceReplayer``) is quarantined in
-# ``repro.workload.legacy`` and deliberately NOT re-exported here: every
-# experiment replays through the event-driven drivers above.
 
 __all__ = [
     "TraceRecord",
@@ -65,4 +66,5 @@ __all__ = [
     "ObjectStoreTarget",
     "ConcurrentReplayReport",
     "RequestSample",
+    "seed_fleet",
 ]

@@ -34,25 +34,27 @@ intervals, hit/miss/RESET accounting and time series, latency projections
 transfer trace, and a :meth:`~ConcurrentReplayReport.fingerprint` digest —
 the quantity the golden differential-replay suite pins per figure.
 
-The original synchronous facade (``TraceReplayer``) is quarantined in
-:mod:`repro.workload.legacy`; it survives only as a differential baseline
-for driver tests and must not be used by experiments.
+This is the only replay stack: a one-request-at-a-time replay is the N=1
+closed loop, or an open loop whose arrivals are spaced wider than a request.
+:func:`seed_fleet` builds the "every client re-reads its own objects" fleet.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Generator, Optional, Sequence, Union
 
 from repro.baselines.elasticache import ElastiCacheCluster
 from repro.baselines.s3 import ObjectStore
+from repro.cache.client import InfiniCacheClient
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.exceptions import WorkloadError
 from repro.network.flows import FlowInterval, peak_concurrency
 from repro.obs.metrics import MetricRegistry, TimeSeries
 from repro.sim.loop import EventLoop
-from repro.sim.process import CountdownLatch, all_of
+from repro.sim.process import CountdownLatch, ProcessGenerator, all_of
 from repro.utils.stats import summarize
 from repro.utils.units import HOUR
 from repro.workload.trace import Trace
@@ -60,21 +62,6 @@ from repro.workload.trace import Trace
 
 #: The paper's Figure 16 object-size buckets.
 SIZE_BUCKETS = ("<1MB", "[1,10)MB", "[10,100)MB", ">=100MB")
-
-
-def bucket_latencies(pairs: Sequence[tuple[int, float]]) -> dict[str, list[float]]:
-    """Group ``(object size, latency)`` pairs into the Figure 16 size buckets."""
-    buckets: dict[str, list[float]] = {bucket: [] for bucket in SIZE_BUCKETS}
-    for size, latency in pairs:
-        if size < 1_000_000:
-            buckets["<1MB"].append(latency)
-        elif size < 10_000_000:
-            buckets["[1,10)MB"].append(latency)
-        elif size < 100_000_000:
-            buckets["[10,100)MB"].append(latency)
-        else:
-            buckets[">=100MB"].append(latency)
-    return buckets
 
 
 def hourly_costs(metrics: MetricRegistry, end_time: float) -> dict[str, list[float]]:
@@ -217,7 +204,17 @@ class ConcurrentReplayReport:
 
     def latencies_by_size_bucket(self) -> dict[str, list[float]]:
         """Latencies grouped into the paper's Figure 16 size buckets."""
-        return bucket_latencies(self.latencies)
+        buckets: dict[str, list[float]] = {bucket: [] for bucket in SIZE_BUCKETS}
+        for size, latency in self.latencies:
+            if size < 1_000_000:
+                buckets["<1MB"].append(latency)
+            elif size < 10_000_000:
+                buckets["[1,10)MB"].append(latency)
+            elif size < 100_000_000:
+                buckets["[10,100)MB"].append(latency)
+            else:
+                buckets[">=100MB"].append(latency)
+        return buckets
 
     def hit_samples(self) -> list[RequestSample]:
         """Only the requests served from the cache (microbenchmark figures)."""
@@ -299,7 +296,7 @@ class ClientOp:
     size: int = 0
     delay_s: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.op not in ("GET", "PUT", "INVALIDATE", "SLEEP"):
             raise WorkloadError(f"unsupported client op {self.op!r}")
         if self.op in ("GET", "PUT") and (not self.key or self.size <= 0):
@@ -315,7 +312,7 @@ PlanEntry = Union[tuple[str, int], ClientOp]
 
 
 def _normalise_plan(entries: Sequence[PlanEntry]) -> list[ClientOp]:
-    ops = []
+    ops: list[ClientOp] = []
     for entry in entries:
         if isinstance(entry, ClientOp):
             ops.append(entry)
@@ -325,17 +322,61 @@ def _normalise_plan(entries: Sequence[PlanEntry]) -> list[ClientOp]:
     return ops
 
 
+def seed_fleet(deployment: InfiniCacheDeployment, prefix: str, clients: int,
+               objects_per_client: int, object_size: int,
+               requests_per_client: int) -> list[list[tuple[str, int]]]:
+    """Seed a fleet's private objects and return its per-client GET plans.
+
+    ``clients × objects_per_client`` objects of ``object_size`` bytes are
+    inserted as ``{prefix}/{client}/obj-{n}`` through one seeder client
+    (sized PUTs through the synchronous API; the clock does not move).
+    Client ``i``'s plan is ``requests_per_client`` GETs cycling over its own
+    objects, so requests spread over the proxies.
+    """
+    seeder = deployment.new_client("fleet-seeder")
+    for index in range(clients):
+        for obj in range(objects_per_client):
+            seeder.put_sized(f"{prefix}/{index}/obj-{obj}", object_size)
+    return [
+        [
+            (f"{prefix}/{index}/obj-{round_index % objects_per_client}", object_size)
+            for round_index in range(requests_per_client)
+        ]
+        for index in range(clients)
+    ]
+
+
 # ---------------------------------------------------------------------- arrival injection
-def _run_arrivals(
-    loop: EventLoop,
-    arrivals: Sequence[tuple[float, str, Callable[[], object]]],
-    latch_label: str,
-) -> None:
-    """Schedule every ``(timestamp, label, coroutine factory)`` arrival and
-    run the loop until all spawned processes finish."""
+#: A process coroutine that resolves with nothing.
+VoidProcess = Generator[object, object, None]
+#: One open-loop arrival: ``(timestamp, process label, coroutine factory)``.
+Arrival = tuple[float, str, Callable[[], ProcessGenerator]]
+
+
+def _trace_arrivals(
+    trace: Trace,
+    label: str,
+    put: Callable[[str, int], ProcessGenerator],
+    get: Callable[[str, int], ProcessGenerator],
+) -> list[Arrival]:
+    """One arrival per trace record, spawning ``put(key, size)`` for a PUT
+    record and ``get(key, size)`` for a GET."""
+    return [
+        (
+            record.timestamp,
+            f"{label}.{record.operation.lower()}.{record.key}",
+            partial(put if record.operation == "PUT" else get, record.key, record.size),
+        )
+        for record in trace.records
+    ]
+
+
+def _run_arrivals(loop: EventLoop, arrivals: Sequence[Arrival], latch_label: str) -> None:
+    """Schedule every arrival and run the loop until all spawned processes
+    finish."""
     latch = CountdownLatch(len(arrivals), label=latch_label)
 
-    def inject(label: str, factory: Callable[[], object]) -> None:
+    def inject(label: str, factory: Callable[[], ProcessGenerator]) -> None:
         process = loop.spawn(factory(), label=label)
         process.future.add_done_callback(latch.count_down)
 
@@ -353,12 +394,10 @@ class _EventDriver:
         self,
         deployment: InfiniCacheDeployment,
         backing_store: Optional[ObjectStore] = None,
-        insert_on_miss: bool = True,
         warm_pool: bool = False,
-    ):
+    ) -> None:
         self.deployment = deployment
         self.backing_store = backing_store or ObjectStore()
-        self.insert_on_miss = insert_on_miss
         #: Warm every proxy's full Lambda pool before the first request, so
         #: the pool is spread over its full set of VM hosts (the Figure 4
         #: methodology deploys the pool before measuring).
@@ -375,9 +414,26 @@ class _EventDriver:
                 proxy.warm_up_pool(now)
         return trace_marker
 
-    def _request_process(self, client, client_id: str, key: str, size: int,
-                         report: ConcurrentReplayReport):
-        """Coroutine for one GET, including the RESET path on a miss."""
+    def _reject_past_arrival(self, first_arrival_s: float) -> None:
+        """Refuse, before anything is started or scheduled, a replay whose
+        first arrival the clock has passed (the loop would fail mid-injection)."""
+        now = self.deployment.simulator.now
+        if first_arrival_s < now:
+            raise WorkloadError(
+                f"the first arrival is at t={first_arrival_s}, but the deployment's "
+                f"clock is already at {now}; replay on a fresh deployment"
+            )
+
+    def request_process(self, client: InfiniCacheClient, client_id: str, key: str,
+                        size: int, report: ConcurrentReplayReport) -> VoidProcess:
+        """Coroutine for one GET, recorded in ``report``.
+
+        A miss takes the RESET path: fetch from the backing store, then write
+        through to the cache.  A degraded result (still cached, but too few
+        chunks reachable) is served from the backing store too, yet counts as
+        a degraded hit — not an error, not a RESET — and re-inserts nothing:
+        the mapping is left for the failure detector to heal.
+        """
         env = self.deployment.request_env
         started = env.now
         report.requests += 1
@@ -385,6 +441,7 @@ class _EventDriver:
         span = tracer.begin("request", client=client_id, key=key, op="GET")
         result = yield from client.get_process(key, env, span=span)
         reset = False
+        degraded = not result.hit and result.degraded
         if result.hit:
             report.hits += 1
             report.total_bytes += result.size
@@ -394,34 +451,15 @@ class _EventDriver:
                 # the arrival time): the clock only moves forward, so the
                 # series stays monotone even when requests overlap.
                 report.recovery_events.record(env.now, 1.0)
-        elif result.degraded:
-            # The object is still cached but its chunks were transiently
-            # unreachable — serve from the backing store and
-            # count a degraded hit (not an error, not a RESET), leaving the
-            # mapping for the failure detector to heal.
-            report.degraded_hits += 1
-            fetched = self.backing_store.get(key)
-            if fetched is None:
-                raise WorkloadError(f"object {key!r} is missing from the backing store")
-            _size, store_latency = fetched
-            fetch_span = tracer.begin("store.fetch", span, key=key)
-            yield store_latency
-            tracer.finish(fetch_span)
-            report.total_bytes += size
-            tracer.finish(span, hit=True, reset=False, degraded=True)
-            report.samples.append(RequestSample(
-                client_id=client_id, key=key, size=size,
-                started_at=started, finished_at=env.now,
-                hit=True, reset=False, degraded=True,
-                hosts_touched=result.hosts_touched,
-            ))
-            return
         else:
-            report.misses += 1
-            reset = result.data_lost
-            if reset:
-                report.resets += 1
-                report.reset_events.record(env.now, 1.0)
+            if degraded:
+                report.degraded_hits += 1
+            else:
+                report.misses += 1
+                reset = result.data_lost
+                if reset:
+                    report.resets += 1
+                    report.reset_events.record(env.now, 1.0)
             fetched = self.backing_store.get(key)
             if fetched is None:
                 raise WorkloadError(f"object {key!r} is missing from the backing store")
@@ -429,16 +467,18 @@ class _EventDriver:
             fetch_span = tracer.begin("store.fetch", span, key=key)
             yield store_latency
             tracer.finish(fetch_span)
-            if self.insert_on_miss:
+            if not degraded:
                 yield from client.put_sized_process(key, size, env, span=span)
             report.total_bytes += size
-        tracer.finish(span, hit=result.hit, reset=reset)
+        served = result.hit or degraded
+        tracer.finish(span, hit=served, reset=reset, degraded=degraded)
         report.samples.append(RequestSample(
             client_id=client_id, key=key, size=size,
             started_at=started, finished_at=env.now,
-            hit=result.hit, reset=reset,
+            hit=served, reset=reset,
             recovery=result.hit and result.recovery_performed,
             hosts_touched=result.hosts_touched,
+            degraded=degraded,
         ))
 
     def _collect(self, report: ConcurrentReplayReport, trace_marker: int) -> None:
@@ -492,12 +532,13 @@ class ClosedLoopDriver(_EventDriver):
     rises with the client count exactly as in the paper's Figure 12 setup.
     """
 
-    def _client_process(self, client, client_id: str, ops: Sequence[ClientOp],
-                        report: ConcurrentReplayReport):
+    def _client_process(self, client: InfiniCacheClient, client_id: str,
+                        ops: Sequence[ClientOp],
+                        report: ConcurrentReplayReport) -> ProcessGenerator:
         env = self.deployment.request_env
         for op in ops:
             if op.op == "GET":
-                yield from self._request_process(client, client_id, op.key, op.size, report)
+                yield from self.request_process(client, client_id, op.key, op.size, report)
             elif op.op == "PUT":
                 yield from client.put_sized_process(op.key, op.size, env)
             elif op.op == "INVALIDATE":
@@ -547,14 +588,19 @@ class OpenLoopDriver(_EventDriver):
     Every record is scheduled at its trace timestamp and spawned as a
     process when the clock reaches it — the offered load follows the trace
     regardless of how long individual requests take, so slow requests
-    overlap with later arrivals instead of delaying them (which is what the
-    quarantined sequential facade does).
+    overlap with later arrivals instead of delaying them.
     """
+
+    def _overwrite_process(self, client: InfiniCacheClient, key: str,
+                           size: int) -> VoidProcess:
+        client.invalidate(key)
+        yield from client.put_sized_process(key, size, self.deployment.request_env)
 
     def run(self, trace: Trace) -> ConcurrentReplayReport:
         """Inject every trace record at its timestamp; returns when all finish."""
         if not trace.records:
             raise WorkloadError("cannot replay an empty trace")
+        self._reject_past_arrival(min(record.timestamp for record in trace.records))
         for key, size in trace.unique_objects().items():
             self.backing_store.put(key, size)
         report = ConcurrentReplayReport(
@@ -562,34 +608,17 @@ class OpenLoopDriver(_EventDriver):
         )
         trace_marker = self._start()
         client = self.deployment.new_client("open-loop")
-        env = self.deployment.request_env
-
-        def put_factory(record):
-            def put_process():
-                client.invalidate(record.key)
-                yield from client.put_sized_process(record.key, record.size, env)
-            return put_process
-
-        arrivals = []
-        for record in trace.records:
-            if record.operation == "PUT":
-                arrivals.append(
-                    (record.timestamp, f"driver.put.{record.key}", put_factory(record))
-                )
-            else:
-                arrivals.append((
-                    record.timestamp,
-                    f"driver.get.{record.key}",
-                    lambda r=record: self._request_process(
-                        client, "open-loop", r.key, r.size, report
-                    ),
-                ))
+        arrivals = _trace_arrivals(
+            trace, "driver",
+            put=lambda key, size: self._overwrite_process(client, key, size),
+            get=lambda key, size: self.request_process(client, "open-loop", key, size, report),
+        )
         _run_arrivals(self.deployment.simulator, arrivals, "open_loop.complete")
         return self._finish(report, trace_marker)
 
     def run_schedule(
         self,
-        arrivals: Sequence[tuple[float, str, Callable[[], object]]],
+        arrivals: Sequence[Arrival],
         report: ConcurrentReplayReport,
         finalize: bool = True,
     ) -> ConcurrentReplayReport:
@@ -603,6 +632,8 @@ class OpenLoopDriver(_EventDriver):
         ``finalize=False`` the deployment is left running — the cluster
         experiments stop the cluster themselves and read costs from it.
         """
+        if arrivals:
+            self._reject_past_arrival(min(timestamp for timestamp, _, _ in arrivals))
         trace_marker = self._start()
         _run_arrivals(self.deployment.simulator, arrivals, "open_loop.schedule")
         if finalize:
@@ -617,7 +648,7 @@ class ElastiCacheTarget:
 
     system = "elasticache"
 
-    def __init__(self, cluster: ElastiCacheCluster):
+    def __init__(self, cluster: ElastiCacheCluster) -> None:
         self.cluster = cluster
 
     def get(self, key: str, now: float) -> Optional[float]:
@@ -639,7 +670,7 @@ class ObjectStoreTarget:
 
     system = "s3"
 
-    def __init__(self, store: ObjectStore):
+    def __init__(self, store: ObjectStore) -> None:
         self.store = store
 
     def get(self, key: str, now: float) -> Optional[float]:
@@ -673,18 +704,13 @@ class OpenLoopBaselineDriver:
     shape (and fingerprint) as the event-driven cache replay.
     """
 
-    def __init__(
-        self,
-        target,
-        backing_store: Optional[ObjectStore] = None,
-        insert_on_miss: bool = True,
-    ):
+    def __init__(self, target: Union[ElastiCacheTarget, ObjectStoreTarget],
+                 backing_store: Optional[ObjectStore] = None) -> None:
         self.target = target
         self.backing_store = backing_store or ObjectStore()
-        self.insert_on_miss = insert_on_miss
 
     def _request_process(self, loop: EventLoop, key: str, size: int,
-                         report: ConcurrentReplayReport):
+                         report: ConcurrentReplayReport) -> VoidProcess:
         started = loop.now
         report.requests += 1
         latency = self.target.get(key, started)
@@ -702,10 +728,9 @@ class OpenLoopBaselineDriver:
                 raise WorkloadError(f"object {key!r} is missing from the backing store")
             _size, store_latency = fetched
             yield store_latency
-            if self.insert_on_miss:
-                insert_latency = self.target.put(key, size, loop.now)
-                if insert_latency > 0:
-                    yield insert_latency
+            insert_latency = self.target.put(key, size, loop.now)
+            if insert_latency > 0:
+                yield insert_latency
             report.total_bytes += size
         report.samples.append(RequestSample(
             client_id=self.target.system, key=key, size=size,
@@ -713,7 +738,7 @@ class OpenLoopBaselineDriver:
             hit=latency is not None,
         ))
 
-    def _put_process(self, loop: EventLoop, key: str, size: int):
+    def _put_process(self, loop: EventLoop, key: str, size: int) -> VoidProcess:
         latency = self.target.put(key, size, loop.now)
         if latency > 0:
             yield latency
@@ -729,20 +754,11 @@ class OpenLoopBaselineDriver:
             system=self.target.system, mode="open-loop", clients=1,
             trace_name=trace.name,
         )
-        arrivals = []
-        for record in trace.records:
-            if record.operation == "PUT":
-                arrivals.append((
-                    record.timestamp,
-                    f"baseline.put.{record.key}",
-                    lambda r=record: self._put_process(loop, r.key, r.size),
-                ))
-            else:
-                arrivals.append((
-                    record.timestamp,
-                    f"baseline.get.{record.key}",
-                    lambda r=record: self._request_process(loop, r.key, r.size, report),
-                ))
+        arrivals = _trace_arrivals(
+            trace, "baseline",
+            put=lambda key, size: self._put_process(loop, key, size),
+            get=lambda key, size: self._request_process(loop, key, size, report),
+        )
         _run_arrivals(loop, arrivals, "baseline.complete")
         report.fold_sample_bounds()
         self.target.finalize(trace, report)

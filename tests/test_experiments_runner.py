@@ -69,3 +69,12 @@ class TestCli:
         assert exit_code == 0
         assert (tmp_path / "availability.txt").exists()
         assert "availability" in capsys.readouterr().out
+
+    def test_unknown_experiment_is_a_usage_error_not_a_traceback(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["--output-dir", str(tmp_path / "out"), "--only", "bogus", "figure17"])
+        assert exit_info.value.code == 2
+        error_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "unknown experiments ['bogus']" in error_line
+        assert "figure17" in error_line and "table1" in error_line
+        assert not (tmp_path / "out").exists()

@@ -36,7 +36,6 @@ from repro.faults import (
 from repro.faults.scenario import demo_config, demo_plans
 from repro.utils.units import MB, MIB
 from repro.workload.replay import ClosedLoopDriver
-from repro.baselines.s3 import ObjectStore
 
 
 def run_scenario(schedule, *, clients=4, rounds=10, seed=2020, config=None):
@@ -120,9 +119,7 @@ class TestChaosDeterminism:
             deployment = InfiniCacheDeployment(demo_config(seed=7))
             if with_engine:
                 ChaosEngine(deployment, FaultSchedule(())).install()
-            driver = ClosedLoopDriver(
-                deployment, backing_store=ObjectStore(), warm_pool=True
-            )
+            driver = ClosedLoopDriver(deployment, warm_pool=True)
             return driver.run(demo_plans(clients=3, rounds=6)).fingerprint()
 
         assert run(with_engine=True) == run(with_engine=False)
@@ -148,9 +145,7 @@ class TestChaosDeterminism:
         deployment.request_env.attach_tracer(tracer)
         engine = ChaosEngine(deployment, schedule)
         engine.install()
-        driver = ClosedLoopDriver(
-            deployment, backing_store=ObjectStore(), warm_pool=True
-        )
+        driver = ClosedLoopDriver(deployment, warm_pool=True)
         driver.run(demo_plans(clients=3, rounds=6))
         names = {span.name for span in tracer.spans}
         assert "fault.storm" in names
@@ -228,7 +223,7 @@ class TestHardenedRequestPath:
         assert storm.recovery_s is not None
 
     def test_unconfigured_resilience_installs_no_breaker_or_retry(self):
-        config = demo_config(seed=5, hardened=False)
+        config = dataclasses.replace(demo_config(5), resilience=None)
         assert config.resilience is None
         deployment = InfiniCacheDeployment(config)
         for proxy in deployment.proxies:
@@ -251,7 +246,7 @@ FAULT_FREE = FaultSchedule(())
 
 @pytest.fixture(scope="module")
 def unconfigured_fault_free_fingerprint():
-    config = demo_config(seed=7, hardened=False)
+    config = dataclasses.replace(demo_config(7), resilience=None)
     return run_scenario(FAULT_FREE, seed=7, config=config, clients=5, rounds=20).fingerprint
 
 
@@ -299,7 +294,8 @@ class TestSingleRequestPath:
             InvocationFaults(at_s=3.0, duration_s=10.0, failure_probability=0.5),
         ))
         result = run_scenario(
-            schedule, seed=5, config=demo_config(5, hardened=False),
+            schedule, seed=5,
+            config=dataclasses.replace(demo_config(5), resilience=None),
             clients=4, rounds=10,
         )
         assert result.replay.requests == 40
@@ -352,9 +348,7 @@ class TestBillingUnderFaults:
         deployment = InfiniCacheDeployment(config)
         engine = ChaosEngine(deployment, self.SCHEDULE)
         engine.install()
-        driver = ClosedLoopDriver(
-            deployment, backing_store=ObjectStore(), warm_pool=True
-        )
+        driver = ClosedLoopDriver(deployment, warm_pool=True)
         replay = driver.run(demo_plans(clients=4, rounds=10, think_s=1.0))
         return deployment, replay
 

@@ -131,61 +131,7 @@ class TestTransferModel:
         )
         assert timing.bandwidth_bps == pytest.approx(10 * MB)
 
-    def test_object_store_get_time(self):
-        model = TransferModel()
-        assert model.object_store_get_time(10 * MB, 0.03, 10 * MB) == pytest.approx(1.03)
-
     def test_describe(self):
         description = TransferModel().describe()
         assert "base_latency_ms" in description
         assert "proxy_uplink_MBps" in description
-
-
-class TestTransferJitter:
-    """Satellite: jitter is drawn from a seeded stream inside the model."""
-
-    def _model(self, seed: int, fraction: float = 0.5) -> TransferModel:
-        from repro.utils.rng import SeededRNG
-
-        return TransferModel(
-            base_latency_s=0.0, jitter_fraction=fraction, rng=SeededRNG(seed)
-        )
-
-    def _timing(self, model: TransferModel):
-        return model.chunk_transfer_timing(
-            chunk_bytes=10 * MB, function_bandwidth_bps=100 * MB,
-            host_capacity_bps=1000 * MB, host_id="vm-0",
-            flows_on_host=1, concurrent_request_streams=1,
-        )
-
-    def test_jitter_is_actually_applied(self):
-        base = TransferModel(base_latency_s=0.0)
-        jittered = self._model(seed=1)
-        samples = [self._timing(jittered).transfer_s for _ in range(16)]
-        clean = self._timing(base).transfer_s
-        assert all(clean <= sample <= clean * 1.5 + 1e-12 for sample in samples)
-        assert any(sample > clean for sample in samples)
-        # Consecutive draws vary: the factor is per-transfer, not per-model.
-        assert len(set(samples)) > 1
-
-    def test_deterministic_per_seed(self):
-        first = [self._timing(self._model(seed=7)).transfer_s for _ in range(8)]
-        second = [self._timing(self._model(seed=7)).transfer_s for _ in range(8)]
-        third = [self._timing(self._model(seed=8)).transfer_s for _ in range(8)]
-        assert first == second
-        assert first != third
-
-    def test_zero_fraction_is_exact(self):
-        from repro.utils.rng import SeededRNG
-
-        model = TransferModel(
-            base_latency_s=0.0, jitter_fraction=0.0, rng=SeededRNG(3)
-        )
-        assert self._timing(model).transfer_s == pytest.approx(0.1)
-        assert model.draw_jitter() == 1.0
-
-    def test_jitter_without_rng_is_rejected(self):
-        with pytest.raises(ValueError):
-            TransferModel(jitter_fraction=0.2)
-        with pytest.raises(ValueError):
-            TransferModel(jitter_fraction=-0.1)

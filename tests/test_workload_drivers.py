@@ -144,36 +144,45 @@ class TestClosedLoopDriver:
 
 
 class TestClosedLoopMatchesSequentialFacade:
-    def test_single_client_accounting_equals_legacy_replayer(self):
-        """N=1 closed loop degenerates to the sequential facade's accounting.
+    """One request at a time: what the deleted synchronous replayer pinned."""
 
-        The virtual timings differ by construction (the event path models
-        genuine chunk racing, the facade uses static snapshots), but with
-        one client and no concurrency the request/hit/miss/RESET *counts*
-        must be identical on the same smoke trace.
+    def test_single_client_accounting_equals_open_loop_and_dict_model(self):
+        """With no concurrency both drivers degenerate to a dict model.
+
+        One closed-loop client, and an open loop whose arrivals are a
+        second apart (wider than any request), each have one request in
+        flight at a time, so their request/hit/miss/RESET *counts* must
+        equal a cache that misses on first touch and hits ever after.
         """
-        from repro.workload.legacy import TraceReplayer
-
         keys = [f"smoke-{index % 3}" for index in range(9)]
         size = 6 * MB
 
-        legacy_report = TraceReplayer().replay_infinicache(
+        cached: set[str] = set()
+        model_hits = 0
+        for key in keys:
+            model_hits += key in cached
+            cached.add(key)
+
+        closed = ClosedLoopDriver(small_deployment(seed=99)).run(
+            [[(key, size) for key in keys]]
+        )
+        opened = OpenLoopDriver(small_deployment(seed=99)).run(
             Trace.from_records(
                 [TraceRecord(timestamp=float(i), operation="GET", key=key, size=size)
                  for i, key in enumerate(keys)],
                 name="smoke",
-            ),
-            small_deployment(seed=99),
+            )
         )
-        driver_report = ClosedLoopDriver(small_deployment(seed=99)).run(
-            [[(key, size) for key in keys]]
-        )
-        assert driver_report.requests == legacy_report.requests
-        assert driver_report.hits == legacy_report.hits
-        assert driver_report.misses == legacy_report.misses
-        assert driver_report.resets == legacy_report.resets
-        assert driver_report.hit_ratio == legacy_report.hit_ratio
-        assert len(driver_report.latencies) == len(legacy_report.latencies)
+        for report in (closed, opened):
+            assert report.requests == len(keys)
+            assert report.hits == model_hits == 6
+            assert report.misses == len(keys) - model_hits
+            assert report.resets == 0
+            assert report.hit_ratio == model_hits / len(keys)
+            assert len(report.latencies) == len(keys)
+            assert not any(
+                a.overlaps(b) for a, b in zip(report.samples, report.samples[1:])
+            )
 
     def test_scripted_ops_re_place_objects(self):
         """PUT/INVALIDATE/SLEEP ops drive the Figure 4-style rounds."""
@@ -234,6 +243,39 @@ class TestOpenLoopDriver:
         with pytest.raises(WorkloadError):
             OpenLoopDriver(small_deployment()).run(Trace(name="empty"))
 
+    def test_replay_on_an_advanced_clock_is_rejected_before_anything_starts(self):
+        """A second open-loop replay on a used deployment used to die inside
+        the arrival injection with a ``SimulationError``, after the
+        deployment had been restarted and part of the arrivals scheduled."""
+        from repro.exceptions import WorkloadError
+        from repro.workload import ConcurrentReplayReport
+
+        deployment = small_deployment()
+        driver = OpenLoopDriver(deployment)
+        trace = self.make_trace()
+        driver.run(trace)
+        loop = deployment.simulator
+        assert loop.now > trace.records[0].timestamp
+        before = (len(loop.queue), loop.events_processed, driver.backing_store.put_count)
+
+        with pytest.raises(WorkloadError, match=r"first arrival is at t=0\.0.*clock") as error:
+            driver.run(trace)
+        assert str(loop.now) in str(error.value)
+        with pytest.raises(WorkloadError, match="first arrival"):
+            driver.run_schedule(
+                [(0.0, "late", lambda: iter(()))],
+                ConcurrentReplayReport(system="x", mode="open-loop", clients=1),
+            )
+        assert before == (
+            len(loop.queue), loop.events_processed, driver.backing_store.put_count
+        )
+
+        # Arrivals at or after the clock still replay on the same deployment.
+        later = Trace.from_records([
+            TraceRecord(timestamp=loop.now + 1.0, operation="GET", key="k-0", size=6 * MB)
+        ])
+        assert driver.run(later).requests == 1
+
     def test_duplicate_arrival_timestamps_all_injected(self):
         """Several records at the same instant all run, in append order."""
         trace = Trace(name="dup")
@@ -285,6 +327,40 @@ class TestOpenLoopDriver:
             # all its bytes; it must never have moved more.
             assert interval.bytes_moved <= interval.size_bytes
         assert any(i.bytes_moved < i.size_bytes for i in abandoned)
+
+
+class TestSeedFleet:
+    """``seed_fleet`` replaced five hand-written seed-then-plan blocks; the
+    keys each of them spelled out are repeated here literally."""
+
+    FORMER_COPIES = {
+        "sim-smoke": ("smoke", 3, 4, lambda i, obj: f"smoke/{i}/obj-{obj}"),
+        "trace": ("trace", 3, 4, lambda i, obj: f"trace/{i}/obj-{obj}"),
+        "perf.macro_closed_loop": ("perf", 3, 2, lambda i, obj: f"perf/{i}/obj-{obj}"),
+        "perf.profile_closed_loop": ("perf", 3, 2, lambda i, obj: f"perf/{i}/obj-{obj}"),
+        "figure12": ("fig12/3", 3, 4, lambda i, obj: f"fig12/3/{i}/obj-{obj}"),
+    }
+
+    @pytest.mark.parametrize("copy", sorted(FORMER_COPIES))
+    def test_reproduces_the_former_key_layout(self, copy):
+        from repro.workload import seed_fleet
+
+        prefix, clients, objects, key_of = self.FORMER_COPIES[copy]
+        requests, size = 5, 4 * MB
+        deployment = small_deployment()
+        plans = seed_fleet(deployment, prefix, clients, objects, size, requests)
+        assert plans == [
+            [(key_of(index, r % objects), size) for r in range(requests)]
+            for index in range(clients)
+        ]
+        stored = sorted(key for proxy in deployment.proxies for key in proxy.object_keys())
+        assert stored == sorted(
+            key_of(index, obj) for index in range(clients) for obj in range(objects)
+        )
+        # Seeding goes through the synchronous API: the clock has not moved.
+        assert deployment.simulator.now == 0.0
+        report = ClosedLoopDriver(deployment).run(plans)
+        assert report.hits == report.requests == clients * requests
 
 
 class TestFigure12ConcurrentScaling:

@@ -1,9 +1,9 @@
-"""Tests for the quarantined sequential-facade replayer (all three systems).
+"""Trace-replay accounting on all three systems, through the event drivers.
 
-``TraceReplayer`` is no longer an experiment entry point — every figure
-replays through the event-driven drivers — but it survives in
-``repro.workload.legacy`` as the differential baseline the driver tests
-compare against, so its behaviour stays pinned here.
+The cache replays through :class:`OpenLoopDriver`, ElastiCache and the raw
+object store through :class:`OpenLoopBaselineDriver`; the traces here space
+arrivals a second apart, wider than any request, so the accounting is the
+one-request-at-a-time accounting: first touch misses, re-reads hit.
 """
 
 import pytest
@@ -16,7 +16,13 @@ from repro.exceptions import WorkloadError
 from repro.faas.reclamation import ZipfBurstReclamationPolicy
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MB, MIB, MINUTE
-from repro.workload.legacy import TraceReplayer
+from repro.workload.replay import (
+    ConcurrentReplayReport,
+    ElastiCacheTarget,
+    ObjectStoreTarget,
+    OpenLoopBaselineDriver,
+    OpenLoopDriver,
+)
 from repro.workload.trace import Trace, TraceRecord
 
 
@@ -46,11 +52,23 @@ def build_deployment(reclamation_policy=None) -> InfiniCacheDeployment:
     return InfiniCacheDeployment(config, reclamation_policy=reclamation_policy)
 
 
+def replay_infinicache(trace: Trace, deployment: InfiniCacheDeployment) -> ConcurrentReplayReport:
+    return OpenLoopDriver(deployment).run(trace)
+
+
+def replay_elasticache(trace: Trace, cluster: ElastiCacheCluster) -> ConcurrentReplayReport:
+    return OpenLoopBaselineDriver(ElastiCacheTarget(cluster)).run(trace)
+
+
+def replay_object_store(trace: Trace) -> ConcurrentReplayReport:
+    """Replay directly against the backing store (the S3 baseline)."""
+    store = ObjectStore()
+    return OpenLoopBaselineDriver(ObjectStoreTarget(store), backing_store=store).run(trace)
+
+
 class TestInfiniCacheReplay:
     def test_compulsory_misses_then_hits(self):
-        replayer = TraceReplayer(ObjectStore())
-        report = replayer.replay_infinicache(build_trace(repeats=3, objects=5),
-                                             build_deployment())
+        report = replay_infinicache(build_trace(repeats=3, objects=5), build_deployment())
         assert report.requests == 15
         assert report.misses == 5          # first touch of each object
         assert report.hits == 10
@@ -61,12 +79,12 @@ class TestInfiniCacheReplay:
         assert "serving" in report.cost_breakdown
 
     def test_miss_latency_includes_backing_store(self):
-        replayer = TraceReplayer(ObjectStore())
-        report = replayer.replay_infinicache(build_trace(repeats=2, objects=3),
-                                             build_deployment())
+        report = replay_infinicache(build_trace(repeats=2, objects=3), build_deployment())
         # First 3 requests are misses (S3 fetch + insert), later ones are hits.
-        miss_latencies = [latency for _, latency in report.latencies[:3]]
-        hit_latencies = [latency for _, latency in report.latencies[3:]]
+        samples = sorted(report.samples, key=lambda sample: sample.started_at)
+        assert [sample.hit for sample in samples] == [False] * 3 + [True] * 3
+        miss_latencies = [sample.latency_s for sample in samples[:3]]
+        hit_latencies = [sample.latency_s for sample in samples[3:]]
         assert min(miss_latencies) > max(hit_latencies)
 
     def test_resets_counted_under_reclamation(self):
@@ -81,20 +99,19 @@ class TestInfiniCacheReplay:
             )
         trace = Trace.from_records(trace_records, name="churn")
         deployment = build_deployment(reclamation_policy=policy)
-        report = TraceReplayer(ObjectStore()).replay_infinicache(trace, deployment)
+        report = replay_infinicache(trace, deployment)
         assert report.resets > 0
         assert report.resets + report.hits + (report.misses - report.resets) == report.requests
         assert len(report.reset_events) == report.resets
 
     def test_hourly_cost_covers_duration(self):
-        replayer = TraceReplayer(ObjectStore())
-        report = replayer.replay_infinicache(build_trace(), build_deployment())
+        report = replay_infinicache(build_trace(), build_deployment())
         assert set(report.hourly_cost) == {"serving", "warmup", "backup", "total"}
         assert len(report.hourly_cost["total"]) >= 1
 
     def test_empty_trace_rejected(self):
         with pytest.raises(WorkloadError):
-            TraceReplayer(ObjectStore()).replay_infinicache(Trace(), build_deployment())
+            replay_infinicache(Trace(), build_deployment())
 
     def test_put_records_insert_objects(self):
         records = [
@@ -102,16 +119,14 @@ class TestInfiniCacheReplay:
             TraceRecord(timestamp=1.0, operation="GET", key="preloaded", size=5 * MB),
         ]
         trace = Trace.from_records(records)
-        report = TraceReplayer(ObjectStore()).replay_infinicache(trace, build_deployment())
+        report = replay_infinicache(trace, build_deployment())
         assert report.requests == 1
         assert report.hits == 1
 
 
 class TestElastiCacheReplay:
     def test_hits_after_first_touch(self):
-        report = TraceReplayer(ObjectStore()).replay_elasticache(
-            build_trace(repeats=2, objects=4), ElastiCacheCluster()
-        )
+        report = replay_elasticache(build_trace(repeats=2, objects=4), ElastiCacheCluster())
         assert report.requests == 8
         assert report.misses == 4
         assert report.hits == 4
@@ -119,19 +134,17 @@ class TestElastiCacheReplay:
         assert report.total_cost > 0
 
     def test_capacity_billing_is_duration_based(self):
-        short = TraceReplayer(ObjectStore()).replay_elasticache(
-            build_trace(repeats=1, objects=2), ElastiCacheCluster()
-        )
+        short = replay_elasticache(build_trace(repeats=1, objects=2), ElastiCacheCluster())
         assert short.total_cost == pytest.approx(10.368)  # one partial hour
 
     def test_empty_trace_rejected(self):
         with pytest.raises(WorkloadError):
-            TraceReplayer(ObjectStore()).replay_elasticache(Trace(), ElastiCacheCluster())
+            replay_elasticache(Trace(), ElastiCacheCluster())
 
 
 class TestObjectStoreReplay:
     def test_every_get_served(self):
-        report = TraceReplayer(ObjectStore()).replay_object_store(build_trace())
+        report = replay_object_store(build_trace())
         assert report.requests == 15
         assert report.hits == 15
         assert report.misses == 0
@@ -143,15 +156,14 @@ class TestObjectStoreReplay:
         large = Trace.from_records(
             [TraceRecord(timestamp=0.0, operation="GET", key="l", size=100 * MB)]
         )
-        replayer = TraceReplayer(ObjectStore())
-        small_latency = replayer.replay_object_store(small).latencies[0][1]
-        large_latency = TraceReplayer(ObjectStore()).replay_object_store(large).latencies[0][1]
+        small_latency = replay_object_store(small).latencies[0][1]
+        large_latency = replay_object_store(large).latencies[0][1]
         assert large_latency > 10 * small_latency
 
 
 class TestReportHelpers:
     def test_latency_buckets(self):
-        report = TraceReplayer(ObjectStore()).replay_object_store(
+        report = replay_object_store(
             Trace.from_records(
                 [
                     TraceRecord(timestamp=0.0, operation="GET", key="a", size=500_000),
@@ -165,7 +177,7 @@ class TestReportHelpers:
         assert all(len(values) == 1 for values in buckets.values())
 
     def test_latency_summary(self):
-        report = TraceReplayer(ObjectStore()).replay_object_store(build_trace())
+        report = replay_object_store(build_trace())
         summary = report.latency_summary()
         assert summary["count"] == 15
         assert summary["p50"] > 0
