@@ -7,9 +7,10 @@ drift in the incremental arbitration fails this benchmark regardless of
 timing noise.
 
 The reports written to ``benchmarks/results/`` are tracked files, so they
-carry only what repeats exactly per seed (event counts, peak flows, the
-fingerprint verdict); wall-clock and events/s go to stdout and to the
-pytest-benchmark table, which a test run does not commit.
+carry only what repeats exactly per seed (event counts, peak flows, flows
+swept and re-aimed by the arbiter, the fingerprint verdict); wall-clock and
+events/s go to stdout and to the pytest-benchmark table, which a test run
+does not commit.
 """
 
 from repro.experiments import perf
@@ -25,7 +26,9 @@ def test_bench_perf_closed_loop_sweep(benchmark, report_writer):
     for sample in samples:
         lines.append(
             f"  {sample.extra['clients']:>4} clients: {sample.events} events, "
-            f"peak {sample.extra['peak_active_flows']} active flows"
+            f"peak {sample.extra['peak_active_flows']} active flows, "
+            f"{sample.extra['flows_swept']} flows swept, "
+            f"{sample.extra['flows_reaimed']} re-aimed"
         )
         print(f"{sample.name}: {sample.wall_s:.3f}s, {sample.events_per_s:,.0f} events/s")
     report_writer("perf_closed_loop", "\n".join(lines))

@@ -40,15 +40,20 @@ def test_bench_perf_flow_churn(benchmark, report_writer):
     report_writer(
         "perf_flow_churn",
         "flow churn micro (1000 staggered transfers over 32 NICs / 8 uplinks):\n"
-        f"  incremental: {incremental.events} events, "
-        f"peak {incremental.extra['peak_active_flows']} active flows\n"
-        f"  reference:   {reference.events} events, "
-        f"peak {reference.extra['peak_active_flows']} active flows",
+        + "\n".join(
+            f"  {sample.extra['arbiter'] + ':':<12} {sample.events} events, "
+            f"peak {sample.extra['peak_active_flows']} active flows, "
+            f"{sample.extra['flows_swept']} flows swept, "
+            f"{sample.extra['flows_reaimed']} re-aimed"
+            for sample in (incremental, reference)
+        ),
     )
-    # Identical workload, identical event counts — only the arbitration
-    # strategy differs.
+    # Identical workload, identical event counts and re-aims — only the
+    # arbitration strategy, and so the flows it has to visit, differs.
     assert incremental.events == reference.events
     assert incremental.extra["peak_active_flows"] == reference.extra["peak_active_flows"]
+    assert incremental.extra["flows_reaimed"] == reference.extra["flows_reaimed"]
+    assert incremental.extra["flows_swept"] < reference.extra["flows_swept"]
 
 
 def test_bench_perf_erasure(benchmark, report_writer):

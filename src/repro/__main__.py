@@ -391,8 +391,8 @@ def _perf(argv: list[str]) -> int:
         "--regression-baseline", default=None, metavar="PATH",
         help="committed BENCH_perf.json to guard against: exit non-zero if "
         "any macro rung present in both runs lost more than the threshold "
-        "of its committed events/s (read before --output is written, so "
-        "the same path can serve as both)",
+        "of its committed events/s or swept more flows than committed (read "
+        "before --output is written, so the same path can serve as both)",
     )
     parser.add_argument(
         "--regression-threshold", type=float, default=0.30, metavar="FRACTION",

@@ -146,6 +146,8 @@ def micro_flow_churn(
             "hosts": hosts,
             "proxies": proxies,
             "peak_active_flows": network.max_concurrent(),
+            "flows_swept": network.flows_swept,
+            "flows_reaimed": network.flows_reaimed,
         },
     )
 
@@ -234,10 +236,11 @@ def macro_closed_loop(
     """One closed-loop replay at fleet size ``clients``, instrumented.
 
     Returns wall-clock, total dispatched events, events/sec, the peak
-    number of simultaneously active flows, and the replay fingerprint
-    (which the arbiter comparison checks for drift).  Garbage left by
-    earlier scenarios is collected before the clock starts so successive
-    measurements do not bleed into each other.
+    number of simultaneously active flows, the flows the arbiter swept and
+    re-aimed, and the replay fingerprint (which the arbiter comparison
+    checks for drift).  Garbage left by earlier scenarios is collected
+    before the clock starts so successive measurements do not bleed into
+    each other.
     """
     deployment = InfiniCacheDeployment(_fleet_config(clients, arbiter, seed))
     plans = seed_fleet(
@@ -259,6 +262,10 @@ def macro_closed_loop(
             "requests": report.requests,
             "hit_ratio": report.hit_ratio,
             "peak_active_flows": report.peak_active_flows,
+            # The arbiter's work as counts, exact per seed unlike wall_s
+            # (seeding is synchronous and starts no flow).
+            "flows_swept": deployment.flows.flows_swept,
+            "flows_reaimed": deployment.flows.flows_reaimed,
             "flow_intervals": len(report.flow_intervals),
             "sim_duration_s": report.duration_s,
             "fingerprint": report.fingerprint(),
@@ -322,6 +329,7 @@ PROFILE_PHASE_KEYS = (
 PROFILE_COUNT_KEYS = (
     "scheduled", "dispatched", "cancelled",
     "coroutine_steps", "arbiter_transitions",
+    "flows_swept", "flows_reaimed",
 )
 
 
@@ -420,9 +428,12 @@ def check_regression(
     value.  Rungs only one side ran (quick mode trims the sweep) are
     skipped, as are rungs below ``min_clients`` — the small fleets finish
     in well under a second, so their events/s swings ±30 % run to run on
-    interpreter warm-up alone and would make the gate flake.  Everything
-    other than macro throughput is likewise ignored: micro timings and
-    wall-clocks are too noisy to gate on.
+    interpreter warm-up alone and would make the gate flake.  Micro timings
+    and wall-clocks are too noisy to gate on and are ignored.
+
+    ``flows_swept`` is gated on every shared rung, with no tolerance: the
+    count is exact per seed, so a rung that sweeps more flows than the
+    committed payload says is a code change, never noise.
     """
     errors: list[str] = []
     committed = {
@@ -431,10 +442,19 @@ def check_regression(
         if isinstance(sample, dict) and "clients" in sample
     }
     for sample in payload.get("macro", ()):
-        if (sample.get("clients") or 0) < min_clients:
-            continue
         reference = committed.get(sample.get("clients"))
         if reference is None:
+            continue
+        # A baseline written before the counter existed gates nothing.
+        committed_swept = reference.get("flows_swept")
+        fresh_swept = sample.get("flows_swept", 0)
+        if committed_swept is not None and fresh_swept > committed_swept:
+            errors.append(
+                f"macro.closed_loop[{sample['clients']}] arbiter work regressed: "
+                f"{fresh_swept} flows swept, the committed payload has "
+                f"{committed_swept} (the count is exact per seed)"
+            )
+        if (sample.get("clients") or 0) < min_clients:
             continue
         committed_rate = reference.get("events_per_s", 0.0)
         fresh_rate = sample.get("events_per_s", 0.0)
@@ -518,6 +538,7 @@ def format_report(payload: dict[str, object]) -> str:
             sample["events"],
             sample["events_per_s"],
             sample["peak_active_flows"],
+            sample["flows_swept"],
             sample["sim_duration_s"],
         ]
         for sample in payload["macro"]
@@ -541,7 +562,7 @@ def format_report(payload: dict[str, object]) -> str:
     lines += [
         "",
         format_table(
-            ["clients", "wall_s", "events", "events/s", "peak_flows", "sim_s"],
+            ["clients", "wall_s", "events", "events/s", "peak_flows", "swept", "sim_s"],
             macro_rows,
             title="Closed-loop macro sweep (incremental arbiter)",
         ),
@@ -564,6 +585,13 @@ def format_report(payload: dict[str, object]) -> str:
                     "(phases are attributions, not a disjoint partition)"
                 ),
             )
+        )
+        counts = profile["counts"]
+        transitions = counts["arbiter_transitions"]
+        lines.append(
+            f"arbiter: {transitions} transitions swept {counts['flows_swept']} flows "
+            f"({counts['flows_swept'] / transitions if transitions else 0.0:.1f} per "
+            f"transition) and re-aimed {counts['flows_reaimed']}"
         )
         top = profile.get("top_labels") or []
         if top:

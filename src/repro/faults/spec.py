@@ -192,9 +192,24 @@ FaultSpec = (
 )
 
 
+#: Window kinds grouped by the state they write: both link faults set
+#: ``HostNic.degradation_factor``, invocation faults arm the platform, and
+#: straggler inflation overrides every proxy's straggler model.
+_SHARED_STATE_WINDOWS = (
+    (LinkDegradation, LinkBlackhole),
+    (InvocationFaults,),
+    (StragglerInflation,),
+)
+
+
 @dataclass(frozen=True)
 class FaultSchedule:
-    """An ordered, validated collection of fault specs for one scenario."""
+    """An ordered, validated collection of fault specs for one scenario.
+
+    Windows that write the same state (two link faults, two invocation-fault
+    windows, two straggler inflations) must be separated by a gap; a
+    schedule in which they overlap or touch is a :class:`ConfigurationError`.
+    """
 
     faults: tuple[FaultSpec, ...] = ()
 
@@ -211,6 +226,24 @@ class FaultSchedule:
         object.__setattr__(
             self, "faults", tuple(sorted(self.faults, key=lambda f: f.at_s))
         )
+        # A window's reversion writes the healthy value back (factor 1.0, no
+        # invocation faults, no straggler override), not the value it found:
+        # two windows over the same state would end each other early.  They
+        # may not even touch — at equal timestamps the later window's
+        # activation (scheduled at install) fires before the earlier one's
+        # reversion (scheduled at activation) and would be undone by it.
+        for kinds in _SHARED_STATE_WINDOWS:
+            previous = None
+            for fault in self.faults:
+                if not isinstance(fault, kinds):
+                    continue
+                if previous is not None and fault.at_s <= previous.at_s + previous.duration_s:
+                    raise ConfigurationError(
+                        f"fault windows {previous} and {fault} overlap or touch; "
+                        "both write the same state and the first to end would "
+                        "end the other (leave a gap between them)"
+                    )
+                previous = fault
 
     def __len__(self) -> int:
         return len(self.faults)

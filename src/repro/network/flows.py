@@ -19,16 +19,24 @@ exactly two **bottleneck groups**: the flows on the touched host NIC and
 the flows on the touched proxy uplink.  The arbiter therefore indexes
 active flows by NIC and by uplink and, on each transition,
 
-1. **settles** the progress of the affected flows whose rate actually
-   changes (progress between rate changes is linear, so settlement is lazy
-   — a flow is only brought up to date when its rate flips or it retires),
-2. **recomputes** rates for the two touched groups only, and
-3. **re-aims** completion events only for flows whose bottleneck flipped.
+1. **selects** the flows to visit: the touched host-NIC group always, the
+   touched uplink group only when it can bind — two floats per uplink (the
+   per-stream share its members were last rated at, and an upper bound on
+   their host-side cap ``min(function bandwidth, NIC share)``) decide that
+   in O(1): with ``bound <= min(share before, share now)`` every member's
+   rate is its host-side cap on both sides of the transition, so none of
+   them can change and the group is left out of the sweep,
+2. **recomputes** the three-way minimum for the selected flows,
+3. **settles** the progress of those whose rate actually changes (progress
+   between rate changes is linear, so settlement is lazy — a flow is only
+   brought up to date when its rate flips or it retires), and
+4. **re-aims** completion events only for those flows.
 
-This makes a transition O(group size) instead of O(total active flows),
-which is what lets the closed-loop drivers scale to thousand-client fleets
-(see ``docs/performance.md``).  :class:`ReferenceFlowNetwork` keeps the
-original global-recompute sweep — with identical numeric semantics — as the
+This makes a transition O(host group) while the uplink does not bind and
+O(uplink group) while it does, instead of O(total active flows), which is
+what lets the closed-loop drivers scale to thousand-client fleets (see
+``docs/performance.md``).  :class:`ReferenceFlowNetwork` keeps the original
+global-recompute sweep — with identical numeric semantics — as the
 differential-testing and perf-baseline reference.
 
 Host-NIC sharing uses the same :class:`~repro.network.topology.HostNic`
@@ -47,6 +55,7 @@ independently of the retained window and do not change.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
@@ -107,6 +116,14 @@ class FlowInterval:
 
 class Flow:
     """One in-flight transfer between a Lambda node and its proxy."""
+
+    # The arbiter reads half a dozen of these per visited flow, hundreds of
+    # thousands of times per fleet replay: slots skip the instance dict.
+    __slots__ = (
+        "flow_id", "label", "size_bytes", "function_bandwidth_bps", "nic",
+        "proxy_id", "started_at", "remaining", "rate_bps", "last_progress_at",
+        "future", "_completion", "_finish_label", "parent_span",
+    )
 
     def __init__(
         self,
@@ -197,6 +214,15 @@ class FlowNetwork:
         #: observe hash order (lint rule D103).
         self._dirty_hosts: dict[str, None] = {}
         self._dirty_proxies: dict[str, None] = {}
+        #: Per-uplink sweep state, two floats per live ``_by_proxy`` group
+        #: (insertion-ordered dicts, dropped when the group empties): the
+        #: per-stream share its members were last rated at, and an upper
+        #: bound on its members' host-side cap ``min(function bandwidth,
+        #: NIC share)``.  A touched uplink whose bound does not exceed its
+        #: share before or after cannot bind any member, so
+        #: :meth:`_affected_flows` leaves it out of the sweep.
+        self._uplink_share: dict[str, float] = {}
+        self._uplink_bound: dict[str, float] = {}
         #: Transition-coalescing depth.  While positive (inside a retire
         #: cascade — a completion resolving its future, which can cancel
         #: straggler siblings and start follow-up transfers synchronously),
@@ -232,6 +258,12 @@ class FlowNetwork:
         self.abandoned_flows = 0
         self.bytes_completed = 0.0
         self.bytes_abandoned = 0.0
+        #: Arbiter work as exact per-seed counts: flows visited by a sweep
+        #: (transitions and deferred reservations alike) and flows whose
+        #: completion was re-aimed.  Not part of :meth:`flow_stats` — the
+        #: two arbiters agree on the simulation, not on the work it took.
+        self.flows_swept = 0
+        self.flows_reaimed = 0
 
     # ------------------------------------------------------------------ introspection
     @property
@@ -387,30 +419,73 @@ class FlowNetwork:
             flow.remaining = max(0.0, flow.remaining - flow.rate_bps * elapsed)
         flow.last_progress_at = now
 
-    def _affected_flows(
-        self, hosts: dict[str, None], proxies: dict[str, None]
-    ) -> list[Flow]:
-        """Flows whose fair share a transition on the given groups can touch.
+    def _affected_flows(self, commit: bool) -> Collection[Flow]:
+        """The flows a sweep of the dirty groups has to visit, by flow id.
 
         A flow's rate depends only on its own caps and on the occupancy of
-        its NIC and its uplink, so the union of the touched groups is exact
-        — no other flow's bottleneck can flip.  The group collections are
-        insertion-ordered dicts and the merged result is flow-id-sorted, so
-        event scheduling matches the global-recompute reference and never
-        depends on hash order.
+        its NIC and its uplink, so no flow outside the dirty groups can
+        change rate.  Inside them:
+
+        * a dirty **host NIC** group is always taken — it is small, and
+          ``reassess_host`` changes its capacity with no occupancy change;
+        * a dirty **uplink** group is taken only when it can bind, i.e. when
+          ``bound > min(share its members were rated at, share now)``.
+          Otherwise every member's ``min(host-side cap, share)`` is its
+          host-side cap on both sides: unless its NIC is dirty too (and it
+          is visited through that group) its rate is unchanged, the sweep
+          would ``continue`` past it, and dropping it from the visit moves
+          no settled byte, no re-aim and no consumed sequence number;
+        * a flow holding a reserved ``_pending`` entry is always taken: the
+          flush owes it a heap push under that sequence number, and a later
+          reservation must compare against the reserved rate.
+
+        ``commit`` is the flush: it records the current share of every dirty
+        uplink as the one its members are rated at and zeroes the bound of
+        the groups swept in full (the sweep raises it back to the exact
+        maximum).  A deferred reservation selects read-only — ``rate_bps``
+        still holds the pre-cascade rates the stored shares describe.
+
+        Groups are insertion-ordered dicts and a merged result is
+        flow-id-sorted, so event scheduling matches the global-recompute
+        reference and never depends on hash order.
         """
-        groups = [
-            group
-            for group in (
-                *(self._by_host.get(host_id) for host_id in hosts),
-                *(self._by_proxy.get(proxy_id) for proxy_id in proxies),
-            )
-            if group
-        ]
-        if not groups:
-            return []
-        if len(groups) == 1:
-            return list(groups[0].values())
+        groups: list[dict[int, Flow]] = []
+        by_host = self._by_host
+        for host_id in self._dirty_hosts:
+            group = by_host.get(host_id)
+            if group is not None:
+                groups.append(group)
+        by_proxy = self._by_proxy
+        shares = self._uplink_share
+        bounds = self._uplink_bound
+        for proxy_id in self._dirty_proxies:
+            group = by_proxy.get(proxy_id)
+            if group is None:
+                continue
+            share = self.fabric.proxy_share(len(group))
+            rated = shares.get(proxy_id)
+            if rated is None or bounds[proxy_id] > (share if share < rated else rated):
+                groups.append(group)
+                if commit:
+                    bounds[proxy_id] = 0.0
+            if commit:
+                shares[proxy_id] = share
+        if self._pending:
+            # Reservation order is not flow-id order; the sweep's is.
+            active = self._active
+            groups.append({flow_id: active[flow_id] for flow_id in sorted(self._pending)})
+        if len(groups) <= 1:
+            return groups[0].values() if groups else ()
+        # A function's NIC usually sits behind one proxy, so a swept uplink
+        # group tends to contain the host groups touched with it: its values
+        # are then the whole answer, already in flow-id order.
+        largest = max(groups, key=len)
+        members = largest.keys()
+        for group in groups:
+            if group is not largest and not group.keys() <= members:
+                break
+        else:
+            return largest.values()
         merged: dict[int, Flow] = {}
         for group in groups:
             merged.update(group)
@@ -424,6 +499,8 @@ class FlowNetwork:
         linear between rate changes, so both remain exact.  Heap churn and
         settlement work stay proportional to the flows actually affected.
         """
+        self._dirty_hosts[host_id] = None
+        self._dirty_proxies[proxy_id] = None
         if self._defer:
             # A retire cascade is in progress: fold this transition into the
             # batched re-aim the outermost caller runs once the cascade ends.
@@ -431,50 +508,57 @@ class FlowNetwork:
             # transition would have assigned here are computed (no settle,
             # no heap traffic) so their tie-break sequence numbers can be
             # reserved at exactly the point eager pushes would consume them.
-            self._dirty_hosts[host_id] = None
-            self._dirty_proxies[proxy_id] = None
             self._reserve_pending()
             return
         profile = self.loop._profile
         if profile is not None:
             transition_started = perf_counter()  # repro: allow[D102] (profiling meter)
         now = self.loop.now
-        hosts: dict[str, None] = {host_id: None}
-        proxies: dict[str, None] = {proxy_id: None}
-        if self._dirty_hosts:
-            hosts.update(self._dirty_hosts)
-            self._dirty_hosts.clear()
-        if self._dirty_proxies:
-            proxies.update(self._dirty_proxies)
-            self._dirty_proxies.clear()
-        # Fair shares are group properties; compute each touched NIC's and
-        # uplink's share once per transition instead of once per flow.
-        host_shares: dict[str, float] = {}
-        proxy_shares: dict[str, float] = {}
-        for flow in self._affected_flows(hosts, proxies):
+        flows = self._affected_flows(commit=True)
+        self._dirty_hosts.clear()
+        self._dirty_proxies.clear()
+        pending = self._pending
+        by_proxy = self._by_proxy
+        bounds = self._uplink_bound
+        proxy_share = self.fabric.proxy_share
+        reaimed = 0
+        uplink = None
+        for flow in flows:
+            # Host-side cap: the function's bandwidth or its NIC's fair share
+            # (``HostNic.effective_bandwidth`` inlined: a live flow holds its
+            # NIC, so ``concurrent_flows >= 1``).
             nic = flow.nic
-            host_share = host_shares.get(nic.host_id)
-            if host_share is None:
-                host_share = nic.effective_bandwidth()
-                host_shares[nic.host_id] = host_share
-            proxy_share = proxy_shares.get(flow.proxy_id)
-            if proxy_share is None:
-                streams = len(self._by_proxy.get(flow.proxy_id, ()))
-                proxy_share = self.fabric.proxy_share(streams)
-                proxy_shares[flow.proxy_id] = proxy_share
-            rate = min(flow.function_bandwidth_bps, host_share, proxy_share)
-            entry = self._pending.pop(flow.flow_id, None) if self._pending else None
+            rate = flow.function_bandwidth_bps
+            host_share = nic.capacity_bps * nic.degradation_factor / nic.concurrent_flows
+            if host_share < rate:
+                rate = host_share
+            # The uplink's share is a group property: recomputed only when
+            # the uplink differs from the previous flow's.
+            if flow.proxy_id != uplink:
+                uplink = flow.proxy_id
+                share = proxy_share(len(by_proxy[uplink]))
+                bound = bounds.get(uplink, 0.0)
+            if rate > bound:
+                bound = bounds[uplink] = rate
+            if share < rate:
+                rate = share
+            entry = pending.pop(flow.flow_id, None) if pending else None
             if entry is None and flow._completion is not None and rate == flow.rate_bps:
                 continue
             self._settle_flow(flow, now)
             flow.rate_bps = rate
+            reaimed += 1
             self._aim(
                 flow,
-                now + flow.remaining / flow.rate_bps,
+                now + flow.remaining / rate,
                 entry[1] if entry is not None else None,
             )
+        self.flows_swept += len(flows)
+        self.flows_reaimed += reaimed
         if profile is not None:
             profile.arbiter_transitions += 1
+            profile.flows_swept += len(flows)
+            profile.flows_reaimed += reaimed
             profile.arbiter_s += perf_counter() - transition_started  # repro: allow[D102] (profiling meter)
 
     def _reserve_pending(self) -> None:
@@ -485,28 +569,31 @@ class FlowNetwork:
         affected flow would have been re-aimed at, and — for each flow
         whose rate actually changed — consumes the sequence number the
         eager cancel+push would have taken.  No settle, no heap traffic;
-        flow objects are untouched (``rate_bps`` must keep the pre-cascade
-        rate so the flush settles progress correctly).  Covering the
-        accumulated dirty groups is a superset of what the eager inner
-        transition would visit; the extra flows see an unchanged rate and
-        reserve nothing, so consumption order is identical.
+        flow objects and the per-uplink sweep state are untouched
+        (``rate_bps`` must keep the pre-cascade rate so the flush settles
+        progress correctly).  Covering the accumulated dirty groups is a
+        superset of what the eager inner transition would visit; the extra
+        flows see an unchanged rate and reserve nothing, so consumption
+        order is identical.
         """
         pending = self._pending
         reserve = self.loop.queue.reserve_sequence
-        host_shares: dict[str, float] = {}
-        proxy_shares: dict[str, float] = {}
-        for flow in self._affected_flows(self._dirty_hosts, self._dirty_proxies):
+        by_proxy = self._by_proxy
+        proxy_share = self.fabric.proxy_share
+        flows = self._affected_flows(commit=False)
+        uplink = None
+        for flow in flows:
+            # Same three-way minimum as the flush computes in `_transition`.
             nic = flow.nic
-            host_share = host_shares.get(nic.host_id)
-            if host_share is None:
-                host_share = nic.effective_bandwidth()
-                host_shares[nic.host_id] = host_share
-            proxy_share = proxy_shares.get(flow.proxy_id)
-            if proxy_share is None:
-                streams = len(self._by_proxy.get(flow.proxy_id, ()))
-                proxy_share = self.fabric.proxy_share(streams)
-                proxy_shares[flow.proxy_id] = proxy_share
-            rate = min(flow.function_bandwidth_bps, host_share, proxy_share)
+            rate = flow.function_bandwidth_bps
+            host_share = nic.capacity_bps * nic.degradation_factor / nic.concurrent_flows
+            if host_share < rate:
+                rate = host_share
+            if flow.proxy_id != uplink:
+                uplink = flow.proxy_id
+                share = proxy_share(len(by_proxy[uplink]))
+            if share < rate:
+                rate = share
             entry = pending.get(flow.flow_id)
             if entry is not None:
                 if rate == entry[0]:
@@ -514,6 +601,10 @@ class FlowNetwork:
             elif flow._completion is not None and rate == flow.rate_bps:
                 continue
             pending[flow.flow_id] = (rate, reserve())
+        self.flows_swept += len(flows)
+        profile = self.loop._profile
+        if profile is not None:
+            profile.flows_swept += len(flows)
 
     def _aim(self, flow: Flow, finish: float, sequence: Optional[int] = None) -> None:
         """(Re-)aim a flow's completion at ``finish``.
@@ -567,6 +658,8 @@ class FlowNetwork:
             proxy_group.pop(flow.flow_id, None)
             if not proxy_group:
                 del self._by_proxy[flow.proxy_id]
+                self._uplink_share.pop(flow.proxy_id, None)
+                self._uplink_bound.pop(flow.proxy_id, None)
         if self._pending:
             self._pending.pop(flow.flow_id, None)
         if flow._completion is not None:
@@ -628,9 +721,7 @@ class ReferenceFlowNetwork(FlowNetwork):
     baseline the perf harness measures the incremental arbiter against.
     """
 
-    def _affected_flows(
-        self, hosts: dict[str, None], proxies: dict[str, None]
-    ) -> list[Flow]:
+    def _affected_flows(self, commit: bool) -> Collection[Flow]:
         return list(self._active.values())
 
     def _aim(self, flow: Flow, finish: float, sequence: Optional[int] = None) -> None:

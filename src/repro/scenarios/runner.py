@@ -10,16 +10,20 @@ suite (``tests/test_scenarios_differential.py``) pins exactly that.
 Parallel mode uses the ``spawn`` start method (the only one that is safe
 with an imported simulation stack on every platform); the worker entry
 point :func:`_run_unit` is a top-level function and every payload/result a
-picklable dataclass.
+picklable dataclass.  The pool is a ``ProcessPoolExecutor``: when the workers
+cannot bootstrap it raises once, where ``multiprocessing.Pool`` respawns
+them forever, and the runner turns that into a :class:`SimulationError`.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.experiments.harness import ExperimentHarness
 from repro.scenarios.collectors import metric_digest, resolve_collectors
 from repro.scenarios.execute import execute_cell
@@ -181,9 +185,22 @@ class ScenarioRunner:
         if parallel == 1 or len(units) <= 1:
             results = [_run_unit(unit) for unit in units]
         else:
-            context = multiprocessing.get_context("spawn")
-            with context.Pool(processes=min(parallel, len(units))) as pool:
-                results = pool.map(_run_unit, units)
+            workers = min(parallel, len(units))
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("spawn"),
+                ) as executor:
+                    # About four chunks per worker, as ``Pool.map`` cuts them.
+                    chunksize = -(-len(units) // (workers * 4))
+                    results = list(executor.map(_run_unit, units, chunksize=chunksize))
+            except BrokenProcessPool as error:
+                raise SimulationError(
+                    f"scenario grid {self.grid.name!r}: the spawn workers died at "
+                    "start-up — each one re-imports the calling script, which fails "
+                    "when the script is fed on stdin or starts the grid outside an "
+                    "`if __name__ == \"__main__\":` guard; parallel=1 runs in-process"
+                ) from error
         results.sort(key=lambda r: (r.cell_index, r.replication))
         return GridResult(
             grid_name=self.grid.name,

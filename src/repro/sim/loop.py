@@ -66,6 +66,11 @@ class LoopProfile:
         self.coroutine_s = 0.0
         self.arbiter_transitions = 0
         self.arbiter_s = 0.0
+        #: Flows the arbiter's sweeps visited / re-aimed while profiling was
+        #: on (``FlowNetwork.flows_swept`` / ``flows_reaimed`` over the same
+        #: stretch); swept ÷ transitions is the arbiter's work per call.
+        self.flows_swept = 0
+        self.flows_reaimed = 0
 
     def note_scheduled(self, label: str) -> None:
         key = _label_key(label)
@@ -110,6 +115,8 @@ class LoopProfile:
                 "cancelled": sum(self.cancelled.values()),
                 "coroutine_steps": self.coroutine_steps,
                 "arbiter_transitions": self.arbiter_transitions,
+                "flows_swept": self.flows_swept,
+                "flows_reaimed": self.flows_reaimed,
             },
             "phases": {
                 "dispatch_s": self.dispatch_s,

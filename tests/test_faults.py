@@ -22,6 +22,7 @@ from repro.exceptions import ConfigurationError, InvocationFaultError
 from repro.experiments.chaos_availability import hardening_levels
 from repro.faas.billing import BILLING_CYCLE_SECONDS
 from repro.faults import (
+    BLACKHOLE_FACTOR,
     ChaosEngine,
     FaultSchedule,
     FaultWindow,
@@ -90,6 +91,55 @@ class TestFaultSpecs:
             StragglerInflation(at_s=0.0, duration_s=5.0, min_factor=4.0, max_factor=2.0)
         with pytest.raises(ConfigurationError):
             FaultSchedule(("not a fault",))
+
+    @pytest.mark.parametrize("windows", [
+        # The reproduced bug: the degradation's restore at t = 11 s wrote
+        # factor 1.0 over a blackhole that runs to t = 15 s.
+        (LinkDegradation(at_s=1, duration_s=10, host_fraction=1.0, factor=0.5),
+         LinkBlackhole(at_s=5, duration_s=10, host_fraction=1.0)),
+        (LinkBlackhole(at_s=5.0, duration_s=10.0), LinkBlackhole(at_s=0.0, duration_s=5.0)),
+        (InvocationFaults(at_s=0.0, duration_s=30.0), InvocationFaults(at_s=10.0, duration_s=5.0)),
+        (StragglerInflation(at_s=2.0, duration_s=4.0), StragglerInflation(at_s=6.0, duration_s=4.0)),
+    ], ids=["degradation-over-blackhole", "links-touch", "invocation-nested", "stragglers-touch"])
+    def test_windows_over_the_same_state_may_not_overlap_or_touch(self, windows):
+        with pytest.raises(ConfigurationError) as raised:
+            FaultSchedule(windows)
+        # Both windows are named, in activation order.
+        first, second = sorted(windows, key=lambda fault: fault.at_s)
+        assert str(raised.value).index(str(first)) < str(raised.value).index(str(second))
+
+    def test_windows_with_a_gap_or_over_different_state_are_accepted(self):
+        schedule = FaultSchedule((
+            LinkDegradation(at_s=1.0, duration_s=10.0, factor=0.5),
+            LinkBlackhole(at_s=11.5, duration_s=10.0),
+            # Different state: free to overlap the link windows and each other.
+            InvocationFaults(at_s=5.0, duration_s=10.0),
+            StragglerInflation(at_s=5.0, duration_s=10.0),
+            InvocationFaults(at_s=15.5, duration_s=1.0),
+            ProxyCrash(at_s=5.0, down_s=10.0),
+            ReclamationStorm(at_s=5.0),
+        ))
+        assert len(schedule) == 7
+
+    def test_link_windows_with_a_gap_each_restore_their_own_hosts(self):
+        deployment = InfiniCacheDeployment(demo_config())
+        ChaosEngine(deployment, FaultSchedule((
+            LinkDegradation(at_s=1.0, duration_s=4.0, host_fraction=1.0, factor=0.5),
+            LinkBlackhole(at_s=6.0, duration_s=4.0, host_fraction=1.0),
+        ))).install()
+        deployment.start()
+        for proxy in deployment.proxies:  # functions, and so VM hosts, exist
+            proxy.warm_up_pool(0.0)
+        nics = deployment.transfer_model.fabric.hosts
+
+        def factors(at_s):
+            deployment.simulator.run_until(at_s)
+            return {nic.degradation_factor for nic in nics.values()}
+
+        assert factors(3.0) == {0.5}
+        assert factors(5.5) == {1.0}
+        assert factors(8.0) == {BLACKHOLE_FACTOR}
+        assert factors(11.0) == {1.0}
 
 
 # --------------------------------------------------------------------------- engine determinism

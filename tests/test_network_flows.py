@@ -203,53 +203,145 @@ class TestTraceIntrospection:
 
 
 # ---------------------------------------------------------------------- incremental arbiter
-def _random_schedule(seed: int, operations: int = 120):
+#: Uplink capacities (MB/s) for the differential: never binding, binding
+#: for the fast functions only, crossing with the occupancy, always binding.
+UPLINKS_MB = (10_000, 400, 150, 60)
+
+#: Function-bandwidth mixes (MB/s).  ``late-fast`` is the slow mix plus one
+#: 1 000 MB/s function that joins at t = 1.5 s, after the bound has settled.
+FUNCTION_CAPS_MB = {"slow": (40, 80), "mixed": (40, 80, 1_000), "late-fast": (40, 80)}
+
+
+def _random_schedule(seed: int, caps: str = "mixed", stripes: bool = False,
+                     flips: bool = False, operations: int = 120):
     """A reproducible join/leave/abandon schedule over shared NICs/uplinks.
 
-    Returns ``(time, kind, params)`` records: ``start`` entries open a
-    transfer at a staggered timestamp; ``abandon`` entries cancel a started
-    transfer some time later (a no-op if it already completed, which both
-    arbiters must agree on).
+    Returns time-sorted ``(time, kind, payload)`` records:
+
+    * ``start`` opens a transfer at a staggered timestamp — or, with
+      ``stripes``, three equal-size siblings on one uplink plus the
+      parameters of the follow-up transfers their first-2-of-3 gate starts,
+      before or after it cancels the loser;
+    * ``abandon`` cancels a started transfer some time later (a no-op if it
+      already completed, which both arbiters must agree on);
+    * ``flip`` (with ``flips``) sets a host NIC's ``degradation_factor``
+      and re-arbitrates it, as the chaos engine does at a window edge.
     """
     rng = random.Random(seed)
-    schedule = []
-    for index in range(operations):
-        start_at = round(rng.uniform(0.0, 3.0), 6)
-        params = dict(
+
+    def params(label: str, **fixed):
+        drawn = dict(
             size_bytes=rng.choice([1, 4, 10, 25]) * MB,
-            function_bandwidth_bps=rng.choice([40, 80, 1_000]) * MB,
+            function_bandwidth_bps=rng.choice(FUNCTION_CAPS_MB[caps]) * MB,
             host_id=f"h{rng.randrange(6)}",
             host_capacity_bps=100 * MB,
             proxy_id=f"p{rng.randrange(3)}",
-            label=f"op-{index}",
+            label=label,
         )
-        schedule.append((start_at, "start", params))
+        drawn.update(fixed)
+        return drawn
+
+    schedule = []
+    for index in range(operations):
+        start_at = round(rng.uniform(0.0, 3.0), 6)
+        first = params(f"op-{index}")
+        if stripes:
+            shared = dict(size_bytes=first["size_bytes"], proxy_id=first["proxy_id"])
+            payload = {
+                "chunks": [first] + [
+                    params(f"op-{index}/{sibling}", **shared) for sibling in (1, 2)
+                ],
+                # One or two follow-ups, on the stripe's uplink or anywhere,
+                # started after the loser is cancelled or before: occupancy
+                # falls then rises, or rises above where it was and falls
+                # back (an uplink can then bind mid-cascade and at neither
+                # end of it).
+                "follow_ups": [
+                    params(f"op-{index}/next-{n}", **rng.choice([{}, shared]))
+                    for n in range(rng.choice([1, 2]))
+                ],
+                "follow_ups_first": rng.random() < 0.5,
+            }
+        else:
+            payload = first
+        schedule.append((start_at, "start", payload))
         if rng.random() < 0.35:
             schedule.append((round(start_at + rng.uniform(0.01, 1.0), 6), "abandon", f"op-{index}"))
+    if caps == "late-fast":
+        schedule.append((1.5, "start", params("late-fast", function_bandwidth_bps=1_000 * MB)))
+    if flips:
+        for _ in range(12):
+            schedule.append((
+                round(rng.uniform(0.2, 3.5), 6), "flip",
+                (f"h{rng.randrange(6)}", rng.choice([0.2, 0.5, 1.0])),
+            ))
     schedule.sort(key=lambda item: (item[0], item[1] == "start"))
     return schedule
 
 
-def _drive(network_cls, seed: int):
+def _drive(network_cls, seed: int, uplink_mb: float = 400, **schedule_kwargs):
     loop = EventLoop()
-    net = network_cls(loop, NetworkFabric(proxy_uplink_bps=400 * MB))
+    net = network_cls(loop, NetworkFabric(proxy_uplink_bps=uplink_mb * MB))
     flows: dict[str, object] = {}
 
     def start(params):
-        flows[params["label"]] = net.transfer(**params)
+        flow = flows[params["label"]] = net.transfer(**params)
+        return flow
+
+    def start_stripe(stripe):
+        siblings = [start(params) for params in stripe["chunks"]]
+
+        def settle(_gate):
+            # Runs inside the winning flow's ``future.resolve``: the losers
+            # are cancelled and the next transfer starts mid-cascade.
+            if stripe["follow_ups_first"]:
+                for params in stripe["follow_ups"]:
+                    start(params)
+            for flow in siblings:
+                if not flow.future.done:
+                    net.cancel(flow)
+            if not stripe["follow_ups_first"]:
+                for params in stripe["follow_ups"]:
+                    start(params)
+
+        first_n(2, [flow.future for flow in siblings]).add_done_callback(settle)
 
     def abandon(label):
         flow = flows.get(label)
         if flow is not None:
             net.cancel(flow)
 
-    for time, kind, payload in _random_schedule(seed):
-        if kind == "start":
-            loop.schedule_at(time, lambda p=payload: start(p), label="diff.start")
-        else:
+    def flip(host_id, factor):
+        net.fabric.host(host_id, 100 * MB).degradation_factor = factor
+        net.reassess_host(host_id)
+
+    for time, kind, payload in _random_schedule(seed, **schedule_kwargs):
+        if kind == "flip":
+            loop.schedule_at(time, lambda p=payload: flip(*p), label="diff.flip")
+        elif kind == "abandon":
             loop.schedule_at(time, lambda l=payload: abandon(l), label="diff.abandon")
+        elif "chunks" in payload:
+            loop.schedule_at(time, lambda p=payload: start_stripe(p), label="diff.stripe")
+        else:
+            loop.schedule_at(time, lambda p=payload: start(p), label="diff.start")
     loop.run_all()
     return net, loop
+
+
+def _assert_same_simulation(network, net_loop, reference, ref_loop):
+    # Byte-for-byte: every retired interval (timestamps, byte counts,
+    # completion flags) and the retirement order itself must match.
+    assert network.trace == reference.trace
+    assert network.max_concurrent() == reference.max_concurrent()
+    assert network.flow_stats() == reference.flow_stats()
+    # Virtual time is identical; the *dispatch* counts may differ (the
+    # lazy completion timers add cheap early firings that re-arm, while
+    # the eager reference cancels and reschedules instead) — but the
+    # lazy idiom must never cancel more events than the eager one.
+    assert net_loop.now == ref_loop.now
+    assert (
+        net_loop.queue.stats()["cancelled"] <= ref_loop.queue.stats()["cancelled"]
+    )
 
 
 class TestIncrementalMatchesReference:
@@ -260,26 +352,199 @@ class TestIncrementalMatchesReference:
     def test_differential_random_schedules(self, network_cls, seed):
         network, net_loop = _drive(network_cls, seed)
         reference, ref_loop = _drive(ReferenceFlowNetwork, seed)
-        # Byte-for-byte: every retired interval (timestamps, byte counts,
-        # completion flags) and the retirement order itself must match.
-        assert network.trace == reference.trace
-        assert network.max_concurrent() == reference.max_concurrent()
-        assert network.flow_stats() == reference.flow_stats()
-        # Virtual time is identical; the *dispatch* counts may differ (the
-        # lazy completion timers add cheap early firings that re-arm, while
-        # the eager reference cancels and reschedules instead) — but the
-        # lazy idiom must never cancel more events than the eager one.
-        assert net_loop.now == ref_loop.now
-        assert (
-            net_loop.queue.stats()["cancelled"] <= ref_loop.queue.stats()["cancelled"]
-        )
+        _assert_same_simulation(network, net_loop, reference, ref_loop)
+
+    @pytest.mark.parametrize("flips", [False, True], ids=["steady-nics", "nic-flips"])
+    @pytest.mark.parametrize("stripes", [False, True], ids=["single", "first-2-of-3"])
+    @pytest.mark.parametrize("caps", list(FUNCTION_CAPS_MB))
+    @pytest.mark.parametrize("uplink_mb", UPLINKS_MB)
+    @pytest.mark.parametrize("seed", [3, 11, 2020])
+    def test_differential_across_binding_regimes(self, seed, uplink_mb, caps, stripes, flips):
+        """The 400 MB/s uplink against a 1 000 MB/s function cap above keeps
+        every uplink binding, so nothing there is ever left out of a sweep;
+        here the uplink never binds, binds for some members only, crosses
+        with the occupancy and always binds, with cascades that cancel and
+        start transfers inside a resolve and with NIC capacity flips."""
+        kwargs = dict(uplink_mb=uplink_mb, caps=caps, stripes=stripes, flips=flips,
+                      operations=60)
+        network, net_loop = _drive(FlowNetwork, seed, **kwargs)
+        reference, ref_loop = _drive(ReferenceFlowNetwork, seed, **kwargs)
+        _assert_same_simulation(network, net_loop, reference, ref_loop)
+        # Same simulation, same re-aims, same consumed sequence numbers —
+        # from a subset of the visits.
+        assert network.flows_reaimed == reference.flows_reaimed
+        assert net_loop.queue.reserve_sequence() == ref_loop.queue.reserve_sequence()
+        assert network.flows_swept < reference.flows_swept
 
     def test_groups_empty_after_drain(self):
-        net, _loop = _drive(FlowNetwork, seed=3)
+        net, _loop = _drive(FlowNetwork, seed=3, uplink_mb=150, stripes=True, flips=True)
         assert net.active_count == 0
         assert net._by_host == {}
         assert net._by_proxy == {}
+        assert net._uplink_share == {}
+        assert net._uplink_bound == {}
+        assert net._pending == {}
         assert all(nic.concurrent_flows == 0 for nic in net.fabric.hosts.values())
+
+
+class TestUplinkBindTest:
+    """Hand-built boundaries of the O(1) test in front of the uplink sweep.
+
+    Every flow gets a NIC of its own with capacity to spare, so its
+    host-side cap is its function bandwidth and the 300 MB/s uplink's share
+    (150, 100, 75 MB/s at 2, 3, 4 streams) is the only thing that moves.
+    """
+
+    @staticmethod
+    def _start(net, host: str, fn_mb: float = 100, size_mb: float = 100):
+        return start(net, size=size_mb * MB, host=host, cap=1_000 * MB,
+                     fn_cap=fn_mb * MB, label=host)
+
+    @staticmethod
+    def _swept_by(net, action):
+        before = net.flows_swept
+        result = action()
+        return result, net.flows_swept - before
+
+    def test_bound_equal_to_the_share_is_not_swept(self):
+        _loop, net = make_network(proxy_uplink_bps=300 * MB)
+        a, b = self._start(net, "h0"), self._start(net, "h1")
+        # Third stream: the share falls to exactly the bound; min(cap, share)
+        # is still the cap, so only the newcomer (through its NIC) is visited.
+        c, swept = self._swept_by(net, lambda: self._start(net, "h2"))
+        assert swept == 1
+        assert net._uplink_bound["p0"] == net._uplink_share["p0"] == 100 * MB
+        assert [flow.rate_bps for flow in (a, b, c)] == [100 * MB] * 3
+        # Fourth stream: 75 MB/s binds everyone, the group is swept in full.
+        d, swept = self._swept_by(net, lambda: self._start(net, "h3"))
+        assert swept == 4
+        assert [flow.rate_bps for flow in (a, b, c, d)] == [75 * MB] * 4
+
+    def test_faster_function_joining_a_skipped_group(self):
+        _loop, net = make_network(proxy_uplink_bps=300 * MB)
+        a, b = self._start(net, "h0"), self._start(net, "h1")
+        fast, swept = self._swept_by(net, lambda: self._start(net, "h2", fn_mb=1_000))
+        # The group was judged on its old bound and left out; the newcomer
+        # was rated through its NIC and raised the bound on the way.
+        assert swept == 1
+        assert fast.rate_bps == 100 * MB
+        assert net._uplink_bound["p0"] == 1_000 * MB
+        # So the next leave sweeps the group and the fast flow speeds up.
+        _, swept = self._swept_by(net, lambda: net.cancel(a))
+        assert swept == 2
+        assert fast.rate_bps == 150 * MB
+        assert b.rate_bps == 100 * MB
+
+    def test_full_sweep_resets_the_bound_to_the_exact_maximum(self):
+        _loop, net = make_network(proxy_uplink_bps=300 * MB)
+        fast = self._start(net, "h0", fn_mb=1_000)
+        self._start(net, "h1")
+        self._start(net, "h2")
+        assert net._uplink_bound["p0"] == 1_000 * MB
+        net.cancel(fast)  # bound 1 000 > share: swept in full, without `fast`
+        assert net._uplink_bound["p0"] == 100 * MB
+        _, swept = self._swept_by(net, lambda: self._start(net, "h3"))
+        assert swept == 1  # 100 MB/s share against a 100 MB/s bound again
+
+    def test_group_that_empties_and_refills_starts_from_no_state(self):
+        loop, net = make_network(proxy_uplink_bps=300 * MB)
+        net.cancel(self._start(net, "h0", fn_mb=1_000))
+        assert net._uplink_share == {} and net._uplink_bound == {}
+        self._start(net, "h1", fn_mb=50)
+        assert net._uplink_bound == {"p0": 50 * MB}
+        assert net._uplink_share == {"p0": 300 * MB}
+        loop.run_all()
+        assert net._uplink_share == {} and net._uplink_bound == {}
+
+    @pytest.mark.parametrize("falls_back", [False, True],
+                             ids=["still-binding-at-flush", "binds-mid-cascade-only"])
+    def test_uplink_crossing_inside_one_deferred_cascade(self, falls_back):
+        """Three streams share 100 MB/s each (not binding).  The first one's
+        completion starts two more inside its resolve: 75 MB/s binds, so
+        the deferred reservation sweeps the group and reserves sequence
+        numbers for the two survivors.  Either the flush still finds the
+        uplink binding, or the two newcomers are cancelled again before it
+        and the group looks untouched at both ends — the survivors are then
+        visited only because they hold a reservation, and must be re-aimed
+        under the number a second eager re-aim would have consumed."""
+
+        def drive(network_cls):
+            loop = EventLoop()
+            net = network_cls(loop, NetworkFabric(proxy_uplink_bps=300 * MB))
+            first = self._start(net, "h0", size_mb=10)
+            survivors = [self._start(net, "h1"), self._start(net, "h2")]
+            seen = {}
+
+            def cascade(_future):
+                late = [self._start(net, "h3"), self._start(net, "h4")]
+                seen["reserved"] = sorted(net._pending)
+                if falls_back:
+                    for flow in late:
+                        net.cancel(flow)
+
+            first.future.add_done_callback(cascade)
+            loop.run_until(0.1)  # `first` completes at t = 0.1 s
+            seen["rates"] = [flow.rate_bps for flow in survivors]
+            seen["pending_after_flush"] = dict(net._pending)
+            loop.run_all()
+            return net, loop, seen
+
+        net, net_loop, seen = drive(FlowNetwork)
+        reference, ref_loop, ref_seen = drive(ReferenceFlowNetwork)
+        # Survivors (ids 1, 2) and both newcomers held reservations mid-cascade.
+        assert seen["reserved"] == ref_seen["reserved"] == [1, 2, 3, 4]
+        assert seen["pending_after_flush"] == {}
+        assert seen["rates"] == ref_seen["rates"] == [
+            (100 if falls_back else 75) * MB  # their own cap again, or the share
+        ] * 2
+        _assert_same_simulation(net, net_loop, reference, ref_loop)
+        assert net.flows_reaimed == reference.flows_reaimed
+        assert net_loop.queue.reserve_sequence() == ref_loop.queue.reserve_sequence()
+
+    def test_reserved_flows_are_swept_in_flow_id_order(self):
+        """Reservations are keyed in the order they were made, sequence
+        numbers are consumed in the order flows are swept.  Here flow 3 is
+        reserved before flow 1, the uplink stays out of every sweep, and the
+        last step of the cascade visits reserved flows only: both speed up
+        again, to the same finish time, and flow 1 must get the smaller
+        number as under the reference — the trace order depends on it."""
+
+        def drive(network_cls):
+            loop = EventLoop()
+            net = network_cls(loop, NetworkFabric(proxy_uplink_bps=300 * MB))
+
+            def flow(host, size_mb=60.0, fn_mb=1_000):
+                return start(net, size=size_mb * MB, host=host, cap=60 * MB,
+                             fn_cap=fn_mb * MB, label=host)
+
+            first = flow("hx", size_mb=3, fn_mb=30)
+            low, low_neighbour = flow("ha"), flow("ha")
+            high, high_neighbour = flow("hb"), flow("hb")
+            seen = {}
+
+            def cascade(_future):
+                net.cancel(high_neighbour)  # flow 3 alone on its NIC: reserved
+                net.cancel(low_neighbour)   # then flow 1
+                seen["reserved"] = list(net._pending)
+                # Four slow newcomers take the share from 150 to 50 MB/s, under
+                # the two fast flows' 60; the last one leaving lifts it back.
+                late = [flow(f"h{n}", size_mb=100, fn_mb=30) for n in range(4)]
+                net.cancel(late[-1])
+
+            first.future.add_done_callback(cascade)
+            loop.run_all()
+            assert low.future.done and high.future.done
+            return net, loop, seen
+
+        net, net_loop, seen = drive(FlowNetwork)
+        reference, ref_loop, ref_seen = drive(ReferenceFlowNetwork)
+        assert seen["reserved"] == ref_seen["reserved"] == [3, 1]
+        finished = [i.flow_id for i in net.trace if i.completed and i.flow_id in (1, 3)]
+        assert finished == [1, 3]
+        [finish] = {i.ended_at for i in net.trace if i.flow_id in (1, 3)}
+        assert finish == pytest.approx(1.05)
+        _assert_same_simulation(net, net_loop, reference, ref_loop)
+        assert net_loop.queue.reserve_sequence() == ref_loop.queue.reserve_sequence()
 
 
 class TestRunningPeak:

@@ -31,6 +31,10 @@ class TestMicroBenchmarks:
         reference = perf.micro_flow_churn(flows=150, arbiter="reference")
         assert incremental.events == reference.events
         assert incremental.extra["peak_active_flows"] == reference.extra["peak_active_flows"]
+        # ... and on what had to change, from a fraction of the visits: the
+        # churn geometry's 2 000 MB/s uplinks never bind its 80 MB/s flows.
+        assert incremental.extra["flows_reaimed"] == reference.extra["flows_reaimed"]
+        assert 0 < incremental.extra["flows_swept"] < reference.extra["flows_swept"] / 4
 
     def test_erasure_micro_reports_three_rates_and_renders(self):
         sample = perf.micro_erasure()
@@ -59,6 +63,11 @@ class TestMacroAndComparison:
         sample = perf.macro_closed_loop(64)
         assert sample.events == 5862
         assert sample.extra["peak_active_flows"] == 384
+        # The arbiter's work for it, exact per seed: before uplink groups
+        # that cannot bind were left out, 84 648 visits bought the same
+        # 12 248 re-aims.
+        assert sample.extra["flows_swept"] == 33213
+        assert sample.extra["flows_reaimed"] == 12248
         assert sample.extra["fingerprint"] == (
             "f77e93cfc09199aabdbb780ae20c17f62b5ab96ce64e57bab7e49679b8895985"
         )
@@ -138,6 +147,12 @@ class TestProfileSection:
         text = perf.format_report(payload)
         assert "Event-loop profile at 4 clients" in text
         assert "Hottest callback labels" in text
+        counts = payload["profile"]["counts"]
+        assert counts["flows_swept"] >= counts["flows_reaimed"] > 0
+        # The profiled replay is the 4-client macro rung again.
+        assert counts["flows_swept"] == payload["macro"][0]["flows_swept"]
+        assert f"swept {counts['flows_swept']} flows" in text
+        assert "per transition" in text
 
 
 class TestCliFingerprintGate:
@@ -223,6 +238,26 @@ class TestRegressionGuard:
 
     def test_improvements_never_fail(self):
         assert perf.check_regression(self._payload(500.0), self._payload(100.0)) == []
+
+    def _swept(self, swept: int | None, clients: int = 64) -> dict:
+        payload = self._payload(100.0, clients=clients)
+        if swept is not None:
+            payload["macro"][0]["flows_swept"] = swept
+        return payload
+
+    def test_one_more_flow_swept_fails_on_any_shared_rung(self):
+        # Exact per seed, so no tolerance and no min_clients exemption.
+        errors = perf.check_regression(self._swept(1001), self._swept(1000))
+        assert len(errors) == 1
+        assert "macro.closed_loop[64]" in errors[0] and "1001" in errors[0]
+        assert perf.check_regression(self._swept(1000), self._swept(1000)) == []
+        assert perf.check_regression(self._swept(999), self._swept(1000)) == []
+
+    def test_swept_gate_needs_the_count_on_the_committed_side(self):
+        assert perf.check_regression(self._swept(1001), self._swept(None)) == []
+        assert perf.check_regression(
+            self._swept(1001, clients=64), self._swept(1000, clients=256)
+        ) == []
 
 
 class TestCliRegressionGate:

@@ -10,6 +10,11 @@ replications) both ways and diff everything.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.scenarios.library import get_grid
@@ -59,3 +64,27 @@ class TestSerialVsParallel:
         serial, _parallel = smoke_runs
         other = ScenarioRunner(get_grid("smoke"), seed=2021).run(parallel=1)
         assert other.fingerprints() != serial.fingerprints()
+
+
+def test_workers_that_cannot_bootstrap_fail_the_run_instead_of_hanging():
+    """A script fed on stdin has no path for a spawned child to re-import, so
+    every worker dies in its bootstrap.  ``multiprocessing.Pool`` respawned
+    them forever; the run must end, non-zero, saying what to do instead."""
+    script = (
+        "from repro.scenarios import run_grid\n"
+        "from repro.scenarios.library import get_grid\n"
+        "run_grid(get_grid('smoke'), 2020, parallel=2)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-"],
+        input=script,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode != 0
+    assert "SimulationError" in result.stderr
+    assert "workers died at start-up" in result.stderr
+    assert "parallel=1 runs in-process" in result.stderr
