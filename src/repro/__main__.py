@@ -70,7 +70,16 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.exceptions import ConfigurationError, WorkloadError
 from repro.experiments.runner import main as runner_main
+
+
+def _positive_int(text: str) -> int:
+    """``argparse`` type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cluster_demo(argv: list[str]) -> int:
@@ -141,11 +150,11 @@ def _smoke_fleet_parser(prog: str, description: str) -> argparse.ArgumentParser:
     """The arguments ``sim-smoke`` and ``trace`` share: fleet size and seed."""
     parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
-        "--clients", type=int, default=16, metavar="N",
+        "--clients", type=_positive_int, default=16, metavar="N",
         help="concurrent closed-loop clients (default: 16)",
     )
     parser.add_argument(
-        "--requests", type=int, default=4, metavar="N",
+        "--requests", type=_positive_int, default=4, metavar="N",
         help="requests per client (default: 4)",
     )
     parser.add_argument(
@@ -391,8 +400,9 @@ def _perf(argv: list[str]) -> int:
         "--regression-baseline", default=None, metavar="PATH",
         help="committed BENCH_perf.json to guard against: exit non-zero if "
         "any macro rung present in both runs lost more than the threshold "
-        "of its committed events/s or swept more flows than committed (read "
-        "before --output is written, so the same path can serve as both)",
+        "of its committed events/s or swept or re-aimed more flows than "
+        "committed (read before --output is written, so the same path can "
+        "serve as both)",
     )
     parser.add_argument(
         "--regression-threshold", type=float, default=0.30, metavar="FRACTION",
@@ -419,8 +429,11 @@ def _perf(argv: list[str]) -> int:
         parser.error("--regression-min-clients must be non-negative")
     baseline = None
     if args.regression_baseline is not None:
-        with open(args.regression_baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
+        try:
+            with open(args.regression_baseline, "r", encoding="utf-8") as handle:
+                baseline = json.load(handle)
+        except (OSError, ValueError) as error:
+            parser.error(f"cannot read --regression-baseline: {error}")
     payload = perf.run_suite(
         client_counts=tuple(args.clients) if args.clients else None,
         compare_clients=args.compare_clients,
@@ -458,10 +471,7 @@ def _perf(argv: list[str]) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Dispatch to a cluster subcommand or the experiment runner."""
-    if argv is None:
-        argv = sys.argv[1:]
+def _dispatch(argv: list[str]) -> int:
     if argv and argv[0] == "cluster-demo":
         return _cluster_demo(argv[1:])
     if argv and argv[0] == "chargeback":
@@ -483,6 +493,16 @@ def main(argv: list[str] | None = None) -> int:
 
         return lint_main(argv[1:])
     return runner_main(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Dispatch to a subcommand or the experiment runner; arguments it cannot
+    run with end in one ``error:`` line and status 2 (1 is a failed gate)."""
+    try:
+        return _dispatch(sys.argv[1:] if argv is None else argv)
+    except (ConfigurationError, WorkloadError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -172,7 +172,6 @@ class Proxy:
         self._retry_rng = rng.child("retry")
         self.nodes: list[LambdaCacheNode] = []
         self._nodes_by_id: dict[str, LambdaCacheNode] = {}
-        self._nodes_by_function: dict[str, LambdaCacheNode] = {}
         #: Monotonic node-name counter; decommissioned names are never reused
         #: because the platform's function registry is append-only.
         self._next_node_index = 0
@@ -204,7 +203,6 @@ class Proxy:
         self._next_node_index += 1
         self.nodes.append(node)
         self._nodes_by_id[node.node_id] = node
-        self._nodes_by_function[node.node_id] = node
         return node
 
     def __repr__(self) -> str:
@@ -251,7 +249,8 @@ class Proxy:
 
     # ------------------------------------------------------------------ reclaim handling
     def _handle_reclaim(self, instance) -> None:
-        node = self._nodes_by_function.get(instance.function_name)
+        # A node's function is registered under its ``node_id``.
+        node = self._nodes_by_id.get(instance.function_name)
         if node is not None:
             node.on_instance_reclaimed(instance)
 
@@ -333,7 +332,6 @@ class Proxy:
         node = self.node(node_id)
         self.nodes.remove(node)
         self._nodes_by_id.pop(node_id)
-        self._nodes_by_function.pop(node_id)
         moved, dropped = self._drain_chunks(node, now)
         for instance in (node.primary, node.backup_peer):
             if instance is not None and instance.is_alive:

@@ -431,9 +431,10 @@ def check_regression(
     interpreter warm-up alone and would make the gate flake.  Micro timings
     and wall-clocks are too noisy to gate on and are ignored.
 
-    ``flows_swept`` is gated on every shared rung, with no tolerance: the
-    count is exact per seed, so a rung that sweeps more flows than the
-    committed payload says is a code change, never noise.
+    ``flows_swept`` and ``flows_reaimed`` are gated on every shared rung,
+    with no tolerance: the counts are exact per seed, so a rung that sweeps
+    or re-aims more flows than the committed payload says is a code change,
+    never noise.
     """
     errors: list[str] = []
     committed = {
@@ -445,15 +446,16 @@ def check_regression(
         reference = committed.get(sample.get("clients"))
         if reference is None:
             continue
-        # A baseline written before the counter existed gates nothing.
-        committed_swept = reference.get("flows_swept")
-        fresh_swept = sample.get("flows_swept", 0)
-        if committed_swept is not None and fresh_swept > committed_swept:
-            errors.append(
-                f"macro.closed_loop[{sample['clients']}] arbiter work regressed: "
-                f"{fresh_swept} flows swept, the committed payload has "
-                f"{committed_swept} (the count is exact per seed)"
-            )
+        for counter, verb in (("flows_swept", "swept"), ("flows_reaimed", "re-aimed")):
+            # A baseline written before the counter existed gates nothing.
+            committed_count = reference.get(counter)
+            fresh_count = sample.get(counter, 0)
+            if committed_count is not None and fresh_count > committed_count:
+                errors.append(
+                    f"macro.closed_loop[{sample['clients']}] arbiter work regressed: "
+                    f"{fresh_count} flows {verb}, the committed payload has "
+                    f"{committed_count} (the count is exact per seed)"
+                )
         if (sample.get("clients") or 0) < min_clients:
             continue
         committed_rate = reference.get("events_per_s", 0.0)

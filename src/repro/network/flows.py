@@ -17,27 +17,27 @@ The two shared caps depend only on *how many* flows currently occupy that
 NIC or that uplink, so a flow start/finish/abandon can change the rate of
 exactly two **bottleneck groups**: the flows on the touched host NIC and
 the flows on the touched proxy uplink.  The arbiter therefore indexes
-active flows by NIC and by uplink and, on each transition,
+active flows by NIC and by uplink, and every flow start, completion and
+abandonment runs one transition, at once, that
 
-1. **selects** the flows to visit: the touched host-NIC group always, the
-   touched uplink group only when it can bind — two floats per uplink (the
-   per-stream share its members were last rated at, and an upper bound on
-   their host-side cap ``min(function bandwidth, NIC share)``) decide that
-   in O(1): with ``bound <= min(share before, share now)`` every member's
-   rate is its host-side cap on both sides of the transition, so none of
-   them can change and the group is left out of the sweep,
+1. **selects** the flows to visit from the groups dirty at that moment (the
+   touched pair, plus any a retirement released just before resolving the
+   future this call runs inside): a host-NIC group always, an uplink group
+   only when an O(1) test on two floats kept per uplink says its share can
+   bind a member (:meth:`FlowNetwork._affected_flows` has the argument),
 2. **recomputes** the three-way minimum for the selected flows,
 3. **settles** the progress of those whose rate actually changes (progress
    between rate changes is linear, so settlement is lazy — a flow is only
    brought up to date when its rate flips or it retires), and
 4. **re-aims** completion events only for those flows.
 
-This makes a transition O(host group) while the uplink does not bind and
-O(uplink group) while it does, instead of O(total active flows), which is
-what lets the closed-loop drivers scale to thousand-client fleets (see
-``docs/performance.md``).  :class:`ReferenceFlowNetwork` keeps the original
-global-recompute sweep — with identical numeric semantics — as the
-differential-testing and perf-baseline reference.
+A first-d-of-n completion is thus a few small sweeps at one instant, not
+one batched sweep (measured and removed, see ``docs/performance.md``).  A
+transition is O(host group) while the uplink does not bind and O(uplink
+group) while it does, not O(total active flows), which lets the closed-loop
+drivers scale to thousand-client fleets.  :class:`ReferenceFlowNetwork`
+keeps the original global-recompute sweep — with identical numeric
+semantics — as the differential-testing and perf-baseline reference.
 
 Host-NIC sharing uses the same :class:`~repro.network.topology.HostNic`
 registry as the static model — ``acquire``/``release`` still track live
@@ -209,9 +209,8 @@ class FlowNetwork:
         #: start or cancel other transfers — those nested transitions must
         #: also repair the still-dirty groups, or flows in them would be
         #: re-aimed later than under the global-recompute reference (same
-        #: rates, different event order at equal timestamps).  Kept as
-        #: insertion-ordered dicts (not sets) so nothing downstream can ever
-        #: observe hash order (lint rule D103).
+        #: rates, different event order at equal timestamps).  Insertion-
+        #: ordered dicts, not sets: hash order is never observable (D103).
         self._dirty_hosts: dict[str, None] = {}
         self._dirty_proxies: dict[str, None] = {}
         #: Per-uplink sweep state, two floats per live ``_by_proxy`` group
@@ -223,25 +222,6 @@ class FlowNetwork:
         #: :meth:`_affected_flows` leaves it out of the sweep.
         self._uplink_share: dict[str, float] = {}
         self._uplink_bound: dict[str, float] = {}
-        #: Transition-coalescing depth.  While positive (inside a retire
-        #: cascade — a completion resolving its future, which can cancel
-        #: straggler siblings and start follow-up transfers synchronously),
-        #: ``_transition`` only records the touched groups as dirty; the
-        #: outermost caller runs one batched re-aim for the whole cascade.
-        #: First-d-of-n fan-in retires d flows and cancels n-d stragglers on
-        #: the same uplink in one event, so this folds up to n transitions
-        #: into one without changing any settled byte count or finish time.
-        self._defer = 0
-        #: Rates (and heap tie-break sequence numbers) reserved during a
-        #: deferred cascade, by flow id.  Each entry records the rate an
-        #: eager inner transition would have re-aimed the flow at and the
-        #: sequence number that re-aim's heap push would have consumed;
-        #: the flush transition pushes the real completion entries under
-        #: these reserved numbers, so every ``(time, sequence)`` heap key
-        #: — and therefore all same-timestamp dispatch ordering (which
-        #: decides first-d-of-n quorum losers) — is bitwise identical to
-        #: the uncoalesced schedule.
-        self._pending: dict[int, tuple[float, int]] = {}
         #: Optional :class:`~repro.obs.tracer.SpanTracer`; when attached,
         #: every retired flow is recorded as a ``net.flow`` span parented to
         #: the chunk transfer it served (see ``Flow.parent_span``).
@@ -258,10 +238,9 @@ class FlowNetwork:
         self.abandoned_flows = 0
         self.bytes_completed = 0.0
         self.bytes_abandoned = 0.0
-        #: Arbiter work as exact per-seed counts: flows visited by a sweep
-        #: (transitions and deferred reservations alike) and flows whose
-        #: completion was re-aimed.  Not part of :meth:`flow_stats` — the
-        #: two arbiters agree on the simulation, not on the work it took.
+        #: Arbiter work, exact per seed: flows visited by a sweep and flows
+        #: whose completion was re-aimed.  Not part of :meth:`flow_stats` —
+        #: the two arbiters agree on the simulation, not on the work it took.
         self.flows_swept = 0
         self.flows_reaimed = 0
 
@@ -389,13 +368,8 @@ class FlowNetwork:
         self._retire(flow, now, completed=False)
         if not flow.future.done:
             # Cancelling the future can resume the abandoning process, which
-            # may tear down sibling transfers in turn; defer so the whole
-            # cascade is repaired by one batched transition below.
-            self._defer += 1
-            try:
-                flow.future.cancel()
-            finally:
-                self._defer -= 1
+            # may tear down sibling transfers in turn (see ``_dirty_hosts``).
+            flow.future.cancel()
         self._transition(flow.nic.host_id, flow.proxy_id)
         return True
 
@@ -419,7 +393,7 @@ class FlowNetwork:
             flow.remaining = max(0.0, flow.remaining - flow.rate_bps * elapsed)
         flow.last_progress_at = now
 
-    def _affected_flows(self, commit: bool) -> Collection[Flow]:
+    def _affected_flows(self) -> Collection[Flow]:
         """The flows a sweep of the dirty groups has to visit, by flow id.
 
         A flow's rate depends only on its own caps and on the occupancy of
@@ -434,16 +408,11 @@ class FlowNetwork:
           host-side cap on both sides: unless its NIC is dirty too (and it
           is visited through that group) its rate is unchanged, the sweep
           would ``continue`` past it, and dropping it from the visit moves
-          no settled byte, no re-aim and no consumed sequence number;
-        * a flow holding a reserved ``_pending`` entry is always taken: the
-          flush owes it a heap push under that sequence number, and a later
-          reservation must compare against the reserved rate.
+          no settled byte, no re-aim and no consumed sequence number.
 
-        ``commit`` is the flush: it records the current share of every dirty
-        uplink as the one its members are rated at and zeroes the bound of
-        the groups swept in full (the sweep raises it back to the exact
-        maximum).  A deferred reservation selects read-only — ``rate_bps``
-        still holds the pre-cascade rates the stored shares describe.
+        Selecting updates that state: every dirty uplink's current share is
+        recorded as the one its members are rated at, and the bound of a group
+        swept in full is zeroed (the sweep raises it back to the exact maximum).
 
         Groups are insertion-ordered dicts and a merged result is
         flow-id-sorted, so event scheduling matches the global-recompute
@@ -466,14 +435,8 @@ class FlowNetwork:
             rated = shares.get(proxy_id)
             if rated is None or bounds[proxy_id] > (share if share < rated else rated):
                 groups.append(group)
-                if commit:
-                    bounds[proxy_id] = 0.0
-            if commit:
-                shares[proxy_id] = share
-        if self._pending:
-            # Reservation order is not flow-id order; the sweep's is.
-            active = self._active
-            groups.append({flow_id: active[flow_id] for flow_id in sorted(self._pending)})
+                bounds[proxy_id] = 0.0
+            shares[proxy_id] = share
         if len(groups) <= 1:
             return groups[0].values() if groups else ()
         # A function's NIC usually sits behind one proxy, so a swept uplink
@@ -501,23 +464,13 @@ class FlowNetwork:
         """
         self._dirty_hosts[host_id] = None
         self._dirty_proxies[proxy_id] = None
-        if self._defer:
-            # A retire cascade is in progress: fold this transition into the
-            # batched re-aim the outermost caller runs once the cascade ends.
-            # The groups stay dirty until then, and the rates an eager
-            # transition would have assigned here are computed (no settle,
-            # no heap traffic) so their tie-break sequence numbers can be
-            # reserved at exactly the point eager pushes would consume them.
-            self._reserve_pending()
-            return
         profile = self.loop._profile
         if profile is not None:
             transition_started = perf_counter()  # repro: allow[D102] (profiling meter)
         now = self.loop.now
-        flows = self._affected_flows(commit=True)
+        flows = self._affected_flows()
         self._dirty_hosts.clear()
         self._dirty_proxies.clear()
-        pending = self._pending
         by_proxy = self._by_proxy
         bounds = self._uplink_bound
         proxy_share = self.fabric.proxy_share
@@ -542,17 +495,12 @@ class FlowNetwork:
                 bound = bounds[uplink] = rate
             if share < rate:
                 rate = share
-            entry = pending.pop(flow.flow_id, None) if pending else None
-            if entry is None and flow._completion is not None and rate == flow.rate_bps:
+            if flow._completion is not None and rate == flow.rate_bps:
                 continue
             self._settle_flow(flow, now)
             flow.rate_bps = rate
             reaimed += 1
-            self._aim(
-                flow,
-                now + flow.remaining / rate,
-                entry[1] if entry is not None else None,
-            )
+            self._aim(flow, now + flow.remaining / rate)
         self.flows_swept += len(flows)
         self.flows_reaimed += reaimed
         if profile is not None:
@@ -561,52 +509,7 @@ class FlowNetwork:
             profile.flows_reaimed += reaimed
             profile.arbiter_s += perf_counter() - transition_started  # repro: allow[D102] (profiling meter)
 
-    def _reserve_pending(self) -> None:
-        """Reserve rates + tie-break sequences for one deferred transition.
-
-        Runs in place of an eager transition while a cascade is deferred:
-        it computes, from the *current* group membership, the rate every
-        affected flow would have been re-aimed at, and — for each flow
-        whose rate actually changed — consumes the sequence number the
-        eager cancel+push would have taken.  No settle, no heap traffic;
-        flow objects and the per-uplink sweep state are untouched
-        (``rate_bps`` must keep the pre-cascade rate so the flush settles
-        progress correctly).  Covering the accumulated dirty groups is a
-        superset of what the eager inner transition would visit; the extra
-        flows see an unchanged rate and reserve nothing, so consumption
-        order is identical.
-        """
-        pending = self._pending
-        reserve = self.loop.queue.reserve_sequence
-        by_proxy = self._by_proxy
-        proxy_share = self.fabric.proxy_share
-        flows = self._affected_flows(commit=False)
-        uplink = None
-        for flow in flows:
-            # Same three-way minimum as the flush computes in `_transition`.
-            nic = flow.nic
-            rate = flow.function_bandwidth_bps
-            host_share = nic.capacity_bps * nic.degradation_factor / nic.concurrent_flows
-            if host_share < rate:
-                rate = host_share
-            if flow.proxy_id != uplink:
-                uplink = flow.proxy_id
-                share = proxy_share(len(by_proxy[uplink]))
-            if share < rate:
-                rate = share
-            entry = pending.get(flow.flow_id)
-            if entry is not None:
-                if rate == entry[0]:
-                    continue
-            elif flow._completion is not None and rate == flow.rate_bps:
-                continue
-            pending[flow.flow_id] = (rate, reserve())
-        self.flows_swept += len(flows)
-        profile = self.loop._profile
-        if profile is not None:
-            profile.flows_swept += len(flows)
-
-    def _aim(self, flow: Flow, finish: float, sequence: Optional[int] = None) -> None:
+    def _aim(self, flow: Flow, finish: float) -> None:
         """(Re-)aim a flow's completion at ``finish``.
 
         Uses a lazy :class:`~repro.sim.loop.DeadlineTimer` per flow: the
@@ -614,20 +517,16 @@ class FlowNetwork:
         write instead of a cancel+reschedule, so a flow costs at most a few
         heap entries over its whole lifetime regardless of how many rate
         transitions it sees.  Firing times are identical to the eager idiom,
-        and so is same-timestamp tie-breaking: ``sequence`` (reserved during
-        a deferred cascade) or the timer's own reservation stands in for the
-        number an eager push would have consumed.
+        and so is same-timestamp tie-breaking: the timer's own reservation
+        stands in for the number an eager push would have consumed.
         """
         timer = flow._completion
         if timer is None:
             flow._completion = self.loop.schedule_deadline(
-                finish,
-                lambda: self._complete(flow),
-                label=flow._finish_label,
-                sequence=sequence,
+                finish, lambda: self._complete(flow), label=flow._finish_label
             )
         else:
-            timer.set_deadline(finish, sequence)
+            timer.set_deadline(finish)
 
     def _complete(self, flow: Flow) -> None:
         if flow.flow_id not in self._active:
@@ -637,13 +536,9 @@ class FlowNetwork:
         self._retire(flow, now, completed=True)
         # Resolving the future synchronously resumes the waiting fetch — a
         # satisfied first-d-of-n quorum then cancels its straggler siblings
-        # and the client may start its next transfer, all at this instant;
-        # defer so the cascade is repaired by one batched transition.
-        self._defer += 1
-        try:
-            flow.future.resolve(flow)
-        finally:
-            self._defer -= 1
+        # and the client may start its next transfer, all at this instant
+        # and each with a transition of its own (see ``_dirty_hosts``).
+        flow.future.resolve(flow)
         self._transition(flow.nic.host_id, flow.proxy_id)
 
     def _retire(self, flow: Flow, now: float, completed: bool) -> None:
@@ -660,8 +555,6 @@ class FlowNetwork:
                 del self._by_proxy[flow.proxy_id]
                 self._uplink_share.pop(flow.proxy_id, None)
                 self._uplink_bound.pop(flow.proxy_id, None)
-        if self._pending:
-            self._pending.pop(flow.flow_id, None)
         if flow._completion is not None:
             flow._completion.cancel()
             flow._completion = None
@@ -721,23 +614,15 @@ class ReferenceFlowNetwork(FlowNetwork):
     baseline the perf harness measures the incremental arbiter against.
     """
 
-    def _affected_flows(self, commit: bool) -> Collection[Flow]:
+    def _affected_flows(self) -> Collection[Flow]:
         return list(self._active.values())
 
-    def _aim(self, flow: Flow, finish: float, sequence: Optional[int] = None) -> None:
+    def _aim(self, flow: Flow, finish: float) -> None:
         if flow._completion is not None:
             flow._completion.cancel()
-        if sequence is None:
-            flow._completion = self.loop.schedule_at(
-                finish, lambda f=flow: self._complete(f), label=flow._finish_label
-            )
-        else:
-            flow._completion = self.loop.queue.push_reserved(
-                max(finish, self.loop.clock.now),
-                sequence,
-                lambda f=flow: self._complete(f),
-                label=flow._finish_label,
-            )
+        flow._completion = self.loop.schedule_at(
+            finish, lambda f=flow: self._complete(f), label=flow._finish_label
+        )
 
 
 def resolve_arbiter(name: str) -> type[FlowNetwork]:

@@ -228,18 +228,12 @@ class DeadlineTimer:
         deadline: float,
         callback: Callable[[], None],
         label: str = "",
-        sequence: Optional[int] = None,
     ) -> None:
         self.loop = loop
         self.callback = callback
         self.label = label
         self.deadline = deadline
-        if sequence is None:
-            self._event: Optional[Event] = loop.schedule_at(deadline, self._fire, label)
-        else:
-            self._event = loop.queue.push_reserved(
-                max(deadline, loop.clock.now), sequence, self._fire, label
-            )
+        self._event: Optional[Event] = loop.schedule_at(deadline, self._fire, label)
         self._sequence: Optional[int] = None
 
     @property
@@ -247,15 +241,11 @@ class DeadlineTimer:
         """Whether a firing is pending (the timer has not run or been cancelled)."""
         return self._event is not None
 
-    def set_deadline(self, when: float, sequence: Optional[int] = None) -> None:
+    def set_deadline(self, when: float) -> None:
         """Move the deadline; re-arms a fired/cancelled timer.
 
         Extensions are O(1) field writes; only moving the deadline to or
-        before the pending entry's time costs a cancel plus a push.  A
-        ``sequence`` pre-reserved via :meth:`EventQueue.reserve_sequence`
-        is used for the (re-)armed entry's tie-break instead of consuming
-        a fresh one — callers that batch several would-be re-aims reserve
-        at the point the eager idiom would have pushed.
+        before the pending entry's time costs a cancel plus a push.
         """
         self.deadline = when
         event = self._event
@@ -263,21 +253,13 @@ class DeadlineTimer:
             if event is not None:
                 event.cancel()
             self._sequence = None
-            if sequence is None:
-                self._event = self.loop.schedule_at(when, self._fire, self.label)
-            else:
-                self._event = self.loop.queue.push_reserved(
-                    max(when, self.loop.clock.now), sequence, self._fire, self.label
-                )
+            self._event = self.loop.schedule_at(when, self._fire, self.label)
         else:
             # Extension: keep the pending entry (it will fire early and
-            # re-arm) but hold the sequence number an eager re-push would
-            # have consumed — the caller's pre-reserved one, else a fresh
-            # reservation — so the re-armed entry ties against
+            # re-arm) but reserve the sequence number an eager re-push would
+            # have consumed, so the re-armed entry ties against
             # same-timestamp events exactly like the eager one.
-            self._sequence = (
-                sequence if sequence is not None else self.loop.queue.reserve_sequence()
-            )
+            self._sequence = self.loop.queue.reserve_sequence()
 
     def cancel(self) -> None:
         """Cancel the pending firing (``set_deadline`` re-arms afterwards)."""
@@ -340,39 +322,25 @@ class EventQueue:
                 wherever it lands and *other* events start popping out of
                 order long after the bad push.
         """
-        if not math.isfinite(time) or time < 0:
-            raise ValueError(
-                f"event time must be finite and non-negative, got {time!r} "
-                f"(label={label!r})"
-            )
-        return self._push_entry(time, next(self._counter), callback, label)
+        return self.push_reserved(time, next(self._counter), callback, label)
 
     def reserve_sequence(self) -> int:
         """Consume and return the next tie-breaking sequence number.
 
-        :class:`DeadlineTimer` extensions call this so the entry pushed by
-        the eventual early-fire re-arm carries the sequence number the
-        eager cancel-and-push idiom would have consumed at extension time,
-        keeping every ``(time, sequence)`` heap key — and therefore all
-        same-timestamp dispatch ordering — bitwise identical to the eager
-        schedule.
+        Only :class:`DeadlineTimer` extensions call this (see there): the
+        re-armed entry then ties like the eager push it stands in for.
         """
         return next(self._counter)
 
     def push_reserved(
         self, time: float, sequence: int, callback: Callable[[], None], label: str = ""
     ) -> Event:
-        """Insert a callback at ``time`` under a previously reserved sequence."""
+        """Insert a callback at ``time`` under ``sequence``: fresh, or timer-reserved."""
         if not math.isfinite(time) or time < 0:
             raise ValueError(
                 f"event time must be finite and non-negative, got {time!r} "
                 f"(label={label!r})"
             )
-        return self._push_entry(time, sequence, callback, label)
-
-    def _push_entry(
-        self, time: float, sequence: int, callback: Callable[[], None], label: str
-    ) -> Event:
         event = Event(time, sequence, callback, label, _queue=self)
         heapq.heappush(self._heap, (time, sequence, event))
         self._live += 1
@@ -526,17 +494,14 @@ class EventLoop:
         deadline: float,
         callback: Callable[[], None],
         label: str = "",
-        sequence: Optional[int] = None,
     ) -> DeadlineTimer:
         """A lazily re-aimed timer: extending the deadline is a field write.
 
         Use instead of the cancel+reschedule idiom when a deadline is
         extended far more often than it is shortened (billed-session close
-        watchdogs, flow-finish re-aims); see :class:`DeadlineTimer`.  A
-        ``sequence`` pre-reserved via :meth:`EventQueue.reserve_sequence`
-        fixes the initial entry's tie-break.
+        watchdogs, flow-finish re-aims); see :class:`DeadlineTimer`.
         """
-        return DeadlineTimer(self, deadline, callback, label, sequence)
+        return DeadlineTimer(self, deadline, callback, label)
 
     # ------------------------------------------------------------------ awaitables
     def timeout(self, delay: float, label: str = "sim.timeout") -> SimFuture:

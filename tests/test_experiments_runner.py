@@ -78,3 +78,30 @@ class TestCli:
         assert "unknown experiments ['bogus']" in error_line
         assert "figure17" in error_line and "table1" in error_line
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sim-smoke", "--clients", "0"],
+        ["sim-smoke", "--requests", "0"],
+        ["chaos", "--clients", "0", "--rounds", "1"],
+        ["chargeback", "--requests", "0"],
+        ["chargeback", "--duration", "-5"],
+        ["perf", "--quick", "--regression-baseline", "/nonexistent.json"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_bad_subcommand_arguments_exit_2_not_a_traceback(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        """Status 1 is a failed gate; arguments a subcommand cannot run with
+        are status 2 and one ``error:`` line, from argparse or from the
+        library's ``ConfigurationError`` / ``WorkloadError``."""
+        from repro import __main__ as cli
+
+        monkeypatch.chdir(tmp_path)  # `perf` would write BENCH_perf.json here
+        try:
+            status = cli.main(argv)
+        except SystemExit as exit_info:
+            status = exit_info.code
+        assert status == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err.strip().splitlines()[-1]
+        assert "FAIL" not in captured.err
+        assert not list(tmp_path.iterdir())

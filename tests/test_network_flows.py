@@ -383,7 +383,6 @@ class TestIncrementalMatchesReference:
         assert net._by_proxy == {}
         assert net._uplink_share == {}
         assert net._uplink_bound == {}
-        assert net._pending == {}
         assert all(nic.concurrent_flows == 0 for nic in net.fabric.hosts.values())
 
 
@@ -457,16 +456,15 @@ class TestUplinkBindTest:
         assert net._uplink_share == {} and net._uplink_bound == {}
 
     @pytest.mark.parametrize("falls_back", [False, True],
-                             ids=["still-binding-at-flush", "binds-mid-cascade-only"])
-    def test_uplink_crossing_inside_one_deferred_cascade(self, falls_back):
+                             ids=["still-binding-at-the-end", "binds-mid-cascade-only"])
+    def test_uplink_crossing_inside_one_cascade(self, falls_back):
         """Three streams share 100 MB/s each (not binding).  The first one's
         completion starts two more inside its resolve: 75 MB/s binds, so
-        the deferred reservation sweeps the group and reserves sequence
-        numbers for the two survivors.  Either the flush still finds the
-        uplink binding, or the two newcomers are cancelled again before it
-        and the group looks untouched at both ends — the survivors are then
-        visited only because they hold a reservation, and must be re-aimed
-        under the number a second eager re-aim would have consumed."""
+        the second start sweeps the group and slows the two survivors.
+        Either the cascade ends with the uplink still binding, or the two
+        newcomers are cancelled again inside it and the group looks
+        untouched at both ends — the survivors were still re-aimed twice,
+        and every re-aim consumed the sequence number the reference's did."""
 
         def drive(network_cls):
             loop = EventLoop()
@@ -477,7 +475,7 @@ class TestUplinkBindTest:
 
             def cascade(_future):
                 late = [self._start(net, "h3"), self._start(net, "h4")]
-                seen["reserved"] = sorted(net._pending)
+                seen["rates_mid_cascade"] = [flow.rate_bps for flow in survivors]
                 if falls_back:
                     for flow in late:
                         net.cancel(flow)
@@ -485,15 +483,12 @@ class TestUplinkBindTest:
             first.future.add_done_callback(cascade)
             loop.run_until(0.1)  # `first` completes at t = 0.1 s
             seen["rates"] = [flow.rate_bps for flow in survivors]
-            seen["pending_after_flush"] = dict(net._pending)
             loop.run_all()
             return net, loop, seen
 
         net, net_loop, seen = drive(FlowNetwork)
         reference, ref_loop, ref_seen = drive(ReferenceFlowNetwork)
-        # Survivors (ids 1, 2) and both newcomers held reservations mid-cascade.
-        assert seen["reserved"] == ref_seen["reserved"] == [1, 2, 3, 4]
-        assert seen["pending_after_flush"] == {}
+        assert seen["rates_mid_cascade"] == ref_seen["rates_mid_cascade"] == [75 * MB] * 2
         assert seen["rates"] == ref_seen["rates"] == [
             (100 if falls_back else 75) * MB  # their own cap again, or the share
         ] * 2
@@ -501,13 +496,13 @@ class TestUplinkBindTest:
         assert net.flows_reaimed == reference.flows_reaimed
         assert net_loop.queue.reserve_sequence() == ref_loop.queue.reserve_sequence()
 
-    def test_reserved_flows_are_swept_in_flow_id_order(self):
-        """Reservations are keyed in the order they were made, sequence
-        numbers are consumed in the order flows are swept.  Here flow 3 is
-        reserved before flow 1, the uplink stays out of every sweep, and the
-        last step of the cascade visits reserved flows only: both speed up
-        again, to the same finish time, and flow 1 must get the smaller
-        number as under the reference — the trace order depends on it."""
+    def test_cascade_ties_finish_in_flow_id_order(self):
+        """Sequence numbers are consumed in the order flows are swept, not
+        in the order a cascade first touched them.  Here flow 3 speeds up
+        before flow 1, four newcomers then slow both and the last one
+        leaving speeds both up again, to the same finish time: flow 1 must
+        get the smaller number in that last sweep, as under the reference —
+        the trace order depends on it."""
 
         def drive(network_cls):
             loop = EventLoop()
@@ -523,9 +518,9 @@ class TestUplinkBindTest:
             seen = {}
 
             def cascade(_future):
-                net.cancel(high_neighbour)  # flow 3 alone on its NIC: reserved
+                net.cancel(high_neighbour)  # flow 3 alone on its NIC: re-aimed
                 net.cancel(low_neighbour)   # then flow 1
-                seen["reserved"] = list(net._pending)
+                seen["rates_mid_cascade"] = [low.rate_bps, high.rate_bps]
                 # Four slow newcomers take the share from 150 to 50 MB/s, under
                 # the two fast flows' 60; the last one leaving lifts it back.
                 late = [flow(f"h{n}", size_mb=100, fn_mb=30) for n in range(4)]
@@ -538,13 +533,38 @@ class TestUplinkBindTest:
 
         net, net_loop, seen = drive(FlowNetwork)
         reference, ref_loop, ref_seen = drive(ReferenceFlowNetwork)
-        assert seen["reserved"] == ref_seen["reserved"] == [3, 1]
+        assert seen["rates_mid_cascade"] == ref_seen["rates_mid_cascade"] == [60 * MB] * 2
         finished = [i.flow_id for i in net.trace if i.completed and i.flow_id in (1, 3)]
         assert finished == [1, 3]
         [finish] = {i.ended_at for i in net.trace if i.flow_id in (1, 3)}
         assert finish == pytest.approx(1.05)
         _assert_same_simulation(net, net_loop, reference, ref_loop)
+        assert net.flows_reaimed == reference.flows_reaimed
         assert net_loop.queue.reserve_sequence() == ref_loop.queue.reserve_sequence()
+
+
+class TestArbiterMeters:
+    def test_every_start_and_retirement_is_one_metered_transition(self):
+        """A first-d fan-in: three flows on one uplink, the first completion
+        cancels one sibling and starts a follow-up inside its resolve.  The
+        profile must count those two nested sweeps like any other."""
+        loop, net = make_network(proxy_uplink_bps=150 * MB)
+        profile = loop.enable_profiling()
+        first = start(net, size=10 * MB, host="h0")
+        kept, loser = start(net, size=40 * MB, host="h1"), start(net, size=40 * MB, host="h2")
+
+        def cascade(_future):
+            net.cancel(loser)
+            start(net, size=10 * MB, host="h3")
+
+        first.future.add_done_callback(cascade)
+        loop.run_all()
+        assert kept.future.done and net.active_count == 0
+        stats = net.flow_stats()
+        assert (stats["completed_flows"], stats["abandoned_flows"]) == (3.0, 1.0)
+        assert profile.arbiter_transitions == 4 + 4  # starts + retirements
+        assert profile.flows_swept == net.flows_swept
+        assert profile.flows_reaimed == net.flows_reaimed
 
 
 class TestRunningPeak:

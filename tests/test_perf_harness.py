@@ -63,11 +63,10 @@ class TestMacroAndComparison:
         sample = perf.macro_closed_loop(64)
         assert sample.events == 5862
         assert sample.extra["peak_active_flows"] == 384
-        # The arbiter's work for it, exact per seed: before uplink groups
-        # that cannot bind were left out, 84 648 visits bought the same
-        # 12 248 re-aims.
-        assert sample.extra["flows_swept"] == 33213
-        assert sample.extra["flows_reaimed"] == 12248
+        # The arbiter's work for it, exact per seed: one sweep per flow
+        # start and per retirement, uplink groups that cannot bind left out.
+        assert sample.extra["flows_swept"] == 29916
+        assert sample.extra["flows_reaimed"] == 12309
         assert sample.extra["fingerprint"] == (
             "f77e93cfc09199aabdbb780ae20c17f62b5ab96ce64e57bab7e49679b8895985"
         )
@@ -239,10 +238,12 @@ class TestRegressionGuard:
     def test_improvements_never_fail(self):
         assert perf.check_regression(self._payload(500.0), self._payload(100.0)) == []
 
-    def _swept(self, swept: int | None, clients: int = 64) -> dict:
+    def _swept(
+        self, count: int | None, clients: int = 64, counter: str = "flows_swept"
+    ) -> dict:
         payload = self._payload(100.0, clients=clients)
-        if swept is not None:
-            payload["macro"][0]["flows_swept"] = swept
+        if count is not None:
+            payload["macro"][0][counter] = count
         return payload
 
     def test_one_more_flow_swept_fails_on_any_shared_rung(self):
@@ -258,6 +259,17 @@ class TestRegressionGuard:
         assert perf.check_regression(
             self._swept(1001, clients=64), self._swept(1000, clients=256)
         ) == []
+
+    def test_one_more_flow_reaimed_fails_the_same_way(self):
+        def reaimed(count):
+            return self._swept(count, counter="flows_reaimed")
+
+        errors = perf.check_regression(reaimed(1001), reaimed(1000))
+        assert len(errors) == 1
+        assert "macro.closed_loop[64]" in errors[0] and "1001 flows re-aimed" in errors[0]
+        assert perf.check_regression(reaimed(1000), reaimed(1000)) == []
+        assert perf.check_regression(reaimed(999), reaimed(1000)) == []
+        assert perf.check_regression(reaimed(1001), reaimed(None)) == []
 
 
 class TestCliRegressionGate:
