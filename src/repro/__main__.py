@@ -25,8 +25,8 @@ intervals) and that concurrent clients genuinely overlap on the wire; CI
 uses it as the concurrency smoke check.
 
 ``python -m repro perf [--quick] [--output BENCH_perf.json]`` runs the
-simulator performance harness (micro event-queue/flow-churn benchmarks
-plus the closed-loop fleet sweep), writes ``BENCH_perf.json``, and exits
+simulator performance harness (micro event-queue/flow-churn/codec/FaaS-cycle
+benchmarks plus the closed-loop fleet sweep), writes ``BENCH_perf.json``, and exits
 non-zero if the incremental flow arbiter's replay fingerprint drifts from
 the global-recompute reference — a correctness gate immune to timing
 noise.  See ``docs/performance.md``.
@@ -401,8 +401,9 @@ def _perf(argv: list[str]) -> int:
         help="committed BENCH_perf.json to guard against: exit non-zero if "
         "any macro rung present in both runs lost more than the threshold "
         "of its committed events/s or swept or re-aimed more flows than "
-        "committed (read before --output is written, so the same path can "
-        "serve as both)",
+        "committed, or if the micro.faas_cycle billing ledger differs "
+        "(read before --output is written, so the same path can serve as "
+        "both)",
     )
     parser.add_argument(
         "--regression-threshold", type=float, default=0.30, metavar="FRACTION",
@@ -444,10 +445,11 @@ def _perf(argv: list[str]) -> int:
         json.dump(payload, handle, indent=2, sort_keys=True)
     print(perf.format_report(payload))
     print(f"\n(wrote {args.output})")
-    profile_errors = perf.validate_profile(payload.get("profile"))
-    if profile_errors:
-        for error in profile_errors:
-            print(f"FAIL: malformed profile section: {error}", file=sys.stderr)
+    schema_errors = perf.validate_profile(payload.get("profile"))
+    schema_errors += perf.validate_faas_cycle(payload)
+    if schema_errors:
+        for error in schema_errors:
+            print(f"FAIL: malformed payload: {error}", file=sys.stderr)
         return 1
     comparison = payload.get("arbiter_comparison")
     if comparison and not comparison["fingerprints_identical"]:

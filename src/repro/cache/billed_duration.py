@@ -17,18 +17,20 @@ accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.faas.billing import (
     BILLING_CYCLE_SECONDS,
+    UNATTRIBUTED_TENANT,
     attribution_shares,
     ceil_to_billing_cycle,
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class BilledSession:
     """One continuous billed execution window of a cache node."""
 
@@ -51,7 +53,7 @@ class BilledSession:
         return self.window_end - self.started_at
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionCharge:
     """A closed session ready for billing."""
 
@@ -100,36 +102,23 @@ class BilledDurationController:
         session = self.current
         if session is None:
             return
+        # The wall-clock span minus the safety buffer the runtime returns
+        # early by.  Busy time pushed into the window beyond what fits (e.g.
+        # concurrent transfers through one node) does not lengthen it: the
+        # node cannot be billed for longer than its session existed.
         duration = session.window_end - session.started_at - self.buffer_s
-        # Busy time can exceed the window when the caller pushed more service
-        # into it than fits (e.g. concurrent transfers through one node in
-        # the event-driven path); the node cannot be billed for longer than
-        # its session physically existed, so cap at the wall-clock span —
-        # minus the safety buffer the runtime returns early by, as above.
-        duration = max(
-            duration,
-            min(session.busy_seconds, session.active_seconds - self.buffer_s),
-        )
         charge = SessionCharge(
-            started_at=session.started_at,
-            duration_s=duration,
-            billed_duration_s=ceil_to_billing_cycle(duration),
-            requests_served=session.requests_served,
-            category=session.category,
-            busy_by_tenant=dict(session.busy_by_tenant),
+            session.started_at,
+            duration,
+            ceil_to_billing_cycle(duration),
+            session.requests_served,
+            session.category,
+            session.busy_by_tenant,  # handed over: the session is dropped
         )
         self.closed_sessions.append(charge)
         if self.on_close is not None:
             self.on_close(charge)
         self.current = None
-
-    def _open_session(self, now: float, category: str) -> BilledSession:
-        self.current = BilledSession(
-            started_at=now,
-            window_end=now + BILLING_CYCLE_SECONDS,
-            category=category,
-        )
-        return self.current
 
     # --- public API ----------------------------------------------------------------
     def is_active(self, now: float) -> bool:
@@ -156,49 +145,46 @@ class BilledDurationController:
             invocation needed), ``False`` if a new session (invocation) was
             opened for it.
         """
-        if service_time_s < 0:
-            raise ConfigurationError("service time must be non-negative")
-        was_active = self.is_active(now)
+        if not 0.0 <= service_time_s < math.inf:
+            raise ConfigurationError(
+                f"service time must be finite and non-negative, got {service_time_s}"
+            )
+        session = self.current
+        was_active = session is not None and now < session.window_end
         if not was_active:
             self._close_current()
-            session = self._open_session(now, category)
-        else:
-            session = self.current
+            session = self.current = BilledSession(
+                now, now + BILLING_CYCLE_SECONDS, category=category
+            )
+        elif category == "serving":
             # A mixed window (warm-up then real traffic) is billed under the
             # busier category; serving dominates warm-up in the paper's model.
-            if category == "serving":
-                session.category = "serving"
+            session.category = "serving"
         session.requests_served += 1
         session.busy_seconds += service_time_s
-        for tenant, busy in self._attributed_busy(service_time_s, attribution).items():
-            session.busy_by_tenant[tenant] = session.busy_by_tenant.get(tenant, 0.0) + busy
-        finish = now + service_time_s
+        busy = session.busy_by_tenant
+        if attribution is None or isinstance(attribution, str):
+            # One owner takes the whole busy time (share 1.0, exactly).
+            tenant = UNATTRIBUTED_TENANT if attribution is None else attribution
+            busy[tenant] = busy.get(tenant, 0.0) + service_time_s
+        else:
+            for tenant, share in attribution_shares(attribution).items():
+                busy[tenant] = busy.get(tenant, 0.0) + service_time_s * share
         # Always extend the window far enough to cover the request itself
         # (the PONG handshake "delays the timeout" in the paper), aligned to
         # the end of the billing cycle that contains the finish time.
-        cycles = int(finish // BILLING_CYCLE_SECONDS) + 1
-        aligned_end = cycles * BILLING_CYCLE_SECONDS
-        session.window_end = max(session.window_end, aligned_end)
+        cycles = int((now + service_time_s) // BILLING_CYCLE_SECONDS) + 1
+        window_end = cycles * BILLING_CYCLE_SECONDS
         # Anticipation: if the window has already served enough requests,
         # extend it by one more billing cycle beyond the current request,
         # expecting further traffic (the paper's "extend the timeout by one
         # more billing cycle").  The extension is relative to the request's
         # own cycle, so bursts do not stack extensions indefinitely.
         if session.requests_served >= self.extension_threshold:
-            session.window_end = max(session.window_end, aligned_end + BILLING_CYCLE_SECONDS)
+            window_end += BILLING_CYCLE_SECONDS
+        if window_end > session.window_end:
+            session.window_end = window_end
         return was_active
-
-    @staticmethod
-    def _attributed_busy(
-        service_time_s: float, attribution: dict[str, float] | str | None
-    ) -> dict[str, float]:
-        """Split one request's busy time over the tenants that caused it."""
-        if isinstance(attribution, str):
-            attribution = {attribution: 1.0}
-        return {
-            tenant: service_time_s * share
-            for tenant, share in attribution_shares(attribution).items()
-        }
 
     def expire_if_due(self, now: float) -> None:
         """Close the current session if its window has ended by ``now``."""

@@ -35,7 +35,7 @@ from repro.faas.limits import bandwidth_for_memory, usable_cache_bytes
 from repro.faas.platform import FaaSPlatform
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeAccess:
     """Timing details of one chunk operation on a node."""
 
@@ -96,13 +96,11 @@ class LambdaCacheNode:
             # The session's instance was reclaimed and already cleaned up;
             # the account is still billed for the duration that ran.
             self.platform.billing.charge_invocation(
-                self.memory_bytes, charge.duration_s, charge.category,
-                attribution=charge.busy_by_tenant,
+                self.memory_bytes, charge.duration_s, charge.category, charge.busy_by_tenant
             )
             return
         self.platform.complete_invocation(
-            instance, charge.duration_s, charge.category,
-            attribution=charge.busy_by_tenant,
+            instance, charge.duration_s, charge.category, charge.busy_by_tenant
         )
 
     # ------------------------------------------------------------------ state access
@@ -176,7 +174,7 @@ class LambdaCacheNode:
             self.proxy_connection.send_ping()
             self.lambda_connection.ping()
             self.proxy_connection.pong_received()
-            return NodeAccess(overhead_s=0.001, invoked=False, cold_start=False)
+            return NodeAccess(0.001, False, False)
 
         if (
             self._session_instance is not None
@@ -190,7 +188,7 @@ class LambdaCacheNode:
             self.proxy_connection.send_ping()
             self.lambda_connection.ping()
             self.proxy_connection.pong_received()
-            return NodeAccess(overhead_s=0.001, invoked=False, cold_start=False)
+            return NodeAccess(0.001, False, False)
 
         self.proxy_connection.begin_invocation()
         invoked_instance: FunctionInstance
@@ -213,7 +211,7 @@ class LambdaCacheNode:
         self._session_instance = invoked_instance
         self.lambda_connection.activate()
         self.proxy_connection.pong_received()
-        return NodeAccess(overhead_s=overhead, invoked=True, cold_start=cold_start)
+        return NodeAccess(overhead, True, cold_start)
 
     def record_service(
         self,

@@ -83,10 +83,12 @@ def _run_strategy(
     for index in range(fleet_size):
         platform.register_function(f"probe-{index:04d}", 256 * MIB)
 
+    names = platform.registered_functions()
+
     def warm_all() -> None:
-        for name in platform.registered_functions():
+        for name in names:
             invocation = platform.invoke(name)
-            platform.complete_invocation(invocation.instance, 0.001, category="warmup")
+            platform.complete_invocation(invocation.instance, 0.001, "warmup")
         simulator.schedule(strategy.warmup_interval_s, warm_all, label="fig8.warmup")
 
     warm_all()

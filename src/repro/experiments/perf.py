@@ -8,8 +8,9 @@ benchmark their event cores.  This module is that measurement layer:
 
 * **micro benchmarks** exercise one subsystem in isolation — the event
   queue's push/cancel/pop cycle (tombstone compaction), the flow
-  network's join/leave arbitration churn, and the Reed-Solomon codec's
-  encode / decode / rebuild throughput on real bytes;
+  network's join/leave arbitration churn, the Reed-Solomon codec's
+  encode / decode / rebuild throughput on real bytes, and the FaaS
+  platform's invoke → complete → bill cycle with its exact ledger;
 * **macro benchmarks** run the closed-loop replay driver end to end at
   fleet sizes (8 → 1024 clients) and report wall-clock, events/sec, and
   the peak number of simultaneously active flows;
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.erasure.codec import ErasureCodec
+from repro.faas.platform import FaaSPlatform
 from repro.network.flows import resolve_arbiter
 from repro.network.topology import NetworkFabric
 from repro.sim.loop import EventLoop
@@ -196,6 +198,62 @@ def micro_erasure() -> PerfSample:
             "code": "RS({}+{})".format(*ERASURE_MICRO_CODE),
             "object_bytes": ERASURE_MICRO_OBJECT_BYTES,
             **rates,
+        },
+    )
+
+
+#: The ``micro.faas_cycle`` fields that are exact on every host, and so gated.
+FAAS_MICRO_EXACT_KEYS = (
+    "cycles", "reclaims", "cold_starts",
+    "total_invocations", "total_billed_seconds", "total_cost",
+)
+
+
+def micro_faas_cycle(cycles: int = 100_000, reclaim_every: int = 1_000) -> PerfSample:
+    """The invoke -> complete -> bill cycle on one platform, ledger included.
+
+    ``cycles`` invocations of one 1536 MiB function, rotating through four
+    durations, the ``serving`` / ``warmup`` categories and unattributed,
+    one-tenant and three-tenant charges.  Every ``reclaim_every``-th
+    instance is reclaimed *mid-flight* — it is still billed, and the next
+    invocation cold-starts.  Reports cycles/s (noise) beside the ledger
+    (exact: floats are carried as ``repr`` so JSON cannot round them).  The
+    suite runs the defaults in quick and in full mode alike, because CI's
+    quick run is gated against the full committed payload.
+    """
+    platform = FaaSPlatform(EventLoop())
+    platform.register_function("perf-faas", 1536 * MIB)
+    durations = (0.001, 0.05, 0.123, 0.2)
+    attributions: tuple[dict[str, float] | None, ...] = (
+        None,
+        {"tenant-a": 0.4},
+        {"tenant-a": 0.25, "tenant-b": 1.5, "tenant-c": 0.0},
+    )
+    gc.collect()
+    start = time.perf_counter()
+    for index in range(cycles):
+        instance = platform.invoke("perf-faas").instance
+        if index % reclaim_every == reclaim_every - 1:
+            platform.reclaim_instance(instance)
+        platform.complete_invocation(
+            instance,
+            durations[index % len(durations)],
+            "warmup" if index % 5 == 0 else "serving",
+            attributions[index % len(attributions)],
+        )
+    wall = time.perf_counter() - start
+    billing, counters = platform.billing, platform.metrics.counters()
+    return PerfSample(
+        name="micro.faas_cycle",
+        wall_s=wall,
+        events=cycles,
+        extra={
+            "cycles": cycles,
+            "reclaims": int(counters.get("faas.reclaims", 0.0)),
+            "cold_starts": int(counters["faas.cold_starts"]),
+            "total_invocations": billing.total_invocations,
+            "total_billed_seconds": repr(billing.total_billed_seconds),
+            "total_cost": repr(billing.total_cost),
         },
     )
 
@@ -382,6 +440,37 @@ def validate_profile(section: object) -> list[str]:
     return errors
 
 
+def validate_faas_cycle(payload: dict[str, object]) -> list[str]:
+    """Schema-validate the ``micro.faas_cycle`` sample; returns readable errors.
+
+    Runs beside :func:`validate_profile`: the ledger fields CI gates on must
+    be present, the counts integers and the two floats ``repr`` strings.
+    """
+    sample = _faas_cycle_sample(payload)
+    if sample is None:
+        return ["payload has no micro.faas_cycle sample"]
+    errors: list[str] = []
+    for key in FAAS_MICRO_EXACT_KEYS:
+        value = sample.get(key)
+        if key in ("total_billed_seconds", "total_cost"):
+            try:
+                valid = isinstance(value, str) and repr(float(value)) == value
+            except ValueError:
+                valid = False
+            if not valid:
+                errors.append(f"micro.faas_cycle.{key} must be the repr of a float")
+        elif not isinstance(value, int) or value < 0:
+            errors.append(f"micro.faas_cycle.{key} must be a non-negative integer")
+    return errors
+
+
+def _faas_cycle_sample(payload: dict[str, object]) -> dict[str, object] | None:
+    for sample in payload.get("micro", ()):
+        if isinstance(sample, dict) and sample.get("name") == "micro.faas_cycle":
+            return sample
+    return None
+
+
 def compare_arbiters(
     clients: int = DEFAULT_COMPARE_CLIENTS, **macro_kwargs: object
 ) -> dict[str, object]:
@@ -434,9 +523,20 @@ def check_regression(
     ``flows_swept`` and ``flows_reaimed`` are gated on every shared rung,
     with no tolerance: the counts are exact per seed, so a rung that sweeps
     or re-aims more flows than the committed payload says is a code change,
-    never noise.
+    never noise.  The ``micro.faas_cycle`` ledger is gated the same way, on
+    equality: any difference is a billing-arithmetic change.
     """
     errors: list[str] = []
+    committed_cycle = _faas_cycle_sample(baseline)
+    if committed_cycle is not None:
+        fresh_cycle = _faas_cycle_sample(payload) or {}
+        for key in FAAS_MICRO_EXACT_KEYS:
+            if fresh_cycle.get(key) != committed_cycle.get(key):
+                errors.append(
+                    f"micro.faas_cycle ledger changed: {key} is "
+                    f"{fresh_cycle.get(key)!r}, the committed payload has "
+                    f"{committed_cycle.get(key)!r} (exact on every host)"
+                )
     committed = {
         sample["clients"]: sample
         for sample in baseline.get("macro", ())
@@ -505,6 +605,7 @@ def run_suite(
             arbiter="incremental", tag="dense",
         ),
         micro_erasure(),
+        micro_faas_cycle(),
     ]
     # The comparison runs before the big sweeps so its timing is not skewed
     # by heap growth from the larger fleets; the micro pass above doubles as
@@ -549,7 +650,7 @@ def format_report(payload: dict[str, object]) -> str:
         format_table(
             ["benchmark", "wall_s", "events", "events/s"],
             micro_rows,
-            title="Micro benchmarks (event queue, flow arbitration, codec calls)",
+            title="Micro benchmarks (event queue, flow arbitration, codec calls, FaaS cycles)",
         ),
     ]
     for sample in payload["micro"]:
@@ -561,6 +662,15 @@ def format_report(payload: dict[str, object]) -> str:
                 f"decode (2 data chunks lost) {sample['decode_MBps']:.0f} MB/s, "
                 f"rebuild {sample['rebuild_MBps']:.0f} MB/s"
             )
+    cycle = _faas_cycle_sample(payload)
+    if cycle is not None:
+        lines.append(
+            f"{cycle['name']}: {cycle['cycles']} invoke -> complete -> bill cycles "
+            f"at {cycle['events_per_s']:.0f}/s ({cycle['reclaims']} reclaimed "
+            f"mid-flight, {cycle['cold_starts']} cold starts); ledger: "
+            f"{cycle['total_invocations']} invocations, "
+            f"{cycle['total_billed_seconds']} billed s, ${cycle['total_cost']}"
+        )
     lines += [
         "",
         format_table(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.exceptions import ConfigurationError
 from repro.utils.units import GIB
@@ -46,33 +47,46 @@ def ceil_to_billing_cycle(duration_s: float) -> float:
     """Round a duration up to the nearest 100 ms billing cycle.
 
     Zero-duration invocations are still billed for one cycle, matching AWS
-    behaviour and the paper's ``ceil100`` operator.
+    behaviour and the paper's ``ceil100`` operator.  Negative, NaN and
+    infinite durations raise :class:`ConfigurationError`.
     """
-    if duration_s < 0:
-        raise ConfigurationError(f"duration must be non-negative, got {duration_s}")
-    cycles = max(1, math.ceil(round(duration_s / BILLING_CYCLE_SECONDS, 9)))
+    scaled = duration_s / BILLING_CYCLE_SECONDS
+    if not 0.0 <= scaled < math.inf:  # also false for NaN
+        raise ConfigurationError(
+            f"duration must be finite and non-negative, got {duration_s}"
+        )
+    # ``or 1``: ``scaled`` is >= 0, so the only count below one is zero.
+    cycles = math.ceil(round(scaled, 9)) or 1
     return cycles * BILLING_CYCLE_SECONDS
 
 
 def attribution_shares(attribution: dict[str, float] | None) -> dict[str, float]:
     """Normalise chargeback weights into per-tenant shares that sum to 1.
 
-    Non-positive weights are dropped; omitted, empty, or zero-sum weights
-    fall back to :data:`UNATTRIBUTED_TENANT`.  This is the single definition
-    of the fallback policy — the billed-session layer splits busy time with
-    the same rules, which is what keeps session-level attribution and
-    invocation-level billing conserving the same totals.
+    Non-positive (and NaN) weights are dropped; omitted, empty, or zero-sum
+    weights fall back to :data:`UNATTRIBUTED_TENANT`.  This is the single
+    definition of the fallback policy — the billed-session layer splits busy
+    time with the same rules, which is what keeps session-level attribution
+    and invocation-level billing conserving the same totals.
+
+    Raises:
+        ConfigurationError: when a weight is ``+inf`` or the weights overflow
+            to it — the shares would come out NaN or all zero and the
+            per-tenant ledgers would stop summing to the bill.
     """
     if attribution:
         weights = {t: w for t, w in attribution.items() if w > 0.0}
         total = sum(weights.values())
         if total > 0.0:
+            if total == math.inf:
+                raise ConfigurationError(
+                    f"attribution weights must be finite, got {attribution}"
+                )
             return {tenant: weight / total for tenant, weight in weights.items()}
     return {UNATTRIBUTED_TENANT: 1.0}
 
 
-@dataclass(frozen=True)
-class InvocationCharge:
+class InvocationCharge(NamedTuple):
     """The cost breakdown of a single billed invocation."""
 
     invocation_fee: float
@@ -127,32 +141,45 @@ class BillingModel:
             attribution: relative per-tenant weights for chargeback; omitted,
                 empty, or zero-sum weights charge the whole invocation to
                 :data:`UNATTRIBUTED_TENANT`.
+
+        Raises:
+            ConfigurationError: on non-positive memory, a negative or
+                non-finite duration, or infinite weights; nothing is booked.
         """
+        if memory_bytes <= 0:
+            raise ConfigurationError(f"memory must be positive, got {memory_bytes}")
         billed = ceil_to_billing_cycle(duration_s)
         memory_gb = memory_bytes / GIB
-        invocation_fee = self.pricing.price_per_invocation
-        duration_fee = billed * memory_gb * self.pricing.price_per_gb_second
-        charge = InvocationCharge(
-            invocation_fee=invocation_fee,
-            duration_fee=duration_fee,
-            billed_duration_s=billed,
-        )
+        pricing = self.pricing
+        invocation_fee = pricing.price_per_invocation
+        duration_fee = billed * memory_gb * pricing.price_per_gb_second
+        total = invocation_fee + duration_fee
+        # Everything that can raise has by now: a rejected charge books nothing.
+        shares = attribution_shares(attribution) if attribution else None
         self.total_invocations += 1
         self.total_billed_seconds += billed
         self.total_gb_seconds += billed * memory_gb
-        self.total_cost += charge.total
-        self.cost_by_category[category] = self.cost_by_category.get(category, 0.0) + charge.total
-        for tenant, share in attribution_shares(attribution).items():
-            self.cost_by_tenant[tenant] = (
-                self.cost_by_tenant.get(tenant, 0.0) + share * charge.total
-            )
-            self.gb_seconds_by_tenant[tenant] = (
-                self.gb_seconds_by_tenant.get(tenant, 0.0) + share * billed * memory_gb
-            )
-            self.invocation_share_by_tenant[tenant] = (
-                self.invocation_share_by_tenant.get(tenant, 0.0) + share
-            )
-        return charge
+        self.total_cost += total
+        by_category = self.cost_by_category
+        by_category[category] = by_category.get(category, 0.0) + total
+        cost, gb_seconds = self.cost_by_tenant, self.gb_seconds_by_tenant
+        invocations = self.invocation_share_by_tenant
+        if shares is None:
+            # No weights: ``attribution_shares`` would say "UNATTRIBUTED_TENANT
+            # at share 1.0", and ``1.0 * x`` is exact, so neither is computed.
+            tenant = UNATTRIBUTED_TENANT
+            cost[tenant] = cost.get(tenant, 0.0) + total
+            gb_seconds[tenant] = gb_seconds.get(tenant, 0.0) + billed * memory_gb
+            invocations[tenant] = invocations.get(tenant, 0.0) + 1.0
+        else:
+            for tenant, share in shares.items():
+                # Left-associated, as ever: the per-tenant sums are fingerprinted.
+                cost[tenant] = cost.get(tenant, 0.0) + share * total
+                gb_seconds[tenant] = (
+                    gb_seconds.get(tenant, 0.0) + share * billed * memory_gb
+                )
+                invocations[tenant] = invocations.get(tenant, 0.0) + share
+        return InvocationCharge(invocation_fee, duration_fee, billed)
 
     def breakdown(self) -> dict[str, float]:
         """Cost per category plus the total."""

@@ -31,6 +31,11 @@ class FunctionState(enum.Enum):
     RECLAIMED = "reclaimed"
 
 
+# A module-level alias: ``is_alive`` is read several times per chunk request
+# and member lookup on the enum class costs ~75 ns on CPython 3.11.
+_RECLAIMED = FunctionState.RECLAIMED
+
+
 @dataclass
 class FunctionInstance:
     """One warm (or reclaimed) container of a named function."""
@@ -60,7 +65,7 @@ class FunctionInstance:
     @property
     def is_alive(self) -> bool:
         """Whether the instance still holds its state."""
-        return self.state is not FunctionState.RECLAIMED
+        return self.state is not _RECLAIMED
 
     def mark_invoked(self, now: float) -> None:
         """Record an invocation for idle-time tracking."""

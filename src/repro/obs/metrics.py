@@ -58,8 +58,9 @@ class Counter:
 
     def increment(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be finite and non-negative) to the counter."""
-        amount = _check_finite(amount, f"counter {self.name!r} increment")
-        if amount < 0:
+        amount = float(amount)
+        if not 0.0 <= amount < math.inf:
+            _check_finite(amount, f"counter {self.name!r} increment")
             raise ValueError(f"counter {self.name!r} cannot be incremented by {amount}")
         self.value += amount
 
@@ -193,24 +194,27 @@ class MetricRegistry:
 
     def counter(self, name: str, labels: Optional[Mapping[str, object]] = None) -> Counter:
         """Get or create the counter with this name (and label set)."""
-        key = self._key(name, labels)
-        if key not in self._counters:
-            self._counters[key] = Counter(name, labels=self._label_dict(labels))
-        return self._counters[key]
+        key = self._key(name, labels) if labels else name
+        instrument = self._counters.get(key)
+        if instrument is None:
+            instrument = self._counters[key] = Counter(name, labels=self._label_dict(labels))
+        return instrument
 
     def gauge(self, name: str, labels: Optional[Mapping[str, object]] = None) -> Gauge:
         """Get or create the gauge with this name (and label set)."""
-        key = self._key(name, labels)
-        if key not in self._gauges:
-            self._gauges[key] = Gauge(name, labels=self._label_dict(labels))
-        return self._gauges[key]
+        key = self._key(name, labels) if labels else name
+        instrument = self._gauges.get(key)
+        if instrument is None:
+            instrument = self._gauges[key] = Gauge(name, labels=self._label_dict(labels))
+        return instrument
 
     def series(self, name: str, labels: Optional[Mapping[str, object]] = None) -> TimeSeries:
         """Get or create the time series with this name (and label set)."""
-        key = self._key(name, labels)
-        if key not in self._series:
-            self._series[key] = TimeSeries(name, labels=self._label_dict(labels))
-        return self._series[key]
+        key = self._key(name, labels) if labels else name
+        instrument = self._series.get(key)
+        if instrument is None:
+            instrument = self._series[key] = TimeSeries(name, labels=self._label_dict(labels))
+        return instrument
 
     def counters(self) -> dict[str, float]:
         """Snapshot of all counter values."""

@@ -1,10 +1,14 @@
 """Tests for anticipatory billed-duration control."""
 
-import pytest
+import math
 
-from repro.cache.billed_duration import BilledDurationController
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cache.billed_duration import BilledDurationController, BilledSession, SessionCharge
 from repro.exceptions import ConfigurationError
-from repro.faas.billing import BILLING_CYCLE_SECONDS
+from repro.faas.billing import BILLING_CYCLE_SECONDS, UNATTRIBUTED_TENANT
 
 
 class TestSessionLifecycle:
@@ -114,10 +118,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             BilledDurationController(extension_threshold=0)
 
-    def test_negative_service_time(self):
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_bad_service_time_fails_at_the_call_and_opens_nothing(self, bad):
         controller = BilledDurationController()
         with pytest.raises(ConfigurationError):
-            controller.record_request(0.0, -0.1)
+            controller.record_request(0.0, bad)
+        assert controller.current is None
+        controller.flush()
+        assert controller.closed_sessions == []
+
+    def test_infinite_attribution_weight_fails_at_the_call(self):
+        controller = BilledDurationController()
+        with pytest.raises(ConfigurationError):
+            controller.record_request(0.0, 0.01, attribution={"a": float("inf"), "b": 1.0})
 
 
 class TestBillingEconomics:
@@ -240,3 +253,156 @@ class TestLazySessionWatchdog:
             profile.cancelled.get("flow.finish", 0)
             < profile.scheduled.get("flow.finish", 0)
         )
+
+
+# ---------------------------------------------------------------------- PR 22
+# ``record_request`` / ``_close_current`` were rewritten for speed.  The
+# oracle is a literal transcription of the controller at commit 154a472 —
+# its dict round trips, its ``max``/``min`` and all; keep it verbatim.
+def _parent_shares(attribution):
+    if attribution:
+        weights = {t: w for t, w in attribution.items() if w > 0.0}
+        total = sum(weights.values())
+        if total > 0.0:
+            return {tenant: weight / total for tenant, weight in weights.items()}
+    return {UNATTRIBUTED_TENANT: 1.0}
+
+
+def _parent_ceil(duration_s):
+    return max(1, math.ceil(round(duration_s / BILLING_CYCLE_SECONDS, 9))) * (
+        BILLING_CYCLE_SECONDS
+    )
+
+
+class _ParentController:
+    def __init__(self, buffer_s, extension_threshold):
+        self.buffer_s = buffer_s
+        self.extension_threshold = extension_threshold
+        self.current = None
+        self.closed = []
+
+    def _close_current(self):
+        session = self.current
+        if session is None:
+            return
+        duration = session["window_end"] - session["started_at"] - self.buffer_s
+        active_seconds = session["window_end"] - session["started_at"]
+        duration = max(duration, min(session["busy_seconds"], active_seconds - self.buffer_s))
+        self.closed.append(
+            (
+                session["started_at"], duration, _parent_ceil(duration),
+                session["requests_served"], session["category"],
+                list(dict(session["busy_by_tenant"]).items()),
+            )
+        )
+        self.current = None
+
+    def record_request(self, now, service_time_s, category, attribution):
+        was_active = self.current is not None and now < self.current["window_end"]
+        if not was_active:
+            self._close_current()
+            self.current = session = {
+                "started_at": now, "window_end": now + BILLING_CYCLE_SECONDS,
+                "busy_seconds": 0.0, "requests_served": 0, "category": category,
+                "busy_by_tenant": {},
+            }
+        else:
+            session = self.current
+            if category == "serving":
+                session["category"] = "serving"
+        session["requests_served"] += 1
+        session["busy_seconds"] += service_time_s
+        if isinstance(attribution, str):
+            attribution = {attribution: 1.0}
+        attributed = {
+            tenant: service_time_s * share
+            for tenant, share in _parent_shares(attribution).items()
+        }
+        for tenant, busy in attributed.items():
+            session["busy_by_tenant"][tenant] = (
+                session["busy_by_tenant"].get(tenant, 0.0) + busy
+            )
+        finish = now + service_time_s
+        cycles = int(finish // BILLING_CYCLE_SECONDS) + 1
+        aligned_end = cycles * BILLING_CYCLE_SECONDS
+        session["window_end"] = max(session["window_end"], aligned_end)
+        if session["requests_served"] >= self.extension_threshold:
+            session["window_end"] = max(
+                session["window_end"], aligned_end + BILLING_CYCLE_SECONDS
+            )
+        return was_active
+
+
+_tenant_weights = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+_request = st.tuples(
+    # Gap to the previous request: inside the window, at its edge, far past it.
+    st.one_of(
+        st.sampled_from([0.0, 0.05, 0.095, 0.1, 0.2, 60.0]),
+        st.floats(min_value=0.0, max_value=120.0, allow_nan=False),
+    ),
+    st.one_of(
+        st.sampled_from([0.0, 0.001, 0.1, 0.30000000000000004]),
+        st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+    ),
+    st.sampled_from(["serving", "warmup", "backup"]),
+    st.one_of(
+        st.none(),
+        st.sampled_from(["a", "b", UNATTRIBUTED_TENANT]),
+        st.just({}),
+        st.dictionaries(st.sampled_from(["a", "b", "c"]), _tenant_weights, max_size=3),
+    ),
+)
+
+
+class TestSessionsMatchTheParentArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_request, min_size=1, max_size=40),
+        st.sampled_from([0.0, 0.005, 0.01]),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_every_closed_session_is_bit_equal(self, requests, buffer_s, threshold):
+        billed = []
+        controller = BilledDurationController(buffer_s, threshold, on_close=billed.append)
+        oracle = _ParentController(buffer_s, threshold)
+        now = 0.0
+        for gap, service_time_s, category, attribution in requests:
+            now += gap
+            assert controller.record_request(
+                now, service_time_s, category, attribution
+            ) == oracle.record_request(now, service_time_s, category, attribution)
+            assert controller.current.window_end == oracle.current["window_end"]
+            assert controller.current.busy_seconds == oracle.current["busy_seconds"]
+        controller.flush()
+        oracle._close_current()
+        assert [
+            (
+                charge.started_at, charge.duration_s, charge.billed_duration_s,
+                charge.requests_served, charge.category,
+                list(charge.busy_by_tenant.items()),
+            )
+            for charge in controller.closed_sessions
+        ] == oracle.closed
+        assert billed == controller.closed_sessions and controller.current is None
+
+    def test_a_closed_charge_is_not_touched_by_the_next_session(self):
+        controller = BilledDurationController()
+        controller.record_request(0.0, 0.01, attribution="a")
+        controller.record_request(5.0, 0.02, attribution="b")
+        controller.flush()
+        first, second = controller.closed_sessions
+        assert first.busy_by_tenant == {"a": 0.01}
+        assert second.busy_by_tenant == {"b": 0.02}
+        assert first.busy_by_tenant is not second.busy_by_tenant
+
+    def test_record_shapes_keep_their_fields_and_keywords(self):
+        session = BilledSession(started_at=1.0, window_end=1.1)
+        assert (session.busy_seconds, session.requests_served, session.category) == (
+            0.0, 0, "serving",
+        )
+        assert session.busy_by_tenant == {} and session.active_seconds == pytest.approx(0.1)
+        charge = SessionCharge(
+            started_at=1.0, duration_s=0.095, billed_duration_s=0.1,
+            requests_served=1, category="warmup",
+        )
+        assert charge.busy_by_tenant == {}

@@ -1,8 +1,15 @@
 """Tests for the simulated FaaS platform."""
 
+import random
+
 import pytest
 
-from repro.exceptions import ConfigurationError, FunctionReclaimedError, InvocationError
+from repro.exceptions import (
+    ConfigurationError,
+    FunctionReclaimedError,
+    InvocationError,
+    InvocationFaultError,
+)
 from repro.faas.function import FunctionState
 from repro.faas.platform import FaaSPlatform
 from repro.faas.reclamation import IdleTimeoutPolicy, PoissonReclamationPolicy
@@ -115,6 +122,127 @@ class TestInvocation:
         platform.reclaim_instance(result.instance)
         platform.complete_invocation(result.instance, 0.1)
         assert platform.billing.total_invocations == 1
+
+
+class TestInstrumentsAreCreatedOnFirstUse:
+    """``deployment.counters()`` is hashed into replay fingerprints, so *which*
+    instruments exist is behaviour: none may appear before its first increment."""
+
+    def test_fault_free_invocations_create_exactly_these_counters(self, platform):
+        assert platform.metrics.snapshot() == {"counters": {}, "gauges": {}, "series": {}}
+        platform.register_function("f", 256 * MIB)
+        assert platform.metrics.counters() == {}
+        for _ in range(25):
+            result = platform.invoke("f")
+            platform.complete_invocation(result.instance, 0.01)
+        platform.complete_invocation(platform.invoke_instance(result.instance).instance, 0.01)
+        assert platform.metrics.snapshot() == {
+            "counters": {
+                "faas.cold_starts": 1.0,
+                "faas.instances_created": 1.0,
+                "faas.invocations": 26.0,
+            },
+            "gauges": {},
+            "series": {},
+        }
+        platform.reclaim_instance(result.instance)
+        assert sorted(platform.metrics.counters()) == [
+            "faas.cold_starts", "faas.instances_created", "faas.invocations", "faas.reclaims",
+        ]
+        assert platform.metrics.series_names() == ["faas.reclaim_events"]
+
+    def test_invocation_bookkeeping_is_what_mark_invoked_does(self, platform):
+        platform.register_function("f", 256 * MIB)
+        platform.simulator.run_until(7.5)
+        result = platform.invoke("f")
+        assert result.started_at == 7.5 and result.cold_start
+        assert result.invoke_overhead_s == (
+            platform.limits.cold_start_overhead + platform.limits.warm_invocation_overhead
+        )
+        instance = result.instance
+        assert (instance.last_invoked_at, instance.invocation_count) == (7.5, 1)
+        platform.simulator.run_until(9.0)
+        platform.complete_invocation(instance, 0.01)
+        assert (instance.last_invoked_at, instance.invocation_count) == (9.0, 1)
+        warm = platform.invoke_instance(instance)
+        assert not warm.cold_start
+        assert warm.invoke_overhead_s == platform.limits.warm_invocation_overhead
+        assert (instance.last_invoked_at, instance.invocation_count) == (9.0, 2)
+
+    def test_invocation_result_keeps_its_fields_and_keywords(self, platform):
+        from repro.faas import InvocationResult
+
+        result = InvocationResult(
+            instance=None, cold_start=True, invoke_overhead_s=0.1, started_at=2.0
+        )
+        assert (result.cold_start, result.invoke_overhead_s, result.started_at) == (True, 0.1, 2.0)
+
+
+class TestInvocationFaultWindow:
+    def test_one_draw_per_invocation_in_call_order(self, platform):
+        platform.register_function("f", 256 * MIB)
+        platform.register_function("g", 256 * MIB)
+        pinned = platform.invoke("g").instance
+        platform.complete_invocation(pinned, 0.01)
+        rng, twin = random.Random(7), random.Random(7)
+        platform.set_invocation_faults(failure_probability=0.3, extra_overhead_s=0.25, rng=rng)
+        failures = 0
+        for index in range(200):
+            expected_failure = twin.random() < 0.3
+            try:
+                if index % 3 == 2:
+                    result = platform.invoke_instance(pinned)
+                else:
+                    result = platform.invoke("f")
+            except InvocationFaultError:
+                assert expected_failure
+                failures += 1
+                continue
+            assert not expected_failure
+            warm = platform.limits.warm_invocation_overhead
+            cold = platform.limits.cold_start_overhead if result.cold_start else 0.0
+            assert result.invoke_overhead_s == pytest.approx(cold + warm + 0.25)
+            platform.complete_invocation(result.instance, 0.01)
+        assert rng.getstate() == twin.getstate()
+        assert 0 < failures < 200
+        counters = platform.metrics.counters()
+        assert counters["faas.injected_faults"] == failures
+        assert counters["faas.invocations"] == 1 + 200 - failures
+        assert pinned.state is FunctionState.IDLE  # a failed invocation never started
+
+    def test_checks_before_the_draw_do_not_consume_randomness(self, platform):
+        platform.register_function("f", 256 * MIB)
+        gone = platform.invoke("f").instance
+        platform.reclaim_instance(gone)
+        rng = random.Random(1)
+        before = rng.getstate()
+        platform.set_invocation_faults(failure_probability=0.5, rng=rng)
+        with pytest.raises(InvocationError):
+            platform.invoke("nope")
+        with pytest.raises(FunctionReclaimedError):
+            platform.invoke_instance(gone)
+        assert rng.getstate() == before
+
+    def test_overhead_only_window_draws_nothing(self, platform):
+        platform.register_function("f", 256 * MIB)
+        platform.set_invocation_faults(extra_overhead_s=0.5)  # no RNG armed at all
+        result = platform.invoke("f")
+        assert result.invoke_overhead_s == pytest.approx(
+            platform.limits.cold_start_overhead + platform.limits.warm_invocation_overhead + 0.5
+        )
+        platform.clear_invocation_faults()
+        platform.complete_invocation(result.instance, 0.01)
+        assert platform.invoke("f").invoke_overhead_s == platform.limits.warm_invocation_overhead
+        assert "faas.injected_faults" not in platform.metrics.counters()
+
+    def test_bad_durations_fail_at_completion_and_leave_the_instance_running(self, platform):
+        platform.register_function("f", 256 * MIB)
+        instance = platform.invoke("f").instance
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                platform.complete_invocation(instance, bad)
+        assert instance.state is FunctionState.RUNNING
+        assert platform.billing.total_invocations == 0
 
 
 class TestStateAccess:

@@ -9,6 +9,9 @@ when the gate trips, not just that it exits zero on the happy path.
 from __future__ import annotations
 
 import json
+import pathlib
+
+import pytest
 
 from repro.experiments import perf
 
@@ -44,6 +47,32 @@ class TestMicroBenchmarks:
             assert sample.extra[key] > 0
         text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
         assert "decode (2 data chunks lost)" in text and "MB/s" in text
+
+
+    def test_faas_cycle_micro_reports_the_exact_ledger(self):
+        sample = perf.micro_faas_cycle(cycles=3_000, reclaim_every=500)
+        assert sample.name == "micro.faas_cycle" and sample.events == 3_000
+        assert sample.events_per_s > 0
+        extra = sample.extra
+        assert (extra["cycles"], extra["total_invocations"]) == (3_000, 3_000)
+        # Every 500th instance is reclaimed mid-flight and still billed; the
+        # cycle after it cold-starts (the last reclaim has no cycle after it).
+        assert (extra["reclaims"], extra["cold_starts"]) == (6, 6)
+        # Exact on any host, so pinned: 750 each of 0.1 / 0.1 / 0.2 / 0.2 s.
+        assert extra["total_billed_seconds"] == repr(float(extra["total_billed_seconds"]))
+        assert float(extra["total_billed_seconds"]) == pytest.approx(450.0)
+        assert extra == perf.micro_faas_cycle(cycles=3_000, reclaim_every=500).extra
+        text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
+        assert "3000 invoke -> complete -> bill cycles" in text and "6 cold starts" in text
+
+    def test_committed_faas_cycle_ledger_is_what_the_code_computes(self):
+        """``BENCH_perf.json`` is the gate's reference; it must not go stale."""
+        committed = json.loads(
+            (pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json").read_text()
+        )
+        fresh = {"micro": [perf.micro_faas_cycle().as_dict()]}
+        assert perf.validate_faas_cycle(committed) == []
+        assert perf.check_regression(fresh, committed) == []
 
 
 class TestMacroAndComparison:
@@ -91,7 +120,9 @@ class TestMacroAndComparison:
             "micro.flow_churn[reference]",
             "micro.flow_churn[incremental,dense]",
             "micro.erasure",
+            "micro.faas_cycle",
         ]
+        assert perf.validate_faas_cycle(encoded) == []
         for sample in encoded["micro"] + encoded["macro"]:
             assert sample["events_per_s"] >= 0
         # The profile section rides along at the largest swept fleet and
@@ -270,6 +301,44 @@ class TestRegressionGuard:
         assert perf.check_regression(reaimed(1000), reaimed(1000)) == []
         assert perf.check_regression(reaimed(999), reaimed(1000)) == []
         assert perf.check_regression(reaimed(1001), reaimed(None)) == []
+
+
+    def _ledger(self, **changed) -> dict:
+        sample = {
+            "name": "micro.faas_cycle", "cycles": 10, "reclaims": 1, "cold_starts": 1,
+            "total_invocations": 10, "total_billed_seconds": "1.5", "total_cost": "0.25",
+            "events_per_s": 1.0,
+        }
+        sample.update(changed)
+        return {"micro": [sample], "macro": []}
+
+    def test_faas_ledger_is_gated_on_equality(self):
+        assert perf.check_regression(self._ledger(), self._ledger()) == []
+        assert perf.check_regression(self._ledger(events_per_s=9e9), self._ledger()) == []
+        for key, value in (
+            ("total_cost", "0.25000000000000006"),
+            ("total_billed_seconds", "1.4"),
+            ("total_invocations", 9),
+            ("cold_starts", 2),
+        ):
+            errors = perf.check_regression(self._ledger(**{key: value}), self._ledger())
+            assert len(errors) == 1 and key in errors[0] and "micro.faas_cycle" in errors[0]
+        # A payload that lost the sample fails on every gated field ...
+        assert len(perf.check_regression({"macro": []}, self._ledger())) == len(
+            perf.FAAS_MICRO_EXACT_KEYS
+        )
+        # ... and a baseline written before the micro existed gates nothing.
+        assert perf.check_regression(self._ledger(), {"macro": []}) == []
+
+    def test_validate_faas_cycle_rejects_malformed_samples(self):
+        assert perf.validate_faas_cycle(self._ledger()) == []
+        assert perf.validate_faas_cycle({"micro": []}) != []
+        for key, value in (
+            ("total_cost", 0.25), ("total_cost", "0.250"), ("total_billed_seconds", "n/a"),
+            ("total_invocations", -1), ("cycles", "10"),
+        ):
+            errors = perf.validate_faas_cycle(self._ledger(**{key: value}))
+            assert len(errors) == 1 and key in errors[0]
 
 
 class TestCliRegressionGate:

@@ -149,6 +149,43 @@ class TestNonFiniteRejection:
         assert len(series) == 0
 
 
+    def test_rejections_keep_their_messages(self):
+        for bad, text in (
+            (float("nan"), "counter 'c' increment must be finite, got nan"),
+            (float("inf"), "counter 'c' increment must be finite, got inf"),
+            (float("-inf"), "counter 'c' increment must be finite, got -inf"),
+            (-1, "counter 'c' cannot be incremented by -1.0"),
+        ):
+            with pytest.raises(ValueError) as raised:
+                Counter("c").increment(bad)
+            assert str(raised.value) == text
+        with pytest.raises(ValueError, match="gauge 'g' value must be finite, got nan"):
+            Gauge("g").set(float("nan"))
+        with pytest.raises(ValueError, match="time series 's' value must be finite, got inf"):
+            TimeSeries("s").record(0.0, float("inf"))
+
+    def test_counter_accepts_ints_and_stays_a_float(self):
+        counter = Counter("c")
+        counter.increment(2)
+        counter.increment(True)
+        assert counter.value == 3.0 and type(counter.value) is float
+
+
+class TestInstrumentsAreCreatedOnFirstUse:
+    def test_lookup_creates_once_and_the_bare_name_is_the_key(self):
+        registry = MetricRegistry()
+        assert registry.snapshot() == {"counters": {}, "gauges": {}, "series": {}}
+        counter = registry.counter("hits")
+        assert registry.counter("hits") is counter
+        assert registry.counter("hits", {}) is counter  # no labels: same instrument
+        assert registry.counter("hits", {"tenant": "a"}) is not counter
+        assert registry.gauge("hits") is registry.gauge("hits", None)
+        assert registry.series("hits") is registry.series("hits")
+        assert counter.labels is None
+        assert list(registry.counters()) == ["hits", 'hits{tenant="a"}']
+        assert list(registry.gauges()) == ["hits"] and registry.series_names() == ["hits"]
+
+
 class TestWindowBoundaries:
     """Half-open [start, end) windows probed at exact sample timestamps."""
 
