@@ -33,7 +33,7 @@ setup(
     install_requires=[],
     extras_require={
         "perf": ["numpy"],
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": ["repro=repro.__main__:main"],

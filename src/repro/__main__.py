@@ -499,10 +499,11 @@ def _dispatch(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Dispatch to a subcommand or the experiment runner; arguments it cannot
-    run with end in one ``error:`` line and status 2 (1 is a failed gate)."""
+    run with — an output path that cannot be written included — end in one
+    ``error:`` line and status 2 (1 is a failed gate)."""
     try:
         return _dispatch(sys.argv[1:] if argv is None else argv)
-    except (ConfigurationError, WorkloadError) as error:
+    except (ConfigurationError, WorkloadError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,9 @@ that keeps a deployment alive:
   granularity, parallel chunk I/O with first-d streaming.
 * :mod:`repro.cache.node` — one Lambda cache node: the runtime's chunk
   store (kept inside the simulated function instance's memory), the
-  proxy-side and Lambda-side connection state machines, anticipatory
-  billed-duration control, and failover between peer replicas.
+  connection protocol's effect on a request (``NodeAccess``: preflight,
+  invoke overhead, cold start), anticipatory billed-duration control, and
+  failover between peer replicas.
 * :mod:`repro.cache.backup` — the delta-sync backup protocol through a
   relay, run every ``T_bak`` per node.
 * :mod:`repro.cache.warmup` — the periodic warm-up invoker (every

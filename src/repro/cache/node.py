@@ -28,7 +28,7 @@ from typing import Optional
 from repro.cache.billed_duration import BilledDurationController, SessionCharge
 from repro.cache.chunk import CacheChunk
 from repro.cache.clock_lru import ClockLRU
-from repro.cache.connection import CircuitBreaker, LambdaSideConnection, ProxyConnection
+from repro.cache.connection import CircuitBreaker
 from repro.exceptions import CacheError
 from repro.faas.function import FunctionInstance, FunctionState
 from repro.faas.limits import bandwidth_for_memory, usable_cache_bytes
@@ -68,8 +68,6 @@ class LambdaCacheNode:
 
         self.primary: Optional[FunctionInstance] = None
         self.backup_peer: Optional[FunctionInstance] = None
-        self.proxy_connection = ProxyConnection(node_id)
-        self.lambda_connection = LambdaSideConnection(node_id)
         self.duration_controller = BilledDurationController(
             buffer_s=billing_buffer_s,
             extension_threshold=billing_extension_threshold,
@@ -171,9 +169,6 @@ class LambdaCacheNode:
         self.duration_controller.expire_if_due(now)
         if self.duration_controller.is_active(now) and self._session_instance is not None:
             # Preflight PING/PONG on the already-running instance.
-            self.proxy_connection.send_ping()
-            self.lambda_connection.ping()
-            self.proxy_connection.pong_received()
             return NodeAccess(0.001, False, False)
 
         if (
@@ -185,12 +180,8 @@ class LambdaCacheNode:
             # serving a concurrent request and its session has not been
             # opened yet (that happens when the first transfer completes);
             # piggyback on the running invocation instead of re-invoking.
-            self.proxy_connection.send_ping()
-            self.lambda_connection.ping()
-            self.proxy_connection.pong_received()
             return NodeAccess(0.001, False, False)
 
-        self.proxy_connection.begin_invocation()
         invoked_instance: FunctionInstance
         cold_start = False
         if self.primary is not None and self.primary.is_alive:
@@ -209,8 +200,6 @@ class LambdaCacheNode:
             cold_start = result.cold_start
             self.primary = invoked_instance
         self._session_instance = invoked_instance
-        self.lambda_connection.activate()
-        self.proxy_connection.pong_received()
         return NodeAccess(overhead, True, cold_start)
 
     def record_service(
@@ -308,8 +297,6 @@ class LambdaCacheNode:
             self._session_instance = None
         if instance is self.primary:
             self.primary = None
-            self.lambda_connection.reclaimed()
-            self.proxy_connection.node_returned()
             if self.backup_peer is not None and self.backup_peer.is_alive:
                 self._failover_to_backup()
         elif instance is self.backup_peer:

@@ -108,10 +108,6 @@ class InvocationFaultError(TransientFaultError, InvocationError):
         self.reason = reason
 
 
-class ConnectionClosedError(ReproError):
-    """A simulated TCP connection between proxy and Lambda node was closed."""
-
-
 class BackupError(ReproError):
     """The delta-sync backup protocol failed to complete."""
 

@@ -2,10 +2,11 @@
 
 Every module exposes a ``run(...)`` function that returns plain data
 structures (lists of rows / dicts of series) plus a ``format_report(...)``
-helper that renders them as the text tables printed by the benchmark
-harness.  Default parameters are scaled down so the whole suite completes in
-minutes on a laptop; each ``run`` accepts arguments to restore the paper's
-full-scale settings.
+helper that renders them as a text table.  The parameters each is run with
+are declared once, per named scale (``golden`` / ``quick`` / ``report`` /
+``paper``), in :mod:`repro.experiments.registry`; ``build(name, scale)``
+there is how the runner and the tests obtain a result.  The ``run``
+defaults are the paper's own settings.
 
 | Module | Paper artefact |
 |---|---|
@@ -24,9 +25,16 @@ full-scale settings.
 | :mod:`repro.experiments.table1`   | Table 1 WSS / throughput / hit ratios |
 | :mod:`repro.experiments.availability` | Section 4.3 availability numbers |
 
-Beyond the paper, :mod:`repro.experiments.cluster_scale` replays a
-multi-tenant mix against the orchestrated autoscaling cluster of
-:mod:`repro.cluster`.
+Beyond the paper:
+
+| Module | Study |
+|---|---|
+| :mod:`repro.experiments.chaos_availability` | availability under the canonical fault storm, per hardening level |
+| :mod:`repro.experiments.cluster_scale` | a multi-tenant mix against the orchestrated autoscaling cluster of :mod:`repro.cluster` |
+| :mod:`repro.experiments.autoscale_policies` | the same mix once per autoscaler policy: cost vs. miss rate |
+
+:mod:`repro.experiments.perf` is the simulator's own performance harness
+(``python -m repro perf``), not an experiment.
 """
 
 __all__ = [
@@ -43,7 +51,10 @@ __all__ = [
     "figure17",
     "table1",
     "availability",
+    "chaos_availability",
     "cluster_scale",
+    "autoscale_policies",
     "production",
+    "registry",
     "report",
 ]

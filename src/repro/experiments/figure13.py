@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.production import ProductionResults, ProductionScale, run as run_production
+from repro.experiments.production import ProductionResults
 from repro.experiments.report import format_table
 
 
@@ -55,11 +55,6 @@ def from_production(results: ProductionResults) -> Figure13Result:
     }
     figure.fingerprints = dict(results.fingerprints)
     return figure
-
-
-def run(scale: ProductionScale | None = None) -> Figure13Result:
-    """Run (or reuse) the production replay and compute Figure 13."""
-    return from_production(run_production(scale))
 
 
 def format_report(result: Figure13Result) -> str:

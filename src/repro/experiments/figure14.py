@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.experiments.production import ProductionResults, ProductionScale, run as run_production
+from repro.experiments.production import ProductionResults
 from repro.experiments.report import format_table
 from repro.utils.units import HOUR
 from repro.workload.replay import ConcurrentReplayReport
@@ -72,11 +72,6 @@ def from_production(results: ProductionResults) -> Figure14Result:
         figure.recoveries_per_hour[label] = recoveries
     figure.fingerprints = dict(results.fingerprints)
     return figure
-
-
-def run(scale: ProductionScale | None = None) -> Figure14Result:
-    """Run (or reuse) the production replay and compute Figure 14."""
-    return from_production(run_production(scale))
 
 
 def format_report(result: Figure14Result) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.production import ProductionResults, ProductionScale, run as run_production
+from repro.experiments.production import ProductionResults
 from repro.experiments.report import format_cdf_summary
 from repro.utils.stats import cdf_points
 from repro.utils.units import MB
@@ -65,11 +65,6 @@ def from_production(results: ProductionResults) -> Figure15Result:
         figure.large_speedup_100x_fraction = sum(1 for s in speedups if s >= 100) / len(speedups)
     figure.fingerprints = dict(results.fingerprints)
     return figure
-
-
-def run(scale: ProductionScale | None = None) -> Figure15Result:
-    """Run (or reuse) the production replay and compute Figure 15."""
-    return from_production(run_production(scale))
 
 
 def format_report(result: Figure15Result) -> str:

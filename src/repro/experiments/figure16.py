@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.production import ProductionResults, ProductionScale, run as run_production
+from repro.experiments.production import ProductionResults
 from repro.experiments.report import format_table
 from repro.utils.stats import summarize
 
@@ -63,11 +63,6 @@ def from_production(results: ProductionResults) -> Figure16Result:
                 figure.normalized_median[label][bucket] = float("nan")
     figure.fingerprints = dict(results.fingerprints)
     return figure
-
-
-def run(scale: ProductionScale | None = None) -> Figure16Result:
-    """Run (or reuse) the production replay and compute Figure 16."""
-    return from_production(run_production(scale))
 
 
 def format_report(result: Figure16Result) -> str:

@@ -41,19 +41,8 @@ def distribution_from_counts(counts: list[int]) -> dict[int, float]:
     return {count: occurrences / total for count, occurrences in sorted(histogram.items())}
 
 
-def run(
-    fleet_size: int = 100,
-    hours: int = 24,
-    seed: int = 909,
-    figure8_result: figure8.Figure8Result | None = None,
-) -> Figure9Result:
-    """Compute the per-minute reclaim distributions.
-
-    Pass a pre-computed :class:`~repro.experiments.figure8.Figure8Result` to
-    avoid re-running the simulation (the benchmark harness does this).
-    """
-    if figure8_result is None:
-        figure8_result = figure8.run(fleet_size=fleet_size, hours=hours, seed=seed)
+def run(figure8_result: figure8.Figure8Result) -> Figure9Result:
+    """Bin a Figure 8 simulation's per-sweep counts into per-minute distributions."""
     result = Figure9Result()
     for label, counts in figure8_result.reclaims_per_sweep.items():
         result.distributions[label] = distribution_from_counts(counts)

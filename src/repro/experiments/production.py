@@ -142,9 +142,8 @@ def build_deployment(scale: ProductionScale, backup_enabled: bool, seed_offset: 
     return InfiniCacheDeployment(config, reclamation_policy=policy)
 
 
-def run(scale: ProductionScale | None = None) -> ProductionResults:
+def run(scale: ProductionScale) -> ProductionResults:
     """Run every replay needed by Figures 13-16 and Table 1."""
-    scale = scale or ProductionScale()
     return _run_cached(scale)
 
 

@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.production import (
-    ProductionResults,
-    ProductionScale,
-    replay_elasticache_large,
-    run as run_production,
-)
+from repro.experiments.production import ProductionResults, replay_elasticache_large
 from repro.experiments.report import format_table
 from repro.utils.units import GB
 
@@ -56,11 +51,6 @@ def from_production(results: ProductionResults) -> Table1Result:
     table.fingerprints = dict(results.fingerprints)
     table.fingerprints["elasticache.large"] = elasticache_large.fingerprint()
     return table
-
-
-def run(scale: ProductionScale | None = None) -> Table1Result:
-    """Run (or reuse) the production replay and compute Table 1."""
-    return from_production(run_production(scale))
 
 
 def format_report(result: Table1Result) -> str:

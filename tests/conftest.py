@@ -4,13 +4,16 @@ Options:
 
 * ``--update-golden`` — regenerate the golden differential-replay files
   under ``tests/golden/`` instead of comparing against them (see
-  ``tests/test_golden_figures.py``).
+  ``tests/test_golden_figures.py`` and the ``check_golden`` fixture below).
 * ``--runslow`` — also run tests marked ``@pytest.mark.slow`` (the
   full-scale figure regenerations), which are excluded from the tier-1
   suite by default.
 """
 
 from __future__ import annotations
+
+import json
+import pathlib
 
 import pytest
 
@@ -44,6 +47,38 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def check_golden(request):
+    """``check(name, payload)``: compare ``payload`` against
+    ``tests/golden/<name>.json``, or rewrite it under ``--update-golden``.
+    With ``entry=key`` the payload is that one key of the file, so a file
+    of many pins (``report_scale.json``) says which of them moved."""
+
+    def check(name: str, payload, entry: str | None = None) -> None:
+        path = GOLDEN_DIR / f"{name}.json"
+        if request.config.getoption("--update-golden"):
+            if entry is not None:
+                pinned = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+                payload = {**pinned, entry: payload}
+            path.write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+            pytest.skip(f"regenerated {path.name}")
+        assert path.exists(), f"missing golden file {path}; regenerate with --update-golden"
+        golden = json.loads(path.read_text(encoding="utf-8"))
+        if entry is not None:
+            golden = golden.get(entry)
+        assert payload == golden, (
+            f"{entry or name} drifted from its golden pin; if the change is "
+            "intentional, regenerate with --update-golden and commit the diff"
+        )
+
+    return check
 
 
 @pytest.fixture

@@ -1,20 +1,78 @@
-"""Tests for the experiment runner CLI."""
+"""Tests for the experiment registry and the runner CLI on top of it."""
+
+from functools import lru_cache
 
 import pytest
 
-from repro.experiments import runner
+from repro.exceptions import ConfigurationError
+from repro.experiments import figure8, production, registry, runner
 
 
-class TestRunnerSpecs:
-    def test_every_paper_artifact_has_a_spec(self):
-        specs = runner._quick_specs()
-        expected = {
+def _count_runs(monkeypatch, module) -> list:
+    """Swap ``module._run_cached`` for a fresh memo around a counting copy of
+    the real body, so a test sees how often the source is really simulated
+    whatever an earlier test left in the process-wide cache."""
+    calls = []
+    simulate = module._run_cached.__wrapped__
+
+    @lru_cache(maxsize=None)
+    def counting(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(module, "_run_cached", counting)
+    return calls
+
+
+class TestRegistry:
+    def test_every_paper_artifact_is_declared_in_publication_order(self):
+        assert registry.names() == [
             "figure1", "figure4", "figure8", "figure9", "figure11", "figure12",
-            "figure13", "figure14", "figure15", "figure16", "figure17",
-            "table1", "availability", "cluster_scale", "autoscale_policies",
-            "chaos_availability",
+            "figure13", "figure14", "figure15", "figure16", "table1", "figure17",
+            "availability", "chaos_availability", "cluster_scale", "autoscale_policies",
+        ]
+
+    def test_every_rendered_experiment_declares_golden_and_quick(self):
+        for name in registry.names():
+            assert {"golden", "quick"} <= set(registry.scales(name)), name
+
+    def test_report_is_the_quick_object_where_the_two_are_equal(self):
+        declared = registry.EXPERIMENTS["production"].scales
+        assert declared["report"] is declared["quick"]
+        assert "smoke" not in {s for name in registry.names() for s in registry.scales(name)}
+
+    def test_an_undeclared_scale_names_the_declared_ones(self):
+        with pytest.raises(ConfigurationError) as error:
+            registry.build("cluster_scale", "paper")
+        assert "'paper'" in str(error.value)
+        assert "['golden', 'quick']" in str(error.value)
+        # A projection has exactly the scales of its source.
+        with pytest.raises(ConfigurationError, match="golden.*quick.*report.*paper"):
+            registry.build("figure9", "smoke")
+
+    def test_an_unknown_name_lists_the_available_ones(self):
+        with pytest.raises(ConfigurationError) as error:
+            registry.build("figure99", "golden")
+        assert "'figure99'" in str(error.value)
+        assert "figure13" in str(error.value) and "table1" in str(error.value)
+
+    @pytest.mark.parametrize("order", [
+        ("figure8", "figure9"), ("figure9", "figure8"),
+        ("production", "figure13", "table1"), ("figure14", "production", "figure16"),
+    ], ids=" then ".join)
+    def test_a_source_is_simulated_once_whichever_experiment_asks_first(
+        self, monkeypatch, order
+    ):
+        calls = {
+            "figure8": _count_runs(monkeypatch, figure8),
+            "production": _count_runs(monkeypatch, production),
         }
-        assert expected == set(specs)
+        for name in order + order:
+            registry.build(name, "golden")
+        expected = {"figure8": 1, "production": 0} if "figure8" in order else {
+            "figure8": 0, "production": 1,
+        }
+        assert {source: len(runs) for source, runs in calls.items()} == expected
 
 
 class TestRunAll:
@@ -27,32 +85,31 @@ class TestRunAll:
         assert "crossover" in reports["figure17"]
         assert "availability" in reports["availability"]
 
-    def test_figure8_and_figure9_share_one_simulation(self, tmp_path, monkeypatch):
-        calls = []
-        real_run = runner.figure8.run
-
-        def counting_run(**kwargs):
-            calls.append(kwargs)
-            return real_run(fleet_size=6, hours=2)
-
-        monkeypatch.setattr(runner.figure8, "run", counting_run)
-        runner._figure8_result.cache_clear()
-        try:
-            reports = runner.run_all(output_dir=tmp_path, only=["figure8", "figure9"])
-            assert calls == [{"fleet_size": 150, "hours": 24}]
-            # A later call in the same process (bench's one-experiment-at-a-
-            # time loop) reuses the result too.
-            again = runner.run_all(output_dir=tmp_path, only=["figure9"])
-            assert len(calls) == 1
-            assert again["figure9"] == reports["figure9"]
-        finally:
-            runner._figure8_result.cache_clear()
+    def test_one_experiment_at_a_time_still_shares_the_figure8_simulation(
+        self, tmp_path, monkeypatch
+    ):
+        """``bench/workloads.py`` calls ``run_all(only=[name])`` once per
+        experiment: a second simulation for figure9 would be its regression."""
+        calls = _count_runs(monkeypatch, figure8)
+        monkeypatch.setitem(
+            registry.EXPERIMENTS["figure8"].scales, "quick", {"fleet_size": 6, "hours": 2}
+        )
+        reports = runner.run_all(output_dir=tmp_path, only=["figure9"])
+        reports.update(runner.run_all(output_dir=tmp_path, only=["figure8"]))
+        again = runner.run_all(output_dir=tmp_path, only=["figure9"])
+        assert calls == [(6, 2, figure8.DEFAULT_STRATEGIES, 808)]
+        assert again["figure9"] == reports["figure9"]
         assert "Figure 8" in reports["figure8"]
         assert "Figure 9" in reports["figure9"]
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             runner.run_all(output_dir=tmp_path, only=["figure99"])
+
+    def test_an_empty_selection_is_rejected_not_read_as_everything(self, tmp_path):
+        with pytest.raises(ValueError, match="no experiment selected"):
+            runner.run_all(output_dir=tmp_path / "out", only=[])
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -78,6 +135,45 @@ class TestCli:
         assert "unknown experiments ['bogus']" in error_line
         assert "figure17" in error_line and "table1" in error_line
         assert not (tmp_path / "out").exists()
+
+    def test_only_without_a_name_is_a_usage_error_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # the default --output-dir would land here
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["--only"])
+        assert exit_info.value.code == 2
+        assert "expected at least one argument" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["--only", "figure17", "--fingerprints", "FILE/dir/f.json"],
+        ["--only", "figure17", "--metrics", "FILE/dir/m.prom"],
+        ["--only", "figure17", "--output-dir", "FILE"],
+        ["chaos", "--clients", "2", "--rounds", "4", "--json", "FILE/r.json"],
+        ["trace", "--clients", "2", "--requests", "1", "--output", "FILE/t.json"],
+        ["perf", "--quick", "--clients", "2", "--skip-compare", "--output", "FILE/b.json"],
+        ["scenarios", "run", "smoke", "--output", "FILE/s.json"],
+    ], ids=lambda argv: " ".join(argv[:2] + argv[-2:-1]))
+    def test_unwritable_output_path_exits_2_not_a_traceback(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        """A path under a regular file is unwritable for every user, root
+        included.  The runner's three fail before any experiment has run."""
+        from repro import __main__ as cli
+
+        monkeypatch.chdir(tmp_path)
+        blocker = tmp_path / "FILE"
+        blocker.write_text("not a directory")
+        built = []
+        monkeypatch.setattr(runner, "build", lambda name, scale: built.append(name))
+        argv = [arg.replace("FILE", str(blocker)) for arg in argv]
+        assert cli.main(argv) == 2
+        error_lines = capsys.readouterr().err.strip().splitlines()
+        assert error_lines[-1].startswith("error: ") and "FILE" in error_lines[-1]
+        assert "Traceback" not in "\n".join(error_lines)
+        assert built == []
+        assert blocker.read_text() == "not a directory"
 
     @pytest.mark.parametrize("argv", [
         ["sim-smoke", "--clients", "0"],

@@ -1,11 +1,10 @@
-"""Full report-scale figure regenerations, marked ``slow``.
+"""Full quick-scale figure regenerations, marked ``slow``.
 
-The golden suite (``test_golden_figures.py``) pins every experiment at
-*reduced* scale so it runs on each PR; this module runs the runner's
-complete report-scale spec suite end to end — the same scales
-``python -m repro`` publishes, minutes of CPU — and is therefore excluded
-from the tier-1 suite.  (The paper's own parameters,
-``ProductionScale.paper()``, remain a manual, hours-long run.)  Run this
+The golden suite (``test_golden_figures.py``) pins every experiment at the
+``golden`` scale so it runs on each PR; this module runs the whole registry
+end to end at the ``quick`` scale ``python -m repro`` publishes — minutes
+of CPU — and is therefore excluded from the tier-1 suite.  (The ``paper``
+scale remains a manual, hours-long run, Figure 12's excepted.)  Run this
 module explicitly with::
 
     PYTHONPATH=src python -m pytest tests/test_figures_fullscale.py --runslow
@@ -16,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import runner
+from repro.experiments.registry import build, names
 
 pytestmark = pytest.mark.slow
 
@@ -26,15 +26,13 @@ class TestFullScaleFigureRuns:
             output_dir=tmp_path / "results",
             fingerprints_path=tmp_path / "fingerprints.json",
         )
-        assert set(reports) == set(runner._quick_specs())
+        assert list(reports) == names()
         for name in reports:
             assert (tmp_path / "results" / f"{name}.txt").exists()
         assert (tmp_path / "fingerprints.json").exists()
 
     def test_figure12_full_sweep_scales_to_ten_clients(self):
-        from repro.experiments import figure12
-
-        result = figure12.run()
+        result = build("figure12", "paper")
         ordered = [result.throughput_bps[c] for c in sorted(result.throughput_bps)]
         assert ordered[-1] > ordered[0]
         assert len(result.fingerprints) == len(result.throughput_bps)

@@ -1,7 +1,8 @@
 """Golden differential-replay tests for every figure/table experiment.
 
-Each test runs one experiment at **reduced scale** with fixed seeds and
-pins, in a JSON file under ``tests/golden/``:
+Each test builds one registered experiment at the registry's ``golden``
+scale (``build(name, "golden")``) with fixed seeds and pins, in a JSON file
+under ``tests/golden/``:
 
 * the per-run driver ``fingerprint()`` digests, where the experiment
   replays through the event-driven drivers (the differential-replay pin:
@@ -22,242 +23,117 @@ regenerated fingerprint report as an artifact.
 from __future__ import annotations
 
 import hashlib
-import json
 import pathlib
 
 import pytest
 
-from repro.experiments import (
-    availability,
-    cluster_scale,
-    figure1,
-    figure4,
-    figure8,
-    figure9,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-    figure16,
-    figure17,
-    production,
-    table1,
-)
+from repro.experiments.registry import EXPERIMENTS, build, names
 from repro.utils.units import MB
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.fixture(scope="module")
-def production_results():
-    """One shared tiny production replay for the Figure 13-16 / Table 1 pins."""
-    return production.run(production.ProductionScale.quick())
+def _drop_nan(values: dict) -> dict:
+    # NaN (an empty size bucket) is dropped: NaN != NaN would make a freshly
+    # regenerated golden fail forever.
+    return {k: v for k, v in values.items() if v == v}
 
 
-@pytest.fixture(scope="module")
-def figure8_result():
-    return figure8.run(
-        fleet_size=40, hours=6,
-        strategies=(figure8.DEFAULT_STRATEGIES[0], figure8.DEFAULT_STRATEGIES[4]),
-    )
+#: experiment -> the handful of headline numbers its golden file carries.
+HEADLINES = {
+    "figure1": lambda results: {
+        "large_object_fraction": results["dallas"].large_object_fraction,
+        "large_byte_fraction": results["dallas"].large_byte_fraction,
+        "reuse_within_hour_fraction": results["dallas"].reuse_within_hour_fraction,
+    },
+    "figure4": lambda result: {
+        "host_counts": sorted(result.latency_by_hosts),
+        "samples": sum(len(v) for v in result.latency_by_hosts.values()),
+    },
+    "figure8": lambda result: {"total_reclaims": result.total_reclaims},
+    "figure9": lambda result: {
+        label: result.probability_of_at_least(label, 1) for label in result.distributions
+    },
+    "figure11": lambda result: {
+        "median_1024_10+1_10MB": result.median(1024, (10, 1), 10 * MB),
+        "median_256_4+2_10MB": result.median(256, (4, 2), 10 * MB),
+    },
+    "figure12": lambda result: {
+        str(clients): bps for clients, bps in result.throughput_bps.items()
+    },
+    "production": lambda results: {
+        "infinicache_all_hit_ratio": results.infinicache_all.hit_ratio,
+        "infinicache_all_resets": results.infinicache_all.resets,
+        "elasticache_all_hit_ratio": results.elasticache_all.hit_ratio,
+        "s3_requests": results.s3_all.requests,
+    },
+    "figure13": lambda result: result.total_costs,
+    "figure14": lambda result: {
+        label: list(totals) for label, totals in result.totals.items()
+    },
+    "figure15": lambda result: {
+        "large_speedup_100x_fraction": result.large_speedup_100x_fraction,
+    },
+    "figure16": lambda result: _drop_nan(result.normalized_median["InfiniCache"]),
+    "table1": lambda result: {
+        workload: _drop_nan(row) for workload, row in result.rows.items()
+    },
+    "figure17": lambda result: {
+        "crossover_rate": result.crossover_rate,
+        "elasticache_hourly": result.elasticache_hourly,
+    },
+    "availability": lambda result: {
+        "approximation_ratio_r12": result.approximation_ratio_r12,
+    },
+    "chaos_availability": lambda result: {
+        label: {
+            "requests": report.requests,
+            "degraded_hits": report.degraded_hits,
+            "resets": report.resets,
+        }
+        for label, report in result.reports.items()
+    },
+    "cluster_scale": lambda result: {
+        tenant_id: {
+            "requests": outcome.requests_issued,
+            "hits": outcome.hits,
+            "misses": outcome.misses,
+            "throttled": outcome.throttled,
+        }
+        for tenant_id, outcome in sorted(result.tenants.items())
+    },
+    "autoscale_policies": lambda result: {
+        policy: run.total_cost for policy, run in result.runs.items()
+    },
+}
 
 
-def _report_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def check_golden(request, name: str, payload: dict) -> None:
-    """Compare ``payload`` against ``tests/golden/<name>.json`` (or rewrite it)."""
-    path = GOLDEN_DIR / f"{name}.json"
-    if request.config.getoption("--update-golden"):
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        pytest.skip(f"regenerated {path.name}")
-    assert path.exists(), (
-        f"missing golden file {path}; regenerate with "
-        "pytest tests/test_golden_figures.py --update-golden"
-    )
-    golden = json.loads(path.read_text(encoding="utf-8"))
-    assert payload == golden, (
-        f"{name} drifted from its golden pin; if the change is intentional, "
-        "regenerate with --update-golden and commit the diff"
-    )
+#: Every registered experiment plus the source the projections share.
+#: Indexing HEADLINES here makes a registered experiment without a pin a
+#: collection error instead of an experiment nobody is watching.
+PINNED = {name: HEADLINES[name] for name in [*names(), "production"]}
 
 
 class TestGoldenFigures:
-    def test_figure1(self, request):
-        results = figure1.run(duration_hours=2.0, datacenters=("dallas",))
-        result = results["dallas"]
-        check_golden(request, "figure1", {
-            "report_sha256": _report_digest(figure1.format_report(results)),
-            "headline": {
-                "large_object_fraction": result.large_object_fraction,
-                "large_byte_fraction": result.large_byte_fraction,
-                "reuse_within_hour_fraction": result.reuse_within_hour_fraction,
-            },
-        })
+    @pytest.mark.parametrize("name", PINNED)
+    def test_golden(self, check_golden, name):
+        result = build(name, "golden")
+        payload = {"headline": PINNED[name](result)}
+        if hasattr(result, "fingerprints"):
+            payload["fingerprints"] = result.fingerprints
+        if name != "production":  # a source only: projected, never rendered
+            report = EXPERIMENTS[name].format_report(result)
+            payload["report_sha256"] = hashlib.sha256(report.encode("utf-8")).hexdigest()
+        check_golden(name, payload)
 
-    def test_figure4(self, request):
-        result = figure4.run(pool_sizes=(20, 60), requests_per_pool=6)
-        check_golden(request, "figure4", {
-            "fingerprints": result.fingerprints,
-            "report_sha256": _report_digest(figure4.format_report(result)),
-            "headline": {
-                "host_counts": sorted(result.latency_by_hosts),
-                "samples": sum(len(v) for v in result.latency_by_hosts.values()),
-            },
-        })
-
-    def test_figure8(self, request, figure8_result):
-        check_golden(request, "figure8", {
-            "report_sha256": _report_digest(figure8.format_report(figure8_result)),
-            "headline": {"total_reclaims": figure8_result.total_reclaims},
-        })
-
-    def test_figure9(self, request, figure8_result):
-        result = figure9.run(figure8_result=figure8_result)
-        check_golden(request, "figure9", {
-            "report_sha256": _report_digest(figure9.format_report(result)),
-            "headline": {
-                label: result.probability_of_at_least(label, 1)
-                for label in result.distributions
-            },
-        })
-
-    def test_figure11(self, request):
-        result = figure11.run(
-            lambda_memories_mib=(256, 1024),
-            rs_codes=((10, 1), (4, 2)),
-            object_sizes=(10 * MB,),
-            requests_per_cell=4,
-        )
-        check_golden(request, "figure11", {
-            "fingerprints": result.fingerprints,
-            "report_sha256": _report_digest(figure11.format_report(result)),
-            "headline": {
-                "median_1024_10+1_10MB": result.median(1024, (10, 1), 10 * MB),
-                "median_256_4+2_10MB": result.median(256, (4, 2), 10 * MB),
-            },
-        })
-
-    def test_figure12(self, request):
-        result = figure12.run(client_counts=(1, 2), requests_per_client=4)
-        check_golden(request, "figure12", {
-            "fingerprints": result.fingerprints,
-            "report_sha256": _report_digest(figure12.format_report(result)),
-            "headline": {
-                str(clients): bps for clients, bps in result.throughput_bps.items()
-            },
-        })
-
-    def test_production(self, request, production_results):
-        check_golden(request, "production", {
-            "fingerprints": production_results.fingerprints,
-            "headline": {
-                "infinicache_all_hit_ratio": production_results.infinicache_all.hit_ratio,
-                "infinicache_all_resets": production_results.infinicache_all.resets,
-                "elasticache_all_hit_ratio": production_results.elasticache_all.hit_ratio,
-                "s3_requests": production_results.s3_all.requests,
-            },
-        })
-
-    def test_figure13(self, request, production_results):
-        result = figure13.from_production(production_results)
-        check_golden(request, "figure13", {
-            "fingerprints": result.fingerprints,
-            "report_sha256": _report_digest(figure13.format_report(result)),
-            "headline": result.total_costs,
-        })
-
-    def test_figure14(self, request, production_results):
-        result = figure14.from_production(production_results)
-        check_golden(request, "figure14", {
-            "fingerprints": result.fingerprints,
-            "report_sha256": _report_digest(figure14.format_report(result)),
-            "headline": {
-                label: list(totals) for label, totals in result.totals.items()
-            },
-        })
-
-    def test_figure15(self, request, production_results):
-        result = figure15.from_production(production_results)
-        check_golden(request, "figure15", {
-            "fingerprints": result.fingerprints,
-            "report_sha256": _report_digest(figure15.format_report(result)),
-            "headline": {
-                "large_speedup_100x_fraction": result.large_speedup_100x_fraction,
-            },
-        })
-
-    def test_figure16(self, request, production_results):
-        result = figure16.from_production(production_results)
-        infinicache = result.normalized_median["InfiniCache"]
-        check_golden(request, "figure16", {
-            "fingerprints": result.fingerprints,
-            "report_sha256": _report_digest(figure16.format_report(result)),
-            # NaN (an empty size bucket) is dropped: NaN != NaN would make a
-            # freshly regenerated golden fail forever.
-            "headline": {k: v for k, v in infinicache.items() if v == v},
-        })
-
-    def test_table1(self, request, production_results):
-        result = table1.from_production(production_results)
-        headline = {
-            workload: {k: v for k, v in row.items() if v == v}  # drop NaN
-            for workload, row in result.rows.items()
-        }
-        check_golden(request, "table1", {
-            "fingerprints": result.fingerprints,
-            "report_sha256": _report_digest(table1.format_report(result)),
-            "headline": headline,
-        })
-
-    def test_figure17(self, request):
-        result = figure17.run()
-        check_golden(request, "figure17", {
-            "report_sha256": _report_digest(figure17.format_report(result)),
-            "headline": {
-                "crossover_rate": result.crossover_rate,
-                "elasticache_hourly": result.elasticache_hourly,
-            },
-        })
-
-    def test_availability(self, request):
-        result = availability.run()
-        check_golden(request, "availability", {
-            "report_sha256": _report_digest(availability.format_report(result)),
-            "headline": {
-                "approximation_ratio_r12": result.approximation_ratio_r12,
-            },
-        })
-
-    def test_cluster_scale(self, request):
-        result = cluster_scale.run(
-            tenants=cluster_scale.default_tenants(40), duration_s=90.0
-        )
-        # The driver's report (samples + flow intervals) is exposed as-is.
+    def test_cluster_scale_exposes_the_drivers_report(self):
+        """The driver's report (samples + flow intervals) is exposed as-is."""
+        result = build("cluster_scale", "golden")
         assert result.replay_report is not None
         assert result.replay_report.fingerprint() == result.fingerprints["replay"]
         assert result.replay_report.samples
-        check_golden(request, "cluster_scale", {
-            "fingerprints": result.fingerprints,
-            "report_sha256": _report_digest(cluster_scale.format_report(result)),
-            "headline": {
-                tenant_id: {
-                    "requests": outcome.requests_issued,
-                    "hits": outcome.hits,
-                    "misses": outcome.misses,
-                    "throttled": outcome.throttled,
-                }
-                for tenant_id, outcome in sorted(result.tenants.items())
-            },
-        })
 
-
-    def test_scenarios_smoke(self, request):
+    def test_scenarios_smoke(self, check_golden):
         """Pin the scenario engine end to end: the library's ``smoke`` grid
         (2x2 cells x 2 replications) with its per-unit replay fingerprints
         and collector metric digests.  Any drift in the spec expansion, the
@@ -266,7 +142,7 @@ class TestGoldenFigures:
         from repro.scenarios.runner import ScenarioRunner
 
         result = ScenarioRunner(get_grid("smoke"), seed=2020).run(parallel=1)
-        check_golden(request, "scenarios_smoke", {
+        check_golden("scenarios_smoke", {
             "fingerprints": result.fingerprints(),
             "digests": {
                 f"{r.cell_key}#{r.replication}": dict(sorted(r.digests.items()))

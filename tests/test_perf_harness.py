@@ -17,10 +17,14 @@ from repro.experiments import perf
 
 
 class TestMicroBenchmarks:
-    def test_event_queue_micro_counts_survivors_only(self):
-        sample = perf.micro_event_queue(events=2_000, cancel_every=2)
-        assert sample.events == 1_000
-        assert sample.extra["cancelled"] == 1_000
+    @pytest.mark.parametrize("events", [2_000, 20_000])
+    def test_event_queue_micro_counts_survivors_only(self, events):
+        sample = perf.micro_event_queue(events=events, cancel_every=2)
+        # Half the scheduled events are cancelled before dispatch; exactly
+        # the surviving half runs.
+        assert sample.extra["scheduled"] == events
+        assert sample.events == events // 2
+        assert sample.extra["cancelled"] == events // 2
         assert sample.events_per_s > 0
 
     def test_flow_churn_micro_completes_every_flow(self):
@@ -29,9 +33,22 @@ class TestMicroBenchmarks:
         assert sample.extra["peak_active_flows"] >= 1
         assert sample.events > 0
 
-    def test_flow_churn_arbiters_agree_on_the_simulation(self):
-        incremental = perf.micro_flow_churn(flows=150, arbiter="incremental")
-        reference = perf.micro_flow_churn(flows=150, arbiter="reference")
+    @pytest.mark.parametrize("flows,pinned", [
+        (150, None),
+        # Exact per seed: (events, peak flows, re-aimed, swept incremental, swept reference).
+        (1_000, (2_000, 26, 1_000, 1_000, 50_290)),
+    ])
+    def test_flow_churn_arbiters_agree_on_the_simulation(self, flows, pinned):
+        incremental = perf.micro_flow_churn(flows=flows, arbiter="incremental")
+        reference = perf.micro_flow_churn(flows=flows, arbiter="reference")
+        if pinned is not None:
+            assert (
+                incremental.events,
+                incremental.extra["peak_active_flows"],
+                incremental.extra["flows_reaimed"],
+                incremental.extra["flows_swept"],
+                reference.extra["flows_swept"],
+            ) == pinned
         assert incremental.events == reference.events
         assert incremental.extra["peak_active_flows"] == reference.extra["peak_active_flows"]
         # ... and on what had to change, from a fraction of the visits: the
@@ -41,8 +58,9 @@ class TestMicroBenchmarks:
 
     def test_erasure_micro_reports_three_rates_and_renders(self):
         sample = perf.micro_erasure()
-        assert sample.events == 3 * perf.ERASURE_MICRO_CALLS
+        assert sample.events == 3 * perf.ERASURE_MICRO_CALLS == 12
         assert sample.extra["code"] == "RS(10+2)"
+        assert sample.extra["object_bytes"] == 4_000_000
         for key in ("encode_MBps", "decode_MBps", "rebuild_MBps"):
             assert sample.extra[key] > 0
         text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
@@ -99,6 +117,14 @@ class TestMacroAndComparison:
         assert sample.extra["fingerprint"] == (
             "f77e93cfc09199aabdbb780ae20c17f62b5ab96ce64e57bab7e49679b8895985"
         )
+        # The 8-client rung of the same sweep, equally exact.
+        small = perf.macro_closed_loop(8)
+        assert (
+            small.events,
+            small.extra["peak_active_flows"],
+            small.extra["flows_swept"],
+            small.extra["flows_reaimed"],
+        ) == (715, 48, 2087, 1261)
 
     def test_compare_arbiters_fingerprints_identical(self):
         comparison = perf.compare_arbiters(clients=8, requests_per_client=2)
