@@ -342,7 +342,7 @@ def profile_closed_loop(
 
     Produces the ``profile`` section of ``BENCH_perf.json``: wall-clock
     split into the loop's own phases — heap push/pop, coroutine steps,
-    flow-arbiter settle/re-aim transitions, and total callback dispatch —
+    flow-arbiter transitions, collector passes, total callback dispatch —
     plus per-label scheduled/dispatched/cancelled counts and the heaviest
     callback labels by self-time.  The phases are *attributions*, not a
     disjoint partition: coroutine steps and arbiter transitions mostly run
@@ -356,12 +356,12 @@ def profile_closed_loop(
     plans = seed_fleet(
         deployment, "perf", clients, objects_per_client, object_size, requests_per_client
     )
-    deployment.simulator.enable_profiling()
     gc.collect()
+    deployment.simulator.enable_profiling()
     start = time.perf_counter()
     ClosedLoopDriver(deployment).run(plans)
     wall = time.perf_counter() - start
-    profile = deployment.simulator.profile
+    profile = deployment.simulator.disable_profiling()
     snapshot = profile.snapshot()
     phases = dict(snapshot["phases"])
     # coroutine_steps_s and arbiter_s nest inside dispatch_s, so only the
@@ -380,7 +380,7 @@ def profile_closed_loop(
 
 #: Keys the ``profile`` section's ``phases`` mapping must carry.
 PROFILE_PHASE_KEYS = (
-    "dispatch_s", "heap_ops_s", "coroutine_steps_s", "arbiter_s", "other_s",
+    "dispatch_s", "heap_ops_s", "coroutine_steps_s", "arbiter_s", "gc_s", "other_s",
 )
 
 #: Keys the ``profile`` section's ``counts`` mapping must carry.
@@ -388,6 +388,7 @@ PROFILE_COUNT_KEYS = (
     "scheduled", "dispatched", "cancelled",
     "coroutine_steps", "arbiter_transitions",
     "flows_swept", "flows_reaimed",
+    "gc_collections", "gc_collections_in_dispatch",
 )
 
 
@@ -524,9 +525,19 @@ def check_regression(
     with no tolerance: the counts are exact per seed, so a rung that sweeps
     or re-aims more flows than the committed payload says is a code change,
     never noise.  The ``micro.faas_cycle`` ledger is gated the same way, on
-    equality: any difference is a billing-arithmetic change.
+    equality: any difference is a billing-arithmetic change.  So is the
+    profile's ``gc_collections_in_dispatch``, against zero: ``EventLoop.run*``
+    pauses the cyclic collector, so one pass inside it means the pause broke.
     """
     errors: list[str] = []
+    in_dispatch = (payload.get("profile") or {}).get("counts", {}).get(
+        "gc_collections_in_dispatch", 0
+    )
+    if in_dispatch:
+        errors.append(
+            f"profile: {in_dispatch} cyclic-collector passes started inside "
+            "EventLoop.run*, which pauses the collector (exact: must be 0)"
+        )
     committed_cycle = _faas_cycle_sample(baseline)
     if committed_cycle is not None:
         fresh_cycle = _faas_cycle_sample(payload) or {}
@@ -607,9 +618,10 @@ def run_suite(
         micro_erasure(),
         micro_faas_cycle(),
     ]
-    # The comparison runs before the big sweeps so its timing is not skewed
-    # by heap growth from the larger fleets; the micro pass above doubles as
-    # cache warm-up (hash-ring points, shared RS matrices).
+    # The comparison runs before the big sweeps; with the collector paused
+    # inside ``run*`` its timing no longer depends on that (measured either
+    # side of the 1024 and 4096 rungs, docs/performance.md).  The micro pass
+    # above doubles as cache warm-up (hash-ring points, shared RS matrices).
     comparison = None if skip_compare else compare_arbiters(compare_clients)
     macro = [macro_closed_loop(clients) for clients in client_counts]
     profile = profile_closed_loop(max(client_counts))
@@ -704,6 +716,10 @@ def format_report(payload: dict[str, object]) -> str:
             f"arbiter: {transitions} transitions swept {counts['flows_swept']} flows "
             f"({counts['flows_swept'] / transitions if transitions else 0.0:.1f} per "
             f"transition) and re-aimed {counts['flows_reaimed']}"
+        )
+        lines.append(
+            f"collector: {counts['gc_collections']} passes in {phases['gc_s']:.3f}s, "
+            f"{counts['gc_collections_in_dispatch']} of them inside EventLoop.run*"
         )
         top = profile.get("top_labels") or []
         if top:

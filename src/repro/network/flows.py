@@ -538,7 +538,9 @@ class FlowNetwork:
         # satisfied first-d-of-n quorum then cancels its straggler siblings
         # and the client may start its next transfer, all at this instant
         # and each with a transition of its own (see ``_dirty_hosts``).
-        flow.future.resolve(flow)
+        # Resolved with nothing: the flow as its own future's result would
+        # be a reference cycle per transfer, and no waiter reads the value.
+        flow.future.resolve()
         self._transition(flow.nic.host_id, flow.proxy_id)
 
     def _retire(self, flow: Flow, now: float, completed: bool) -> None:

@@ -22,11 +22,13 @@ synchronous facade; the two names are the same class.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import math
+from contextlib import contextmanager
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.clock import SimClock
@@ -48,12 +50,12 @@ class LoopProfile:
     """Wall-clock accounting for one profiled stretch of the event loop.
 
     Counts scheduled/dispatched/cancelled events and accumulates *real*
-    (``perf_counter``) self-time per label key, plus three subsystem meters
+    (``perf_counter``) self-time per label key, plus four subsystem meters
     fed by the loop (heap ops), :class:`~repro.sim.process.Process`
-    (coroutine steps), and the flow arbiter (settle/re-aim transitions).
-    The meters nest — a coroutine step runs inside an event callback — so
-    they attribute wall-clock to subsystems rather than forming a disjoint
-    partition.
+    (coroutine steps), the flow arbiter (settle/re-aim transitions) and
+    ``gc.callbacks`` (cyclic-collector passes).  The meters nest — a
+    coroutine step runs inside an event callback — so they attribute
+    wall-clock to subsystems rather than forming a disjoint partition.
     """
 
     def __init__(self) -> None:
@@ -71,6 +73,21 @@ class LoopProfile:
         #: stretch); swept ÷ transitions is the arbiter's work per call.
         self.flows_swept = 0
         self.flows_reaimed = 0
+        #: Cyclic-collector passes, process-wide; ``run*`` pauses automatic ones.
+        self.gc_s = 0.0
+        self.gc_collections = 0
+        self.gc_collections_in_dispatch = 0
+        self.active_runs = 0
+        self._gc_started = 0.0
+
+    def note_gc(self, phase: str, info: dict) -> None:
+        """``gc.callbacks`` hook: time each collection, note where it began."""
+        if phase == "start":
+            self._gc_started = perf_counter()  # repro: allow[D102] (profiling meter)
+            self.gc_collections += 1
+            self.gc_collections_in_dispatch += self.active_runs > 0
+        else:
+            self.gc_s += perf_counter() - self._gc_started  # repro: allow[D102] (profiling meter)
 
     def note_scheduled(self, label: str) -> None:
         key = _label_key(label)
@@ -117,12 +134,15 @@ class LoopProfile:
                 "arbiter_transitions": self.arbiter_transitions,
                 "flows_swept": self.flows_swept,
                 "flows_reaimed": self.flows_reaimed,
+                "gc_collections": self.gc_collections,
+                "gc_collections_in_dispatch": self.gc_collections_in_dispatch,
             },
             "phases": {
                 "dispatch_s": self.dispatch_s,
                 "heap_ops_s": self.heap_s,
                 "coroutine_steps_s": self.coroutine_s,
                 "arbiter_s": self.arbiter_s,
+                "gc_s": self.gc_s,
             },
             "by_label": {
                 key: {
@@ -443,14 +463,18 @@ class EventLoop:
         profile reference on entry, so flipping it mid-run has no effect
         until the next ``run_*`` call.
         """
+        self.disable_profiling()
         self._profile = LoopProfile()
         self.queue.profile = self._profile
+        gc.callbacks.append(self._profile.note_gc)
         return self._profile
 
     def disable_profiling(self) -> Optional[LoopProfile]:
         """Stop profiling; returns the profile collected so far (if any)."""
         profile, self._profile = self._profile, None
         self.queue.profile = None
+        if profile is not None:
+            gc.callbacks.remove(profile.note_gc)
         return profile
 
     def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
@@ -532,6 +556,27 @@ class EventLoop:
         return process
 
     # ------------------------------------------------------------------ running
+    @contextmanager
+    def _dispatching(self) -> Iterator[Optional[LoopProfile]]:
+        """The scope of one ``run*`` call: automatic cyclic collection is off.
+
+        No request path leaves cyclic garbage (``tests/test_sim_gc.py``), so
+        a pass here would only re-scan a heap that grows with the fleet.
+        Exit restores the state found on entry (nested runs, a caller who
+        disabled the collector); explicit ``gc.collect()`` calls still work.
+        """
+        profile, was_enabled = self._profile, gc.isenabled()
+        gc.disable()
+        if profile is not None:
+            profile.active_runs += 1
+        try:
+            yield profile
+        finally:
+            if profile is not None:
+                profile.active_runs -= 1
+            if was_enabled:
+                gc.enable()
+
     def run_until(self, end_time: float) -> None:
         """Dispatch events in order until the queue is empty or ``end_time``.
 
@@ -543,31 +588,31 @@ class EventLoop:
             raise SimulationError(
                 f"run_until({end_time}) is before current time {self.clock.now}"
             )
-        profile = self._profile
-        while True:
-            if profile is None:
-                next_time = self.queue.peek_time()
-                if next_time is None or next_time > end_time:
-                    break
-                event = self.queue.pop()
-            else:
-                heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
-                next_time = self.queue.peek_time()
-                if next_time is None or next_time > end_time:
+        with self._dispatching() as profile:
+            while True:
+                if profile is None:
+                    next_time = self.queue.peek_time()
+                    if next_time is None or next_time > end_time:
+                        break
+                    event = self.queue.pop()
+                else:
+                    heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
+                    next_time = self.queue.peek_time()
+                    if next_time is None or next_time > end_time:
+                        profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
+                        break
+                    event = self.queue.pop()
                     profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
+                if event is None:
                     break
-                event = self.queue.pop()
-                profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
-            if event is None:
-                break
-            self.clock.advance_to(event.time)
-            self._events_processed += 1
-            if profile is None:
-                event.callback()
-            else:
-                started = perf_counter()  # repro: allow[D102] (profiling meter)
-                event.callback()
-                profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
+                self.clock.advance_to(event.time)
+                self._events_processed += 1
+                if profile is None:
+                    event.callback()
+                else:
+                    started = perf_counter()  # repro: allow[D102] (profiling meter)
+                    event.callback()
+                    profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
         self.clock.advance_to(end_time)
 
     def run_all(self, max_events: int = 10_000_000) -> None:
@@ -578,30 +623,30 @@ class EventLoop:
                 component is rescheduling itself unconditionally.
         """
         dispatched = 0
-        profile = self._profile
-        while True:
-            if profile is None:
-                event = self.queue.pop()
-            else:
-                heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
-                event = self.queue.pop()
-                profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
-            if event is None:
-                return
-            self.clock.advance_to(event.time)
-            self._events_processed += 1
-            if profile is None:
-                event.callback()
-            else:
-                started = perf_counter()  # repro: allow[D102] (profiling meter)
-                event.callback()
-                profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
-            dispatched += 1
-            if dispatched >= max_events:
-                raise SimulationError(
-                    f"run_all dispatched {max_events} events without draining the queue; "
-                    "a component is likely rescheduling itself forever"
-                )
+        with self._dispatching() as profile:
+            while True:
+                if profile is None:
+                    event = self.queue.pop()
+                else:
+                    heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
+                    event = self.queue.pop()
+                    profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
+                if event is None:
+                    return
+                self.clock.advance_to(event.time)
+                self._events_processed += 1
+                if profile is None:
+                    event.callback()
+                else:
+                    started = perf_counter()  # repro: allow[D102] (profiling meter)
+                    event.callback()
+                    profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
+                dispatched += 1
+                if dispatched >= max_events:
+                    raise SimulationError(
+                        f"run_all dispatched {max_events} events without draining the queue; "
+                        "a component is likely rescheduling itself forever"
+                    )
 
     def run_until_complete(self, future: SimFuture, max_events: int = 10_000_000) -> object:
         """Dispatch events until ``future`` settles; returns its result.
@@ -615,33 +660,33 @@ class EventLoop:
                 pending (a deadlocked process), or ``max_events`` is hit.
         """
         dispatched = 0
-        profile = self._profile
-        while not future.done:
-            if profile is None:
-                event = self.queue.pop()
-            else:
-                heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
-                event = self.queue.pop()
-                profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
-            if event is None:
-                raise SimulationError(
-                    f"event queue drained but {future.label!r} never resolved "
-                    "(a process is waiting on something nobody will deliver)"
-                )
-            self.clock.advance_to(event.time)
-            self._events_processed += 1
-            if profile is None:
-                event.callback()
-            else:
-                started = perf_counter()  # repro: allow[D102] (profiling meter)
-                event.callback()
-                profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
-            dispatched += 1
-            if dispatched >= max_events:
-                raise SimulationError(
-                    f"run_until_complete dispatched {max_events} events while waiting "
-                    f"for {future.label!r}"
-                )
+        with self._dispatching() as profile:
+            while not future.done:
+                if profile is None:
+                    event = self.queue.pop()
+                else:
+                    heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
+                    event = self.queue.pop()
+                    profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
+                if event is None:
+                    raise SimulationError(
+                        f"event queue drained but {future.label!r} never resolved "
+                        "(a process is waiting on something nobody will deliver)"
+                    )
+                self.clock.advance_to(event.time)
+                self._events_processed += 1
+                if profile is None:
+                    event.callback()
+                else:
+                    started = perf_counter()  # repro: allow[D102] (profiling meter)
+                    event.callback()
+                    profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
+                dispatched += 1
+                if dispatched >= max_events:
+                    raise SimulationError(
+                        f"run_until_complete dispatched {max_events} events while waiting "
+                        f"for {future.label!r}"
+                    )
         return future.result if not future.cancelled else None
 
 

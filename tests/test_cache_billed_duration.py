@@ -236,7 +236,7 @@ class TestLazySessionWatchdog:
         ]
         deployment.simulator.enable_profiling()
         report = ClosedLoopDriver(deployment).run(plans)
-        profile = deployment.simulator.profile
+        profile = deployment.simulator.disable_profiling()
 
         armed = profile.scheduled.get("billing.session_close", 0)
         assert armed > 0

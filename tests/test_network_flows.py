@@ -559,6 +559,7 @@ class TestArbiterMeters:
 
         first.future.add_done_callback(cascade)
         loop.run_all()
+        loop.disable_profiling()
         assert kept.future.done and net.active_count == 0
         stats = net.flow_stats()
         assert (stats["completed_flows"], stats["abandoned_flows"]) == (3.0, 1.0)

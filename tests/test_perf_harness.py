@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -209,6 +210,10 @@ class TestProfileSection:
         assert counts["flows_swept"] == payload["macro"][0]["flows_swept"]
         assert f"swept {counts['flows_swept']} flows" in text
         assert "per transition" in text
+        # The collector row: a phase in the table and its counts in a line.
+        assert re.search(r"^gc +\d", text, re.MULTILINE)
+        assert counts["gc_collections_in_dispatch"] == 0
+        assert "0 of them inside EventLoop.run*" in text
 
 
 class TestCliFingerprintGate:
@@ -316,6 +321,17 @@ class TestRegressionGuard:
         assert perf.check_regression(
             self._swept(1001, clients=64), self._swept(1000, clients=256)
         ) == []
+
+    def test_a_collection_inside_dispatch_fails_exactly(self):
+        def profiled(in_dispatch):
+            payload = self._payload(100.0)
+            payload["profile"] = {"counts": {"gc_collections_in_dispatch": in_dispatch}}
+            return payload
+
+        baseline = self._payload(100.0)
+        assert perf.check_regression(profiled(0), baseline) == []
+        errors = perf.check_regression(profiled(1), baseline)
+        assert len(errors) == 1 and "inside EventLoop.run*" in errors[0]
 
     def test_one_more_flow_reaimed_fails_the_same_way(self):
         def reaimed(count):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.exceptions import SimulationError
@@ -320,3 +322,107 @@ class TestDeadlineTimer:
         lazy_loop.run_all()
 
         assert eager_order == lazy_order == ["other", "timer"]
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector_state(request):
+    """Start the test with the cyclic collector in a known state; restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _run_until(loop, future):
+    loop.run_until(10.0)
+
+
+def _run_all(loop, future):
+    loop.run_all()
+
+
+def _run_until_complete(loop, future):
+    loop.run_until_complete(future)
+
+
+RUNNERS = pytest.mark.parametrize(
+    "run", [_run_until, _run_all, _run_until_complete], ids=lambda run: run.__name__
+)
+
+
+class TestCollectorPause:
+    """``run*`` dispatches with automatic cyclic collection off and then
+    puts back whatever state it found (see ``EventLoop._dispatching``)."""
+
+    @RUNNERS
+    def test_paused_in_callbacks_and_restored_afterwards(self, run, collector_state):
+        loop = EventLoop()
+        seen = []
+        loop.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        run(loop, loop.timeout(2.0))
+        assert seen == [False]
+        assert gc.isenabled() is collector_state
+
+    def test_nested_run_does_not_re_enable_early(self, collector_state):
+        loop = EventLoop()
+        seen = []
+
+        def outer():
+            loop.run_until_complete(loop.timeout(1.0))
+            seen.append(("after nested run", gc.isenabled()))
+
+        loop.schedule(1.0, outer)
+        loop.schedule(5.0, lambda: seen.append(("later callback", gc.isenabled())))
+        loop.run_all()
+        assert seen == [("after nested run", False), ("later callback", False)]
+        assert gc.isenabled() is collector_state
+
+    @RUNNERS
+    def test_a_raising_callback_restores_the_state(self, run, collector_state):
+        loop = EventLoop()
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        loop.schedule(1.0, boom)
+        with pytest.raises(RuntimeError, match="callback failed"):
+            run(loop, loop.timeout(2.0))
+        assert gc.isenabled() is collector_state
+
+    def test_the_drained_queue_error_restores_the_state(self, collector_state):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="never resolved"):
+            loop.run_until_complete(SimFuture("never"))
+        assert gc.isenabled() is collector_state
+
+    @pytest.mark.parametrize("bounded", ["run_all", "run_until_complete"])
+    def test_the_max_events_error_restores_the_state(self, bounded, collector_state):
+        loop = EventLoop()
+
+        def again():
+            loop.schedule(1.0, again)
+
+        again()
+        with pytest.raises(SimulationError, match="dispatched 5 events"):
+            if bounded == "run_all":
+                loop.run_all(max_events=5)
+            else:
+                loop.run_until_complete(SimFuture("never"), max_events=5)
+        assert gc.isenabled() is collector_state
+
+    def test_an_explicit_collect_in_a_callback_still_collects(self):
+        loop = EventLoop()
+        found = []
+
+        def make_and_collect():
+            cycle = []
+            cycle.append(cycle)
+            del cycle
+            found.append(gc.collect())
+
+        loop.schedule(1.0, make_and_collect)
+        loop.run_all()
+        assert found[0] >= 1

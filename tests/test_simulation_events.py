@@ -1,5 +1,7 @@
 """Tests for the event queue and simulator loop."""
 
+import gc
+
 import pytest
 
 from repro.exceptions import SimulationError
@@ -316,7 +318,7 @@ class TestLoopProfiling:
         cancelled = simulator.schedule(3.0, lambda: None, label="tock")
         cancelled.cancel()
         simulator.run_until(5.0)
-        profile = simulator.profile
+        profile = simulator.disable_profiling()
         # Labels are bucketed by their prefix before ":" to bound cardinality.
         assert profile.scheduled["tick"] == 2
         assert profile.scheduled["tock"] == 1
@@ -335,10 +337,14 @@ class TestLoopProfiling:
         assert snapshot["counts"]["scheduled"] == 1
         assert snapshot["counts"]["dispatched"] == 1
         assert set(snapshot["phases"]) == {
-            "dispatch_s", "heap_ops_s", "coroutine_steps_s", "arbiter_s",
+            "dispatch_s", "heap_ops_s", "coroutine_steps_s", "arbiter_s", "gc_s",
         }
         assert all(value >= 0.0 for value in snapshot["phases"].values())
         assert snapshot["by_label"]["work"]["dispatched"] == 1
+        # Automatic collection is paused inside run_until only, so the total
+        # is whatever the interpreter did; none began in dispatch.
+        assert snapshot["counts"]["gc_collections_in_dispatch"] == 0
+        simulator.disable_profiling()
 
     def test_disable_profiling_restores_the_fast_path(self):
         simulator = Simulator()
@@ -360,9 +366,59 @@ class TestLoopProfiling:
             simulator.schedule(2.0, lambda: fired.append(("b", simulator.now)))
             simulator.schedule(1.0, lambda: fired.append(("a", simulator.now)))
             simulator.run_all()
+            simulator.disable_profiling()
             return fired, simulator.now
 
         assert run(profiled=True) == run(profiled=False)
+
+    def test_profiled_replay_is_byte_identical(self):
+        # The collector hook included: profiling observes, it never steers.
+        from repro.cache.deployment import InfiniCacheDeployment
+        from repro.experiments.perf import _fleet_config
+        from repro.utils.units import MB
+        from repro.workload.replay import ClosedLoopDriver, seed_fleet
+
+        def replay(profiled):
+            deployment = InfiniCacheDeployment(_fleet_config(8, "incremental", 7))
+            plans = seed_fleet(deployment, "perf", 8, 2, 2 * MB, 4)
+            if profiled:
+                deployment.simulator.enable_profiling()
+            report = ClosedLoopDriver(deployment).run(plans)
+            deployment.simulator.disable_profiling()
+            return report.fingerprint(), deployment.simulator.events_processed
+
+        assert replay(profiled=True) == replay(profiled=False)
+
+    def test_collector_hook_lives_exactly_as_long_as_profiling(self):
+        hooks_before = list(gc.callbacks)
+        simulator = Simulator()
+        first = simulator.enable_profiling()
+        assert gc.callbacks == hooks_before + [first.note_gc]
+        # Re-enabling swaps the hook instead of stacking a second one.
+        second = simulator.enable_profiling()
+        assert gc.callbacks == hooks_before + [second.note_gc]
+        assert simulator.disable_profiling() is second
+        assert gc.callbacks == hooks_before
+        assert simulator.disable_profiling() is None
+
+    def test_collector_meter_tells_dispatch_from_outside(self):
+        simulator = Simulator()
+        profile = simulator.enable_profiling()
+        was_enabled = gc.isenabled()
+        gc.disable()  # only the explicit passes below, whatever pytest allocates
+        try:
+            gc.collect()
+            assert (profile.gc_collections, profile.gc_collections_in_dispatch) == (1, 0)
+            simulator.schedule(1.0, gc.collect, label="explicit")
+            simulator.run_until(2.0)
+            assert (profile.gc_collections, profile.gc_collections_in_dispatch) == (2, 1)
+            gc.collect()
+            assert (profile.gc_collections, profile.gc_collections_in_dispatch) == (3, 1)
+            assert profile.snapshot()["phases"]["gc_s"] == profile.gc_s > 0.0
+        finally:
+            simulator.disable_profiling()
+            if was_enabled:
+                gc.enable()
 
 
 class TestDelayValidation:
