@@ -29,8 +29,7 @@ def main() -> None:
         lambda_memory_bytes=1536 * MIB,   # 1.5 GB functions: one per VM host
         data_shards=10,
         parity_shards=2,                  # tolerate up to 2 lost chunks
-        warmup_interval_s=1 * MINUTE,
-        backup_interval_s=5 * MINUTE,
+        backup_interval_s=5 * MINUTE,     # warm-ups run every minute
     )
     deployment = InfiniCacheDeployment(config)
     deployment.start()

@@ -18,12 +18,6 @@ small multi-tenant replay and prints the per-tenant GB-second chargeback
 view: who caused which share of the Lambda bill, with the conservation
 check that the per-tenant totals sum to the cluster-wide bill.
 
-``python -m repro sim-smoke [--clients N]`` runs the closed-loop
-event-driven replay driver twice with a fixed seed and verifies the runs
-are bit-for-bit deterministic (same request intervals, same chunk-flow
-intervals) and that concurrent clients genuinely overlap on the wire; CI
-uses it as the concurrency smoke check.
-
 ``python -m repro perf [--quick] [--output BENCH_perf.json]`` runs the
 simulator performance harness (micro event-queue/flow-churn/codec/FaaS-cycle
 benchmarks plus the closed-loop fleet sweep), writes ``BENCH_perf.json``, and exits
@@ -49,20 +43,21 @@ process pool with per-unit fingerprints byte-identical to a serial run,
 and ``--output PATH`` writes the grid summary JSON (fingerprints,
 collector digests, per-cell metric rows).  See ``docs/scenarios.md``.
 
-``python -m repro lint [PATHS] [--format text|json|github] [--baseline
-PATH] [--write-baseline | --check-baseline]`` runs the determinism &
-sim-protocol static analyser (:mod:`repro.lint`) over the source tree and
-exits non-zero on violations not grandfathered by the committed baseline;
-CI runs it with ``--format=github --check-baseline``.  See
+``python -m repro lint [PATHS] [--format text|json|github] [--output
+PATH]`` runs the determinism & sim-protocol static analyser
+(:mod:`repro.lint`) over the source tree and exits non-zero on any
+violation; CI runs it with ``--format=github``.  See
 ``docs/static-analysis.md``.
 
-``python -m repro trace [--clients N] [--output trace.json]`` runs the
-same closed-loop replay twice — once untraced, once with the span tracer
-attached — asserts the two produce identical replay fingerprints (tracing
-must be a pure observer), writes a Perfetto-loadable Chrome trace-event
-file, and prints the per-request critical-path breakdown: which stage
-(lambda invoke, network transfer, decode, ...) dominated each request.
-See ``docs/observability.md``.
+``python -m repro trace [--clients N] [--output trace.json]`` runs one
+seeded closed-loop replay twice — once untraced, once with the span tracer
+attached — asserts the two produce identical replay fingerprints (the runs
+are deterministic and tracing is a pure observer) and that concurrent
+clients genuinely overlap on the wire, writes a Perfetto-loadable Chrome
+trace-event file, and prints the per-request critical-path breakdown:
+which stage (lambda invoke, network transfer, decode, ...) dominated each
+request.  CI runs it as the ``trace-smoke`` job.  See
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -146,25 +141,12 @@ def _chargeback(argv: list[str]) -> int:
     return 0 if drift <= 1e-9 + 1e-9 * result.total_cost else 1
 
 
-def _smoke_fleet_parser(prog: str, description: str) -> argparse.ArgumentParser:
-    """The arguments ``sim-smoke`` and ``trace`` share: fleet size and seed."""
-    parser = argparse.ArgumentParser(prog=prog, description=description)
-    parser.add_argument(
-        "--clients", type=_positive_int, default=16, metavar="N",
-        help="concurrent closed-loop clients (default: 16)",
-    )
-    parser.add_argument(
-        "--requests", type=_positive_int, default=4, metavar="N",
-        help="requests per client (default: 4)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=2020, help="simulation seed (default: 2020)",
-    )
-    return parser
+def _smoke_fleet(args: argparse.Namespace):
+    """A small seeded two-proxy deployment and its clients' GET plans.
 
-
-def _smoke_fleet(args: argparse.Namespace, prefix: str, straggler_probability: float):
-    """A small seeded two-proxy deployment and its clients' GET plans."""
+    Stragglers are likely (0.3) so the trace reliably shows racing chunk
+    fetches being abandoned by the first-d barrier.
+    """
     from repro.cache.config import InfiniCacheConfig, StragglerModel
     from repro.cache.deployment import InfiniCacheDeployment
     from repro.utils.units import MB, MIB
@@ -177,45 +159,12 @@ def _smoke_fleet(args: argparse.Namespace, prefix: str, straggler_probability: f
         data_shards=4,
         parity_shards=2,
         backup_enabled=False,
-        straggler=StragglerModel(probability=straggler_probability),
+        straggler=StragglerModel(probability=0.3),
         seed=args.seed,
     ))
     return deployment, seed_fleet(
-        deployment, prefix, args.clients, 4, 4 * MB, args.requests
+        deployment, "trace", args.clients, 4, 4 * MB, args.requests
     )
-
-
-def _sim_smoke(argv: list[str]) -> int:
-    args = _smoke_fleet_parser(
-        "repro sim-smoke",
-        "Determinism + concurrency smoke test of the event-driven driver.",
-    ).parse_args(argv)
-    from repro.workload.replay import ClosedLoopDriver
-
-    def run_once():
-        deployment, plans = _smoke_fleet(args, "smoke", 0.1)
-        return ClosedLoopDriver(deployment).run(plans)
-
-    first, second = run_once(), run_once()
-    deterministic = first.fingerprint() == second.fingerprint()
-    overlap = first.overlapping_flow_pairs()
-    print(
-        f"closed-loop smoke: clients={args.clients} requests={first.requests} "
-        f"hits={first.hits} duration={first.duration_s:.3f}s "
-        f"throughput={first.aggregate_throughput_bps / 1e6:.1f} MB/s"
-    )
-    print(
-        f"flow trace: {len(first.flow_intervals)} transfers, "
-        f"peak concurrent={first.max_concurrent_flows()}, overlapping pairs={overlap}"
-    )
-    print(f"deterministic across seeds-fixed runs: {deterministic}")
-    if not deterministic:
-        print("FAIL: two runs with the same seed diverged", file=sys.stderr)
-        return 1
-    if args.clients > 1 and overlap == 0:
-        print("FAIL: concurrent clients produced no overlapping transfers", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _chaos(argv: list[str]) -> int:
@@ -290,10 +239,22 @@ def _chaos(argv: list[str]) -> int:
 
 
 def _trace(argv: list[str]) -> int:
-    parser = _smoke_fleet_parser(
-        "repro trace",
-        "Traced closed-loop replay: emit a Perfetto-loadable trace "
-        "and print the per-request critical-path breakdown.",
+    parser = argparse.ArgumentParser(
+        prog="repro trace",
+        description="Traced closed-loop replay: check determinism and wire "
+        "overlap, emit a Perfetto-loadable trace and print the per-request "
+        "critical-path breakdown.",
+    )
+    parser.add_argument(
+        "--clients", type=_positive_int, default=16, metavar="N",
+        help="concurrent closed-loop clients (default: 16)",
+    )
+    parser.add_argument(
+        "--requests", type=_positive_int, default=4, metavar="N",
+        help="requests per client (default: 4)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=2020, help="simulation seed (default: 2020)",
     )
     parser.add_argument(
         "--output", default="trace.json", metavar="PATH",
@@ -319,23 +280,25 @@ def _trace(argv: list[str]) -> int:
     )
     from repro.workload.replay import ClosedLoopDriver
 
-    # Stragglers are likelier than in sim-smoke so the trace reliably
-    # shows racing chunk fetches being abandoned by the first-d barrier.
-    deployment, plans = _smoke_fleet(args, "trace", 0.3)
-    baseline = ClosedLoopDriver(deployment).run(plans)
+    deployment, plans = _smoke_fleet(args)
+    untraced = ClosedLoopDriver(deployment).run(plans)
 
-    deployment, plans = _smoke_fleet(args, "trace", 0.3)
+    deployment, plans = _smoke_fleet(args)
     tracer = SpanTracer(deployment.simulator.clock)
     deployment.request_env.attach_tracer(tracer)
     traced = ClosedLoopDriver(deployment).run(plans)
     tracer.finish_open()
 
-    if traced.fingerprint() != baseline.fingerprint():
+    if traced.fingerprint() != untraced.fingerprint():
         print(
-            "FAIL: tracing perturbed the replay — traced and untraced "
-            "fingerprints diverged",
+            "FAIL: two runs with the same seed diverged — the replay is "
+            "non-deterministic or tracing perturbed it",
             file=sys.stderr,
         )
+        return 1
+    overlap = untraced.overlapping_flow_pairs()
+    if args.clients > 1 and overlap == 0:
+        print("FAIL: concurrent clients produced no overlapping transfers", file=sys.stderr)
         return 1
     names = {span.name for span in tracer.spans}
     required = {
@@ -359,6 +322,10 @@ def _trace(argv: list[str]) -> int:
         f"traced replay: clients={args.clients} requests={traced.requests} "
         f"hits={traced.hits} duration={traced.duration_s:.3f}s "
         f"spans={len(tracer.spans)} ({len(names)} kinds)"
+    )
+    print(
+        f"flow trace: {len(untraced.flow_intervals)} transfers, "
+        f"peak concurrent={untraced.max_concurrent_flows()}, overlapping pairs={overlap}"
     )
     print(f"fingerprint parity with untraced run: OK ({traced.fingerprint()[:16]}...)")
     print(f"(wrote Chrome trace to {args.output} — load it in Perfetto)\n")
@@ -478,8 +445,6 @@ def _dispatch(argv: list[str]) -> int:
         return _cluster_demo(argv[1:])
     if argv and argv[0] == "chargeback":
         return _chargeback(argv[1:])
-    if argv and argv[0] == "sim-smoke":
-        return _sim_smoke(argv[1:])
     if argv and argv[0] == "chaos":
         return _chaos(argv[1:])
     if argv and argv[0] == "perf":

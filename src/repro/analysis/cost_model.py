@@ -21,11 +21,15 @@ provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baselines.pricing import ElastiCacheInstanceType, elasticache_instance
 from repro.exceptions import ConfigurationError
-from repro.faas.billing import LambdaPricing, ceil_to_billing_cycle
+from repro.faas.billing import (
+    PRICE_PER_GB_SECOND,
+    PRICE_PER_INVOCATION,
+    ceil_to_billing_cycle,
+)
 from repro.utils.units import GIB, MIB
 
 
@@ -47,7 +51,6 @@ class CostModelParams:
     serving_duration_ms: float = 100.0
     #: Whether the backup mechanism is enabled at all.
     backup_enabled: bool = True
-    pricing: LambdaPricing = field(default_factory=LambdaPricing)
 
     def __post_init__(self):
         if self.total_nodes < 1:
@@ -90,9 +93,9 @@ class CostModel:
             raise ConfigurationError("invocation rate must be non-negative")
         p = self.params
         billed_s = ceil_to_billing_cycle(p.serving_duration_ms / 1000.0)
-        request_fee = invocations_per_hour * p.pricing.price_per_invocation
+        request_fee = invocations_per_hour * PRICE_PER_INVOCATION
         duration_fee = (
-            invocations_per_hour * billed_s * p.memory_gb * p.pricing.price_per_gb_second
+            invocations_per_hour * billed_s * p.memory_gb * PRICE_PER_GB_SECOND
         )
         return request_fee + duration_fee
 
@@ -109,8 +112,8 @@ class CostModel:
         """``C_w``: keeping the whole pool warm."""
         p = self.params
         invocations = p.total_nodes * p.warmups_per_hour
-        request_fee = invocations * p.pricing.price_per_invocation
-        duration_fee = invocations * 0.1 * p.memory_gb * p.pricing.price_per_gb_second
+        request_fee = invocations * PRICE_PER_INVOCATION
+        duration_fee = invocations * 0.1 * p.memory_gb * PRICE_PER_GB_SECOND
         return request_fee + duration_fee
 
     # ------------------------------------------------------------------ Equation 6
@@ -120,9 +123,9 @@ class CostModel:
         if not p.backup_enabled:
             return 0.0
         invocations = p.total_nodes * p.backups_per_hour
-        request_fee = invocations * p.pricing.price_per_invocation
+        request_fee = invocations * PRICE_PER_INVOCATION
         duration_fee = (
-            invocations * p.backup_duration_s * p.memory_gb * p.pricing.price_per_gb_second
+            invocations * p.backup_duration_s * p.memory_gb * PRICE_PER_GB_SECOND
         )
         return request_fee + duration_fee
 
@@ -182,8 +185,8 @@ class CostModel:
         p = self.params
         billed_s = ceil_to_billing_cycle(p.serving_duration_ms / 1000.0)
         per_invocation = (
-            p.pricing.price_per_invocation
-            + billed_s * p.memory_gb * p.pricing.price_per_gb_second
+            PRICE_PER_INVOCATION
+            + billed_s * p.memory_gb * PRICE_PER_GB_SECOND
         )
         if per_invocation <= 0:
             return float(max_rate)

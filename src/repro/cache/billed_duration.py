@@ -28,6 +28,15 @@ from repro.faas.billing import (
     attribution_shares,
     ceil_to_billing_cycle,
 )
+from repro.utils.units import MILLISECOND
+
+#: How long before the end of a billing cycle the runtime returns (the
+#: paper's 2-10 ms safety buffer).
+BUFFER_S = 5 * MILLISECOND
+
+#: Requests inside the current window before the runtime anticipates more
+#: and extends its window by one extra cycle (the paper's "more than one").
+EXTENSION_THRESHOLD = 2
 
 
 @dataclass(slots=True)
@@ -70,29 +79,11 @@ class BilledDurationController:
     """Tracks anticipatory billed sessions for one cache node.
 
     Args:
-        buffer_s: how long before the end of a billing cycle the runtime
-            returns (the paper's 2-10 ms safety buffer).
-        extension_threshold: minimum number of requests inside the current
-            cycle before the runtime anticipates more and extends its window
-            by one extra cycle (the paper uses "more than one").
         on_close: callback invoked with a :class:`SessionCharge` whenever a
             session closes; the deployment wires this to the billing model.
     """
 
-    def __init__(
-        self,
-        buffer_s: float = 0.005,
-        extension_threshold: int = 2,
-        on_close: Optional[Callable[[SessionCharge], None]] = None,
-    ):
-        if not 0 <= buffer_s < BILLING_CYCLE_SECONDS:
-            raise ConfigurationError(
-                f"buffer must be within one billing cycle, got {buffer_s}"
-            )
-        if extension_threshold < 1:
-            raise ConfigurationError("extension threshold must be >= 1")
-        self.buffer_s = buffer_s
-        self.extension_threshold = extension_threshold
+    def __init__(self, on_close: Optional[Callable[[SessionCharge], None]] = None):
         self.on_close = on_close
         self.current: Optional[BilledSession] = None
         self.closed_sessions: list[SessionCharge] = []
@@ -106,7 +97,7 @@ class BilledDurationController:
         # early by.  Busy time pushed into the window beyond what fits (e.g.
         # concurrent transfers through one node) does not lengthen it: the
         # node cannot be billed for longer than its session existed.
-        duration = session.window_end - session.started_at - self.buffer_s
+        duration = session.window_end - session.started_at - BUFFER_S
         charge = SessionCharge(
             session.started_at,
             duration,
@@ -180,7 +171,7 @@ class BilledDurationController:
         # expecting further traffic (the paper's "extend the timeout by one
         # more billing cycle").  The extension is relative to the request's
         # own cycle, so bursts do not stack extensions indefinitely.
-        if session.requests_served >= self.extension_threshold:
+        if session.requests_served >= EXTENSION_THRESHOLD:
             window_end += BILLING_CYCLE_SECONDS
         if window_end > session.window_end:
             session.window_end = window_end

@@ -1,18 +1,26 @@
 """Deployment-wide configuration for InfiniCache.
 
 One :class:`InfiniCacheConfig` describes everything the paper's Section 5
-setup varies: pool size and Lambda memory, the erasure code, warm-up and
-backup intervals, straggler behaviour, and whether backup is enabled (the
-"IC w/o backup" configuration of Table 1 and Figure 13(d)).
+setup varies: pool size and Lambda memory, the erasure code, the backup
+interval, straggler behaviour, and whether backup is enabled (the "IC w/o
+backup" configuration of Table 1 and Figure 13(d)).  A value every caller
+sets the same way is a module constant beside the code that reads it
+(:data:`WARMUP_INTERVAL_S` here, the billing buffer in
+:mod:`repro.cache.billed_duration`, the network latency in
+:mod:`repro.network.transfer`, ...), not a field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 from repro.faas.limits import validate_memory_bytes
-from repro.utils.units import MILLISECOND, MINUTE, MIB
+from repro.utils.units import MINUTE, MIB
+
+#: Seconds between two warm-up rounds of every pool (the paper's ``T_warm``).
+WARMUP_INTERVAL_S = 1 * MINUTE
 
 
 @dataclass(frozen=True)
@@ -32,50 +40,12 @@ class StragglerModel:
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigurationError("straggler probability must be in [0, 1]")
-        if self.min_factor < 1.0 or self.max_factor < self.min_factor:
-            raise ConfigurationError("straggler factors must satisfy 1 <= min <= max")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential-backoff retry for transient chunk-transfer failures.
-
-    The first retry sleeps ``base_backoff_s``; each further retry multiplies
-    the sleep by ``backoff_multiplier``.  Every sleep is stretched by a
-    seeded-jitter factor in ``[1, 1 + jitter_fraction]`` drawn from the
-    proxy's dedicated retry stream — the draw happens only when a retry
-    actually fires, so a fault-free run consumes no randomness.
-    """
-
-    max_attempts: int = 3
-    base_backoff_s: float = 10 * MILLISECOND
-    backoff_multiplier: float = 2.0
-    jitter_fraction: float = 0.5
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ConfigurationError("retry max_attempts must be at least 1")
-        if self.base_backoff_s <= 0:
-            raise ConfigurationError("retry base backoff must be positive")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError("retry backoff multiplier must be >= 1")
-        if self.jitter_fraction < 0:
-            raise ConfigurationError("retry jitter fraction must be non-negative")
-
-
-@dataclass(frozen=True)
-class CircuitBreakerPolicy:
-    """Per-node circuit breaker thresholds (see
-    :class:`repro.cache.connection.CircuitBreaker`)."""
-
-    failure_threshold: int = 3
-    reset_timeout_s: float = 30.0
-
-    def __post_init__(self):
-        if self.failure_threshold < 1:
-            raise ConfigurationError("breaker failure threshold must be >= 1")
-        if self.reset_timeout_s <= 0:
-            raise ConfigurationError("breaker reset timeout must be positive")
+        # Written so that NaN fails too.
+        if not 1.0 <= self.min_factor <= self.max_factor < math.inf:
+            raise ConfigurationError(
+                "straggler factors must satisfy 1 <= min <= max < inf, got "
+                f"[{self.min_factor}, {self.max_factor}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -84,34 +54,31 @@ class ResilienceConfig:
 
     There is one request path: every chunk transfer runs under a supervisor
     that absorbs transient faults, and a request that cannot reach
-    ``data_shards`` chunks degrades instead of aborting the run.  These
+    ``data_shards`` chunks degrades (the caller serves it from the backing
+    store and counts a degraded hit) instead of aborting the run.  These
     fields only set the supervisor's budget.  The default is one attempt,
     no deadline and no breaker — a supervisor that is invisible when
     nothing fails: it schedules no extra event and draws no extra random
     number, so fault-free replays are byte-identical whatever is set here.
     """
 
-    #: Retry transient chunk failures with exponential backoff; ``None``
-    #: means one attempt (a failed chunk is immediately unreachable).
-    retry: RetryPolicy | None = None
+    #: Transfer attempts each chunk gets before it counts as unreachable;
+    #: retries back off exponentially with seeded jitter (see
+    #: :mod:`repro.cache.proxy`).
+    chunk_attempts: int = 1
     #: Per-chunk transfer deadline; on expiry a hedged re-fetch races the
     #: original attempt.  ``None`` disables timeouts and hedging.
     chunk_timeout_s: float | None = None
-    #: Per-node circuit breaker; ``None`` disables it.
-    circuit_breaker: CircuitBreakerPolicy | None = None
-    #: When a GET cannot reach ``data_shards`` chunks, report a *degraded*
-    #: result (the caller serves from the backing store and counts a degraded
-    #: hit) instead of dropping the object and reporting a miss.
-    degraded_fallback: bool = True
+    #: Give every node a :class:`~repro.cache.connection.CircuitBreaker`.
+    circuit_breaker: bool = False
 
     def __post_init__(self):
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise ConfigurationError("chunk timeout must be positive when set")
-
-    @property
-    def chunk_attempts(self) -> int:
-        """Transfer attempts each chunk gets before it counts as unreachable."""
-        return self.retry.max_attempts if self.retry is not None else 1
+        if self.chunk_attempts < 1:
+            raise ConfigurationError("chunk_attempts must be at least 1")
+        if self.chunk_timeout_s is not None and not 0.0 < self.chunk_timeout_s < math.inf:
+            raise ConfigurationError(
+                f"chunk timeout must be positive and finite when set, got {self.chunk_timeout_s}"
+            )
 
 
 @dataclass(frozen=True)
@@ -133,24 +100,13 @@ class InfiniCacheConfig:
     parity_shards: int = 2
 
     # --- liveness maintenance ------------------------------------------------------
-    warmup_interval_s: float = 1 * MINUTE
     backup_interval_s: float = 5 * MINUTE
     backup_enabled: bool = True
-
-    # --- runtime behaviour -----------------------------------------------------------
-    billing_buffer_s: float = 5 * MILLISECOND
-    billing_extension_threshold: int = 2
-    runtime_overhead_fraction: float = 0.10
-    #: Client-side erasure coding throughput (bytes/s); the paper's client
-    #: uses AVX-accelerated Reed-Solomon, so coding is fast but not free.
-    encode_bandwidth_bps: float = 2_000_000_000.0
-    decode_bandwidth_bps: float = 1_500_000_000.0
 
     # --- performance model --------------------------------------------------------------
     #: The one per-chunk slowdown mechanism: every chunk transfer draws its
     #: factor from the proxy's seeded stream (there is no separate jitter).
     straggler: StragglerModel = field(default_factory=StragglerModel)
-    base_network_latency_s: float = 1 * MILLISECOND
     #: Which flow arbiter backs the event-driven request path:
     #: ``"incremental"`` (bottleneck-group arbitration, the default) or
     #: ``"reference"`` (the global-recompute sweep with eager completion
@@ -163,12 +119,9 @@ class InfiniCacheConfig:
     flow_trace_limit: int | None = None
 
     # --- recovery behaviour ----------------------------------------------------------------
-    #: Re-insert chunks lost to reclamation when the object is still
-    #: recoverable (the "Recovery" activity of Figure 14).
-    repair_degraded_objects: bool = True
-    #: Chunk-supervision budget (retry/hedging/circuit breaker/degraded
-    #: fallback); ``None`` behaves exactly like an all-defaults
-    #: :class:`ResilienceConfig` — one attempt, no deadline, no breaker.
+    #: Chunk-supervision budget (retry/hedging/circuit breaker); ``None``
+    #: behaves exactly like an all-defaults :class:`ResilienceConfig` — one
+    #: attempt, no deadline, no breaker.
     resilience: ResilienceConfig | None = None
 
     # --- determinism -----------------------------------------------------------------------
@@ -208,10 +161,10 @@ class InfiniCacheConfig:
                     f"pools start at {self.lambdas_per_proxy} nodes, above the "
                     f"autoscale ceiling of {self.max_lambdas_per_proxy}"
                 )
-        if self.warmup_interval_s <= 0 or self.backup_interval_s <= 0:
-            raise ConfigurationError("warm-up and backup intervals must be positive")
-        if self.encode_bandwidth_bps <= 0 or self.decode_bandwidth_bps <= 0:
-            raise ConfigurationError("coding bandwidths must be positive")
+        if not 0.0 < self.backup_interval_s < math.inf:
+            raise ConfigurationError(
+                f"backup interval must be positive and finite, got {self.backup_interval_s}"
+            )
         if self.flow_arbiter == "vectorized":
             raise ConfigurationError(
                 "flow_arbiter 'vectorized' was removed (it was slower than the "
@@ -243,7 +196,7 @@ class InfiniCacheConfig:
             "autoscale_bounds": (self.min_lambdas_per_proxy, self.max_lambdas_per_proxy),
             "lambda_memory_MiB": self.lambda_memory_bytes // MIB,
             "rs_code": f"({self.data_shards}+{self.parity_shards})",
-            "warmup_interval_s": self.warmup_interval_s,
+            "warmup_interval_s": WARMUP_INTERVAL_S,
             "backup_interval_s": self.backup_interval_s,
             "backup_enabled": self.backup_enabled,
         }

@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import enum
 
-from repro.exceptions import ConfigurationError
+#: Consecutive failures that trip a closed breaker.
+FAILURE_THRESHOLD = 3
+#: Virtual seconds an open breaker refuses requests before its probe.
+RESET_TIMEOUT_S = 15.0
 
 
 class BreakerState(enum.Enum):
@@ -35,10 +38,10 @@ class BreakerState(enum.Enum):
 class CircuitBreaker:
     """Per-node failure gate over simulated time.
 
-    * **CLOSED** — requests flow; ``failure_threshold`` *consecutive*
+    * **CLOSED** — requests flow; :data:`FAILURE_THRESHOLD` *consecutive*
       failures trip the breaker.
-    * **OPEN** — :meth:`allow` refuses until ``reset_timeout_s`` of virtual
-      time has passed since the trip.
+    * **OPEN** — :meth:`allow` refuses until :data:`RESET_TIMEOUT_S` of
+      virtual time has passed since the trip.
     * **HALF_OPEN** — one probe request is let through; success re-closes
       the breaker, failure re-opens it for another full timeout.
 
@@ -47,20 +50,9 @@ class CircuitBreaker:
     nothing when no faults ever trip it.
     """
 
-    __slots__ = ("failure_threshold", "reset_timeout_s", "state", "failures",
-                 "opened_at", "trips")
+    __slots__ = ("state", "failures", "opened_at", "trips")
 
-    def __init__(self, failure_threshold: int = 3, reset_timeout_s: float = 30.0):
-        if failure_threshold < 1:
-            raise ConfigurationError(
-                f"breaker failure threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_timeout_s <= 0:
-            raise ConfigurationError(
-                f"breaker reset timeout must be positive, got {reset_timeout_s}"
-            )
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
+    def __init__(self) -> None:
         self.state = BreakerState.CLOSED
         self.failures = 0
         self.opened_at = 0.0
@@ -71,7 +63,7 @@ class CircuitBreaker:
         if self.state is BreakerState.CLOSED:
             return True
         if self.state is BreakerState.OPEN:
-            if now - self.opened_at >= self.reset_timeout_s:
+            if now - self.opened_at >= RESET_TIMEOUT_S:
                 self.state = BreakerState.HALF_OPEN
                 return True
             return False
@@ -92,7 +84,7 @@ class CircuitBreaker:
             self.trips += 1
             return
         self.failures += 1
-        if self.failures >= self.failure_threshold:
+        if self.failures >= FAILURE_THRESHOLD:
             self.state = BreakerState.OPEN
             self.opened_at = now
             self.failures = 0

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from repro.cache.backup import BackupManager
 from repro.cache.client import InfiniCacheClient
-from repro.cache.config import InfiniCacheConfig
+from repro.cache.config import WARMUP_INTERVAL_S, InfiniCacheConfig
 from repro.cache.consistent_hash import ConsistentHashRing
 from repro.cache.proxy import Proxy
 from repro.cache.runtime import RequestEnv
@@ -62,9 +62,7 @@ class InfiniCacheDeployment:
             billing=self.billing,
             metrics=self.metrics,
         )
-        self.transfer_model = TransferModel(
-            base_latency_s=self.config.base_network_latency_s,
-        )
+        self.transfer_model = TransferModel()
         #: Flow-level network arbitration + the context the event-driven
         #: (process-based) request path runs in; the synchronous facade
         #: ignores both and uses the static-snapshot estimates instead.
@@ -176,8 +174,7 @@ class InfiniCacheDeployment:
         self.platform.start_reclamation_sweeps()
         self._timers = [
             PeriodicTask(
-                self.simulator, self.config.warmup_interval_s,
-                self._warmup_tick, label="cache.warmup",
+                self.simulator, WARMUP_INTERVAL_S, self._warmup_tick, label="cache.warmup",
             ),
             PeriodicTask(
                 self.simulator, 1 * MINUTE, self._sample_costs, label="cache.cost_sample",

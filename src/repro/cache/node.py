@@ -50,29 +50,17 @@ class NodeAccess:
 class LambdaCacheNode:
     """A single erasure-chunk cache node backed by a simulated Lambda function."""
 
-    def __init__(
-        self,
-        node_id: str,
-        platform: FaaSPlatform,
-        memory_bytes: int,
-        billing_buffer_s: float = 0.005,
-        billing_extension_threshold: int = 2,
-        runtime_overhead_fraction: float = 0.10,
-    ):
+    def __init__(self, node_id: str, platform: FaaSPlatform, memory_bytes: int):
         self.node_id = node_id
         self.platform = platform
         self.memory_bytes = memory_bytes
-        self.capacity_bytes = usable_cache_bytes(memory_bytes, runtime_overhead_fraction)
+        self.capacity_bytes = usable_cache_bytes(memory_bytes)
         self.bandwidth_bps = bandwidth_for_memory(memory_bytes)
         platform.register_function(node_id, memory_bytes)
 
         self.primary: Optional[FunctionInstance] = None
         self.backup_peer: Optional[FunctionInstance] = None
-        self.duration_controller = BilledDurationController(
-            buffer_s=billing_buffer_s,
-            extension_threshold=billing_extension_threshold,
-            on_close=self._bill_session,
-        )
+        self.duration_controller = BilledDurationController(on_close=self._bill_session)
         self._session_instance: Optional[FunctionInstance] = None
         #: Per-node circuit breaker, installed by the proxy when the
         #: deployment's :class:`~repro.cache.config.ResilienceConfig` asks for
@@ -113,7 +101,6 @@ class LambdaCacheNode:
             #: reclamation drops it and fail-over carries it with the chunks.
             state["bytes"] = 0
             state["clock"] = ClockLRU()
-            state["synced_keys"] = set()
         return state
 
     @staticmethod
@@ -279,7 +266,6 @@ class LambdaCacheNode:
             if chunk is not None:
                 state["bytes"] -= chunk.size
                 state["clock"].remove(chunk_id)
-                state["synced_keys"].discard(chunk_id)
                 if instance is self.primary:
                     freed = chunk.size
         return freed
@@ -325,7 +311,6 @@ class LambdaCacheNode:
             raise CacheError(f"backup peer of node {self.node_id} is not alive")
         for chunk in chunks:
             self._put_chunk(state, chunk)
-            state["synced_keys"].add(chunk.chunk_id)
 
     def finish_sessions(self) -> None:
         """Close any open billing session (end of simulation)."""

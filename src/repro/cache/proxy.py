@@ -13,8 +13,8 @@ Section 3.2:
   have arrived; straggling chunks are abandoned, which is what keeps tail
   latency down for codes with parity.
 * **Degraded-read recovery** — if some chunks were lost to reclamation but at
-  least ``d`` survive, the proxy records a recovery and (optionally)
-  re-inserts the missing chunks onto fresh nodes; if more than ``p`` chunks
+  least ``d`` survive, the proxy records a recovery and re-inserts the
+  missing chunks onto fresh nodes; if more than ``p`` chunks
   are gone the object is lost and the caller must RESET it from the backing
   store.
 """
@@ -39,11 +39,20 @@ from repro.exceptions import (
     ObjectTooLargeError,
     TransientFaultError,
 )
+from repro.faas.limits import HOST_NIC_BANDWIDTH
 from repro.faas.platform import FaaSPlatform
-from repro.network.transfer import TransferModel
+from repro.network.transfer import BASE_LATENCY_S, TransferModel
 from repro.obs.metrics import MetricRegistry
 from repro.sim.process import SimFuture, all_of, first_n
 from repro.utils.rng import SeededRNG
+from repro.utils.units import MILLISECOND
+
+#: Chunk retry backoff: the n-th retry sleeps ``RETRY_BASE_BACKOFF_S *
+#: RETRY_BACKOFF_MULTIPLIER ** (n - 1)``, stretched by a seeded-jitter factor
+#: in ``[1, 1 + RETRY_JITTER_FRACTION]``.
+RETRY_BASE_BACKOFF_S = 10 * MILLISECOND
+RETRY_BACKOFF_MULTIPLIER = 2.0
+RETRY_JITTER_FRACTION = 0.5
 
 
 @dataclass
@@ -190,16 +199,9 @@ class Proxy:
             node_id=f"{self.proxy_id}-lambda-{self._next_node_index:04d}",
             platform=self.platform,
             memory_bytes=self.config.lambda_memory_bytes,
-            billing_buffer_s=self.config.billing_buffer_s,
-            billing_extension_threshold=self.config.billing_extension_threshold,
-            runtime_overhead_fraction=self.config.runtime_overhead_fraction,
         )
-        if self.resilience.circuit_breaker is not None:
-            policy = self.resilience.circuit_breaker
-            node.breaker = CircuitBreaker(
-                failure_threshold=policy.failure_threshold,
-                reset_timeout_s=policy.reset_timeout_s,
-            )
+        if self.resilience.circuit_breaker:
+            node.breaker = CircuitBreaker()
         self._next_node_index += 1
         self.nodes.append(node)
         self._nodes_by_id[node.node_id] = node
@@ -516,7 +518,7 @@ class Proxy:
         timing = self.transfer_model.chunk_transfer_timing(
             chunk_bytes=chunk_size,
             function_bandwidth_bps=node.bandwidth_bps,
-            host_capacity_bps=self.platform.limits.host_nic_bandwidth,
+            host_capacity_bps=HOST_NIC_BANDWIDTH,
             host_id=host_id,
             flows_on_host=flows_per_host.get(host_id, 1),
             concurrent_request_streams=concurrent_streams,
@@ -824,15 +826,12 @@ class Proxy:
         result.used_chunks = [fetch.chunk for fetch in winners]
         if lost_count > 0:
             self.metrics.counter("proxy.degraded_reads").increment()
-            if self.config.repair_degraded_objects:
-                try:
-                    result.recovery_performed = self._repair_object(
-                        key, entry, fetches, now
-                    )
-                except TransientFaultError:
-                    # A repair node faulted mid-repair; the stripe keeps its
-                    # stale placement and the next audit sweep re-detects it.
-                    self.metrics.counter("proxy.repair_faults").increment()
+            try:
+                result.recovery_performed = self._repair_object(key, entry, fetches, now)
+            except TransientFaultError:
+                # A repair node faulted mid-repair; the stripe keeps its
+                # stale placement and the next audit sweep re-detects it.
+                self.metrics.counter("proxy.repair_faults").increment()
         self.metrics.counter("proxy.hits").increment()
         return result
 
@@ -919,7 +918,7 @@ class Proxy:
             if winners is None:
                 # Fewer than d chunks reachable within the attempt budget.
                 self.metrics.counter("proxy.degraded_fallbacks").increment()
-                degraded = self.resilience.degraded_fallback
+                degraded = True
         result = self._get_result(
             key, entry, fetches, hosts_touched, winners, env.now - start, env.now,
             degraded,
@@ -975,12 +974,11 @@ class Proxy:
         tracer = env.tracer
         for attempt in range(attempts):
             if attempt > 0:
-                policy = self.resilience.retry
                 self.metrics.counter("proxy.chunk_retries").increment()
                 yield (
-                    policy.base_backoff_s
-                    * policy.backoff_multiplier ** (attempt - 1)
-                    * (1.0 + policy.jitter_fraction * self._retry_rng.random())
+                    RETRY_BASE_BACKOFF_S
+                    * RETRY_BACKOFF_MULTIPLIER ** (attempt - 1)
+                    * (1.0 + RETRY_JITTER_FRACTION * self._retry_rng.random())
                 )
             if timeout_s is not None:
                 landed = yield from self._race_chunk_deadline(
@@ -1004,7 +1002,7 @@ class Proxy:
                     node.store_chunk(chunk)
                 env.begin_transfer(node)
                 env.watch_session(node)
-                latency = self.transfer_model.base_latency_s
+                latency = BASE_LATENCY_S
                 preamble = access.overhead_s + latency
                 flow = None
                 try:
@@ -1023,7 +1021,7 @@ class Proxy:
                         size_bytes=effective_bytes,
                         function_bandwidth_bps=node.bandwidth_bps,
                         host_id=host_id,
-                        host_capacity_bps=self.platform.limits.host_nic_bandwidth,
+                        host_capacity_bps=HOST_NIC_BANDWIDTH,
                         proxy_id=self.proxy_id,
                         label=f"{self.proxy_id}:{category}:{key}#{chunk.index}",
                     )

@@ -44,62 +44,48 @@ from repro.sim import PeriodicTask
 #: Names accepted by :attr:`AutoscalerConfig.policy`.
 SCALING_POLICIES = ("reactive", "predictive", "predictive_trend")
 
+#: Memory-pressure fraction above which a pool grows.
+HIGH_MEMORY_WATERMARK = 0.70
+#: Memory-pressure fraction below which a pool may shrink.
+LOW_MEMORY_WATERMARK = 0.30
+#: Requests/s per node above which a pool grows regardless of memory.
+HIGH_REQUESTS_PER_NODE = 2.0
+#: Requests/s per node below which a pool may shrink.
+LOW_REQUESTS_PER_NODE = 0.25
+#: Nodes added per scale-up decision.
+SCALE_UP_STEP = 4
+#: Nodes removed per scale-down decision.
+SCALE_DOWN_STEP = 2
+#: EWMA smoothing factor for the predictive policies' forecasts.
+EWMA_ALPHA = 0.3
+#: Requests/s one node should serve at the predictive policies' operating
+#: point (their sizing divisor; under the high rate watermark, so the
+#: forecast leaves headroom).
+TARGET_REQUESTS_PER_NODE = 1.0
+#: Holt trend-smoothing factor of the ``predictive_trend`` policy: the
+#: forecast becomes *level + trend*, so a steadily building surge is
+#: extrapolated one interval ahead instead of merely smoothed.
+TREND_BETA = 0.3
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
-    """Tuning knobs for the pool autoscaler."""
+    """What varies between autoscaled deployments: the tick and the policy."""
 
     #: Seconds between scaling decisions (one shared tick for all proxies).
     interval_s: float = 30.0
-    #: Memory-pressure fraction above which a pool grows.
-    high_memory_watermark: float = 0.70
-    #: Memory-pressure fraction below which a pool may shrink.
-    low_memory_watermark: float = 0.30
-    #: Requests/s per node above which a pool grows regardless of memory.
-    high_requests_per_node: float = 2.0
-    #: Requests/s per node below which a pool may shrink.
-    low_requests_per_node: float = 0.25
-    #: Nodes added per scale-up decision.
-    scale_up_step: int = 4
-    #: Nodes removed per scale-down decision.
-    scale_down_step: int = 2
     #: Which scaling policy to run (see :data:`SCALING_POLICIES`).
     policy: str = "reactive"
-    #: EWMA smoothing factor for the predictive policy's forecasts.
-    ewma_alpha: float = 0.3
-    #: Requests/s one node should serve at the predictive policy's target
-    #: operating point (its sizing divisor; keep under the high watermark so
-    #: the forecast leaves headroom).
-    target_requests_per_node: float = 1.0
-    #: Holt trend-smoothing factor used by the ``predictive_trend`` policy:
-    #: the forecast becomes *level + trend*, so a steadily building surge is
-    #: extrapolated one interval ahead instead of merely smoothed.  Ignored
-    #: (treated as 0) by the plain ``predictive`` policy.
-    trend_beta: float = 0.3
 
     def __post_init__(self):
-        if self.interval_s <= 0:
-            raise ConfigurationError("autoscaler interval must be positive")
-        if not 0.0 < self.low_memory_watermark < self.high_memory_watermark <= 1.0:
+        if not 0.0 < self.interval_s < math.inf:
             raise ConfigurationError(
-                "memory watermarks must satisfy 0 < low < high <= 1"
+                f"autoscaler interval must be positive and finite, got {self.interval_s}"
             )
-        if self.low_requests_per_node < 0 or self.high_requests_per_node <= 0:
-            raise ConfigurationError("request-rate watermarks must be non-negative")
-        if self.low_requests_per_node >= self.high_requests_per_node:
-            raise ConfigurationError("rate watermarks must satisfy low < high")
-        if self.scale_up_step < 1 or self.scale_down_step < 1:
-            raise ConfigurationError("scaling steps must be at least 1")
         if self.policy not in SCALING_POLICIES:
             raise ConfigurationError(
                 f"unknown scaling policy {self.policy!r}; expected one of {SCALING_POLICIES}"
             )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError("ewma_alpha must be in (0, 1]")
-        if self.target_requests_per_node <= 0:
-            raise ConfigurationError("target_requests_per_node must be positive")
-        if not 0.0 <= self.trend_beta <= 1.0:
-            raise ConfigurationError("trend_beta must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -118,22 +104,19 @@ class PoolSnapshot:
 class ReactiveWatermarkPolicy:
     """Scale on watermark crossings of the *observed* signals."""
 
-    def __init__(self, config: AutoscalerConfig):
-        self.config = config
-
     def desired_delta(self, snapshot: PoolSnapshot) -> int:
         """Signed node-count intent; the autoscaler clamps it to its steps."""
         rate_per_node = snapshot.request_rate / max(1, snapshot.pool_size)
         if (
-            snapshot.memory_pressure >= self.config.high_memory_watermark
-            or rate_per_node >= self.config.high_requests_per_node
+            snapshot.memory_pressure >= HIGH_MEMORY_WATERMARK
+            or rate_per_node >= HIGH_REQUESTS_PER_NODE
         ):
-            return self.config.scale_up_step
+            return SCALE_UP_STEP
         if (
-            snapshot.memory_pressure <= self.config.low_memory_watermark
-            and rate_per_node <= self.config.low_requests_per_node
+            snapshot.memory_pressure <= LOW_MEMORY_WATERMARK
+            and rate_per_node <= LOW_REQUESTS_PER_NODE
         ):
-            return -self.config.scale_down_step
+            return -SCALE_DOWN_STEP
         return 0
 
 
@@ -142,8 +125,8 @@ class PredictiveEwmaPolicy:
 
     Per proxy, the policy smooths the observed request rate and byte growth
     and sizes the pool so the *forecast* rate lands at
-    ``target_requests_per_node`` and the forecast footprint stays under the
-    high memory watermark — growing ahead of a building surge instead of
+    :data:`TARGET_REQUESTS_PER_NODE` and the forecast footprint stays under
+    the high memory watermark — growing ahead of a building surge instead of
     after the watermarks trip, and shrinking gradually as the forecast
     decays.
 
@@ -156,8 +139,7 @@ class PredictiveEwmaPolicy:
     "seasonality/trend" item for ramp-shaped load.
     """
 
-    def __init__(self, config: AutoscalerConfig, trend_beta: float = 0.0):
-        self.config = config
+    def __init__(self, trend_beta: float = 0.0):
         self.trend_beta = trend_beta
         self._rate_level: dict[str, float] = {}
         self._rate_trend: dict[str, float] = {}
@@ -177,7 +159,7 @@ class PredictiveEwmaPolicy:
             levels[proxy_id] = observed
             trends[proxy_id] = 0.0
             return observed
-        alpha = self.config.ewma_alpha
+        alpha = EWMA_ALPHA
         beta = self.trend_beta
         prior_trend = trends.get(proxy_id, 0.0)
         level = alpha * observed + (1.0 - alpha) * (previous + prior_trend)
@@ -200,10 +182,10 @@ class PredictiveEwmaPolicy:
         )
 
         nodes_for_rate = math.ceil(
-            max(0.0, rate_forecast) / self.config.target_requests_per_node
+            max(0.0, rate_forecast) / TARGET_REQUESTS_PER_NODE
         )
         projected_bytes = snapshot.bytes_used + max(0.0, growth_forecast)
-        headroom = self.config.high_memory_watermark * snapshot.per_node_capacity_bytes
+        headroom = HIGH_MEMORY_WATERMARK * snapshot.per_node_capacity_bytes
         nodes_for_memory = math.ceil(projected_bytes / headroom) if headroom > 0 else 0
         desired = max(nodes_for_rate, nodes_for_memory, 1)
         return desired - snapshot.pool_size
@@ -212,10 +194,10 @@ class PredictiveEwmaPolicy:
 def make_policy(config: AutoscalerConfig):
     """Instantiate the scaling policy the config names."""
     if config.policy == "predictive":
-        return PredictiveEwmaPolicy(config)
+        return PredictiveEwmaPolicy()
     if config.policy == "predictive_trend":
-        return PredictiveEwmaPolicy(config, trend_beta=config.trend_beta)
-    return ReactiveWatermarkPolicy(config)
+        return PredictiveEwmaPolicy(trend_beta=TREND_BETA)
+    return ReactiveWatermarkPolicy()
 
 
 class PoolAutoscaler:
@@ -304,7 +286,7 @@ class PoolAutoscaler:
         return max(0, served - previous) / self.config.interval_s
 
     def _scale_up(self, proxy: Proxy, desired: int) -> int:
-        step = min(self.config.scale_up_step, desired)
+        step = min(SCALE_UP_STEP, desired)
         if self.max_nodes is not None:
             step = min(step, self.max_nodes - proxy.pool_size)
         if step <= 0:
@@ -316,7 +298,7 @@ class PoolAutoscaler:
         return step
 
     def _scale_down(self, proxy: Proxy, now: float, desired: int) -> int:
-        step = min(self.config.scale_down_step, desired, proxy.pool_size - self.min_nodes)
+        step = min(SCALE_DOWN_STEP, desired, proxy.pool_size - self.min_nodes)
         if step <= 0:
             return 0
         per_node_capacity = proxy.pool_capacity_bytes / proxy.pool_size
@@ -324,7 +306,7 @@ class PoolAutoscaler:
         removed = 0
         for _ in range(step):
             surviving = (proxy.pool_size - 1) * per_node_capacity
-            if surviving <= 0 or used / surviving >= self.config.high_memory_watermark:
+            if surviving <= 0 or used / surviving >= HIGH_MEMORY_WATERMARK:
                 break
             victim = min(proxy.nodes, key=lambda node: (node.bytes_used(), node.node_id))
             if self.rebalancer is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.cache.config import ResilienceConfig, RetryPolicy
+from repro.cache.config import ResilienceConfig
 from repro.experiments.report import format_table
 from repro.faults.report import ResilienceReport
 from repro.faults.scenario import (
@@ -35,26 +35,14 @@ from repro.faults.spec import FaultSchedule
 def hardening_levels() -> dict[str, ResilienceConfig]:
     """Hardening levels swept, weakest first.
 
-    Every level keeps the degraded-fallback (so no level can crash the
-    request path — an unreachable quorum falls back to the backing store);
-    what varies is how hard the proxy tries before giving a chunk up.
+    Every level degrades rather than fails (no level can crash the request
+    path — an unreachable quorum falls back to the backing store); what
+    varies is how hard the proxy tries before giving a chunk up.
     """
     return {
-        "fallback only": ResilienceConfig(
-            retry=RetryPolicy(max_attempts=1),
-            chunk_timeout_s=None,
-            circuit_breaker=None,
-        ),
-        "retry x3": ResilienceConfig(
-            retry=RetryPolicy(max_attempts=3),
-            chunk_timeout_s=None,
-            circuit_breaker=None,
-        ),
-        "retry + hedge": ResilienceConfig(
-            retry=RetryPolicy(max_attempts=3),
-            chunk_timeout_s=1.0,
-            circuit_breaker=None,
-        ),
+        "fallback only": ResilienceConfig(),
+        "retry x3": ResilienceConfig(chunk_attempts=3),
+        "retry + hedge": ResilienceConfig(chunk_attempts=3, chunk_timeout_s=1.0),
         "full hardening": demo_resilience(),
     }
 

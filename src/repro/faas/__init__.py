@@ -18,8 +18,8 @@ the cache above it faces the same constraints:
   (:mod:`repro.faas.platform`).
 """
 
-from repro.faas.limits import LambdaLimits, bandwidth_for_memory, cpu_for_memory
-from repro.faas.billing import BillingModel, InvocationCharge, LambdaPricing
+from repro.faas.limits import bandwidth_for_memory, cpu_for_memory
+from repro.faas.billing import BillingModel, InvocationCharge
 from repro.faas.host import VMHost, HostManager
 from repro.faas.function import FunctionInstance, FunctionState
 from repro.faas.reclamation import (
@@ -33,12 +33,10 @@ from repro.faas.reclamation import (
 from repro.faas.platform import FaaSPlatform, FunctionConfig, InvocationResult
 
 __all__ = [
-    "LambdaLimits",
     "bandwidth_for_memory",
     "cpu_for_memory",
     "BillingModel",
     "InvocationCharge",
-    "LambdaPricing",
     "VMHost",
     "HostManager",
     "FunctionInstance",

@@ -30,17 +30,9 @@ BILLING_CYCLE_SECONDS = 0.1
 #: registered tenant id.
 UNATTRIBUTED_TENANT = "::cluster::"
 
-
-@dataclass(frozen=True)
-class LambdaPricing:
-    """Unit prices for the serverless platform."""
-
-    price_per_invocation: float = 0.02 / 1_000_000
-    price_per_gb_second: float = 0.0000166667
-
-    def __post_init__(self):
-        if self.price_per_invocation < 0 or self.price_per_gb_second < 0:
-            raise ConfigurationError("prices must be non-negative")
+#: Dollars per invocation, and per GB-second of configured memory.
+PRICE_PER_INVOCATION = 0.02 / 1_000_000
+PRICE_PER_GB_SECOND = 0.0000166667
 
 
 def ceil_to_billing_cycle(duration_s: float) -> float:
@@ -113,7 +105,6 @@ class BillingModel:
     Unweighted work lands under :data:`UNATTRIBUTED_TENANT`.
     """
 
-    pricing: LambdaPricing = field(default_factory=LambdaPricing)
     total_invocations: int = 0
     total_billed_seconds: float = 0.0
     total_gb_seconds: float = 0.0
@@ -150,9 +141,8 @@ class BillingModel:
             raise ConfigurationError(f"memory must be positive, got {memory_bytes}")
         billed = ceil_to_billing_cycle(duration_s)
         memory_gb = memory_bytes / GIB
-        pricing = self.pricing
-        invocation_fee = pricing.price_per_invocation
-        duration_fee = billed * memory_gb * pricing.price_per_gb_second
+        invocation_fee = PRICE_PER_INVOCATION
+        duration_fee = billed * memory_gb * PRICE_PER_GB_SECOND
         total = invocation_fee + duration_fee
         # Everything that can raise has by now: a rejected charge books nothing.
         shares = attribution_shares(attribution) if attribution else None

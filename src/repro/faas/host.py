@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
-from repro.faas.limits import LambdaLimits
+from repro.faas.limits import HOST_MEMORY_BYTES, HOST_NIC_BANDWIDTH
 
 
 @dataclass
@@ -71,8 +71,7 @@ class HostManager:
     only when nothing fits.
     """
 
-    def __init__(self, limits: LambdaLimits | None = None):
-        self.limits = limits or LambdaLimits()
+    def __init__(self) -> None:
         self.hosts: dict[str, VMHost] = {}
         self._next_host_index = 0
         self._placement: dict[str, tuple[str, int]] = {}
@@ -103,8 +102,8 @@ class HostManager:
     def _new_host(self) -> VMHost:
         host = VMHost(
             host_id=f"vm-{self._next_host_index:05d}",
-            memory_bytes=self.limits.host_memory_bytes,
-            nic_bandwidth_bps=self.limits.host_nic_bandwidth,
+            memory_bytes=HOST_MEMORY_BYTES,
+            nic_bandwidth_bps=HOST_NIC_BANDWIDTH,
         )
         self._host_index[host.host_id] = self._next_host_index
         self._next_host_index += 1

@@ -14,8 +14,6 @@ Numbers come straight from the paper (Section 2.2 and Section 5 setup):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.exceptions import ConfigurationError
 from repro.utils.units import MB, MIB
 
@@ -55,6 +53,10 @@ WARM_INVOCATION_OVERHEAD = 0.013
 #: (cold starts are not billed); 150 ms is in the range reported for Go
 #: runtimes by the measurement study the paper cites.
 COLD_START_OVERHEAD = 0.150
+
+#: Share of a function's configured memory the Go runtime, connection
+#: buffers and the CLOCK bookkeeping take before any chunk is cached.
+RUNTIME_OVERHEAD_FRACTION = 0.10
 
 
 def validate_memory_bytes(memory_bytes: int) -> int:
@@ -99,36 +101,17 @@ def bandwidth_for_memory(memory_bytes: int) -> float:
     return MIN_FUNCTION_BANDWIDTH + fraction * (MAX_FUNCTION_BANDWIDTH - MIN_FUNCTION_BANDWIDTH)
 
 
-def usable_cache_bytes(memory_bytes: int, runtime_overhead_fraction: float = 0.10) -> int:
-    """Memory available for cached chunks after runtime overhead.
+def usable_cache_bytes(memory_bytes: int) -> int:
+    """Memory available for cached chunks after :data:`RUNTIME_OVERHEAD_FRACTION`.
 
-    The Go runtime, connection buffers, and the CLOCK bookkeeping consume a
-    slice of the configured memory; the paper sizes pools with the full
-    configured value, so the default overhead is kept small.
+    The paper sizes pools with the full configured value, so the overhead is
+    kept small.
     """
     validate_memory_bytes(memory_bytes)
-    if not 0.0 <= runtime_overhead_fraction < 1.0:
-        raise ConfigurationError(
-            f"runtime overhead fraction must be in [0, 1), got {runtime_overhead_fraction}"
-        )
-    return int(memory_bytes * (1.0 - runtime_overhead_fraction))
+    return int(memory_bytes * (1.0 - RUNTIME_OVERHEAD_FRACTION))
 
 
-@dataclass(frozen=True)
-class LambdaLimits:
-    """Bundle of platform limits, kept as an object so tests can override them."""
-
-    min_memory_bytes: int = MIN_MEMORY_BYTES
-    max_memory_bytes: int = MAX_MEMORY_BYTES
-    memory_step_bytes: int = MEMORY_STEP_BYTES
-    max_execution_seconds: float = MAX_EXECUTION_SECONDS
-    max_cpu_cores: float = MAX_CPU_CORES
-    host_memory_bytes: int = HOST_MEMORY_BYTES
-    host_nic_bandwidth: float = HOST_NIC_BANDWIDTH
-    warm_invocation_overhead: float = WARM_INVOCATION_OVERHEAD
-    cold_start_overhead: float = COLD_START_OVERHEAD
-
-    def functions_per_host(self, memory_bytes: int) -> int:
-        """How many functions of this size fit on one VM host."""
-        validate_memory_bytes(memory_bytes)
-        return max(1, self.host_memory_bytes // memory_bytes)
+def functions_per_host(memory_bytes: int) -> int:
+    """How many functions of this size fit on one VM host."""
+    validate_memory_bytes(memory_bytes)
+    return max(1, HOST_MEMORY_BYTES // memory_bytes)

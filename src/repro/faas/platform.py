@@ -31,7 +31,11 @@ from repro.exceptions import (
 from repro.faas.billing import BillingModel
 from repro.faas.function import FunctionInstance, FunctionState
 from repro.faas.host import HostManager
-from repro.faas.limits import LambdaLimits, validate_memory_bytes
+from repro.faas.limits import (
+    COLD_START_OVERHEAD,
+    WARM_INVOCATION_OVERHEAD,
+    validate_memory_bytes,
+)
 from repro.faas.reclamation import NoReclamationPolicy, ReclamationPolicy
 from repro.obs.metrics import MetricRegistry
 from repro.sim.loop import PeriodicTask, Simulator
@@ -42,6 +46,9 @@ from repro.utils.units import MINUTE
 _IDLE = FunctionState.IDLE
 _RUNNING = FunctionState.RUNNING
 _RECLAIMED = FunctionState.RECLAIMED
+
+#: Virtual seconds between two reclamation sweeps.
+SWEEP_INTERVAL_S = 1 * MINUTE
 
 
 @dataclass(frozen=True)
@@ -83,22 +90,18 @@ class FaaSPlatform:
         self,
         simulator: Simulator,
         reclamation_policy: ReclamationPolicy | None = None,
-        limits: LambdaLimits | None = None,
         billing: BillingModel | None = None,
         metrics: MetricRegistry | None = None,
-        sweep_interval_s: float = 1 * MINUTE,
     ):
         self.simulator = simulator
-        self.limits = limits or LambdaLimits()
         self.billing = billing or BillingModel()
         self.metrics = metrics or MetricRegistry()
         self.reclamation_policy = reclamation_policy or NoReclamationPolicy()
-        self.host_manager = HostManager(self.limits)
-        self.sweep_interval_s = sweep_interval_s
+        self.host_manager = HostManager()
         self._functions: dict[str, _RegisteredFunction] = {}
         self._reclaim_listeners: list[Callable[[FunctionInstance], None]] = []
         self._sweep_task = PeriodicTask(
-            simulator, sweep_interval_s, self._sweep, label="faas.reclaim_sweep"
+            simulator, SWEEP_INTERVAL_S, self._sweep, label="faas.reclaim_sweep"
         )
         #: Fault-injection window state (set by the chaos engine): each
         #: invocation fails with ``_fault_failure_probability`` and pays
@@ -198,13 +201,12 @@ class FaaSPlatform:
                     instance = candidate
                     break
         cold_start = instance is None
-        limits = self.limits
         if cold_start:
             instance = self._create_instance(registered)
-            overhead = limits.cold_start_overhead + limits.warm_invocation_overhead
+            overhead = COLD_START_OVERHEAD + WARM_INVOCATION_OVERHEAD
             self.metrics.counter("faas.cold_starts").increment()
         else:
-            overhead = limits.warm_invocation_overhead
+            overhead = WARM_INVOCATION_OVERHEAD
         overhead += self._fault_extra_overhead_s
         return self._start(instance, cold_start, overhead)
 
@@ -226,7 +228,7 @@ class FaaSPlatform:
                 f"instance {instance.instance_id} is already running an invocation"
             )
         return self._start(
-            instance, False, self.limits.warm_invocation_overhead + self._fault_extra_overhead_s
+            instance, False, WARM_INVOCATION_OVERHEAD + self._fault_extra_overhead_s
         )
 
     def _start(

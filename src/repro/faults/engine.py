@@ -29,6 +29,7 @@ from typing import Optional
 from repro.cache.config import StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.exceptions import SimulationError
+from repro.faas.limits import HOST_NIC_BANDWIDTH
 from repro.faults.report import FaultWindow
 from repro.faults.spec import (
     BLACKHOLE_FACTOR,
@@ -169,9 +170,8 @@ class ChaosEngine:
         if count:
             indices = rng.sample_without_replacement(len(host_ids), count)
             picked = [host_ids[i] for i in sorted(indices)]
-        capacity = deployment.platform.limits.host_nic_bandwidth
         for host_id in picked:
-            nic = fabric.host(host_id, capacity)
+            nic = fabric.host(host_id, HOST_NIC_BANDWIDTH)
             nic.degradation_factor = factor
             deployment.flows.reassess_host(host_id)
         window = self._record(
@@ -187,10 +187,9 @@ class ChaosEngine:
 
     def _restore_links(self, host_ids: list[str], index: int) -> None:
         deployment = self.deployment
-        capacity = deployment.platform.limits.host_nic_bandwidth
         fabric = deployment.transfer_model.fabric
         for host_id in host_ids:
-            nic = fabric.host(host_id, capacity)
+            nic = fabric.host(host_id, HOST_NIC_BANDWIDTH)
             nic.degradation_factor = 1.0
             deployment.flows.reassess_host(host_id)
         self._active.pop(index, None)

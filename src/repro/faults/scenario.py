@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.config import (
-    CircuitBreakerPolicy,
-    InfiniCacheConfig,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.cache.config import InfiniCacheConfig, ResilienceConfig
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.faults.engine import ChaosEngine
 from repro.faults.report import ResilienceReport, build_resilience_report
@@ -34,12 +29,7 @@ from repro.workload.replay import ClientOp, ClosedLoopDriver, ConcurrentReplayRe
 
 def demo_resilience() -> ResilienceConfig:
     """The hardening profile chaos scenarios run with: everything on."""
-    return ResilienceConfig(
-        retry=RetryPolicy(max_attempts=3),
-        chunk_timeout_s=1.0,
-        circuit_breaker=CircuitBreakerPolicy(failure_threshold=3, reset_timeout_s=15.0),
-        degraded_fallback=True,
-    )
+    return ResilienceConfig(chunk_attempts=3, chunk_timeout_s=1.0, circuit_breaker=True)
 
 
 def demo_config(seed: int = 2020) -> InfiniCacheConfig:
@@ -50,7 +40,6 @@ def demo_config(seed: int = 2020) -> InfiniCacheConfig:
         lambda_memory_bytes=1536 * MIB,
         data_shards=4,
         parity_shards=2,
-        warmup_interval_s=60.0,
         backup_interval_s=60.0,
         resilience=demo_resilience(),
         seed=seed,

@@ -20,12 +20,10 @@ only catch after the fact.
   not hold a billed transfer across an unguarded ``yield``/``return``, and
   must not schedule events at negative or NaN delays.
 
-Violations are suppressed inline with ``# repro: allow[CODE]`` or
-grandfathered through a committed baseline file; ``repro lint`` is the CLI
-and the CI gate.  See ``docs/static-analysis.md``.
+Intentional exceptions are suppressed inline with ``# repro: allow[CODE]``;
+``repro lint`` is the CLI and the CI gate.  See ``docs/static-analysis.md``.
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.context import FileContext
 from repro.lint.engine import lint_file, lint_paths, lint_source
 from repro.lint.registry import Rule, all_rules, get_rule, register_rule, rule_codes
@@ -37,8 +35,6 @@ from repro.lint import rules_determinism as _rules_determinism  # noqa: F401
 from repro.lint import rules_simprotocol as _rules_simprotocol  # noqa: F401
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "FileContext",
     "Rule",
     "Violation",

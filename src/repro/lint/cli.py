@@ -1,7 +1,8 @@
 """``repro lint`` — the command-line front end and CI gate.
 
-Exit codes: 0 clean (or everything grandfathered), 1 new violations (or a
-baseline check problem), 2 usage errors.  See ``docs/static-analysis.md``.
+Exit codes: 0 clean, 1 violations (or an unparseable file), 2 usage errors.
+Intentional exceptions are suppressed inline with ``# repro: allow[CODE]``.
+See ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
@@ -9,13 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.exceptions import ConfigurationError
-from repro.lint.baseline import Baseline
 from repro.lint.engine import lint_paths
 from repro.lint.registry import rule_codes
 from repro.lint.reporting import render, render_json, render_rule_list
-
-DEFAULT_BASELINE = "lint_baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,23 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select", metavar="CODES", default=None,
         help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=DEFAULT_BASELINE,
-        help=f"baseline file for grandfathered violations (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record the current violations as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--check-baseline", action="store_true",
-        help="fail (exit 1) on violations not covered by the baseline; "
-        "stale baseline entries are reported but only warn",
-    )
-    parser.add_argument(
-        "--strict-baseline", action="store_true",
-        help="with --check-baseline, also fail on stale baseline entries",
     )
     parser.add_argument(
         "--output", metavar="PATH", default=None,
@@ -85,52 +65,9 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
 
-    if args.write_baseline:
-        Baseline.from_violations(violations).write(args.baseline)
-        print(
-            f"wrote {len(violations)} grandfathered violation(s) to {args.baseline}"
-        )
-        return 0
-
-    grandfathered: list = []
-    stale: list = []
-    if args.check_baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except FileNotFoundError:
-            print(
-                f"repro lint: baseline {args.baseline} not found; create it "
-                "with --write-baseline (an empty run writes an empty baseline)",
-                file=sys.stderr,
-            )
-            return 1
-        except ConfigurationError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 1
-        violations, grandfathered, stale = baseline.partition(violations)
-
-    if args.format == "json":
-        report = render_json(violations, grandfathered=grandfathered,
-                             stale_baseline=stale)
-        print(report)
-    else:
-        print(render(args.format, violations))
-        if grandfathered:
-            print(f"({len(grandfathered)} grandfathered by {args.baseline})")
-        for entry in stale:
-            print(
-                f"stale baseline entry (code fixed? remove it): "
-                f"{entry.path} {entry.code} ×{entry.count} — {entry.snippet!r}"
-            )
-
+    print(render(args.format, violations))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(render_json(violations, grandfathered=grandfathered,
-                                     stale_baseline=stale))
+            handle.write(render_json(violations))
             handle.write("\n")
-
-    if violations:
-        return 1
-    if args.check_baseline and args.strict_baseline and stale:
-        return 1
-    return 0
+    return 1 if violations else 0

@@ -69,6 +69,6 @@ def lint_paths(
 
 
 def _normalise(path: str) -> str:
-    """Forward-slashed relative-ish path so reports and baselines are
-    identical across platforms and invocation directories."""
+    """Forward-slashed relative-ish path so reports are identical across
+    platforms and invocation directories."""
     return os.path.relpath(path).replace(os.sep, "/")

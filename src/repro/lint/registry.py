@@ -24,8 +24,7 @@ class Rule:
     ``S`` codes are sim-protocol violations.
     """
 
-    #: Stable short code, e.g. ``"D101"`` — what suppressions and the
-    #: baseline reference.
+    #: Stable short code, e.g. ``"D101"`` — what suppressions reference.
     code: str = ""
     #: Kebab-case human name, e.g. ``"unseeded-global-random"``.
     name: str = ""

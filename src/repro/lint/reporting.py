@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.lint.registry import all_rules
 from repro.lint.violations import Violation
@@ -26,25 +26,11 @@ def render_text(violations: Sequence[Violation]) -> str:
     return "\n".join(lines)
 
 
-def render_json(
-    violations: Sequence[Violation],
-    grandfathered: Sequence[Violation] = (),
-    stale_baseline: Sequence[object] = (),
-) -> str:
+def render_json(violations: Sequence[Violation]) -> str:
     """Machine-readable report (also the CI artifact payload)."""
     payload = {
         "violations": [violation.to_dict() for violation in violations],
-        "grandfathered": [violation.to_dict() for violation in grandfathered],
-        "stale_baseline": [
-            {"path": entry.path, "code": entry.code,
-             "snippet": entry.snippet, "count": entry.count}
-            for entry in stale_baseline
-        ],
-        "summary": {
-            "new": len(violations),
-            "grandfathered": len(grandfathered),
-            "stale_baseline": len(stale_baseline),
-        },
+        "summary": {"violations": len(violations)},
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -66,7 +52,7 @@ def render_github(violations: Sequence[Violation]) -> str:
             f"col={violation.col},title={violation.code}::{message}"
         )
     if not lines:
-        lines.append("::notice::repro lint: no new violations")
+        lines.append("::notice::repro lint: no violations")
     return "\n".join(lines)
 
 
@@ -79,12 +65,12 @@ def render_rule_list() -> str:
     return "\n".join(lines)
 
 
-def render(fmt: str, violations: Sequence[Violation], **kwargs: object) -> str:
+def render(fmt: str, violations: Sequence[Violation]) -> str:
     """Dispatch on ``--format`` value."""
     if fmt == "text":
         return render_text(violations)
     if fmt == "json":
-        return render_json(violations, **kwargs)  # type: ignore[arg-type]
+        return render_json(violations)
     if fmt == "github":
         return render_github(violations)
     raise ValueError(f"unknown format {fmt!r}")

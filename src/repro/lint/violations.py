@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 class Violation:
     """One rule hit at one source location.
 
-    Violations order by ``(path, line, col, code)`` so reports and baseline
-    files are stable across runs regardless of rule execution order.
+    Violations order by ``(path, line, col, code)`` so reports are stable
+    across runs regardless of rule execution order.
     """
 
     path: str
@@ -18,7 +18,7 @@ class Violation:
     col: int
     code: str
     message: str = field(compare=False)
-    #: The stripped source line, used by the baseline to survive line drift.
+    #: The stripped source line, carried into the JSON report.
     snippet: str = field(default="", compare=False)
 
     def location(self) -> str:

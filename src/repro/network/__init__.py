@@ -10,14 +10,13 @@ The paper's performance results hinge on a few network facts:
 * Multiple functions packed on one VM host *share* that host's NIC, which is
   the contention effect behind Figure 4.
 
-:class:`~repro.network.link.Link` models a single bandwidth/latency pipe;
 :class:`~repro.network.topology.HostNic` models the shared per-host uplink;
-:func:`~repro.network.transfer.transfer_time` combines them into per-request
-timings used by the cache simulation.
+:class:`~repro.network.transfer.TransferModel` turns it into per-chunk
+timing estimates, and :class:`~repro.network.flows.FlowNetwork` shares
+bandwidth between the flows of the event-driven request path.
 """
 
 from repro.network.flows import FlowInterval, FlowNetwork, ReferenceFlowNetwork
-from repro.network.link import Link
 from repro.network.topology import HostNic, NetworkFabric
 from repro.network.transfer import TransferModel
 
@@ -25,7 +24,6 @@ __all__ = [
     "FlowInterval",
     "FlowNetwork",
     "HostNic",
-    "Link",
     "NetworkFabric",
     "ReferenceFlowNetwork",
     "TransferModel",

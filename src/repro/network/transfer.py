@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from repro.network.topology import NetworkFabric
 from repro.utils.units import MB, MILLISECOND
 
+#: Fixed per-chunk latency (TCP + proxy forwarding).
+BASE_LATENCY_S = 1 * MILLISECOND
+
 
 @dataclass(frozen=True)
 class TransferTiming:
@@ -39,19 +42,9 @@ class TransferTiming:
 class TransferModel:
     """Estimates chunk transfer times over the simulated fabric."""
 
-    def __init__(
-        self,
-        fabric: NetworkFabric | None = None,
-        base_latency_s: float = 1.0 * MILLISECOND,
-    ) -> None:
-        """Create a transfer model.
-
-        Args:
-            fabric: shared NIC registry; a fresh one is created if omitted.
-            base_latency_s: fixed per-chunk latency (TCP + proxy forwarding).
-        """
+    def __init__(self, fabric: NetworkFabric | None = None) -> None:
+        """Create a transfer model over ``fabric`` (a fresh NIC registry if omitted)."""
         self.fabric = fabric or NetworkFabric()
-        self.base_latency_s = base_latency_s
 
     def chunk_transfer_timing(
         self,
@@ -85,7 +78,7 @@ class TransferModel:
         bandwidth = min(function_bandwidth_bps, host_share, proxy_share)
         transfer_s = chunk_bytes / bandwidth
         return TransferTiming(
-            latency_s=self.base_latency_s,
+            latency_s=BASE_LATENCY_S,
             bandwidth_bps=bandwidth,
             transfer_s=transfer_s,
         )
@@ -93,6 +86,6 @@ class TransferModel:
     def describe(self) -> dict[str, float]:
         """Model parameters, for experiment reports."""
         return {
-            "base_latency_ms": self.base_latency_s / MILLISECOND,
+            "base_latency_ms": BASE_LATENCY_S / MILLISECOND,
             "proxy_uplink_MBps": self.fabric.proxy_uplink_bps / MB,
         }

@@ -43,14 +43,8 @@ __all__ = [
 #: by policy name — also the values of the scenario library's policy axis.
 DEFAULT_POLICIES: dict[str, AutoscalerConfig] = {
     "reactive": AutoscalerConfig(interval_s=30.0, policy="reactive"),
-    "predictive": AutoscalerConfig(
-        interval_s=30.0, policy="predictive", ewma_alpha=0.3,
-        target_requests_per_node=1.0,
-    ),
-    "predictive_trend": AutoscalerConfig(
-        interval_s=30.0, policy="predictive_trend", ewma_alpha=0.3,
-        trend_beta=0.3, target_requests_per_node=1.0,
-    ),
+    "predictive": AutoscalerConfig(interval_s=30.0, policy="predictive"),
+    "predictive_trend": AutoscalerConfig(interval_s=30.0, policy="predictive_trend"),
 }
 
 

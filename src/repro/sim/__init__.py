@@ -32,7 +32,6 @@ from repro.sim.process import (
     SimFuture,
     all_of,
     first_n,
-    resolved,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "SimFuture",
     "all_of",
     "first_n",
-    "resolved",
 ]

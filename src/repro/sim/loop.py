@@ -169,9 +169,9 @@ class Event:
     tombstoned heaps get compacted.
 
     The heap itself stores ``(time, sequence, event)`` tuples, so ordering
-    is decided by C-level tuple comparison instead of a Python ``__lt__``
-    per sift step — a measurable win at fleet scale, where hundreds of
-    thousands of flow-completion events are pushed and re-aimed.
+    is decided by C-level tuple comparison (sequences are unique, so two
+    events are never compared) — a measurable win at fleet scale, where
+    hundreds of thousands of flow-completion events are pushed and re-aimed.
     """
 
     __slots__ = ("time", "sequence", "callback", "label", "cancelled", "_queue")
@@ -192,9 +192,6 @@ class Event:
         #: Owning queue while the event sits in its heap; cleared on pop so a
         #: late ``cancel()`` of an already-dispatched event cannot skew counts.
         self._queue = _queue
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"

@@ -114,13 +114,6 @@ class SimFuture:
         return f"SimFuture({self.label!r}, {state})"
 
 
-def resolved(result: object = None, label: str = "sim.resolved") -> SimFuture:
-    """A future that is already resolved (for degenerate combinator cases)."""
-    future = SimFuture(label=label)
-    future.resolve(result)
-    return future
-
-
 def all_of(futures: Iterable[SimFuture], label: str = "sim.all_of") -> SimFuture:
     """A future resolving when *every* input future has settled.
 

@@ -32,9 +32,9 @@ class TestProvisionedConcurrencyModel:
     def test_execution_discount_vs_on_demand(self):
         """Provisioned execution is billed at a lower GB-second rate."""
         pricing = ProvisionedConcurrencyPricing()
-        from repro.faas.billing import LambdaPricing
+        from repro.faas.billing import PRICE_PER_GB_SECOND
 
-        assert pricing.price_per_gb_second < LambdaPricing().price_per_gb_second
+        assert pricing.price_per_gb_second < PRICE_PER_GB_SECOND
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

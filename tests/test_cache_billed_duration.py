@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.billed_duration import BilledDurationController, BilledSession, SessionCharge
+from repro.cache.billed_duration import (
+    BUFFER_S,
+    EXTENSION_THRESHOLD,
+    BilledDurationController,
+    BilledSession,
+    SessionCharge,
+)
 from repro.exceptions import ConfigurationError
 from repro.faas.billing import BILLING_CYCLE_SECONDS, UNATTRIBUTED_TENANT
 
@@ -38,29 +44,43 @@ class TestSessionLifecycle:
     def test_timer_expires_just_before_cycle_end(self):
         """The runtime returns a few ms before the 100 ms boundary so it is
         never billed for an accidental extra cycle (paper Section 3.3)."""
-        controller = BilledDurationController(buffer_s=0.005, extension_threshold=99)
+        controller = BilledDurationController()
         controller.record_request(0.0, 0.01)
         controller.flush()
         charge = controller.closed_sessions[0]
         assert charge.duration_s <= BILLING_CYCLE_SECONDS
         assert charge.billed_duration_s == pytest.approx(BILLING_CYCLE_SECONDS)
 
+    @pytest.mark.parametrize("requests, cycles", [(1, 1), (EXTENSION_THRESHOLD, 2)])
+    def test_session_ends_the_buffer_before_its_last_cycle_boundary(self, requests, cycles):
+        """The session lasts its window less the 5 ms buffer (inside the
+        paper's 2-10 ms), so it is billed whole cycles and never one more."""
+        assert 0.002 <= BUFFER_S <= 0.010
+        controller = BilledDurationController()
+        for index in range(requests):
+            controller.record_request(0.01 * index, 0.005)
+        controller.flush()
+        (charge,) = controller.closed_sessions
+        assert charge.duration_s == pytest.approx(cycles * BILLING_CYCLE_SECONDS - BUFFER_S)
+        assert charge.billed_duration_s == pytest.approx(cycles * BILLING_CYCLE_SECONDS)
+
     def test_anticipation_extends_by_one_cycle(self):
         """Two requests inside one cycle extend the window by a full cycle."""
-        controller = BilledDurationController(extension_threshold=2)
+        assert EXTENSION_THRESHOLD == 2
+        controller = BilledDurationController()
         controller.record_request(0.0, 0.01)
         controller.record_request(0.05, 0.01)
         # Window should now extend past the first cycle.
         assert controller.is_active(0.15)
 
     def test_no_anticipation_with_single_request(self):
-        controller = BilledDurationController(extension_threshold=2, buffer_s=0.002)
+        controller = BilledDurationController()
         controller.record_request(0.0, 0.01)
         assert not controller.is_active(0.11)
 
     def test_long_request_covers_multiple_cycles(self):
         closed = []
-        controller = BilledDurationController(on_close=closed.append, extension_threshold=99)
+        controller = BilledDurationController(on_close=closed.append)
         controller.record_request(0.0, 0.35)
         controller.expire_if_due(1.0)
         assert closed[0].billed_duration_s >= 0.35
@@ -110,14 +130,6 @@ class TestCategories:
 
 
 class TestValidation:
-    def test_invalid_buffer(self):
-        with pytest.raises(ConfigurationError):
-            BilledDurationController(buffer_s=0.2)
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ConfigurationError):
-            BilledDurationController(extension_threshold=0)
-
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), float("-inf")])
     def test_bad_service_time_fails_at_the_call_and_opens_nothing(self, bad):
         controller = BilledDurationController()
@@ -356,15 +368,11 @@ _request = st.tuples(
 
 class TestSessionsMatchTheParentArithmetic:
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(_request, min_size=1, max_size=40),
-        st.sampled_from([0.0, 0.005, 0.01]),
-        st.integers(min_value=1, max_value=3),
-    )
-    def test_every_closed_session_is_bit_equal(self, requests, buffer_s, threshold):
+    @given(st.lists(_request, min_size=1, max_size=40))
+    def test_every_closed_session_is_bit_equal(self, requests):
         billed = []
-        controller = BilledDurationController(buffer_s, threshold, on_close=billed.append)
-        oracle = _ParentController(buffer_s, threshold)
+        controller = BilledDurationController(on_close=billed.append)
+        oracle = _ParentController(0.005, 2)
         now = 0.0
         for gap, service_time_s, category, attribution in requests:
             now += gap

@@ -1,8 +1,17 @@
 """Tests for deployment configuration validation."""
 
+import dataclasses
+import math
+
 import pytest
 
-from repro.cache.config import InfiniCacheConfig, StragglerModel
+from repro.cache.config import (
+    WARMUP_INTERVAL_S,
+    InfiniCacheConfig,
+    ResilienceConfig,
+    StragglerModel,
+)
+from repro.cluster.autoscaler import AutoscalerConfig
 from repro.exceptions import ConfigurationError
 from repro.utils.units import MIB
 
@@ -31,7 +40,7 @@ class TestInfiniCacheConfig:
         assert config.lambda_memory_bytes == 1536 * MIB
         assert config.data_shards == 10
         assert config.parity_shards == 2
-        assert config.warmup_interval_s == 60.0
+        assert config.describe()["warmup_interval_s"] == 60.0
         assert config.backup_interval_s == 300.0
         assert config.backup_enabled is True
 
@@ -74,13 +83,7 @@ class TestInfiniCacheConfig:
 
     def test_invalid_intervals(self):
         with pytest.raises(ConfigurationError):
-            InfiniCacheConfig(warmup_interval_s=0)
-        with pytest.raises(ConfigurationError):
             InfiniCacheConfig(backup_interval_s=-5)
-
-    def test_invalid_coding_bandwidth(self):
-        with pytest.raises(ConfigurationError):
-            InfiniCacheConfig(encode_bandwidth_bps=0)
 
     def test_removed_vectorized_arbiter_names_its_replacement(self):
         assert InfiniCacheConfig().flow_arbiter == "incremental"
@@ -89,6 +92,72 @@ class TestInfiniCacheConfig:
         with pytest.raises(ConfigurationError):
             InfiniCacheConfig(flow_arbiter="quantum")
 
+    def test_describe_keeps_its_keys_and_prints_the_warmup_constant(self):
+        """Reports read ``describe()``; folding a field into a constant must
+        not move a key or a value."""
+        description = InfiniCacheConfig().describe()
+        assert list(description) == [
+            "proxies", "lambdas_per_proxy", "autoscale_bounds", "lambda_memory_MiB",
+            "rs_code", "warmup_interval_s", "backup_interval_s", "backup_enabled",
+        ]
+        assert description["warmup_interval_s"] == WARMUP_INTERVAL_S == 60.0
+        assert description["rs_code"] == "(10+2)"
+
     def test_no_parity_allowed(self):
         config = InfiniCacheConfig(data_shards=10, parity_shards=0, lambdas_per_proxy=20)
         assert config.total_chunks == 10
+
+
+class TestResilienceConfig:
+    def test_defaults_are_one_attempt_no_deadline_no_breaker(self):
+        config = ResilienceConfig()
+        assert (config.chunk_attempts, config.chunk_timeout_s, config.circuit_breaker) == (
+            1, None, False,
+        )
+
+    def test_invalid_budget(self):
+        with pytest.raises(ConfigurationError):
+            ResilienceConfig(chunk_attempts=0)
+        with pytest.raises(ConfigurationError):
+            ResilienceConfig(chunk_timeout_s=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ResilienceConfig(chunk_timeout_s=math.nan),
+    lambda: ResilienceConfig(chunk_timeout_s=math.inf),
+    lambda: StragglerModel(probability=1.0, max_factor=math.inf),
+    lambda: StragglerModel(min_factor=math.nan),
+    lambda: StragglerModel(max_factor=math.nan),
+    lambda: InfiniCacheConfig(backup_interval_s=math.nan),
+    lambda: InfiniCacheConfig(backup_interval_s=math.inf),
+    lambda: AutoscalerConfig(interval_s=math.nan),
+    lambda: AutoscalerConfig(interval_s=math.inf),
+], ids=[
+    "timeout-nan", "timeout-inf", "straggler-max-inf", "straggler-min-nan",
+    "straggler-max-nan", "backup-nan", "backup-inf", "autoscaler-nan",
+    "autoscaler-inf",
+])
+def test_non_finite_values_fail_at_construction(build):
+    """NaN and infinity are rejected where the config is built, not mid-run
+    by the deadline timer, ``rng.uniform`` or ``deployment.start()``."""
+    with pytest.raises(ConfigurationError):
+        build()
+
+
+def test_only_the_settings_callers_vary_are_fields():
+    """Anything every caller sets the same way is a module constant."""
+    names = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in (InfiniCacheConfig, StragglerModel, ResilienceConfig, AutoscalerConfig)
+    }
+    assert names == {
+        "InfiniCacheConfig": [
+            "num_proxies", "lambdas_per_proxy", "lambda_memory_bytes",
+            "min_lambdas_per_proxy", "max_lambdas_per_proxy", "data_shards",
+            "parity_shards", "backup_interval_s", "backup_enabled", "straggler",
+            "flow_arbiter", "flow_trace_limit", "resilience", "seed",
+        ],
+        "StragglerModel": ["probability", "min_factor", "max_factor"],
+        "ResilienceConfig": ["chunk_attempts", "chunk_timeout_s", "circuit_breaker"],
+        "AutoscalerConfig": ["interval_s", "policy"],
+    }

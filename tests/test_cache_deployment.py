@@ -55,13 +55,13 @@ class TestMaintenanceSchedules:
         deployment.stop()
 
     def test_no_warmup_loses_data_under_idle_timeout(self):
-        """Disabling the warm-up (very long interval) lets the provider
+        """Reclamation sweeps without the warm-up timer let the provider
         reclaim everything — the contrast that motivates warm-ups."""
         deployment = InfiniCacheDeployment(
-            make_config(warmup_interval_s=12 * HOUR, backup_enabled=False),
+            make_config(backup_enabled=False),
             reclamation_policy=IdleTimeoutPolicy(idle_timeout_s=27 * MINUTE),
         )
-        deployment.start()
+        deployment.platform.start_reclamation_sweeps()
         client = deployment.new_client()
         client.put_sized("fragile", 10 * MB)
         deployment.run_until(2 * HOUR)

@@ -8,6 +8,7 @@ from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.cache.node import LambdaCacheNode
 from repro.exceptions import CacheError
+from repro.faas.limits import WARM_INVOCATION_OVERHEAD
 from repro.faas.platform import FaaSPlatform
 from repro.sim import Simulator
 from repro.utils.units import MIB
@@ -47,7 +48,7 @@ class TestActivation:
         access = node.ensure_active(100.0)
         assert access.invoked is True
         assert access.cold_start is False
-        assert access.overhead_s == pytest.approx(platform.limits.warm_invocation_overhead)
+        assert access.overhead_s == pytest.approx(WARM_INVOCATION_OVERHEAD)
 
     def test_sessions_are_billed_on_expiry(self, node, platform):
         node.ensure_active(0.0)

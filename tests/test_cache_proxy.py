@@ -165,16 +165,6 @@ class TestGet:
         follow_up = proxy.get("obj", now=2.0)
         assert follow_up.chunks_lost == 0
 
-    def test_repair_can_be_disabled(self):
-        proxy = build_proxy()
-        object.__setattr__(proxy.config, "repair_degraded_objects", False)
-        descriptor, chunks = make_chunks("obj", 6 * MB)
-        put_result = proxy.put("obj", descriptor, chunks, now=0.0)
-        victim = proxy.node(put_result.node_ids[0])
-        proxy.platform.reclaim_instance(victim.primary)
-        result = proxy.get("obj", now=1.0)
-        assert result.recovery_performed is False
-
 
 class TestEviction:
     def test_eviction_makes_room_for_new_objects(self):

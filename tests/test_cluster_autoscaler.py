@@ -4,7 +4,19 @@ import pytest
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
-from repro.cluster.autoscaler import AutoscalerConfig, PoolAutoscaler
+from repro.cluster.autoscaler import (
+    EWMA_ALPHA,
+    HIGH_MEMORY_WATERMARK,
+    HIGH_REQUESTS_PER_NODE,
+    LOW_MEMORY_WATERMARK,
+    LOW_REQUESTS_PER_NODE,
+    SCALE_DOWN_STEP,
+    SCALE_UP_STEP,
+    TARGET_REQUESTS_PER_NODE,
+    TREND_BETA,
+    AutoscalerConfig,
+    PoolAutoscaler,
+)
 from repro.exceptions import ConfigurationError
 from repro.utils.units import MB, MIB
 
@@ -34,17 +46,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             AutoscalerConfig(interval_s=0)
 
-    def test_bad_watermarks(self):
-        with pytest.raises(ConfigurationError):
-            AutoscalerConfig(low_memory_watermark=0.8, high_memory_watermark=0.5)
+    def test_constants_keep_the_bands_the_config_used_to_validate(self):
+        """The watermarks, steps and smoothing factors are constants now;
+        they must still satisfy what ``AutoscalerConfig`` once checked."""
+        assert 0.0 < LOW_MEMORY_WATERMARK < HIGH_MEMORY_WATERMARK < 1.0
+        assert 0.0 <= LOW_REQUESTS_PER_NODE < HIGH_REQUESTS_PER_NODE
+        assert SCALE_UP_STEP >= 1 and SCALE_DOWN_STEP >= 1
+        assert 0.0 < EWMA_ALPHA <= 1.0
+        assert 0.0 <= TREND_BETA <= 1.0
+        # The predictive operating point sits under the reactive trip point.
+        assert 0.0 < TARGET_REQUESTS_PER_NODE < HIGH_REQUESTS_PER_NODE
 
-    def test_bad_rate_watermarks(self):
-        with pytest.raises(ConfigurationError):
-            AutoscalerConfig(low_requests_per_node=3.0, high_requests_per_node=2.0)
 
-    def test_bad_steps(self):
-        with pytest.raises(ConfigurationError):
-            AutoscalerConfig(scale_up_step=0)
+class TestReactiveWatermarks:
+    """The reactive policy's decision at each watermark boundary (8 nodes)."""
+
+    @pytest.mark.parametrize("memory_pressure, rate_per_node, expected", [
+        (HIGH_MEMORY_WATERMARK, 0.0, SCALE_UP_STEP),
+        (0.5, HIGH_REQUESTS_PER_NODE, SCALE_UP_STEP),
+        (LOW_MEMORY_WATERMARK, LOW_REQUESTS_PER_NODE, -SCALE_DOWN_STEP),
+        (LOW_MEMORY_WATERMARK, 1.0, 0),
+        (0.5, 0.0, 0),
+    ], ids=["memory-high", "rate-high", "both-low", "rate-between", "memory-between"])
+    def test_decision(self, memory_pressure, rate_per_node, expected):
+        from repro.cluster.autoscaler import PoolSnapshot, ReactiveWatermarkPolicy
+
+        snapshot = PoolSnapshot(
+            proxy_id="proxy-0",
+            pool_size=8,
+            per_node_capacity_bytes=100 * MB,
+            bytes_used=int(memory_pressure * 800 * MB),
+            memory_pressure=memory_pressure,
+            request_rate=rate_per_node * 8,
+        )
+        assert ReactiveWatermarkPolicy().desired_delta(snapshot) == expected
 
 
 class TestBounds:
@@ -79,19 +114,18 @@ class TestScaleUp:
 
     def test_request_rate_grows_pool(self):
         deployment = make_deployment()
-        config = AutoscalerConfig(interval_s=10.0, high_requests_per_node=1.0)
-        autoscaler = PoolAutoscaler(deployment, config)
+        autoscaler = PoolAutoscaler(deployment, AutoscalerConfig(interval_s=10.0))
         client = deployment.new_client()
         client.put_sized("hot", 1 * MB)
         autoscaler.evaluate_once()  # baseline sample
-        for _ in range(200):  # 20 req/s over 10 s >> 1 req/s/node * 8 nodes
+        for _ in range(200):  # 20 req/s over 10 s > 2 req/s/node * 8 nodes
             client.get("hot")
         deltas = autoscaler.evaluate_once()
         assert deltas["proxy-0"] > 0
 
     def test_respects_max_nodes(self):
         deployment = make_deployment(max_lambdas_per_proxy=9)
-        autoscaler = PoolAutoscaler(deployment, AutoscalerConfig(scale_up_step=8))
+        autoscaler = PoolAutoscaler(deployment)  # wants +4 per tick
         client = deployment.new_client()
         index = 0
         while deployment.proxies[0].memory_pressure() < 0.75:
@@ -105,14 +139,14 @@ class TestScaleUp:
 class TestScaleDown:
     def test_idle_pool_shrinks_to_floor(self):
         deployment = make_deployment()
-        autoscaler = PoolAutoscaler(deployment, AutoscalerConfig(scale_down_step=4))
+        autoscaler = PoolAutoscaler(deployment)
         for _ in range(5):
             autoscaler.evaluate_once()
         assert deployment.proxies[0].pool_size == autoscaler.min_nodes
 
     def test_shrink_preserves_cached_objects(self):
         deployment = make_deployment()
-        autoscaler = PoolAutoscaler(deployment, AutoscalerConfig(scale_down_step=2))
+        autoscaler = PoolAutoscaler(deployment)
         client = deployment.new_client()
         for index in range(4):
             client.put_sized(f"keep-{index}", 4 * MB)
@@ -122,19 +156,21 @@ class TestScaleDown:
             assert client.get(f"keep-{index}").hit
 
     def test_no_shrink_when_capacity_would_retrip_watermark(self):
+        class AlwaysShrink:
+            def desired_delta(self, snapshot):
+                return -2
+
         deployment = make_deployment()
-        config = AutoscalerConfig(
-            low_memory_watermark=0.65, high_memory_watermark=0.66,
-        )
-        autoscaler = PoolAutoscaler(deployment, config)
+        autoscaler = PoolAutoscaler(deployment)
+        autoscaler.policy = AlwaysShrink()
         client = deployment.new_client()
         index = 0
-        # Park usage just under the (tight) low watermark: eligible to shrink
-        # by rate, but removing nodes would push pressure over the high mark.
-        while deployment.proxies[0].memory_pressure() < 0.60:
+        # Park usage at 65 % of 8 nodes: removing one would leave 7 nodes at
+        # 74 %, over the 70 % high watermark, so the shrink is refused.
+        while deployment.proxies[0].memory_pressure() < 0.65:
             client.put_sized(f"obj-{index}", 20 * MB)
             index += 1
-        autoscaler.evaluate_once()  # resets the rate sample
+        assert deployment.proxies[0].memory_pressure() < 0.70
         deltas = autoscaler.evaluate_once()
         assert deltas["proxy-0"] == 0
 
@@ -157,16 +193,6 @@ class TestPolicyConfig:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             AutoscalerConfig(policy="clairvoyant")
-
-    def test_bad_ewma_alpha(self):
-        with pytest.raises(ConfigurationError):
-            AutoscalerConfig(ewma_alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            AutoscalerConfig(ewma_alpha=1.5)
-
-    def test_bad_target_rate(self):
-        with pytest.raises(ConfigurationError):
-            AutoscalerConfig(target_requests_per_node=0.0)
 
     def test_policy_selection(self):
         from repro.cluster.autoscaler import (
@@ -199,57 +225,45 @@ class TestPredictivePolicy:
     def test_sizes_pool_to_forecast_rate(self):
         from repro.cluster.autoscaler import PredictiveEwmaPolicy
 
-        policy = PredictiveEwmaPolicy(
-            AutoscalerConfig(policy="predictive", target_requests_per_node=1.0)
-        )
-        # A sustained 16 req/s forecast wants 16 nodes: +8 over the pool.
+        policy = PredictiveEwmaPolicy()
+        # At 1 req/s/node a sustained 16 req/s forecast wants 16 nodes: +8.
         assert policy.desired_delta(self._snapshot(request_rate=16.0)) == 8
 
     def test_forecast_smooths_spikes(self):
         from repro.cluster.autoscaler import PredictiveEwmaPolicy
 
-        policy = PredictiveEwmaPolicy(
-            AutoscalerConfig(
-                policy="predictive", ewma_alpha=0.2, target_requests_per_node=1.0
-            )
-        )
+        policy = PredictiveEwmaPolicy()
         policy.desired_delta(self._snapshot(request_rate=1.0))
-        # One 100 req/s spike moves the EWMA to ~20.8, not to 100.
+        # One 100 req/s spike moves the EWMA to ~30.7, not to 100.
         delta = policy.desired_delta(self._snapshot(request_rate=100.0))
         assert 0 < delta < 92 - 8
 
     def test_memory_growth_forecast_grows_ahead(self):
         from repro.cluster.autoscaler import PredictiveEwmaPolicy
 
-        policy = PredictiveEwmaPolicy(
-            AutoscalerConfig(
-                policy="predictive", high_memory_watermark=0.70, ewma_alpha=1.0
-            )
-        )
+        policy = PredictiveEwmaPolicy()
         policy.desired_delta(self._snapshot(bytes_used=0))
-        # 400 MB now and growing 400 MB/tick forecasts 800 MB next tick,
-        # needing ceil(800 / 70) = 12 nodes at the 70% watermark: +4 over 8.
-        delta = policy.desired_delta(self._snapshot(bytes_used=400 * MB))
-        assert delta == 4
+        policy.desired_delta(self._snapshot(bytes_used=400 * MB))
+        # 800 MB now needs ceil(800 / 70) = 12 nodes at the 70% watermark;
+        # growth smoothed to 204 MB/tick forecasts 1004 MB, so 15: +7 over 8.
+        delta = policy.desired_delta(self._snapshot(bytes_used=800 * MB))
+        assert delta == 7
 
     def test_idle_forecast_shrinks(self):
         from repro.cluster.autoscaler import PredictiveEwmaPolicy
 
-        policy = PredictiveEwmaPolicy(AutoscalerConfig(policy="predictive"))
+        policy = PredictiveEwmaPolicy()
         assert policy.desired_delta(self._snapshot(request_rate=0.0)) < 0
 
     def test_predictive_autoscaler_scales_up_before_watermark(self):
         deployment = make_deployment()
-        config = AutoscalerConfig(
-            interval_s=10.0, policy="predictive", target_requests_per_node=1.0,
-            ewma_alpha=1.0,
-        )
+        config = AutoscalerConfig(interval_s=10.0, policy="predictive")
         autoscaler = PoolAutoscaler(deployment, config)
         client = deployment.new_client()
         client.put_sized("hot", 1 * MB)
-        autoscaler.evaluate_once()  # baseline sample
-        # 12 req/s is 1.5 req/s/node — under the reactive high watermark
+        # 12.1 req/s is ~1.5 req/s/node — under the reactive high watermark
         # (2.0), but over the predictive 1.0 req/s/node operating target.
+        # The first sample seeds the forecast, so it is taken under load.
         for _ in range(120):
             client.get("hot")
         deltas = autoscaler.evaluate_once()
@@ -257,9 +271,7 @@ class TestPredictivePolicy:
 
     def test_predictive_autoscaler_shrinks_idle_pool(self):
         deployment = make_deployment()
-        autoscaler = PoolAutoscaler(
-            deployment, AutoscalerConfig(policy="predictive", scale_down_step=4)
-        )
+        autoscaler = PoolAutoscaler(deployment, AutoscalerConfig(policy="predictive"))
         for _ in range(5):
             autoscaler.evaluate_once()
         assert deployment.proxies[0].pool_size == autoscaler.min_nodes
@@ -280,28 +292,20 @@ class TestPredictiveTrendPolicy:
         defaults.update(overrides)
         return PoolSnapshot(**defaults)
 
-    def test_policy_selection_and_validation(self):
-        from repro.cluster.autoscaler import PredictiveEwmaPolicy, make_policy
+    def test_policy_selection(self):
+        from repro.cluster.autoscaler import TREND_BETA, PredictiveEwmaPolicy, make_policy
 
-        policy = make_policy(AutoscalerConfig(policy="predictive_trend", trend_beta=0.4))
+        policy = make_policy(AutoscalerConfig(policy="predictive_trend"))
         assert isinstance(policy, PredictiveEwmaPolicy)
-        assert policy.trend_beta == 0.4
+        assert policy.trend_beta == TREND_BETA > 0.0
         # The plain predictive policy stays trendless.
         assert make_policy(AutoscalerConfig(policy="predictive")).trend_beta == 0.0
-        with pytest.raises(ConfigurationError):
-            AutoscalerConfig(trend_beta=1.5)
-        with pytest.raises(ConfigurationError):
-            AutoscalerConfig(trend_beta=-0.1)
 
     def test_trend_extrapolates_a_ramp_ahead_of_plain_ewma(self):
-        from repro.cluster.autoscaler import PredictiveEwmaPolicy
+        from repro.cluster.autoscaler import PredictiveEwmaPolicy, make_policy
 
-        config = AutoscalerConfig(
-            policy="predictive_trend", ewma_alpha=0.5, trend_beta=0.5,
-            target_requests_per_node=1.0,
-        )
-        trended = PredictiveEwmaPolicy(config, trend_beta=config.trend_beta)
-        plain = PredictiveEwmaPolicy(config)
+        trended = make_policy(AutoscalerConfig(policy="predictive_trend"))
+        plain = PredictiveEwmaPolicy()
         ramp = [4.0, 8.0, 12.0, 16.0, 20.0]
         for rate in ramp[:-1]:
             trended.desired_delta(self._snapshot(request_rate=rate))
@@ -314,23 +318,22 @@ class TestPredictiveTrendPolicy:
     def test_zero_beta_matches_plain_ewma_exactly(self):
         from repro.cluster.autoscaler import PredictiveEwmaPolicy
 
-        config = AutoscalerConfig(policy="predictive", ewma_alpha=0.3)
-        a = PredictiveEwmaPolicy(config)
-        b = PredictiveEwmaPolicy(config, trend_beta=0.0)
+        a = PredictiveEwmaPolicy()
+        b = PredictiveEwmaPolicy(trend_beta=0.0)
         rates = [2.0, 9.0, 4.0, 17.0, 1.0]
         deltas_a = [a.desired_delta(self._snapshot(request_rate=r)) for r in rates]
         deltas_b = [b.desired_delta(self._snapshot(request_rate=r)) for r in rates]
         assert deltas_a == deltas_b
 
     def test_trend_forecast_never_goes_negative(self):
-        from repro.cluster.autoscaler import PredictiveEwmaPolicy
+        from repro.cluster.autoscaler import make_policy
 
-        policy = PredictiveEwmaPolicy(
-            AutoscalerConfig(policy="predictive_trend", ewma_alpha=1.0, trend_beta=1.0),
-            trend_beta=1.0,
-        )
-        # A crash from 50 req/s to zero drives level + trend below zero; the
-        # sizing must clamp at the minimum pool, not explode on ceil(<0).
-        policy.desired_delta(self._snapshot(request_rate=50.0))
+        policy = make_policy(AutoscalerConfig(policy="predictive_trend"))
+        # A crash from 100 req/s to zero drives level + trend below zero by
+        # the fifth tick; the sizing must clamp at the minimum pool, not
+        # explode on ceil(<0).
+        for rate in (100.0, 50.0, 0.0, 0.0):
+            policy.desired_delta(self._snapshot(request_rate=rate))
         delta = policy.desired_delta(self._snapshot(request_rate=0.0))
+        assert policy._rate_level["proxy-0"] + policy._rate_trend["proxy-0"] < 0
         assert delta == 1 - 8

@@ -1,5 +1,6 @@
 """Tests for the experiment registry and the runner CLI on top of it."""
 
+import re
 from functools import lru_cache
 
 import pytest
@@ -176,8 +177,8 @@ class TestCli:
         assert blocker.read_text() == "not a directory"
 
     @pytest.mark.parametrize("argv", [
-        ["sim-smoke", "--clients", "0"],
-        ["sim-smoke", "--requests", "0"],
+        ["trace", "--clients", "0"],
+        ["trace", "--requests", "0"],
         ["chaos", "--clients", "0", "--rounds", "1"],
         ["chargeback", "--requests", "0"],
         ["chargeback", "--duration", "-5"],
@@ -201,3 +202,42 @@ class TestCli:
         assert "error: " in captured.err.strip().splitlines()[-1]
         assert "FAIL" not in captured.err
         assert not list(tmp_path.iterdir())
+
+
+class TestTraceSmoke:
+    """``repro trace`` is also the determinism and wire-overlap smoke check
+    (it absorbed the former ``sim-smoke`` subcommand)."""
+
+    ARGV = ["trace", "--clients", "4", "--requests", "2"]
+
+    def test_same_seed_runs_match_and_clients_overlap_on_the_wire(self, tmp_path, capsys):
+        from repro import __main__ as cli
+
+        output = tmp_path / "trace.json"
+        assert cli.main([*self.ARGV, "--output", str(output)]) == 0
+        out = capsys.readouterr().out
+        assert "fingerprint parity with untraced run: OK" in out
+        assert int(re.search(r"overlapping pairs=(\d+)", out).group(1)) > 0
+        assert output.exists()
+
+    def test_no_wire_overlap_fails_before_writing_the_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro import __main__ as cli
+        from repro.workload.replay import ConcurrentReplayReport
+
+        monkeypatch.setattr(ConcurrentReplayReport, "overlapping_flow_pairs", lambda self: 0)
+        output = tmp_path / "trace.json"
+        assert cli.main([*self.ARGV, "--output", str(output)]) == 1
+        assert "FAIL: concurrent clients produced no overlapping transfers" in (
+            capsys.readouterr().err
+        )
+        assert not output.exists()
+
+    def test_sim_smoke_is_no_longer_a_subcommand(self, capsys):
+        from repro import __main__ as cli
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sim-smoke"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: sim-smoke" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests for the Lambda billing model."""
 
 import math
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,9 @@ from repro.faas.billing import (
     BILLING_CYCLE_SECONDS,
     UNATTRIBUTED_TENANT,
     BillingModel,
+    PRICE_PER_GB_SECOND,
+    PRICE_PER_INVOCATION,
     InvocationCharge,
-    LambdaPricing,
     attribution_shares,
     ceil_to_billing_cycle,
 )
@@ -38,13 +40,8 @@ class TestCeilToBillingCycle:
 
 class TestLambdaPricing:
     def test_defaults_match_paper(self):
-        pricing = LambdaPricing()
-        assert pricing.price_per_invocation == pytest.approx(0.02 / 1_000_000)
-        assert pricing.price_per_gb_second == pytest.approx(0.0000166667)
-
-    def test_negative_price_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LambdaPricing(price_per_invocation=-1)
+        assert PRICE_PER_INVOCATION == pytest.approx(0.02 / 1_000_000)
+        assert PRICE_PER_GB_SECOND == pytest.approx(0.0000166667)
 
 
 class TestBillingModel:
@@ -172,7 +169,9 @@ class TestChargeInvocationMatchesTheParentArithmetic:
     @given(st.lists(_charges, min_size=1, max_size=30))
     def test_every_total_and_ledger_is_bit_equal(self, charges):
         billing = BillingModel()
-        oracle = _ParentLedger(billing.pricing)
+        oracle = _ParentLedger(types.SimpleNamespace(
+            price_per_invocation=0.02 / 1_000_000, price_per_gb_second=0.0000166667,
+        ))
         for memory_bytes, duration_s, category, attribution in charges:
             charge = billing.charge_invocation(memory_bytes, duration_s, category, attribution)
             assert tuple(charge) == oracle.charge_invocation(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.faas.host import HostManager, VMHost
-from repro.faas.limits import LambdaLimits
 from repro.utils.units import MIB
 
 
@@ -96,12 +95,12 @@ class TestHostManager:
         assert manager.distinct_hosts(names[:3]) == 1
         assert manager.distinct_hosts(["unknown"]) == 0
 
-    def test_custom_limits(self):
-        limits = LambdaLimits(host_memory_bytes=1024 * MIB)
-        manager = HostManager(limits)
-        manager.place_function("a", 512 * MIB)
-        manager.place_function("b", 512 * MIB)
-        manager.place_function("c", 512 * MIB)
+    def test_host_memory_bounds_packing(self):
+        # Hosts hold 3008 MiB: two 1024 MiB functions fit, a third does not.
+        manager = HostManager()
+        manager.place_function("a", 1024 * MIB)
+        manager.place_function("b", 1024 * MIB)
+        manager.place_function("c", 1024 * MIB)
         assert manager.host_count == 2
 
 

@@ -4,11 +4,12 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.faas.limits import (
-    LambdaLimits,
+    MAX_EXECUTION_SECONDS,
     MAX_FUNCTION_BANDWIDTH,
     MIN_FUNCTION_BANDWIDTH,
     bandwidth_for_memory,
     cpu_for_memory,
+    functions_per_host,
     usable_cache_bytes,
     validate_memory_bytes,
 )
@@ -58,29 +59,20 @@ class TestBandwidthScaling:
 
 class TestUsableCacheBytes:
     def test_overhead_subtracted(self):
-        assert usable_cache_bytes(1024 * MIB, 0.10) == int(1024 * MIB * 0.9)
-
-    def test_zero_overhead(self):
-        assert usable_cache_bytes(1024 * MIB, 0.0) == 1024 * MIB
-
-    def test_invalid_overhead(self):
-        with pytest.raises(ConfigurationError):
-            usable_cache_bytes(1024 * MIB, 1.0)
+        assert usable_cache_bytes(1024 * MIB) == int(1024 * MIB * 0.9)
 
 
 class TestLambdaLimits:
     def test_functions_per_host(self):
-        limits = LambdaLimits()
-        assert limits.functions_per_host(3008 * MIB) == 1
-        assert limits.functions_per_host(1536 * MIB) == 1
-        assert limits.functions_per_host(1024 * MIB) == 2
-        assert limits.functions_per_host(256 * MIB) == 11
-        assert limits.functions_per_host(128 * MIB) == 23
+        assert functions_per_host(3008 * MIB) == 1
+        assert functions_per_host(1536 * MIB) == 1
+        assert functions_per_host(1024 * MIB) == 2
+        assert functions_per_host(256 * MIB) == 11
+        assert functions_per_host(128 * MIB) == 23
 
     def test_big_functions_eliminate_colocation(self):
         """The paper's recommendation: >= 1.5 GB functions get a host alone."""
-        limits = LambdaLimits()
-        assert limits.functions_per_host(1536 * MIB) == 1
+        assert functions_per_host(1536 * MIB) == 1
 
     def test_execution_limit(self):
-        assert LambdaLimits().max_execution_seconds == 900.0
+        assert MAX_EXECUTION_SECONDS == 900.0

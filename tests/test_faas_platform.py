@@ -11,6 +11,7 @@ from repro.exceptions import (
     InvocationFaultError,
 )
 from repro.faas.function import FunctionState
+from repro.faas.limits import COLD_START_OVERHEAD, WARM_INVOCATION_OVERHEAD
 from repro.faas.platform import FaaSPlatform
 from repro.faas.reclamation import IdleTimeoutPolicy, PoissonReclamationPolicy
 from repro.sim import Simulator
@@ -51,7 +52,7 @@ class TestInvocation:
         result = platform.invoke("f")
         assert result.cold_start is True
         assert result.instance.state is FunctionState.RUNNING
-        assert result.invoke_overhead_s > platform.limits.warm_invocation_overhead
+        assert result.invoke_overhead_s > WARM_INVOCATION_OVERHEAD
 
     def test_completed_instance_is_reused_warm(self, platform):
         platform.register_function("f", 256 * MIB)
@@ -61,7 +62,7 @@ class TestInvocation:
         assert second.cold_start is False
         assert second.instance is first.instance
         assert second.invoke_overhead_s == pytest.approx(
-            platform.limits.warm_invocation_overhead
+            WARM_INVOCATION_OVERHEAD
         )
 
     def test_concurrent_invocations_autoscale(self, platform):
@@ -157,7 +158,7 @@ class TestInstrumentsAreCreatedOnFirstUse:
         result = platform.invoke("f")
         assert result.started_at == 7.5 and result.cold_start
         assert result.invoke_overhead_s == (
-            platform.limits.cold_start_overhead + platform.limits.warm_invocation_overhead
+            COLD_START_OVERHEAD + WARM_INVOCATION_OVERHEAD
         )
         instance = result.instance
         assert (instance.last_invoked_at, instance.invocation_count) == (7.5, 1)
@@ -166,7 +167,7 @@ class TestInstrumentsAreCreatedOnFirstUse:
         assert (instance.last_invoked_at, instance.invocation_count) == (9.0, 1)
         warm = platform.invoke_instance(instance)
         assert not warm.cold_start
-        assert warm.invoke_overhead_s == platform.limits.warm_invocation_overhead
+        assert warm.invoke_overhead_s == WARM_INVOCATION_OVERHEAD
         assert (instance.last_invoked_at, instance.invocation_count) == (9.0, 2)
 
     def test_invocation_result_keeps_its_fields_and_keywords(self, platform):
@@ -199,8 +200,8 @@ class TestInvocationFaultWindow:
                 failures += 1
                 continue
             assert not expected_failure
-            warm = platform.limits.warm_invocation_overhead
-            cold = platform.limits.cold_start_overhead if result.cold_start else 0.0
+            warm = WARM_INVOCATION_OVERHEAD
+            cold = COLD_START_OVERHEAD if result.cold_start else 0.0
             assert result.invoke_overhead_s == pytest.approx(cold + warm + 0.25)
             platform.complete_invocation(result.instance, 0.01)
         assert rng.getstate() == twin.getstate()
@@ -228,11 +229,11 @@ class TestInvocationFaultWindow:
         platform.set_invocation_faults(extra_overhead_s=0.5)  # no RNG armed at all
         result = platform.invoke("f")
         assert result.invoke_overhead_s == pytest.approx(
-            platform.limits.cold_start_overhead + platform.limits.warm_invocation_overhead + 0.5
+            COLD_START_OVERHEAD + WARM_INVOCATION_OVERHEAD + 0.5
         )
         platform.clear_invocation_faults()
         platform.complete_invocation(result.instance, 0.01)
-        assert platform.invoke("f").invoke_overhead_s == platform.limits.warm_invocation_overhead
+        assert platform.invoke("f").invoke_overhead_s == WARM_INVOCATION_OVERHEAD
         assert "faas.injected_faults" not in platform.metrics.counters()
 
     def test_bad_durations_fail_at_completion_and_leave_the_instance_running(self, platform):

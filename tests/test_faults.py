@@ -8,15 +8,14 @@ import dataclasses
 
 import pytest
 
-from repro.cache.config import (
-    CircuitBreakerPolicy,
-    InfiniCacheConfig,
-    ResilienceConfig,
-    RetryPolicy,
-    StragglerModel,
-)
+from repro.cache.config import InfiniCacheConfig, ResilienceConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.cache.node import LambdaCacheNode
+from repro.cache.proxy import (
+    RETRY_BACKOFF_MULTIPLIER,
+    RETRY_BASE_BACKOFF_S,
+    RETRY_JITTER_FRACTION,
+)
 from repro.cluster.rebalancer import FailureDetector
 from repro.exceptions import ConfigurationError, InvocationFaultError
 from repro.experiments.chaos_availability import hardening_levels
@@ -277,10 +276,50 @@ class TestHardenedRequestPath:
         assert config.resilience is None
         deployment = InfiniCacheDeployment(config)
         for proxy in deployment.proxies:
-            assert proxy.resilience.retry is None
             assert proxy.resilience.chunk_attempts == 1
             assert proxy.resilience.chunk_timeout_s is None
             assert all(node.breaker is None for node in proxy.nodes)
+
+    def test_retry_backoff_doubles_from_ten_ms_with_bounded_jitter(self, monkeypatch):
+        """Three of six chunks always fault, so no quorum forms and every
+        failing chunk spends its whole budget: the n-th retry waits
+        10 ms x 2^(n-1), stretched by at most half again."""
+        deployment = InfiniCacheDeployment(InfiniCacheConfig(
+            lambdas_per_proxy=10,
+            lambda_memory_bytes=512 * MIB,
+            data_shards=4,
+            parity_shards=2,
+            straggler=StragglerModel(probability=0.0),
+            resilience=ResilienceConfig(chunk_attempts=3),
+            seed=11,
+        ))
+        client = deployment.new_client()
+        placement = client.put_sized("obj", 2 * MB).node_ids
+        proxy = deployment.proxies[0]
+        attempts: dict[str, list[float]] = {}
+
+        def always_faulting(node):
+            def ensure_active(now, category="serving"):
+                attempts.setdefault(node.node_id, []).append(now)
+                raise InvocationFaultError(node.node_id)
+            return ensure_active
+
+        for node_id in placement[:3]:
+            node = proxy.node(node_id)
+            monkeypatch.setattr(node, "ensure_active", always_faulting(node))
+        loop = deployment.simulator
+        request = loop.spawn(client.get_process("obj", deployment.request_env))
+        result = loop.run_until_complete(request.future)
+        assert result.degraded
+        assert sorted(attempts) == sorted(placement[:3])
+        for times in attempts.values():
+            assert len(times) == 3
+            for retry, (before, after) in enumerate(zip(times, times[1:])):
+                backoff = RETRY_BASE_BACKOFF_S * RETRY_BACKOFF_MULTIPLIER ** retry
+                assert backoff <= after - before <= backoff * (1 + RETRY_JITTER_FRACTION)
+        assert (RETRY_BASE_BACKOFF_S, RETRY_BACKOFF_MULTIPLIER, RETRY_JITTER_FRACTION) == (
+            0.010, 2.0, 0.5,
+        )
 
     def test_hardened_run_without_faults_stays_healthy(self):
         result = run_scenario(FaultSchedule(()))

@@ -5,9 +5,9 @@ marks its offending lines with ``# lint-expect: CODE`` comments, and
 :func:`expected_violations` turns those markers into the exact multiset of
 ``(line, code)`` pairs the linter must produce — no more (false positives on
 the guard lines fail the test) and no less (missed true positives fail it
-too).  On top of that sit tests for suppressions, the baseline workflow, the
-CLI gate, the registry, and the repo-wide cleanliness invariant the CI
-``lint`` job enforces.
+too).  On top of that sit tests for suppressions, the CLI gate, the
+registry, and the repo-wide cleanliness invariant the CI ``lint`` job
+enforces.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.lint import (
-    Baseline,
-    BaselineEntry,
     Rule,
     get_rule,
     lint_paths,
     lint_source,
     register_rule,
     render_github,
+    render_json,
     render_text,
     rule_codes,
 )
@@ -153,73 +152,6 @@ class TestRegistry:
                     return ()
 
 
-# --------------------------------------------------------------------------- baseline
-def _violations_for(source: str, path: str = "src/repro/sim/fixture.py"):
-    return lint_source(source, path=path)
-
-
-BASELINE_SOURCE = textwrap.dedent(
-    """\
-    import random
-
-
-    def a():
-        return random.random()
-
-
-    def b():
-        return random.random()
-    """
-)
-
-
-class TestBaseline:
-    def test_roundtrip_grandfathers_everything(self, tmp_path):
-        violations = _violations_for(BASELINE_SOURCE)
-        assert len(violations) == 2
-        path = tmp_path / "baseline.json"
-        Baseline.from_violations(violations).write(str(path))
-        fresh, grandfathered, stale = Baseline.load(str(path)).partition(violations)
-        assert fresh == []
-        assert len(grandfathered) == 2
-        assert stale == []
-
-    def test_count_consumption_flags_the_extra_hit(self):
-        violations = _violations_for(BASELINE_SOURCE)
-        baseline = Baseline(
-            [BaselineEntry(path=v.path, code=v.code, snippet=v.snippet, count=1)
-             for v in violations[:1]]
-        )
-        fresh, grandfathered, stale = baseline.partition(violations)
-        # Both hits share the snippet `return random.random()`; a count of 1
-        # absorbs only one of them.
-        assert len(grandfathered) == 1
-        assert len(fresh) == 1
-        assert stale == []
-
-    def test_stale_entries_surface_after_the_fix(self):
-        violations = _violations_for(BASELINE_SOURCE)
-        baseline = Baseline.from_violations(violations)
-        fresh, grandfathered, stale = baseline.partition([])
-        assert fresh == [] and grandfathered == []
-        assert sum(entry.count for entry in stale) == 2
-
-    def test_baseline_survives_line_drift(self):
-        drifted = "# a new leading comment\n" + BASELINE_SOURCE
-        baseline = Baseline.from_violations(_violations_for(BASELINE_SOURCE))
-        fresh, grandfathered, _stale = baseline.partition(_violations_for(drifted))
-        assert fresh == []
-        assert len(grandfathered) == 2
-
-    def test_malformed_payloads_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Baseline.from_payload(["not", "a", "dict"])
-        with pytest.raises(ConfigurationError):
-            Baseline.from_payload({"version": 99, "entries": []})
-        with pytest.raises(ConfigurationError):
-            Baseline.from_payload({"version": 1, "entries": [{"path": "x"}]})
-
-
 # --------------------------------------------------------------------------- CLI
 @pytest.fixture()
 def dirty_tree(tmp_path, monkeypatch):
@@ -247,46 +179,11 @@ class TestCli:
         assert lint_main(["src"]) == 0
         assert "clean: no violations" in capsys.readouterr().out
 
-    def test_write_then_check_baseline(self, dirty_tree, capsys):
-        assert lint_main(["src", "--write-baseline"]) == 0
-        payload = json.loads((dirty_tree / "lint_baseline.json").read_text())
-        assert payload["version"] == 1 and len(payload["entries"]) == 1
-        assert lint_main(["src", "--check-baseline"]) == 0
-        assert "grandfathered" in capsys.readouterr().out
-
-    def test_stale_baseline_warns_then_fails_strict(self, dirty_tree, capsys):
-        assert lint_main(["src", "--write-baseline"]) == 0
-        (dirty_tree / "src" / "repro" / "sim" / "offender.py").write_text(
-            "X = 1\n", encoding="utf-8"
-        )
-        assert lint_main(["src", "--check-baseline"]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
-        assert lint_main(["src", "--check-baseline", "--strict-baseline"]) == 1
-
-    def test_missing_baseline_fails_check(self, dirty_tree, capsys):
-        assert lint_main(["src", "--check-baseline"]) == 1
-        assert "not found" in capsys.readouterr().err
-
-    def test_malformed_baseline_fails_check(self, dirty_tree, capsys):
-        (dirty_tree / "lint_baseline.json").write_text('{"version": 99}\n')
-        assert lint_main(["src", "--check-baseline"]) == 1
-        assert "baseline" in capsys.readouterr().err
-
-    def test_new_violation_fails_even_with_baseline(self, dirty_tree, capsys):
-        assert lint_main(["src", "--write-baseline"]) == 0
-        offender = dirty_tree / "src" / "repro" / "sim" / "offender.py"
-        offender.write_text(
-            offender.read_text() + "\n\ndef again():\n    return random.choice([1])\n",
-            encoding="utf-8",
-        )
-        assert lint_main(["src", "--check-baseline"]) == 1
-        assert "random.choice" in capsys.readouterr().out
-
     def test_json_format_and_artifact_output(self, dirty_tree, capsys):
         artifact = dirty_tree / "report.json"
         assert lint_main(["src", "--format", "json", "--output", str(artifact)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["new"] == 1
+        assert payload["summary"]["violations"] == 1
         assert payload["violations"][0]["code"] == "D101"
         assert json.loads(artifact.read_text()) == payload
 
@@ -294,6 +191,28 @@ class TestCli:
         assert lint_main(["src", "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out and "title=D101" in out
+
+    def test_ci_invocation_fails_and_still_writes_the_artifact(self, dirty_tree, capsys):
+        """CI runs ``--format=github --output lint_report.json`` with no
+        baseline: any violation fails the step and lands in the artifact."""
+        assert lint_main(["--format=github", "--output", "lint_report.json"]) == 1
+        assert "title=D101" in capsys.readouterr().out
+        payload = json.loads((dirty_tree / "lint_report.json").read_text())
+        assert payload["summary"] == {"violations": 1}
+        assert [v["code"] for v in payload["violations"]] == ["D101"]
+
+    @pytest.mark.parametrize("flag", [
+        ["--baseline", "lint_baseline.json"],
+        ["--write-baseline"],
+        ["--check-baseline"],
+        ["--strict-baseline"],
+    ], ids=lambda flag: flag[0])
+    def test_removed_baseline_flags_are_usage_errors(self, flag, dirty_tree, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main(["src", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (dirty_tree / "lint_baseline.json").exists()
 
     def test_inline_suppression_clears_the_gate(self, dirty_tree, capsys):
         offender = dirty_tree / "src" / "repro" / "sim" / "offender.py"
@@ -328,8 +247,20 @@ class TestCli:
 # --------------------------------------------------------------------------- reporting
 class TestReporting:
     def test_text_summary_counts_by_code(self):
-        violations = _violations_for(BASELINE_SOURCE)
-        report = render_text(violations)
+        source = textwrap.dedent(
+            """\
+            import random
+
+
+            def a():
+                return random.random()
+
+
+            def b():
+                return random.random()
+            """
+        )
+        report = render_text(lint_source(source, path="src/repro/sim/fixture.py"))
         assert "2 violation(s): D101×2" in report
 
     def test_github_escaping(self):
@@ -343,18 +274,22 @@ class TestReporting:
     def test_github_clean_notice(self):
         assert "::notice" in render_github([])
 
+    def test_json_report_holds_only_the_violations_and_their_count(self):
+        violations = lint_source(
+            "import random\nrandom.random()\n", path="src/repro/sim/fixture.py"
+        )
+        payload = json.loads(render_json(violations))
+        assert payload == {
+            "violations": [violation.to_dict() for violation in violations],
+            "summary": {"violations": 1},
+        }
+
 
 # --------------------------------------------------------------------------- repo gate
 class TestRepoGate:
     def test_src_tree_is_lint_clean(self):
         violations = lint_paths([str(REPO_ROOT / "src")])
         assert violations == [], render_text(violations)
-
-    def test_committed_baseline_is_empty(self):
-        payload = json.loads(
-            (REPO_ROOT / "lint_baseline.json").read_text(encoding="utf-8")
-        )
-        assert payload == {"entries": [], "version": 1}
 
 
 # --------------------------------------------------------------------------- mypy

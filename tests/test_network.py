@@ -1,44 +1,11 @@
-"""Tests for the network model (links, shared NICs, transfer timing)."""
+"""Tests for the network model (shared NICs, transfer timing)."""
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.network.link import Link
 from repro.network.topology import HostNic, NetworkFabric
-from repro.network.transfer import TransferModel
+from repro.network.transfer import BASE_LATENCY_S, TransferModel
 from repro.utils.units import MB
-
-
-class TestLink:
-    def test_transfer_time(self):
-        link = Link(latency_s=0.001, bandwidth_bps=100 * MB)
-        assert link.transfer_time(10 * MB) == pytest.approx(0.001 + 0.1)
-
-    def test_transfer_time_with_override(self):
-        link = Link(latency_s=0.0, bandwidth_bps=100 * MB)
-        assert link.transfer_time(10 * MB, effective_bandwidth_bps=50 * MB) == pytest.approx(0.2)
-
-    def test_zero_bytes(self):
-        link = Link(latency_s=0.002, bandwidth_bps=MB)
-        assert link.transfer_time(0) == pytest.approx(0.002)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Link(latency_s=0.0, bandwidth_bps=MB).transfer_time(-1)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            Link(latency_s=-1, bandwidth_bps=MB)
-        with pytest.raises(ConfigurationError):
-            Link(latency_s=0, bandwidth_bps=0)
-
-    def test_scaled(self):
-        link = Link(latency_s=0.001, bandwidth_bps=100 * MB)
-        doubled = link.scaled(2.0)
-        assert doubled.bandwidth_bps == 200 * MB
-        assert doubled.latency_s == link.latency_s
-        with pytest.raises(ConfigurationError):
-            link.scaled(0)
 
 
 class TestHostNic:
@@ -82,7 +49,7 @@ class TestNetworkFabric:
 
 class TestTransferModel:
     def test_bottleneck_is_function_bandwidth_when_alone(self):
-        model = TransferModel(base_latency_s=0.0)
+        model = TransferModel()
         timing = model.chunk_transfer_timing(
             chunk_bytes=10 * MB,
             function_bandwidth_bps=100 * MB,
@@ -92,10 +59,10 @@ class TestTransferModel:
             concurrent_request_streams=1,
         )
         assert timing.bandwidth_bps == 100 * MB
-        assert timing.total_s == pytest.approx(0.1)
+        assert timing.total_s == pytest.approx(BASE_LATENCY_S + 0.1)
 
     def test_bottleneck_moves_to_shared_host_nic(self):
-        model = TransferModel(base_latency_s=0.0)
+        model = TransferModel()
         timing = model.chunk_transfer_timing(
             chunk_bytes=10 * MB,
             function_bandwidth_bps=100 * MB,
@@ -108,7 +75,7 @@ class TestTransferModel:
 
     def test_more_hosts_is_faster(self):
         """The Figure 4 effect: spreading flows over more hosts lowers latency."""
-        model = TransferModel(base_latency_s=0.0)
+        model = TransferModel()
         crowded = model.chunk_transfer_timing(
             chunk_bytes=10 * MB, function_bandwidth_bps=60 * MB,
             host_capacity_bps=200 * MB, host_id="vm-0",
@@ -122,7 +89,7 @@ class TestTransferModel:
         assert spread.total_s < crowded.total_s
 
     def test_proxy_uplink_can_be_bottleneck(self):
-        model = TransferModel(base_latency_s=0.0)
+        model = TransferModel()
         model.fabric.proxy_uplink_bps = 100 * MB
         timing = model.chunk_transfer_timing(
             chunk_bytes=10 * MB, function_bandwidth_bps=100 * MB,
@@ -135,3 +102,29 @@ class TestTransferModel:
         description = TransferModel().describe()
         assert "base_latency_ms" in description
         assert "proxy_uplink_MBps" in description
+
+    def test_describe_reports_the_one_millisecond_base_latency(self):
+        assert BASE_LATENCY_S == 0.001
+        assert TransferModel().describe()["base_latency_ms"] == pytest.approx(1.0)
+
+    def test_zero_byte_chunk_pays_only_the_base_latency(self):
+        timing = TransferModel().chunk_transfer_timing(
+            chunk_bytes=0, function_bandwidth_bps=100 * MB,
+            host_capacity_bps=200 * MB, host_id="vm-0",
+            flows_on_host=1, concurrent_request_streams=1,
+        )
+        assert timing.transfer_s == 0.0
+        assert timing.total_s == BASE_LATENCY_S
+
+    def test_doubling_bandwidth_halves_the_transfer_not_the_latency(self):
+        model = TransferModel()
+        slow, fast = (
+            model.chunk_transfer_timing(
+                chunk_bytes=10 * MB, function_bandwidth_bps=bandwidth,
+                host_capacity_bps=1000 * MB, host_id="vm-0",
+                flows_on_host=1, concurrent_request_streams=1,
+            )
+            for bandwidth in (50 * MB, 100 * MB)
+        )
+        assert fast.transfer_s == pytest.approx(slow.transfer_s / 2)
+        assert fast.latency_s == slow.latency_s == BASE_LATENCY_S

@@ -7,7 +7,7 @@ import gc
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim import EventLoop, Process, SimFuture, all_of, first_n, resolved
+from repro.sim import EventLoop, Process, SimFuture, all_of, first_n
 
 
 class TestSimFuture:
@@ -40,9 +40,6 @@ class TestSimFuture:
         assert order == ["hook", ("done", True)]
         # Cancelling a settled future is a no-op.
         assert future.cancel() is False
-
-    def test_resolved_helper(self):
-        assert resolved("x").result == "x"
 
 
 class TestCombinators:
