@@ -38,8 +38,8 @@ job.  See ``docs/robustness.md``.
 ``python -m repro scenarios {list,describe,run}`` drives the declarative
 scenario engine (:mod:`repro.scenarios`): list the built-in grid library,
 inspect a grid's axes and cells, or expand and execute one —
-``run NAME --parallel N`` fans the (cell, replication) units over a spawn
-process pool with per-unit fingerprints byte-identical to a serial run,
+``run NAME --parallel N`` fans the (cell, replication) units over N forked
+worker processes with per-unit fingerprints byte-identical to a serial run,
 and ``--output PATH`` writes the grid summary JSON (fingerprints,
 collector digests, per-cell metric rows).  See ``docs/scenarios.md``.
 

@@ -20,8 +20,11 @@ from dataclasses import dataclass, field
 
 from repro.cluster import AutoscalerConfig
 from repro.experiments import cluster_scale
+from repro.experiments.harness import ExperimentHarness
 from repro.experiments.report import format_table
 from repro.faas.billing import UNATTRIBUTED_TENANT
+from repro.obs.metrics import MetricRegistry
+from repro.utils.fanout import fan_out
 
 # The compared configurations live next to the ported replay body so the
 # scenario library's policy axis and this experiment share one definition;
@@ -42,24 +45,43 @@ class PolicyComparisonResult:
         return list(self.runs)
 
 
+def _run_policy(
+    unit: tuple[AutoscalerConfig, list[cluster_scale.TenantSpec] | None, float, int],
+) -> cluster_scale.ClusterScaleResult:
+    """Replay one ``(policy, tenants, duration_s, seed)`` unit of
+    :func:`run` (a :func:`fan_out` unit).
+
+    Its harness publishes to a registry of its own: :func:`run` records the
+    replay into the shared one, where it runs, so the ``--metrics`` export
+    is the same whichever process replayed it.
+    """
+    autoscaler_config, tenants, duration_s, seed = unit
+    return cluster_scale.run(
+        tenants=tenants,
+        duration_s=duration_s,
+        seed=seed,
+        autoscaler_config=autoscaler_config,
+        harness=ExperimentHarness("cluster_scale", seed, metrics=MetricRegistry()),
+    )
+
+
 def run(
     policies: dict[str, AutoscalerConfig] | None = None,
     tenants: list[cluster_scale.TenantSpec] | None = None,
     duration_s: float = 600.0,
     seed: int = 2020,
 ) -> PolicyComparisonResult:
-    """Replay the multi-tenant mix once per autoscaling policy."""
+    """Replay the multi-tenant mix once per autoscaling policy, the policies
+    side by side on every usable core."""
     configs = policies if policies is not None else DEFAULT_POLICIES
-    runs: dict[str, cluster_scale.ClusterScaleResult] = {}
+    results = fan_out(_run_policy, [
+        (policy, tenants, duration_s, seed) for policy in configs.values()
+    ])
+    runs = dict(zip(configs, results))
     fingerprints: dict[str, str] = {}
-    for name, autoscaler_config in configs.items():
-        runs[name] = cluster_scale.run(
-            tenants=tenants,
-            duration_s=duration_s,
-            seed=seed,
-            autoscaler_config=autoscaler_config,
-        )
-        for label, digest in runs[name].fingerprints.items():
+    for name, run_result in runs.items():
+        ExperimentHarness("cluster_scale", seed).record("replay", run_result.replay_report)
+        for label, digest in run_result.fingerprints.items():
             fingerprints[f"{name}.{label}"] = digest
     return PolicyComparisonResult(
         duration_s=duration_s, runs=runs, fingerprints=fingerprints

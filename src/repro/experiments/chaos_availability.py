@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.cache.config import ResilienceConfig
+from repro.cache.config import InfiniCacheConfig, ResilienceConfig
 from repro.experiments.report import format_table
 from repro.faults.report import ResilienceReport
 from repro.faults.scenario import (
@@ -30,6 +30,7 @@ from repro.faults.scenario import (
     run_chaos_scenario,
 )
 from repro.faults.spec import FaultSchedule
+from repro.utils.fanout import fan_out
 
 
 def hardening_levels() -> dict[str, ResilienceConfig]:
@@ -60,31 +61,37 @@ class ChaosAvailabilityResult:
     fingerprints: dict[str, str] = field(default_factory=dict)
 
 
+def _run_level(
+    unit: tuple[int, FaultSchedule, InfiniCacheConfig, int, int],
+) -> tuple[ResilienceReport, str]:
+    """Replay one ``(seed, schedule, config, clients, rounds)`` level and
+    return its resilience report and fingerprint (a :func:`fan_out` unit)."""
+    seed, schedule, config, clients, rounds = unit
+    outcome = run_chaos_scenario(
+        seed=seed, schedule=schedule, config=config, clients=clients, rounds=rounds
+    )
+    return outcome.resilience, outcome.fingerprint
+
+
 def run(
     seed: int = 2020, clients: int = 5, rounds: int = 50
 ) -> ChaosAvailabilityResult:
-    """Replay the storm once per hardening level and collect the reports."""
-    result = ChaosAvailabilityResult(seed=seed, clients=clients, rounds=rounds)
-    control = run_chaos_scenario(
-        seed=seed,
-        schedule=FaultSchedule(()),
-        config=demo_config(seed),
-        clients=clients,
-        rounds=rounds,
-    )
-    result.reports["control (no faults)"] = control.resilience
-    result.fingerprints["control (no faults)"] = control.fingerprint
+    """Replay the storm once per hardening level and collect the reports.
+
+    The levels are independent replays and run side by side on every
+    usable core.
+    """
+    levels = {"control (no faults)": (FaultSchedule(()), demo_config(seed))}
     for label, resilience in hardening_levels().items():
         config = dataclasses.replace(demo_config(seed), resilience=resilience)
-        outcome = run_chaos_scenario(
-            seed=seed,
-            schedule=demo_schedule(),
-            config=config,
-            clients=clients,
-            rounds=rounds,
-        )
-        result.reports[label] = outcome.resilience
-        result.fingerprints[label] = outcome.fingerprint
+        levels[label] = (demo_schedule(), config)
+    outcomes = fan_out(_run_level, [
+        (seed, schedule, config, clients, rounds) for schedule, config in levels.values()
+    ])
+    result = ChaosAvailabilityResult(seed=seed, clients=clients, rounds=rounds)
+    for label, (report, fingerprint) in zip(levels, outcomes):
+        result.reports[label] = report
+        result.fingerprints[label] = fingerprint
     return result
 
 

@@ -5,7 +5,8 @@ against three systems (InfiniCache, ElastiCache, raw S3) and three
 InfiniCache settings (all objects, large objects only, large objects without
 backup).  All of those figures and tables read different projections of the
 same runs, so this module performs the replays once (memoised per parameter
-set within a process) and hands the reports out.
+set within a process, the five side by side on every usable core) and hands
+the reports out.
 
 Every replay is **event-driven and open-loop**: trace records are injected
 at their arrival timestamps through
@@ -34,6 +35,7 @@ from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.experiments.harness import ExperimentHarness
 from repro.faas.reclamation import ZipfBurstReclamationPolicy
+from repro.utils.fanout import fan_out
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MB, MIB
 from repro.workload.docker_registry import DockerRegistryTraceGenerator, RegistryTraceConfig
@@ -147,52 +149,70 @@ def run(scale: ProductionScale) -> ProductionResults:
     return _run_cached(scale)
 
 
+#: Every replay as ``label -> trace``, in the order they are recorded.
+#: ``infinicache.all`` is the longest, so it is the first handed to a worker.
+_REPLAYS = {
+    "infinicache.all": "all",
+    "infinicache.large": "large",
+    "infinicache.large_no_backup": "large",
+    "elasticache.all": "all",
+    "s3.all": "all",
+}
+#: InfiniCache replay label -> (backup enabled, deployment seed offset).
+_INFINICACHE_SETTINGS = {
+    "infinicache.all": (True, 1),
+    "infinicache.large": (True, 2),
+    "infinicache.large_no_backup": (False, 3),
+}
+
+
+def _replay(unit: tuple[str, Trace, ProductionScale]) -> ConcurrentReplayReport:
+    """Run one ``(label, trace, scale)`` replay of :data:`_REPLAYS` (a
+    :func:`~repro.utils.fanout.fan_out` unit)."""
+    label, trace, scale = unit
+    # When the replays share a process, the previous one's deployment is one
+    # big reference cycle, and this replay runs inside ``run*``, where the
+    # loop pauses automatic collection: only this call frees it before the
+    # next pool is built (``run(ProductionScale())`` in one process peaks
+    # at 83.5 MiB with it, 115.0 without).
+    gc.collect()
+    if label in _INFINICACHE_SETTINGS:
+        backup, offset = _INFINICACHE_SETTINGS[label]
+        deployment = build_deployment(scale, backup_enabled=backup, seed_offset=offset)
+        return OpenLoopDriver(deployment).run(trace)
+    if label == "elasticache.all":
+        target = ElastiCacheTarget(
+            ElastiCacheCluster(instance_type_name=scale.elasticache_instance)
+        )
+        return OpenLoopBaselineDriver(target).run(trace)
+    s3_store = ObjectStore()
+    return OpenLoopBaselineDriver(
+        ObjectStoreTarget(s3_store), backing_store=s3_store
+    ).run(trace)
+
+
 @lru_cache(maxsize=4)
 def _run_cached(scale: ProductionScale) -> ProductionResults:
     harness = ExperimentHarness("production", scale.seed)
     trace_all = build_trace(scale)
-    trace_large = trace_all.large_objects_only(10 * MB)
-
-    def replay_infinicache(label: str, trace: Trace, backup: bool, offset: int):
-        # The previous replay's deployment is one big reference cycle, and the
-        # next replay runs inside ``run*``, where the loop pauses automatic
-        # collection: only this call frees it before a second 400-node pool
-        # is built (peak RSS here 83.5 MiB with it, 115.0 without; the peak
-        # of a figure-suite run is decided here).
-        gc.collect()
-        deployment = build_deployment(scale, backup_enabled=backup, seed_offset=offset)
-        return harness.record(label, OpenLoopDriver(deployment).run(trace))
-
-    infinicache_all = replay_infinicache("infinicache.all", trace_all, True, 1)
-    infinicache_large = replay_infinicache("infinicache.large", trace_large, True, 2)
-    infinicache_large_no_backup = replay_infinicache(
-        "infinicache.large_no_backup", trace_large, False, 3
-    )
-    elasticache_all = harness.record(
-        "elasticache.all",
-        OpenLoopBaselineDriver(
-            ElastiCacheTarget(
-                ElastiCacheCluster(instance_type_name=scale.elasticache_instance)
-            ),
-        ).run(trace_all),
-    )
-    s3_store = ObjectStore()
-    s3_all = harness.record(
-        "s3.all",
-        OpenLoopBaselineDriver(
-            ObjectStoreTarget(s3_store), backing_store=s3_store
-        ).run(trace_all),
-    )
-
+    traces = {"all": trace_all, "large": trace_all.large_objects_only(10 * MB)}
+    reports = fan_out(_replay, [
+        (label, traces[trace], scale) for label, trace in _REPLAYS.items()
+    ])
+    # Recorded here, in label order, so the fingerprints and the metrics a
+    # run publishes do not depend on where the replays ran.
+    recorded = {
+        label: harness.record(label, report) for label, report in zip(_REPLAYS, reports)
+    }
     return ProductionResults(
         scale=scale,
         trace_all=trace_all,
-        trace_large=trace_large,
-        infinicache_all=infinicache_all,
-        infinicache_large=infinicache_large,
-        infinicache_large_no_backup=infinicache_large_no_backup,
-        elasticache_all=elasticache_all,
-        s3_all=s3_all,
+        trace_large=traces["large"],
+        infinicache_all=recorded["infinicache.all"],
+        infinicache_large=recorded["infinicache.large"],
+        infinicache_large_no_backup=recorded["infinicache.large_no_backup"],
+        elasticache_all=recorded["elasticache.all"],
+        s3_all=recorded["s3.all"],
         fingerprints=harness.fingerprints,
     )
 

@@ -56,8 +56,9 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Optional
 
@@ -88,9 +89,13 @@ def peak_concurrency(intervals: list[tuple[float, float]]) -> int:
     return peak
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowInterval:
-    """One completed (or abandoned) transfer, as recorded in the trace."""
+    """One completed (or abandoned) transfer, as recorded in the trace.
+
+    Slotted: a long replay keeps one per transfer, and a report that comes
+    back from a worker process carries them all through ``pickle``.
+    """
 
     flow_id: int
     label: str
@@ -112,6 +117,15 @@ class FlowInterval:
     def overlaps(self, other: "FlowInterval") -> bool:
         """Whether two transfer intervals were in flight at the same instant."""
         return self.started_at < other.ended_at and other.started_at < self.ended_at
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        # Rebuilt from a plain tuple through ``__init__``: the dataclass
+        # default for a frozen slotted class walks ``fields()`` per object
+        # and pickles at half the speed.
+        return (FlowInterval, _interval_fields(self))
+
+
+_interval_fields = attrgetter(*(f.name for f in fields(FlowInterval)))
 
 
 class Flow:

@@ -4,7 +4,7 @@ The icarus-style experiment orchestration layer (ROADMAP item 1): frozen
 scenario specifications (:mod:`repro.scenarios.spec`), a registry of
 pluggable data collectors (:mod:`repro.scenarios.collectors`), a runner
 that expands a grid and executes every ``(cell, replication)`` serially or
-across a ``spawn`` process pool with byte-identical fingerprints either way
+across forked worker processes with byte-identical fingerprints either way
 (:mod:`repro.scenarios.runner`), and a built-in scenario library beyond the
 paper's figures (:mod:`repro.scenarios.library`).
 

@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("name", help="scenario name (see `list`)")
     run.add_argument(
         "--parallel", type=int, default=1, metavar="N",
-        help="worker processes (spawn pool; default: 1 = in-process)",
+        help="worker processes (forked; default: 1 = in-process)",
     )
     run.add_argument(
         "--seed", type=int, default=2020, help="base seed (default: 2020)",

@@ -7,27 +7,24 @@ to pick it up) — so serial and ``multiprocessing`` runs produce
 byte-identical per-cell fingerprints and metric digests.  The differential
 suite (``tests/test_scenarios_differential.py``) pins exactly that.
 
-Parallel mode uses the ``spawn`` start method (the only one that is safe
-with an imported simulation stack on every platform); the worker entry
-point :func:`_run_unit` is a top-level function and every payload/result a
-picklable dataclass.  The pool is a ``ProcessPoolExecutor``: when the workers
-cannot bootstrap it raises once, where ``multiprocessing.Pool`` respawns
-them forever, and the runner turns that into a :class:`SimulationError`.
+Parallel mode hands the units to :func:`repro.utils.fanout.fan_out`, the
+forked worker pool the figure suite also uses; the worker entry point
+:func:`_run_unit` is a top-level function and every payload/result a
+picklable dataclass.  A worker that dies fails the run with a
+:class:`~repro.exceptions.SimulationError` instead of hanging it.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError
 from repro.experiments.harness import ExperimentHarness
 from repro.scenarios.collectors import metric_digest, resolve_collectors
 from repro.scenarios.execute import execute_cell
 from repro.scenarios.spec import ScenarioCell, ScenarioGrid
+from repro.utils.fanout import fan_out
 
 __all__ = ["CellResult", "GridResult", "ScenarioRunner", "run_grid"]
 
@@ -67,7 +64,7 @@ class CellResult:
 
 
 def _run_unit(unit: _WorkUnit) -> CellResult:
-    """Spawn-safe worker entry point: execute one unit start to finish."""
+    """Worker entry point: execute one unit start to finish."""
     outcome = execute_cell(unit.cell.spec, unit.seed)
     collectors = resolve_collectors(unit.collector_names)
     metrics = {name: fn(outcome) for name, fn in collectors.items()}
@@ -150,7 +147,7 @@ class ScenarioRunner:
     """Expand a :class:`ScenarioGrid` and run every unit, serially or not.
 
     ``parallel=1`` executes in-process (and is the reference ordering);
-    ``parallel=N`` fans units out over an N-worker spawn pool.  Seeds are
+    ``parallel=N`` fans units out over N forked workers.  Seeds are
     derived up front in the parent, so the two modes are interchangeable —
     the result list is canonically ordered by ``(cell_index, replication)``
     either way.
@@ -181,27 +178,7 @@ class ScenarioRunner:
     def run(self, parallel: int = 1) -> GridResult:
         if parallel < 1:
             raise ConfigurationError(f"parallel must be >= 1, got {parallel}")
-        units = self.work_units()
-        if parallel == 1 or len(units) <= 1:
-            results = [_run_unit(unit) for unit in units]
-        else:
-            workers = min(parallel, len(units))
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                ) as executor:
-                    # About four chunks per worker, as ``Pool.map`` cuts them.
-                    chunksize = -(-len(units) // (workers * 4))
-                    results = list(executor.map(_run_unit, units, chunksize=chunksize))
-            except BrokenProcessPool as error:
-                raise SimulationError(
-                    f"scenario grid {self.grid.name!r}: the spawn workers died at "
-                    "start-up — each one re-imports the calling script, which fails "
-                    "when the script is fed on stdin or starts the grid outside an "
-                    "`if __name__ == \"__main__\":` guard; parallel=1 runs in-process"
-                ) from error
-        results.sort(key=lambda r: (r.cell_index, r.replication))
+        results = fan_out(_run_unit, self.work_units(), workers=parallel)
         return GridResult(
             grid_name=self.grid.name,
             seed=self.seed,
