@@ -57,7 +57,7 @@ class PutResult:
     complete: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class GetResult:
     """Outcome of a GET as seen by the application."""
 

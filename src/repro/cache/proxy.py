@@ -43,6 +43,7 @@ from repro.faas.limits import HOST_NIC_BANDWIDTH
 from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import BASE_LATENCY_S, TransferModel
 from repro.obs.metrics import MetricRegistry
+from repro.obs.tracer import NULL_SPAN
 from repro.sim.process import SimFuture, all_of, first_n
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MILLISECOND
@@ -55,7 +56,7 @@ RETRY_BACKOFF_MULTIPLIER = 2.0
 RETRY_JITTER_FRACTION = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkFetch:
     """Timing and provenance of one chunk transfer within a GET."""
 
@@ -69,7 +70,7 @@ class ChunkFetch:
     abandoned: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ProxyGetResult:
     """Outcome of a GET handled by one proxy."""
 
@@ -972,6 +973,9 @@ class Proxy:
         transfer the Lambda actually performed.
         """
         tracer = env.tracer
+        # Tracing off: skip the no-op tracer calls (and the keyword dicts they
+        # would build) on this, the hottest request-path coroutine.
+        tracing = tracer.enabled
         for attempt in range(attempts):
             if attempt > 0:
                 self.metrics.counter("proxy.chunk_retries").increment()
@@ -995,8 +999,10 @@ class Proxy:
             effective_bytes = chunk.size * self._straggler_factor()
             arrival = env.now
             try:
-                span = tracer.begin("chunk.store" if store else "chunk.fetch",
-                                    span_parent, chunk=chunk.index, node=node.node_id)
+                span = tracer.begin(
+                    "chunk.store" if store else "chunk.fetch", span_parent,
+                    chunk=chunk.index, node=node.node_id,
+                ) if tracing else NULL_SPAN
                 access = node.ensure_active(arrival, category)
                 if store:
                     node.store_chunk(chunk)
@@ -1007,13 +1013,14 @@ class Proxy:
                 flow = None
                 try:
                     if preamble > 0:
-                        invoke_span = tracer.begin("lambda.invoke", span,
-                                                   node=node.node_id,
-                                                   cold=access.cold_start)
+                        invoke_span = tracer.begin(
+                            "lambda.invoke", span, node=node.node_id, cold=access.cold_start,
+                        ) if tracing else NULL_SPAN
                         try:
                             yield preamble
                         finally:
-                            tracer.finish(invoke_span)
+                            if tracing:
+                                tracer.finish(invoke_span)
                     host_id = (
                         node.primary.host_id if node.primary is not None else node.node_id
                     )
@@ -1025,7 +1032,7 @@ class Proxy:
                         proxy_id=self.proxy_id,
                         label=f"{self.proxy_id}:{category}:{key}#{chunk.index}",
                     )
-                    if span.recording:
+                    if tracing:
                         flow.parent_span = span
                     yield flow.future
                 finally:
@@ -1044,9 +1051,10 @@ class Proxy:
                     env.watch_session(node)
                     if fetch is not None:
                         fetch.time_s = env.now - arrival
-                        if span.recording:
+                        if tracing:
                             span.annotate(abandoned=fetch.abandoned)
-                    tracer.finish(span)
+                    if tracing:
+                        tracer.finish(span)
             except TransientFaultError:
                 if breaker is not None:
                     breaker.record_failure(env.now)

@@ -34,6 +34,9 @@ class RequestEnv:
 
     def __init__(self, loop: EventLoop, flows: FlowNetwork, tracer=None):
         self.loop = loop
+        #: The loop's clock, so :attr:`now` (read several times per chunk
+        #: transfer) is one attribute hop.
+        self._clock = loop.clock
         self.flows = flows
         #: The request-path tracer; :data:`~repro.obs.tracer.NULL_TRACER`
         #: (every call a no-op) unless a run attaches a real one via
@@ -61,7 +64,7 @@ class RequestEnv:
     @property
     def now(self) -> float:
         """Current virtual time (seconds)."""
-        return self.loop.now
+        return self._clock._now
 
     def sleep(self, delay: float, label: str = "request.sleep") -> SimFuture:
         """A future resolving after ``delay`` virtual seconds."""

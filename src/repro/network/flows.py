@@ -56,11 +56,10 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Collection
-from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import islice
-from operator import attrgetter
 from time import perf_counter
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.exceptions import SimulationError
 from repro.network.topology import HostNic, NetworkFabric
@@ -89,12 +88,11 @@ def peak_concurrency(intervals: list[tuple[float, float]]) -> int:
     return peak
 
 
-@dataclass(frozen=True, slots=True)
-class FlowInterval:
+class FlowInterval(NamedTuple):
     """One completed (or abandoned) transfer, as recorded in the trace.
 
-    Slotted: a long replay keeps one per transfer, and a report that comes
-    back from a worker process carries them all through ``pickle``.
+    A named tuple: one per transfer, and reports from worker processes carry
+    them all through ``pickle``; a tuple builds and unpickles at C speed.
     """
 
     flow_id: int
@@ -117,15 +115,6 @@ class FlowInterval:
     def overlaps(self, other: "FlowInterval") -> bool:
         """Whether two transfer intervals were in flight at the same instant."""
         return self.started_at < other.ended_at and other.started_at < self.ended_at
-
-    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
-        # Rebuilt from a plain tuple through ``__init__``: the dataclass
-        # default for a frozen slotted class walks ``fields()`` per object
-        # and pickles at half the speed.
-        return (FlowInterval, _interval_fields(self))
-
-
-_interval_fields = attrgetter(*(f.name for f in fields(FlowInterval)))
 
 
 class Flow:
@@ -346,7 +335,7 @@ class FlowNetwork:
             raise SimulationError(f"flow {label!r} must move a positive byte count")
         if function_bandwidth_bps <= 0:
             raise SimulationError(f"flow {label!r} needs a positive bandwidth cap")
-        now = self.loop.now
+        now = self.loop.clock._now
         nic = self.fabric.host(host_id, host_capacity_bps)
         nic.acquire()
         flow = Flow(
@@ -364,7 +353,7 @@ class FlowNetwork:
         self._by_proxy.setdefault(proxy_id, {})[flow.flow_id] = flow
         if len(self._active) > self._peak_active:
             self._peak_active = len(self._active)
-        flow.future.on_cancel(lambda: self.cancel(flow))
+        flow.future.on_cancel(partial(self.cancel, flow))
         self._transition(nic.host_id, proxy_id)
         return flow
 
@@ -377,7 +366,7 @@ class FlowNetwork:
         """
         if flow.flow_id not in self._active:
             return False
-        now = self.loop.now
+        now = self.loop.clock._now
         self._settle_flow(flow, now)
         self._retire(flow, now, completed=False)
         if not flow.future.done:
@@ -404,7 +393,9 @@ class FlowNetwork:
         """Advance one flow's byte count at the rate held since its last settle."""
         elapsed = now - flow.last_progress_at
         if elapsed > 0 and flow.rate_bps > 0:
-            flow.remaining = max(0.0, flow.remaining - flow.rate_bps * elapsed)
+            # The clamp as a comparison: ``max(0.0, x)`` for any x, ±0.0 and NaN included.
+            remaining = flow.remaining - flow.rate_bps * elapsed
+            flow.remaining = remaining if remaining > 0.0 else 0.0
         flow.last_progress_at = now
 
     def _affected_flows(self) -> Collection[Flow]:
@@ -441,11 +432,13 @@ class FlowNetwork:
         by_proxy = self._by_proxy
         shares = self._uplink_share
         bounds = self._uplink_bound
+        uplink_bps = self.fabric.proxy_uplink_bps
         for proxy_id in self._dirty_proxies:
             group = by_proxy.get(proxy_id)
             if group is None:
                 continue
-            share = self.fabric.proxy_share(len(group))
+            # ``NetworkFabric.proxy_share`` inlined: a live group is non-empty.
+            share = uplink_bps / len(group)
             rated = shares.get(proxy_id)
             if rated is None or bounds[proxy_id] > (share if share < rated else rated):
                 groups.append(group)
@@ -481,13 +474,13 @@ class FlowNetwork:
         profile = self.loop._profile
         if profile is not None:
             transition_started = perf_counter()  # repro: allow[D102] (profiling meter)
-        now = self.loop.now
+        now = self.loop.clock._now
         flows = self._affected_flows()
         self._dirty_hosts.clear()
         self._dirty_proxies.clear()
         by_proxy = self._by_proxy
         bounds = self._uplink_bound
-        proxy_share = self.fabric.proxy_share
+        uplink_bps = self.fabric.proxy_uplink_bps
         reaimed = 0
         uplink = None
         for flow in flows:
@@ -500,10 +493,10 @@ class FlowNetwork:
             if host_share < rate:
                 rate = host_share
             # The uplink's share is a group property: recomputed only when
-            # the uplink differs from the previous flow's.
+            # the uplink differs from the previous flow's (inlined as above).
             if flow.proxy_id != uplink:
                 uplink = flow.proxy_id
-                share = proxy_share(len(by_proxy[uplink]))
+                share = uplink_bps / len(by_proxy[uplink])
                 bound = bounds.get(uplink, 0.0)
             if rate > bound:
                 bound = bounds[uplink] = rate
@@ -511,7 +504,12 @@ class FlowNetwork:
                 rate = share
             if flow._completion is not None and rate == flow.rate_bps:
                 continue
-            self._settle_flow(flow, now)
+            # ``_settle_flow`` inlined, with the same expressions.
+            elapsed = now - flow.last_progress_at
+            if elapsed > 0 and flow.rate_bps > 0:
+                remaining = flow.remaining - flow.rate_bps * elapsed
+                flow.remaining = remaining if remaining > 0.0 else 0.0
+            flow.last_progress_at = now
             flow.rate_bps = rate
             reaimed += 1
             self._aim(flow, now + flow.remaining / rate)
@@ -537,7 +535,7 @@ class FlowNetwork:
         timer = flow._completion
         if timer is None:
             flow._completion = self.loop.schedule_deadline(
-                finish, lambda: self._complete(flow), label=flow._finish_label
+                finish, partial(self._complete, flow), label=flow._finish_label
             )
         else:
             timer.set_deadline(finish)
@@ -545,7 +543,7 @@ class FlowNetwork:
     def _complete(self, flow: Flow) -> None:
         if flow.flow_id not in self._active:
             return
-        now = self.loop.now
+        now = self.loop.clock._now
         self._settle_flow(flow, now)
         self._retire(flow, now, completed=True)
         # Resolving the future synchronously resumes the waiting fetch — a
@@ -579,29 +577,22 @@ class FlowNetwork:
         self._dirty_proxies[flow.proxy_id] = None
         if completed:
             flow.remaining = 0.0
+            moved = flow.bytes_moved
             self.completed_flows += 1
-            self.bytes_completed += flow.bytes_moved
+            self.bytes_completed += moved
         else:
+            moved = flow.bytes_moved
             self.abandoned_flows += 1
-            self.bytes_abandoned += flow.bytes_moved
+            self.bytes_abandoned += moved
         trace = self._trace
         if trace.maxlen is not None and len(trace) == trace.maxlen:
             # The deque evicts the oldest interval on append — O(1), where
             # the old list-shift was O(trace_limit) per retirement.
             self._trace_dropped += 1
-        trace.append(
-            FlowInterval(
-                flow_id=flow.flow_id,
-                label=flow.label,
-                host_id=flow.nic.host_id,
-                proxy_id=flow.proxy_id,
-                size_bytes=int(flow.size_bytes),
-                started_at=flow.started_at,
-                ended_at=now,
-                completed=completed,
-                bytes_moved=flow.bytes_moved,
-            )
-        )
+        trace.append(FlowInterval(  # positional, in field order: one per transfer
+            flow.flow_id, flow.label, flow.nic.host_id, flow.proxy_id,
+            int(flow.size_bytes), flow.started_at, now, completed, moved,
+        ))
         tracer = self.tracer
         if tracer is not None:
             tracer.record(
@@ -612,7 +603,7 @@ class FlowNetwork:
                 label=flow.label,
                 host=flow.nic.host_id,
                 proxy=flow.proxy_id,
-                bytes=flow.bytes_moved,
+                bytes=moved,
                 completed=completed,
             )
 
@@ -637,7 +628,7 @@ class ReferenceFlowNetwork(FlowNetwork):
         if flow._completion is not None:
             flow._completion.cancel()
         flow._completion = self.loop.schedule_at(
-            finish, lambda f=flow: self._complete(f), label=flow._finish_label
+            finish, partial(self._complete, flow), label=flow._finish_label
         )
 
 

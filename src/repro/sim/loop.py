@@ -23,10 +23,10 @@ synchronous facade; the two names are the same class.
 from __future__ import annotations
 
 import gc
-import heapq
 import itertools
 import math
 from contextlib import contextmanager
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Callable, Iterator, Optional
 
@@ -263,20 +263,41 @@ class DeadlineTimer:
 
         Extensions are O(1) field writes; only moving the deadline to or
         before the pending entry's time costs a cancel plus a push.
+
+        Raises:
+            ValueError: if ``when`` is NaN or infinite.
+            SimulationError: if ``when`` is before now.
+
+            Both are checked before the pending entry is touched, so a
+            rejected call leaves the timer armed exactly as it was.  (A NaN
+            compares false against the entry's time and used to be taken
+            for an extension, firing the callback at the old deadline.)
         """
-        self.deadline = when
         event = self._event
-        if event is None or when <= event.time:
-            if event is not None:
-                event.cancel()
-            self._sequence = None
-            self._event = self.loop.schedule_at(when, self._fire, self.label)
-        else:
-            # Extension: keep the pending entry (it will fire early and
-            # re-arm) but reserve the sequence number an eager re-push would
-            # have consumed, so the re-armed entry ties against
-            # same-timestamp events exactly like the eager one.
-            self._sequence = self.loop.queue.reserve_sequence()
+        if event is not None and event.time < when < math.inf:
+            # Extension, past the pending entry's time and finite: keep the
+            # entry (it will fire early and re-arm) but reserve the sequence
+            # number an eager re-push would have consumed, so the re-armed
+            # entry ties against same-timestamp events exactly like the
+            # eager one (``EventQueue.reserve_sequence``, inlined).
+            self.deadline = when
+            self._sequence = next(self.loop.queue._counter)
+            return
+        loop = self.loop
+        if not loop.clock._now - 1e-12 <= when < math.inf:
+            if not math.isfinite(when):
+                raise ValueError(
+                    f"timer deadline must be finite, got {when!r} (label={self.label!r})"
+                )
+            raise SimulationError(
+                f"cannot move a timer deadline to {when}, which is before "
+                f"now={loop.clock._now} (label={self.label!r})"
+            )
+        self.deadline = when
+        if event is not None:
+            event.cancel()
+        self._sequence = None
+        self._event = loop.schedule_at(when, self._fire, self.label)
 
     def cancel(self) -> None:
         """Cancel the pending firing (``set_deadline`` re-arms afterwards)."""
@@ -286,7 +307,7 @@ class DeadlineTimer:
             event.cancel()
 
     def _fire(self) -> None:
-        if self.deadline > self.loop.clock.now:
+        if self.deadline > self.loop.clock._now:
             # The deadline moved later since this entry was pushed: re-arm
             # once at the stored deadline instead of having churned the heap
             # on every extension, under the sequence number reserved by the
@@ -344,7 +365,7 @@ class EventQueue:
     def reserve_sequence(self) -> int:
         """Consume and return the next tie-breaking sequence number.
 
-        Only :class:`DeadlineTimer` extensions call this (see there): the
+        What a :class:`DeadlineTimer` extension does (inlined there): the
         re-armed entry then ties like the eager push it stands in for.
         """
         return next(self._counter)
@@ -358,20 +379,22 @@ class EventQueue:
                 f"event time must be finite and non-negative, got {time!r} "
                 f"(label={label!r})"
             )
-        event = Event(time, sequence, callback, label, _queue=self)
-        heapq.heappush(self._heap, (time, sequence, event))
+        event = Event(time, sequence, callback, label, self)
+        heap = self._heap
+        heappush(heap, (time, sequence, event))
         self._live += 1
         self._pushed += 1
-        if len(self._heap) > self._peak_heap:
-            self._peak_heap = len(self._heap)
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
         if self.profile is not None:
             self.profile.note_scheduled(label)
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or ``None``."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
             if not event.cancelled:
                 event._queue = None
                 self._live -= 1
@@ -383,7 +406,7 @@ class EventQueue:
         """Return the timestamp of the earliest pending event, or ``None``."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
         return heap[0][0] if heap else None
 
     def _note_cancel(self, event: Event) -> None:
@@ -394,7 +417,7 @@ class EventQueue:
         heap_size = len(self._heap)
         if heap_size >= self.COMPACT_MIN_SIZE and (heap_size - self._live) * 2 > heap_size:
             self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-            heapq.heapify(self._heap)
+            heapify(self._heap)
             self._compactions += 1
 
     def __len__(self) -> int:
@@ -440,7 +463,7 @@ class EventLoop:
     @property
     def now(self) -> float:
         """Current virtual time (seconds)."""
-        return self.clock.now
+        return self.clock._now
 
     @property
     def events_processed(self) -> int:
@@ -490,7 +513,8 @@ class EventLoop:
             )
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
-        return self.queue.push(self.clock.now + delay, callback, label)
+        queue = self.queue
+        return queue.push_reserved(self.clock._now + delay, next(queue._counter), callback, label)
 
     def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` to run at absolute virtual ``time``.
@@ -504,11 +528,13 @@ class EventLoop:
             raise ValueError(
                 f"event time must be finite, got {time!r} (label={label!r})"
             )
-        if time < self.clock.now - 1e-12:
+        now = self.clock._now
+        if time < now - 1e-12:
             raise SimulationError(
-                f"cannot schedule an event at {time}, which is before now={self.clock.now}"
+                f"cannot schedule an event at {time}, which is before now={now}"
             )
-        return self.queue.push(max(time, self.clock.now), callback, label)
+        queue = self.queue
+        return queue.push_reserved(max(time, now), next(queue._counter), callback, label)
 
     def schedule_deadline(
         self,
@@ -654,23 +680,31 @@ class EventLoop:
 
         Raises:
             SimulationError: if the queue drains with the future still
-                pending (a deadlocked process), or ``max_events`` is hit.
+                pending (a deadlocked process: the message names every
+                parked process and the future it waits on), or
+                ``max_events`` is hit.
         """
         dispatched = 0
+        clock, queue = self.clock, self.queue
         with self._dispatching() as profile:
-            while not future.done:
+            while not future._done:
                 if profile is None:
-                    event = self.queue.pop()
+                    event = queue.pop()
                 else:
                     heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
-                    event = self.queue.pop()
+                    event = queue.pop()
                     profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
                 if event is None:
                     raise SimulationError(
-                        f"event queue drained but {future.label!r} never resolved "
-                        "(a process is waiting on something nobody will deliver)"
+                        f"event queue drained but {future.label!r} never resolved; "
+                        f"parked: {self._parked_processes()}"
                     )
-                self.clock.advance_to(event.time)
+                # ``SimClock.advance_to`` inlined, its backwards check kept.
+                time = event.time
+                if time > clock._now:
+                    clock._now = float(time)
+                elif time < clock._now - 1e-12:
+                    clock.advance_to(time)  # raises: the clock never runs backwards
                 self._events_processed += 1
                 if profile is None:
                     event.callback()
@@ -685,6 +719,28 @@ class EventLoop:
                         f"for {future.label!r}"
                     )
         return future.result if not future.cancelled else None
+
+    def _parked_processes(self) -> str:
+        """Every unfinished process of this loop and what it waits on.
+
+        Only a deadlocked run calls this, so it walks the collector's object
+        list instead of having the hot path keep a registry of live
+        processes.  Sorted by label, at most twenty of them.
+        """
+        limit = 20
+        parked = sorted(
+            f"{obj.label!r} waiting on "
+            + (repr(obj._waiting_on.label) if obj._waiting_on is not None else "sleep")
+            for obj in gc.get_objects()
+            if isinstance(obj, Process) and obj.loop is self and obj._started
+            and not obj.future._done
+        )
+        if not parked:
+            return "no process (an unresolved future nobody waits on)"
+        shown = ", ".join(parked[:limit])
+        if len(parked) > limit:
+            shown += f", and {len(parked) - limit} more"
+        return shown
 
 
 #: Backwards-compatible name for the loop: the original synchronous facade

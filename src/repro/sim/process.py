@@ -38,6 +38,9 @@ if TYPE_CHECKING:
 class SimFuture:
     """A single-assignment result that callbacks (and processes) can await."""
 
+    # One or more per chunk transfer: slots skip the instance dict.
+    __slots__ = ("label", "_done", "_cancelled", "_result", "_callbacks", "_cancel_hooks")
+
     def __init__(self, label: str = "") -> None:
         self.label = label
         self._done = False
@@ -213,6 +216,11 @@ class Process:
     the return value back to the waiter.
     """
 
+    __slots__ = (
+        "loop", "generator", "label", "future", "_waiting_on", "_sleep_event",
+        "_started", "_cancelling", "_sleep_label",
+    )
+
     def __init__(self, loop: "EventLoop", generator: ProcessGenerator, label: str = "") -> None:
         self.loop = loop
         self.generator = generator
@@ -232,7 +240,7 @@ class Process:
     @property
     def done(self) -> bool:
         """Whether the process has finished (or been cancelled)."""
-        return self.future.done
+        return self.future._done
 
     def start(self) -> None:
         """Run the coroutine up to its first wait (idempotent)."""
@@ -264,7 +272,7 @@ class Process:
 
     # ------------------------------------------------------------------ driving
     def _step(self, value: object) -> None:
-        profile = getattr(self.loop, "_profile", None)
+        profile = self.loop._profile
         if profile is None:
             try:
                 target = self.generator.send(value)
@@ -287,10 +295,12 @@ class Process:
         self._wait_on(target)
 
     def _wait_on(self, target: Waitable) -> None:
-        if isinstance(target, Process):
-            future = target.future
-        elif isinstance(target, SimFuture):
+        # Futures first: flows, quorums and child processes' gates are what
+        # request coroutines mostly wait on.
+        if isinstance(target, SimFuture):
             future = target
+        elif isinstance(target, Process):
+            future = target.future
         elif isinstance(target, (int, float)):
             # Plain-sleep fast path: closed-loop clients sleep between every
             # operation, so skipping the timeout future (a SimFuture, two
@@ -311,15 +321,15 @@ class Process:
 
     def _resume_sleep(self) -> None:
         self._sleep_event = None
-        if self.future.done or self._cancelling:
+        if self.future._done or self._cancelling:
             return
-        self._step(self.loop.clock.now)
+        self._step(self.loop.clock._now)
 
     def _resume(self, future: SimFuture) -> None:
-        if self.future.done or self._cancelling:
+        if self.future._done or self._cancelling:
             return
         self._waiting_on = None
-        self._step(future.result if not future.cancelled else None)
+        self._step(future._result if not future._cancelled else None)
 
     def __repr__(self) -> str:
         state = "done" if self.done else ("running" if self._started else "new")

@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Generator, Optional, Sequence, Union
+from typing import Callable, Generator, NamedTuple, Optional, Sequence, Union
 
 from repro.baselines.elasticache import ElastiCacheCluster
 from repro.baselines.s3 import ObjectStore
@@ -90,9 +90,13 @@ def hourly_costs(metrics: MetricRegistry, end_time: float) -> dict[str, list[flo
 
 
 # ---------------------------------------------------------------------- samples and reports
-@dataclass(frozen=True)
-class RequestSample:
-    """One request's interval on the virtual clock, as a driver recorded it."""
+class RequestSample(NamedTuple):
+    """One request's interval on the virtual clock, as a driver recorded it.
+
+    A named tuple, like :class:`~repro.network.flows.FlowInterval`: one per
+    request, and the production and autoscaling reports carry them back from
+    worker processes through ``pickle``.
+    """
 
     client_id: str
     key: str

@@ -36,6 +36,7 @@ from repro.network.flows import FlowInterval
 from repro.obs.metrics import MetricRegistry
 from repro.utils import fanout
 from repro.utils.fanout import fan_out, usable_cpus
+from repro.workload.replay import RequestSample
 
 
 def _pid(_unit: int) -> int:
@@ -124,6 +125,26 @@ class TestFlowIntervalPickle:
         assert not hasattr(interval, "__dict__")
         with pytest.raises(AttributeError):
             interval.size_bytes = 2  # type: ignore[misc]
+
+
+class TestRequestSamplePickle:
+    """The production and autoscaling reports carry these back from workers."""
+
+    def test_round_trip_is_equal(self):
+        samples = [
+            RequestSample("c-0", "obj-1", 2_000_000, 0.5, 0.75, hit=True, hosts_touched=4),
+            RequestSample("c-1", "obj-2", 3_000, 1.0, 3.25, hit=False, reset=True,
+                          recovery=False, degraded=True),
+        ]
+        restored = pickle.loads(pickle.dumps(samples))
+        assert restored == samples
+        assert [sample.latency_s for sample in restored] == [0.25, 2.25]
+        assert type(restored[0]) is RequestSample
+
+    def test_frozen(self):
+        sample = RequestSample("c", "k", 1, 0.0, 1.0, hit=True)
+        with pytest.raises(AttributeError):
+            sample.hit = False  # type: ignore[misc]
 
 
 def _golden(name: str) -> dict:

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import gc
+import math
 
 import pytest
 
+from repro.cache.client import GetResult
+from repro.cache.proxy import ChunkFetch, ProxyGetResult
 from repro.exceptions import SimulationError
+from repro.network.flows import FlowInterval
 from repro.sim import EventLoop, Process, SimFuture, all_of, first_n
+from repro.workload.replay import RequestSample
 
 
 class TestSimFuture:
@@ -178,6 +183,22 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             loop.run_until_complete(process.future)
 
+    def test_deadlock_error_names_the_parked_processes(self):
+        def wait_on(future):
+            yield future
+
+        loop = EventLoop()
+        lease = loop.spawn(wait_on(SimFuture("lease")), label="client-a")
+        ack = loop.spawn(wait_on(SimFuture("ack")), label="client-b")
+        # Parked too, but on another loop: not this run's deadlock.
+        EventLoop().spawn(wait_on(SimFuture("elsewhere")), label="client-c")
+        with pytest.raises(SimulationError) as error:
+            loop.run_until_complete(all_of([lease.future, ack.future]))
+        message = str(error.value)
+        assert "'client-a' waiting on 'lease'" in message
+        assert "'client-b' waiting on 'ack'" in message
+        assert "client-c" not in message
+
     def test_unsupported_waitable_is_an_error(self):
         loop = EventLoop()
 
@@ -319,6 +340,51 @@ class TestDeadlineTimer:
         lazy_loop.run_all()
 
         assert eager_order == lazy_order == ["other", "timer"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_deadline_is_rejected_and_the_timer_kept(self, bad):
+        # A NaN compares false against the pending entry's time, so it used
+        # to pass for an extension and fire the callback at the old deadline.
+        loop = EventLoop()
+        fired = []
+        timer = loop.schedule_deadline(5.0, lambda: fired.append(loop.now))
+        with pytest.raises(ValueError, match="finite"):
+            timer.set_deadline(bad)
+        assert timer.active and timer.deadline == 5.0
+        loop.run_all()
+        assert fired == [5.0]
+
+    def test_a_past_deadline_is_rejected_and_the_timer_kept(self):
+        loop = EventLoop()
+        fired = []
+        timer = loop.schedule_deadline(5.0, lambda: fired.append(loop.now))
+        loop.run_until(2.0)
+        with pytest.raises(SimulationError, match="before now"):
+            timer.set_deadline(1.0)
+        loop.run_all()
+        assert fired == [5.0]
+
+
+def _process():
+    def sleeper():
+        yield 1.0
+
+    return EventLoop().spawn(sleeper())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SimFuture("f"),
+    _process,
+    lambda: ChunkFetch(0, "node-0", None, 0.0, lost=False),
+    lambda: ProxyGetResult("k", found=False, recoverable=False, descriptor=None),
+    lambda: GetResult("k", hit=False, size=0, latency_s=0.0, proxy_id="p"),
+    lambda: RequestSample("c", "k", 1, 0.0, 1.0, hit=True),
+    lambda: FlowInterval(1, "x", "h", "p", 1, 0.0, 1.0, True, 1.0),
+], ids=["SimFuture", "Process", "ChunkFetch", "ProxyGetResult", "GetResult",
+        "RequestSample", "FlowInterval"])
+def test_per_event_and_per_request_objects_have_no_instance_dict(make):
+    """One or more of each per chunk transfer or request: slotted, no dict."""
+    assert not hasattr(make(), "__dict__")
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
