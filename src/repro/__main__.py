@@ -368,7 +368,8 @@ def _perf(argv: list[str]) -> int:
         help="committed BENCH_perf.json to guard against: exit non-zero if "
         "any macro rung present in both runs lost more than the threshold "
         "of its committed events/s or swept or re-aimed more flows than "
-        "committed, or if the micro.faas_cycle billing ledger differs "
+        "committed, or if the micro.faas_cycle billing ledger or the "
+        "micro.hardened_chunk counts differ "
         "(read before --output is written, so the same path can serve as "
         "both)",
     )

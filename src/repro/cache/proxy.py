@@ -22,6 +22,7 @@ Section 3.2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.cache.chunk import CacheChunk, ObjectDescriptor
@@ -44,7 +45,8 @@ from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import BASE_LATENCY_S, TransferModel
 from repro.obs.metrics import MetricRegistry
 from repro.obs.tracer import NULL_SPAN
-from repro.sim.process import SimFuture, all_of, first_n
+from repro.sim.loop import Event, EventLoop
+from repro.sim.process import Process, SimFuture, all_of
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MILLISECOND
 
@@ -119,6 +121,85 @@ class _ObjectEntry:
     #: chunk index -> node id
     placement: dict[int, str]
     inserted_at: float
+
+
+class _PairSettled(Exception):
+    """Thrown into a chunk coroutine when its attempt's race is decided
+    elsewhere: the hedge settled (``landed`` says whether it brought the
+    chunk) or the hedge deadline passed with neither side in."""
+
+    def __init__(self, landed: bool) -> None:
+        super().__init__(landed)
+        self.landed = landed
+
+
+class _ChunkRace:
+    """The deadline race of one deadline-bounded chunk, one attempt at a time.
+
+    The chunk's own coroutine (:meth:`Proxy._chunk_process`) runs every
+    attempt inline and :meth:`arm`\\ s its deadline as one plain loop event
+    beside the attempt's preamble sleep.  An attempt that lands first calls
+    :meth:`end`.  A deadline that fires first counts a hedge, spawns it — a
+    bare one-attempt chunk process, the race's only child process — and
+    arms the hedge deadline.  From then on whichever side settles first
+    decides the pair: the original landing resumes the coroutine (which
+    calls :meth:`end`); the hedge settling, or the hedge deadline passing,
+    interrupts it with :class:`_PairSettled`.
+    """
+
+    __slots__ = ("proxy", "timeout_s", "spawn_hedge", "process", "deadline", "hedge")
+
+    def __init__(self, proxy: "Proxy", timeout_s: float, spawn_hedge: Callable[[], object]):
+        self.proxy = proxy
+        self.timeout_s = timeout_s
+        #: Builds the hedge's coroutine: the same chunk, one attempt, no race.
+        self.spawn_hedge = spawn_hedge
+        #: The chunk's process, set by whoever spawned it.
+        self.process: Optional[Process] = None
+        #: The pending deadline (first the attempt's, then the pair's).
+        self.deadline: Optional[Event] = None
+        self.hedge: Optional[Process] = None
+
+    def arm(self, loop: EventLoop) -> None:
+        """Arm the attempt's deadline, ``timeout_s`` from now."""
+        self.deadline = loop.schedule(self.timeout_s, self._expire, "chunk.deadline")
+
+    def end(self, flow) -> None:
+        """Close the attempt's race at the current instant, in the order a
+        cancelled pair always closed: the original's flow (if still moving),
+        then the hedge (its ``finally`` bills it, then its flow goes), then
+        the pending deadline."""
+        hedge, self.hedge = self.hedge, None
+        deadline, self.deadline = self.deadline, None
+        if flow is not None:
+            flow.future.cancel()
+        if hedge is not None:
+            hedge.cancel()
+        if deadline is not None:
+            deadline.cancel()
+
+    def _expire(self) -> None:
+        process = self.process
+        self.proxy.metrics.counter("proxy.chunk_hedges").increment()
+        loop = process.loop
+        hedge = loop.spawn(self.spawn_hedge(), label=process.label + ":hedge")
+        if hedge.future._done:
+            # Refused by the breaker or faulted on invocation: the pair ends
+            # with nothing at once, even though the original is still moving.
+            self.deadline = None
+            process.interrupt(_PairSettled(False))
+            return
+        self.hedge = hedge
+        self.deadline = loop.schedule(self.timeout_s, self._expire_pair, "chunk.hedge_deadline")
+        hedge.future.add_done_callback(self._hedge_settled)
+
+    def _expire_pair(self) -> None:
+        self.deadline = None
+        self.process.interrupt(_PairSettled(False))
+
+    def _hedge_settled(self, future: SimFuture) -> None:
+        if self.hedge is not None:  # else :meth:`end` cancelled it
+            self.process.interrupt(_PairSettled(bool(future._result)))
 
 
 def _chunk_quorum(futures: list[SimFuture], needed: int, label: str) -> SimFuture:
@@ -735,14 +816,11 @@ class Proxy:
         op_span = tracer.begin("proxy.put", span, proxy=self.proxy_id, key=key,
                                category=category)
         owner = owner_of(key)
-        attempts = self.resilience.chunk_attempts
-        timeout_s = self.resilience.chunk_timeout_s
         tasks = []
         for chunk, node in zip(chunks, target_nodes):
-            tasks.append(env.loop.spawn(
-                self._chunk_process(key, chunk, node, env, owner, category, op_span,
-                                    attempts, timeout_s, store=True),
-                label=f"{self.proxy_id}:store:{key}#{chunk.index}",
+            tasks.append(self._spawn_chunk(
+                f"{self.proxy_id}:store:{key}#{chunk.index}",
+                key, chunk, node, env, owner, category, op_span, store=True,
             ))
         self._commit_put(key, descriptor, chunks, placement, start)
 
@@ -898,14 +976,13 @@ class Proxy:
         # attempted: the mapping table already knows the object is lost.
         if len(pending) >= needed:
             owner = owner_of(key)
-            attempts = self.resilience.chunk_attempts
-            timeout_s = self.resilience.chunk_timeout_s
+            # A loop, not a comprehension: one would turn the locals it reads
+            # into closure cells held for the life of every in-flight GET.
             tasks = []
             for fetch, node in pending:
-                tasks.append(env.loop.spawn(
-                    self._chunk_process(key, fetch.chunk, node, env, owner, "serving",
-                                        op_span, attempts, timeout_s, fetch=fetch),
-                    label=f"{self.proxy_id}:fetch:{key}#{fetch.chunk_index}",
+                tasks.append(self._spawn_chunk(
+                    f"{self.proxy_id}:fetch:{key}#{fetch.chunk_index}",
+                    key, fetch.chunk, node, env, owner, "serving", op_span, fetch=fetch,
                 ))
             # First-d: the request completes when the fastest d chunks are in.
             winners = yield _chunk_quorum(
@@ -933,6 +1010,37 @@ class Proxy:
         return result
 
     # ------------------------------------------------------------------ chunk supervision
+    def _spawn_chunk(
+        self,
+        label: str,
+        key: str,
+        chunk: CacheChunk,
+        node: LambdaCacheNode,
+        env: RequestEnv,
+        owner: Optional[str],
+        category: str,
+        span_parent,
+        fetch: Optional[ChunkFetch] = None,
+        store: bool = False,
+    ) -> Process:
+        """Spawn one chunk's coroutine under the configured budget: one
+        process per chunk, plus a :class:`_ChunkRace` when a deadline is set."""
+        timeout_s = self.resilience.chunk_timeout_s
+        race = None
+        if timeout_s is not None:
+            race = _ChunkRace(self, timeout_s, partial(
+                self._chunk_process, key, chunk, node, env, owner, category,
+                span_parent, 1, None, None, store,
+            ))
+        task = env.loop.spawn(
+            self._chunk_process(key, chunk, node, env, owner, category, span_parent,
+                                self.resilience.chunk_attempts, race, fetch, store),
+            label=label,
+        )
+        if race is not None:
+            race.process = task
+        return task
+
     def _chunk_process(
         self,
         key: str,
@@ -943,7 +1051,7 @@ class Proxy:
         category: str,
         span_parent,
         attempts: int,
-        timeout_s: Optional[float],
+        race: Optional[_ChunkRace] = None,
         fetch: Optional[ChunkFetch] = None,
         store: bool = False,
     ):
@@ -960,13 +1068,15 @@ class Proxy:
 
         Up to ``attempts`` attempts are made, separated by an exponential
         backoff stretched by seeded jitter (drawn from the dedicated retry
-        stream only when a retry actually fires); with ``timeout_s`` set each
-        attempt is raced against that deadline (:meth:`_race_chunk_deadline`).
-        Resolves with ``fetch`` (``True`` for a store) once an attempt lands
-        the chunk and ``None`` when the budget is exhausted; never raises a
-        transient fault.  With one attempt, no deadline and no breaker — an
-        unconfigured deployment — nothing here schedules an event or draws a
-        number that the bare transfer would not.
+        stream only when a retry actually fires).  With a ``race`` (a chunk
+        deadline is configured) each attempt still runs here, inline, with
+        its deadline armed as one loop event and a hedge spawned only if that
+        deadline fires; :class:`_ChunkRace` describes how the pair is
+        decided.  Resolves with ``fetch`` (``True`` for a store) once an
+        attempt lands the chunk and ``None`` when the budget is exhausted;
+        never raises a transient fault.  With one attempt, no deadline and
+        no breaker — an unconfigured deployment — nothing here schedules an
+        event or draws a number that the bare transfer would not.
 
         If the process is cancelled mid-flow (a straggler abandoned by the
         first-d quorum), the ``finally`` block still bills the partial
@@ -984,14 +1094,6 @@ class Proxy:
                     * RETRY_BACKOFF_MULTIPLIER ** (attempt - 1)
                     * (1.0 + RETRY_JITTER_FRACTION * self._retry_rng.random())
                 )
-            if timeout_s is not None:
-                landed = yield from self._race_chunk_deadline(
-                    key, chunk, node, env, owner, category, span_parent,
-                    timeout_s, attempt, fetch, store,
-                )
-                if landed:
-                    return fetch or True
-                continue
             breaker = node.breaker
             if breaker is not None and not breaker.allow(env.now):
                 self.metrics.counter("proxy.breaker_rejections").increment()
@@ -1011,6 +1113,10 @@ class Proxy:
                 latency = BASE_LATENCY_S
                 preamble = access.overhead_s + latency
                 flow = None
+                if race is not None:
+                    # Scheduled next to the preamble sleep; the two never
+                    # tie (the preamble is far shorter than any deadline).
+                    race.arm(env.loop)
                 try:
                     if preamble > 0:
                         invoke_span = tracer.begin(
@@ -1060,70 +1166,25 @@ class Proxy:
                     breaker.record_failure(env.now)
                 self.metrics.counter("proxy.chunk_faults").increment()
                 continue
+            except _PairSettled as settled:
+                # The hedge landed, faulted, or ran out its deadline: the
+                # original is abandoned (billed above), then the pair closes.
+                race.end(flow)
+                if settled.landed:
+                    return fetch or True
+                continue
+            except GeneratorExit:
+                # Abandoned by the quorum: the original's flow goes before
+                # the hedge, as the engine would release it.
+                if race is not None:
+                    race.end(flow)
+                raise
             if breaker is not None:
                 breaker.record_success(env.now)
+            if race is not None:
+                race.end(flow)
             return fetch or True
         return None
-
-    def _race_chunk_deadline(
-        self,
-        key: str,
-        chunk: CacheChunk,
-        node: LambdaCacheNode,
-        env: RequestEnv,
-        owner: Optional[str],
-        category: str,
-        span_parent,
-        timeout_s: float,
-        attempt: int,
-        fetch: Optional[ChunkFetch],
-        store: bool,
-    ):
-        """Race one chunk attempt against the configured chunk deadline.
-
-        On expiry spawn one *hedged* second attempt against the original,
-        under a second deadline of its own, and take whichever settles
-        first — if neither lands (the node's link is blackholed, say) the
-        pair counts as failed and the caller's backoff/retry loop takes over
-        instead of stalling until the fault clears.  Resolves truthy when an
-        attempt landed the chunk.  Cancellation propagates to the in-flight
-        attempts, whose ``finally`` blocks bill the partial transfers.
-        """
-        # A supervisor with one attempt and no deadline is a bare attempt.
-        where = f"{key}#{chunk.index}"
-        task = env.loop.spawn(
-            self._chunk_process(key, chunk, node, env, owner, category, span_parent,
-                                1, None, fetch=fetch, store=store),
-            label=f"{self.proxy_id}:attempt{attempt}:{where}",
-        )
-        hedge = None
-        timer = env.loop.timeout(timeout_s, label=f"{self.proxy_id}:deadline:{where}")
-        try:
-            yield first_n(1, [task.future, timer], label=f"{self.proxy_id}:race:{where}")
-            if task.done:
-                return task.future.result
-            self.metrics.counter("proxy.chunk_hedges").increment()
-            hedge = env.loop.spawn(
-                self._chunk_process(key, chunk, node, env, owner, category,
-                                    span_parent, 1, None, store=store),
-                label=f"{self.proxy_id}:hedge{attempt}:{where}",
-            )
-            timer = env.loop.timeout(
-                timeout_s, label=f"{self.proxy_id}:hedge_deadline:{where}"
-            )
-            yield first_n(
-                1, [task.future, hedge.future, timer],
-                label=f"{self.proxy_id}:hedge_race:{where}",
-            )
-            if task.done:
-                return task.future.result
-            return hedge.future.result if hedge.done else None
-        finally:
-            for running in (task, hedge):
-                if running is not None and not running.done:
-                    running.cancel()
-            if not timer.done:
-                timer.cancel()
 
     # ------------------------------------------------------------------ recovery
     def _repair_object(

@@ -9,8 +9,10 @@ benchmark their event cores.  This module is that measurement layer:
 * **micro benchmarks** exercise one subsystem in isolation — the event
   queue's push/cancel/pop cycle (tombstone compaction), the flow
   network's join/leave arbitration churn, the Reed-Solomon codec's
-  encode / decode / rebuild throughput on real bytes, and the FaaS
-  platform's invoke → complete → bill cycle with its exact ledger;
+  encode / decode / rebuild throughput on real bytes, the FaaS
+  platform's invoke → complete → bill cycle with its exact ledger, and
+  deadline-bounded chunk attempts under a link blackhole with exact counts
+  of what they spawn and schedule;
 * **macro benchmarks** run the closed-loop replay driver end to end at
   fleet sizes (8 → 1024 clients) and report wall-clock, events/sec, and
   the peak number of simultaneously active flows;
@@ -258,6 +260,68 @@ def micro_faas_cycle(cycles: int = 100_000, reclaim_every: int = 1_000) -> PerfS
     )
 
 
+#: The ``micro.hardened_chunk`` fields that are exact per seed, and so gated.
+HARDENED_MICRO_EXACT_KEYS = (
+    "attempts", "processes_spawned", "deadlines_scheduled", "deadlines_cancelled", "hedges",
+)
+
+#: Event labels of the attempt deadline and of the hedge pair's deadline.
+_DEADLINE_LABELS = ("chunk.deadline", "chunk.hedge_deadline")
+
+
+def micro_hardened_chunk(clients: int = 16, rounds: int = 40, seed: int = 2020) -> PerfSample:
+    """Deadline-bounded chunk attempts under a link blackhole, counted exactly.
+
+    The demo hardened deployment (three attempts per chunk, a 1 s chunk
+    deadline, breakers) serves ``clients`` closed-loop readers ``rounds``
+    GETs each, one second apart, while every host link is blackholed from
+    t = 4 s to 10 s and from 20 s to 26 s: chunks in flight then miss their
+    deadline, hedge, and run out the hedge deadline into a retry.  The
+    replay runs twice,
+    timed (attempts/s: noise) and profiled for the exact counts —
+    deadline-bounded attempts (each arms one ``chunk.deadline`` event),
+    processes spawned, deadline events scheduled and cancelled (attempt and
+    hedge deadlines together) and hedges.
+    """
+    # Imported here: the chaos engine is this micro's alone.
+    from repro.faults import ChaosEngine, FaultSchedule, LinkBlackhole
+    from repro.faults.scenario import demo_config, demo_plans
+
+    def replay(profiled: bool):
+        deployment = InfiniCacheDeployment(demo_config(seed))
+        ChaosEngine(deployment, FaultSchedule((
+            LinkBlackhole(at_s=4.0, duration_s=6.0, host_fraction=1.0),
+            LinkBlackhole(at_s=20.0, duration_s=6.0, host_fraction=1.0),
+        ))).install()
+        driver = ClosedLoopDriver(deployment, warm_pool=True)
+        plans = demo_plans(clients=clients, rounds=rounds, think_s=1.0)
+        gc.collect()
+        profile = deployment.simulator.enable_profiling() if profiled else None
+        start = time.perf_counter()
+        report = driver.run(plans)
+        wall = time.perf_counter() - start
+        deployment.simulator.disable_profiling()
+        return wall, report, deployment.counters(), profile
+
+    wall, report, _counters, _profile = replay(profiled=False)
+    _wall, _report, counters, profile = replay(profiled=True)
+    attempts = profile.scheduled.get(_DEADLINE_LABELS[0], 0)
+    return PerfSample(
+        name="micro.hardened_chunk",
+        wall_s=wall,
+        events=attempts,
+        extra={
+            "requests": report.requests,
+            "attempts": attempts,
+            "processes_spawned": profile.processes_spawned,
+            "deadlines_scheduled": sum(profile.scheduled.get(label, 0) for label in _DEADLINE_LABELS),
+            "deadlines_cancelled": sum(profile.cancelled.get(label, 0) for label in _DEADLINE_LABELS),
+            "hedges": int(counters.get("proxy.chunk_hedges", 0)),
+            "retries": int(counters.get("proxy.chunk_retries", 0)),
+        },
+    )
+
+
 # ---------------------------------------------------------------------- macro
 def _fleet_config(clients: int, arbiter: str, seed: int) -> InfiniCacheConfig:
     """A deployment sized for ``clients`` concurrent closed-loop clients.
@@ -447,7 +511,7 @@ def validate_faas_cycle(payload: dict[str, object]) -> list[str]:
     Runs beside :func:`validate_profile`: the ledger fields CI gates on must
     be present, the counts integers and the two floats ``repr`` strings.
     """
-    sample = _faas_cycle_sample(payload)
+    sample = _micro_sample(payload, "micro.faas_cycle")
     if sample is None:
         return ["payload has no micro.faas_cycle sample"]
     errors: list[str] = []
@@ -465,9 +529,17 @@ def validate_faas_cycle(payload: dict[str, object]) -> list[str]:
     return errors
 
 
-def _faas_cycle_sample(payload: dict[str, object]) -> dict[str, object] | None:
+#: Micro samples whose listed fields are exact on every host (ledgers and
+#: counts, not rates), so :func:`check_regression` gates them on equality.
+MICRO_EXACT_KEYS = {
+    "micro.faas_cycle": FAAS_MICRO_EXACT_KEYS,
+    "micro.hardened_chunk": HARDENED_MICRO_EXACT_KEYS,
+}
+
+
+def _micro_sample(payload: dict[str, object], name: str) -> dict[str, object] | None:
     for sample in payload.get("micro", ()):
-        if isinstance(sample, dict) and sample.get("name") == "micro.faas_cycle":
+        if isinstance(sample, dict) and sample.get("name") == name:
             return sample
     return None
 
@@ -524,8 +596,11 @@ def check_regression(
     ``flows_swept`` and ``flows_reaimed`` are gated on every shared rung,
     with no tolerance: the counts are exact per seed, so a rung that sweeps
     or re-aims more flows than the committed payload says is a code change,
-    never noise.  The ``micro.faas_cycle`` ledger is gated the same way, on
-    equality: any difference is a billing-arithmetic change.  So is the
+    never noise.  The ``micro.faas_cycle`` ledger and the
+    ``micro.hardened_chunk`` counts are gated the same way, on equality
+    (:data:`MICRO_EXACT_KEYS`): a difference is a billing-arithmetic change,
+    or a change in what a deadline-bounded chunk attempt spawns and
+    schedules.  So is the
     profile's ``gc_collections_in_dispatch``, against zero: ``EventLoop.run*``
     pauses the cyclic collector, so one pass inside it means the pause broke.
     """
@@ -538,15 +613,17 @@ def check_regression(
             f"profile: {in_dispatch} cyclic-collector passes started inside "
             "EventLoop.run*, which pauses the collector (exact: must be 0)"
         )
-    committed_cycle = _faas_cycle_sample(baseline)
-    if committed_cycle is not None:
-        fresh_cycle = _faas_cycle_sample(payload) or {}
-        for key in FAAS_MICRO_EXACT_KEYS:
-            if fresh_cycle.get(key) != committed_cycle.get(key):
+    for name, keys in MICRO_EXACT_KEYS.items():
+        committed_sample = _micro_sample(baseline, name)
+        if committed_sample is None:
+            continue
+        fresh_sample = _micro_sample(payload, name) or {}
+        for key in keys:
+            if fresh_sample.get(key) != committed_sample.get(key):
                 errors.append(
-                    f"micro.faas_cycle ledger changed: {key} is "
-                    f"{fresh_cycle.get(key)!r}, the committed payload has "
-                    f"{committed_cycle.get(key)!r} (exact on every host)"
+                    f"{name} changed: {key} is {fresh_sample.get(key)!r}, the "
+                    f"committed payload has {committed_sample.get(key)!r} "
+                    "(exact on every host)"
                 )
     committed = {
         sample["clients"]: sample
@@ -617,6 +694,7 @@ def run_suite(
         ),
         micro_erasure(),
         micro_faas_cycle(),
+        micro_hardened_chunk(),
     ]
     # The comparison runs before the big sweeps; with the collector paused
     # inside ``run*`` its timing no longer depends on that (measured either
@@ -674,7 +752,7 @@ def format_report(payload: dict[str, object]) -> str:
                 f"decode (2 data chunks lost) {sample['decode_MBps']:.0f} MB/s, "
                 f"rebuild {sample['rebuild_MBps']:.0f} MB/s"
             )
-    cycle = _faas_cycle_sample(payload)
+    cycle = _micro_sample(payload, "micro.faas_cycle")
     if cycle is not None:
         lines.append(
             f"{cycle['name']}: {cycle['cycles']} invoke -> complete -> bill cycles "
@@ -682,6 +760,14 @@ def format_report(payload: dict[str, object]) -> str:
             f"mid-flight, {cycle['cold_starts']} cold starts); ledger: "
             f"{cycle['total_invocations']} invocations, "
             f"{cycle['total_billed_seconds']} billed s, ${cycle['total_cost']}"
+        )
+    race = _micro_sample(payload, "micro.hardened_chunk")
+    if race is not None:
+        lines.append(
+            f"{race['name']}: {race['attempts']} deadline-bounded chunk attempts "
+            f"at {race['events_per_s']:.0f}/s; {race['processes_spawned']} processes "
+            f"spawned, {race['deadlines_scheduled']} deadlines scheduled "
+            f"({race['deadlines_cancelled']} cancelled), {race['hedges']} hedges"
         )
     lines += [
         "",

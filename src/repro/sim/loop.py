@@ -64,6 +64,8 @@ class LoopProfile:
         self.cancelled: dict[str, int] = {}
         self.self_time_s: dict[str, float] = {}
         self.heap_s = 0.0
+        #: Processes :meth:`EventLoop.spawn` created while profiling was on.
+        self.processes_spawned = 0
         self.coroutine_steps = 0
         self.coroutine_s = 0.0
         self.arbiter_transitions = 0
@@ -130,6 +132,7 @@ class LoopProfile:
                 "scheduled": sum(self.scheduled.values()),
                 "dispatched": self.events_dispatched,
                 "cancelled": sum(self.cancelled.values()),
+                "processes_spawned": self.processes_spawned,
                 "coroutine_steps": self.coroutine_steps,
                 "arbiter_transitions": self.arbiter_transitions,
                 "flows_swept": self.flows_swept,
@@ -575,6 +578,8 @@ class EventLoop:
         it by yielding the process.
         """
         process = Process(self, generator, label=label)
+        if self._profile is not None:
+            self._profile.processes_spawned += 1
         process.start()
         return process
 

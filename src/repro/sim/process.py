@@ -21,7 +21,9 @@ Cancellation is cooperative: cancelling a process closes its generator —
 running any ``finally`` blocks at the *current* virtual time, which is how
 an abandoned straggler fetch bills the partial transfer it performed — and
 then cancels whatever the process was waiting on, which releases resources
-such as in-flight network flows.
+such as in-flight network flows (or cancels the child process it waits on).
+:meth:`Process.interrupt` is the recoverable form: it raises an exception at
+the coroutine's current wait, which the coroutine may catch and go on.
 """
 
 from __future__ import annotations
@@ -226,7 +228,8 @@ class Process:
         self.generator = generator
         self.label = label or getattr(generator, "__name__", "process")
         self.future = SimFuture(label=f"process:{self.label}")
-        self._waiting_on: Optional[SimFuture] = None
+        #: The future, or the child process, the coroutine is parked on.
+        self._waiting_on: Optional["SimFuture | Process"] = None
         #: Pending plain-sleep event when the coroutine yielded a number; the
         #: numeric fast path schedules the resume directly instead of
         #: building a timeout future (see :meth:`_wait_on`).
@@ -254,8 +257,8 @@ class Process:
 
         Closes the generator (running its ``finally`` blocks) and cancels
         whatever it was waiting on, so held resources — pending timers,
-        in-flight network flows — are released.  Returns ``False`` if the
-        process had already finished.
+        in-flight network flows, a child process and what *it* holds — are
+        released.  Returns ``False`` if the process had already finished.
         """
         if self.future.done:
             return False
@@ -268,6 +271,48 @@ class Process:
         if waiting is not None:
             waiting.cancel()
         self.future.cancel()
+        return True
+
+    def interrupt(self, error: BaseException) -> bool:
+        """Raise ``error`` inside the coroutine at its current wait.
+
+        The coroutine's ``finally`` blocks run at the current virtual time,
+        as on :meth:`cancel`, but the coroutine may catch ``error`` and go
+        on: its next yield is waited on as usual and its return value
+        resolves the process.  Once the coroutine is parked again (or done),
+        what it was waiting on is released in :meth:`cancel`'s order — the
+        sleep event, then the future or child process — and that future's
+        late callback is ignored.  An ``error`` the coroutine does not catch
+        propagates to the caller.  Returns ``False`` if the process had
+        already finished.
+        """
+        if self.future._done:
+            return False
+        waiting, self._waiting_on = self._waiting_on, None
+        sleep_event, self._sleep_event = self._sleep_event, None
+        # The abandoned wait may settle while the coroutine handles the
+        # error (it can release the wait itself); that must not resume it.
+        self._cancelling = True
+        finished = False
+        profile = self.loop._profile
+        started = perf_counter() if profile is not None else 0.0  # repro: allow[D102] (profiling meter)
+        try:
+            target = self.generator.throw(error)
+        except StopIteration as stop:
+            finished, target = True, getattr(stop, "value", None)
+        finally:
+            if profile is not None:
+                profile.coroutine_steps += 1
+                profile.coroutine_s += perf_counter() - started  # repro: allow[D102] (profiling meter)
+            if sleep_event is not None:
+                sleep_event.cancel()
+            if waiting is not None:
+                waiting.cancel()
+            self._cancelling = False
+        if finished:
+            self.future.resolve(target)
+        else:
+            self._wait_on(target)
         return True
 
     # ------------------------------------------------------------------ driving
@@ -300,7 +345,12 @@ class Process:
         if isinstance(target, SimFuture):
             future = target
         elif isinstance(target, Process):
-            future = target.future
+            # Park on the child itself, not its future: cancelling this
+            # process must cancel the child (its ``finally`` blocks run now,
+            # its flows are released), not just stop listening to it.
+            self._waiting_on = target
+            target.future.add_done_callback(self._resume)
+            return
         elif isinstance(target, (int, float)):
             # Plain-sleep fast path: closed-loop clients sleep between every
             # operation, so skipping the timeout future (a SimFuture, two

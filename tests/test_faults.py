@@ -7,7 +7,10 @@ nodes dying inside its own repair sweep."""
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.s3 import ObjectStore
 from repro.cache.config import InfiniCacheConfig, ResilienceConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.cache.node import LambdaCacheNode
@@ -33,9 +36,9 @@ from repro.faults import (
     StragglerInflation,
     run_chaos_scenario,
 )
-from repro.faults.scenario import demo_config, demo_plans
+from repro.faults.scenario import demo_config, demo_plans, demo_resilience
 from repro.utils.units import MB, MIB
-from repro.workload.replay import ClosedLoopDriver
+from repro.workload.replay import ClientOp, ClosedLoopDriver
 
 
 def run_scenario(schedule, *, clients=4, rounds=10, seed=2020, config=None):
@@ -357,24 +360,40 @@ class TestSingleRequestPath:
 
     def test_unconfigured_get_spawns_one_process_per_chunk(self, monkeypatch):
         """No deadline means nothing to race: the supervisor *is* the chunk's
-        one process, with no attempt process or timer beside it."""
-        deployment = make_detector_deployment()
-        client = deployment.new_client()
-        client.put_sized("obj", 2 * MB)
-        loop = deployment.simulator
-        labels: list[str] = []
-        spawn = loop.spawn
+        one process, with no attempt process or timer beside it.  Under the
+        demo budget (retries, a 1 s deadline, breakers) every attempt still
+        runs in that one process; the only other process is a hedge, one per
+        deadline that fires."""
+        for resilience, factors in (
+            (None, None),
+            (demo_resilience(), None),
+            # Chunks 3-5 take 1.6 s, past their deadline: three hedges.
+            (demo_resilience(), [1.0, 1.0, 1.0, 200.0, 200.0, 200.0, 1.0, 1.0, 1.0]),
+        ):
+            deployment = make_detector_deployment(resilience=resilience)
+            client = deployment.new_client()
+            client.put_sized("obj", 2 * MB)
+            if factors is not None:
+                draws = iter(factors)
+                monkeypatch.setattr(
+                    deployment.proxies[0], "_straggler_factor", lambda: next(draws)
+                )
+            loop = deployment.simulator
+            labels: list[str] = []
+            spawn = loop.spawn
 
-        def counting_spawn(generator, label=""):
-            labels.append(label)
-            return spawn(generator, label=label)
+            def counting_spawn(generator, label="", spawn=spawn, labels=labels):
+                labels.append(label)
+                return spawn(generator, label=label)
 
-        monkeypatch.setattr(loop, "spawn", counting_spawn)
-        request = spawn(client.get_process("obj", deployment.request_env))
-        assert loop.run_until_complete(request.future).hit
-        total_chunks = deployment.config.total_chunks
-        assert len(labels) == total_chunks
-        assert all(":fetch:obj#" in label for label in labels)
+            monkeypatch.setattr(loop, "spawn", counting_spawn)
+            request = spawn(client.get_process("obj", deployment.request_env))
+            assert loop.run_until_complete(request.future).hit
+            total_chunks = deployment.config.total_chunks
+            hedges = deployment.counters().get("proxy.chunk_hedges", 0)
+            assert hedges == (0 if factors is None else 3)
+            assert len(labels) == total_chunks + hedges
+            assert all(":fetch:obj#" in label for label in labels)
 
     def test_unconfigured_deployment_survives_invocation_faults(self):
         """With no retry configured a faulted chunk attempt is simply
@@ -422,6 +441,298 @@ class TestSingleRequestPath:
         assert not result.recovery_performed
         assert deployment.counters()["proxy.repair_faults"] == 1
         assert proxy.contains("obj")
+
+
+# --------------------------------------------------------------------------- the deadline race
+@dataclasses.dataclass
+class RaceRun:
+    """What one scripted deadline-bounded GET left behind."""
+
+    result: object
+    #: ``proxy.*`` counters after the GET.
+    counters: dict
+    #: ``(chunk index, completed, started_at, ended_at)`` per flow, in
+    #: retirement order: abandoned flows appear in the order they were cancelled.
+    flows: list
+    #: ``(node, started_at, duration_s, requests_served, busy_s)`` per closed
+    #: billed session, by node.
+    sessions: list
+
+
+def race_get(monkeypatch, factors, *, parity_shards=0, faulting_invocations=()):
+    """One GET of a 2 MB object under a 1 s chunk deadline, scripted.
+
+    Each chunk attempt's straggler factor is the next of ``factors`` (in
+    attempt order: every chunk's first attempt at t = 0, then hedges and
+    retries as they start).  A factor of 1 moves the chunk in 31 ms, 40 in
+    1.24 s and 100 in 3.1 s.  The n-th invocation after the PUT raises an
+    :class:`InvocationFaultError` when n is in ``faulting_invocations``.
+    """
+    deployment = InfiniCacheDeployment(InfiniCacheConfig(
+        num_proxies=1,
+        lambdas_per_proxy=4,
+        lambda_memory_bytes=512 * MIB,
+        data_shards=1,
+        parity_shards=parity_shards,
+        straggler=StragglerModel(probability=0.0),
+        resilience=ResilienceConfig(chunk_attempts=3, chunk_timeout_s=1.0),
+        seed=11,
+    ))
+    deployment.start()
+    deployment.new_client().put_sized("obj", 2 * MB)
+    proxy = deployment.proxies[0]
+    draws = iter(factors)
+    monkeypatch.setattr(proxy, "_straggler_factor", lambda: next(draws))
+    invocations = []
+    ensure_active = LambdaCacheNode.ensure_active
+
+    def scripted_ensure_active(self, now, category="serving"):
+        invocations.append(now)
+        if len(invocations) in faulting_invocations:
+            raise InvocationFaultError(self.node_id)
+        return ensure_active(self, now, category)
+
+    monkeypatch.setattr(LambdaCacheNode, "ensure_active", scripted_ensure_active)
+    loop = deployment.simulator
+    marker = deployment.flows.trace_marker()
+    request = loop.spawn(proxy.get_process("obj", deployment.request_env))
+    result = loop.run_until_complete(request.future)
+    assert next(draws, None) is None, "a scripted attempt never started"
+    flows = [
+        (int(interval.label.rpartition("#")[2]), interval.completed,
+         interval.started_at, interval.ended_at)
+        for interval in deployment.flows.trace_since(marker)
+    ]
+    counters = {
+        name: value for name, value in deployment.counters().items()
+        if name.startswith("proxy.")
+    }
+    deployment.stop()
+    sessions = [
+        (node.node_id, charge.started_at, charge.duration_s, charge.requests_served,
+         sum(charge.busy_by_tenant.values()))
+        for node in proxy.nodes
+        for charge in node.duration_controller.closed_sessions
+    ]
+    return RaceRun(result, counters, flows, sessions)
+
+
+class TestChunkDeadlineRace:
+    """Every branch of a chunk attempt racing its deadline and its hedge.
+
+    Each case pins the ``proxy.*`` counters, every fetch's ``time_s``, the
+    flow trace (completed and abandoned records, in retirement order) and
+    the billed sessions, so a rewrite of the race that moves any event,
+    reorders a cancellation or bills differently fails here.
+    """
+
+    def test_attempt_lands_before_its_deadline(self, monkeypatch):
+        run = race_get(monkeypatch, [1.0])
+        assert not run.result.is_miss
+        assert run.counters == {"proxy.hits": 1.0, "proxy.puts": 1.0}
+        assert [(f.time_s, f.abandoned) for f in run.result.fetches] == [
+            (0.032927835051546395, False),
+        ]
+        assert run.flows == [(0, True, 0.002, 0.032927835051546395)]
+        assert run.sessions == [
+            ("proxy-0-lambda-0003", 0.0, 0.195, 2, 0.06385567010309279),
+        ]
+
+    def test_original_beats_its_hedge(self, monkeypatch):
+        run = race_get(monkeypatch, [40.0, 40.0])
+        assert not run.result.is_miss
+        assert run.counters == {
+            "proxy.chunk_hedges": 1.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
+        }
+        assert [(f.time_s, f.abandoned) for f in run.result.fetches] == [
+            (1.2391134020618557, False),
+        ]
+        # The original completes; the hedge (started after the deadline and
+        # the hedge's preamble) is abandoned at the same instant.
+        assert run.flows == [
+            (0, True, 0.002, 1.2391134020618557),
+            (0, False, 1.014, 1.2391134020618557),
+        ]
+        assert run.sessions == [
+            ("proxy-0-lambda-0003", 0.0, 0.995, 1, 0.031927835051546394),
+            ("proxy-0-lambda-0003", 0.001000000000000112, 1.3940000000000001, 2,
+             1.4642268041237112),
+        ]
+
+    def test_hedge_lands_first(self, monkeypatch):
+        run = race_get(monkeypatch, [100.0, 1.0])
+        assert not run.result.is_miss
+        assert run.counters == {
+            "proxy.chunk_hedges": 1.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
+        }
+        # The fetch is the original's: abandoned when the hedge landed.
+        assert run.result.latency_s == 1.0449278350515465
+        assert [(f.time_s, f.abandoned) for f in run.result.fetches] == [
+            (1.0449278350515465, False),
+        ]
+        assert run.flows == [
+            (0, True, 1.014, 1.0449278350515465),
+            (0, False, 0.002, 1.0449278350515465),
+        ]
+        assert run.sessions == [
+            ("proxy-0-lambda-0003", 0.0, 0.995, 1, 0.031927835051546394),
+            ("proxy-0-lambda-0003", 1.013, 0.18200000000000027, 2, 1.0758556701030928),
+        ]
+
+    def test_faulted_hedge_ends_the_pair_and_the_chunk_retries(self, monkeypatch):
+        """The hedge's invocation faults: the pair ends with nothing at once,
+        the still-running original is abandoned, and the retry lands."""
+        run = race_get(monkeypatch, [100.0, 1.0, 1.0], faulting_invocations=(2,))
+        assert not run.result.is_miss
+        assert run.counters == {
+            "proxy.chunk_faults": 1.0, "proxy.chunk_hedges": 1.0,
+            "proxy.chunk_retries": 1.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
+        }
+        assert run.result.latency_s == 1.0456057300298673
+        assert [(f.time_s, f.abandoned) for f in run.result.fetches] == [
+            (0.032927835051546506, False),
+        ]
+        assert run.flows == [
+            (0, False, 0.002, 1.0),
+            (0, True, 1.0146778949783208, 1.0456057300298673),
+        ]
+        assert run.sessions == [
+            ("proxy-0-lambda-0003", 0.0, 1.1950000000000003, 3, 1.062855670103093),
+        ]
+
+    def test_pair_timeout_backs_off_and_retries(self, monkeypatch):
+        """Neither side lands by the hedge deadline: both are abandoned, the
+        original's flow first, and the retry after the backoff lands."""
+        run = race_get(monkeypatch, [100.0, 100.0, 1.0])
+        assert not run.result.is_miss
+        assert run.counters == {
+            "proxy.chunk_hedges": 1.0, "proxy.chunk_retries": 1.0,
+            "proxy.hits": 1.0, "proxy.puts": 1.0,
+        }
+        assert run.result.latency_s == 2.045605730029867
+        assert [(f.time_s, f.abandoned) for f in run.result.fetches] == [
+            (0.03292783505154606, False),
+        ]
+        assert run.flows == [
+            (0, False, 0.002, 2.0),
+            (0, False, 1.014, 2.0),
+            (0, True, 2.0146778949783206, 2.045605730029867),
+        ]
+        assert run.sessions == [
+            ("proxy-0-lambda-0003", 0.0, 0.995, 1, 0.031927835051546394),
+            ("proxy-0-lambda-0003", 0.001000000000000112, 2.194, 3, 3.017927835051546),
+        ]
+
+    def test_quorum_cancels_a_chunk_with_its_hedge_in_flight(self, monkeypatch):
+        """RS(1+1): both chunks pass their deadline and hedge; chunk 1's
+        original lands first, which completes the quorum and abandons chunk
+        0's original and then its hedge."""
+        run = race_get(
+            monkeypatch, [100.0, 40.0, 100.0, 100.0], parity_shards=1,
+        )
+        assert not run.result.is_miss
+        assert run.counters == {
+            "proxy.chunk_hedges": 2.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
+        }
+        assert [(f.time_s, f.abandoned) for f in run.result.fetches] == [
+            (1.3051466666666667, True),
+            (1.3051466666666667, False),
+        ]
+        assert run.flows == [
+            (1, True, 0.002, 1.3051466666666667),
+            (1, False, 1.014, 1.3051466666666667),
+            (0, False, 0.002, 1.3051466666666667),
+            (0, False, 1.014, 1.3051466666666667),
+        ]
+        assert run.sessions == [
+            ("proxy-0-lambda-0002", 0.0, 0.995, 1, 0.031927835051546394),
+            ("proxy-0-lambda-0002", 0.001000000000000112, 1.4940000000000002, 2,
+             1.5962933333333331),
+            ("proxy-0-lambda-0003", 0.0, 0.995, 1, 0.031927835051546394),
+            ("proxy-0-lambda-0003", 0.001000000000000112, 1.4940000000000002, 2,
+             1.5962933333333331),
+        ]
+
+
+# --------------------------------------------------------------------------- fuzzed schedules
+_AT = st.floats(min_value=0.0, max_value=14.0).map(lambda value: round(value, 3))
+_DURATION = st.floats(min_value=0.25, max_value=8.0).map(lambda value: round(value, 3))
+_FRACTION = st.floats(min_value=0.05, max_value=1.0).map(lambda value: round(value, 3))
+
+FAULT_SPECS = st.one_of(
+    st.builds(ReclamationStorm, at_s=_AT, fraction=_FRACTION, correlated=st.booleans()),
+    st.builds(LinkDegradation, at_s=_AT, duration_s=_DURATION, host_fraction=_FRACTION,
+              factor=st.sampled_from([0.01, 0.1, 0.5])),
+    st.builds(LinkBlackhole, at_s=_AT, duration_s=_DURATION, host_fraction=_FRACTION),
+    st.builds(InvocationFaults, at_s=_AT, duration_s=_DURATION,
+              failure_probability=st.sampled_from([0.1, 0.5, 1.0]),
+              extra_overhead_s=st.sampled_from([0.0, 0.05])),
+    st.builds(
+        lambda at_s, duration_s, probability, factors: StragglerInflation(
+            at_s, duration_s, probability, min(factors), max(factors)
+        ),
+        _AT, _DURATION, _FRACTION,
+        st.tuples(st.sampled_from([1.0, 2.0, 4.0]), st.sampled_from([2.0, 8.0, 16.0])),
+    ),
+    st.builds(ProxyCrash, at_s=_AT, down_s=_DURATION, proxy_index=st.integers(0, 3)),
+)
+
+
+@st.composite
+def fault_schedules(draw):
+    """A valid schedule: drawn specs, each kept only if the schedule stays
+    valid with it (windows over the same state may not overlap or touch)."""
+    kept: tuple = ()
+    for spec in draw(st.lists(FAULT_SPECS, max_size=5)):
+        try:
+            FaultSchedule(kept + (spec,))
+        except ConfigurationError:
+            continue
+        kept += (spec,)
+    return FaultSchedule(kept)
+
+
+def fuzz_replay(schedule):
+    """Four clients mixing PUTs and GETs on the hardened demo deployment."""
+    deployment = InfiniCacheDeployment(demo_config(2020))
+    ChaosEngine(deployment, schedule).install()
+    driver = ClosedLoopDriver(deployment, backing_store=ObjectStore(), warm_pool=True)
+    plans = [
+        [
+            op
+            for round_index in range(6)
+            for op in (
+                ClientOp("PUT" if (client + round_index) % 3 == 0 else "GET",
+                         key=f"obj-{(client + round_index) % 5:03d}", size=2_000_000),
+                ClientOp("SLEEP", delay_s=2.0),
+            )
+        ]
+        for client in range(4)
+    ]
+    gets = sum(op.op == "GET" for ops in plans for op in ops)
+    report = driver.run(plans)
+    # What is left after the deployment stopped — fault reversions, session
+    # closes — drains: nothing reschedules itself forever.
+    loop = deployment.simulator
+    loop.run_all(max_events=100_000)
+    assert len(loop.queue) == 0
+    return report, gets
+
+
+class TestFuzzedFaultSchedules:
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(schedule=fault_schedules())
+    def test_any_valid_schedule_drains_accounts_and_repeats(self, schedule):
+        report, gets = fuzz_replay(schedule)  # no exception escapes
+        # A GET that neither hit, degraded nor missed would be a failure:
+        # it is either unrecorded or unaccounted.
+        failures = gets - len(report.samples)
+        assert failures == 0
+        assert report.requests == gets
+        assert report.hits + report.degraded_hits + report.misses + failures == gets
+        again, _ = fuzz_replay(schedule)
+        assert again.fingerprint() == report.fingerprint()
 
 
 # --------------------------------------------------------------------------- billing under faults
@@ -514,7 +825,7 @@ class TestResilienceReport:
 
 
 # --------------------------------------------------------------------------- failure detector
-def make_detector_deployment(lambdas_per_proxy=10):
+def make_detector_deployment(lambdas_per_proxy=10, resilience=None):
     deployment = InfiniCacheDeployment(
         InfiniCacheConfig(
             num_proxies=1,
@@ -523,6 +834,7 @@ def make_detector_deployment(lambdas_per_proxy=10):
             data_shards=4,
             parity_shards=2,
             straggler=StragglerModel(probability=0.0),
+            resilience=resilience,
             seed=11,
         )
     )

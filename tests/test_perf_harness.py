@@ -85,13 +85,45 @@ class TestMicroBenchmarks:
         assert "3000 invoke -> complete -> bill cycles" in text and "6 cold starts" in text
 
     def test_committed_faas_cycle_ledger_is_what_the_code_computes(self):
-        """``BENCH_perf.json`` is the gate's reference; it must not go stale."""
+        """``BENCH_perf.json`` is the gate's reference; it must not go stale
+        (the ledger, and the hardened-chunk counts gated beside it)."""
         committed = json.loads(
             (pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json").read_text()
         )
-        fresh = {"micro": [perf.micro_faas_cycle().as_dict()]}
+        fresh = {"micro": [
+            perf.micro_faas_cycle().as_dict(), perf.micro_hardened_chunk().as_dict(),
+        ]}
         assert perf.validate_faas_cycle(committed) == []
         assert perf.check_regression(fresh, committed) == []
+
+    def test_hardened_chunk_micro_counts_one_process_per_chunk_plus_hedges(self):
+        sample = perf.micro_hardened_chunk(clients=4, rounds=12)
+        extra = sample.extra
+        assert sample.name == "micro.hardened_chunk" and sample.events == extra["attempts"]
+        assert extra["hedges"] > 0 and extra["retries"] > 0
+        # Four client processes, one per chunk of every GET (RS(4+2)), one
+        # per hedge: the attempts themselves run inside the chunk processes.
+        assert extra["processes_spawned"] == 4 + 6 * extra["requests"] + extra["hedges"]
+        # One deadline per attempt and one per hedge pair; the ones that do
+        # not fire are cancelled.
+        assert extra["deadlines_scheduled"] == extra["attempts"] + extra["hedges"]
+        assert extra["deadlines_cancelled"] < extra["deadlines_scheduled"]
+        assert extra == perf.micro_hardened_chunk(clients=4, rounds=12).extra
+        text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
+        assert f"{extra['attempts']} deadline-bounded chunk attempts" in text
+
+    def test_hardened_chunk_counts_are_gated_on_equality(self):
+        def counts(**changed):
+            sample = {"name": "micro.hardened_chunk", "attempts": 10, "processes_spawned": 20,
+                      "deadlines_scheduled": 12, "deadlines_cancelled": 9, "hedges": 2,
+                      "events_per_s": 1.0}
+            sample.update(changed)
+            return {"micro": [sample], "macro": []}
+
+        assert perf.check_regression(counts(events_per_s=9e9), counts()) == []
+        for key in perf.HARDENED_MICRO_EXACT_KEYS:
+            errors = perf.check_regression(counts(**{key: 0}), counts())
+            assert len(errors) == 1 and key in errors[0] and "micro.hardened_chunk" in errors[0]
 
 
 class TestMacroAndComparison:
@@ -148,6 +180,7 @@ class TestMacroAndComparison:
             "micro.flow_churn[incremental,dense]",
             "micro.erasure",
             "micro.faas_cycle",
+            "micro.hardened_chunk",
         ]
         assert perf.validate_faas_cycle(encoded) == []
         for sample in encoded["micro"] + encoded["macro"]:

@@ -215,6 +215,114 @@ class TestProcesses:
         loop.run_all()
         assert loop.now == 0.0
 
+    def test_cancelling_a_parent_cancels_the_child_it_waits_on(self):
+        """The child's ``finally`` runs at the cancellation instant, not when
+        its sleep would have ended (or whenever it is garbage-collected)."""
+        loop = EventLoop()
+        cleanup = []
+
+        def child():
+            try:
+                yield 5.0
+            finally:
+                cleanup.append(("child", loop.now))
+
+        def parent():
+            try:
+                yield loop.spawn(child(), label="child")
+            finally:
+                cleanup.append(("parent", loop.now))
+
+        process = loop.spawn(parent(), label="parent")
+        loop.run_until(1.0)
+        assert process.cancel() is True
+        assert cleanup == [("parent", 1.0), ("child", 1.0)]
+        loop.run_all()
+        assert loop.now == 1.0  # the child's wake-up was cancelled with it
+        assert cleanup == [("parent", 1.0), ("child", 1.0)]
+
+
+class TestInterrupt:
+    def test_interrupt_raises_at_the_wait_and_the_coroutine_goes_on(self):
+        loop = EventLoop()
+        log = []
+        flow = SimFuture("flow")
+        flow.on_cancel(lambda: log.append(("flow released", loop.now)))
+
+        def proc():
+            try:
+                try:
+                    yield flow
+                finally:
+                    log.append(("finally", loop.now))
+            except KeyError as error:
+                log.append(("caught", error.args[0], loop.now))
+            yield 2.0
+            return "went on"
+
+        process = loop.spawn(proc())
+        loop.run_until(1.0)
+        assert process.interrupt(KeyError("deadline")) is True
+        # finally and handler first, then the abandoned future is released;
+        # its late callback does not resume the coroutine a second time.
+        assert log == [("finally", 1.0), ("caught", "deadline", 1.0), ("flow released", 1.0)]
+        assert flow.cancelled
+        assert loop.run_until_complete(process.future) == "went on"
+        assert loop.now == 3.0
+
+    def test_interrupt_cancels_the_abandoned_sleep(self):
+        loop = EventLoop()
+
+        def proc():
+            try:
+                yield 10.0
+            except KeyError:
+                return "interrupted"
+
+        process = loop.spawn(proc())
+        loop.run_until(1.0)
+        process.interrupt(KeyError())
+        assert process.future.result == "interrupted"
+        loop.run_all()
+        assert loop.now == 1.0
+
+    def test_interrupt_cancels_the_child_it_waited_on(self):
+        loop = EventLoop()
+        cleanup = []
+
+        def child():
+            try:
+                yield 5.0
+            finally:
+                cleanup.append(loop.now)
+
+        def parent():
+            try:
+                yield loop.spawn(child())
+            except KeyError:
+                pass
+            return "done"
+
+        process = loop.spawn(parent())
+        loop.run_until(2.0)
+        process.interrupt(KeyError())
+        assert process.future.result == "done"
+        assert cleanup == [2.0]
+
+    def test_uncaught_interrupt_propagates_and_finished_process_refuses(self):
+        loop = EventLoop()
+
+        def proc():
+            yield 1.0
+            return "done"
+
+        process = loop.spawn(proc())
+        with pytest.raises(KeyError):
+            process.interrupt(KeyError("unhandled"))
+        finished = loop.spawn(proc())
+        loop.run_until_complete(finished.future)
+        assert finished.interrupt(KeyError()) is False
+
 
 class TestBackwardsCompatibility:
     def test_simulator_alias_supports_processes(self):

@@ -16,6 +16,7 @@ from collections import Counter
 from repro.baselines.s3 import ObjectStore
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.experiments import perf, production
+from repro.faults import FaultSchedule, LinkBlackhole
 from repro.faults.engine import ChaosEngine
 from repro.faults.scenario import demo_config, demo_schedule
 from repro.utils.units import MB
@@ -76,17 +77,19 @@ def test_plain_closed_loop_makes_no_cycles():
     _assert_cycle_free(replay)
 
 
-def test_hardened_path_under_the_demo_storm_makes_no_cycles():
+def _hardened_replay(schedule, rounds, check):
+    """A replay of 8 clients mixing PUTs and GETs on the demo deployment."""
+
     def replay():
         deployment = InfiniCacheDeployment(demo_config(2020))
-        engine = ChaosEngine(deployment, demo_schedule())
+        engine = ChaosEngine(deployment, schedule)
         engine.install()
         driver = ClosedLoopDriver(deployment, backing_store=ObjectStore(), warm_pool=True)
         rng = random.Random(2020)
         plans = [
             [
                 op
-                for round_index in range(70)
+                for round_index in range(rounds)
                 for op in (
                     ClientOp(
                         "PUT" if rng.random() < 0.3 else "GET",
@@ -100,11 +103,34 @@ def test_hardened_path_under_the_demo_storm_makes_no_cycles():
         ]
         gc.collect()
         report = driver.run(plans)
-        # The storm really hit: some reads were lost chunks or store fallbacks.
-        assert report.misses + report.degraded_hits + report.recoveries > 0
+        check(report, deployment.counters())
         return deployment, engine, report
 
-    _assert_cycle_free(replay)
+    return replay
+
+
+def test_hardened_path_under_the_demo_storm_makes_no_cycles():
+    def check(report, _counters):
+        # The storm really hit: some reads were lost chunks or store fallbacks.
+        assert report.misses + report.degraded_hits + report.recoveries > 0
+
+    _assert_cycle_free(_hardened_replay(demo_schedule(), 70, check))
+
+
+def test_interrupted_chunk_races_make_no_cycles():
+    """Every link blackholed for 12 s: deadlines fire and hedges start, and
+    pairs that run out their hedge deadline are interrupted into retries, so
+    exceptions are thrown into generators many times over."""
+
+    def check(_report, counters):
+        assert counters["proxy.chunk_hedges"] > 0
+        # No invocation faults and no breaker trips in this schedule: every
+        # retry follows a pair whose hedge deadline expired.
+        assert counters["proxy.chunk_retries"] > 0
+        assert "proxy.chunk_faults" not in counters
+
+    schedule = FaultSchedule((LinkBlackhole(at_s=4.0, duration_s=12.0, host_fraction=1.0),))
+    _assert_cycle_free(_hardened_replay(schedule, 8, check))
 
 
 def test_open_loop_replay_makes_no_cycles():
