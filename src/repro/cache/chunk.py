@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.erasure.codec import Chunk as ErasureChunk
 from repro.erasure.codec import StripeMetadata
+from repro.erasure.galois import Vector
 from repro.exceptions import ConfigurationError
 
 
@@ -59,12 +60,19 @@ class ObjectDescriptor:
 
 @dataclass(frozen=True)
 class CacheChunk:
-    """One chunk as stored on a Lambda cache node."""
+    """One chunk as stored on a Lambda cache node.
+
+    ``payload`` is ``None`` for a size-only chunk.  Otherwise it is the
+    erasure chunk's payload as the codec made it and never changes:
+    ``bytes``, or a read-only ``memoryview`` slice of the ``bytes`` object
+    the client put.  A stored view keeps that whole object alive until the
+    chunk is evicted, overwritten or lost.
+    """
 
     key: str
     index: int
     size: int
-    payload: Optional[bytes] = field(default=None, repr=False)
+    payload: Optional[Vector] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.size <= 0:

@@ -616,17 +616,20 @@ class Proxy:
             return self.rng.uniform(straggler.min_factor, straggler.max_factor)
         return 1.0
 
-    def _flows_per_host(self, nodes: list[LambdaCacheNode]) -> dict[str, int]:
+    def _flows_per_host(self, nodes: list[Optional[LambdaCacheNode]]) -> dict[str, int]:
+        """Chunk flows per host; a node that left the pool (``None``) has none."""
         flows: dict[str, int] = {}
         for node in nodes:
+            if node is None:
+                continue
             host_id = node.primary.host_id if node.primary is not None else node.node_id
             flows[host_id] = flows.get(host_id, 0) + 1
         return flows
 
-    def _hosts_touched(self, nodes: list[LambdaCacheNode]) -> int:
+    def _hosts_touched(self, nodes: list[Optional[LambdaCacheNode]]) -> int:
         hosts = set()
         for node in nodes:
-            if node.primary is not None:
+            if node is not None and node.primary is not None:
                 hosts.add(node.primary.host_id)
         return len(hosts)
 
@@ -839,12 +842,15 @@ class Proxy:
     # ------------------------------------------------------------------ GET
     def _locate_chunks(
         self, key: str
-    ) -> Optional[tuple[_ObjectEntry, list[ChunkFetch], list[LambdaCacheNode]]]:
+    ) -> Optional[tuple[_ObjectEntry, list[ChunkFetch], list[Optional[LambdaCacheNode]]]]:
         """Look an object up and check which of its chunks are still there.
 
         Returns the mapping entry, one :class:`ChunkFetch` per stripe chunk in
         index order (``lost`` where the node or the chunk is gone) and the
         nodes they sit on — or ``None``, counted as a miss, for an unknown key.
+        A placement on a node that has left the pool (a decommission that
+        found no migration target keeps it) is a lost chunk with node
+        ``None``: the read degrades and its repair re-places the chunk.
         """
         self.requests_served += 1
         entry = self._objects.get(key)
@@ -853,10 +859,13 @@ class Proxy:
             return None
         self._lru.touch(key)
         fetches: list[ChunkFetch] = []
-        nodes: list[LambdaCacheNode] = []
+        nodes: list[Optional[LambdaCacheNode]] = []
         for chunk_index, node_id in sorted(entry.placement.items()):
-            node = self.node(node_id)
-            chunk = node.fetch_chunk(f"{key}#{chunk_index}") if node.is_alive else None
+            node = self._nodes_by_id.get(node_id)
+            chunk = (
+                node.fetch_chunk(f"{key}#{chunk_index}")
+                if node is not None and node.is_alive else None
+            )
             fetches.append(ChunkFetch(
                 chunk_index=chunk_index, node_id=node_id, chunk=chunk,
                 time_s=float("inf") if chunk is None else 0.0, lost=chunk is None,

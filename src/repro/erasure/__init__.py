@@ -6,10 +6,11 @@ from the *first d* chunks that arrive.  This package provides the same
 capability:
 
 * :mod:`repro.erasure.galois` — GF(2^8) arithmetic and the one bulk kernel
-  (``bytes.translate`` product tables, numpy XOR) everything else runs on.
+  (``bytearray.translate`` product tables, numpy XOR) everything else runs on.
 * :mod:`repro.erasure.matrix` — matrix algebra over GF(2^8), including the
   systematic Vandermonde-derived encoding matrix, Gaussian-elimination
-  inversion, and applying chosen rows to a list of shard ``bytes``.
+  inversion, and applying chosen rows to a list of shards (``bytes`` or
+  read-only views of them).
 * :mod:`repro.erasure.reed_solomon` — the stripe-level encoder/decoder; it
   computes only the shards that are missing.
 * :mod:`repro.erasure.codec` — the object-level codec (padding, chunk

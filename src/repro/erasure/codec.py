@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from repro.erasure.galois import Vector
 from repro.erasure.reed_solomon import ReedSolomon
 from repro.exceptions import DecodingError, EncodingError
 
@@ -40,11 +41,16 @@ class Chunk:
     ``chunk_id`` follows the paper's naming: the object key concatenated with
     the chunk's sequence number, so chunks of the same object are
     distinguishable anywhere in the system.
+
+    ``payload`` never changes: it is ``bytes``, or a read-only ``memoryview``
+    slice of the ``bytes`` object that was encoded (a full data chunk, see
+    :meth:`ErasureCodec.encode`).  Such a view keeps that whole object alive
+    for as long as the chunk is held.
     """
 
     key: str
     index: int
-    payload: bytes
+    payload: Vector
     metadata: StripeMetadata
 
     @property
@@ -97,28 +103,40 @@ class ErasureCodec:
     def encode(self, key: str, payload: Union[bytes, bytearray, memoryview]) -> list[Chunk]:
         """Split and encode ``payload`` into ``d + p`` chunks.
 
-        Any contiguous bytes-like object is accepted; every chunk holds
-        immutable ``bytes``.  The tail of the last data shards is zero-padded
-        so every shard has the same length; the true length is carried in the
-        metadata and re-applied on decode.
+        Any contiguous bytes-like object is accepted, and no chunk can change
+        after the call.  A ``bytes`` payload is split without copying, as the
+        paper's ``Split`` does: each full data chunk is a read-only
+        ``memoryview`` slice of it (so a stored chunk keeps the whole object
+        alive).  Any other input is first copied once into a private
+        ``bytes``, so no chunk aliases a mutable buffer.  Parity chunks and
+        the zero-padded tail shards are ``bytes``; every shard has the same
+        length, and the true length is carried in the metadata and
+        re-applied on decode.
         """
         if not key:
             raise EncodingError("object key must be non-empty")
-        try:
-            view = memoryview(payload).cast("B")
-        except TypeError as error:
-            raise EncodingError(
-                f"object {key!r} is not a contiguous bytes-like object: {error}"
-            ) from error
-        object_size = view.nbytes
+        if type(payload) is not bytes:
+            try:
+                payload = memoryview(payload).cast("B").tobytes()
+            except TypeError as error:
+                raise EncodingError(
+                    f"object {key!r} is not a contiguous bytes-like object: {error}"
+                ) from error
+        object_size = len(payload)
         if object_size == 0:
             raise EncodingError(f"cannot encode empty object {key!r}")
         chunk_size = self.chunk_size_for(object_size)
-        # Slicing a memoryview copies nothing; bytes() makes the one copy each
-        # shard needs, and slices past the end come back short (or empty).
-        data_shards = [
-            bytes(view[start : start + chunk_size]).ljust(chunk_size, b"\x00")
-            for start in range(0, chunk_size * self.data_shards, chunk_size)
+        view = memoryview(payload)
+        full = object_size // chunk_size
+        # Slicing a read-only memoryview copies nothing; only the shards that
+        # run past the end (short or empty) are copied, to be zero-padded.
+        data_shards: list[Vector] = [
+            view[start : start + chunk_size]
+            for start in range(0, chunk_size * full, chunk_size)
+        ]
+        data_shards += [
+            payload[start : start + chunk_size].ljust(chunk_size, b"\x00")
+            for start in range(chunk_size * full, chunk_size * self.data_shards, chunk_size)
         ]
         stripe = self.rs.encode(data_shards)
         metadata = StripeMetadata(
@@ -134,7 +152,7 @@ class ErasureCodec:
         ]
 
     # --- decode -------------------------------------------------------------------
-    def _shard_map(self, chunks: list[Chunk]) -> tuple[StripeMetadata, dict[int, bytes]]:
+    def _shard_map(self, chunks: list[Chunk]) -> tuple[StripeMetadata, dict[int, Vector]]:
         """Check that ``chunks`` are one object's and index their payloads.
 
         Raises:
@@ -161,7 +179,7 @@ class ErasureCodec:
                 f"stripe metadata for object {key!r} cannot hold its "
                 f"{metadata.object_size} bytes"
             )
-        shard_map: dict[int, bytes] = {}
+        shard_map: dict[int, Vector] = {}
         for chunk in chunks:
             if chunk.key != key:
                 raise DecodingError(

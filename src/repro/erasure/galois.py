@@ -6,16 +6,20 @@ polynomial ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D), the one ISA-L and the Go
 field).  Scalar multiplication and division go through exp/log tables.
 
 Bulk work — shard payloads and the rows of coefficient matrices alike — is
-done on ``bytes`` by one kernel, :meth:`GF256.combine`: each coefficient
-times a byte string is ``bytes.translate`` through that coefficient's
-256-byte product table (a C loop at about 2 GB/s), and the products are
-XOR-ed together with numpy.  See the "Erasure data path" section of
+done by one kernel, :meth:`GF256.combine`, on ``bytes`` or on read-only
+``memoryview`` slices of them (the zero-copy data shards).  Each coefficient
+times a vector is one pass of ``bytearray.translate`` through that
+coefficient's 256-byte product table, over a copy of the vector staged in
+one buffer reused for the whole call (a bare C table loop: about 2.4 GB/s,
+copy included), and the products are XOR-ed together with numpy.  See the
+"Erasure data path" and "Zero-copy shards" sections of
 ``docs/performance.md`` for what was measured against it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import Optional, Union
 
 import numpy as np
 
@@ -53,8 +57,12 @@ for _a in range(1, 256):
     _log_a = _LOG_TABLE[_a]
     _MUL_TABLE[_a, 1:] = _EXP_TABLE[_log_a + _LOG_TABLE[1:256]]
 
-#: ``bytes.translate`` tables: entry c maps every byte b to ``c * b``.
+#: ``bytearray.translate`` tables: entry c maps every byte b to ``c * b``.
 _PRODUCT_TABLES = tuple(row.tobytes() for row in _MUL_TABLE)
+
+#: A byte vector the kernel reads: ``bytes``, or a read-only ``memoryview``
+#: slice of one.
+Vector = Union[bytes, memoryview]
 
 
 class GF256:
@@ -62,7 +70,7 @@ class GF256:
 
     All methods are static/class-level; the class exists purely as a
     namespace with precomputed tables.  Scalars are Python ints in [0, 255];
-    vectors are ``bytes``.
+    vectors are :data:`Vector`; every vector returned is fresh ``bytes``.
     """
 
     exp_table = _EXP_TABLE
@@ -120,22 +128,23 @@ class GF256:
         return int(_EXP_TABLE[255 - _LOG_TABLE[a]])
 
     @staticmethod
-    def multiply_vector(scalar: int, vector: bytes) -> bytes:
+    def multiply_vector(scalar: int, vector: Vector) -> bytes:
         """Multiply every byte of ``vector`` by ``scalar``."""
         return GF256.combine((scalar,), (vector,))
 
     @staticmethod
-    def add_vectors(a: bytes, b: bytes) -> bytes:
+    def add_vectors(a: Vector, b: Vector) -> bytes:
         """Add (XOR) two equal-length byte vectors elementwise."""
         return GF256.combine((1, 1), (a, b))
 
     @staticmethod
-    def combine(coefficients: Sequence[int], vectors: Sequence[bytes]) -> bytes:
+    def combine(coefficients: Sequence[int], vectors: Sequence[Vector]) -> bytes:
         """The linear combination ``sum(c * v)`` of equal-length byte vectors.
 
         This is the one bulk kernel: the encoder, the decoder and the matrix
         algebra all reduce to it.  Zero coefficients cost nothing and a
-        coefficient of one skips the table pass.
+        coefficient of one skips the table pass and the copy: its vector is
+        XOR-ed in straight from its buffer.
 
         Raises:
             ErasureCodingError: if the counts differ, no vector is given, or
@@ -148,6 +157,7 @@ class GF256:
         length = len(vectors[0])
         buffer = bytearray(length)
         accumulator = np.frombuffer(buffer, dtype=np.uint8)
+        staging: Optional[bytearray] = None
         for coefficient, vector in zip(coefficients, vectors):
             if len(vector) != length:
                 # numpy would broadcast a one-byte vector silently.
@@ -156,10 +166,17 @@ class GF256:
                 )
             if coefficient == 0:
                 continue
-            product = (
-                vector if coefficient == 1
-                else vector.translate(_PRODUCT_TABLES[coefficient])
-            )
+            product: Union[Vector, bytearray]
+            if coefficient == 1:
+                product = vector
+            else:
+                # A view has no translate, and bytes.translate also tracks
+                # whether any byte changed: one memcpy into the staging
+                # buffer buys bytearray.translate's bare table loop.
+                if staging is None:
+                    staging = bytearray(length)
+                staging[:] = vector
+                product = staging.translate(_PRODUCT_TABLES[coefficient])
             np.bitwise_xor(
                 accumulator, np.frombuffer(product, dtype=np.uint8), out=accumulator
             )

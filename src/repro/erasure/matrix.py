@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.erasure.galois import GF256
+from repro.erasure.galois import GF256, Vector
 from repro.exceptions import ErasureCodingError
 
 
@@ -88,13 +88,14 @@ class GFMatrix:
 
     # --- algebra ----------------------------------------------------------------
     def multiply_shards(
-        self, shards: Sequence[bytes], rows: Optional[Sequence[int]] = None
+        self, shards: Sequence[Vector], rows: Optional[Sequence[int]] = None
     ) -> list[bytes]:
         """Apply the selected rows (default: all) to one shard per column.
 
         Output ``i`` is ``sum(self[rows[i], k] * shards[k])``.  This is the
-        encoder/decoder hot path: it runs on the shard ``bytes`` as they are
-        and computes nothing for rows that were not asked for.
+        encoder/decoder hot path: it runs on the shards as they are (``bytes``
+        or read-only views of them) and computes nothing for rows that were
+        not asked for.
         """
         if len(shards) != self.cols:
             raise ErasureCodingError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.erasure.galois import Vector
 from repro.erasure.matrix import GFMatrix
 from repro.exceptions import ConfigurationError, DecodingError, EncodingError
 
@@ -65,7 +66,7 @@ class ReedSolomon:
         return f"ReedSolomon(d={self.data_shards}, p={self.parity_shards})"
 
     # --- encoding ----------------------------------------------------------------
-    def encode(self, data_shard_payloads: list[bytes]) -> list[bytes]:
+    def encode(self, data_shard_payloads: list[Vector]) -> list[Vector]:
         """Compute parity shards for the given data shards.
 
         Args:
@@ -92,7 +93,7 @@ class ReedSolomon:
         return list(data_shard_payloads) + parity
 
     # --- decoding ----------------------------------------------------------------
-    def decode(self, shards: dict[int, bytes]) -> list[bytes]:
+    def decode(self, shards: dict[int, Vector]) -> list[Vector]:
         """Reconstruct all data shards from any ``data_shards`` available shards.
 
         Args:
@@ -112,7 +113,7 @@ class ReedSolomon:
         """
         return self._recover(shards, range(self.data_shards))
 
-    def reconstruct_all(self, shards: dict[int, bytes]) -> list[bytes]:
+    def reconstruct_all(self, shards: dict[int, Vector]) -> list[Vector]:
         """Reconstruct the *entire* stripe (data + parity) from any d shards.
 
         Used by the recovery path when a reclaimed Lambda node's chunk must be
@@ -121,7 +122,7 @@ class ReedSolomon:
         """
         return self._recover(shards, range(self.total_shards))
 
-    def _recover(self, shards: dict[int, bytes], wanted: range) -> list[bytes]:
+    def _recover(self, shards: dict[int, Vector], wanted: range) -> list[Vector]:
         """Shards ``wanted``, taken from ``shards`` or rebuilt from them."""
         if not shards:
             raise DecodingError("no shards supplied")
@@ -186,7 +187,7 @@ class ReedSolomon:
             _SHARED_CODES[key] = instance
         return instance
 
-    def verify(self, shards: list[bytes]) -> bool:
+    def verify(self, shards: list[Vector]) -> bool:
         """Check that a full stripe is internally consistent.
 
         Returns ``True`` when re-encoding the data shards reproduces the given

@@ -45,13 +45,35 @@ class TestPutGetRoundtrip:
             client.put(key, data)
             assert client.get(key).value == data
 
-    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    @pytest.mark.parametrize(
+        "wrap", [bytearray, lambda data: memoryview(bytearray(data))],
+        ids=["bytearray", "memoryview"],
+    )
     def test_bytes_like_values_are_stored_as_immutable_bytes(self, client, deployment, wrap):
+        """Every stored payload is ``bytes`` or a read-only view over a
+        ``bytes`` object, and mutating the caller's buffer after the PUT
+        changes nothing the cache serves."""
         data = payload(4093)
-        client.put("buffer", wrap(data))
+        value = wrap(data)
+        client.put("buffer", value)
         _descriptor, stored = deployment.proxies[0].export_object("buffer")
-        assert all(type(chunk.payload) is bytes for chunk in stored)
+        views = [chunk.payload for chunk in stored if type(chunk.payload) is memoryview]
+        assert len(views) == 3  # three full 1024-byte data shards, then the tail
+        assert all(type(chunk.payload) in (bytes, memoryview) for chunk in stored)
+        for view in views:
+            assert view.readonly and type(view.obj) is bytes
+            with pytest.raises(TypeError):
+                view[0] = 0
+        value[:] = bytes(len(value))
         assert client.get("buffer").value == data
+
+    def test_bytes_values_are_stored_without_a_copy(self, client, deployment):
+        data = payload(4096)
+        client.put("zero-copy", data)
+        _descriptor, stored = deployment.proxies[0].export_object("zero-copy")
+        assert [type(chunk.payload) for chunk in stored] == [memoryview] * 4 + [bytes] * 2
+        assert all(chunk.payload.obj is data for chunk in stored[:4])
+        assert client.get("zero-copy").value == data
 
     def test_sized_objects_have_no_payload(self, client):
         client.put_sized("big", 50 * MB)

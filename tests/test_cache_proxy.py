@@ -350,3 +350,52 @@ class TestPayloadCarryingRepair:
         exported_descriptor, exported = proxy.export_object("obj")
         assert all(chunk.payload is not None for chunk in exported)
         assert decode_export(exported_descriptor, exported) == self.PAYLOAD
+
+
+class TestGetAfterADecommissionDroppedAChunk:
+    """A decommission that finds no migration target keeps the object's
+    stale placement; the next GET must read it as one lost chunk, decode
+    around it and re-place it, on both request paths."""
+
+    PAYLOAD = bytes(range(256)) * 400
+
+    def put_and_drop(self, sized: bool):
+        from repro.cache.deployment import InfiniCacheDeployment
+
+        deployment = InfiniCacheDeployment(InfiniCacheConfig(
+            num_proxies=1, lambdas_per_proxy=12, data_shards=4, parity_shards=2,
+            backup_enabled=False, seed=1,
+        ))
+        client = deployment.new_client()
+        if sized:
+            put = client.put_sized("obj", len(self.PAYLOAD))
+        else:
+            put = client.put("obj", self.PAYLOAD)
+        proxy = deployment.proxies[0]
+        # The six unplaced nodes were never invoked, so none of them is
+        # alive to take the chunk: it is dropped, not moved.
+        assert proxy.decommission_node(put.node_ids[0], deployment.simulator.now) == (0, 1)
+        assert proxy.pool_size == 11
+        return deployment, client
+
+    def check(self, first, second, sized: bool) -> None:
+        expected = None if sized else self.PAYLOAD
+        assert first.hit and first.value == expected
+        assert first.chunks_lost == 1 and first.recovery_performed
+        assert second.hit and second.value == expected
+        assert second.chunks_lost == 0 and not second.recovery_performed
+
+    @pytest.mark.parametrize("sized", [False, True], ids=["real", "sized"])
+    def test_facade_get_repairs_the_dropped_chunk(self, sized):
+        _deployment, client = self.put_and_drop(sized)
+        self.check(client.get("obj"), client.get("obj"), sized)
+
+    @pytest.mark.parametrize("sized", [False, True], ids=["real", "sized"])
+    def test_event_driven_get_repairs_the_dropped_chunk(self, sized):
+        deployment, client = self.put_and_drop(sized)
+        loop = deployment.simulator
+        results = []
+        for _ in range(2):
+            request = loop.spawn(client.get_process("obj", deployment.request_env))
+            results.append(loop.run_until_complete(request.future))
+        self.check(*results, sized)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,13 @@ PINNED_STRIPE_SHA256 = "791ccc9e1eab2dd5960332c0e1c3a0fce8eec3831fad2b7c9e3b472c
 
 def sample_object(size: int = 1000) -> bytes:
     return bytes(i % 251 for i in range(size))
+
+
+def is_immutable(payload) -> bool:
+    """``bytes``, or a read-only view over a ``bytes`` object."""
+    return type(payload) is bytes or (
+        type(payload) is memoryview and payload.readonly and type(payload.obj) is bytes
+    )
 
 
 class TestEncode:
@@ -52,17 +60,51 @@ class TestEncode:
             codec.encode("key", b"")
 
     @pytest.mark.parametrize("wrap", [bytearray, memoryview])
-    def test_any_bytes_like_is_accepted_and_chunks_hold_bytes(self, codec, wrap):
+    def test_any_bytes_like_is_accepted_and_chunks_are_immutable(self, codec, wrap):
         payload = sample_object(1001)
         chunks = codec.encode("key", wrap(payload))
         assert chunks == codec.encode("key", payload)
-        assert all(type(chunk.payload) is bytes for chunk in chunks)
+        assert all(is_immutable(chunk.payload) for chunk in chunks)
+        views = [chunk.payload for chunk in chunks if type(chunk.payload) is memoryview]
+        assert len(views) == 3  # 1001 bytes = three full 251-byte shards + a tail
+        for view in views:
+            with pytest.raises(TypeError):
+                view[0] = 0
 
     def test_encode_does_not_alias_a_mutable_payload(self, codec):
-        payload = bytearray(sample_object())
+        for payload in (bytearray(sample_object()), memoryview(bytearray(sample_object()))):
+            chunks = codec.encode("key", payload)
+            payload[:] = bytes(len(payload))
+            assert codec.decode(chunks) == sample_object()
+            assert all(is_immutable(chunk.payload) for chunk in chunks)
+
+    def test_full_data_chunks_of_bytes_are_views_of_the_payload(self, codec):
+        payload = sample_object(1001)
         chunks = codec.encode("key", payload)
-        payload[:] = bytes(len(payload))
-        assert codec.decode(chunks) == sample_object()
+        for chunk in chunks[:3]:
+            assert type(chunk.payload) is memoryview
+            assert chunk.payload.readonly and chunk.payload.obj is payload
+        assert chunks[0].payload == payload[:251]
+        # The tail shard is short and zero-padded; parity is computed: both
+        # are fresh bytes.
+        assert all(type(chunk.payload) is bytes for chunk in chunks[3:])
+        assert chunks[3].payload == payload[753:] + bytes(3)
+
+    def test_encode_of_bytes_keeps_no_copy_of_the_data(self):
+        """Only the two parity chunks are new memory: 0.2x the object, where
+        a copy of every data shard would retain 1.2x."""
+        payload = random.Random(4).randbytes(4_000_000)
+        codec = ErasureCodec(10, 2)
+        codec.encode("warm", payload[:1000])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            chunks = codec.encode("big", payload)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 12
+        assert retained < 0.25 * len(payload)
 
     @pytest.mark.parametrize("payload", ["text", 7, memoryview(bytes(64))[::2]])
     def test_not_bytes_like_rejected(self, codec, payload):
@@ -71,8 +113,9 @@ class TestEncode:
 
     def test_parity_bytes_match_the_pinned_stripe(self):
         """sha256 over the RS(10+2) stripe of a seeded 1 MB payload, computed
-        before the ``bytes.translate`` kernel replaced the numpy gather: a
-        change of kernel must not change a single stored byte."""
+        before the translate-table kernel replaced the numpy gather and
+        before data shards became zero-copy views: a change of kernel or of
+        shard layout must not change a single stored byte."""
         payload = random.Random(2020).randbytes(1_000_000)
         chunks = ErasureCodec(10, 2).encode("pinned", payload)
         digest = hashlib.sha256(b"".join(chunk.payload for chunk in chunks)).hexdigest()

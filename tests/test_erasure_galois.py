@@ -69,7 +69,8 @@ class TestScalarArithmetic:
 
 
 class TestVectorArithmetic:
-    """Vectors are ``bytes``; every bulk operation is :meth:`GF256.combine`."""
+    """Vectors are ``bytes`` or read-only views of them; every bulk
+    operation is :meth:`GF256.combine`."""
 
     def test_multiply_vector_matches_scalar(self):
         vector = bytes([0, 1, 55, 200, 255])

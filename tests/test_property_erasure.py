@@ -11,12 +11,14 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.galois import GF256
 from repro.erasure.matrix import GFMatrix
 from repro.erasure.reed_solomon import ReedSolomon
+from repro.exceptions import ErasureCodingError
 
 # Keep payloads modest so the suite stays fast; sizes are drawn to hit both
 # the "smaller than d bytes" and the "does not divide evenly" edge cases.
@@ -53,7 +55,7 @@ class TestGaloisFieldProperties:
 def scalar_oracle(matrix: list[list[int]], rows: list[int], shards: list[bytes]) -> list[bytes]:
     """The reference the bulk kernel is compared against: one
     :meth:`GF256.multiply` per coefficient and byte, nothing shared with
-    ``bytes.translate`` or numpy."""
+    ``bytearray.translate`` or numpy."""
     outputs = []
     for row in rows:
         out = [0] * len(shards[0])
@@ -92,6 +94,33 @@ class TestKernelAgainstScalarOracle:
             matrix, list(range(len(matrix))), shards
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_rows_and_shards(), st.integers(0, 9))
+    def test_read_only_views_give_the_same_bytes(self, case, offset):
+        """The zero-copy data shards are read-only views into a larger
+        object: the kernel must read them exactly as it reads ``bytes``."""
+        matrix, selected, shards = case
+        backing = bytes(offset) + b"".join(shards) + bytes(offset)
+        whole = memoryview(backing)
+        length = len(shards[0])
+        views = [
+            whole[offset + i * length : offset + (i + 1) * length]
+            for i in range(len(shards))
+        ]
+        assert all(view.readonly and view == shard for view, shard in zip(views, shards))
+        gf_matrix = GFMatrix(np.array(matrix, dtype=np.uint8))
+        expected = scalar_oracle(matrix, selected, shards)
+        assert gf_matrix.multiply_shards(views, selected) == expected
+        assert gf_matrix.multiply_shards(shards, selected) == expected
+        for row in selected:
+            on_views = GF256.combine(matrix[row], views)
+            assert type(on_views) is bytes
+            assert on_views == GF256.combine(matrix[row], shards)
+        # A view shorter than the rest is refused, as a short ``bytes`` is.
+        if len(shards) > 1:
+            with pytest.raises(ErasureCodingError):
+                GF256.combine([1] * len(shards), views[:-1] + [views[-1][:-1]])
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.integers(1, 6), parity=st.integers(1, 3),
            payload=st.binary(min_size=1, max_size=96))
@@ -113,10 +142,20 @@ class TestEveryErasurePattern:
         codec = ErasureCodec(data, parity)
         payload = random.Random(size).randbytes(size)
         chunks = codec.encode("obj", payload)
+        # Every full data shard is a zero-copy view, so survivors mix views
+        # with bytes in every pattern below.
+        full = size // chunks[0].size
+        assert [type(chunk.payload) is memoryview for chunk in chunks] == (
+            [True] * full + [False] * (data + parity - full)
+        )
         for lost in patterns:
             survivors = [chunk for chunk in chunks if chunk.index not in lost]
-            assert codec.decode(survivors) == payload, (data, parity, size, lost)
-            assert codec.rebuild_missing(survivors) == chunks, (data, parity, size, lost)
+            decoded = codec.decode(survivors)
+            assert type(decoded) is bytes and decoded == payload, (data, parity, size, lost)
+            rebuilt = codec.rebuild_missing(survivors)
+            assert rebuilt == chunks, (data, parity, size, lost)
+            assert all(rebuilt[i].payload is chunks[i].payload for i in range(len(chunks))
+                       if i not in lost)
 
     def test_small_codes_exhaustively(self):
         for data, parity in [(1, 1), (2, 2), (3, 3), (4, 2), (5, 1), (10, 2)]:
@@ -137,6 +176,47 @@ class TestEveryErasurePattern:
         patterns += [set(rng.sample(range(24), rng.randint(2, 4))) for _ in range(60)]
         for size in (19, 1021, 40_003):
             self.check(20, 4, size, patterns)
+
+
+def copying_reference(codec: ErasureCodec, payload: bytes) -> list[bytes]:
+    """The stripe as the codec used to build it: every data shard copied out
+    of the object and zero-padded, then the parity computed from the copies."""
+    view = memoryview(payload).cast("B")
+    size = codec.chunk_size_for(len(payload))
+    shards = [
+        bytes(view[start : start + size]).ljust(size, b"\x00")
+        for start in range(0, size * codec.data_shards, size)
+    ]
+    return ReedSolomon(codec.data_shards, codec.parity_shards).encode(shards)
+
+
+class TestZeroCopyEncodeMatchesTheCopyingOne:
+    """For every code from RS(1+1) to RS(20+4), at object sizes that fill the
+    shards exactly, overshoot or undershoot by a byte, or leave some shards
+    pure padding (1 … d-1 bytes), zero-copy encoding stores the same bytes."""
+
+    def test_every_code_and_awkward_size(self):
+        rng = random.Random(29)
+        for data in range(1, 21):
+            sizes = {k * data + delta for k in (1, 37) for delta in (-1, 0, 1)}
+            sizes |= set(range(1, data))
+            for parity in range(1, 5):
+                codec = ErasureCodec(data, parity)
+                for size in sorted(size for size in sizes if size > 0):
+                    payload = rng.randbytes(size)
+                    chunks = codec.encode("obj", payload)
+                    assert [chunk.payload for chunk in chunks] == copying_reference(
+                        codec, payload
+                    ), (data, parity, size)
+                    assert codec.decode(chunks) == payload
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=payloads, code=small_codes)
+    def test_bytes_like_inputs_store_the_same_stripe(self, payload, code):
+        codec = ErasureCodec(*code)
+        expected = copying_reference(codec, payload)
+        for wrapped in (payload, bytearray(payload), memoryview(payload)):
+            assert [c.payload for c in codec.encode("obj", wrapped)] == expected
 
 
 class TestReedSolomonProperties:
