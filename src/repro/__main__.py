@@ -20,7 +20,8 @@ check that the per-tenant totals sum to the cluster-wide bill.
 
 ``python -m repro perf [--quick] [--output BENCH_perf.json]`` runs the
 simulator performance harness (micro event-queue/flow-churn/codec/FaaS-cycle
-benchmarks plus the closed-loop fleet sweep), writes ``BENCH_perf.json``, and exits
+benchmarks plus the closed-loop fleet sweep and an open-loop production
+replay), writes ``BENCH_perf.json``, and exits
 non-zero if the incremental flow arbiter's replay fingerprint drifts from
 the global-recompute reference — a correctness gate immune to timing
 noise.  See ``docs/performance.md``.
@@ -368,8 +369,9 @@ def _perf(argv: list[str]) -> int:
         help="committed BENCH_perf.json to guard against: exit non-zero if "
         "any macro rung present in both runs lost more than the threshold "
         "of its committed events/s or swept or re-aimed more flows than "
-        "committed, or if the micro.faas_cycle billing ledger or the "
-        "micro.hardened_chunk counts differ "
+        "committed, or if the micro.faas_cycle billing ledger, the "
+        "micro.hardened_chunk counts or the open-loop production rung's "
+        "events, flow intervals or fingerprint (same geometry) differ "
         "(read before --output is written, so the same path can serve as "
         "both)",
     )

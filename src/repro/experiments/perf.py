@@ -15,7 +15,9 @@ benchmark their event cores.  This module is that measurement layer:
   of what they spawn and schedule;
 * **macro benchmarks** run the closed-loop replay driver end to end at
   fleet sizes (8 → 1024 clients) and report wall-clock, events/sec, and
-  the peak number of simultaneously active flows;
+  the peak number of simultaneously active flows; one more rung replays
+  one trace hour of the production ``infinicache.all`` run open-loop, at
+  the paper's pool geometry (the quick geometry under ``--quick``);
 * the **arbiter comparison** runs the same closed-loop scenario under the
   incremental bottleneck-group arbiter and the global-recompute
   :class:`~repro.network.flows.ReferenceFlowNetwork`, asserting both
@@ -32,17 +34,19 @@ from __future__ import annotations
 import gc
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.erasure.codec import ErasureCodec
+from repro.experiments import production
+from repro.experiments.production import ProductionScale
 from repro.faas.platform import FaaSPlatform
 from repro.network.flows import resolve_arbiter
 from repro.network.topology import NetworkFabric
 from repro.sim.loop import EventLoop
 from repro.utils.units import MB, MIB
-from repro.workload.replay import ClosedLoopDriver, seed_fleet
+from repro.workload.replay import ClosedLoopDriver, OpenLoopDriver, seed_fleet
 
 #: The fleet sizes the full suite sweeps (the quick CI variant trims this).
 DEFAULT_CLIENT_COUNTS = (8, 64, 256, 1024, 4096)
@@ -395,6 +399,62 @@ def macro_closed_loop(
     )
 
 
+#: The production replay the open-loop rung runs, for one trace hour.
+OPEN_LOOP_REPLAY = "infinicache.all"
+
+#: Open-loop rung fields that are exact per seed and geometry, so
+#: :func:`check_regression` gates them on equality.
+OPEN_LOOP_EXACT_KEYS = ("events", "flow_intervals", "fingerprint")
+
+
+def open_loop_scales(quick: bool) -> tuple[ProductionScale, ...]:
+    """Production scales the open-loop rung runs at, one trace hour each.
+
+    The full suite runs the quick geometry too, so the committed payload
+    holds the rung ``--quick`` is gated against.
+    """
+    quick_scale = ProductionScale.quick()
+    if quick:
+        return (quick_scale,)
+    return (quick_scale, replace(ProductionScale.paper(), duration_hours=1.0))
+
+
+def macro_open_loop_production(scale: ProductionScale) -> PerfSample:
+    """The ``infinicache.all`` production replay at ``scale``, instrumented.
+
+    Open-loop arrivals from the Dallas-style trace, one proxy with
+    ``scale.lambdas_per_proxy`` functions, warm-up and backup on.  Trace
+    generation and deployment are set up before the clock starts.  Returns
+    wall-clock, events, the flow intervals the report retains, the hit
+    ratio and the replay fingerprint; ``geometry`` names the pool, the
+    code and the trace length the exact counts belong to.
+    """
+    trace = production.build_trace(scale)
+    backup, offset = production.INFINICACHE_SETTINGS[OPEN_LOOP_REPLAY]
+    deployment = production.build_deployment(scale, backup_enabled=backup, seed_offset=offset)
+    events_before = deployment.simulator.events_processed
+    gc.collect()
+    start = time.perf_counter()
+    report = OpenLoopDriver(deployment).run(trace)
+    wall = time.perf_counter() - start
+    return PerfSample(
+        name="macro.open_loop_production",
+        wall_s=wall,
+        events=deployment.simulator.events_processed - events_before,
+        extra={
+            "geometry": (
+                f"{scale.lambdas_per_proxy}x{scale.lambda_memory_mib}MiB "
+                f"RS({scale.data_shards}+{scale.parity_shards}) "
+                f"{scale.duration_hours:g}h"
+            ),
+            "records": len(trace.records),
+            "hit_ratio": report.hit_ratio,
+            "flow_intervals": len(report.flow_intervals),
+            "fingerprint": report.fingerprint(),
+        },
+    )
+
+
 def profile_closed_loop(
     clients: int,
     requests_per_client: int = 6,
@@ -603,6 +663,9 @@ def check_regression(
     schedules.  So is the
     profile's ``gc_collections_in_dispatch``, against zero: ``EventLoop.run*``
     pauses the cyclic collector, so one pass inside it means the pause broke.
+    The open-loop production rung's :data:`OPEN_LOOP_EXACT_KEYS` are gated
+    on equality against the committed rung of the same name and geometry;
+    a rung the baseline lacks gates nothing.
     """
     errors: list[str] = []
     in_dispatch = (payload.get("profile") or {}).get("counts", {}).get(
@@ -624,6 +687,22 @@ def check_regression(
                     f"{name} changed: {key} is {fresh_sample.get(key)!r}, the "
                     f"committed payload has {committed_sample.get(key)!r} "
                     "(exact on every host)"
+                )
+    committed_open_loop = {
+        (sample.get("name"), sample.get("geometry")): sample
+        for sample in baseline.get("open_loop", ())
+        if isinstance(sample, dict)
+    }
+    for sample in payload.get("open_loop", ()):
+        reference = committed_open_loop.get((sample.get("name"), sample.get("geometry")))
+        if reference is None:
+            continue
+        for key in OPEN_LOOP_EXACT_KEYS:
+            if sample.get(key) != reference.get(key):
+                errors.append(
+                    f"{sample['name']}[{sample['geometry']}] changed: {key} is "
+                    f"{sample.get(key)!r}, the committed payload has "
+                    f"{reference.get(key)!r} (exact per seed)"
                 )
     committed = {
         sample["clients"]: sample
@@ -702,6 +781,7 @@ def run_suite(
     # above doubles as cache warm-up (hash-ring points, shared RS matrices).
     comparison = None if skip_compare else compare_arbiters(compare_clients)
     macro = [macro_closed_loop(clients) for clients in client_counts]
+    open_loop = [macro_open_loop_production(scale) for scale in open_loop_scales(quick)]
     profile = profile_closed_loop(max(client_counts))
     payload: dict[str, object] = {
         "schema": "repro.perf/1",
@@ -709,6 +789,7 @@ def run_suite(
         "unix_time": time.time(),
         "micro": [sample.as_dict() for sample in micro],
         "macro": [sample.as_dict() for sample in macro],
+        "open_loop": [sample.as_dict() for sample in open_loop],
         "profile": profile,
     }
     if comparison is not None:
@@ -777,6 +858,20 @@ def format_report(payload: dict[str, object]) -> str:
             title="Closed-loop macro sweep (incremental arbiter)",
         ),
     ]
+    open_loop = payload.get("open_loop")
+    if open_loop:
+        lines.append("")
+        lines.append(
+            format_table(
+                ["geometry", "wall_s", "events", "events/s", "intervals", "hit_ratio"],
+                [
+                    [sample["geometry"], sample["wall_s"], sample["events"],
+                     sample["events_per_s"], sample["flow_intervals"], sample["hit_ratio"]]
+                    for sample in open_loop
+                ],
+                title=f"Open-loop production replay ({OPEN_LOOP_REPLAY}, one trace hour)",
+            )
+        )
     profile = payload.get("profile")
     if profile:
         phases = profile["phases"]

@@ -159,7 +159,7 @@ _REPLAYS = {
     "s3.all": "all",
 }
 #: InfiniCache replay label -> (backup enabled, deployment seed offset).
-_INFINICACHE_SETTINGS = {
+INFINICACHE_SETTINGS = {
     "infinicache.all": (True, 1),
     "infinicache.large": (True, 2),
     "infinicache.large_no_backup": (False, 3),
@@ -176,8 +176,8 @@ def _replay(unit: tuple[str, Trace, ProductionScale]) -> ConcurrentReplayReport:
     # next pool is built (``run(ProductionScale())`` in one process peaks
     # at 83.5 MiB with it, 115.0 without).
     gc.collect()
-    if label in _INFINICACHE_SETTINGS:
-        backup, offset = _INFINICACHE_SETTINGS[label]
+    if label in INFINICACHE_SETTINGS:
+        backup, offset = INFINICACHE_SETTINGS[label]
         deployment = build_deployment(scale, backup_enabled=backup, seed_offset=offset)
         return OpenLoopDriver(deployment).run(trace)
     if label == "elasticache.all":

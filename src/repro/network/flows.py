@@ -44,22 +44,29 @@ registry as the static model — ``acquire``/``release`` still track live
 flow membership, so the shared-NIC accounting responds to flows that join
 and leave mid-transfer.
 
-Every finished or abandoned flow leaves a :class:`FlowInterval` in
-:attr:`FlowNetwork.trace`; the drivers surface that trace so experiments
-(and tests) can assert genuine overlap between concurrent transfers.  Long
-open-loop runs can cap the retained intervals with ``trace_limit`` —
-aggregate statistics (counts, bytes, the running concurrency peak) are kept
-independently of the retained window and do not change.
+Every finished or abandoned flow appends one row to the network's
+:class:`FlowTrace`, a columnar store: one ``array`` per numeric field of
+:class:`FlowInterval`, a byte column for ``completed`` and lists of ``str``
+for the label and the host and proxy ids (the same string objects the NIC
+and the proxy hold).  A row costs about 65 bytes plus its label, where a
+named tuple per transfer cost about 260.  ``FlowTrace`` is a read-only
+sequence of :class:`FlowInterval` records built on demand, pickles as its
+columns, and is what :meth:`FlowNetwork.trace_since` hands the drivers, so
+experiments (and tests) can assert genuine overlap between concurrent
+transfers.  Long open-loop runs can cap the retained intervals with
+``trace_limit`` — aggregate statistics (counts, bytes, the running
+concurrency peak) are kept independently of the retained window and do not
+change.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Collection
+from array import array
+from bisect import bisect_left
+from collections.abc import Collection, Iterator, Sequence
 from functools import partial
-from itertools import islice
 from time import perf_counter
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional, Union, overload
 
 from repro.exceptions import SimulationError
 from repro.network.topology import HostNic, NetworkFabric
@@ -70,29 +77,51 @@ from repro.sim.process import SimFuture
 ARBITER_NAMES = ("incremental", "reference")
 
 
-def peak_concurrency(intervals: list[tuple[float, float]]) -> int:
-    """Peak number of ``(start, end)`` intervals alive at one instant.
+def peak_concurrency(starts: Sequence[float], ends: Sequence[float]) -> int:
+    """Peak number of intervals alive at one instant, given their
+    ``starts`` and ``ends`` columns.
 
-    Boundary sweep with departures ordered before arrivals at equal
-    timestamps, so back-to-back intervals do not count as overlapping.
+    A sweep over both columns sorted, with departures ordered before
+    arrivals at equal timestamps, so back-to-back intervals do not count as
+    overlapping and a zero-length interval never counts as in flight.
     """
-    boundaries: list[tuple[float, int]] = []
-    for started_at, ended_at in intervals:
-        boundaries.append((started_at, 1))
-        boundaries.append((ended_at, -1))
-    boundaries.sort(key=lambda item: (item[0], item[1]))
-    live = peak = 0
-    for _time, delta in boundaries:
-        live += delta
-        peak = max(peak, live)
+    ends = sorted(ends)
+    departed = peak = 0
+    for arrived, started_at in enumerate(sorted(starts), 1):
+        while departed < len(ends) and ends[departed] <= started_at:
+            departed += 1
+        if arrived - departed > peak:
+            peak = arrived - departed
     return peak
 
 
-class FlowInterval(NamedTuple):
-    """One completed (or abandoned) transfer, as recorded in the trace.
+def overlapping_pairs(starts: Sequence[float], ends: Sequence[float]) -> int:
+    """Number of interval pairs for which :meth:`FlowInterval.overlaps` holds.
 
-    A named tuple: one per transfer, and reports from worker processes carry
-    them all through ``pickle``; a tuple builds and unpickles at C speed.
+    Counted as all pairs minus the disjoint ones, in O(n log n).  A pair is
+    disjoint when one interval ends at or before the other starts.  Counting
+    the ordered ``(i, j)`` with ``ends[i] <= starts[j]`` over sorted starts
+    finds every disjoint pair once, except two kinds it counts too often:
+    ``i == j`` for each zero-length interval, and both orders of two
+    zero-length intervals at the same instant.
+    """
+    count = len(starts)
+    sorted_starts = sorted(starts)
+    ordered_disjoint = sum(count - bisect_left(sorted_starts, end) for end in ends)
+    points: dict[float, int] = {}
+    for started_at, ended_at in zip(starts, ends):
+        if started_at == ended_at:
+            points[started_at] = points.get(started_at, 0) + 1
+    ordered_disjoint -= sum(points.values())
+    disjoint = ordered_disjoint - sum(k * (k - 1) // 2 for k in points.values())
+    return count * (count - 1) // 2 - disjoint
+
+
+class FlowInterval(NamedTuple):
+    """One completed (or abandoned) transfer, as read from a :class:`FlowTrace`.
+
+    The trace stores its transfers as columns and builds one of these per
+    index or iteration step; nothing keeps them.
     """
 
     flow_id: int
@@ -115,6 +144,102 @@ class FlowInterval(NamedTuple):
     def overlaps(self, other: "FlowInterval") -> bool:
         """Whether two transfer intervals were in flight at the same instant."""
         return self.started_at < other.ended_at and other.started_at < self.ended_at
+
+
+class FlowTrace(Sequence[FlowInterval]):
+    """Retired transfers, oldest first, stored as one column per field.
+
+    Each :class:`FlowInterval` field is an attribute holding its column:
+    ``array('q')`` for ``flow_id`` and ``size_bytes``, ``array('d')`` for
+    ``started_at``, ``ended_at`` and ``bytes_moved``, a ``bytearray`` of 0/1
+    for ``completed``, and lists of ``str`` for ``label``, ``host_id`` and
+    ``proxy_id``.  Readers that scan every transfer (the report digest, the
+    concurrency sweeps) read the columns; indexing and iteration build
+    :class:`FlowInterval` records on demand.  Read-only to everyone but the
+    :class:`FlowNetwork` that fills it.  A slice is an owned ``FlowTrace``
+    copy, and a trace pickles as its columns.
+    """
+
+    __slots__ = FlowInterval._fields
+    flow_id: array[int]
+    label: list[str]
+    host_id: list[str]
+    proxy_id: list[str]
+    size_bytes: array[int]
+    started_at: array[float]
+    ended_at: array[float]
+    completed: bytearray
+    bytes_moved: array[float]
+
+    def __init__(self, *columns: Any) -> None:
+        (
+            self.flow_id, self.label, self.host_id, self.proxy_id, self.size_bytes,
+            self.started_at, self.ended_at, self.completed, self.bytes_moved,
+        ) = columns or (
+            array("q"), [], [], [], array("q"),
+            array("d"), array("d"), bytearray(), array("d"),
+        )
+
+    def _columns(self) -> tuple[Any, ...]:
+        return (
+            self.flow_id, self.label, self.host_id, self.proxy_id, self.size_bytes,
+            self.started_at, self.ended_at, self.completed, self.bytes_moved,
+        )
+
+    def __len__(self) -> int:
+        return len(self.flow_id)
+
+    @overload
+    def __getitem__(self, index: int) -> FlowInterval: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "FlowTrace": ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[FlowInterval, "FlowTrace"]:
+        if isinstance(index, slice):
+            return FlowTrace(*(column[index] for column in self._columns()))
+        return FlowInterval(
+            self.flow_id[index], self.label[index], self.host_id[index],
+            self.proxy_id[index], self.size_bytes[index], self.started_at[index],
+            self.ended_at[index], bool(self.completed[index]), self.bytes_moved[index],
+        )
+
+    def __iter__(self) -> Iterator[FlowInterval]:
+        return map(FlowInterval._make, zip(
+            self.flow_id, self.label, self.host_id, self.proxy_id, self.size_bytes,
+            self.started_at, self.ended_at, map(bool, self.completed), self.bytes_moved,
+        ))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlowTrace):
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return FlowTrace, self._columns()
+
+    def __repr__(self) -> str:
+        return f"FlowTrace({len(self)} intervals)"
+
+    def _append(
+        self, flow_id: int, label: str, host_id: str, proxy_id: str, size_bytes: int,
+        started_at: float, ended_at: float, completed: bool, bytes_moved: float,
+    ) -> None:
+        self.flow_id.append(flow_id)
+        self.label.append(label)
+        self.host_id.append(host_id)
+        self.proxy_id.append(proxy_id)
+        self.size_bytes.append(size_bytes)
+        self.started_at.append(started_at)
+        self.ended_at.append(ended_at)
+        self.completed.append(completed)
+        self.bytes_moved.append(bytes_moved)
+
+    def _drop_oldest(self, count: int) -> None:
+        for column in self._columns():
+            del column[:count]
 
 
 class Flow:
@@ -183,10 +308,13 @@ class FlowNetwork:
         loop: the shared event loop flows are scheduled on.
         fabric: NIC registry plus proxy-side uplink capacity.
         trace_limit: if given, retain at most this many finished/abandoned
-            :class:`FlowInterval` records (the oldest are evicted in O(1)
-            per retirement from the underlying deque).  The aggregate
-            statistics (``completed_flows``, ``abandoned_flows``, byte
-            totals, ``max_concurrent``) are unaffected by eviction.
+            transfers: only the newest ``trace_limit`` are visible through
+            :attr:`trace` and :meth:`trace_since`.  The store drops the
+            evicted rows in batches, once ``trace_limit`` of them have piled
+            up (amortised O(1) per retirement; at most ``2 * trace_limit``
+            rows held).  The aggregate statistics (``completed_flows``,
+            ``abandoned_flows``, byte totals, ``max_concurrent``) are
+            unaffected by eviction.
     """
 
     def __init__(
@@ -229,12 +357,10 @@ class FlowNetwork:
         #: every retired flow is recorded as a ``net.flow`` span parented to
         #: the chunk transfer it served (see ``Flow.parent_span``).
         self.tracer: Optional[Any] = None
-        #: Chronological record of finished/abandoned transfers (the newest
-        #: ``trace_limit`` of them when a limit is set).  A deque so that
-        #: eviction under ``trace_limit`` is O(1) per retirement; exposed as
-        #: a list through the :attr:`trace` property.
-        self._trace: deque[FlowInterval] = deque(maxlen=trace_limit)
-        self._trace_dropped = 0
+        #: Chronological record of finished/abandoned transfers.  Under a
+        #: ``trace_limit`` its first :meth:`_trace_start` rows are already
+        #: evicted and wait for the next batch drop.
+        self._trace = FlowTrace()
         self._peak_active = 0
         #: Aggregate retirement statistics, independent of trace eviction.
         self.completed_flows = 0
@@ -261,16 +387,16 @@ class FlowNetwork:
     @property
     def trace_dropped(self) -> int:
         """Number of trace intervals evicted under ``trace_limit``."""
-        return self._trace_dropped
+        return self.retired_flows - (len(self._trace) - self._trace_start())
 
     @property
     def trace(self) -> list[FlowInterval]:
         """The retained finished/abandoned intervals, oldest first.
 
-        A fresh list copy of the retained window; use :meth:`trace_since`
-        for incremental reads and :meth:`flow_stats` for O(1) aggregates.
+        A fresh list of the retained window; use :meth:`trace_since` for
+        incremental reads and :meth:`flow_stats` for O(1) aggregates.
         """
-        return list(self._trace)
+        return list(self._trace[self._trace_start():])
 
     def flows_on_host(self, host_id: str) -> int:
         """Live flow count through one host NIC (the dynamic accounting)."""
@@ -301,8 +427,8 @@ class FlowNetwork:
             "bytes_completed": self.bytes_completed,
             "bytes_abandoned": self.bytes_abandoned,
             "peak_concurrent_flows": float(self._peak_active),
-            "trace_retained": float(len(self._trace)),
-            "trace_dropped": float(self._trace_dropped),
+            "trace_retained": float(len(self._trace) - self._trace_start()),
+            "trace_dropped": float(self.trace_dropped),
         }
 
     # ------------------------------------------------------------------ trace windows
@@ -315,9 +441,19 @@ class FlowNetwork:
         """
         return self.retired_flows
 
-    def trace_since(self, marker: int) -> list[FlowInterval]:
-        """The retained intervals retired after ``marker`` was taken."""
-        return list(islice(self._trace, max(0, marker - self._trace_dropped), None))
+    def trace_since(self, marker: int) -> FlowTrace:
+        """The retained intervals retired after ``marker`` was taken, as an
+        owned :class:`FlowTrace` (a slice copy of the store's columns)."""
+        # The store's first row is the one retired as number ``first_row``.
+        first_row = self.retired_flows - len(self._trace)
+        return self._trace[max(marker - first_row, self._trace_start()):]
+
+    def _trace_start(self) -> int:
+        """Index of the oldest retained row: rows before it are evicted."""
+        limit = self.trace_limit
+        if limit is None or len(self._trace) <= limit:
+            return 0
+        return len(self._trace) - limit
 
     # ------------------------------------------------------------------ flow lifecycle
     def transfer(
@@ -585,14 +721,14 @@ class FlowNetwork:
             self.abandoned_flows += 1
             self.bytes_abandoned += moved
         trace = self._trace
-        if trace.maxlen is not None and len(trace) == trace.maxlen:
-            # The deque evicts the oldest interval on append — O(1), where
-            # the old list-shift was O(trace_limit) per retirement.
-            self._trace_dropped += 1
-        trace.append(FlowInterval(  # positional, in field order: one per transfer
+        trace._append(
             flow.flow_id, flow.label, flow.nic.host_id, flow.proxy_id,
             int(flow.size_bytes), flow.started_at, now, completed, moved,
-        ))
+        )
+        limit = self.trace_limit
+        if limit is not None and len(trace) > 2 * limit:
+            # One O(trace_limit) shift per ``trace_limit + 1`` evictions.
+            trace._drop_oldest(len(trace) - limit)
         tracer = self.tracer
         if tracer is not None:
             tracer.record(

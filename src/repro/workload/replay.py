@@ -51,7 +51,7 @@ from repro.baselines.s3 import ObjectStore
 from repro.cache.client import InfiniCacheClient
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.exceptions import WorkloadError
-from repro.network.flows import FlowInterval, peak_concurrency
+from repro.network.flows import FlowTrace, overlapping_pairs, peak_concurrency
 from repro.obs.metrics import MetricRegistry, TimeSeries
 from repro.sim.loop import EventLoop
 from repro.sim.process import CountdownLatch, ProcessGenerator, all_of
@@ -93,9 +93,8 @@ def hourly_costs(metrics: MetricRegistry, end_time: float) -> dict[str, list[flo
 class RequestSample(NamedTuple):
     """One request's interval on the virtual clock, as a driver recorded it.
 
-    A named tuple, like :class:`~repro.network.flows.FlowInterval`: one per
-    request, and the production and autoscaling reports carry them back from
-    worker processes through ``pickle``.
+    A named tuple: one per request, and the production and autoscaling
+    reports carry them back from worker processes through ``pickle``.
     """
 
     client_id: str
@@ -155,8 +154,11 @@ class ConcurrentReplayReport:
     #: though overlapping requests resolve out of arrival order.
     reset_events: TimeSeries = field(default_factory=lambda: TimeSeries("resets"))
     recovery_events: TimeSeries = field(default_factory=lambda: TimeSeries("recoveries"))
-    #: Chunk-transfer intervals recorded by the flow network during the run.
-    flow_intervals: list[FlowInterval] = field(default_factory=list)
+    #: Chunk-transfer intervals recorded by the flow network during the run:
+    #: an owned columnar copy of its trace window (a sequence of
+    #: :class:`~repro.network.flows.FlowInterval`; the digest and the
+    #: concurrency counts below read its columns).
+    flow_intervals: FlowTrace = field(default_factory=FlowTrace)
     #: High-water mark of simultaneously-active transfers on the underlying
     #: flow network up to the end of this run (O(1) to maintain, available
     #: even under trace limits).  Equals this run's peak whenever the run is
@@ -236,26 +238,20 @@ class ConcurrentReplayReport:
 
     def max_concurrent_flows(self) -> int:
         """Peak number of simultaneously in-flight chunk transfers."""
-        return peak_concurrency(
-            [(i.started_at, i.ended_at) for i in self.flow_intervals]
-        )
+        intervals = self.flow_intervals
+        return peak_concurrency(intervals.started_at, intervals.ended_at)
 
     def overlapping_flow_pairs(self) -> int:
-        """Number of chunk-transfer interval pairs that overlap in time.
+        """Number of chunk-transfer interval pairs that overlap in time
+        (exactly the pairs for which ``FlowInterval.overlaps`` holds).
 
         Strictly zero for the sequential facade (one transfer's interval is
         collapsed to a point before the next starts); positive as soon as
         two transfers — of one request or of two concurrent requests —
         genuinely share the wire.
         """
-        intervals = sorted(self.flow_intervals, key=lambda i: i.started_at)
-        pairs = 0
-        for index, interval in enumerate(intervals):
-            for other in intervals[index + 1:]:
-                if other.started_at >= interval.ended_at:
-                    break
-                pairs += 1
-        return pairs
+        intervals = self.flow_intervals
+        return overlapping_pairs(intervals.started_at, intervals.ended_at)
 
     def fingerprint(self) -> str:
         """Deterministic digest of the run (for seeds-fixed determinism checks).
@@ -270,11 +266,14 @@ class ConcurrentReplayReport:
                 f"{sample.started_at:.9f}|{sample.finished_at:.9f}|"
                 f"{int(sample.hit)}|{int(sample.reset)}\n".encode()
             )
-        for interval in self.flow_intervals:
+        intervals = self.flow_intervals
+        for label, host_id, size_bytes, started_at, ended_at, completed in zip(
+            intervals.label, intervals.host_id, intervals.size_bytes,
+            intervals.started_at, intervals.ended_at, intervals.completed,
+        ):
             hasher.update(
-                f"{interval.label}|{interval.host_id}|{interval.size_bytes}|"
-                f"{interval.started_at:.9f}|{interval.ended_at:.9f}|"
-                f"{int(interval.completed)}\n".encode()
+                f"{label}|{host_id}|{size_bytes}|"
+                f"{started_at:.9f}|{ended_at:.9f}|{completed}\n".encode()
             )
         return hasher.hexdigest()
 

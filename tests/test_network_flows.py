@@ -4,24 +4,36 @@ Satellite coverage for ``NetworkFabric`` shared-NIC accounting under flows
 that join and leave mid-transfer — the dynamic path the event-driven
 request drivers exercise — plus the differential property test pinning the
 incremental bottleneck-group arbiter byte-for-byte against the
-global-recompute reference.
+global-recompute reference, and the columnar ``FlowTrace`` pinned against
+the deque of named tuples it replaced.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import pickle
 import random
+import tracemalloc
+from collections import deque
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.network.flows import (
     ARBITER_NAMES,
+    FlowInterval,
     FlowNetwork,
+    FlowTrace,
     ReferenceFlowNetwork,
     resolve_arbiter,
 )
 from repro.network.topology import NetworkFabric
 from repro.sim import EventLoop, first_n
+from repro.workload.replay import ConcurrentReplayReport, RequestSample
 
 MB = 1_000_000.0
 
@@ -665,7 +677,7 @@ class TestTraceLimit:
         # Three of the five intervals were evicted; the window degrades to
         # whatever is still retained instead of mis-slicing by stale index.
         assert [i.label for i in net.trace_since(marker)] == ["t3", "t4"]
-        assert net.trace_since(net.trace_marker()) == []
+        assert len(net.trace_since(net.trace_marker())) == 0
 
 
 class TestQuorumTieOrder:
@@ -735,3 +747,297 @@ class TestArbiterResolution:
         assert ARBITER_NAMES == ("incremental", "reference")
         with pytest.raises(SimulationError, match="incremental"):
             resolve_arbiter("vectorized")
+
+
+# ---------------------------------------------------------------------- FlowTrace
+class _TupleDequeNetwork(FlowNetwork):
+    """A network that also keeps the trace as the deque of named tuples the
+    columnar store replaced, with that store's expressions verbatim."""
+
+    def __init__(self, loop, fabric, trace_limit=None):
+        super().__init__(loop, fabric, trace_limit=trace_limit)
+        self.tuples: deque[FlowInterval] = deque(maxlen=trace_limit)
+        self.tuples_dropped = 0
+
+    def _retire(self, flow, now, completed):
+        super()._retire(flow, now, completed)
+        trace = self.tuples
+        if trace.maxlen is not None and len(trace) == trace.maxlen:
+            self.tuples_dropped += 1
+        trace.append(FlowInterval(
+            flow.flow_id, flow.label, flow.nic.host_id, flow.proxy_id,
+            int(flow.size_bytes), flow.started_at, now, completed, flow.bytes_moved,
+        ))
+
+    def tuples_since(self, marker):
+        return list(islice(self.tuples, max(0, marker - self.tuples_dropped), None))
+
+
+def _trace_of(intervals) -> FlowTrace:
+    trace = FlowTrace()
+    for interval in intervals:
+        trace._append(*interval)
+    return trace
+
+
+def _tuple_fingerprint(samples, intervals) -> str:
+    """``ConcurrentReplayReport.fingerprint`` as it read named tuples."""
+    hasher = hashlib.sha256()
+    for sample in samples:
+        hasher.update(
+            f"{sample.client_id}|{sample.key}|{sample.size}|"
+            f"{sample.started_at:.9f}|{sample.finished_at:.9f}|"
+            f"{int(sample.hit)}|{int(sample.reset)}\n".encode()
+        )
+    for interval in intervals:
+        hasher.update(
+            f"{interval.label}|{interval.host_id}|{interval.size_bytes}|"
+            f"{interval.started_at:.9f}|{interval.ended_at:.9f}|"
+            f"{int(interval.completed)}\n".encode()
+        )
+    return hasher.hexdigest()
+
+
+#: One transfer: (start instant, MB moved, host, proxy, abandon after s or None).
+_transfers = st.lists(
+    st.tuples(
+        st.integers(0, 12).map(lambda quarter: quarter * 0.25),
+        st.integers(1, 40),
+        st.integers(0, 2),
+        st.integers(0, 1),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.1, 0.3, 1.0])),
+    ),
+    max_size=24,
+)
+
+
+def _replay_transfers(transfers, trace_limit, probes):
+    """Run ``transfers`` on a :class:`_TupleDequeNetwork`; at each probe
+    instant take a marker and check every earlier marker's window."""
+    loop = EventLoop()
+    net = _TupleDequeNetwork(
+        loop, NetworkFabric(proxy_uplink_bps=400 * MB), trace_limit=trace_limit
+    )
+    markers: list[int] = []
+
+    def begin(index, size_mb, host, proxy, abandon_after):
+        flow = net.transfer(
+            size_bytes=size_mb * MB, function_bandwidth_bps=80 * MB,
+            host_id=f"host-{host}", host_capacity_bps=100 * MB,
+            proxy_id=f"proxy-{proxy}", label=f"proxy-{proxy}:serving:key-{index}#0",
+        )
+        if abandon_after is not None:
+            loop.schedule(abandon_after, lambda: net.cancel(flow))
+
+    def probe():
+        for marker in markers:
+            assert list(net.trace_since(marker)) == net.tuples_since(marker)
+        markers.append(net.trace_marker())
+
+    for index, (at, size_mb, host, proxy, abandon_after) in enumerate(transfers):
+        loop.schedule_at(
+            at, lambda a=(index, size_mb, host, proxy, abandon_after): begin(*a)
+        )
+    for at in probes:
+        loop.schedule_at(at, probe)
+    loop.run_all()
+    probe()
+    return net, markers
+
+
+class TestFlowTraceMatchesTheTupleDeque:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        transfers=_transfers,
+        trace_limit=st.sampled_from([None, 0, 1, 3]),
+        probes=st.lists(st.integers(0, 16).map(lambda tick: tick * 0.25), max_size=5),
+    )
+    def test_same_intervals_order_and_windows(self, transfers, trace_limit, probes):
+        net, markers = _replay_transfers(transfers, trace_limit, probes)
+        assert len(net.trace) == len(net.tuples)
+        assert net.trace == list(net.tuples)
+        assert net.trace_dropped == net.tuples_dropped
+        assert net.flow_stats()["trace_retained"] == len(net.tuples)
+        for marker in markers + [0]:
+            window = net.trace_since(marker)
+            assert isinstance(window, FlowTrace)
+            assert len(window) == len(net.tuples_since(marker))
+            assert list(window) == net.tuples_since(marker)
+            assert [window[i] for i in range(len(window))] == net.tuples_since(marker)
+
+    @settings(max_examples=40, deadline=None)
+    @given(transfers=_transfers)
+    def test_pickle_round_trip_is_equal(self, transfers):
+        net, _ = _replay_transfers(transfers, None, [])
+        trace = net.trace_since(0)
+        restored = pickle.loads(pickle.dumps(trace))
+        assert restored == trace
+        assert list(restored) == list(net.tuples)
+        assert all(type(interval.completed) is bool for interval in restored)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        transfers=_transfers,
+        samples=st.lists(
+            st.builds(
+                RequestSample,
+                client_id=st.sampled_from(["c-0", "c-1"]),
+                key=st.text(max_size=6),
+                size=st.integers(1, 10**9),
+                started_at=st.floats(0, 1e6, allow_nan=False),
+                finished_at=st.floats(0, 1e6, allow_nan=False),
+                hit=st.booleans(),
+                reset=st.booleans(),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_fingerprint_equals_the_tuple_digest(self, transfers, samples):
+        net, _ = _replay_transfers(transfers, None, [])
+        report = ConcurrentReplayReport(
+            system="infinicache", mode="open-loop", clients=1,
+            samples=samples, flow_intervals=net.trace_since(0),
+        )
+        assert report.fingerprint() == _tuple_fingerprint(samples, net.tuples)
+
+    def test_fingerprint_of_extreme_floats_equals_the_tuple_digest(self):
+        intervals = [
+            FlowInterval(0, "a|b", "h", "p", 2**62, 0.0, 1e-10, True, 1.5),
+            FlowInterval(1, "é", "h", "p", 1, 123456789.123456789, 1e15, False, 0.0),
+            FlowInterval(2, "", "", "", 0, 1 / 3, 2 / 3, True, 1e300),
+        ]
+        report = ConcurrentReplayReport(
+            system="x", mode="closed-loop", clients=1,
+            flow_intervals=_trace_of(intervals),
+        )
+        assert report.fingerprint() == _tuple_fingerprint([], intervals)
+
+    def test_sequence_protocol(self):
+        intervals = [
+            FlowInterval(i, f"t{i}", "h", "p", 10 + i, float(i), i + 0.5, i % 2 == 0, 1.0 * i)
+            for i in range(5)
+        ]
+        trace = _trace_of(intervals)
+        assert len(trace) == 5 and trace[-1] == intervals[-1] and trace[1] == intervals[1]
+        assert list(trace[1:4]) == intervals[1:4] and isinstance(trace[1:4], FlowTrace)
+        assert list(reversed(trace)) == intervals[::-1]
+        assert intervals[2] in trace and trace.index(intervals[3]) == 3
+        assert trace == _trace_of(intervals) != trace[:4]
+        assert trace != intervals  # a trace equals traces, not lists
+        with pytest.raises(IndexError):
+            trace[5]  # noqa: B018
+        # Read-only: no column can be swapped out.
+        with pytest.raises(AttributeError):
+            trace.extra = []  # type: ignore[attr-defined]
+
+    def test_retains_under_half_the_tuple_deque(self):
+        """10 000 retired transfers with production-shaped labels: the
+        columns keep less than half of what the named tuples kept."""
+        hosts = [f"lambda-host-{index}" for index in range(40)]
+
+        def row(index):
+            return (
+                index, f"proxy-0:serving:key-{index // 12}#{index % 12}",
+                hosts[index % 40], "proxy-0", 400_000 + index, index * 1e-3,
+                index * 1e-3 + 0.25, index % 7 != 0, float(400_000 + index),
+            )
+
+        def fill_tuples():
+            kept = deque()
+            for index in range(10_000):
+                kept.append(FlowInterval(*row(index)))
+            return kept
+
+        def fill_columns():
+            kept = FlowTrace()
+            for index in range(10_000):
+                kept._append(*row(index))
+            return kept
+
+        def retained(fill):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = fill()
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before, kept
+            finally:
+                tracemalloc.stop()
+
+        tuple_bytes, tuples = retained(fill_tuples)
+        column_bytes, columns = retained(fill_columns)
+        assert list(columns) == list(tuples)
+        assert column_bytes < 0.5 * tuple_bytes
+
+
+# ---------------------------------------------------------------------- overlap counts
+def _boundary_sweep_peak(intervals) -> int:
+    """The concurrency peak as the report computed it over named tuples."""
+    boundaries = []
+    for interval in intervals:
+        boundaries.append((interval.started_at, 1))
+        boundaries.append((interval.ended_at, -1))
+    boundaries.sort(key=lambda item: (item[0], item[1]))
+    live = peak = 0
+    for _time, delta in boundaries:
+        live += delta
+        peak = max(peak, live)
+    return peak
+
+
+def _report_of(intervals) -> ConcurrentReplayReport:
+    return ConcurrentReplayReport(
+        system="x", mode="open-loop", clients=1,
+        flow_intervals=_trace_of(intervals),
+    )
+
+
+#: Intervals on a coarse grid, so equal starts, equal ends, back-to-back
+#: pairs and zero-length intervals all come up often.
+_intervals = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 3)).map(
+        lambda start_length: (start_length[0] * 0.5, (start_length[0] + start_length[1]) * 0.5)
+    ),
+    max_size=30,
+).map(lambda spans: [
+    FlowInterval(index, f"f{index}", "h", "p", 1, start, end, start < end, 0.0)
+    for index, (start, end) in enumerate(spans)
+])
+
+
+class TestOverlappingFlowPairs:
+    def test_zero_length_interval_at_a_start_overlaps_nothing(self):
+        a = FlowInterval(0, "a", "h", "p", 1, 1.0, 2.0, True, 1.0)
+        b = FlowInterval(1, "b", "h", "p", 1, 1.0, 1.0, False, 0.0)
+        assert not a.overlaps(b)
+        assert _report_of([a, b]).overlapping_flow_pairs() == 0
+        assert _report_of([b, a]).overlapping_flow_pairs() == 0
+
+    def test_zero_length_interval_inside_another_overlaps_it(self):
+        a = FlowInterval(0, "a", "h", "p", 1, 1.0, 2.0, True, 1.0)
+        b = FlowInterval(1, "b", "h", "p", 1, 1.5, 1.5, False, 0.0)
+        assert a.overlaps(b)
+        assert _report_of([a, b]).overlapping_flow_pairs() == 1
+        assert _report_of([b, a]).overlapping_flow_pairs() == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals=_intervals, seed=st.integers(0, 2**16))
+    def test_counts_exactly_the_pairs_overlaps_accepts_in_any_order(self, intervals, seed):
+        expected = sum(
+            intervals[i].overlaps(intervals[j])
+            for i in range(len(intervals))
+            for j in range(i + 1, len(intervals))
+        )
+        shuffled = intervals[:]
+        random.Random(seed).shuffle(shuffled)
+        for order in (intervals, intervals[::-1], shuffled):
+            assert _report_of(order).overlapping_flow_pairs() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals=_intervals, seed=st.integers(0, 2**16))
+    def test_peak_equals_the_boundary_sweep(self, intervals, seed):
+        shuffled = intervals[:]
+        random.Random(seed).shuffle(shuffled)
+        for order in (intervals, shuffled):
+            assert _report_of(order).max_concurrent_flows() == _boundary_sweep_peak(order)

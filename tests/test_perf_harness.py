@@ -159,6 +159,38 @@ class TestMacroAndComparison:
             small.extra["flows_reaimed"],
         ) == (715, 48, 2087, 1261)
 
+    def test_open_loop_production_rung_replays_the_pinned_run(self):
+        """One trace hour of ``infinicache.all`` at the quick geometry: the
+        counts and the digest the replay gave before its flow trace became
+        columnar."""
+        [scale] = perf.open_loop_scales(quick=True)
+        sample = perf.macro_open_loop_production(scale)
+        assert sample.name == "macro.open_loop_production"
+        assert sample.extra["geometry"] == "24x1536MiB RS(10+2) 1h"
+        assert (sample.events, sample.extra["records"], sample.extra["flow_intervals"]) == (
+            11034, 298, 3560
+        )
+        assert sample.extra["hit_ratio"] == pytest.approx(0.738255033557047, abs=1e-12)
+        assert sample.extra["fingerprint"] == (
+            "f3853935f3b138e1c1fbb0b803913601111370b003ee70e5179897b88eaba501"
+        )
+        # The committed payload holds this rung, so ``--quick`` is gated on it.
+        committed = json.loads(
+            (pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json").read_text()
+        )
+        assert sample.extra["geometry"] in {
+            rung["geometry"] for rung in committed["open_loop"]
+        }
+        assert perf.check_regression(
+            {"open_loop": [sample.as_dict()]}, {"open_loop": committed["open_loop"]}
+        ) == []
+
+    def test_full_suite_runs_the_quick_geometry_and_the_paper_pool(self):
+        quick, paper = perf.open_loop_scales(quick=False)
+        assert quick == perf.open_loop_scales(quick=True)[0]
+        assert (paper.lambdas_per_proxy, paper.lambda_memory_mib) == (400, 1536)
+        assert (paper.data_shards, paper.parity_shards, paper.duration_hours) == (10, 2, 1.0)
+
     def test_compare_arbiters_fingerprints_identical(self):
         comparison = perf.compare_arbiters(clients=8, requests_per_client=2)
         assert comparison["fingerprints_identical"] is True
@@ -172,6 +204,9 @@ class TestMacroAndComparison:
         assert encoded["schema"] == "repro.perf/1"
         assert encoded["quick"] is True
         assert [sample["clients"] for sample in encoded["macro"]] == [4, 8]
+        assert [
+            (sample["name"], sample["geometry"]) for sample in encoded["open_loop"]
+        ] == [("macro.open_loop_production", "24x1536MiB RS(10+2) 1h")]
         assert encoded["arbiter_comparison"]["fingerprints_identical"] is True
         assert [sample["name"] for sample in encoded["micro"]] == [
             "micro.event_queue",
@@ -377,6 +412,45 @@ class TestRegressionGuard:
         assert perf.check_regression(reaimed(999), reaimed(1000)) == []
         assert perf.check_regression(reaimed(1001), reaimed(None)) == []
 
+
+    def _open_loop(self, geometry: str = "24x1536MiB RS(10+2) 1h", **changed) -> dict:
+        sample = {
+            "name": "macro.open_loop_production", "geometry": geometry,
+            "events": 11034, "flow_intervals": 3560, "fingerprint": "f" * 64,
+            "wall_s": 0.3, "events_per_s": 36_000.0, "hit_ratio": 0.74,
+        }
+        sample.update(changed)
+        return {"macro": [], "open_loop": [sample]}
+
+    def test_open_loop_counts_and_fingerprint_are_gated_exactly(self):
+        assert perf.check_regression(self._open_loop(), self._open_loop()) == []
+        # Timings are never gated.
+        assert perf.check_regression(
+            self._open_loop(wall_s=9.0, events_per_s=1.0), self._open_loop()
+        ) == []
+        for key, value in (
+            ("events", 11035), ("events", 11033), ("flow_intervals", 3561),
+            ("fingerprint", "e" * 64),
+        ):
+            errors = perf.check_regression(self._open_loop(**{key: value}), self._open_loop())
+            assert len(errors) == 1
+            assert key in errors[0] and "macro.open_loop_production" in errors[0]
+
+    def test_open_loop_gate_matches_by_geometry(self):
+        # A baseline without the rung, or with it at another geometry only,
+        # gates nothing.
+        changed = self._open_loop(events=1)
+        assert perf.check_regression(changed, {"macro": []}) == []
+        assert perf.check_regression(
+            changed, self._open_loop(geometry="400x1536MiB RS(10+2) 1h")
+        ) == []
+        # A quick payload against a full baseline: only the shared geometry.
+        full = self._open_loop()
+        full["open_loop"].append(
+            dict(full["open_loop"][0], geometry="400x1536MiB RS(10+2) 1h", events=62527)
+        )
+        assert perf.check_regression(self._open_loop(), full) == []
+        assert len(perf.check_regression(changed, full)) == 1
 
     def _ledger(self, **changed) -> dict:
         sample = {
