@@ -19,8 +19,8 @@ view: who caused which share of the Lambda bill, with the conservation
 check that the per-tenant totals sum to the cluster-wide bill.
 
 ``python -m repro perf [--quick] [--output BENCH_perf.json]`` runs the
-simulator performance harness (micro event-queue/flow-churn/codec/FaaS-cycle
-benchmarks plus the closed-loop fleet sweep and an open-loop production
+simulator performance harness (micro event-queue/flow-churn/codec/FaaS-cycle/
+fleet-warm-up benchmarks plus the closed-loop fleet sweep and an open-loop production
 replay), writes ``BENCH_perf.json``, and exits
 non-zero if the incremental flow arbiter's replay fingerprint drifts from
 the global-recompute reference — a correctness gate immune to timing

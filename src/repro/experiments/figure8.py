@@ -7,7 +7,19 @@ trace) and continuous low-rate reclamation (the 1-minute traces).
 
 The reproduction runs the simulated platform under each regime's reclamation
 policy with the corresponding warm-up interval and reports reclaim counts per
-hour, which is the same curve the figure plots (binned).
+hour, which is the same curve the figure plots (binned).  Each warm-up round
+is one :meth:`~repro.faas.platform.FaaSPlatform.warm_up` call over the whole
+fleet.
+
+Known off-by-one (kept until the figure 8/9 goldens are re-pinned in one
+go): sweeps fire at t = 60 s, 120 s, ..., ``hours * HOUR``, and the hourly
+bins are ``[start, stop)``.  So hour 0 holds 59 sweeps, and the last sweep,
+at exactly ``hours * HOUR``, is counted in ``reclaims_per_sweep`` but in no
+hour: ``total_reclaims`` misses its reclaims.  At quick scale the
+"9 min (08/21/19)" total reads 1 227 while 1 243 instances were reclaimed
+(16 at the 24 h spike centre), and "1 min (11/06/19)" reads 538 against
+539.  ``tests/test_experiments.py::TestFigures8And9::
+test_hourly_total_equals_reclaims_swept`` is a strict xfail until then.
 """
 
 from __future__ import annotations
@@ -90,9 +102,7 @@ def _run_strategy(
     names = platform.registered_functions()
 
     def warm_all() -> None:
-        for name in names:
-            invocation = platform.invoke(name)
-            platform.complete_invocation(invocation.instance, 0.001, "warmup")
+        platform.warm_up(names, 0.001, "warmup")
         simulator.schedule(strategy.warmup_interval_s, warm_all, label="fig8.warmup")
 
     warm_all()

@@ -10,7 +10,8 @@ benchmark their event cores.  This module is that measurement layer:
   queue's push/cancel/pop cycle (tombstone compaction), the flow
   network's join/leave arbitration churn, the Reed-Solomon codec's
   encode / decode / rebuild throughput on real bytes, the FaaS
-  platform's invoke → complete → bill cycle with its exact ledger, and
+  platform's invoke → complete → bill cycle with its exact ledger,
+  Figure 8's fleet warm-up rounds with theirs, and
   deadline-bounded chunk attempts under a link blackhole with exact counts
   of what they spawn and schedule;
 * **macro benchmarks** run the closed-loop replay driver end to end at
@@ -42,10 +43,12 @@ from repro.erasure.codec import ErasureCodec
 from repro.experiments import production
 from repro.experiments.production import ProductionScale
 from repro.faas.platform import FaaSPlatform
+from repro.faas.reclamation import PoissonReclamationPolicy
 from repro.network.flows import resolve_arbiter
 from repro.network.topology import NetworkFabric
 from repro.sim.loop import EventLoop
-from repro.utils.units import MB, MIB
+from repro.utils.rng import SeededRNG
+from repro.utils.units import MB, MIB, MINUTE
 from repro.workload.replay import ClosedLoopDriver, OpenLoopDriver, seed_fleet
 
 #: The fleet sizes the full suite sweeps (the quick CI variant trims this).
@@ -258,6 +261,55 @@ def micro_faas_cycle(cycles: int = 100_000, reclaim_every: int = 1_000) -> PerfS
             "reclaims": int(counters.get("faas.reclaims", 0.0)),
             "cold_starts": int(counters["faas.cold_starts"]),
             "total_invocations": billing.total_invocations,
+            "total_billed_seconds": repr(billing.total_billed_seconds),
+            "total_cost": repr(billing.total_cost),
+        },
+    )
+
+
+#: The ``micro.fleet_warm_up`` fields that are exact on every host, and so gated.
+FLEET_WARM_UP_EXACT_KEYS = (
+    "rounds", "invocations", "cold_starts", "reclaims",
+    "total_billed_seconds", "total_cost",
+)
+
+
+def micro_fleet_warm_up(functions: int = 150, rounds: int = 240, seed: int = 2020) -> PerfSample:
+    """Figure 8's keep-alive loop: one ``warm_up`` round per virtual minute.
+
+    ``functions`` 256 MiB functions are all re-invoked (1 ms, ``warmup``)
+    once a minute for ``rounds`` minutes, while the platform's one-minute
+    sweeps reclaim instances under a Poisson policy (mean 0.6 per sweep,
+    as Figure 8's 1-minute days); a reclaimed function cold-starts at the
+    next round.  Reports rounds/s (noise) beside the exact ledger:
+    invocations, cold starts, reclaims, and the billed seconds and cost as
+    ``repr`` strings.
+    """
+    loop = EventLoop()
+    platform = FaaSPlatform(
+        loop, reclamation_policy=PoissonReclamationPolicy(SeededRNG(seed), 0.6)
+    )
+    for index in range(functions):
+        platform.register_function(f"probe-{index:04d}", 256 * MIB)
+    names = platform.registered_functions()
+    platform.start_reclamation_sweeps()
+    gc.collect()
+    start = time.perf_counter()
+    for round_index in range(rounds):
+        platform.warm_up(names, 0.001, "warmup")
+        loop.run_until((round_index + 1) * MINUTE)
+    wall = time.perf_counter() - start
+    billing, counters = platform.billing, platform.metrics.counters()
+    return PerfSample(
+        name="micro.fleet_warm_up",
+        wall_s=wall,
+        events=rounds,
+        extra={
+            "functions": functions,
+            "rounds": rounds,
+            "invocations": int(counters["faas.invocations"]),
+            "cold_starts": int(counters["faas.cold_starts"]),
+            "reclaims": int(counters.get("faas.reclaims", 0.0)),
             "total_billed_seconds": repr(billing.total_billed_seconds),
             "total_cost": repr(billing.total_cost),
         },
@@ -593,6 +645,7 @@ def validate_faas_cycle(payload: dict[str, object]) -> list[str]:
 #: counts, not rates), so :func:`check_regression` gates them on equality.
 MICRO_EXACT_KEYS = {
     "micro.faas_cycle": FAAS_MICRO_EXACT_KEYS,
+    "micro.fleet_warm_up": FLEET_WARM_UP_EXACT_KEYS,
     "micro.hardened_chunk": HARDENED_MICRO_EXACT_KEYS,
 }
 
@@ -656,8 +709,9 @@ def check_regression(
     ``flows_swept`` and ``flows_reaimed`` are gated on every shared rung,
     with no tolerance: the counts are exact per seed, so a rung that sweeps
     or re-aims more flows than the committed payload says is a code change,
-    never noise.  The ``micro.faas_cycle`` ledger and the
-    ``micro.hardened_chunk`` counts are gated the same way, on equality
+    never noise.  The ``micro.faas_cycle`` and ``micro.fleet_warm_up``
+    ledgers and the ``micro.hardened_chunk`` counts are gated the same way,
+    on equality
     (:data:`MICRO_EXACT_KEYS`): a difference is a billing-arithmetic change,
     or a change in what a deadline-bounded chunk attempt spawns and
     schedules.  So is the
@@ -773,6 +827,7 @@ def run_suite(
         ),
         micro_erasure(),
         micro_faas_cycle(),
+        micro_fleet_warm_up(),
         micro_hardened_chunk(),
     ]
     # The comparison runs before the big sweeps; with the collector paused
@@ -841,6 +896,14 @@ def format_report(payload: dict[str, object]) -> str:
             f"mid-flight, {cycle['cold_starts']} cold starts); ledger: "
             f"{cycle['total_invocations']} invocations, "
             f"{cycle['total_billed_seconds']} billed s, ${cycle['total_cost']}"
+        )
+    fleet = _micro_sample(payload, "micro.fleet_warm_up")
+    if fleet is not None:
+        lines.append(
+            f"{fleet['name']}: {fleet['rounds']} warm-up rounds of {fleet['functions']} "
+            f"functions at {fleet['events_per_s']:.0f}/s ({fleet['reclaims']} reclaimed, "
+            f"{fleet['cold_starts']} cold starts); ledger: {fleet['invocations']} "
+            f"invocations, {fleet['total_billed_seconds']} billed s, ${fleet['total_cost']}"
         )
     race = _micro_sample(payload, "micro.hardened_chunk")
     if race is not None:

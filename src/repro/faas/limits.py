@@ -109,9 +109,3 @@ def usable_cache_bytes(memory_bytes: int) -> int:
     """
     validate_memory_bytes(memory_bytes)
     return int(memory_bytes * (1.0 - RUNTIME_OVERHEAD_FRACTION))
-
-
-def functions_per_host(memory_bytes: int) -> int:
-    """How many functions of this size fit on one VM host."""
-    validate_memory_bytes(memory_bytes)
-    return max(1, HOST_MEMORY_BYTES // memory_bytes)

@@ -15,12 +15,21 @@ behaviours the real platform exposes:
   100 ms-rounded GB-seconds); the *caller* reports the execution duration,
   because in InfiniCache the Lambda runtime deliberately keeps itself alive
   to the end of a billing cycle (anticipatory billed-duration control).
+* ``warm_up`` re-invokes a list of functions at one instant — the paper's
+  keep-alive round (Section 4.1).  It leaves every instance, counter and
+  ledger exactly as ``invoke`` + ``complete_invocation`` per name would,
+  and bills each run of equal memory sizes with one
+  :meth:`~repro.faas.billing.BillingModel.charge_invocations` call.
+  ``invoke`` / ``invoke_instance`` / ``complete_invocation`` stay the
+  per-request path of the cache nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import groupby, islice
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
 from repro.exceptions import (
     ConfigurationError,
@@ -28,7 +37,7 @@ from repro.exceptions import (
     InvocationError,
     InvocationFaultError,
 )
-from repro.faas.billing import BillingModel
+from repro.faas.billing import BillingModel, ceil_to_billing_cycle
 from repro.faas.function import FunctionInstance, FunctionState
 from repro.faas.host import HostManager
 from repro.faas.limits import (
@@ -46,6 +55,8 @@ from repro.utils.units import MINUTE
 _IDLE = FunctionState.IDLE
 _RUNNING = FunctionState.RUNNING
 _RECLAIMED = FunctionState.RECLAIMED
+
+_MEMORY_BYTES = attrgetter("config.memory_bytes")
 
 #: Virtual seconds between two reclamation sweeps.
 SWEEP_INTERVAL_S = 1 * MINUTE
@@ -148,8 +159,11 @@ class FaaSPlatform:
             InvocationFaultError: when the armed failure probability fires.
         """
         if self._fault_rng.random() < self._fault_failure_probability:
-            self.metrics.counter("faas.injected_faults").increment()
-            raise InvocationFaultError(function_name)
+            self._raise_injected_fault(function_name)
+
+    def _raise_injected_fault(self, function_name: str) -> None:
+        self.metrics.counter("faas.injected_faults").increment()
+        raise InvocationFaultError(function_name)
 
     # --- deployment -------------------------------------------------------------
     def register_function(self, name: str, memory_bytes: int) -> FunctionConfig:
@@ -159,14 +173,6 @@ class FaaSPlatform:
         config = FunctionConfig(name=name, memory_bytes=memory_bytes)
         self._functions[name] = _RegisteredFunction(config=config)
         return config
-
-    def is_registered(self, name: str) -> bool:
-        """Whether a function with this name has been deployed."""
-        return name in self._functions
-
-    def function_config(self, name: str) -> FunctionConfig:
-        """The deployment configuration of a registered function."""
-        return self._require(name).config
 
     def registered_functions(self) -> list[str]:
         """Names of all deployed functions."""
@@ -266,6 +272,62 @@ class FaaSPlatform:
             instance.state = _IDLE
             instance.last_invoked_at = self.simulator.clock.now
 
+    def warm_up(
+        self, names: Sequence[str], duration_s: float, category: str = "warmup"
+    ) -> None:
+        """Invoke and complete each named function once, in order, right now.
+
+        The end state equals ``invoke(name)`` then
+        ``complete_invocation(instance, duration_s, category)`` per name: the
+        same instance serves (the first idle one, else a cold start), the
+        same fault draws are made, instances end ``IDLE`` with the same
+        ``invocation_count`` / ``last_invoked_at``, and the counters reach
+        the same values, each created at its first increment as before.
+        Billing books one :meth:`BillingModel.charge_invocations` per run
+        of consecutive equal memory sizes, bit-equal to the single charges.
+
+        Raises:
+            InvocationError: an unknown name; nothing has changed.
+            ConfigurationError: a negative or non-finite duration; nothing
+                has changed.
+            InvocationFaultError: when the armed fault window fires; the
+                names before the faulted one are warmed and billed, as the
+                per-call loop would leave them.
+        """
+        batch = list(map(self._functions.get, names))
+        if not all(batch):
+            for name, registered in zip(names, batch):
+                if registered is None:
+                    self._require(name)
+        ceil_to_billing_cycle(duration_s)  # a bad duration raises before any change
+        probability = self._fault_failure_probability
+        draw = self._fault_rng.random if probability > 0 else None
+        counter = self.metrics.counter
+        now = self.simulator.clock.now
+        done = 0
+        for registered in batch:
+            if draw is not None and draw() < probability:
+                break
+            for instance in registered.instances:
+                if instance.state is _IDLE:
+                    break
+            else:
+                instance = self._create_instance(registered)
+                counter("faas.cold_starts").increment()
+            instance.last_invoked_at = now
+            instance.invocation_count += 1
+            done += 1
+        if done:
+            # Counted once, after the cold starts: while ``faas.invocations``
+            # does not exist no instance does either, so the per-call loop
+            # would also have created it after the first cold start's counters.
+            counter("faas.invocations").increment(done)
+        charge = self.billing.charge_invocations
+        for memory_bytes, run in groupby(map(_MEMORY_BYTES, islice(batch, done))):
+            charge(memory_bytes, duration_s, len(list(run)), category)
+        if done < len(batch):
+            self._raise_injected_fault(batch[done].config.name)
+
     def _create_instance(self, registered: _RegisteredFunction) -> FunctionInstance:
         config = registered.config
         instance_id = f"{config.name}@{registered.next_instance_index}"
@@ -283,13 +345,6 @@ class FaaSPlatform:
         return instance
 
     # --- instance inspection -------------------------------------------------------
-    def warm_instance(self, name: str) -> Optional[FunctionInstance]:
-        """The most recently used alive instance of a function, if any."""
-        alive = self._require(name).instances
-        if not alive:
-            return None
-        return max(alive, key=lambda inst: inst.last_invoked_at)
-
     def alive_instances(self, name: str | None = None) -> list[FunctionInstance]:
         """All alive instances, optionally restricted to one function name."""
         if name is not None:
@@ -298,10 +353,6 @@ class FaaSPlatform:
         for registered in self._functions.values():
             result.extend(registered.instances)
         return result
-
-    def instance_count(self) -> int:
-        """Total number of alive instances across all functions."""
-        return len(self.alive_instances())
 
     # --- reclamation ------------------------------------------------------------------
     def on_reclaim(self, listener: Callable[[FunctionInstance], None]) -> None:

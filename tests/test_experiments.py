@@ -161,6 +161,16 @@ class TestFigures8And9:
         poisson_tail = result.probability_of_at_least("1 min (12/26/19)", 10)
         assert zipf_tail >= poisson_tail
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "figure8 bins reclaims into [start, stop) hours: the last sweep, at "
+        "exactly hours * HOUR, is in reclaims_per_sweep but in no hour. The "
+        "fix moves the figure 8/9 goldens, so it waits for the one re-pin"
+    ))
+    def test_hourly_total_equals_reclaims_swept(self, report_scale):
+        result = report_scale("figure8")
+        for label, per_hour in result.reclaims_per_hour.items():
+            assert sum(per_hour) == sum(result.reclaims_per_sweep[label]), label
+
 
 class TestFigure11:
     def test_memory_and_code_sweep_shapes(self, report_scale):

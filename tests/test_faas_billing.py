@@ -201,6 +201,85 @@ class TestChargeInvocationMatchesTheParentArithmetic:
         assert attribution_shares(None) is not attribution_shares({})
 
 
+#: Every function memory size an experiment in the registry deploys
+#: (Figure 11's sweep, Figure 4/8's 256 MiB, the 1536 MiB pools).
+_REGISTRY_MEMORY_MIB = (128, 256, 512, 1024, 1536, 2048, 3008)
+
+
+def _ledger(billing):
+    """Every total as ``float.hex`` and every ledger as its item list."""
+    return (
+        billing.total_invocations,
+        float.hex(billing.total_billed_seconds),
+        float.hex(billing.total_gb_seconds),
+        float.hex(billing.total_cost),
+        *(
+            [(key, float.hex(value)) for key, value in ledger.items()]
+            for ledger in (
+                billing.cost_by_category, billing.cost_by_tenant,
+                billing.gb_seconds_by_tenant, billing.invocation_share_by_tenant,
+            )
+        ),
+    )
+
+
+class TestChargeInvocationsIsTheRepeatedSingleCharge:
+    @pytest.mark.parametrize("duration_s", [0.0, 0.001, 0.1, 0.123])
+    @pytest.mark.parametrize("memory_mib", _REGISTRY_MEMORY_MIB)
+    def test_bit_equal_to_count_single_charges(self, memory_mib, duration_s):
+        bulk, single = BillingModel(), BillingModel()
+        # A prior attributed charge: the totals start off a round number and
+        # the tenant ledgers already hold a key before the unattributed one.
+        for billing in (bulk, single):
+            billing.charge_invocation(1536 * MIB, 0.05, "serving", {"a": 1.0, "b": 2.0})
+        for count in (1, 150, 0, 7):
+            bulk.charge_invocations(memory_mib * MIB, duration_s, count, "warmup")
+            for _ in range(count):
+                single.charge_invocation(memory_mib * MIB, duration_s, "warmup")
+            assert _ledger(bulk) == _ledger(single)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(_REGISTRY_MEMORY_MIB),
+            st.one_of(
+                st.sampled_from([0.0, 0.001, 0.1, 0.123]),
+                st.floats(min_value=0.0, max_value=900.0, allow_nan=False),
+            ),
+            st.integers(min_value=0, max_value=40),
+            st.sampled_from(["serving", "warmup", "backup"]),
+        ),
+        min_size=1, max_size=12,
+    ))
+    def test_interleaved_runs_match_the_loop(self, runs):
+        bulk, single = BillingModel(), BillingModel()
+        for memory_mib, duration_s, count, category in runs:
+            bulk.charge_invocations(memory_mib * MIB, duration_s, count, category)
+            for _ in range(count):
+                single.charge_invocation(memory_mib * MIB, duration_s, category)
+        assert _ledger(bulk) == _ledger(single)
+
+    def test_zero_count_inserts_no_key(self):
+        billing = BillingModel()
+        billing.charge_invocations(1 * GIB, 0.1, 0, "warmup")
+        assert _ledger(billing) == _ledger(BillingModel())
+
+    @pytest.mark.parametrize(
+        "memory_bytes, duration_s, count",
+        [
+            (1 * GIB, float("nan"), 3), (1 * GIB, float("inf"), 3), (1 * GIB, -0.1, 3),
+            (0, 0.1, 3), (-1 * GIB, 0.1, 3), (1 * GIB, 0.1, -1),
+        ],
+    )
+    def test_bad_input_books_nothing(self, memory_bytes, duration_s, count):
+        billing = BillingModel()
+        billing.charge_invocation(1 * GIB, 0.1, "serving")
+        before = _ledger(billing)
+        with pytest.raises(ConfigurationError):
+            billing.charge_invocations(memory_bytes, duration_s, count, "warmup")
+        assert _ledger(billing) == before
+
+
 class TestInvocationChargeShape:
     def test_field_names_keyword_construction_and_reexport(self):
         from repro.faas import InvocationCharge as reexported

@@ -4,12 +4,12 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.faas.limits import (
+    HOST_MEMORY_BYTES,
     MAX_EXECUTION_SECONDS,
     MAX_FUNCTION_BANDWIDTH,
     MIN_FUNCTION_BANDWIDTH,
     bandwidth_for_memory,
     cpu_for_memory,
-    functions_per_host,
     usable_cache_bytes,
     validate_memory_bytes,
 )
@@ -63,16 +63,9 @@ class TestUsableCacheBytes:
 
 
 class TestLambdaLimits:
-    def test_functions_per_host(self):
-        assert functions_per_host(3008 * MIB) == 1
-        assert functions_per_host(1536 * MIB) == 1
-        assert functions_per_host(1024 * MIB) == 2
-        assert functions_per_host(256 * MIB) == 11
-        assert functions_per_host(128 * MIB) == 23
-
     def test_big_functions_eliminate_colocation(self):
         """The paper's recommendation: >= 1.5 GB functions get a host alone."""
-        assert functions_per_host(1536 * MIB) == 1
+        assert HOST_MEMORY_BYTES // (1536 * MIB) == 1
 
     def test_execution_limit(self):
         assert MAX_EXECUTION_SECONDS == 900.0

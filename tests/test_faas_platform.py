@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     ConfigurationError,
@@ -28,8 +30,6 @@ class TestRegistration:
     def test_register_and_lookup(self, platform):
         config = platform.register_function("cache-node-0", 1536 * MIB)
         assert config.memory_bytes == 1536 * MIB
-        assert platform.is_registered("cache-node-0")
-        assert platform.function_config("cache-node-0") == config
         assert platform.registered_functions() == ["cache-node-0"]
 
     def test_duplicate_registration_rejected(self, platform):
@@ -71,7 +71,7 @@ class TestInvocation:
         first = platform.invoke("f")
         second = platform.invoke("f")
         assert second.instance is not first.instance
-        assert platform.instance_count() == 2
+        assert len(platform.alive_instances()) == 2
 
     def test_force_new_instance(self, platform):
         platform.register_function("f", 256 * MIB)
@@ -246,6 +246,198 @@ class TestInvocationFaultWindow:
         assert platform.billing.total_invocations == 0
 
 
+def _per_call_warm_up(platform, names, duration_s, category):
+    """The warm-up loop ``FaaSPlatform.warm_up`` replaces, verbatim."""
+    for name in names:
+        invocation = platform.invoke(name)
+        platform.complete_invocation(invocation.instance, duration_s, category)
+
+
+def _platform_state(platform):
+    """Everything a warm-up may touch, in a form ``==`` compares exactly:
+    floats as ``float.hex``, dicts as item lists (key order included)."""
+    billing = platform.billing
+    return {
+        "totals": (
+            billing.total_invocations,
+            float.hex(billing.total_billed_seconds),
+            float.hex(billing.total_gb_seconds),
+            float.hex(billing.total_cost),
+        ),
+        "ledgers": [
+            [(key, float.hex(value)) for key, value in ledger.items()]
+            for ledger in (
+                billing.cost_by_category, billing.cost_by_tenant,
+                billing.gb_seconds_by_tenant, billing.invocation_share_by_tenant,
+            )
+        ],
+        "counters": [
+            (key, counter.value) for key, counter in platform.metrics._counters.items()
+        ],
+        "counter_snapshot": platform.metrics.counters(),
+        "instances": [
+            (
+                instance.instance_id, instance.state, instance.invocation_count,
+                float.hex(instance.last_invoked_at), float.hex(instance.created_at),
+                instance.host_id,
+            )
+            for instance in platform.alive_instances()
+        ],
+        "hosts": platform.host_manager.residents_by_host(),
+    }
+
+
+_MEMORY_MIB = (128, 256, 1536, 3008)
+_steps = st.one_of(
+    st.tuples(
+        st.just("warm"),
+        st.lists(st.integers(0, 5), max_size=12),
+        st.sampled_from([0.0, 0.001, 0.1, 0.123]),
+        st.sampled_from(["warmup", "serving"]),
+    ),
+    st.tuples(st.just("advance"), st.sampled_from([0.5, 60.0, 61.25])),
+    st.tuples(st.just("reclaim"), st.integers(0, 20)),
+    st.tuples(st.just("hold"), st.integers(0, 5)),
+    st.tuples(st.just("release"), st.integers(0, 20)),
+    st.tuples(st.just("arm"), st.integers(0, 2**16), st.sampled_from([0.05, 0.3, 0.5, 1.0])),
+    st.tuples(st.just("disarm")),
+)
+
+
+class TestBulkWarmUp:
+    """``warm_up`` against the per-call loop it replaces, state for state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_MEMORY_MIB), min_size=1, max_size=6),
+        st.lists(_steps, min_size=1, max_size=25),
+    )
+    def test_random_fleets_end_in_the_per_call_state(self, memories, steps):
+        bulk, loop = FaaSPlatform(Simulator()), FaaSPlatform(Simulator())
+        names = [f"f{index}" for index in range(len(memories))]
+        sides = []
+        for platform in (bulk, loop):
+            for name, memory_mib in zip(names, memories):
+                platform.register_function(name, memory_mib * MIB)
+            sides.append({"platform": platform, "held": [], "rng": random.Random(0)})
+        bulk_side, loop_side = sides
+        for step in steps:
+            outcomes = []
+            for side in sides:
+                platform, held = side["platform"], side["held"]
+                outcome = None
+                try:
+                    if step[0] == "warm":
+                        batch = [names[index % len(names)] for index in step[1]]
+                        if side is bulk_side:
+                            platform.warm_up(batch, step[2], step[3])
+                        else:
+                            _per_call_warm_up(platform, batch, step[2], step[3])
+                    elif step[0] == "advance":
+                        platform.simulator.run_until(platform.simulator.now + step[1])
+                    elif step[0] == "reclaim":
+                        alive = platform.alive_instances()
+                        if alive:
+                            platform.reclaim_instance(alive[step[1] % len(alive)])
+                    elif step[0] == "hold":
+                        # Left RUNNING: the next warm-up of it cold-starts a peer.
+                        held.append(platform.invoke(names[step[1] % len(names)]).instance)
+                    elif step[0] == "release" and held:
+                        instance = held.pop(step[1] % len(held))
+                        platform.complete_invocation(instance, 0.05, "serving", {"t": 1.0})
+                    elif step[0] == "arm":
+                        side["rng"] = random.Random(step[1])
+                        platform.set_invocation_faults(
+                            failure_probability=step[2], rng=side["rng"]
+                        )
+                    elif step[0] == "disarm":
+                        platform.clear_invocation_faults()
+                except InvocationFaultError as error:
+                    outcome = str(error)
+                outcomes.append(outcome)
+            assert outcomes[0] == outcomes[1], step
+            assert _platform_state(bulk) == _platform_state(loop), step
+            assert bulk_side["rng"].getstate() == loop_side["rng"].getstate(), step
+        assert bulk_side["rng"].random() == loop_side["rng"].random()
+
+    def test_a_fault_mid_batch_leaves_the_warmed_prefix_billed(self, platform):
+        platform.register_function("f", 256 * MIB)
+        platform.register_function("g", 1536 * MIB)
+        rng, twin = random.Random(17), random.Random(17)
+        # Seed 17's fourth draw is the first below 0.5: "f", "g", "f" warm.
+        assert [twin.random() < 0.5 for _ in range(4)] == [False, False, False, True]
+        platform.set_invocation_faults(failure_probability=0.5, rng=rng)
+        with pytest.raises(InvocationFaultError) as raised:
+            platform.warm_up(["f", "g"] * 4, 0.001)
+        assert raised.value.function_name == "g"
+        assert platform.billing.total_invocations == 3
+        assert list(platform.metrics._counters) == [
+            "faas.instances_created", "faas.cold_starts",
+            "faas.invocations", "faas.injected_faults",
+        ]
+        assert platform.metrics.counters() == {
+            "faas.cold_starts": 2.0, "faas.injected_faults": 1.0,
+            "faas.instances_created": 2.0, "faas.invocations": 3.0,
+        }
+        assert [
+            (instance.instance_id, instance.state, instance.invocation_count)
+            for instance in platform.alive_instances()
+        ] == [("f@0", FunctionState.IDLE, 2), ("g@0", FunctionState.IDLE, 1)]
+        assert rng.random() == twin.random()  # four draws, not more
+
+    def test_counters_are_created_in_the_per_call_order(self, platform):
+        platform.register_function("f", 256 * MIB)
+        platform.register_function("g", 256 * MIB)
+        platform.warm_up(["f", "g", "f"], 0.001)
+        assert list(platform.metrics._counters) == [
+            "faas.instances_created", "faas.cold_starts", "faas.invocations",
+        ]
+        assert platform.metrics.counters() == {
+            "faas.cold_starts": 2.0, "faas.instances_created": 2.0, "faas.invocations": 3.0,
+        }
+
+    @pytest.mark.parametrize(
+        "names, duration_s, error",
+        [
+            (["f", "ghost", "g"], 0.001, InvocationError),
+            (["f", "g"], -0.1, ConfigurationError),
+            (["f", "g"], float("nan"), ConfigurationError),
+            (["f", "g"], float("inf"), ConfigurationError),
+        ],
+    )
+    def test_bad_input_leaves_the_platform_untouched(self, platform, names, duration_s, error):
+        platform.register_function("f", 256 * MIB)
+        platform.register_function("g", 512 * MIB)
+        platform.warm_up(["f"], 0.001)
+        platform.invoke("g")  # left RUNNING: a valid batch would cold-start a peer
+        rng = random.Random(11)
+        platform.set_invocation_faults(failure_probability=0.01, rng=rng)
+        before, rng_state = _platform_state(platform), rng.getstate()
+        with pytest.raises(error):
+            platform.warm_up(names, duration_s)
+        assert _platform_state(platform) == before
+        assert rng.getstate() == rng_state
+
+    def test_one_charge_per_run_of_equal_memory(self, platform, monkeypatch):
+        for name, memory_mib in (("a", 256), ("b", 256), ("c", 1536), ("d", 256)):
+            platform.register_function(name, memory_mib * MIB)
+        calls = []
+        monkeypatch.setattr(
+            platform.billing, "charge_invocations",
+            lambda memory_bytes, duration_s, count, category: calls.append(
+                (memory_bytes // MIB, count, category)
+            ),
+        )
+        platform.warm_up(["a", "b", "c", "d", "a", "a"], 0.001)
+        assert calls == [(256, 2, "warmup"), (1536, 1, "warmup"), (256, 3, "warmup")]
+
+    def test_an_empty_round_changes_nothing(self, platform):
+        platform.register_function("f", 256 * MIB)
+        before = _platform_state(platform)
+        platform.warm_up([], 0.001)
+        assert _platform_state(platform) == before
+
+
 class TestStateAccess:
     def test_runtime_state_persists_across_invocations(self, platform):
         platform.register_function("f", 256 * MIB)
@@ -340,7 +532,7 @@ class TestReclamation:
         platform.start_reclamation_sweeps()
         simulator.run_until(1 * HOUR)
         assert not result.instance.is_alive
-        assert platform.warm_instance("f") is None
+        assert platform.alive_instances("f") == []
 
     def test_warm_functions_survive_sweeps(self):
         """The 1-minute warm-up strategy keeps instances alive indefinitely

@@ -91,10 +91,49 @@ class TestMicroBenchmarks:
             (pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json").read_text()
         )
         fresh = {"micro": [
-            perf.micro_faas_cycle().as_dict(), perf.micro_hardened_chunk().as_dict(),
+            perf.micro_faas_cycle().as_dict(),
+            perf.micro_fleet_warm_up().as_dict(),
+            perf.micro_hardened_chunk().as_dict(),
         ]}
         assert perf.validate_faas_cycle(committed) == []
         assert perf.check_regression(fresh, committed) == []
+
+    def test_fleet_warm_up_micro_reports_the_per_call_ledger(self):
+        sample = perf.micro_fleet_warm_up()
+        assert sample.name == "micro.fleet_warm_up" and sample.events == 240
+        assert sample.events_per_s > 0
+        # The same ledger, float for float, as 36 000 invoke -> complete
+        # pairs: what the per-call warm-up loop books for this fleet.
+        assert {key: sample.extra[key] for key in perf.FLEET_WARM_UP_EXACT_KEYS} == {
+            "rounds": 240, "invocations": 36_000, "cold_starts": 316, "reclaims": 166,
+            "total_billed_seconds": "3599.9999999978213",
+            "total_cost": "0.015720029999986895",
+        }
+        # Every reclaimed function cold-starts at the next round.
+        assert sample.extra["cold_starts"] == 150 + sample.extra["reclaims"]
+        text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
+        assert "240 warm-up rounds of 150 functions" in text and "316 cold starts" in text
+
+    def test_fleet_warm_up_ledger_is_gated_on_equality(self):
+        def ledger(**changed):
+            sample = {"name": "micro.fleet_warm_up", "rounds": 240, "invocations": 36_000,
+                      "cold_starts": 316, "reclaims": 166,
+                      "total_billed_seconds": "3599.9999999978213",
+                      "total_cost": "0.015720029999986895", "events_per_s": 1.0}
+            sample.update(changed)
+            return {"micro": [sample], "macro": []}
+
+        assert perf.check_regression(ledger(events_per_s=9e9), ledger()) == []
+        for key, value in (
+            ("rounds", 241), ("invocations", 35_999), ("cold_starts", 317),
+            ("reclaims", 165), ("total_billed_seconds", "3600.0"),
+            ("total_cost", "0.015720029999986897"),
+        ):
+            errors = perf.check_regression(ledger(**{key: value}), ledger())
+            assert len(errors) == 1 and key in errors[0] and "micro.fleet_warm_up" in errors[0]
+        assert len(perf.check_regression({"macro": []}, ledger())) == len(
+            perf.FLEET_WARM_UP_EXACT_KEYS
+        )
 
     def test_hardened_chunk_micro_counts_one_process_per_chunk_plus_hedges(self):
         sample = perf.micro_hardened_chunk(clients=4, rounds=12)
@@ -215,6 +254,7 @@ class TestMacroAndComparison:
             "micro.flow_churn[incremental,dense]",
             "micro.erasure",
             "micro.faas_cycle",
+            "micro.fleet_warm_up",
             "micro.hardened_chunk",
         ]
         assert perf.validate_faas_cycle(encoded) == []
