@@ -102,7 +102,7 @@ def _run_strategy(
     names = platform.registered_functions()
 
     def warm_all() -> None:
-        platform.warm_up(names, 0.001, "warmup")
+        platform.warm_up(names)
         simulator.schedule(strategy.warmup_interval_s, warm_all, label="fig8.warmup")
 
     warm_all()

@@ -296,7 +296,7 @@ def micro_fleet_warm_up(functions: int = 150, rounds: int = 240, seed: int = 202
     gc.collect()
     start = time.perf_counter()
     for round_index in range(rounds):
-        platform.warm_up(names, 0.001, "warmup")
+        platform.warm_up(names)
         loop.run_until((round_index + 1) * MINUTE)
     wall = time.perf_counter() - start
     billing, counters = platform.billing, platform.metrics.counters()

@@ -11,11 +11,11 @@ ones quoted in the paper:
   invocation rounded *up* to the nearest 100 ms billing cycle;
 * function start-up (cold start) time is not billed.
 
-Two entry points book charges.  :meth:`BillingModel.charge_invocation` is
+Every charge is priced and validated in :meth:`BillingModel.charge_invocation`,
 the per-request path: one invocation, optionally split over tenants.
 :meth:`BillingModel.charge_invocations` books a run of identical
-unattributed invocations (a warm-up round of one memory size) in one call;
-it prices once and repeats the same left-to-right additions, so its ledgers
+unattributed invocations (a warm-up round of one memory size): one such
+charge, then the same left-to-right additions for the rest, so its ledgers
 are bit-equal to the loop of single charges it replaces.
 """
 
@@ -182,50 +182,39 @@ class BillingModel:
         return InvocationCharge(invocation_fee, duration_fee, billed)
 
     def charge_invocations(
-        self,
-        memory_bytes: int,
-        duration_s: float,
-        count: int,
-        category: str = "serving",
+        self, memory_bytes: int, duration_s: float, count: int, category: str
     ) -> None:
         """Charge ``count`` identical unattributed invocations in one call.
 
         The ledgers come out bit-equal to ``count`` calls of
-        ``charge_invocation(memory_bytes, duration_s, category)``: the charge
-        is priced once with the same expressions, then each accumulator takes
-        the same left-to-right sequence of ``count`` additions (``reduce``
-        over ``add``, never a product or a compensated sum), and dict keys
-        are inserted at the same first charge.  ``count == 0`` books nothing.
+        ``charge_invocation(memory_bytes, duration_s, category)``.  The first
+        is one such call: it validates, prices, and inserts the ledger keys.
+        The other ``count - 1`` repeat its additions on every accumulator,
+        left to right (``reduce`` over ``add``, never a product or a
+        compensated ``sum``).
 
         Raises:
-            ConfigurationError: on non-positive memory, a negative count, or
-                a negative or non-finite duration; nothing is booked.
+            ConfigurationError: on a count below one, or whatever
+                :meth:`charge_invocation` rejects; nothing is booked.
         """
-        if memory_bytes <= 0:
-            raise ConfigurationError(f"memory must be positive, got {memory_bytes}")
-        if count < 0:
-            raise ConfigurationError(f"invocation count must be non-negative, got {count}")
-        billed = ceil_to_billing_cycle(duration_s)
-        memory_gb = memory_bytes / GIB
-        total = PRICE_PER_INVOCATION + billed * memory_gb * PRICE_PER_GB_SECOND
-        if count:
-            gb_second = billed * memory_gb
-            self.total_invocations += count
-            self.total_billed_seconds = reduce(add, repeat(billed, count), self.total_billed_seconds)
-            self.total_gb_seconds = reduce(add, repeat(gb_second, count), self.total_gb_seconds)
-            self.total_cost = reduce(add, repeat(total, count), self.total_cost)
-            by_category = self.cost_by_category
-            by_category[category] = reduce(
-                add, repeat(total, count), by_category.get(category, 0.0)
-            )
-            tenant = UNATTRIBUTED_TENANT
-            cost, gb_seconds = self.cost_by_tenant, self.gb_seconds_by_tenant
-            invocations = self.invocation_share_by_tenant
-            cost[tenant] = reduce(add, repeat(total, count), cost.get(tenant, 0.0))
-            gb_seconds[tenant] = reduce(
-                add, repeat(gb_second, count), gb_seconds.get(tenant, 0.0)
-            )
-            invocations[tenant] = reduce(add, repeat(1.0, count), invocations.get(tenant, 0.0))
+        if count < 1:
+            raise ConfigurationError(f"invocation count must be positive, got {count}")
+        charge = self.charge_invocation(memory_bytes, duration_s, category)
+        rest = count - 1
+        billed, total = charge.billed_duration_s, charge.total
+        gb_second = billed * (memory_bytes / GIB)
+        tenant = UNATTRIBUTED_TENANT
+        by_category, cost = self.cost_by_category, self.cost_by_tenant
+        gb_seconds = self.gb_seconds_by_tenant
+        invocations = self.invocation_share_by_tenant
+        self.total_invocations += rest
+        self.total_billed_seconds = reduce(add, repeat(billed, rest), self.total_billed_seconds)
+        self.total_gb_seconds = reduce(add, repeat(gb_second, rest), self.total_gb_seconds)
+        self.total_cost = reduce(add, repeat(total, rest), self.total_cost)
+        by_category[category] = reduce(add, repeat(total, rest), by_category[category])
+        cost[tenant] = reduce(add, repeat(total, rest), cost[tenant])
+        gb_seconds[tenant] = reduce(add, repeat(gb_second, rest), gb_seconds[tenant])
+        invocations[tenant] = reduce(add, repeat(1.0, rest), invocations[tenant])
 
     def breakdown(self) -> dict[str, float]:
         """Cost per category plus the total."""

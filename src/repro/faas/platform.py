@@ -16,9 +16,10 @@ behaviours the real platform exposes:
   because in InfiniCache the Lambda runtime deliberately keeps itself alive
   to the end of a billing cycle (anticipatory billed-duration control).
 * ``warm_up`` re-invokes a list of functions at one instant — the paper's
-  keep-alive round (Section 4.1).  It leaves every instance, counter and
-  ledger exactly as ``invoke`` + ``complete_invocation`` per name would,
-  and bills each run of equal memory sizes with one
+  keep-alive round (Section 4.1), billed as a 1 ms ``"warmup"`` call each.
+  It leaves every instance, counter and ledger exactly as ``invoke`` +
+  ``complete_invocation`` per name would, and bills each run of equal
+  memory sizes with one
   :meth:`~repro.faas.billing.BillingModel.charge_invocations` call.
   ``invoke`` / ``invoke_instance`` / ``complete_invocation`` stay the
   per-request path of the cache nodes.
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.exceptions import (
     ConfigurationError,
@@ -37,7 +38,7 @@ from repro.exceptions import (
     InvocationError,
     InvocationFaultError,
 )
-from repro.faas.billing import BillingModel, ceil_to_billing_cycle
+from repro.faas.billing import BillingModel
 from repro.faas.function import FunctionInstance, FunctionState
 from repro.faas.host import HostManager
 from repro.faas.limits import (
@@ -55,6 +56,10 @@ from repro.utils.units import MINUTE
 _IDLE = FunctionState.IDLE
 _RUNNING = FunctionState.RUNNING
 _RECLAIMED = FunctionState.RECLAIMED
+
+#: What one keep-alive invocation reports as its duration: a no-op, which
+#: bills one 100 ms cycle under the ``"warmup"`` category (Figure 13).
+WARM_UP_DURATION_S = 0.001
 
 _MEMORY_BYTES = attrgetter("config.memory_bytes")
 
@@ -200,17 +205,12 @@ class FaaSPlatform:
         registered = self._functions.get(name) or self._require(name)
         if self._fault_failure_probability > 0:
             self._roll_invocation_fault(name)
-        instance: Optional[FunctionInstance] = None
-        if not force_new_instance:
-            for candidate in registered.instances:
-                if candidate.state is _IDLE:
-                    instance = candidate
-                    break
-        cold_start = instance is None
+        if force_new_instance:
+            instance, cold_start = self._cold_start(registered), True
+        else:
+            instance, cold_start = self._idle_or_cold_start(registered)
         if cold_start:
-            instance = self._create_instance(registered)
             overhead = COLD_START_OVERHEAD + WARM_INVOCATION_OVERHEAD
-            self.metrics.counter("faas.cold_starts").increment()
         else:
             overhead = WARM_INVOCATION_OVERHEAD
         overhead += self._fault_extra_overhead_s
@@ -272,63 +272,58 @@ class FaaSPlatform:
             instance.state = _IDLE
             instance.last_invoked_at = self.simulator.clock.now
 
-    def warm_up(
-        self, names: Sequence[str], duration_s: float, category: str = "warmup"
-    ) -> None:
-        """Invoke and complete each named function once, in order, right now.
+    def warm_up(self, names: Sequence[str]) -> None:
+        """Run one keep-alive round: re-invoke each named function, in order, now.
 
-        The end state equals ``invoke(name)`` then
-        ``complete_invocation(instance, duration_s, category)`` per name: the
-        same instance serves (the first idle one, else a cold start), the
-        same fault draws are made, instances end ``IDLE`` with the same
-        ``invocation_count`` / ``last_invoked_at``, and the counters reach
-        the same values, each created at its first increment as before.
-        Billing books one :meth:`BillingModel.charge_invocations` per run
-        of consecutive equal memory sizes, bit-equal to the single charges.
+        Each name ends as ``invoke(name)`` followed by
+        ``complete_invocation(instance, WARM_UP_DURATION_S, "warmup")`` would
+        leave it: the same instance serves (the first idle one, else a cold
+        start), the same fault draw is made, the instance ends ``IDLE`` with
+        the same ``invocation_count`` / ``last_invoked_at``, and every
+        counter reaches the same value, created at its first increment as
+        before.  Billing books one :meth:`BillingModel.charge_invocations`
+        per run of consecutive equal memory sizes, bit-equal to the single
+        charges.
 
         Raises:
             InvocationError: an unknown name; nothing has changed.
-            ConfigurationError: a negative or non-finite duration; nothing
-                has changed.
             InvocationFaultError: when the armed fault window fires; the
                 names before the faulted one are warmed and billed, as the
                 per-call loop would leave them.
         """
-        batch = list(map(self._functions.get, names))
-        if not all(batch):
-            for name, registered in zip(names, batch):
-                if registered is None:
-                    self._require(name)
-        ceil_to_billing_cycle(duration_s)  # a bad duration raises before any change
+        batch = [self._functions.get(name) or self._require(name) for name in names]
         probability = self._fault_failure_probability
-        draw = self._fault_rng.random if probability > 0 else None
-        counter = self.metrics.counter
         now = self.simulator.clock.now
-        done = 0
+        warmed = 0
         for registered in batch:
-            if draw is not None and draw() < probability:
+            if probability > 0 and self._fault_rng.random() < probability:
                 break
-            for instance in registered.instances:
-                if instance.state is _IDLE:
-                    break
-            else:
-                instance = self._create_instance(registered)
-                counter("faas.cold_starts").increment()
+            instance = self._idle_or_cold_start(registered)[0]
             instance.last_invoked_at = now
             instance.invocation_count += 1
-            done += 1
-        if done:
+            warmed += 1
+        if warmed:
             # Counted once, after the cold starts: while ``faas.invocations``
             # does not exist no instance does either, so the per-call loop
             # would also have created it after the first cold start's counters.
-            counter("faas.invocations").increment(done)
+            self.metrics.counter("faas.invocations").increment(warmed)
         charge = self.billing.charge_invocations
-        for memory_bytes, run in groupby(map(_MEMORY_BYTES, islice(batch, done))):
-            charge(memory_bytes, duration_s, len(list(run)), category)
-        if done < len(batch):
-            self._raise_injected_fault(batch[done].config.name)
+        for memory_bytes, run in groupby(map(_MEMORY_BYTES, islice(batch, warmed))):
+            charge(memory_bytes, WARM_UP_DURATION_S, len(list(run)), "warmup")
+        if warmed < len(batch):
+            self._raise_injected_fault(batch[warmed].config.name)
 
-    def _create_instance(self, registered: _RegisteredFunction) -> FunctionInstance:
+    def _idle_or_cold_start(
+        self, registered: _RegisteredFunction
+    ) -> tuple[FunctionInstance, bool]:
+        """The first idle instance, else a cold-started one; and whether it is new."""
+        for instance in registered.instances:
+            if instance.state is _IDLE:
+                return instance, False
+        return self._cold_start(registered), True
+
+    def _cold_start(self, registered: _RegisteredFunction) -> FunctionInstance:
+        """Create, place and count a fresh instance of ``registered``."""
         config = registered.config
         instance_id = f"{config.name}@{registered.next_instance_index}"
         registered.next_instance_index += 1
@@ -342,6 +337,7 @@ class FaaSPlatform:
         instance.host_id = host.host_id
         registered.instances.append(instance)
         self.metrics.counter("faas.instances_created").increment()
+        self.metrics.counter("faas.cold_starts").increment()
         return instance
 
     # --- instance inspection -------------------------------------------------------

@@ -232,7 +232,7 @@ class TestChargeInvocationsIsTheRepeatedSingleCharge:
         # the tenant ledgers already hold a key before the unattributed one.
         for billing in (bulk, single):
             billing.charge_invocation(1536 * MIB, 0.05, "serving", {"a": 1.0, "b": 2.0})
-        for count in (1, 150, 0, 7):
+        for count in (1, 150, 7):
             bulk.charge_invocations(memory_mib * MIB, duration_s, count, "warmup")
             for _ in range(count):
                 single.charge_invocation(memory_mib * MIB, duration_s, "warmup")
@@ -246,7 +246,7 @@ class TestChargeInvocationsIsTheRepeatedSingleCharge:
                 st.sampled_from([0.0, 0.001, 0.1, 0.123]),
                 st.floats(min_value=0.0, max_value=900.0, allow_nan=False),
             ),
-            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=1, max_value=40),
             st.sampled_from(["serving", "warmup", "backup"]),
         ),
         min_size=1, max_size=12,
@@ -259,16 +259,11 @@ class TestChargeInvocationsIsTheRepeatedSingleCharge:
                 single.charge_invocation(memory_mib * MIB, duration_s, category)
         assert _ledger(bulk) == _ledger(single)
 
-    def test_zero_count_inserts_no_key(self):
-        billing = BillingModel()
-        billing.charge_invocations(1 * GIB, 0.1, 0, "warmup")
-        assert _ledger(billing) == _ledger(BillingModel())
-
     @pytest.mark.parametrize(
         "memory_bytes, duration_s, count",
         [
             (1 * GIB, float("nan"), 3), (1 * GIB, float("inf"), 3), (1 * GIB, -0.1, 3),
-            (0, 0.1, 3), (-1 * GIB, 0.1, 3), (1 * GIB, 0.1, -1),
+            (0, 0.1, 3), (-1 * GIB, 0.1, 3), (1 * GIB, 0.1, 0), (1 * GIB, 0.1, -1),
         ],
     )
     def test_bad_input_books_nothing(self, memory_bytes, duration_s, count):
