@@ -38,7 +38,6 @@ from repro.erasure import ErasureCodec, ReedSolomon
 from repro.workload import (
     ClosedLoopDriver,
     DockerRegistryTraceGenerator,
-    MicrobenchmarkWorkload,
     OpenLoopDriver,
     Trace,
     TraceRecord,
@@ -62,7 +61,6 @@ __all__ = [
     "ErasureCodec",
     "ReedSolomon",
     "DockerRegistryTraceGenerator",
-    "MicrobenchmarkWorkload",
     "Trace",
     "TraceRecord",
     "ClosedLoopDriver",

@@ -8,26 +8,13 @@
   serving + warm-up + backup cost as a function of request rate, pool size,
   function memory and the maintenance intervals; also the ElastiCache
   crossover analysis behind Figure 17.
-* :mod:`repro.analysis.provisioned` — an extension covering the paper's
-  Discussion: the economics of AWS provisioned concurrency versus
-  InfiniCache's opportunistic approach and ElastiCache.
 """
 
 from repro.analysis.availability import AvailabilityModel
 from repro.analysis.cost_model import CostModel, CostModelParams
-from repro.analysis.provisioned import (
-    ProvisionedConcurrencyModel,
-    ProvisionedConcurrencyPricing,
-    StrategyComparison,
-    compare_strategies,
-)
 
 __all__ = [
     "AvailabilityModel",
     "CostModel",
     "CostModelParams",
-    "ProvisionedConcurrencyModel",
-    "ProvisionedConcurrencyPricing",
-    "StrategyComparison",
-    "compare_strategies",
 ]

@@ -180,14 +180,3 @@ class AvailabilityModel:
         weights = {r: r ** (-exponent) for r in range(1, max_r + 1)}
         total = sum(weights.values())
         return {r: w / total for r, w in weights.items()}
-
-    @staticmethod
-    def empirical_distribution(reclaim_counts: list[int]) -> dict[int, float]:
-        """Build ``pd(r)`` from observed per-interval reclaim counts."""
-        if not reclaim_counts:
-            raise ConfigurationError("need at least one observation")
-        histogram: dict[int, float] = {}
-        for count in reclaim_counts:
-            histogram[int(count)] = histogram.get(int(count), 0.0) + 1.0
-        total = float(len(reclaim_counts))
-        return {r: c / total for r, c in histogram.items()}

@@ -138,18 +138,6 @@ class CostModel:
             + self.backup_cost_per_hour()
         )
 
-    def breakdown_per_hour(self, invocations_per_hour: float) -> dict[str, float]:
-        """All three terms plus the total, as a dictionary."""
-        serving = self.serving_cost_per_hour(invocations_per_hour)
-        warmup = self.warmup_cost_per_hour()
-        backup = self.backup_cost_per_hour()
-        return {
-            "serving": serving,
-            "warmup": warmup,
-            "backup": backup,
-            "total": serving + warmup + backup,
-        }
-
     # ------------------------------------------------------------------ Figure 17
     def elasticache_hourly_cost(
         self, instance_type: str | ElastiCacheInstanceType = "cache.r5.24xlarge",

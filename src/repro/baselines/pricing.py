@@ -71,10 +71,5 @@ def elasticache_instance(name: str) -> ElastiCacheInstanceType:
 class S3Pricing:
     """Object-store pricing (standard tier, early-2020 us-east-1)."""
 
-    price_per_gb_month: float = 0.023
     price_per_get: float = 0.0000004
     price_per_put: float = 0.000005
-
-    def monthly_storage_cost(self, stored_bytes: int) -> float:
-        """Cost of holding ``stored_bytes`` for one month."""
-        return stored_bytes / GB * self.price_per_gb_month

@@ -67,10 +67,6 @@ class ObjectStore:
         """Whether an object with this key exists."""
         return key in self._objects
 
-    def size_of(self, key: str) -> Optional[int]:
-        """Stored size of a key, if present."""
-        return self._objects.get(key)
-
     def object_count(self) -> int:
         """Number of stored objects."""
         return len(self._objects)

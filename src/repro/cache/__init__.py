@@ -23,7 +23,7 @@ that keeps a deployment alive:
   :class:`~repro.cache.config.InfiniCacheConfig`.
 """
 
-from repro.cache.admission import HybridCacheRouter, SizeThresholdAdmissionPolicy
+from repro.cache.admission import HybridCacheRouter
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.chunk import CacheChunk, ObjectDescriptor
 from repro.cache.consistent_hash import ConsistentHashRing
@@ -36,7 +36,6 @@ from repro.cache.deployment import InfiniCacheDeployment
 
 __all__ = [
     "HybridCacheRouter",
-    "SizeThresholdAdmissionPolicy",
     "InfiniCacheConfig",
     "CacheChunk",
     "ObjectDescriptor",

@@ -1,4 +1,4 @@
-"""Size-aware admission and hybrid routing.
+"""Hybrid routing of small and large objects.
 
 The paper's motivation section describes the *tension* between small and
 large objects: large objects evict many small ones and hog bandwidth, so
@@ -8,91 +8,51 @@ the tension by giving large objects their own pay-per-use tier; Section 6
 ("Small Object Caching") is explicit that small-object-intensive traffic
 should *stay* on a conventional IMOC.
 
-This module implements that operational guidance as reusable components:
-
-* :class:`SizeThresholdAdmissionPolicy` — the classic "only admit objects
-  larger/smaller than X" rule, with counters so operators can see what share
-  of traffic each tier receives;
-* :class:`HybridCacheRouter` — a front-end that sends small objects to an
-  ElastiCache-style cluster and large objects to InfiniCache, exposing one
-  GET/PUT interface and aggregate hit/cost statistics.  This is the
-  deployment the paper implicitly recommends for a mixed workload.
+:class:`HybridCacheRouter` implements that operational guidance: a
+front-end that sends objects at or below :data:`LARGE_OBJECT_THRESHOLD_BYTES`
+to an ElastiCache-style cluster and larger ones to InfiniCache, exposing one
+GET/PUT interface and aggregate routing, hit and cost statistics.  This is
+the deployment the paper implicitly recommends for a mixed workload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.baselines.elasticache import ElastiCacheCluster
 from repro.cache.client import GetResult, InfiniCacheClient
 from repro.exceptions import ConfigurationError
 from repro.utils.units import MB
 
-
-@dataclass
-class AdmissionDecision:
-    """Outcome of an admission check for one object."""
-
-    admitted_to_large_tier: bool
-    reason: str
-
-
-@dataclass
-class SizeThresholdAdmissionPolicy:
-    """Route objects to the large-object tier when they exceed a threshold.
-
-    The default threshold of 10 MB is the boundary the paper uses throughout
-    its analysis ("large objects" = objects larger than 10 MB).
-    """
-
-    threshold_bytes: int = 10 * MB
-    large_tier_objects: int = 0
-    small_tier_objects: int = 0
-    large_tier_bytes: int = 0
-    small_tier_bytes: int = 0
-
-    def __post_init__(self):
-        if self.threshold_bytes <= 0:
-            raise ConfigurationError("admission threshold must be positive")
-
-    def decide(self, size: int) -> AdmissionDecision:
-        """Classify one object and update the tier counters."""
-        if size <= 0:
-            raise ConfigurationError(f"object size must be positive, got {size}")
-        if size > self.threshold_bytes:
-            self.large_tier_objects += 1
-            self.large_tier_bytes += size
-            return AdmissionDecision(
-                admitted_to_large_tier=True,
-                reason=f"size {size} exceeds threshold {self.threshold_bytes}",
-            )
-        self.small_tier_objects += 1
-        self.small_tier_bytes += size
-        return AdmissionDecision(
-            admitted_to_large_tier=False,
-            reason=f"size {size} within threshold {self.threshold_bytes}",
-        )
-
-    def large_tier_byte_share(self) -> float:
-        """Fraction of admitted bytes that went to the large-object tier."""
-        total = self.large_tier_bytes + self.small_tier_bytes
-        return self.large_tier_bytes / total if total else 0.0
-
-    def large_tier_object_share(self) -> float:
-        """Fraction of admitted objects that went to the large-object tier."""
-        total = self.large_tier_objects + self.small_tier_objects
-        return self.large_tier_objects / total if total else 0.0
+#: Objects larger than this go to the InfiniCache tier: the boundary the
+#: paper uses throughout its analysis ("large objects" = larger than 10 MB).
+LARGE_OBJECT_THRESHOLD_BYTES = 10 * MB
 
 
 @dataclass
 class HybridStats:
-    """Aggregate statistics of a hybrid deployment."""
+    """Routing and hit counters of a hybrid deployment."""
 
+    small_tier_objects: int = 0
+    small_tier_bytes: int = 0
+    large_tier_objects: int = 0
+    large_tier_bytes: int = 0
     small_gets: int = 0
     small_hits: int = 0
     large_gets: int = 0
     large_hits: int = 0
+
+    @property
+    def large_tier_object_share(self) -> float:
+        """Fraction of routed objects that went to the large-object tier."""
+        total = self.large_tier_objects + self.small_tier_objects
+        return self.large_tier_objects / total if total else 0.0
+
+    @property
+    def large_tier_byte_share(self) -> float:
+        """Fraction of routed bytes that went to the large-object tier."""
+        total = self.large_tier_bytes + self.small_tier_bytes
+        return self.large_tier_bytes / total if total else 0.0
 
     @property
     def overall_hit_ratio(self) -> float:
@@ -105,10 +65,10 @@ class HybridStats:
 class HybridCacheRouter:
     """One GET/PUT front-end over a small-object tier and a large-object tier.
 
-    Small objects (at or below the admission threshold) are cached in an
-    ElastiCache-style cluster, which serves them in well under a millisecond;
-    large objects go to InfiniCache, which serves them with parallel chunk
-    I/O and pay-per-use billing.  Overwrites invalidate whichever tier holds
+    Small objects (at or below :data:`LARGE_OBJECT_THRESHOLD_BYTES`) are
+    cached in an ElastiCache-style cluster, which serves them in well under a
+    millisecond; large objects go to InfiniCache, which serves them with
+    parallel chunk I/O and pay-per-use billing.  Overwrites invalidate whichever tier holds
     the previous version, so a key that grows past the threshold migrates
     cleanly.
     """
@@ -117,30 +77,37 @@ class HybridCacheRouter:
         self,
         infinicache_client: InfiniCacheClient,
         small_object_cache: ElastiCacheCluster,
-        admission: Optional[SizeThresholdAdmissionPolicy] = None,
     ):
         self.large_tier = infinicache_client
         self.small_tier = small_object_cache
-        self.admission = admission or SizeThresholdAdmissionPolicy()
         self.stats = HybridStats()
         #: Remember which tier currently holds each key so GETs and
         #: invalidations do not probe both tiers.
         self._tier_of_key: dict[str, str] = {}
 
     # ------------------------------------------------------------------ PUT
-    def put_sized(self, key: str, size: int) -> AdmissionDecision:
-        """Insert an object (by size) into the tier the admission policy picks."""
+    def put_sized(self, key: str, size: int) -> str:
+        """Insert an object (by size) into the tier its size picks.
+
+        Returns the tier that now holds the key: ``"small"`` or ``"large"``.
+        """
         if not key:
             raise ConfigurationError("object key must be non-empty")
-        decision = self.admission.decide(size)
+        if size <= 0:
+            raise ConfigurationError(f"object size must be positive, got {size}")
         self.invalidate(key)
-        if decision.admitted_to_large_tier:
+        if size > LARGE_OBJECT_THRESHOLD_BYTES:
+            self.stats.large_tier_objects += 1
+            self.stats.large_tier_bytes += size
             self.large_tier.put_sized(key, size)
-            self._tier_of_key[key] = "large"
+            tier = "large"
         else:
+            self.stats.small_tier_objects += 1
+            self.stats.small_tier_bytes += size
             self.small_tier.put(key, size, now=self.large_tier.clock.now)
-            self._tier_of_key[key] = "small"
-        return decision
+            tier = "small"
+        self._tier_of_key[key] = tier
+        return tier
 
     # ------------------------------------------------------------------ GET
     def get(self, key: str, size_hint: int | None = None) -> GetResult:
@@ -152,7 +119,7 @@ class HybridCacheRouter:
         """
         tier = self._tier_of_key.get(key)
         if tier == "small" or (tier is None and size_hint is not None
-                               and size_hint <= self.admission.threshold_bytes):
+                               and size_hint <= LARGE_OBJECT_THRESHOLD_BYTES):
             now = self.large_tier.clock.now
             latency = self.small_tier.get(key, now)
             self.stats.small_gets += 1
@@ -179,16 +146,12 @@ class HybridCacheRouter:
         return False
 
     # ------------------------------------------------------------------ reporting
-    def tier_of(self, key: str) -> Optional[str]:
-        """Which tier currently holds a key (``"small"``, ``"large"`` or None)."""
-        return self._tier_of_key.get(key)
-
     def describe(self) -> dict[str, float]:
         """Routing and hit statistics for reports."""
         return {
-            "threshold_bytes": self.admission.threshold_bytes,
-            "large_tier_object_share": self.admission.large_tier_object_share(),
-            "large_tier_byte_share": self.admission.large_tier_byte_share(),
+            "threshold_bytes": LARGE_OBJECT_THRESHOLD_BYTES,
+            "large_tier_object_share": self.stats.large_tier_object_share,
+            "large_tier_byte_share": self.stats.large_tier_byte_share,
             "small_tier_hit_ratio": (
                 self.stats.small_hits / self.stats.small_gets if self.stats.small_gets else 0.0
             ),

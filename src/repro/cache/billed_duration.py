@@ -56,11 +56,6 @@ class BilledSession:
     #: requests); tenant-less work accrues under ``UNATTRIBUTED_TENANT``.
     busy_by_tenant: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def active_seconds(self) -> float:
-        """Wall-clock duration of the session so far (start to window end)."""
-        return self.window_end - self.started_at
-
 
 @dataclass(slots=True)
 class SessionCharge:

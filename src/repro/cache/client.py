@@ -32,7 +32,7 @@ from repro.cache.consistent_hash import ConsistentHashRing
 from repro.cache.proxy import Proxy, ProxyGetResult, ProxyPutResult
 from repro.erasure.codec import Chunk as ErasureChunk
 from repro.erasure.codec import ErasureCodec
-from repro.exceptions import CacheMissError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.sim import SimClock
 
 #: Client-side erasure coding throughput (bytes/s); the paper's client uses
@@ -130,10 +130,6 @@ class InfiniCacheClient:
         if len(self.ring) <= 1:
             raise ConfigurationError("the client needs at least one proxy")
         self.ring.remove(proxy_id)
-
-    def proxy_ids(self) -> list[str]:
-        """Identifiers of the proxies this client currently routes to."""
-        return self.ring.member_ids()
 
     # ------------------------------------------------------------------ helpers
     def _proxy_for(self, key: str) -> Proxy:
@@ -316,13 +312,6 @@ class InfiniCacheClient:
             else {"degraded": True} if result.degraded else {}
         )
         tracer.finish(op_span, hit=result.hit, **outcome_attrs)
-        return result
-
-    def get_or_raise(self, key: str) -> GetResult:
-        """Like :meth:`get`, but raises :class:`CacheMissError` on a miss."""
-        result = self.get(key)
-        if not result.hit:
-            raise CacheMissError(key, reason="object not reconstructible from the pool")
         return result
 
     def _reconstruct(

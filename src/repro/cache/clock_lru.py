@@ -79,11 +79,6 @@ class ClockLRU(Generic[V]):
         entry.referenced = True
         return entry.value
 
-    def peek(self, key: str) -> Optional[V]:
-        """Return the value for a key without touching the reference bit."""
-        entry = self._entries.get(key)
-        return entry.value if entry is not None else None
-
     def remove(self, key: str) -> Optional[V]:
         """Remove a key if present, returning its value (ring is lazily compacted)."""
         entry = self._entries.pop(key, None)

@@ -206,9 +206,9 @@ def _chunk_quorum(futures: list[SimFuture], needed: int, label: str) -> SimFutur
     """A future resolving with the first ``needed`` truthy results in
     completion order, or ``None`` as soon as that quorum becomes impossible.
 
-    ``first_n`` cannot express this: a chunk process that exhausts its
-    attempts *resolves* (with ``None``) rather than cancelling, so counting
-    resolutions would declare victory on failures.
+    A chunk process that exhausts its attempts *resolves* (with ``None``)
+    rather than cancelling, so counting resolutions alone would declare
+    victory on failures.
     """
     quorum = SimFuture(label=label)
     winners: list[object] = []

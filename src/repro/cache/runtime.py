@@ -23,7 +23,6 @@ from repro.faas.billing import BILLING_CYCLE_SECONDS
 from repro.network.flows import FlowNetwork
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.loop import DeadlineTimer, EventLoop
-from repro.sim.process import SimFuture
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (node -> platform -> ...)
     from repro.cache.node import LambdaCacheNode
@@ -56,19 +55,10 @@ class RequestEnv:
         self.tracer = tracer
         self.flows.tracer = tracer
 
-    def detach_tracer(self) -> None:
-        """Disable tracing (back to the no-op tracer)."""
-        self.tracer = NULL_TRACER
-        self.flows.tracer = None
-
     @property
     def now(self) -> float:
         """Current virtual time (seconds)."""
         return self._clock._now
-
-    def sleep(self, delay: float, label: str = "request.sleep") -> SimFuture:
-        """A future resolving after ``delay`` virtual seconds."""
-        return self.loop.timeout(delay, label=label)
 
     # ------------------------------------------------------------------ in-flight tracking
     def begin_transfer(self, node: "LambdaCacheNode") -> None:

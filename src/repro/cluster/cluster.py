@@ -104,11 +104,6 @@ class InfiniCacheCluster:
         self.tenants.register(tenant_id, quota)
         return TenantClient(self.router, tenant_id)
 
-    def tenant_client(self, tenant_id: str) -> TenantClient:
-        """A client for an already-registered tenant."""
-        self.tenants.tenant(tenant_id)
-        return TenantClient(self.router, tenant_id)
-
     # ------------------------------------------------------------------ membership
     def add_proxy(self) -> Proxy:
         """Grow the cluster by one proxy; placements rebalance automatically."""

@@ -63,11 +63,6 @@ class Chunk:
         """Payload size in bytes."""
         return len(self.payload)
 
-    @property
-    def is_parity(self) -> bool:
-        """Whether this chunk is a parity chunk (index >= d)."""
-        return self.index >= self.metadata.data_shards
-
 
 class ErasureCodec:
     """Encode objects into chunks and decode chunks back into objects."""
@@ -94,10 +89,6 @@ class ErasureCodec:
         if object_size <= 0:
             raise EncodingError(f"object size must be positive, got {object_size}")
         return -(-object_size // self.data_shards)  # ceiling division
-
-    def storage_overhead(self) -> float:
-        """Ratio of stored bytes to object bytes, e.g. 1.2 for RS(10+2)."""
-        return self.total_shards / self.data_shards
 
     # --- encode -------------------------------------------------------------------
     def encode(self, key: str, payload: Union[bytes, bytearray, memoryview]) -> list[Chunk]:
@@ -215,17 +206,6 @@ class ErasureCodec:
         if tail:
             pieces.append(data_shards[whole][:tail])
         return b"".join(pieces)
-
-    def needs_decoding(self, chunks: list[Chunk]) -> bool:
-        """Whether reconstruction requires RS math (any data chunk missing).
-
-        The proxy's first-d streaming means the client frequently receives a
-        mix of data and parity chunks; when all data chunks are present the
-        reconstruction is a simple concatenation.  Experiments use this to
-        charge the decode CPU cost only when it is actually incurred.
-        """
-        present = {chunk.index for chunk in chunks}
-        return not all(i in present for i in range(self.data_shards))
 
     def rebuild_missing(self, chunks: list[Chunk]) -> list[Chunk]:
         """Regenerate the full stripe (used by the recovery / RESET path).

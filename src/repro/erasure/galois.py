@@ -12,8 +12,8 @@ times a vector is one pass of ``bytearray.translate`` through that
 coefficient's 256-byte product table, over a copy of the vector staged in
 one buffer reused for the whole call (a bare C table loop: about 2.4 GB/s,
 copy included), and the products are XOR-ed together with numpy.  See the
-"Erasure data path" and "Zero-copy shards" sections of
-``docs/performance.md`` for what was measured against it.
+"Erasure data path" section of ``docs/performance.md``, and its "Measured
+and not taken" table for what was measured against it.
 """
 
 from __future__ import annotations
@@ -83,11 +83,6 @@ class GF256:
         return (a ^ b) & 0xFF
 
     @staticmethod
-    def subtract(a: int, b: int) -> int:
-        """Field subtraction — identical to addition in characteristic 2."""
-        return (a ^ b) & 0xFF
-
-    @staticmethod
     def multiply(a: int, b: int) -> int:
         """Field multiplication via log/exp tables."""
         if a == 0 or b == 0:
@@ -131,11 +126,6 @@ class GF256:
     def multiply_vector(scalar: int, vector: Vector) -> bytes:
         """Multiply every byte of ``vector`` by ``scalar``."""
         return GF256.combine((scalar,), (vector,))
-
-    @staticmethod
-    def add_vectors(a: Vector, b: Vector) -> bytes:
-        """Add (XOR) two equal-length byte vectors elementwise."""
-        return GF256.combine((1, 1), (a, b))
 
     @staticmethod
     def combine(coefficients: Sequence[int], vectors: Sequence[Vector]) -> bytes:

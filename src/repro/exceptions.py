@@ -11,8 +11,6 @@ backup sync) describes a condition that a later attempt may not hit again, so
 the request path's chunk supervisor retries it with backoff.  Everything else
 — config errors, protocol misuse, unrecoverable data loss — is fatal and
 propagates.
-Use :func:`is_retryable` rather than ``isinstance`` checks so callers stay
-agnostic of the concrete fault class.
 """
 
 from __future__ import annotations
@@ -21,10 +19,6 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for every error raised by this library."""
 
-    #: Whether a later attempt of the same operation may succeed.  Fatal by
-    #: default; :class:`TransientFaultError` flips it for the retryable branch.
-    retryable = False
-
 
 class TransientFaultError(ReproError):
     """A failure a later attempt may not hit again (safe to retry).
@@ -32,13 +26,6 @@ class TransientFaultError(ReproError):
     The chunk supervisor treats every subclass uniformly: back off with
     seeded jitter and re-attempt, up to the configured retry budget.
     """
-
-    retryable = True
-
-
-def is_retryable(error: BaseException) -> bool:
-    """Whether the request path may retry after this error."""
-    return bool(getattr(error, "retryable", False))
 
 
 class ConfigurationError(ReproError):
@@ -68,15 +55,6 @@ class DecodingError(ErasureCodingError):
 
 class CacheError(ReproError):
     """Base class for cache-level failures."""
-
-
-class CacheMissError(CacheError):
-    """The requested key is not present (or not reconstructible) in the cache."""
-
-    def __init__(self, key: str, reason: str = "not found"):
-        super().__init__(f"cache miss for key {key!r}: {reason}")
-        self.key = key
-        self.reason = reason
 
 
 class ObjectTooLargeError(CacheError):

@@ -33,7 +33,6 @@ from repro.experiments.harness import ExperimentHarness
 from repro.experiments.report import format_table
 from repro.utils.stats import summarize
 from repro.utils.units import MB, MIB
-from repro.workload.microbenchmark import FIGURE11_OBJECT_SIZES, FIGURE11_RS_CODES
 from repro.workload.replay import (
     ClientOp,
     ClosedLoopDriver,
@@ -44,6 +43,12 @@ from repro.workload.trace import Trace, TraceRecord
 
 #: Lambda memory configurations of the six sub-figures (MiB).
 FIGURE11_LAMBDA_MEMORY_MIB = (128, 256, 512, 1024, 2048, 3008)
+
+#: Object sizes swept by Figure 11 (bytes).
+FIGURE11_OBJECT_SIZES = (10 * MB, 20 * MB, 40 * MB, 60 * MB, 80 * MB, 100 * MB)
+
+#: Erasure codes swept by Figure 11, as (data, parity) pairs.
+FIGURE11_RS_CODES = ((10, 0), (10, 1), (10, 2), (10, 4), (4, 2), (5, 1))
 
 
 @dataclass

@@ -18,7 +18,7 @@ the cache above it faces the same constraints:
   (:mod:`repro.faas.platform`).
 """
 
-from repro.faas.limits import bandwidth_for_memory, cpu_for_memory
+from repro.faas.limits import bandwidth_for_memory
 from repro.faas.billing import BillingModel, InvocationCharge
 from repro.faas.host import VMHost, HostManager
 from repro.faas.function import FunctionInstance, FunctionState
@@ -34,7 +34,6 @@ from repro.faas.platform import FaaSPlatform, FunctionConfig, InvocationResult
 
 __all__ = [
     "bandwidth_for_memory",
-    "cpu_for_memory",
     "BillingModel",
     "InvocationCharge",
     "VMHost",

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.faas.limits import bandwidth_for_memory, cpu_for_memory
+from repro.faas.limits import bandwidth_for_memory
 
 
 class FunctionState(enum.Enum):
@@ -51,11 +51,6 @@ class FunctionInstance:
     #: Opaque application state (the cache runtime's chunk store lives here).
     runtime_state: dict[str, Any] = field(default_factory=dict)
     host_id: str = ""
-
-    @property
-    def cpu_cores(self) -> float:
-        """CPU cores allocated to this instance."""
-        return cpu_for_memory(self.memory_bytes)
 
     @property
     def bandwidth_bps(self) -> float:

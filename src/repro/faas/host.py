@@ -176,20 +176,3 @@ class HostManager:
         if placement is None:
             return None
         return self.hosts[placement[0]]
-
-    def distinct_hosts(self, function_names: list[str]) -> int:
-        """How many distinct VM hosts the given function instances span.
-
-        This is the x-axis of Figure 4.
-        """
-        seen = set()
-        for name in function_names:
-            placement = self._placement.get(name)
-            if placement is not None:
-                seen.add(placement[0])
-        return len(seen)
-
-    @property
-    def host_count(self) -> int:
-        """Number of hosts provisioned so far."""
-        return len(self.hosts)

@@ -3,7 +3,6 @@
 Numbers come straight from the paper (Section 2.2 and Section 5 setup):
 
 * memory configurable from 128 MB to 3008 MB in 64 MB increments;
-* CPU allocated linearly in proportion to memory, capped at 1.7 cores;
 * maximum execution time of 900 seconds;
 * no inbound TCP connections (enforced by the platform API shape, not here);
 * measured function-to-EC2 bandwidth of roughly 50 MB/s for the smallest
@@ -28,9 +27,6 @@ MEMORY_STEP_BYTES = 64 * MIB
 
 #: Hard cap on a single invocation's duration (seconds).
 MAX_EXECUTION_SECONDS = 900.0
-
-#: CPU cores are allocated proportionally to memory and capped here.
-MAX_CPU_CORES = 1.7
 
 #: Memory of the VM hosts that run Lambda functions (bytes).  The paper
 #: reports "approximately 3 GB"; we use 3008 MiB so one maximal function
@@ -76,17 +72,6 @@ def validate_memory_bytes(memory_bytes: int) -> int:
             f"Lambda memory must be a multiple of {MEMORY_STEP_BYTES} bytes, got {memory_bytes}"
         )
     return int(memory_bytes)
-
-
-def cpu_for_memory(memory_bytes: int) -> float:
-    """CPU cores allocated to a function of the given memory size.
-
-    AWS allocates CPU linearly with memory; a full 1792 MB function gets one
-    full vCPU and the allocation is capped at 1.7 cores.
-    """
-    validate_memory_bytes(memory_bytes)
-    cores = memory_bytes / (1792 * MIB)
-    return min(cores, MAX_CPU_CORES)
 
 
 def bandwidth_for_memory(memory_bytes: int) -> float:

@@ -390,15 +390,3 @@ class FaaSPlatform:
         self.metrics.series("faas.reclaim_events").record(self.simulator.now, 1.0)
         for listener in self._reclaim_listeners:
             listener(instance)
-
-    # --- state access used by the cache runtime ------------------------------------
-    def instance_state(self, instance: FunctionInstance) -> dict:
-        """The mutable runtime state of an alive instance.
-
-        Raises:
-            FunctionReclaimedError: if the instance has been reclaimed (its
-                state no longer exists anywhere).
-        """
-        if not instance.is_alive:
-            raise FunctionReclaimedError(instance.instance_id)
-        return instance.runtime_state

@@ -69,13 +69,6 @@ class WindowStats:
         """Fraction of in-window requests served from the cache itself."""
         return self.healthy_hits / self.requests if self.requests else 1.0
 
-    @property
-    def served_ratio(self) -> float:
-        """Fraction of in-window requests answered at all (cache or fallback)."""
-        if not self.requests:
-            return 1.0
-        return (self.healthy_hits + self.degraded_hits + self.resets + self.misses) / self.requests
-
 
 @dataclass
 class ResilienceReport:

@@ -14,6 +14,7 @@ command asserts by replaying a scenario twice and diffing fingerprints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
@@ -22,6 +23,18 @@ from repro.exceptions import ConfigurationError
 def _check_fraction(name: str, value: float) -> None:
     if not 0.0 < value <= 1.0:
         raise ConfigurationError(f"{name} must be in (0, 1], got {value}")
+
+
+def _check_window(
+    at_s: float, duration_s: float | None = None, name: str = "fault window duration"
+) -> None:
+    """Reject a start that is not a finite time >= 0, and a length (when the
+    spec has one) that is not finite and positive: either would only fail
+    when the engine schedules its events."""
+    if not (math.isfinite(at_s) and at_s >= 0):
+        raise ConfigurationError(f"fault time must be finite and non-negative, got {at_s}")
+    if duration_s is not None and not (math.isfinite(duration_s) and duration_s > 0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {duration_s}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +54,7 @@ class ReclamationStorm:
     correlated: bool = False
 
     def __post_init__(self):
-        if self.at_s < 0:
-            raise ConfigurationError("fault time must be non-negative")
+        _check_window(self.at_s)
         _check_fraction("storm fraction", self.fraction)
 
 
@@ -61,10 +73,7 @@ class LinkDegradation:
     factor: float = 0.1
 
     def __post_init__(self):
-        if self.at_s < 0:
-            raise ConfigurationError("fault time must be non-negative")
-        if self.duration_s <= 0:
-            raise ConfigurationError("fault window duration must be positive")
+        _check_window(self.at_s, self.duration_s)
         _check_fraction("host fraction", self.host_fraction)
         if not 0.0 < self.factor < 1.0:
             raise ConfigurationError(
@@ -93,10 +102,7 @@ class LinkBlackhole:
     host_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.at_s < 0:
-            raise ConfigurationError("fault time must be non-negative")
-        if self.duration_s <= 0:
-            raise ConfigurationError("fault window duration must be positive")
+        _check_window(self.at_s, self.duration_s)
         _check_fraction("host fraction", self.host_fraction)
 
 
@@ -116,14 +122,13 @@ class InvocationFaults:
     extra_overhead_s: float = 0.0
 
     def __post_init__(self):
-        if self.at_s < 0:
-            raise ConfigurationError("fault time must be non-negative")
-        if self.duration_s <= 0:
-            raise ConfigurationError("fault window duration must be positive")
+        _check_window(self.at_s, self.duration_s)
         if not 0.0 <= self.failure_probability <= 1.0:
             raise ConfigurationError("failure probability must be in [0, 1]")
-        if self.extra_overhead_s < 0:
-            raise ConfigurationError("extra overhead must be non-negative")
+        if not (math.isfinite(self.extra_overhead_s) and self.extra_overhead_s >= 0):
+            raise ConfigurationError(
+                f"extra overhead must be finite and non-negative, got {self.extra_overhead_s}"
+            )
         if self.failure_probability == 0.0 and self.extra_overhead_s == 0.0:
             raise ConfigurationError(
                 "an invocation-fault window needs a failure probability or "
@@ -147,14 +152,14 @@ class StragglerInflation:
     max_factor: float = 16.0
 
     def __post_init__(self):
-        if self.at_s < 0:
-            raise ConfigurationError("fault time must be non-negative")
-        if self.duration_s <= 0:
-            raise ConfigurationError("fault window duration must be positive")
+        _check_window(self.at_s, self.duration_s)
         if not 0.0 < self.probability <= 1.0:
             raise ConfigurationError("straggler probability must be in (0, 1]")
-        if self.min_factor < 1.0 or self.max_factor < self.min_factor:
-            raise ConfigurationError("straggler factors must satisfy 1 <= min <= max")
+        if not 1.0 <= self.min_factor <= self.max_factor < math.inf:
+            raise ConfigurationError(
+                "straggler factors must be finite and satisfy 1 <= min <= max, "
+                f"got {self.min_factor} and {self.max_factor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -173,10 +178,7 @@ class ProxyCrash:
     proxy_index: int = 0
 
     def __post_init__(self):
-        if self.at_s < 0:
-            raise ConfigurationError("fault time must be non-negative")
-        if self.down_s <= 0:
-            raise ConfigurationError("proxy down time must be positive")
+        _check_window(self.at_s, self.down_s, "proxy down time")
         if self.proxy_index < 0:
             raise ConfigurationError("proxy index must be non-negative")
 
@@ -250,16 +252,6 @@ class FaultSchedule:
 
     def __iter__(self):
         return iter(self.faults)
-
-    @property
-    def horizon_s(self) -> float:
-        """Virtual time by which every scheduled fault has fully reverted."""
-        horizon = 0.0
-        for fault in self.faults:
-            end = fault.at_s + getattr(fault, "duration_s", 0.0)
-            end = max(end, fault.at_s + getattr(fault, "down_s", 0.0))
-            horizon = max(horizon, end)
-        return horizon
 
     def describe(self) -> list[dict[str, object]]:
         """One summary dict per fault, in activation order (for reports)."""

@@ -403,10 +403,6 @@ class FlowNetwork:
         nic = self.fabric.hosts.get(host_id)
         return nic.concurrent_flows if nic is not None else 0
 
-    def streams_on_proxy(self, proxy_id: str) -> int:
-        """Live flow count through one proxy's uplink."""
-        return len(self._by_proxy.get(proxy_id, ()))
-
     def max_concurrent(self) -> int:
         """Peak number of simultaneously in-flight transfers so far.
 

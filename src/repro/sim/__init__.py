@@ -15,7 +15,7 @@ Three layers, lowest first:
   maintenance actors (warm-up, backup, reclamation sweeps, autoscaler)
   share.
 * **processes** — :class:`Process` coroutines plus :class:`SimFuture` and
-  the :func:`all_of` / :func:`first_n` combinators: multi-step operations
+  the :func:`all_of` barrier: multi-step operations
   ("invoke the Lambda, wait for the chunk flow, then decode") written as
   generators, with genuine concurrency between processes — the substrate of
   the overlapping-request drivers in :mod:`repro.workload.replay` and the
@@ -26,13 +26,7 @@ See ``docs/simulation.md`` for the programming model and examples.
 
 from repro.sim.clock import SimClock
 from repro.sim.loop import Event, EventLoop, EventQueue, PeriodicTask, Simulator
-from repro.sim.process import (
-    CountdownLatch,
-    Process,
-    SimFuture,
-    all_of,
-    first_n,
-)
+from repro.sim.process import CountdownLatch, Process, SimFuture, all_of
 
 __all__ = [
     "SimClock",
@@ -45,5 +39,4 @@ __all__ = [
     "Process",
     "SimFuture",
     "all_of",
-    "first_n",
 ]

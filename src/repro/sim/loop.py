@@ -778,11 +778,6 @@ class PeriodicTask:
         self._started = False
         self._pending: Optional[Event] = None
 
-    @property
-    def is_running(self) -> bool:
-        """Whether the task is currently scheduled to keep firing."""
-        return self._started
-
     def start(self) -> None:
         """Schedule the first firing (idempotent)."""
         if self._started:

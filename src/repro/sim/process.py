@@ -14,8 +14,8 @@ event loop resumes it when they are ready:
 Sequential composition uses plain ``yield from`` delegation (the client GET
 coroutine delegates to the proxy GET coroutine); *concurrent* composition
 spawns child processes with :meth:`~repro.sim.loop.EventLoop.spawn` and
-waits on combinators such as :func:`first_n` (first-d-of-n chunk racing) or
-:func:`all_of` (a PUT waiting for every chunk to land).
+waits on a future that settles when they do, such as :func:`all_of` (a PUT
+waiting for every chunk to land).
 
 Cancellation is cooperative: cancelling a process closes its generator —
 running any ``finally`` blocks at the *current* virtual time, which is how
@@ -137,36 +137,6 @@ def all_of(futures: Iterable[SimFuture], label: str = "sim.all_of") -> SimFuture
         remaining -= 1
         if remaining == 0 and not gate.done:
             gate.resolve([f.result if not f.cancelled else None for f in pending])
-
-    for future in pending:
-        future.add_done_callback(on_done)
-    return gate
-
-
-def first_n(count: int, futures: Iterable[SimFuture], label: str = "sim.first_n") -> SimFuture:
-    """A future resolving when ``count`` inputs have *resolved* (not cancelled).
-
-    The result is the list of those first ``count`` results in completion
-    order — the first-d-of-n primitive behind the proxy's straggler-tolerant
-    GET.  Cancelled inputs never count toward the quorum.
-    """
-    pending = list(futures)
-    if count > len(pending):
-        raise SimulationError(
-            f"first_n({count}) cannot be satisfied by {len(pending)} futures"
-        )
-    gate = SimFuture(label=label)
-    if count <= 0:
-        gate.resolve([])
-        return gate
-    winners: list[object] = []
-
-    def on_done(future: SimFuture) -> None:
-        if gate.done or future.cancelled:
-            return
-        winners.append(future.result)
-        if len(winners) == count:
-            gate.resolve(list(winners))
 
     for future in pending:
         future.add_done_callback(on_done)

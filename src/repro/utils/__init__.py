@@ -14,13 +14,10 @@ from repro.utils.units import (
     DAY,
     format_bytes,
     format_duration,
-    parse_size,
 )
 from repro.utils.stats import (
-    OnlineStats,
     cdf_points,
     percentile,
-    percentiles,
     summarize,
 )
 from repro.utils.rng import SeededRNG, derive_seed
@@ -39,11 +36,8 @@ __all__ = [
     "DAY",
     "format_bytes",
     "format_duration",
-    "parse_size",
-    "OnlineStats",
     "cdf_points",
     "percentile",
-    "percentiles",
     "summarize",
     "SeededRNG",
     "derive_seed",

@@ -7,8 +7,7 @@ Python sequences so experiment code stays readable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,11 +24,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
     return float(np.percentile(np.asarray(values, dtype=float), q))
-
-
-def percentiles(values: Sequence[float], qs: Iterable[float]) -> dict[float, float]:
-    """Return a dict mapping each requested percentile to its value."""
-    return {q: percentile(values, q) for q in qs}
 
 
 def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
@@ -67,75 +61,3 @@ def summarize(values: Sequence[float]) -> dict[str, float]:
         "p99": float(np.percentile(arr, 99)),
         "max": float(arr.max()),
     }
-
-
-@dataclass
-class OnlineStats:
-    """Constant-memory running statistics (Welford's algorithm).
-
-    Useful when an experiment records millions of latency samples and only the
-    aggregate matters.  ``merge`` combines two accumulators, which the
-    replayer uses to aggregate per-client statistics.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-    min: float = field(default=math.inf)
-    max: float = field(default=-math.inf)
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the accumulator."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold many observations into the accumulator."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (0.0 when fewer than two observations)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Return a new accumulator equivalent to observing both inputs."""
-        if self.count == 0:
-            return OnlineStats(other.count, other.mean, other._m2, other.min, other.max)
-        if other.count == 0:
-            return OnlineStats(self.count, self.mean, self._m2, self.min, self.max)
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / total
-        m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / total
-        return OnlineStats(
-            count=total,
-            mean=mean,
-            _m2=m2,
-            min=min(self.min, other.min),
-            max=max(self.max, other.max),
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        """Return the summary as a plain dictionary (for reports/JSON)."""
-        return {
-            "count": self.count,
-            "mean": self.mean if self.count else math.nan,
-            "stddev": self.stddev,
-            "min": self.min if self.count else math.nan,
-            "max": self.max if self.count else math.nan,
-        }

@@ -13,10 +13,6 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
-import re
-
-from repro.exceptions import ConfigurationError
-
 # --- byte units (decimal, as in the paper's object sizes) -------------------
 KB = 1_000
 MB = 1_000_000
@@ -33,20 +29,6 @@ SECOND = 1.0
 MINUTE = 60.0
 HOUR = 3600.0
 DAY = 86400.0
-
-_SIZE_SUFFIXES = {
-    "b": 1,
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "tb": 1_000_000_000_000,
-    "kib": KIB,
-    "mib": MIB,
-    "gib": GIB,
-}
-
-_SIZE_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*([a-zA-Z]+)?\s*$")
-
 
 def format_bytes(num_bytes: float) -> str:
     """Render a byte count with a human-friendly decimal suffix.
@@ -84,27 +66,3 @@ def format_duration(seconds: float) -> str:
     if seconds < DAY:
         return f"{seconds / HOUR:.2f} h"
     return f"{seconds / DAY:.2f} d"
-
-
-def parse_size(text: str | int | float) -> int:
-    """Parse a human-readable size string into bytes.
-
-    Accepts plain numbers (already bytes) or strings such as ``"10MB"``,
-    ``"1.5 GiB"``, ``"512 kb"``.  Suffix matching is case-insensitive.
-
-    Raises:
-        ConfigurationError: if the string cannot be parsed or the suffix is
-            unknown.
-    """
-    if isinstance(text, (int, float)):
-        if text < 0:
-            raise ConfigurationError(f"size must be non-negative, got {text}")
-        return int(text)
-    match = _SIZE_RE.match(text)
-    if not match:
-        raise ConfigurationError(f"cannot parse size string {text!r}")
-    value = float(match.group(1))
-    suffix = (match.group(2) or "b").lower()
-    if suffix not in _SIZE_SUFFIXES:
-        raise ConfigurationError(f"unknown size suffix {suffix!r} in {text!r}")
-    return int(value * _SIZE_SUFFIXES[suffix])

@@ -29,7 +29,6 @@ from repro.workload.arrivals import (
 from repro.workload.distributions import ObjectSizeDistribution, ZipfPopularity
 from repro.workload.popularity import FlashCrowd, ScanMix, StaticZipf, ZipfChurn
 from repro.workload.docker_registry import DockerRegistryTraceGenerator, RegistryTraceConfig
-from repro.workload.microbenchmark import MicrobenchmarkWorkload
 from repro.workload.replay import (
     ClientOp,
     ClosedLoopDriver,
@@ -57,7 +56,6 @@ __all__ = [
     "ScanMix",
     "DockerRegistryTraceGenerator",
     "RegistryTraceConfig",
-    "MicrobenchmarkWorkload",
     "ClientOp",
     "ClosedLoopDriver",
     "OpenLoopDriver",

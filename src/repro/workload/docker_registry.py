@@ -23,11 +23,12 @@ burstiness so the Figure 1 reproduction can plot two datacentres.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeededRNG
-from repro.utils.units import GB, HOUR, MB
+from repro.utils.units import HOUR
 from repro.workload.distributions import (
     ObjectSizeDistribution,
     ZipfPopularity,
@@ -45,6 +46,10 @@ class BurstWindow:
     multiplier: float
 
     def __post_init__(self):
+        # Every NaN comparison is False, so the ordering checks alone would
+        # wave NaN (and an endless window) through.
+        if not all(map(math.isfinite, (self.start_hour, self.end_hour, self.multiplier))):
+            raise ConfigurationError("burst window hours and multiplier must be finite")
         if self.end_hour <= self.start_hour:
             raise ConfigurationError("burst window must end after it starts")
         if self.multiplier < 1.0:
@@ -75,12 +80,14 @@ class RegistryTraceConfig:
     seed: int = 17
 
     def __post_init__(self):
-        if self.duration_hours <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not (math.isfinite(self.duration_hours) and self.duration_hours > 0):
+            raise ConfigurationError("duration must be finite and positive")
         if self.catalogue_size < 1:
             raise ConfigurationError("catalogue size must be >= 1")
-        if self.base_requests_per_hour <= 0:
-            raise ConfigurationError("request rate must be positive")
+        if not (math.isfinite(self.base_requests_per_hour) and self.base_requests_per_hour > 0):
+            raise ConfigurationError("request rate must be finite and positive")
+        if not (math.isfinite(self.popularity_exponent) and self.popularity_exponent > 0):
+            raise ConfigurationError("popularity exponent must be finite and positive")
         if not 0.0 <= self.short_reuse_probability < 1.0:
             raise ConfigurationError("short_reuse_probability must be in [0, 1)")
 
@@ -169,23 +176,3 @@ class DockerRegistryTraceGenerator:
             if len(recently_accessed) > max_window:
                 del recently_accessed[: len(recently_accessed) - max_window]
         return trace
-
-    def generate_large_only(self, threshold_bytes: int = 10 * MB) -> Trace:
-        """Generate and immediately filter to the large-object-only setting."""
-        return self.generate().large_objects_only(threshold_bytes)
-
-
-def summarize_trace(trace: Trace, large_threshold: int = 10 * MB) -> dict[str, float]:
-    """Key statistics used by Table 1 and the Figure 1 reproduction."""
-    sizes = trace.object_sizes()
-    total_bytes = sum(sizes)
-    large_bytes = sum(size for size in sizes if size > large_threshold)
-    large_objects = sum(1 for size in sizes if size > large_threshold)
-    return {
-        "objects": len(sizes),
-        "requests": trace.request_count(),
-        "working_set_gb": trace.working_set_bytes() / GB,
-        "gets_per_hour": trace.gets_per_hour(),
-        "large_object_fraction": large_objects / len(sizes) if sizes else 0.0,
-        "large_byte_fraction": large_bytes / total_bytes if total_bytes else 0.0,
-    }

@@ -3,15 +3,12 @@
 A trace is an ordered sequence of :class:`TraceRecord` — (timestamp, op,
 key, size) — the same shape as the parsed IBM Docker-registry trace the
 paper replays.  Traces can be filtered (e.g. "objects larger than 10 MB",
-the paper's *large object only* setting), truncated to a time window (the
-paper replays the first 50 hours), and summarised (working-set size, request
-rate) for Table 1.
+the paper's *large object only* setting) and summarised (working-set size,
+request rate) for Table 1.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -73,15 +70,6 @@ class Trace:
         """The paper's *large object only* setting: objects above 10 MB."""
         return self.filter(lambda r: r.size > threshold_bytes, name=f"{self.name}-large")
 
-    def first_hours(self, hours: float) -> "Trace":
-        """Restrict to the first ``hours`` of the trace (paper: first 50 hours)."""
-        horizon = hours * HOUR
-        return self.filter(lambda r: r.timestamp < horizon, name=f"{self.name}-{hours:g}h")
-
-    def gets_only(self) -> "Trace":
-        """Only the GET requests (the paper parses the Dallas trace for GETs)."""
-        return self.filter(lambda r: r.operation == "GET", name=f"{self.name}-gets")
-
     # ------------------------------------------------------------------ analytics
     def duration_s(self) -> float:
         """Time span covered by the trace."""
@@ -138,39 +126,6 @@ class Trace:
                 intervals.append(record.timestamp - previous)
             last_seen[record.key] = record.timestamp
         return intervals
-
-    # ------------------------------------------------------------------ serialisation
-    def to_csv(self) -> str:
-        """Serialise to CSV (timestamp, operation, key, size)."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["timestamp", "operation", "key", "size"])
-        for record in self.records:
-            writer.writerow([f"{record.timestamp:.6f}", record.operation, record.key, record.size])
-        return buffer.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, name: str = "trace") -> "Trace":
-        """Parse a trace previously produced by :meth:`to_csv`."""
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["timestamp", "operation", "key", "size"]:
-            raise WorkloadError(f"unexpected trace CSV header: {header}")
-        trace = cls(name=name)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise WorkloadError(f"malformed trace CSV row: {row}")
-            trace.append(
-                TraceRecord(
-                    timestamp=float(row[0]),
-                    operation=row[1],
-                    key=row[2],
-                    size=int(row[3]),
-                )
-            )
-        return trace
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord], name: str = "trace") -> "Trace":

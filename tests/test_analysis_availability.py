@@ -125,15 +125,6 @@ class TestHelpers:
         assert sum(distribution.values()) == pytest.approx(1.0)
         assert 0 not in distribution
 
-    def test_empirical_distribution(self):
-        distribution = AvailabilityModel.empirical_distribution([0, 0, 1, 3, 3, 3])
-        assert distribution[0] == pytest.approx(2 / 6)
-        assert distribution[3] == pytest.approx(3 / 6)
-
-    def test_empirical_requires_observations(self):
-        with pytest.raises(ConfigurationError):
-            AvailabilityModel.empirical_distribution([])
-
     def test_invalid_model_configuration(self):
         with pytest.raises(ConfigurationError):
             AvailabilityModel(total_nodes=5, data_shards=10, parity_shards=2)

@@ -90,11 +90,11 @@ class TestEquation6Backup:
 
 class TestTotalsAndBreakdown:
     def test_breakdown_sums_to_total(self, model):
-        breakdown = model.breakdown_per_hour(50_000)
-        assert breakdown["total"] == pytest.approx(
-            breakdown["serving"] + breakdown["warmup"] + breakdown["backup"]
+        assert model.total_cost_per_hour(50_000) == pytest.approx(
+            model.serving_cost_per_hour(50_000)
+            + model.warmup_cost_per_hour()
+            + model.backup_cost_per_hour()
         )
-        assert breakdown["total"] == pytest.approx(model.total_cost_per_hour(50_000))
 
     def test_idle_infinicache_is_far_cheaper_than_elasticache(self, model):
         """At low access rates the pay-per-use model wins by orders of magnitude."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.pricing import ELASTICACHE_INSTANCES, S3Pricing, elasticache_instance
+from repro.baselines.pricing import ELASTICACHE_INSTANCES, elasticache_instance
 from repro.baselines.s3 import ObjectStore
 from repro.exceptions import ConfigurationError
 from repro.utils.units import GB, MB
@@ -53,14 +53,14 @@ class TestObjectStore:
         assert store.object_count() == 2
         assert store.total_bytes() == 5 * MB
         assert store.contains("a")
-        assert store.size_of("b") == 3 * MB
-        assert store.size_of("c") is None
+        assert store.get("b")[0] == 3 * MB
+        assert store.get("c") is None
 
     def test_overwrite_updates_size(self):
         store = ObjectStore()
         store.put("a", 2 * MB)
         store.put("a", 7 * MB)
-        assert store.size_of("a") == 7 * MB
+        assert store.get("a")[0] == 7 * MB
         assert store.object_count() == 1
 
     def test_invalid_size(self):
@@ -88,7 +88,3 @@ class TestPricing:
         with pytest.raises(ConfigurationError) as excinfo:
             elasticache_instance("cache.z9.huge")
         assert "cache.r5.xlarge" in str(excinfo.value)
-
-    def test_s3_monthly_storage_cost(self):
-        pricing = S3Pricing()
-        assert pricing.monthly_storage_cost(100 * GB) == pytest.approx(2.3)

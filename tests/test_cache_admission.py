@@ -1,49 +1,13 @@
-"""Tests for size-aware admission and the hybrid small/large-object router."""
+"""Tests for the hybrid small/large-object router."""
 
 import pytest
 
 from repro.baselines.elasticache import ElastiCacheCluster
-from repro.cache.admission import (
-    HybridCacheRouter,
-    SizeThresholdAdmissionPolicy,
-)
+from repro.cache.admission import LARGE_OBJECT_THRESHOLD_BYTES, HybridCacheRouter
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.exceptions import ConfigurationError
 from repro.utils.units import KB, MB, MIB
-
-
-class TestSizeThresholdAdmissionPolicy:
-    def test_threshold_classification(self):
-        policy = SizeThresholdAdmissionPolicy(threshold_bytes=10 * MB)
-        assert policy.decide(50 * MB).admitted_to_large_tier is True
-        assert policy.decide(1 * MB).admitted_to_large_tier is False
-        assert policy.decide(10 * MB).admitted_to_large_tier is False  # inclusive
-
-    def test_counters_and_shares(self):
-        policy = SizeThresholdAdmissionPolicy(threshold_bytes=10 * MB)
-        policy.decide(100 * MB)
-        policy.decide(1 * MB)
-        policy.decide(2 * MB)
-        assert policy.large_tier_objects == 1
-        assert policy.small_tier_objects == 2
-        assert policy.large_tier_object_share() == pytest.approx(1 / 3)
-        assert policy.large_tier_byte_share() == pytest.approx(100 / 103)
-
-    def test_empty_shares(self):
-        policy = SizeThresholdAdmissionPolicy()
-        assert policy.large_tier_byte_share() == 0.0
-        assert policy.large_tier_object_share() == 0.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigurationError):
-            SizeThresholdAdmissionPolicy(threshold_bytes=0)
-        with pytest.raises(ConfigurationError):
-            SizeThresholdAdmissionPolicy().decide(0)
-
-    def test_decision_reason_is_informative(self):
-        decision = SizeThresholdAdmissionPolicy().decide(50 * MB)
-        assert "threshold" in decision.reason
 
 
 @pytest.fixture
@@ -69,10 +33,24 @@ def hybrid():
 class TestHybridCacheRouter:
     def test_routing_by_size(self, hybrid):
         _deployment, router = hybrid
-        router.put_sized("small-object", 200 * KB)
-        router.put_sized("large-object", 50 * MB)
-        assert router.tier_of("small-object") == "small"
-        assert router.tier_of("large-object") == "large"
+        assert router.put_sized("small-object", 200 * KB) == "small"
+        assert router.put_sized("large-object", 50 * MB) == "large"
+        # The threshold is inclusive: exactly 10 MB stays on the small tier.
+        assert LARGE_OBJECT_THRESHOLD_BYTES == 10 * MB
+        assert router.put_sized("edge", 10 * MB) == "small"
+        assert router.put_sized("edge", 10 * MB + 1) == "large"
+
+    def test_routing_counters_and_shares(self, hybrid):
+        _deployment, router = hybrid
+        assert router.stats.large_tier_byte_share == 0.0
+        assert router.stats.large_tier_object_share == 0.0
+        router.put_sized("a", 100 * MB)
+        router.put_sized("b", 1 * MB)
+        router.put_sized("c", 2 * MB)
+        assert router.stats.large_tier_objects == 1
+        assert router.stats.small_tier_objects == 2
+        assert router.stats.large_tier_object_share == pytest.approx(1 / 3)
+        assert router.stats.large_tier_byte_share == pytest.approx(100 / 103)
 
     def test_get_from_each_tier(self, hybrid):
         _deployment, router = hybrid
@@ -93,13 +71,13 @@ class TestHybridCacheRouter:
         """A key that grows past the threshold moves to the large tier and
         the stale small-tier copy is invalidated."""
         _deployment, router = hybrid
-        router.put_sized("growing", 500 * KB)
-        assert router.tier_of("growing") == "small"
-        router.put_sized("growing", 80 * MB)
-        assert router.tier_of("growing") == "large"
+        assert router.put_sized("growing", 500 * KB) == "small"
+        assert router.put_sized("growing", 80 * MB) == "large"
         result = router.get("growing")
         assert result.hit
         assert result.size == 80 * MB
+        # The stale small-tier copy is gone: a size-hinted GET does not find it.
+        assert router.small_tier.get("growing", router.large_tier.clock.now) is None
 
     def test_invalidate(self, hybrid):
         _deployment, router = hybrid
@@ -123,10 +101,12 @@ class TestHybridCacheRouter:
         assert router.stats.small_gets == 2
         assert router.stats.large_gets == 1
 
-    def test_empty_key_rejected(self, hybrid):
+    def test_invalid_inputs_rejected(self, hybrid):
         _deployment, router = hybrid
         with pytest.raises(ConfigurationError):
             router.put_sized("", 1 * MB)
+        with pytest.raises(ConfigurationError):
+            router.put_sized("empty", 0)
 
     def test_mixed_workload_resolves_the_tension(self, hybrid):
         """The scenario from the paper's introduction: small and large objects
@@ -144,4 +124,4 @@ class TestHybridCacheRouter:
         large_hits = sum(1 for index in range(5) if router.get(f"layer-{index}").hit)
         assert small_hits == 50
         assert large_hits == 5
-        assert router.admission.large_tier_byte_share() > 0.95
+        assert router.stats.large_tier_byte_share > 0.95

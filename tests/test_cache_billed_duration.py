@@ -408,7 +408,7 @@ class TestSessionsMatchTheParentArithmetic:
         assert (session.busy_seconds, session.requests_served, session.category) == (
             0.0, 0, "serving",
         )
-        assert session.busy_by_tenant == {} and session.active_seconds == pytest.approx(0.1)
+        assert session.busy_by_tenant == {} and (session.started_at, session.window_end) == (1.0, 1.1)
         charge = SessionCharge(
             started_at=1.0, duration_s=0.095, billed_duration_s=0.1,
             requests_served=1, category="warmup",

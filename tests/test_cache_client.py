@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
-from repro.exceptions import CacheMissError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.utils.units import MB, MIB
 
 
@@ -87,12 +87,6 @@ class TestPutGetRoundtrip:
         result = client.get("never-inserted")
         assert not result.hit
         assert result.latency_s == 0.0
-
-    def test_get_or_raise(self, client):
-        with pytest.raises(CacheMissError):
-            client.get_or_raise("missing")
-        client.put("present", payload(1000))
-        assert client.get_or_raise("present").hit
 
     def test_exists(self, client):
         assert not client.exists("k")

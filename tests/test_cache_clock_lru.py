@@ -24,14 +24,6 @@ class TestBasics:
         assert lru.get("a") == 2
         assert len(lru) == 1
 
-    def test_peek_does_not_touch(self):
-        lru = ClockLRU()
-        lru.insert("a", 1)
-        lru.insert("b", 2)
-        # Sweep once so reference bits are cleared, then peek must not set them.
-        lru.evict()
-        assert lru.peek("b") in (None, 2)
-
     def test_touch_missing_raises(self):
         with pytest.raises(CacheError):
             ClockLRU().touch("ghost")

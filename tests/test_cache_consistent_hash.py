@@ -205,11 +205,11 @@ class TestCopyOnWriteClone:
         second = deployment.new_client("b")
         # Clients share the prototype's point tuple until a membership change.
         assert first.ring._ring is second.ring._ring
-        assert first.proxy_ids() == second.proxy_ids()
+        assert first.ring.member_ids() == second.ring.member_ids()
         # A cluster join updates the prototype and every issued client.
         deployment.add_proxy()
-        assert first.proxy_ids() == second.proxy_ids()
+        assert first.ring.member_ids() == second.ring.member_ids()
         assert "proxy-3" in first.ring
         # New clients clone the post-join prototype.
         third = deployment.new_client("c")
-        assert third.proxy_ids() == first.proxy_ids()
+        assert third.ring.member_ids() == first.ring.member_ids()

@@ -47,10 +47,6 @@ class TestEncode:
         assert codec.chunk_size_for(1001) == 251
         assert codec.chunk_size_for(1) == 1
 
-    def test_parity_flag(self, codec):
-        chunks = codec.encode("key", sample_object())
-        assert [chunk.is_parity for chunk in chunks] == [False] * 4 + [True] * 2
-
     def test_empty_key_rejected(self, codec):
         with pytest.raises(EncodingError):
             codec.encode("", sample_object())
@@ -120,10 +116,6 @@ class TestEncode:
         chunks = ErasureCodec(10, 2).encode("pinned", payload)
         digest = hashlib.sha256(b"".join(chunk.payload for chunk in chunks)).hexdigest()
         assert digest == PINNED_STRIPE_SHA256
-
-    def test_storage_overhead(self, codec):
-        assert codec.storage_overhead() == pytest.approx(1.5)
-        assert ErasureCodec(10, 2).storage_overhead() == pytest.approx(1.2)
 
     def test_invalid_chunk_size_query(self, codec):
         with pytest.raises(EncodingError):
@@ -195,15 +187,6 @@ class TestDecode:
 
 
 class TestFirstDSupport:
-    def test_needs_decoding_false_when_data_chunks_present(self, codec):
-        chunks = codec.encode("key", sample_object())
-        assert codec.needs_decoding(chunks[:4]) is False
-
-    def test_needs_decoding_true_with_parity_substitute(self, codec):
-        chunks = codec.encode("key", sample_object())
-        subset = [chunks[0], chunks[1], chunks[2], chunks[5]]
-        assert codec.needs_decoding(subset) is True
-
     def test_rebuild_missing_restores_full_stripe(self, codec):
         payload = sample_object(1024)
         chunks = codec.encode("key", payload)

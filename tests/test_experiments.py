@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from repro.experiments.figure11 import FIGURE11_OBJECT_SIZES, FIGURE11_RS_CODES
 from repro.experiments.registry import EXPERIMENTS, build, names, scales
 from repro.experiments.report import format_cdf_summary, format_table
 from repro.utils.stats import summarize
@@ -173,6 +174,12 @@ class TestFigures8And9:
 
 
 class TestFigure11:
+    def test_figure11_sweeps_match_paper(self):
+        assert FIGURE11_OBJECT_SIZES == (10 * MB, 20 * MB, 40 * MB, 60 * MB, 80 * MB, 100 * MB)
+        assert (10, 1) in FIGURE11_RS_CODES
+        assert (10, 0) in FIGURE11_RS_CODES
+        assert (4, 2) in FIGURE11_RS_CODES
+
     def test_memory_and_code_sweep_shapes(self, report_scale):
         result = report_scale("figure11")
         # Bigger objects are slower at fixed memory/code.

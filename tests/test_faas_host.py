@@ -49,14 +49,14 @@ class TestHostManager:
         manager = HostManager()
         for i in range(22):
             manager.place_function(f"f{i}", 256 * MIB)
-        assert manager.host_count == 2
+        assert len(manager.hosts) == 2
 
     def test_large_functions_get_dedicated_hosts(self):
         """>= 1536 MB functions eliminate co-location (paper Section 3.1)."""
         manager = HostManager()
         for i in range(5):
             manager.place_function(f"f{i}", 1536 * MIB)
-        assert manager.host_count == 5
+        assert len(manager.hosts) == 5
         for i in range(5):
             assert manager.host_of(f"f{i}").occupancy == 1
 
@@ -65,7 +65,7 @@ class TestHostManager:
         manager.place_function("a", 1024 * MIB)
         manager.place_function("b", 1024 * MIB)   # same host (greedy packing)
         manager.place_function("c", 2048 * MIB)   # needs a new host
-        assert manager.host_count == 2
+        assert len(manager.hosts) == 2
         assert manager.host_of("a") is manager.host_of("b")
         assert manager.host_of("c") is not manager.host_of("a")
 
@@ -91,9 +91,9 @@ class TestHostManager:
         for name in names:
             manager.place_function(name, 256 * MIB)
         # 11 fit on the first host, the 12th starts a second one.
-        assert manager.distinct_hosts(names) == 2
-        assert manager.distinct_hosts(names[:3]) == 1
-        assert manager.distinct_hosts(["unknown"]) == 0
+        assert len({manager.host_of(name).host_id for name in names}) == 2
+        assert len({manager.host_of(name).host_id for name in names[:3]}) == 1
+        assert manager.host_of("unknown") is None
 
     def test_host_memory_bounds_packing(self):
         # Hosts hold 3008 MiB: two 1024 MiB functions fit, a third does not.
@@ -101,7 +101,7 @@ class TestHostManager:
         manager.place_function("a", 1024 * MIB)
         manager.place_function("b", 1024 * MIB)
         manager.place_function("c", 1024 * MIB)
-        assert manager.host_count == 2
+        assert len(manager.hosts) == 2
 
 
 class TestLazyHeapMatchesBruteForceGreedy:
@@ -151,8 +151,8 @@ class TestLazyHeapMatchesBruteForceGreedy:
         # the fullest parked host rather than provisioning a new one.
         manager.place_function("big-0", 1536 * MIB)
         manager.place_function("big-1", 1536 * MIB)
-        count_before = manager.host_count
+        count_before = len(manager.hosts)
         expected = self._expected_host(manager, 512 * MIB)
         host = manager.place_function("small", 512 * MIB)
         assert host.host_id == expected
-        assert manager.host_count == count_before
+        assert len(manager.hosts) == count_before

@@ -9,7 +9,6 @@ from repro.faas.limits import (
     MAX_FUNCTION_BANDWIDTH,
     MIN_FUNCTION_BANDWIDTH,
     bandwidth_for_memory,
-    cpu_for_memory,
     usable_cache_bytes,
     validate_memory_bytes,
 )
@@ -32,16 +31,6 @@ class TestValidateMemory:
     def test_not_a_64mb_multiple(self):
         with pytest.raises(ConfigurationError):
             validate_memory_bytes(200 * MIB)
-
-
-class TestCpuScaling:
-    def test_proportional(self):
-        assert cpu_for_memory(1792 * MIB) == pytest.approx(1.0)
-        assert cpu_for_memory(896 * MIB) == pytest.approx(0.5)
-
-    def test_capped_at_1_7(self):
-        assert cpu_for_memory(3008 * MIB) == pytest.approx(1.678, abs=0.03)
-        assert cpu_for_memory(3008 * MIB) <= 1.7
 
 
 class TestBandwidthScaling:

@@ -32,10 +32,30 @@ from repro.network.flows import (
     resolve_arbiter,
 )
 from repro.network.topology import NetworkFabric
-from repro.sim import EventLoop, first_n
+from repro.sim import EventLoop, SimFuture
 from repro.workload.replay import ConcurrentReplayReport, RequestSample
 
 MB = 1_000_000.0
+
+
+def first_n(count: int, futures) -> SimFuture:
+    """A gate resolving, inside the resolve of the ``count``-th input to
+    resolve, with those inputs' results; a cancelled input never counts.
+    The first-d-of-n race of a GET, over bare flow futures."""
+    gate = SimFuture("quorum")
+    winners: list[object] = []
+
+    def on_done(future: SimFuture) -> None:
+        if gate.done or future.cancelled:
+            return
+        winners.append(future.result)
+        if len(winners) == count:
+            gate.resolve(winners)
+
+    for future in futures:
+        future.add_done_callback(on_done)
+    return gate
+
 
 #: Every arbiter, each pinned against a fresh reference sweep below (the
 #: reference leg pins the oracle's own run-to-run determinism).
@@ -181,7 +201,7 @@ class TestProxyUplinkSharing:
         b = start(net, size=50 * MB, host="h1", cap=1_000 * MB, proxy="p0")
         assert a.rate_bps == pytest.approx(50 * MB)
         assert b.rate_bps == pytest.approx(50 * MB)
-        assert net.streams_on_proxy("p0") == 2
+        assert net.active_count == 2  # both flows cross p0's uplink
         loop.run_all()
         assert net.trace[0].ended_at == pytest.approx(1.0)
 

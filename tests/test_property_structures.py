@@ -3,14 +3,12 @@ hash ring, the billing arithmetic, and the availability model."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.availability import AvailabilityModel
 from repro.cache.clock_lru import ClockLRU
 from repro.cache.consistent_hash import ConsistentHashRing
 from repro.faas.billing import BILLING_CYCLE_SECONDS, BillingModel, ceil_to_billing_cycle
-from repro.utils.stats import OnlineStats
 from repro.utils.units import GIB
 
 keys = st.text(alphabet="abcdefghij", min_size=1, max_size=6)
@@ -212,19 +210,3 @@ class TestAvailabilityProperties:
         weak = AvailabilityModel(200, 10, 1).object_loss_probability_given_reclaims(reclaimed)
         strong = AvailabilityModel(200, 10, 3).object_loss_probability_given_reclaims(reclaimed)
         assert strong <= weak + 1e-12
-
-
-class TestOnlineStatsProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(values=st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                                     allow_nan=False, allow_infinity=False),
-                           min_size=1, max_size=100))
-    def test_matches_batch_computation(self, values):
-        import numpy as np
-
-        stats = OnlineStats()
-        stats.extend(values)
-        assert stats.count == len(values)
-        assert stats.mean == pytest.approx(float(np.mean(values)), rel=1e-9, abs=1e-6)
-        assert stats.min == min(values)
-        assert stats.max == max(values)

@@ -11,7 +11,7 @@ from repro.cache.client import GetResult
 from repro.cache.proxy import ChunkFetch, ProxyGetResult
 from repro.exceptions import SimulationError
 from repro.network.flows import FlowInterval
-from repro.sim import EventLoop, Process, SimFuture, all_of, first_n
+from repro.sim import EventLoop, Process, SimFuture, all_of
 from repro.workload.replay import RequestSample
 
 
@@ -65,30 +65,6 @@ class TestCombinators:
         a.resolve("A")
         b.cancel()
         assert gate.result == ["A", None]
-
-    def test_first_n_resolves_in_completion_order(self):
-        futures = [SimFuture(str(i)) for i in range(4)]
-        gate = first_n(2, futures)
-        futures[3].resolve("late-3")
-        assert not gate.done
-        futures[1].resolve("late-1")
-        assert gate.result == ["late-3", "late-1"]
-        # Further completions do not disturb the resolved gate.
-        futures[0].resolve("x")
-        assert gate.result == ["late-3", "late-1"]
-
-    def test_first_n_ignores_cancelled_futures(self):
-        futures = [SimFuture(str(i)) for i in range(3)]
-        gate = first_n(2, futures)
-        futures[0].cancel()
-        futures[1].resolve(1)
-        assert not gate.done
-        futures[2].resolve(2)
-        assert gate.result == [1, 2]
-
-    def test_first_n_rejects_impossible_quorum(self):
-        with pytest.raises(SimulationError):
-            first_n(3, [SimFuture("a")])
 
 
 class TestProcesses:
@@ -156,22 +132,6 @@ class TestProcesses:
         # The pending wake-up was cancelled along with the process.
         loop.run_all()
         assert loop.now == 3.0
-
-    def test_first_n_with_processes_and_loser_cancellation(self):
-        loop = EventLoop()
-
-        def proc(delay, name):
-            yield delay
-            return name
-
-        tasks = [loop.spawn(proc(d, n)) for d, n in ((3.0, "slow"), (1.0, "fast"), (2.0, "mid"))]
-        gate = first_n(2, [t.future for t in tasks])
-        winners = loop.run_until_complete(gate)
-        assert winners == ["fast", "mid"]
-        for task in tasks:
-            if not task.done:
-                task.cancel()
-        assert tasks[0].future.cancelled
 
     def test_run_until_complete_detects_deadlock(self):
         loop = EventLoop()

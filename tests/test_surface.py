@@ -1,0 +1,104 @@
+"""Every public top-level class or function in ``src/repro`` has a caller.
+
+A name counts as reached when an identifier names it (a ``Name``, an
+attribute or an import) in its own module outside its definition, or in
+any other non-``__init__`` file under ``src/repro``, ``examples/`` or
+``bench/``.  Tests and package ``__init__`` re-exports do not count: a
+name only they reach is surface no experiment, CLI command, example or
+benchmark runs.  A class decorated with ``@register_rule`` is reached
+through the lint registry.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+#: Public names kept without a caller, each with the reason.
+UNREACHED_ON_PURPOSE = {
+    "IdleTimeoutPolicy": (
+        "the provider's idle reclaim from the paper, the fixture behind the "
+        "warm-up tests"
+    ),
+}
+
+
+def _identifiers(nodes) -> set[str]:
+    names: set[str] = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def _is_registered_rule(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(dec, ast.Name) and dec.id == "register_rule"
+        for dec in node.decorator_list
+    )
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node
+
+
+def _unreached() -> list[str]:
+    modules = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    outside = [
+        path
+        for folder in (ROOT / "examples", ROOT / "bench")
+        for path in sorted(folder.rglob("*.py"))
+    ]
+    reached: dict[pathlib.Path, set[str]] = {
+        path: _identifiers([tree]) for path, tree in modules.items()
+    }
+    for path in outside:
+        reached[path] = _identifiers([ast.parse(path.read_text(encoding="utf-8"))])
+
+    unreached = []
+    for path, tree in modules.items():
+        others = set().union(*(names for other, names in reached.items() if other != path))
+        for definition in _public_definitions(tree):
+            name = definition.name
+            if name in UNREACHED_ON_PURPOSE or name in others:
+                continue
+            if isinstance(definition, ast.ClassDef) and _is_registered_rule(definition):
+                continue
+            rest = [node for node in tree.body if node is not definition]
+            if name in _identifiers(rest):
+                continue
+            unreached.append(f"{path.relative_to(ROOT)}:{definition.lineno} {name}")
+    return unreached
+
+
+def test_every_public_name_is_reached():
+    unreached = _unreached()
+    assert not unreached, (
+        "public names only tests or package re-exports reach; delete them "
+        "or give them a caller:\n  " + "\n  ".join(unreached)
+    )
+
+
+def test_exceptions_are_still_defined():
+    defined = {
+        definition.name
+        for path in SRC.rglob("*.py")
+        if path.name != "__init__.py"
+        for definition in _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert set(UNREACHED_ON_PURPOSE) <= defined

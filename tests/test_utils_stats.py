@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.utils.stats import OnlineStats, cdf_points, percentile, percentiles, summarize
+from repro.utils.stats import cdf_points, percentile, summarize
 
 
 class TestPercentile:
@@ -26,11 +26,6 @@ class TestPercentile:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             percentile([1], 101)
-
-    def test_percentiles_dict(self):
-        result = percentiles([1, 2, 3, 4], [0, 50, 100])
-        assert result[0] == 1
-        assert result[100] == 4
 
 
 class TestCdfPoints:
@@ -64,56 +59,3 @@ class TestSummarize:
         assert summary["min"] == 1
         assert summary["max"] == 5
         assert summary["p50"] == 3
-
-
-class TestOnlineStats:
-    def test_matches_direct_computation(self):
-        values = [1.0, 2.0, 3.0, 4.0, 10.0]
-        stats = OnlineStats()
-        stats.extend(values)
-        assert stats.count == 5
-        assert stats.mean == pytest.approx(4.0)
-        assert stats.min == 1.0
-        assert stats.max == 10.0
-        expected_var = sum((v - 4.0) ** 2 for v in values) / 4
-        assert stats.variance == pytest.approx(expected_var)
-
-    def test_stddev_of_constant_is_zero(self):
-        stats = OnlineStats()
-        stats.extend([5.0, 5.0, 5.0])
-        assert stats.stddev == 0.0
-
-    def test_single_value_variance_zero(self):
-        stats = OnlineStats()
-        stats.add(42.0)
-        assert stats.variance == 0.0
-
-    def test_merge_equivalent_to_combined(self):
-        left, right, combined = OnlineStats(), OnlineStats(), OnlineStats()
-        a = [1.0, 4.0, 2.0]
-        b = [10.0, 0.5]
-        left.extend(a)
-        right.extend(b)
-        combined.extend(a + b)
-        merged = left.merge(right)
-        assert merged.count == combined.count
-        assert merged.mean == pytest.approx(combined.mean)
-        assert merged.variance == pytest.approx(combined.variance)
-        assert merged.min == combined.min
-        assert merged.max == combined.max
-
-    def test_merge_with_empty(self):
-        stats = OnlineStats()
-        stats.extend([1.0, 2.0])
-        merged = stats.merge(OnlineStats())
-        assert merged.count == 2
-        assert merged.mean == pytest.approx(1.5)
-        merged_other_way = OnlineStats().merge(stats)
-        assert merged_other_way.count == 2
-
-    def test_as_dict(self):
-        stats = OnlineStats()
-        stats.extend([2.0, 4.0])
-        as_dict = stats.as_dict()
-        assert as_dict["count"] == 2
-        assert as_dict["mean"] == pytest.approx(3.0)

@@ -1,8 +1,5 @@
 """Tests for byte/time unit helpers."""
 
-import pytest
-
-from repro.exceptions import ConfigurationError
 from repro.utils.units import (
     GB,
     GIB,
@@ -14,7 +11,6 @@ from repro.utils.units import (
     MINUTE,
     format_bytes,
     format_duration,
-    parse_size,
 )
 
 
@@ -72,35 +68,3 @@ class TestFormatDuration:
 
     def test_negative(self):
         assert format_duration(-0.5) == "-500.0 ms"
-
-
-class TestParseSize:
-    def test_plain_number(self):
-        assert parse_size(1024) == 1024
-
-    def test_float_number(self):
-        assert parse_size(10.5) == 10
-
-    def test_decimal_suffixes(self):
-        assert parse_size("10MB") == 10 * MB
-        assert parse_size("1.5 GB") == int(1.5 * GB)
-        assert parse_size("512 kb") == 512 * KB
-
-    def test_binary_suffixes(self):
-        assert parse_size("1536 MiB") == 1536 * MIB
-        assert parse_size("2gib") == 2 * GIB
-
-    def test_bare_bytes(self):
-        assert parse_size("100") == 100
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            parse_size(-1)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            parse_size("ten megabytes")
-
-    def test_rejects_unknown_suffix(self):
-        with pytest.raises(ConfigurationError):
-            parse_size("10 parsecs")

@@ -1,5 +1,7 @@
 """Tests for the synthetic Docker-registry trace generator."""
 
+import math
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -9,7 +11,6 @@ from repro.workload.docker_registry import (
     DockerRegistryTraceGenerator,
     PRESETS,
     RegistryTraceConfig,
-    summarize_trace,
 )
 
 
@@ -48,14 +49,14 @@ class TestGeneration:
         config = RegistryTraceConfig(duration_hours=1.0, catalogue_size=100, seed=5)
         first = DockerRegistryTraceGenerator(config).generate()
         second = DockerRegistryTraceGenerator(config).generate()
-        assert first.to_csv() == second.to_csv()
+        assert first.records == second.records
 
     def test_different_seed_differs(self):
         base = RegistryTraceConfig(duration_hours=1.0, catalogue_size=100, seed=5)
         other = RegistryTraceConfig(duration_hours=1.0, catalogue_size=100, seed=6)
         assert (
-            DockerRegistryTraceGenerator(base).generate().to_csv()
-            != DockerRegistryTraceGenerator(other).generate().to_csv()
+            DockerRegistryTraceGenerator(base).generate().records
+            != DockerRegistryTraceGenerator(other).generate().records
         )
 
     def test_sizes_consistent_per_key(self, short_trace):
@@ -67,13 +68,15 @@ class TestGeneration:
 class TestFigure1Properties:
     def test_large_object_fraction(self, short_trace):
         """>20% of objects are larger than 10 MB (Figure 1(a))."""
-        summary = summarize_trace(short_trace)
-        assert summary["large_object_fraction"] > 0.15
+        sizes = short_trace.object_sizes()
+        large = [size for size in sizes if size > 10 * MB]
+        assert len(large) / len(sizes) > 0.15
 
     def test_large_objects_dominate_footprint(self, short_trace):
         """Objects >10 MB hold >90% of the bytes (Figure 1(b) shows >95%)."""
-        summary = summarize_trace(short_trace)
-        assert summary["large_byte_fraction"] > 0.90
+        sizes = short_trace.object_sizes()
+        large_bytes = sum(size for size in sizes if size > 10 * MB)
+        assert large_bytes / sum(sizes) > 0.90
 
     def test_access_counts_are_long_tailed(self, short_trace):
         counts = short_trace.access_counts(min_size_bytes=10 * MB)
@@ -89,11 +92,6 @@ class TestFigure1Properties:
         assert intervals
         within_hour = sum(1 for interval in intervals if interval <= HOUR)
         assert within_hour / len(intervals) > 0.30
-
-    def test_generate_large_only_filters(self):
-        config = RegistryTraceConfig(duration_hours=1.0, catalogue_size=200, seed=9)
-        trace = DockerRegistryTraceGenerator(config).generate_large_only()
-        assert all(record.size > 10 * MB for record in trace)
 
 
 class TestBurstWindow:
@@ -123,6 +121,24 @@ class TestBurstWindow:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda bad: RegistryTraceConfig(duration_hours=bad),
+        lambda bad: RegistryTraceConfig(base_requests_per_hour=bad),
+        lambda bad: RegistryTraceConfig(popularity_exponent=bad),
+        lambda bad: BurstWindow(start_hour=0.0, end_hour=bad, multiplier=2.0),
+        lambda bad: BurstWindow(start_hour=0.0, end_hour=1.0, multiplier=bad),
+    ], ids=["duration", "rate", "exponent", "burst-end", "burst-multiplier"])
+    def test_non_finite_values_fail_at_declaration(self, build, bad):
+        # A NaN duration used to pass, and the replay then died with
+        # "cannot replay an empty trace".
+        with pytest.raises(ConfigurationError, match="finite"):
+            build(bad)
+
+    def test_nan_burst_start_fails_at_declaration(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            BurstWindow(start_hour=math.nan, end_hour=1.0, multiplier=2.0)
+
     def test_invalid_duration(self):
         with pytest.raises(ConfigurationError):
             RegistryTraceConfig(duration_hours=0)

@@ -52,14 +52,6 @@ class TestFiltering:
         filtered = trace.large_objects_only()
         assert [rec.key for rec in filtered] == ["large"]
 
-    def test_first_hours(self):
-        trace = Trace.from_records([record(0.0), record(2 * HOUR), record(5 * HOUR)])
-        assert len(trace.first_hours(3)) == 2
-
-    def test_gets_only(self):
-        trace = Trace.from_records([record(0.0, op="PUT"), record(1.0, op="GET")])
-        assert len(trace.gets_only()) == 1
-
     def test_filter_preserves_original(self):
         trace = Trace.from_records([record(0.0), record(1.0)])
         trace.filter(lambda r: False)
@@ -103,24 +95,3 @@ class TestAnalytics:
         assert trace.duration_s() == 0.0
         assert trace.working_set_bytes() == 0
         assert trace.gets_per_hour() == 0.0
-
-
-class TestSerialisation:
-    def test_csv_roundtrip(self):
-        trace = Trace.from_records(
-            [record(0.5, "a", 3 * MB), record(1.25, "b", 7 * MB, op="PUT")], name="rt"
-        )
-        restored = Trace.from_csv(trace.to_csv(), name="rt")
-        assert len(restored) == 2
-        assert restored.records[1].operation == "PUT"
-        assert restored.records[0].size == 3 * MB
-        assert restored.records[0].timestamp == pytest.approx(0.5)
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(WorkloadError):
-            Trace.from_csv("foo,bar\n1,2\n")
-
-    def test_malformed_row_rejected(self):
-        text = "timestamp,operation,key,size\n1.0,GET,k\n"
-        with pytest.raises(WorkloadError):
-            Trace.from_csv(text)
