@@ -69,6 +69,17 @@ class TestObjectLossGivenReclaims:
     def test_fewer_than_m_reclaims_cannot_lose(self, paper_model):
         assert paper_model.object_loss_probability_given_reclaims(2) == 0.0
 
+    @pytest.mark.parametrize("data, parity", [(10, 2), (4, 2), (5, 1)])
+    def test_exactly_m_reclaims_lose_only_when_all_hold_chunks(self, data, parity):
+        # m = p + 1; with exactly m nodes reclaimed the object is lost only
+        # if every one of them held one of its chunks.
+        model = AvailabilityModel(total_nodes=400, data_shards=data, parity_shards=parity)
+        m = model.min_chunks_for_loss
+        assert m == parity + 1
+        loss = model.object_loss_probability_given_reclaims(m)
+        assert loss > 0.0
+        assert loss == pytest.approx(model.chunk_loss_probability(m, m))
+
 
 class TestObjectLossProbability:
     def test_paper_range_for_moderate_reclaim_rates(self, paper_model):

@@ -101,12 +101,17 @@ class TestHybridCacheRouter:
         assert router.stats.small_gets == 2
         assert router.stats.large_gets == 1
 
-    def test_invalid_inputs_rejected(self, hybrid):
+    def test_empty_key_rejected(self, hybrid):
         _deployment, router = hybrid
         with pytest.raises(ConfigurationError):
             router.put_sized("", 1 * MB)
+
+    def test_invalid_inputs_rejected(self, hybrid):
+        _deployment, router = hybrid
         with pytest.raises(ConfigurationError):
             router.put_sized("empty", 0)
+        with pytest.raises(ConfigurationError):
+            router.put_sized("negative", -1)
 
     def test_mixed_workload_resolves_the_tension(self, hybrid):
         """The scenario from the paper's introduction: small and large objects

@@ -26,6 +26,15 @@ class TestObjectDescriptor:
             ObjectDescriptor(key="k", object_size=10, data_shards=1, parity_shards=0,
                              chunk_size=0)
 
+    def test_stripe_metadata_decodes_the_stored_chunks(self):
+        # The proxy keeps only the descriptor; its stripe metadata must be
+        # what the codec stamped on the chunks, so the client can decode.
+        payload = bytes(range(256)) * 4
+        chunks = ErasureCodec(4, 2).encode("k", payload)
+        descriptor = descriptor_for("k", len(payload), 4, 2)
+        assert descriptor.stripe_metadata() == chunks[0].metadata
+        assert ErasureCodec(4, 2).decode(chunks[2:]) == payload
+
     def test_descriptor_for_uses_ceiling_division(self):
         descriptor = descriptor_for("k", 1001, 10, 2)
         assert descriptor.chunk_size == 101

@@ -9,7 +9,7 @@ from repro.cluster import (
     InfiniCacheCluster,
     TenantQuota,
 )
-from repro.exceptions import QuotaExceededError, RateLimitedError
+from repro.exceptions import QuotaExceededError, RateLimitedError, TenantError
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MB, MIB
 
@@ -82,6 +82,14 @@ class TestTenantDataPath:
             api.put_sized("k2", 1 * MB)
         cluster.run_until(10.0)
         api.put_sized("k2", 1 * MB)  # bucket refilled on the sim clock
+        cluster.stop()
+
+    def test_unregistered_tenant_rejected(self):
+        cluster = make_cluster()
+        with pytest.raises(TenantError):
+            cluster.router.put_sized("ghost", "k", 1 * MB)
+        with pytest.raises(TenantError):
+            cluster.router.get("ghost", "k")
         cluster.stop()
 
     def test_eviction_reconciles_other_tenants_usage(self):

@@ -47,6 +47,16 @@ class TestEncode:
         assert codec.chunk_size_for(1001) == 251
         assert codec.chunk_size_for(1) == 1
 
+    def test_parity_flag(self, codec):
+        # Systematic code: the first d chunks are the object's bytes
+        # verbatim, the last p are parity.
+        payload = sample_object()
+        chunks = codec.encode("key", payload)
+        verbatim = [
+            bytes(chunk.payload) == payload[250 * i:250 * (i + 1)] for i, chunk in enumerate(chunks)
+        ]
+        assert verbatim == [True] * 4 + [False] * 2
+
     def test_empty_key_rejected(self, codec):
         with pytest.raises(EncodingError):
             codec.encode("", sample_object())
@@ -116,6 +126,13 @@ class TestEncode:
         chunks = ErasureCodec(10, 2).encode("pinned", payload)
         digest = hashlib.sha256(b"".join(chunk.payload for chunk in chunks)).hexdigest()
         assert digest == PINNED_STRIPE_SHA256
+
+    def test_storage_overhead(self, codec):
+        # Stored bytes over object bytes is (d + p) / d, e.g. 1.2 for RS(10+2).
+        stored = sum(chunk.size for chunk in codec.encode("key", sample_object(1000)))
+        assert stored / 1000 == pytest.approx(1.5)
+        stored = sum(chunk.size for chunk in ErasureCodec(10, 2).encode("key", sample_object(1000)))
+        assert stored / 1000 == pytest.approx(1.2)
 
     def test_invalid_chunk_size_query(self, codec):
         with pytest.raises(EncodingError):
@@ -187,6 +204,21 @@ class TestDecode:
 
 
 class TestFirstDSupport:
+    def test_needs_decoding_false_when_data_chunks_present(self, codec):
+        # With every data chunk present the object is their concatenation.
+        payload = sample_object()
+        chunks = codec.encode("key", payload)
+        assert b"".join(bytes(chunk.payload) for chunk in chunks[:4])[:len(payload)] == payload
+        assert codec.decode(chunks[:4]) == payload
+
+    def test_needs_decoding_true_with_parity_substitute(self, codec):
+        # A parity chunk standing in for a data chunk needs RS decoding.
+        payload = sample_object()
+        chunks = codec.encode("key", payload)
+        subset = [chunks[0], chunks[1], chunks[2], chunks[5]]
+        assert b"".join(bytes(chunk.payload) for chunk in subset)[:len(payload)] != payload
+        assert codec.decode(subset) == payload
+
     def test_rebuild_missing_restores_full_stripe(self, codec):
         payload = sample_object(1024)
         chunks = codec.encode("key", payload)

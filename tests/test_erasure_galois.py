@@ -14,6 +14,11 @@ class TestScalarArithmetic:
         for a in (0, 1, 77, 255):
             assert GF256.add(a, a) == 0
 
+    def test_subtract_equals_add(self):
+        # In characteristic 2 subtraction is addition: adding b twice undoes it.
+        for a, b in ((200, 77), (0, 255), (13, 13)):
+            assert GF256.add(GF256.add(a, b), b) == a
+
     def test_multiply_by_zero_and_one(self):
         for a in range(0, 256, 17):
             assert GF256.multiply(a, 0) == 0

@@ -16,6 +16,7 @@ import math
 import pytest
 
 from repro.experiments.figure11 import FIGURE11_OBJECT_SIZES, FIGURE11_RS_CODES
+from repro.experiments.figure9 import distribution_from_counts
 from repro.experiments.registry import EXPERIMENTS, build, names, scales
 from repro.experiments.report import format_cdf_summary, format_table
 from repro.utils.stats import summarize
@@ -161,6 +162,12 @@ class TestFigures8And9:
         zipf_tail = result.probability_of_at_least("1 min (09/15/19)", 10)
         poisson_tail = result.probability_of_at_least("1 min (12/26/19)", 10)
         assert zipf_tail >= poisson_tail
+
+    def test_figure9_distribution_from_counts_is_a_sorted_pmf(self):
+        distribution = distribution_from_counts([2, 0, 0, 5, 0, 2])
+        assert list(distribution) == [0, 2, 5]
+        assert distribution == pytest.approx({0: 0.5, 2: 1 / 3, 5: 1 / 6})
+        assert distribution_from_counts([]) == {}
 
     @pytest.mark.xfail(strict=True, reason=(
         "figure8 bins reclaims into [start, stop) hours: the last sweep, at "

@@ -76,6 +76,21 @@ class TestBillingModel:
         assert breakdown["warmup"] == pytest.approx(2 * breakdown["serving"])
         assert breakdown["total"] == pytest.approx(billing.total_cost)
 
+    def test_tenant_breakdown_rows_sum_to_the_account(self):
+        billing = BillingModel()
+        billing.charge_invocation(1 * GIB, 0.1, attribution={"a": 3.0, "b": 1.0})
+        billing.charge_invocation(1 * GIB, 0.25, attribution={"b": 1.0})
+        billing.charge_invocation(1 * GIB, 0.1)
+        rows = billing.tenant_breakdown()
+        assert list(rows) == sorted(["a", "b", UNATTRIBUTED_TENANT])
+        assert sum(row["cost"] for row in rows.values()) == pytest.approx(billing.total_cost)
+        assert sum(row["gb_seconds"] for row in rows.values()) == pytest.approx(
+            billing.total_gb_seconds
+        )
+        assert sum(row["invocations"] for row in rows.values()) == pytest.approx(3.0)
+        assert rows["a"]["invocations"] == pytest.approx(0.75)
+        assert rows["b"]["invocations"] == pytest.approx(1.25)
+
     def test_reset(self):
         billing = BillingModel()
         billing.charge_invocation(1 * GIB, 0.1)

@@ -8,10 +8,10 @@ import math
 import pytest
 
 from repro.cache.client import GetResult
-from repro.cache.proxy import ChunkFetch, ProxyGetResult
+from repro.cache.proxy import ChunkFetch, ProxyGetResult, _chunk_quorum
 from repro.exceptions import SimulationError
 from repro.network.flows import FlowInterval
-from repro.sim import EventLoop, Process, SimFuture, all_of
+from repro.sim import CountdownLatch, EventLoop, Process, SimFuture, all_of
 from repro.workload.replay import RequestSample
 
 
@@ -65,6 +65,70 @@ class TestCombinators:
         a.resolve("A")
         b.cancel()
         assert gate.result == ["A", None]
+
+    def test_countdown_latch_resolves_at_zero(self):
+        latch = CountdownLatch(2)
+        first, second = SimFuture("first"), SimFuture("second")
+        first.add_done_callback(latch.count_down)
+        second.add_done_callback(latch.count_down)
+        first.resolve(None)
+        assert latch.remaining == 1 and not latch.future.done
+        second.cancel()  # a cancelled request still counts as finished
+        assert latch.remaining == 0 and latch.future.done
+        assert CountdownLatch(0).future.done
+
+    def test_countdown_latch_rejects_negative_and_overcount(self):
+        with pytest.raises(SimulationError):
+            CountdownLatch(-1)
+        latch = CountdownLatch(1)
+        latch.count_down()
+        with pytest.raises(SimulationError):
+            latch.count_down()
+
+    # The proxy's first-d gate: the GET path resolves with the fastest
+    # ``needed`` chunk results and cancels the rest.
+    def test_first_n_resolves_in_completion_order(self):
+        futures = [SimFuture(str(i)) for i in range(4)]
+        gate = _chunk_quorum(futures, 2, "quorum")
+        futures[3].resolve("late-3")
+        assert not gate.done
+        futures[1].resolve("late-1")
+        assert gate.result == ["late-3", "late-1"]
+        # Further completions do not disturb the resolved gate.
+        futures[0].resolve("x")
+        assert gate.result == ["late-3", "late-1"]
+
+    def test_first_n_ignores_cancelled_futures(self):
+        futures = [SimFuture(str(i)) for i in range(3)]
+        gate = _chunk_quorum(futures, 2, "quorum")
+        futures[0].cancel()
+        futures[1].resolve(1)
+        assert not gate.done
+        futures[2].resolve(2)
+        assert gate.result == [1, 2]
+
+    def test_first_n_rejects_impossible_quorum(self):
+        # Two of three must succeed: the second failure settles the gate
+        # with None at once, without waiting for the last chunk.
+        futures = [SimFuture(str(i)) for i in range(3)]
+        gate = _chunk_quorum(futures, 2, "quorum")
+        futures[0].resolve(None)
+        assert not gate.done
+        futures[1].cancel()
+        assert gate.done and gate.result is None
+        futures[2].resolve("late")
+        assert gate.result is None
+
+    def test_first_n_counts_falsy_results_as_failures(self):
+        # A chunk process that exhausts its attempts resolves with None
+        # rather than cancelling; it must not count towards the quorum.
+        futures = [SimFuture(str(i)) for i in range(3)]
+        gate = _chunk_quorum(futures, 2, "quorum")
+        futures[0].resolve(None)
+        futures[1].resolve("chunk-1")
+        assert not gate.done
+        futures[2].resolve("chunk-2")
+        assert gate.result == ["chunk-1", "chunk-2"]
 
 
 class TestProcesses:
@@ -132,6 +196,22 @@ class TestProcesses:
         # The pending wake-up was cancelled along with the process.
         loop.run_all()
         assert loop.now == 3.0
+
+    def test_first_n_with_processes_and_loser_cancellation(self):
+        loop = EventLoop()
+
+        def proc(delay, name):
+            yield delay
+            return name
+
+        tasks = [loop.spawn(proc(d, n)) for d, n in ((3.0, "slow"), (1.0, "fast"), (2.0, "mid"))]
+        gate = _chunk_quorum([t.future for t in tasks], 2, "quorum")
+        winners = loop.run_until_complete(gate)
+        assert winners == ["fast", "mid"]
+        for task in tasks:
+            if not task.done:
+                task.cancel()
+        assert tasks[0].future.cancelled
 
     def test_run_until_complete_detects_deadlock(self):
         loop = EventLoop()

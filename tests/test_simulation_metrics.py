@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, MetricRegistry, TimeSeries
+from repro.obs.metrics import Counter, Gauge, MetricRegistry, TimeSeries, render_labels
 
 
 class TestCounter:
@@ -238,6 +238,12 @@ class TestLabelledMetrics:
         registry.counter("c", labels={"x": "1", "y": "2"}).increment()
         registry.counter("c", labels={"y": "2", "x": "1"}).increment()
         assert registry.counters()['c{x="1",y="2"}'] == 2.0
+
+    def test_render_labels_is_canonical(self):
+        assert render_labels(None) == ""
+        assert render_labels({}) == ""
+        assert render_labels({"y": 2, "x": "1"}) == '{x="1",y="2"}'
+        assert render_labels({"x": "1", "y": 2}) == render_labels({"y": 2, "x": "1"})
 
     def test_labelled_gauge_and_series(self):
         registry = MetricRegistry()

@@ -44,6 +44,15 @@ class TestSeededRNG:
         assert all(0 <= value < 10 for value in draws)
         assert len(set(draws)) > 1
 
+    def test_normal_and_lognormal_are_seeded(self):
+        a, b = SeededRNG(13), SeededRNG(13)
+        normals = [a.normal(10.0, 2.0) for _ in range(50)]
+        assert normals == [b.normal(10.0, 2.0) for _ in range(50)]
+        assert 8.0 < sum(normals) / len(normals) < 12.0
+        lognormals = [a.lognormal(0.0, 0.5) for _ in range(50)]
+        assert lognormals == [b.lognormal(0.0, 0.5) for _ in range(50)]
+        assert all(value > 0.0 for value in lognormals)
+
     def test_uniform_bounds(self):
         rng = SeededRNG(3)
         draws = [rng.uniform(2.0, 4.0) for _ in range(100)]

@@ -93,6 +93,16 @@ class TestFigure1Properties:
         within_hour = sum(1 for interval in intervals if interval <= HOUR)
         assert within_hour / len(intervals) > 0.30
 
+    def test_generate_large_only_filters(self):
+        # The paper's large-object-only setting over a generated trace keeps
+        # every request for an object above 10 MB, in order, and no other.
+        config = RegistryTraceConfig(duration_hours=1.0, catalogue_size=200, seed=9)
+        full = DockerRegistryTraceGenerator(config).generate()
+        trace = full.large_objects_only()
+        assert all(record.size > 10 * MB for record in trace)
+        assert list(trace) == [record for record in full if record.size > 10 * MB]
+        assert 0 < len(trace) < len(full)
+
 
 class TestBurstWindow:
     def test_burst_increases_rate(self):
