@@ -61,9 +61,11 @@ class ConsistentHashRing(Generic[T]):
     The sorted ring of ``(hash point, member id)`` pairs is held as an
     **immutable tuple**, so rings are copy-on-write: :meth:`clone` shares
     the tuple in O(1) and any later membership change on either ring builds
-    itself a fresh tuple without disturbing the other.  A fleet of
-    closed-loop clients over the same proxy set therefore shares one ring
-    allocation instead of copying thousands of points per client — the
+    itself a fresh tuple without disturbing the other.  The member table is
+    shared the same way, and copied by the first ``add_many`` / ``remove``
+    on a ring that shares it.  A fleet of closed-loop clients over the same
+    proxy set therefore shares one ring and one member table instead of
+    copying thousands of points and hundreds of entries per client — the
     per-client ring copy was the superlinear term at 1024-client scale.
     """
 
@@ -73,6 +75,9 @@ class ConsistentHashRing(Generic[T]):
         self.virtual_nodes = virtual_nodes
         self._ring: tuple[tuple[int, str], ...] = ()
         self._members: dict[str, T] = {}
+        #: Whether another ring may hold this ``_members`` dict (after a
+        #: :meth:`clone`): the next mutation copies it first.
+        self._members_shared = False
 
     def __len__(self) -> int:
         return len(self._members)
@@ -107,6 +112,7 @@ class ConsistentHashRing(Generic[T]):
             if member_id in self._members or member_id in batch_ids:
                 raise ConfigurationError(f"member {member_id!r} is already on the ring")
             batch_ids.add(member_id)
+        self._own_members()
         building_fresh = not self._ring
         cache_key = (
             (self.virtual_nodes, tuple(member_id for member_id, _member in members))
@@ -134,23 +140,32 @@ class ConsistentHashRing(Generic[T]):
         """Remove a member and all of its virtual nodes."""
         if member_id not in self._members:
             raise ConfigurationError(f"member {member_id!r} is not on the ring")
+        self._own_members()
         del self._members[member_id]
         self._ring = tuple(
             (point, mid) for point, mid in self._ring if mid != member_id
         )
 
-    def clone(self) -> "ConsistentHashRing[T]":
-        """An observably identical ring sharing this ring's sorted points.
+    def _own_members(self) -> None:
+        """Copy the member table before mutating it, if a clone shares it."""
+        if self._members_shared:
+            self._members = dict(self._members)
+            self._members_shared = False
 
-        O(members), not O(points): the immutable point tuple is shared and
-        only the member table is copied.  Subsequent ``add``/``remove`` on
-        either ring rebuilds that ring's own tuple (copy-on-write), so the
-        two rings never influence each other — the property the COW ring
+    def clone(self) -> "ConsistentHashRing[T]":
+        """An observably identical ring sharing this ring's sorted points
+        and member table.
+
+        O(1): the immutable point tuple and the member dict are shared.
+        Subsequent ``add``/``remove`` on either ring rebuilds that ring's
+        own tuple and copies its own member table first (copy-on-write), so
+        the two rings never influence each other — the property the COW ring
         differential test pins against a deep-copied ring.
         """
         twin: ConsistentHashRing[T] = ConsistentHashRing(self.virtual_nodes)
         twin._ring = self._ring
-        twin._members = dict(self._members)
+        twin._members = self._members
+        twin._members_shared = self._members_shared = True
         return twin
 
     def lookup(self, key: str) -> T:

@@ -78,13 +78,13 @@ def run(
         (policy, tenants, duration_s, seed) for policy in configs.values()
     ])
     runs = dict(zip(configs, results))
-    fingerprints: dict[str, str] = {}
+    # One harness for the comparison, one run label per policy, so each
+    # policy's ``--metrics`` series is its own, apart from ``cluster_scale``.
+    harness = ExperimentHarness("autoscale_policies", seed)
     for name, run_result in runs.items():
-        ExperimentHarness("cluster_scale", seed).record("replay", run_result.replay_report)
-        for label, digest in run_result.fingerprints.items():
-            fingerprints[f"{name}.{label}"] = digest
+        harness.record(f"{name}.replay", run_result.replay_report)
     return PolicyComparisonResult(
-        duration_s=duration_s, runs=runs, fingerprints=fingerprints
+        duration_s=duration_s, runs=runs, fingerprints=harness.fingerprints
     )
 
 

@@ -8,6 +8,13 @@ same runs, so this module performs the replays once (memoised per parameter
 set within a process, the five side by side on every usable core) and hands
 the reports out.
 
+Each replay is one :func:`~repro.utils.fanout.fan_out` unit, and a unit
+ships its digest and what the parent reads: it fixes the report's
+fingerprint over the whole run where the flow intervals were recorded, then
+releases them (``flow_intervals_dropped`` counts them).  Samples, counters,
+costs, the hourly cost series and ``peak_active_flows`` come back; no
+figure reads an interval, so none is pickled, re-hashed or memoised here.
+
 Every replay is **event-driven and open-loop**: trace records are injected
 at their arrival timestamps through
 :class:`~repro.workload.replay.OpenLoopDriver` (the cache) and
@@ -168,7 +175,8 @@ INFINICACHE_SETTINGS = {
 
 def _replay(unit: tuple[str, Trace, ProductionScale]) -> ConcurrentReplayReport:
     """Run one ``(label, trace, scale)`` replay of :data:`_REPLAYS` (a
-    :func:`~repro.utils.fanout.fan_out` unit)."""
+    :func:`~repro.utils.fanout.fan_out` unit), returning its report with the
+    digest fixed and the flow intervals released."""
     label, trace, scale = unit
     # When the replays share a process, the previous one's deployment is one
     # big reference cycle, and this replay runs inside ``run*``, where the
@@ -179,16 +187,19 @@ def _replay(unit: tuple[str, Trace, ProductionScale]) -> ConcurrentReplayReport:
     if label in INFINICACHE_SETTINGS:
         backup, offset = INFINICACHE_SETTINGS[label]
         deployment = build_deployment(scale, backup_enabled=backup, seed_offset=offset)
-        return OpenLoopDriver(deployment).run(trace)
-    if label == "elasticache.all":
+        report = OpenLoopDriver(deployment).run(trace)
+    elif label == "elasticache.all":
         target = ElastiCacheTarget(
             ElastiCacheCluster(instance_type_name=scale.elasticache_instance)
         )
-        return OpenLoopBaselineDriver(target).run(trace)
-    s3_store = ObjectStore()
-    return OpenLoopBaselineDriver(
-        ObjectStoreTarget(s3_store), backing_store=s3_store
-    ).run(trace)
+        report = OpenLoopBaselineDriver(target).run(trace)
+    else:
+        s3_store = ObjectStore()
+        report = OpenLoopBaselineDriver(
+            ObjectStoreTarget(s3_store), backing_store=s3_store
+        ).run(trace)
+    report.release_flow_intervals()
+    return report
 
 
 @lru_cache(maxsize=4)
@@ -200,7 +211,8 @@ def _run_cached(scale: ProductionScale) -> ProductionResults:
         (label, traces[trace], scale) for label, trace in _REPLAYS.items()
     ])
     # Recorded here, in label order, so the fingerprints and the metrics a
-    # run publishes do not depend on where the replays ran.
+    # run publishes do not depend on where the replays ran; each report's
+    # digest was fixed by the unit that ran it, so nothing is re-hashed.
     recorded = {
         label: harness.record(label, report) for label, report in zip(_REPLAYS, reports)
     }

@@ -225,11 +225,16 @@ def run_cluster_scale(
     driver.run_schedule(arrivals, report, finalize=False)
     cluster.run_until(max(duration_s, loop.now))
     cluster.stop()
-    harness.record("replay", report)
 
     tenant_report = cluster.tenant_report()
     chargeback = cluster.chargeback_report()
     total_cost = cluster.total_cost()
+    cost_breakdown = cluster.cost_breakdown()
+    # ``finalize=False`` leaves the costs to this caller: set them before the
+    # harness publishes the report's cost gauge.
+    report.total_cost = total_cost
+    report.cost_breakdown = cost_breakdown
+    harness.record("replay", report)
     for outcome in outcomes.values():
         outcome.bytes_stored = int(tenant_report[outcome.tenant_id]["bytes_stored"])
         row = chargeback.get(outcome.tenant_id, {})
@@ -256,7 +261,7 @@ def run_cluster_scale(
         peak_pool_size=int(max(sizes)),
         final_pool_size=int(sizes[-1]),
         total_cost=total_cost,
-        cost_breakdown=cluster.cost_breakdown(),
+        cost_breakdown=cost_breakdown,
         counters=cluster.metrics.counters(),
         chargeback=chargeback,
         replay_report=report,

@@ -165,10 +165,12 @@ class ConcurrentReplayReport:
     #: the deployment's first replay — the usual pattern; a later run on a
     #: reused deployment inherits any higher earlier peak.
     peak_active_flows: int = 0
-    #: Transfers retired during the run but evicted from ``flow_intervals``
-    #: by a ``flow_trace_limit``.  Non-zero means the interval-derived views
-    #: (``fingerprint()``, ``max_concurrent_flows()``, overlap counts) cover
-    #: only the retained tail of the run.
+    #: Transfers retired during the run but not in ``flow_intervals``:
+    #: evicted by a ``flow_trace_limit``, or released by
+    #: :meth:`release_flow_intervals`.  Non-zero means the interval-derived
+    #: views (``max_concurrent_flows()``, overlap counts) cover only the
+    #: retained tail of the run; so does ``fingerprint()``, unless the
+    #: release fixed it first.
     flow_intervals_dropped: int = 0
     started_at: float = 0.0
     finished_at: float = 0.0
@@ -178,6 +180,8 @@ class ConcurrentReplayReport:
     cost_breakdown: dict[str, float] = field(default_factory=dict)
     #: Per-hour cost increments by category (Figure 13(b)-(d)).
     hourly_cost: dict[str, list[float]] = field(default_factory=dict)
+    #: The digest :meth:`release_flow_intervals` fixed, if it ran.
+    _fixed_digest: Optional[str] = field(default=None, init=False, repr=False)
 
     @property
     def hit_ratio(self) -> float:
@@ -253,12 +257,29 @@ class ConcurrentReplayReport:
         intervals = self.flow_intervals
         return overlapping_pairs(intervals.started_at, intervals.ended_at)
 
+    def release_flow_intervals(self) -> None:
+        """Fix :meth:`fingerprint` at the whole run's digest, then drop the
+        flow-interval columns, counting them in ``flow_intervals_dropped``.
+
+        For a report whose reader needs only the digest, samples, counters
+        and costs: a replay run on a :func:`~repro.utils.fanout.fan_out`
+        worker calls this before the report is pickled back, so the parent
+        receives (and keeps) none of the intervals.  Call it once the run is
+        over; later changes to the report do not reach the fixed digest.
+        """
+        self._fixed_digest = self.fingerprint()
+        self.flow_intervals_dropped += len(self.flow_intervals)
+        self.flow_intervals = FlowTrace()
+
     def fingerprint(self) -> str:
         """Deterministic digest of the run (for seeds-fixed determinism checks).
 
         Covers every request interval and every flow interval, rounded to
-        nanoseconds so the digest is stable across platforms.
+        nanoseconds so the digest is stable across platforms; after
+        :meth:`release_flow_intervals`, the digest it fixed.
         """
+        if self._fixed_digest is not None:
+            return self._fixed_digest
         hasher = hashlib.sha256()
         for sample in self.samples:
             hasher.update(

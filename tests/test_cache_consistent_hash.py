@@ -191,6 +191,42 @@ class TestCopyOnWriteClone:
         ring.add("proxy-8", 8)
         assert [clone.lookup_id(f"key-{index}") for index in range(20)] == before
 
+    def test_clone_shares_the_member_table_until_a_mutation(self):
+        ring = self._ring()
+        clone = ring.clone()
+        assert clone._members is ring._members
+        clone.add("proxy-9", 9)
+        assert clone._members is not ring._members
+        assert "proxy-9" not in ring and clone.lookup_id("a") in clone
+        other = ring.clone()
+        ring.remove("proxy-0")
+        assert "proxy-0" in other and other.members() == list(range(8))
+
+    def test_fleet_clients_cost_under_a_kib_each(self):
+        """1 024 clients over 256 proxies: each client shares the
+        prototype's points and member table, so one costs its own few
+        attributes, not a copy of a 256-entry dict (about 7 KiB)."""
+        import tracemalloc
+
+        from repro.cache.config import InfiniCacheConfig
+        from repro.cache.deployment import InfiniCacheDeployment
+        from repro.utils.units import MIB
+
+        deployment = InfiniCacheDeployment(InfiniCacheConfig(
+            num_proxies=256, lambdas_per_proxy=3,
+            lambda_memory_bytes=256 * MIB,
+            data_shards=2, parity_shards=1, backup_enabled=False, seed=7,
+        ))
+        deployment.new_client("warm")  # first-use caches, not per client
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            clients = [deployment.new_client() for _ in range(1024)]
+            per_client = (tracemalloc.get_traced_memory()[0] - before) / len(clients)
+        finally:
+            tracemalloc.stop()
+        assert per_client < 1024, f"{per_client:.0f} B per client"
+
     def test_deployment_clients_get_cow_clones(self):
         from repro.cache.config import InfiniCacheConfig
         from repro.cache.deployment import InfiniCacheDeployment

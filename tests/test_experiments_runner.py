@@ -7,6 +7,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import figure8, production, registry, runner
+from repro.experiments.harness import ExperimentHarness
+from repro.obs.metrics import MetricRegistry
 
 
 def _count_runs(monkeypatch, module) -> list:
@@ -241,3 +243,54 @@ class TestTraceSmoke:
             cli.main(["sim-smoke"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: sim-smoke" in capsys.readouterr().err
+
+
+def _series(prometheus_text: str, name: str) -> dict[tuple[str, str], float]:
+    """``(experiment, run) -> value`` of every sample of one metric."""
+    pattern = re.compile(
+        rf'^{name}\{{experiment="([^"]+)",run="([^"]+)"\}} (\S+)$', re.MULTILINE
+    )
+    return {
+        (experiment, run): float(value)
+        for experiment, run, value in pattern.findall(prometheus_text)
+    }
+
+
+class TestClusterReplayMetrics:
+    """The ``--metrics`` series the cluster replays publish match their reports."""
+
+    def _export(self, monkeypatch, *experiments: str):
+        metrics = MetricRegistry()
+        monkeypatch.setattr(ExperimentHarness, "default_metrics", metrics)
+        results = {name: registry.build(name, "golden") for name in experiments}
+        return results, metrics.to_prometheus()
+
+    def test_cluster_scale_publishes_the_bill_it_reports(self, monkeypatch):
+        results, text = self._export(monkeypatch, "cluster_scale")
+        result = results["cluster_scale"]
+        assert result.total_cost > 0
+        assert result.replay_report.total_cost == result.total_cost
+        assert _series(text, "experiment_total_cost_dollars") == {
+            ("cluster_scale", "replay"): result.total_cost,
+        }
+
+    def test_each_autoscale_policy_publishes_its_own_series(self, monkeypatch):
+        results, text = self._export(monkeypatch, "cluster_scale", "autoscale_policies")
+        cluster, policies = results["cluster_scale"], results["autoscale_policies"]
+        expected = {("cluster_scale", "replay"): cluster.replay_report}
+        expected.update({
+            ("autoscale_policies", f"{policy}.replay"): run.replay_report
+            for policy, run in policies.runs.items()
+        })
+        assert _series(text, "experiment_requests") == {
+            key: float(report.requests) for key, report in expected.items()
+        }
+        assert _series(text, "experiment_hit_ratio") == {
+            key: report.hit_ratio for key, report in expected.items()
+        }
+        assert _series(text, "experiment_total_cost_dollars") == {
+            key: report.total_cost for key, report in expected.items()
+        }
+        assert set(policies.fingerprints) == {
+            f"{policy}.replay" for policy in policies.runs
+        }

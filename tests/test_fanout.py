@@ -36,7 +36,7 @@ from repro.network.flows import FlowInterval
 from repro.obs.metrics import MetricRegistry
 from repro.utils import fanout
 from repro.utils.fanout import fan_out, usable_cpus
-from repro.workload.replay import RequestSample
+from repro.workload.replay import ConcurrentReplayReport, RequestSample
 
 
 def _pid(_unit: int) -> int:
@@ -183,7 +183,7 @@ _FANNED_OUT = {
     "autoscale_policies": (
         lambda: autoscale_policies.run(**_golden("autoscale_policies")),
         lambda result: [autoscale_policies.format_report(result)],
-        "cluster_scale",
+        "autoscale_policies",
     ),
 }
 
@@ -210,3 +210,56 @@ def test_fanned_out_and_in_process_runs_are_identical(monkeypatch, name):
     if harness is not None:
         # Recorded in this process, not lost in a worker's copy of the registry.
         assert f'experiment="{harness}"' in fanned[2]
+
+
+class TestProductionShipsDigests:
+    """Each production replay is hashed by the unit that ran it and comes
+    back without its flow intervals, whichever process ran it."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """The golden production run forked (as shipped), and in-process
+        with the intervals kept (the full reports the digests must match)."""
+        simulate = production._run_cached.__wrapped__
+        scale = _golden("production")["scale"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fanout, "usable_cpus", lambda: 2)
+            shipped = simulate(scale)
+            patch.setattr(fanout, "usable_cpus", lambda: 1)
+            patch.setattr(ConcurrentReplayReport, "release_flow_intervals", lambda self: None)
+            full = simulate(scale)
+        return shipped, full
+
+    @staticmethod
+    def _reports(results) -> dict[str, ConcurrentReplayReport]:
+        return {
+            label: getattr(results, label.replace(".", "_")) for label in production._REPLAYS
+        }
+
+    def test_shipped_digest_is_the_full_runs(self, runs):
+        shipped, full = runs
+        full_reports = self._reports(full)
+        assert set(shipped.fingerprints) == set(full_reports) and len(full_reports) == 5
+        for label, report in self._reports(shipped).items():
+            digest = full_reports[label].fingerprint()
+            assert report.fingerprint() == digest == shipped.fingerprints[label], label
+
+    def test_shipped_reports_hold_no_intervals_and_count_them_dropped(self, runs):
+        shipped, full = runs
+        full_reports = self._reports(full)
+        retired = {
+            label: len(report.flow_intervals) + report.flow_intervals_dropped
+            for label, report in full_reports.items()
+        }
+        assert retired["infinicache.all"] > 0
+        for label, report in self._reports(shipped).items():
+            assert len(report.flow_intervals) == 0, label
+            assert report.flow_intervals_dropped == retired[label], label
+            # Everything a figure reads is still there.
+            assert report.samples == full_reports[label].samples
+            assert report.hourly_cost == full_reports[label].hourly_cost
+            assert report.peak_active_flows == full_reports[label].peak_active_flows
+
+    def test_shipped_results_pickle_to_under_a_quarter(self, runs):
+        shipped, full = runs
+        assert len(pickle.dumps(shipped)) < len(pickle.dumps(full)) / 4

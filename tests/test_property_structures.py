@@ -109,7 +109,9 @@ class TestCopyOnWriteRingProperties:
         return (
             len(ring),
             ring.member_ids(),
+            ring.members(),
             tuple(ring.lookup_id(key) for key in self.probe_keys) if len(ring) else (),
+            tuple(ring.lookup(key) for key in self.probe_keys) if len(ring) else (),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -132,6 +134,8 @@ class TestCopyOnWriteRingProperties:
         base_view = self._observe(base)
 
         cow = base.clone()
+        # A second clone shares the same points and member table as ``cow``.
+        sibling = base.clone()
         deep = copy.deepcopy(base)
         assert self._observe(cow) == self._observe(deep) == base_view
 
@@ -154,8 +158,17 @@ class TestCopyOnWriteRingProperties:
                 deep.remove(member)
                 deep.add(member, member)
             assert self._observe(cow) == self._observe(deep)
-            # The shared prototype is never disturbed by a twin's mutation.
+            # Neither the shared prototype nor a twin cloned from it is
+            # disturbed by a twin's mutation: members and lookups alike.
             assert self._observe(base) == base_view
+            assert self._observe(sibling) == base_view
+        # The sibling's own mutation leaves the mutated twin alone too.
+        cow_view = self._observe(cow)
+        newcomer = "n" + "".join(sibling.member_ids())
+        sibling.add(newcomer, newcomer)
+        assert newcomer in sibling and newcomer not in cow and newcomer not in base
+        assert self._observe(cow) == cow_view
+        assert self._observe(base) == base_view
 
     @settings(max_examples=20, deadline=None)
     @given(
