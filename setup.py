@@ -27,12 +27,11 @@ setup(
     packages=find_packages("src"),
     package_dir={"": "src"},
     python_requires=">=3.10",
-    # numpy (the ``[perf]`` extra) is imported by the erasure codec, the
-    # seeded samplers (``utils/rng.py``) and ``utils/stats.py``; the flow
-    # arbiter is scalar python and does not use it.
-    install_requires=[],
+    # numpy is imported at module level by ``utils/rng.py``,
+    # ``utils/stats.py``, ``erasure/galois.py``, ``erasure/matrix.py`` and
+    # ``experiments/figure1.py``, so ``import repro`` needs it.
+    install_requires=["numpy"],
     extras_require={
-        "perf": ["numpy"],
         "test": ["pytest", "hypothesis"],
     },
     entry_points={

@@ -19,7 +19,7 @@ from repro.erasure.galois import Vector
 from repro.exceptions import ConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectDescriptor:
     """Stripe-level metadata the proxy keeps for each cached object."""
 
@@ -58,7 +58,7 @@ class ObjectDescriptor:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CacheChunk:
     """One chunk as stored on a Lambda cache node.
 

@@ -22,7 +22,7 @@ from repro.exceptions import CacheError
 V = TypeVar("V")
 
 
-@dataclass
+@dataclass(slots=True)
 class _ClockEntry(Generic[V]):
     key: str
     value: V
@@ -35,10 +35,12 @@ class ClockLRU(Generic[V]):
     def __init__(self):
         self._entries: dict[str, _ClockEntry[V]] = {}
         self._ring: list[str] = []
-        #: Keys currently occupying a ring slot, including stale slots left
-        #: behind by remove().  Re-inserting such a key must revive its slot
-        #: rather than append a duplicate.
-        self._in_ring: set[str] = set()
+        #: Removed keys whose stale ring slot the hand has not compacted yet.
+        #: Re-inserting such a key must revive its slot rather than append a
+        #: duplicate.  Every other ring key is live, so only removals cost an
+        #: entry here, not every stored key; a dict, because an empty one is
+        #: 64 bytes and an empty set 216, on every node of a fleet.
+        self._stale: dict[str, None] = {}
         self._hand = 0
 
     def __len__(self) -> int:
@@ -55,9 +57,10 @@ class ClockLRU(Generic[V]):
             entry.referenced = True
             return
         self._entries[key] = _ClockEntry(key=key, value=value)
-        if key not in self._in_ring:
+        if key in self._stale:
+            del self._stale[key]
+        else:
             self._ring.append(key)
-            self._in_ring.add(key)
 
     def touch(self, key: str) -> None:
         """Record an access: set the entry's reference bit.
@@ -85,6 +88,7 @@ class ClockLRU(Generic[V]):
         if entry is None:
             return None
         # The ring keeps the stale key; sweeps skip keys no longer in the map.
+        self._stale[key] = None
         return entry.value
 
     def evict(self) -> Optional[tuple[str, V]]:
@@ -108,7 +112,7 @@ class ClockLRU(Generic[V]):
             if entry is None:
                 # Stale slot left behind by remove(); compact it.
                 self._ring.pop(self._hand)
-                self._in_ring.discard(key)
+                del self._stale[key]
                 continue
             if entry.referenced:
                 entry.referenced = False
@@ -116,7 +120,6 @@ class ClockLRU(Generic[V]):
                 steps += 1
                 continue
             self._ring.pop(self._hand)
-            self._in_ring.discard(key)
             del self._entries[key]
             return key, entry.value
         raise CacheError("CLOCK sweep failed to find a victim (internal invariant violated)")

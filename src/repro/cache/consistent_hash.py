@@ -6,13 +6,16 @@ client maps a given key to the same proxy and adding or removing a proxy
 moves only a small fraction of keys.
 
 The implementation is the standard virtual-node ring over a stable 64-bit
-hash (blake2b, so results do not depend on ``PYTHONHASHSEED``).
+hash (blake2b, so results do not depend on ``PYTHONHASHSEED``), held as two
+columns: an ``array('Q')`` of sorted hash points and a tuple of the member
+id owning each point.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
+from array import array
+from bisect import bisect_right
 from typing import Generic, TypeVar
 
 from repro.exceptions import ConfigurationError
@@ -29,27 +32,38 @@ def stable_hash(value: str) -> int:
 #: Virtual-node hash points per ``(member_id, virtual_nodes)``.  Every client
 #: ring hashes the same proxies to the same points, so at fleet scale (one
 #: ring per closed-loop client) the cache turns ring construction from
-#: millions of blake2b calls into tuple reuse.  Bounded by an occasional
+#: millions of blake2b calls into array reuse.  Bounded by an occasional
 #: wholesale clear — it is a pure cache, correctness never depends on it.
-_POINT_CACHE: dict[tuple[str, int], tuple[int, ...]] = {}
+_POINT_CACHE: dict[tuple[str, int], "array[int]"] = {}
 _POINT_CACHE_MAX = 65536
 
 #: Fully-sorted rings per ``(virtual_nodes, member ids)``.  Every closed-loop
 #: client builds the same ring over the same proxies; sharing the cached
-#: sorted tuple is O(1) against an O(n log n) sort per client (the ring is
+#: sorted columns is O(1) against an O(n log n) sort per client (the ring is
 #: copy-on-write — see :meth:`ConsistentHashRing.clone`).
-_RING_CACHE: dict[tuple[int, tuple[str, ...]], tuple[tuple[int, str], ...]] = {}
+_RING_CACHE: dict[tuple[int, tuple[str, ...]], "_Columns"] = {}
 _RING_CACHE_MAX = 256
 
 
-def _virtual_points(member_id: str, virtual_nodes: int) -> tuple[int, ...]:
+#: A ring's sorted hash points and, index for index, the id owning each.
+_Columns = tuple["array[int]", tuple[str, ...]]
+_EMPTY: _Columns = (array("Q"), ())
+
+
+def _columns(pairs: list[tuple[int, str]]) -> _Columns:
+    """Split ``(point, member id)`` pairs, sorted as tuples, into columns."""
+    pairs.sort()
+    return array("Q", [point for point, _ in pairs]), tuple([mid for _, mid in pairs])
+
+
+def _virtual_points(member_id: str, virtual_nodes: int) -> "array[int]":
     key = (member_id, virtual_nodes)
     points = _POINT_CACHE.get(key)
     if points is None:
         if len(_POINT_CACHE) >= _POINT_CACHE_MAX:
             _POINT_CACHE.clear()
-        points = tuple(
-            stable_hash(f"{member_id}::{replica}") for replica in range(virtual_nodes)
+        points = array(
+            "Q", [stable_hash(f"{member_id}::{replica}") for replica in range(virtual_nodes)]
         )
         _POINT_CACHE[key] = points
     return points
@@ -58,10 +72,12 @@ def _virtual_points(member_id: str, virtual_nodes: int) -> tuple[int, ...]:
 class ConsistentHashRing(Generic[T]):
     """Maps string keys onto a set of member objects via consistent hashing.
 
-    The sorted ring of ``(hash point, member id)`` pairs is held as an
-    **immutable tuple**, so rings are copy-on-write: :meth:`clone` shares
-    the tuple in O(1) and any later membership change on either ring builds
-    itself a fresh tuple without disturbing the other.  The member table is
+    The ring is one pair of columns, sorted as ``(hash point, member id)``
+    pairs: an ``array('Q')`` of points (8 bytes each) and a tuple of the
+    owning ids (one shared string per member).  The pair is never mutated,
+    only replaced, so rings are copy-on-write: :meth:`clone` shares it in
+    O(1) and any later membership change on either ring builds itself a
+    fresh pair without disturbing the other.  The member table is
     shared the same way, and copied by the first ``add_many`` / ``remove``
     on a ring that shares it.  A fleet of closed-loop clients over the same
     proxy set therefore shares one ring and one member table instead of
@@ -73,7 +89,7 @@ class ConsistentHashRing(Generic[T]):
         if virtual_nodes < 1:
             raise ConfigurationError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
         self.virtual_nodes = virtual_nodes
-        self._ring: tuple[tuple[int, str], ...] = ()
+        self._ring: _Columns = _EMPTY
         self._members: dict[str, T] = {}
         #: Whether another ring may hold this ``_members`` dict (after a
         #: :meth:`clone`): the next mutation copies it first.
@@ -113,7 +129,7 @@ class ConsistentHashRing(Generic[T]):
                 raise ConfigurationError(f"member {member_id!r} is already on the ring")
             batch_ids.add(member_id)
         self._own_members()
-        building_fresh = not self._ring
+        building_fresh = not self._ring[1]
         cache_key = (
             (self.virtual_nodes, tuple(member_id for member_id, _member in members))
             if building_fresh
@@ -127,10 +143,10 @@ class ConsistentHashRing(Generic[T]):
                 points = _virtual_points(member_id, self.virtual_nodes)
                 added_points.extend(zip(points, (member_id,) * len(points)))
         if cached is not None:
-            # Copy-on-write: share the cached tuple outright.
+            # Copy-on-write: share the cached columns outright.
             self._ring = cached
             return
-        self._ring = tuple(sorted(self._ring + tuple(added_points)))
+        self._ring = _columns(list(zip(*self._ring)) + added_points)
         if cache_key is not None:
             if len(_RING_CACHE) >= _RING_CACHE_MAX:
                 _RING_CACHE.clear()
@@ -142,8 +158,8 @@ class ConsistentHashRing(Generic[T]):
             raise ConfigurationError(f"member {member_id!r} is not on the ring")
         self._own_members()
         del self._members[member_id]
-        self._ring = tuple(
-            (point, mid) for point, mid in self._ring if mid != member_id
+        self._ring = _columns(
+            [(point, mid) for point, mid in zip(*self._ring) if mid != member_id]
         )
 
     def _own_members(self) -> None:
@@ -156,9 +172,9 @@ class ConsistentHashRing(Generic[T]):
         """An observably identical ring sharing this ring's sorted points
         and member table.
 
-        O(1): the immutable point tuple and the member dict are shared.
+        O(1): the never-mutated column pair and the member dict are shared.
         Subsequent ``add``/``remove`` on either ring rebuilds that ring's
-        own tuple and copies its own member table first (copy-on-write), so
+        own columns and copies its own member table first (copy-on-write), so
         the two rings never influence each other — the property the COW ring
         differential test pins against a deep-copied ring.
         """
@@ -174,24 +190,16 @@ class ConsistentHashRing(Generic[T]):
         Raises:
             ConfigurationError: if the ring is empty.
         """
-        if not self._ring:
-            raise ConfigurationError("cannot look up a key on an empty ring")
-        point = stable_hash(key)
-        index = bisect.bisect_right(self._ring, (point, chr(0x10FFFF)))
-        if index == len(self._ring):
-            index = 0
-        member_id = self._ring[index][1]
-        return self._members[member_id]
+        return self._members[self.lookup_id(key)]
 
     def lookup_id(self, key: str) -> str:
         """Return the identifier of the member responsible for ``key``."""
-        if not self._ring:
+        points, ids = self._ring
+        if not ids:
             raise ConfigurationError("cannot look up a key on an empty ring")
-        point = stable_hash(key)
-        index = bisect.bisect_right(self._ring, (point, chr(0x10FFFF)))
-        if index == len(self._ring):
-            index = 0
-        return self._ring[index][1]
+        # A key hashing exactly onto a point belongs to the next point.
+        index = bisect_right(points, stable_hash(key))
+        return ids[index] if index < len(ids) else ids[0]
 
     def distribution(self, keys: list[str]) -> dict[str, int]:
         """Count how many of the given keys map to each member (for tests)."""

@@ -35,7 +35,7 @@ from repro.faas.limits import bandwidth_for_memory, usable_cache_bytes
 from repro.faas.platform import FaaSPlatform
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class NodeAccess:
     """Timing details of one chunk operation on a node."""
 
@@ -45,6 +45,11 @@ class NodeAccess:
     invoked: bool
     #: Whether the invocation was a cold start.
     cold_start: bool
+
+
+#: The answer of every preflight on a running instance: one shared record,
+#: not one per chunk held by each in-flight chunk coroutine.
+_PREFLIGHT = NodeAccess(0.001, False, False)
 
 
 class LambdaCacheNode:
@@ -106,12 +111,15 @@ class LambdaCacheNode:
     @staticmethod
     def _put_chunk(state: dict, chunk: CacheChunk) -> None:
         """Insert or overwrite ``chunk`` in one replica's store."""
-        existing = state["chunks"].get(chunk.chunk_id)
+        # One id string shared by the chunk map and the CLOCK: ``chunk_id``
+        # builds a fresh string per read, and a stored chunk keeps its key.
+        chunk_id = chunk.chunk_id
+        existing = state["chunks"].get(chunk_id)
         if existing is not None:
             state["bytes"] -= existing.size
-        state["chunks"][chunk.chunk_id] = chunk
+        state["chunks"][chunk_id] = chunk
         state["bytes"] += chunk.size
-        state["clock"].insert(chunk.chunk_id, chunk.size)
+        state["clock"].insert(chunk_id, chunk.size)
 
     def _primary_state(self) -> Optional[dict]:
         return self._state_of(self.primary)
@@ -156,7 +164,7 @@ class LambdaCacheNode:
         self.duration_controller.expire_if_due(now)
         if self.duration_controller.is_active(now) and self._session_instance is not None:
             # Preflight PING/PONG on the already-running instance.
-            return NodeAccess(0.001, False, False)
+            return _PREFLIGHT
 
         if (
             self._session_instance is not None
@@ -167,7 +175,7 @@ class LambdaCacheNode:
             # serving a concurrent request and its session has not been
             # opened yet (that happens when the first transfer completes);
             # piggyback on the running invocation instead of re-invoking.
-            return NodeAccess(0.001, False, False)
+            return _PREFLIGHT
 
         invoked_instance: FunctionInstance
         cold_start = False

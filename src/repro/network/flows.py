@@ -64,7 +64,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Collection, Iterator, Sequence
-from functools import partial
 from time import perf_counter
 from typing import Any, NamedTuple, Optional, Union, overload
 
@@ -250,7 +249,7 @@ class Flow:
     __slots__ = (
         "flow_id", "label", "size_bytes", "function_bandwidth_bps", "nic",
         "proxy_id", "started_at", "remaining", "rate_bps", "last_progress_at",
-        "future", "_completion", "_finish_label", "parent_span",
+        "future", "_completion", "_finish_label", "parent_span", "network",
     )
 
     def __init__(
@@ -262,6 +261,7 @@ class Flow:
         nic: HostNic,
         proxy_id: str,
         started_at: float,
+        network: FlowNetwork,
     ) -> None:
         self.flow_id = flow_id
         self.label = label
@@ -288,6 +288,16 @@ class Flow:
         #: Tracing linkage: the chunk-transfer span this flow serves, set by
         #: the request path when a tracer is attached (None otherwise).
         self.parent_span: Optional[Any] = None
+        #: The arbiter carrying this flow.  Its cancel hook and completion
+        #: callback are bound methods of the flow: one small object each,
+        #: where a ``functools.partial`` is three.
+        self.network = network
+
+    def _cancel(self) -> None:
+        self.network.cancel(self)
+
+    def _complete(self) -> None:
+        self.network._complete(self)
 
     @property
     def bytes_moved(self) -> float:
@@ -478,6 +488,7 @@ class FlowNetwork:
             nic=nic,
             proxy_id=proxy_id,
             started_at=now,
+            network=self,
         )
         self._next_flow_id += 1
         self._active[flow.flow_id] = flow
@@ -485,7 +496,7 @@ class FlowNetwork:
         self._by_proxy.setdefault(proxy_id, {})[flow.flow_id] = flow
         if len(self._active) > self._peak_active:
             self._peak_active = len(self._active)
-        flow.future.on_cancel(partial(self.cancel, flow))
+        flow.future.on_cancel(flow._cancel)
         self._transition(nic.host_id, proxy_id)
         return flow
 
@@ -667,7 +678,7 @@ class FlowNetwork:
         timer = flow._completion
         if timer is None:
             flow._completion = self.loop.schedule_deadline(
-                finish, partial(self._complete, flow), label=flow._finish_label
+                finish, flow._complete, label=flow._finish_label
             )
         else:
             timer.set_deadline(finish)
@@ -760,7 +771,7 @@ class ReferenceFlowNetwork(FlowNetwork):
         if flow._completion is not None:
             flow._completion.cancel()
         flow._completion = self.loop.schedule_at(
-            finish, partial(self._complete, flow), label=flow._finish_label
+            finish, flow._complete, label=flow._finish_label
         )
 
 

@@ -48,8 +48,10 @@ class SimFuture:
         self._done = False
         self._cancelled = False
         self._result: object = None
-        self._callbacks: list[Callable[["SimFuture"], None]] = []
-        self._cancel_hooks: list[Callable[[], None]] = []
+        # Lists made on first use and dropped to ``()`` on settle: most
+        # futures get one callback, and many get no cancel hook at all.
+        self._callbacks: "list[Callable[[SimFuture], None]] | tuple[()]" = ()
+        self._cancel_hooks: "list[Callable[[], None]] | tuple[()]" = ()
 
     @property
     def done(self) -> bool:
@@ -76,17 +78,26 @@ class SimFuture:
         """Run ``callback(self)`` when the future settles (now, if already done)."""
         if self._done:
             callback(self)
+            return
+        callbacks = self._callbacks
+        if isinstance(callbacks, list):
+            callbacks.append(callback)
         else:
-            self._callbacks.append(callback)
+            self._callbacks = [callback]
 
     def on_cancel(self, hook: Callable[[], None]) -> None:
         """Register a resource-release hook run if the future is cancelled."""
-        if not self._done:
-            self._cancel_hooks.append(hook)
+        if self._done:
+            return
+        hooks = self._cancel_hooks
+        if isinstance(hooks, list):
+            hooks.append(hook)
+        else:
+            self._cancel_hooks = [hook]
 
     def _settle(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        self._cancel_hooks = []
+        callbacks, self._callbacks = self._callbacks, ()
+        self._cancel_hooks = ()
         for callback in callbacks:
             callback(self)
 
@@ -108,7 +119,7 @@ class SimFuture:
             return False
         self._done = True
         self._cancelled = True
-        hooks, self._cancel_hooks = self._cancel_hooks, []
+        hooks, self._cancel_hooks = self._cancel_hooks, ()
         for hook in hooks:
             hook()
         self._settle()

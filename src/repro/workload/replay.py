@@ -300,7 +300,7 @@ class ConcurrentReplayReport:
 
 
 # ---------------------------------------------------------------------- client operations
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientOp:
     """One scripted closed-loop client operation.
 

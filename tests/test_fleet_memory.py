@@ -1,0 +1,166 @@
+"""What a fleet holds per proxy, per stored chunk and per in-flight flow.
+
+``tracemalloc`` budgets for the three structures that grow with a fleet —
+the hash ring every client shares, the store every chunk lands in, and the
+state every live transfer carries — plus the contract of the records that
+are slotted to fit those budgets: they still pickle (``fan_out`` ships
+results between processes), still work with ``dataclasses.replace`` and,
+where frozen, still refuse assignment.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import pickle
+import tracemalloc
+
+import pytest
+
+from repro.cache import consistent_hash
+from repro.cache.chunk import CacheChunk, ObjectDescriptor
+from repro.cache.clock_lru import _ClockEntry
+from repro.cache.config import InfiniCacheConfig
+from repro.cache.deployment import InfiniCacheDeployment
+from repro.cache.node import NodeAccess
+from repro.network.flows import FlowNetwork
+from repro.network.topology import NetworkFabric
+from repro.sim import EventLoop
+from repro.utils.units import MB, MIB
+from repro.workload.replay import ClientOp
+
+
+def _retained(build):
+    """Bytes still allocated after ``build()`` returns, and its result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, kept
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudgets:
+    def test_ring_costs_under_40_bytes_per_point(self):
+        """256 proxies × 128 virtual nodes, built cold: one 8-byte point
+        and one shared id reference per point in the ring, plus the cached
+        points per member.  Pairs of ``(int, str)`` tuples cost 109 B."""
+        consistent_hash._POINT_CACHE.clear()
+        consistent_hash._RING_CACHE.clear()
+        members = [(f"proxy-{index}", index) for index in range(256)]
+
+        def build():
+            ring = consistent_hash.ConsistentHashRing(virtual_nodes=128)
+            ring.add_many(members)
+            return ring
+
+        try:
+            retained, ring = _retained(build)
+        finally:
+            consistent_hash._POINT_CACHE.clear()
+            consistent_hash._RING_CACHE.clear()
+        per_point = retained / (256 * 128)
+        assert len(ring) == 256
+        assert per_point <= 40, f"{per_point:.0f} B per ring point"
+
+    def test_stored_chunk_costs_under_480_bytes(self):
+        """2 000 sized 2 MB puts at RS(4+2): each of the 12 000 stored
+        chunks with its share of the descriptor, the proxy's mapping and
+        both CLOCKs.  Two id strings per chunk, dict-backed records and a
+        CLOCK set of every stored key cost 638 B."""
+        deployment = InfiniCacheDeployment(InfiniCacheConfig(
+            num_proxies=1, lambdas_per_proxy=8, lambda_memory_bytes=1536 * MIB,
+            data_shards=4, parity_shards=2, backup_enabled=False, seed=7,
+        ))
+        client = deployment.new_client("memory")
+        for index in range(64):  # first-use structures, not per chunk
+            client.put_sized(f"warm-{index}", 2 * MB)
+
+        def put_all():
+            for index in range(2000):
+                client.put_sized(f"obj-{index}", 2 * MB)
+
+        retained, _ = _retained(put_all)
+        proxy = deployment.proxies[0]
+        assert sum(node.chunk_count() for node in proxy.nodes) == (64 + 2000) * 6
+        per_chunk = retained / (2000 * 6)
+        assert per_chunk <= 480, f"{per_chunk:.0f} B per stored chunk"
+
+    def test_live_flow_costs_under_1450_bytes(self):
+        """4 096 transfers in flight over 256 NICs and 16 uplinks, with the
+        request path's labels: the flow, its future, its completion timer
+        and its index entries.  A ``functools.partial`` per cancel hook and
+        per completion, and two eager lists per future, cost 1 750 B."""
+        loop = EventLoop()
+        network = FlowNetwork(loop, NetworkFabric())
+        for host in range(256):
+            network.fabric.host(f"host-{host}", 1e9)
+        network.transfer(
+            size_bytes=MB, function_bandwidth_bps=1e8, host_id="warm",
+            host_capacity_bps=1e9, proxy_id="proxy-warm",
+        )
+
+        def start_all():
+            return [
+                network.transfer(
+                    size_bytes=MB, function_bandwidth_bps=1e8,
+                    host_id=f"host-{index % 256}", host_capacity_bps=1e9,
+                    proxy_id=f"proxy-{index % 16}",
+                    label=f"proxy-{index % 16}:serving:obj-{index // 6}#{index % 6}",
+                )
+                for index in range(4096)
+            ]
+
+        retained, flows = _retained(start_all)
+        assert network.active_count == 4097
+        per_flow = retained / len(flows)
+        assert per_flow <= 1450, f"{per_flow:.0f} B per live flow"
+
+
+#: One instance of each slotted record, a field and another value for it.
+_RECORDS = [
+    (CacheChunk.sized("photo/1", 3, 1024), "key", "other"),
+    (CacheChunk(key="photo/2", index=0, size=4, payload=b"abcd"), "index", 1),
+    (ObjectDescriptor(key="photo/1", object_size=4000, data_shards=4,
+                      parity_shards=2, chunk_size=1000), "key", "other"),
+    (ClientOp("PUT", key="photo/1", size=4000), "key", "other"),
+    (ClientOp("SLEEP", delay_s=1.5), "delay_s", 2.0),
+    (_ClockEntry(key="photo/1#3", value=1024), "referenced", False),
+    (NodeAccess(0.013, True, False), "cold_start", True),
+]
+
+
+@pytest.mark.parametrize(
+    "record, name, value", _RECORDS, ids=lambda item: type(item).__name__,
+)
+class TestSlottedRecords:
+    def test_has_no_instance_dict(self, record, name, value):
+        assert not hasattr(record, "__dict__")
+
+    def test_pickle_round_trip(self, record, name, value):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        assert copy == record
+        assert dataclasses.astuple(copy) == dataclasses.astuple(record)
+
+    def test_replace(self, record, name, value):
+        assert dataclasses.replace(record) == record
+        changed = dataclasses.replace(record, **{name: value})
+        assert getattr(changed, name) == value and changed != record
+        assert getattr(record, name) != value
+
+    def test_assignment(self, record, name, value):
+        if not type(record).__dataclass_params__.frozen:
+            record = dataclasses.replace(record)
+            setattr(record, name, value)
+            assert getattr(record, name) == value
+            return
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+        # A name that is not a field has no slot; which error says so
+        # depends on the Python version.
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1

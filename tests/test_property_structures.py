@@ -3,11 +3,13 @@ hash ring, the billing arithmetic, and the availability model."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.availability import AvailabilityModel
 from repro.cache.clock_lru import ClockLRU
-from repro.cache.consistent_hash import ConsistentHashRing
+from repro.cache.consistent_hash import ConsistentHashRing, stable_hash
 from repro.faas.billing import BILLING_CYCLE_SECONDS, BillingModel, ceil_to_billing_cycle
 from repro.utils.units import GIB
 
@@ -59,6 +61,92 @@ class TestClockLRUProperties:
                 break
             evicted.append(victim[0])
         assert sorted(evicted) == sorted(key_list)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operations=st.lists(
+        st.tuples(st.sampled_from(["insert", "get", "remove", "evict"]),
+                  st.sampled_from("abcd")),
+        min_size=10, max_size=300,
+    ))
+    def test_same_victims_and_order_as_a_set_of_every_slot(self, operations):
+        """Only removed keys enter the stale set; every victim, value and
+        MRU-to-LRU listing is the one the set of every slotted key gave."""
+        lru: ClockLRU[int] = ClockLRU()
+        reference = _SlotSetClock()
+        for index, (operation, key) in enumerate(operations):
+            if operation == "insert":
+                lru.insert(key, index)
+                reference.insert(key, index)
+            elif operation == "get":
+                assert lru.get(key) == reference.get(key)
+            elif operation == "remove":
+                assert lru.remove(key) == reference.remove(key)
+            else:
+                assert lru.evict() == reference.evict()
+            assert lru.keys_mru_to_lru() == reference.keys_mru_to_lru()
+            assert lru._ring == reference.ring
+            assert lru._hand == reference.hand
+        assert list(lru.items()) == [
+            (key, reference.entries[key][0])
+            for key in reference.ring if key in reference.entries
+        ]
+
+
+class _SlotSetClock:
+    """The CLOCK as it kept a set of every key holding a ring slot, live or
+    stale: the reference :class:`ClockLRU`'s stale-only set must match."""
+
+    def __init__(self) -> None:
+        self.entries: dict[str, list] = {}  # key -> [value, referenced]
+        self.ring: list[str] = []
+        self.in_ring: set[str] = set()
+        self.hand = 0
+
+    def insert(self, key: str, value: int) -> None:
+        entry = self.entries.get(key)
+        if entry is not None:
+            entry[:] = [value, True]
+            return
+        self.entries[key] = [value, True]
+        if key not in self.in_ring:
+            self.ring.append(key)
+            self.in_ring.add(key)
+
+    def get(self, key: str):
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        entry[1] = True
+        return entry[0]
+
+    def remove(self, key: str):
+        entry = self.entries.pop(key, None)
+        return None if entry is None else entry[0]
+
+    def evict(self):
+        while self.entries:
+            if self.hand >= len(self.ring):
+                self.hand = 0
+            key = self.ring[self.hand]
+            entry = self.entries.get(key)
+            if entry is None:
+                self.ring.pop(self.hand)
+                self.in_ring.discard(key)
+            elif entry[1]:
+                entry[1] = False
+                self.hand += 1
+            else:
+                self.ring.pop(self.hand)
+                self.in_ring.discard(key)
+                del self.entries[key]
+                return key, entry[0]
+        return None
+
+    def keys_mru_to_lru(self) -> list[str]:
+        live = [key for key in self.ring if key in self.entries]
+        return [key for key in live if self.entries[key][1]] + [
+            key for key in live if not self.entries[key][1]
+        ]
 
 
 class TestConsistentHashProperties:
@@ -183,6 +271,70 @@ class TestCopyOnWriteRingProperties:
         base.remove(members[0])
         base.add("newcomer", "newcomer")
         assert self._observe(clone) == clone_view
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        initial=st.lists(st.text(alphabet="abcdef", min_size=1, max_size=3),
+                         max_size=5, unique=True),
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "add_many", "remove", "clone"]),
+                st.lists(st.text(alphabet="abcdef", min_size=1, max_size=3),
+                         min_size=1, max_size=3, unique=True),
+                st.integers(min_value=0, max_value=7),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_columns_match_the_sorted_pair_ring(self, initial, operations):
+        """The ``array('Q')`` of points and tuple of ids answer every lookup
+        as the sorted ``(point, id)`` tuples did, searched at
+        ``(point, chr(0x10FFFF))`` — keys that hash exactly onto a virtual
+        point included — across adds, removes and copy-on-write clones."""
+        virtual_nodes = 4
+
+        def pairs_of(member_ids):
+            return sorted(
+                (stable_hash(f"{member_id}::{replica}"), member_id)
+                for member_id in member_ids for replica in range(virtual_nodes)
+            )
+
+        def reference_lookup(pairs, key):
+            index = bisect_right(pairs, (stable_hash(key), chr(0x10FFFF)))
+            return pairs[index if index < len(pairs) else 0][1]
+
+        def check(ring, member_ids):
+            assert ring.member_ids() == sorted(member_ids)
+            if not member_ids:
+                return
+            pairs = pairs_of(member_ids)
+            # Keys equal to a virtual point's hash input land exactly on it.
+            on_points = [f"{member_id}::{replica}" for member_id in member_ids
+                         for replica in range(virtual_nodes)]
+            for key in self.probe_keys + on_points:
+                assert ring.lookup_id(key) == reference_lookup(pairs, key)
+                assert ring.lookup(key) == reference_lookup(pairs, key)
+
+        first: ConsistentHashRing[str] = ConsistentHashRing(virtual_nodes=virtual_nodes)
+        first.add_many([(member, member) for member in initial])
+        rings = [(first, set(initial))]
+        for operation, names, pick in operations:
+            ring, member_ids = rings[pick % len(rings)]
+            if operation == "clone":
+                rings.append((ring.clone(), set(member_ids)))
+            elif operation == "add":
+                if names[0] not in member_ids:
+                    ring.add(names[0], names[0])
+                    member_ids.add(names[0])
+            elif operation == "add_many":
+                fresh = [name for name in names if name not in member_ids]
+                ring.add_many([(name, name) for name in fresh])
+                member_ids.update(fresh)
+            elif names[0] in member_ids:
+                ring.remove(names[0])
+                member_ids.discard(names[0])
+            for ring, member_ids in rings:
+                check(ring, member_ids)
 
 
 class TestBillingProperties:
