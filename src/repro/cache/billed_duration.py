@@ -10,9 +10,10 @@ In the simulation the controller tracks, per cache node, the *billed
 sessions* this policy produces: a session opens when a request (or warm-up)
 arrives while the node is not already active, extends while subsequent
 requests keep landing inside the active window, and closes when the window
-expires.  Closed sessions are billed through the platform's
-:class:`~repro.faas.billing.BillingModel`, which reproduces the paper's cost
-accounting.
+expires.  Each closed session is handed to the ``on_close`` callback — the
+node bills it through the platform's :class:`~repro.faas.billing.BillingModel`,
+which reproduces the paper's cost accounting and keeps only running totals —
+and the controller keeps nothing of it.
 """
 
 from __future__ import annotations
@@ -76,12 +77,13 @@ class BilledDurationController:
     Args:
         on_close: callback invoked with a :class:`SessionCharge` whenever a
             session closes; the deployment wires this to the billing model.
+            The controller holds only the open session: a closed one lives
+            as long as the callback keeps it.
     """
 
     def __init__(self, on_close: Optional[Callable[[SessionCharge], None]] = None):
         self.on_close = on_close
         self.current: Optional[BilledSession] = None
-        self.closed_sessions: list[SessionCharge] = []
 
     # --- internals ---------------------------------------------------------------
     def _close_current(self) -> None:
@@ -101,7 +103,6 @@ class BilledDurationController:
             session.category,
             session.busy_by_tenant,  # handed over: the session is dropped
         )
-        self.closed_sessions.append(charge)
         if self.on_close is not None:
             self.on_close(charge)
         self.current = None
@@ -180,12 +181,3 @@ class BilledDurationController:
     def flush(self) -> None:
         """Force-close any open session (end of simulation)."""
         self._close_current()
-
-    # --- reporting ------------------------------------------------------------------
-    def total_billed_seconds(self) -> float:
-        """Sum of billed durations over all closed sessions."""
-        return sum(charge.billed_duration_s for charge in self.closed_sessions)
-
-    def session_count(self) -> int:
-        """Number of closed sessions (== billable invocations) so far."""
-        return len(self.closed_sessions)

@@ -48,15 +48,19 @@ Every finished or abandoned flow appends one row to the network's
 :class:`FlowTrace`, a columnar store: one ``array`` per numeric field of
 :class:`FlowInterval`, a byte column for ``completed`` and lists of ``str``
 for the label and the host and proxy ids (the same string objects the NIC
-and the proxy hold).  A row costs about 65 bytes plus its label, where a
-named tuple per transfer cost about 260.  ``FlowTrace`` is a read-only
-sequence of :class:`FlowInterval` records built on demand, pickles as its
-columns, and is what :meth:`FlowNetwork.trace_since` hands the drivers, so
-experiments (and tests) can assert genuine overlap between concurrent
-transfers.  Long open-loop runs can cap the retained intervals with
-``trace_limit`` — aggregate statistics (counts, bytes, the running
-concurrency peak) are kept independently of the retained window and do not
-change.
+and the proxy hold; the network keeps one string per distinct label, so a
+chunk fetched again adds no string).  A row costs about 65 bytes plus, for a
+label not seen before, its string, where a named tuple per transfer cost
+about 260 plus its label.  ``FlowTrace`` is a read-only sequence of
+:class:`FlowInterval` records built on demand, pickles as its columns, and
+is what :meth:`FlowNetwork.trace_since` hands the drivers, so experiments
+(and tests) can assert genuine overlap between concurrent transfers.  A
+window that covers the whole store is the store itself, handed over
+copy-on-write: the network's next retirement appends to a copy, so the
+reader never sees later rows.  Long open-loop runs can cap the retained
+intervals with ``trace_limit`` — aggregate statistics (counts, bytes, the
+running concurrency peak) are kept independently of the retained window and
+do not change.
 """
 
 from __future__ import annotations
@@ -154,9 +158,10 @@ class FlowTrace(Sequence[FlowInterval]):
     for ``completed``, and lists of ``str`` for ``label``, ``host_id`` and
     ``proxy_id``.  Readers that scan every transfer (the report digest, the
     concurrency sweeps) read the columns; indexing and iteration build
-    :class:`FlowInterval` records on demand.  Read-only to everyone but the
-    :class:`FlowNetwork` that fills it.  A slice is an owned ``FlowTrace``
-    copy, and a trace pickles as its columns.
+    :class:`FlowInterval` records on demand.  Only the :class:`FlowNetwork`
+    that fills it writes to it, and never after
+    :meth:`FlowNetwork.trace_since` has handed it out.  A slice is an owned
+    ``FlowTrace`` copy, and a trace pickles as its columns.
     """
 
     __slots__ = FlowInterval._fields
@@ -371,6 +376,12 @@ class FlowNetwork:
         #: ``trace_limit`` its first :meth:`_trace_start` rows are already
         #: evicted and wait for the next batch drop.
         self._trace = FlowTrace()
+        #: Whether :meth:`trace_since` handed ``_trace`` itself to a reader:
+        #: the next :meth:`_retire` then appends to a copy (copy-on-write).
+        self._trace_shared = False
+        #: One string per distinct label: every flow and the trace's label
+        #: column hold the pooled one, not a fresh string per transfer.
+        self._labels: dict[str, str] = {}
         self._peak_active = 0
         #: Aggregate retirement statistics, independent of trace eviction.
         self.completed_flows = 0
@@ -448,11 +459,20 @@ class FlowNetwork:
         return self.retired_flows
 
     def trace_since(self, marker: int) -> FlowTrace:
-        """The retained intervals retired after ``marker`` was taken, as an
-        owned :class:`FlowTrace` (a slice copy of the store's columns)."""
+        """The retained intervals retired after ``marker`` was taken.
+
+        A window that covers the whole store is the store itself, marked
+        shared so the next retirement appends to a copy; any other window is
+        a slice copy of the store's columns.  Either way later transfers and
+        ``trace_limit`` evictions never change a returned trace.
+        """
         # The store's first row is the one retired as number ``first_row``.
         first_row = self.retired_flows - len(self._trace)
-        return self._trace[max(marker - first_row, self._trace_start()):]
+        start = max(marker - first_row, self._trace_start())
+        if start == 0:
+            self._trace_shared = True
+            return self._trace
+        return self._trace[start:]
 
     def _trace_start(self) -> int:
         """Index of the oldest retained row: rows before it are evicted."""
@@ -477,6 +497,7 @@ class FlowNetwork:
             raise SimulationError(f"flow {label!r} must move a positive byte count")
         if function_bandwidth_bps <= 0:
             raise SimulationError(f"flow {label!r} needs a positive bandwidth cap")
+        label = self._labels.setdefault(label, label)
         now = self.loop.clock._now
         nic = self.fabric.host(host_id, host_capacity_bps)
         nic.acquire()
@@ -728,6 +749,9 @@ class FlowNetwork:
             self.abandoned_flows += 1
             self.bytes_abandoned += moved
         trace = self._trace
+        if self._trace_shared:
+            trace = self._trace = trace[:]
+            self._trace_shared = False
         trace._append(
             flow.flow_id, flow.label, flow.nic.host_id, flow.proxy_id,
             int(flow.size_bytes), flow.started_at, now, completed, moved,

@@ -155,9 +155,11 @@ class ConcurrentReplayReport:
     reset_events: TimeSeries = field(default_factory=lambda: TimeSeries("resets"))
     recovery_events: TimeSeries = field(default_factory=lambda: TimeSeries("recoveries"))
     #: Chunk-transfer intervals recorded by the flow network during the run:
-    #: an owned columnar copy of its trace window (a sequence of
-    #: :class:`~repro.network.flows.FlowInterval`; the digest and the
-    #: concurrency counts below read its columns).
+    #: its trace window, a sequence of
+    #: :class:`~repro.network.flows.FlowInterval` whose columns the digest
+    #: and the concurrency counts below read.  No later transfer changes
+    #: it: a window that covers the network's whole store is that store,
+    #: which the network copies before it appends again.
     flow_intervals: FlowTrace = field(default_factory=FlowTrace)
     #: High-water mark of simultaneously-active transfers on the underlying
     #: flow network up to the end of this run (O(1) to maintain, available

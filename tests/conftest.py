@@ -17,6 +17,7 @@ import pathlib
 
 import pytest
 
+from repro.cache.billed_duration import BilledDurationController, SessionCharge
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.utils.rng import SeededRNG
@@ -79,6 +80,32 @@ def check_golden(request):
         )
 
     return check
+
+
+@pytest.fixture
+def record_charges():
+    """``record(controller)``: a list that receives every
+    :class:`~repro.cache.billed_duration.SessionCharge` the controller
+    closes from now on, in close order, ahead of its own ``on_close``.
+
+    The controller keeps no closed session, so a test that checks them
+    wraps each node's ``node.duration_controller`` (or a bare controller)
+    before the run.
+    """
+
+    def record(controller: BilledDurationController) -> list[SessionCharge]:
+        charges: list[SessionCharge] = []
+        forward = controller.on_close
+
+        def on_close(charge: SessionCharge) -> None:
+            charges.append(charge)
+            if forward is not None:
+                forward(charge)
+
+        controller.on_close = on_close
+        return charges
+
+    return record
 
 
 @pytest.fixture

@@ -102,7 +102,7 @@ def test_ablation_backup_interval(check_golden):
     assert results["T_bak=5min"]["availability"] > results["disabled"]["availability"]
 
 
-def _simulate_policies(requests: int = 2000, mean_gap_s: float = 2.0):
+def _simulate_policies(record_charges, requests: int = 2000, mean_gap_s: float = 2.0):
     """Drive both policies with the same Poisson request stream."""
     rng = SeededRNG(404)
     arrival = 0.0
@@ -114,6 +114,7 @@ def _simulate_policies(requests: int = 2000, mean_gap_s: float = 2.0):
 
     # InfiniCache's anticipatory controller.
     anticipatory = BilledDurationController()
+    charges = record_charges(anticipatory)
     for timestamp in arrivals:
         anticipatory.expire_if_due(timestamp)
         anticipatory.record_request(timestamp, service_time)
@@ -136,16 +137,16 @@ def _simulate_policies(requests: int = 2000, mean_gap_s: float = 2.0):
 
     memory = int(1.5 * GIB)
     anticipatory_bill = BillingModel()
-    for charge in anticipatory.closed_sessions:
+    for charge in charges:
         anticipatory_bill.charge_invocation(memory, charge.duration_s)
     naive_bill = BillingModel()
     naive_bill.charge_invocation(memory, naive_billed)
 
     return {
         "anticipatory": {
-            "billed_seconds": anticipatory.total_billed_seconds(),
+            "billed_seconds": sum(charge.billed_duration_s for charge in charges),
             "cost": anticipatory_bill.total_cost,
-            "sessions": anticipatory.session_count(),
+            "sessions": len(charges),
         },
         "naive-1s-hold": {
             "billed_seconds": naive_billed,
@@ -155,8 +156,8 @@ def _simulate_policies(requests: int = 2000, mean_gap_s: float = 2.0):
     }
 
 
-def test_ablation_billing(check_golden):
-    results = _simulate_policies()
+def test_ablation_billing(check_golden, record_charges):
+    results = _simulate_policies(record_charges)
 
     rows = [
         [name, stats["billed_seconds"], stats["cost"]]

@@ -24,12 +24,13 @@ class TestSessionLifecycle:
         assert was_active is False
         assert controller.is_active(10.05)
 
-    def test_request_within_window_reuses_session(self):
+    def test_request_within_window_reuses_session(self, record_charges):
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(10.0, 0.01)
         was_active = controller.record_request(10.05, 0.01)
         assert was_active is True
-        assert controller.session_count() == 0  # still open
+        assert len(charges) == 0  # still open
 
     def test_window_expires_and_bills_one_cycle(self):
         closed = []
@@ -41,26 +42,30 @@ class TestSessionLifecycle:
         assert charge.billed_duration_s == pytest.approx(BILLING_CYCLE_SECONDS)
         assert charge.requests_served == 1
 
-    def test_timer_expires_just_before_cycle_end(self):
+    def test_timer_expires_just_before_cycle_end(self, record_charges):
         """The runtime returns a few ms before the 100 ms boundary so it is
         never billed for an accidental extra cycle (paper Section 3.3)."""
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(0.0, 0.01)
         controller.flush()
-        charge = controller.closed_sessions[0]
+        charge = charges[0]
         assert charge.duration_s <= BILLING_CYCLE_SECONDS
         assert charge.billed_duration_s == pytest.approx(BILLING_CYCLE_SECONDS)
 
     @pytest.mark.parametrize("requests, cycles", [(1, 1), (EXTENSION_THRESHOLD, 2)])
-    def test_session_ends_the_buffer_before_its_last_cycle_boundary(self, requests, cycles):
+    def test_session_ends_the_buffer_before_its_last_cycle_boundary(
+        self, requests, cycles, record_charges,
+    ):
         """The session lasts its window less the 5 ms buffer (inside the
         paper's 2-10 ms), so it is billed whole cycles and never one more."""
         assert 0.002 <= BUFFER_S <= 0.010
         controller = BilledDurationController()
+        charges = record_charges(controller)
         for index in range(requests):
             controller.record_request(0.01 * index, 0.005)
         controller.flush()
-        (charge,) = controller.closed_sessions
+        (charge,) = charges
         assert charge.duration_s == pytest.approx(cycles * BILLING_CYCLE_SECONDS - BUFFER_S)
         assert charge.billed_duration_s == pytest.approx(cycles * BILLING_CYCLE_SECONDS)
 
@@ -88,28 +93,32 @@ class TestSessionLifecycle:
             round(closed[0].billed_duration_s / BILLING_CYCLE_SECONDS) * BILLING_CYCLE_SECONDS
         )
 
-    def test_new_session_after_expiry(self):
+    def test_new_session_after_expiry(self, record_charges):
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(0.0, 0.01)
         controller.record_request(5.0, 0.01)  # far outside the first window
-        assert controller.session_count() == 1
+        assert len(charges) == 1
         controller.flush()
-        assert controller.session_count() == 2
+        assert len(charges) == 2
 
-    def test_flush_closes_open_session(self):
+    def test_flush_closes_open_session(self, record_charges):
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(0.0, 0.01)
         controller.flush()
-        assert controller.session_count() == 1
+        assert len(charges) == 1
         controller.flush()  # idempotent
-        assert controller.session_count() == 1
+        assert len(charges) == 1
 
-    def test_total_billed_seconds(self):
+    def test_total_billed_seconds(self, record_charges):
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(0.0, 0.01)
         controller.record_request(10.0, 0.01)
         controller.flush()
-        assert controller.total_billed_seconds() == pytest.approx(2 * BILLING_CYCLE_SECONDS)
+        billed = sum(charge.billed_duration_s for charge in charges)
+        assert billed == pytest.approx(2 * BILLING_CYCLE_SECONDS)
 
 
 class TestCategories:
@@ -131,13 +140,14 @@ class TestCategories:
 
 class TestValidation:
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), float("-inf")])
-    def test_bad_service_time_fails_at_the_call_and_opens_nothing(self, bad):
+    def test_bad_service_time_fails_at_the_call_and_opens_nothing(self, bad, record_charges):
         controller = BilledDurationController()
+        charges = record_charges(controller)
         with pytest.raises(ConfigurationError):
             controller.record_request(0.0, bad)
         assert controller.current is None
         controller.flush()
-        assert controller.closed_sessions == []
+        assert charges == []
 
     def test_infinite_attribution_weight_fails_at_the_call(self):
         controller = BilledDurationController()
@@ -146,67 +156,76 @@ class TestValidation:
 
 
 class TestBillingEconomics:
-    def test_idle_node_costs_nothing(self):
+    def test_idle_node_costs_nothing(self, record_charges):
         """No requests -> no sessions -> zero billed time: the pay-per-use
         property the whole paper is built on."""
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.expire_if_due(1e6)
         controller.flush()
-        assert controller.session_count() == 0
-        assert controller.total_billed_seconds() == 0.0
+        assert len(charges) == 0
+        assert sum(charge.billed_duration_s for charge in charges) == 0.0
 
-    def test_batched_requests_cheaper_than_spread_requests(self):
+    def test_batched_requests_cheaper_than_spread_requests(self, record_charges):
         """Requests landing in one window share a billing cycle, spread
         requests each pay their own — the incentive for the anticipatory
         extension heuristic."""
         batched = BilledDurationController()
+        batched_charges = record_charges(batched)
         for i in range(5):
             batched.record_request(0.0 + i * 0.01, 0.005)
         batched.flush()
 
         spread = BilledDurationController()
+        spread_charges = record_charges(spread)
         for i in range(5):
             spread.record_request(i * 10.0, 0.005)
         spread.flush()
 
-        assert batched.total_billed_seconds() < spread.total_billed_seconds()
+        assert sum(charge.billed_duration_s for charge in batched_charges) < sum(
+            charge.billed_duration_s for charge in spread_charges
+        )
 
 
 class TestTenantAttribution:
-    def test_busy_time_tagged_per_tenant(self):
+    def test_busy_time_tagged_per_tenant(self, record_charges):
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(0.0, 0.02, attribution="media")
         controller.record_request(0.01, 0.01, attribution="api")
         controller.record_request(0.02, 0.02, attribution="media")
         controller.flush()
-        charge = controller.closed_sessions[0]
+        charge = charges[0]
         assert charge.busy_by_tenant["media"] == pytest.approx(0.04)
         assert charge.busy_by_tenant["api"] == pytest.approx(0.01)
 
-    def test_untagged_work_is_unattributed(self):
+    def test_untagged_work_is_unattributed(self, record_charges):
         from repro.faas.billing import UNATTRIBUTED_TENANT
 
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(0.0, 0.01)
         controller.flush()
-        charge = controller.closed_sessions[0]
+        charge = charges[0]
         assert charge.busy_by_tenant == {UNATTRIBUTED_TENANT: pytest.approx(0.01)}
 
-    def test_weighted_attribution_splits_busy_time(self):
+    def test_weighted_attribution_splits_busy_time(self, record_charges):
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(0.0, 0.03, attribution={"a": 2.0, "b": 1.0})
         controller.flush()
-        charge = controller.closed_sessions[0]
+        charge = charges[0]
         assert charge.busy_by_tenant["a"] == pytest.approx(0.02)
         assert charge.busy_by_tenant["b"] == pytest.approx(0.01)
 
-    def test_attribution_survives_across_sessions(self):
+    def test_attribution_survives_across_sessions(self, record_charges):
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(0.0, 0.01, attribution="media")
         controller.record_request(10.0, 0.01, attribution="api")  # new session
         controller.flush()
-        assert list(controller.closed_sessions[0].busy_by_tenant) == ["media"]
-        assert list(controller.closed_sessions[1].busy_by_tenant) == ["api"]
+        assert list(charges[0].busy_by_tenant) == ["media"]
+        assert list(charges[1].busy_by_tenant) == ["api"]
 
 
 class TestLazySessionWatchdog:
@@ -389,16 +408,17 @@ class TestSessionsMatchTheParentArithmetic:
                 charge.requests_served, charge.category,
                 list(charge.busy_by_tenant.items()),
             )
-            for charge in controller.closed_sessions
+            for charge in billed
         ] == oracle.closed
-        assert billed == controller.closed_sessions and controller.current is None
+        assert controller.current is None
 
-    def test_a_closed_charge_is_not_touched_by_the_next_session(self):
+    def test_a_closed_charge_is_not_touched_by_the_next_session(self, record_charges):
         controller = BilledDurationController()
+        charges = record_charges(controller)
         controller.record_request(0.0, 0.01, attribution="a")
         controller.record_request(5.0, 0.02, attribution="b")
         controller.flush()
-        first, second = controller.closed_sessions
+        first, second = charges
         assert first.busy_by_tenant == {"a": 0.01}
         assert second.busy_by_tenant == {"b": 0.02}
         assert first.busy_by_tenant is not second.busy_by_tenant

@@ -480,7 +480,8 @@ class RaceRun:
     sessions: list
 
 
-def race_get(monkeypatch, factors, *, parity_shards=0, faulting_invocations=()):
+def race_get(monkeypatch, record_charges, factors, *, parity_shards=0,
+             faulting_invocations=()):
     """One GET of a 2 MB object under a 1 s chunk deadline, scripted.
 
     Each chunk attempt's straggler factor is the next of ``factors`` (in
@@ -499,9 +500,12 @@ def race_get(monkeypatch, factors, *, parity_shards=0, faulting_invocations=()):
         resilience=ResilienceConfig(chunk_attempts=3, chunk_timeout_s=1.0),
         seed=11,
     ))
+    proxy = deployment.proxies[0]
+    charges = {
+        node.node_id: record_charges(node.duration_controller) for node in proxy.nodes
+    }
     deployment.start()
     deployment.new_client().put_sized("obj", 2 * MB)
-    proxy = deployment.proxies[0]
     draws = iter(factors)
     monkeypatch.setattr(proxy, "_straggler_factor", lambda: next(draws))
     invocations = []
@@ -533,7 +537,7 @@ def race_get(monkeypatch, factors, *, parity_shards=0, faulting_invocations=()):
         (node.node_id, charge.started_at, charge.duration_s, charge.requests_served,
          sum(charge.busy_by_tenant.values()))
         for node in proxy.nodes
-        for charge in node.duration_controller.closed_sessions
+        for charge in charges[node.node_id]
     ]
     return RaceRun(result, counters, flows, sessions)
 
@@ -547,8 +551,8 @@ class TestChunkDeadlineRace:
     reorders a cancellation or bills differently fails here.
     """
 
-    def test_attempt_lands_before_its_deadline(self, monkeypatch):
-        run = race_get(monkeypatch, [1.0])
+    def test_attempt_lands_before_its_deadline(self, monkeypatch, record_charges):
+        run = race_get(monkeypatch, record_charges, [1.0])
         assert not run.result.is_miss
         assert run.counters == {"proxy.hits": 1.0, "proxy.puts": 1.0}
         assert [(f.time_s, f.abandoned) for f in run.result.fetches] == [
@@ -559,8 +563,8 @@ class TestChunkDeadlineRace:
             ("proxy-0-lambda-0003", 0.0, 0.195, 2, 0.06385567010309279),
         ]
 
-    def test_original_beats_its_hedge(self, monkeypatch):
-        run = race_get(monkeypatch, [40.0, 40.0])
+    def test_original_beats_its_hedge(self, monkeypatch, record_charges):
+        run = race_get(monkeypatch, record_charges, [40.0, 40.0])
         assert not run.result.is_miss
         assert run.counters == {
             "proxy.chunk_hedges": 1.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
@@ -580,8 +584,8 @@ class TestChunkDeadlineRace:
              1.4642268041237112),
         ]
 
-    def test_hedge_lands_first(self, monkeypatch):
-        run = race_get(monkeypatch, [100.0, 1.0])
+    def test_hedge_lands_first(self, monkeypatch, record_charges):
+        run = race_get(monkeypatch, record_charges, [100.0, 1.0])
         assert not run.result.is_miss
         assert run.counters == {
             "proxy.chunk_hedges": 1.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
@@ -600,10 +604,10 @@ class TestChunkDeadlineRace:
             ("proxy-0-lambda-0003", 1.013, 0.18200000000000027, 2, 1.0758556701030928),
         ]
 
-    def test_faulted_hedge_ends_the_pair_and_the_chunk_retries(self, monkeypatch):
+    def test_faulted_hedge_ends_the_pair_and_the_chunk_retries(self, monkeypatch, record_charges):
         """The hedge's invocation faults: the pair ends with nothing at once,
         the still-running original is abandoned, and the retry lands."""
-        run = race_get(monkeypatch, [100.0, 1.0, 1.0], faulting_invocations=(2,))
+        run = race_get(monkeypatch, record_charges, [100.0, 1.0, 1.0], faulting_invocations=(2,))
         assert not run.result.is_miss
         assert run.counters == {
             "proxy.chunk_faults": 1.0, "proxy.chunk_hedges": 1.0,
@@ -621,10 +625,10 @@ class TestChunkDeadlineRace:
             ("proxy-0-lambda-0003", 0.0, 1.1950000000000003, 3, 1.062855670103093),
         ]
 
-    def test_pair_timeout_backs_off_and_retries(self, monkeypatch):
+    def test_pair_timeout_backs_off_and_retries(self, monkeypatch, record_charges):
         """Neither side lands by the hedge deadline: both are abandoned, the
         original's flow first, and the retry after the backoff lands."""
-        run = race_get(monkeypatch, [100.0, 100.0, 1.0])
+        run = race_get(monkeypatch, record_charges, [100.0, 100.0, 1.0])
         assert not run.result.is_miss
         assert run.counters == {
             "proxy.chunk_hedges": 1.0, "proxy.chunk_retries": 1.0,
@@ -644,12 +648,12 @@ class TestChunkDeadlineRace:
             ("proxy-0-lambda-0003", 0.001000000000000112, 2.194, 3, 3.017927835051546),
         ]
 
-    def test_quorum_cancels_a_chunk_with_its_hedge_in_flight(self, monkeypatch):
+    def test_quorum_cancels_a_chunk_with_its_hedge_in_flight(self, monkeypatch, record_charges):
         """RS(1+1): both chunks pass their deadline and hedge; chunk 1's
         original lands first, which completes the quorum and abandons chunk
         0's original and then its hedge."""
         run = race_get(
-            monkeypatch, [100.0, 40.0, 100.0, 100.0], parity_shards=1,
+            monkeypatch, record_charges, [100.0, 40.0, 100.0, 100.0], parity_shards=1,
         )
         assert not run.result.is_miss
         assert run.counters == {
@@ -764,37 +768,39 @@ class TestBillingUnderFaults:
         InvocationFaults(at_s=10.0, duration_s=8.0, failure_probability=0.6),
     ))
 
-    def _run(self):
+    def _run(self, record_charges):
         config = demo_config(seed=2020)
         deployment = InfiniCacheDeployment(config)
+        charges = {
+            node.node_id: record_charges(node.duration_controller)
+            for proxy in deployment.proxies
+            for node in proxy.nodes
+        }
         engine = ChaosEngine(deployment, self.SCHEDULE)
         engine.install()
         driver = ClosedLoopDriver(deployment, warm_pool=True)
         replay = driver.run(demo_plans(clients=4, rounds=10, think_s=1.0))
-        return deployment, replay
+        return deployment, replay, charges
 
-    def test_busy_seconds_bounded_by_wall_clock(self):
+    def test_busy_seconds_bounded_by_wall_clock(self, record_charges):
         """Reclaim-mid-fetch must not leak billed sessions: every node's
         closed sessions stay inside the run's wall-clock span."""
-        deployment, replay = self._run()
+        deployment, replay, charges = self._run(record_charges)
         span = replay.duration_s
         for proxy in deployment.proxies:
             for node in proxy.nodes:
-                for charge in node.duration_controller.closed_sessions:
+                for charge in charges[node.node_id]:
                     assert charge.duration_s >= 0.0
                     assert charge.started_at >= 0.0
                     busy = sum(charge.busy_by_tenant.values())
                     assert busy <= charge.duration_s + 1e-6
                 # Sessions are sequential per node: their total cannot
                 # exceed the run span plus the final open cycle.
-                total = sum(
-                    charge.duration_s
-                    for charge in node.duration_controller.closed_sessions
-                )
+                total = sum(charge.duration_s for charge in charges[node.node_id])
                 assert total <= span + BILLING_CYCLE_SECONDS
 
-    def test_chargeback_conservation_holds_under_storm(self):
-        deployment, _replay = self._run()
+    def test_chargeback_conservation_holds_under_storm(self, record_charges):
+        deployment, _replay, _charges = self._run(record_charges)
         billing = deployment.billing
         assert billing.total_cost > 0
         assert sum(billing.cost_by_tenant.values()) == pytest.approx(

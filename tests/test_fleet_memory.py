@@ -1,11 +1,14 @@
-"""What a fleet holds per proxy, per stored chunk and per in-flight flow.
+"""What a fleet holds per proxy, per stored chunk and per in-flight flow,
+and what a replay keeps of its history.
 
 ``tracemalloc`` budgets for the three structures that grow with a fleet —
 the hash ring every client shares, the store every chunk lands in, and the
-state every live transfer carries — plus the contract of the records that
-are slotted to fit those budgets: they still pickle (``fan_out`` ships
-results between processes), still work with ``dataclasses.replace`` and,
-where frozen, still refuse assignment.
+state every live transfer carries — and for the history a replay could
+pile up: closed billed sessions, the report's copy of the flow trace and
+one label string per transfer.  Plus the contract of the records that are
+slotted to fit those budgets: they still pickle (``fan_out`` ships results
+between processes), still work with ``dataclasses.replace`` and, where
+frozen, still refuse assignment.
 """
 
 from __future__ import annotations
@@ -18,16 +21,18 @@ import tracemalloc
 import pytest
 
 from repro.cache import consistent_hash
+from repro.cache.billed_duration import BilledDurationController
 from repro.cache.chunk import CacheChunk, ObjectDescriptor
 from repro.cache.clock_lru import _ClockEntry
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.cache.node import NodeAccess
+from repro.faas.billing import BillingModel
 from repro.network.flows import FlowNetwork
 from repro.network.topology import NetworkFabric
 from repro.sim import EventLoop
 from repro.utils.units import MB, MIB
-from repro.workload.replay import ClientOp
+from repro.workload.replay import ClientOp, ClosedLoopDriver
 
 
 def _retained(build):
@@ -91,9 +96,11 @@ class TestMemoryBudgets:
 
     def test_live_flow_costs_under_1450_bytes(self):
         """4 096 transfers in flight over 256 NICs and 16 uplinks, with the
-        request path's labels: the flow, its future, its completion timer
-        and its index entries.  A ``functools.partial`` per cancel hook and
-        per completion, and two eager lists per future, cost 1 750 B."""
+        request path's labels: the flow, its future, its completion timer,
+        its index entries and its label's entry in the network's label pool
+        (every label here is new; 3.11: 1 320 B).  A ``functools.partial``
+        per cancel hook and per completion, and two eager lists per future,
+        cost 1 750 B."""
         loop = EventLoop()
         network = FlowNetwork(loop, NetworkFabric())
         for host in range(256):
@@ -118,6 +125,71 @@ class TestMemoryBudgets:
         assert network.active_count == 4097
         per_flow = retained / len(flows)
         assert per_flow <= 1450, f"{per_flow:.0f} B per live flow"
+
+
+class TestReplayHistoryBudgets:
+    """A replay keeps its totals and one trace, not a ledger of its past.
+
+    The budgets are several times what Python 3.11 measures, so allocator
+    differences between the 3.10-3.12 versions CI runs stay inside them.
+    """
+
+    def test_closed_sessions_are_not_kept(self):
+        """10 000 one-tenant sessions billed through ``on_close``: the
+        controller keeps none of them and the bill keeps totals (3.11:
+        about 6 KB in all).  A list of every closed session held 369 B
+        per session, 3.69 MB here."""
+        billing = BillingModel()
+        controller = BilledDurationController(
+            on_close=lambda charge: billing.charge_invocation(
+                1536 * MIB, charge.duration_s, charge.category, charge.busy_by_tenant
+            )
+        )
+
+        def serve(first, count):
+            for index in range(first, first + count):
+                controller.record_request(index * 10.0, 0.01, attribution="tenant-a")
+            controller.flush()
+
+        serve(0, 16)  # first-use ledger keys, not per session
+        retained, _ = _retained(lambda: serve(16, 10_000))
+        assert billing.total_invocations == 10_016
+        assert retained <= 16 * 1024, f"{retained} B after 10 000 sessions"
+
+    def test_a_whole_store_window_is_not_copied(self):
+        """``trace_since`` over a 10 000-row store, with a window covering
+        all of it, hands the store over (3.11: 0 B).  A slice copy of the
+        columns allocated about 650 KB."""
+        loop = EventLoop()
+        network = FlowNetwork(loop, NetworkFabric())
+        for batch in range(100):
+            for index in range(100):
+                network.transfer(
+                    size_bytes=MB, function_bandwidth_bps=1e8,
+                    host_id=f"host-{index}", host_capacity_bps=1e9,
+                    proxy_id=f"proxy-{index % 16}",
+                    label=f"proxy-{index % 16}:serving:obj-{batch}#{index}",
+                )
+            loop.run_all()
+        retained, window = _retained(lambda: network.trace_since(0))
+        assert len(window) == network.retired_flows == 10_000
+        assert retained <= 1024, f"{retained} B for a whole-store window"
+
+    def test_a_label_is_one_string_however_often_it_moves(self):
+        """Four clients re-reading four objects: every transfer of a chunk
+        holds the same label string, in the flows and in the trace."""
+        deployment = InfiniCacheDeployment(InfiniCacheConfig(
+            num_proxies=1, lambdas_per_proxy=8, lambda_memory_bytes=512 * MIB,
+            data_shards=4, parity_shards=2, backup_enabled=False, seed=7,
+        ))
+        seeder = deployment.new_client("seeder")
+        for index in range(4):
+            seeder.put_sized(f"obj-{index}", 4 * MB)
+        plans = [[(f"obj-{(client + r) % 4}", 4 * MB) for r in range(12)] for client in range(4)]
+        report = ClosedLoopDriver(deployment).run(plans)
+        labels = report.flow_intervals.label
+        assert len(labels) > 2 * len(set(labels))  # every label moved again
+        assert len({id(label) for label in labels}) == len(set(labels))
 
 
 #: One instance of each slotted record, a field and another value for it.

@@ -833,12 +833,15 @@ _transfers = st.lists(
 
 def _replay_transfers(transfers, trace_limit, probes):
     """Run ``transfers`` on a :class:`_TupleDequeNetwork`; at each probe
-    instant take a marker and check every earlier marker's window."""
+    instant take a marker and check every earlier marker's window.  At the
+    end every window a probe took is checked again against the tuples it
+    matched then: later transfers and evictions must not reach it."""
     loop = EventLoop()
     net = _TupleDequeNetwork(
         loop, NetworkFabric(proxy_uplink_bps=400 * MB), trace_limit=trace_limit
     )
     markers: list[int] = []
+    windows: list[tuple[FlowTrace, list[FlowInterval]]] = []
 
     def begin(index, size_mb, host, proxy, abandon_after):
         flow = net.transfer(
@@ -851,7 +854,9 @@ def _replay_transfers(transfers, trace_limit, probes):
 
     def probe():
         for marker in markers:
-            assert list(net.trace_since(marker)) == net.tuples_since(marker)
+            window, expected = net.trace_since(marker), net.tuples_since(marker)
+            assert list(window) == expected
+            windows.append((window, expected))
         markers.append(net.trace_marker())
 
     for index, (at, size_mb, host, proxy, abandon_after) in enumerate(transfers):
@@ -862,6 +867,8 @@ def _replay_transfers(transfers, trace_limit, probes):
         loop.schedule_at(at, probe)
     loop.run_all()
     probe()
+    for window, expected in windows:
+        assert list(window) == expected
     return net, markers
 
 
@@ -989,6 +996,43 @@ class TestFlowTraceMatchesTheTupleDeque:
         column_bytes, columns = retained(fill_columns)
         assert list(columns) == list(tuples)
         assert column_bytes < 0.5 * tuple_bytes
+
+
+class TestTraceHandOver:
+    """A window that covers the whole store is the store, copy-on-write."""
+
+    @staticmethod
+    def _move(net, count, first_index=0):
+        for index in range(first_index, first_index + count):
+            net.transfer(
+                size_bytes=MB, function_bandwidth_bps=80 * MB,
+                host_id=f"host-{index % 3}", host_capacity_bps=100 * MB,
+                proxy_id="proxy-0", label=f"proxy-0:serving:key-{index}#0",
+            )
+        net.loop.run_all()
+
+    def test_handed_over_trace_pickles_to_an_equal_trace(self):
+        net = FlowNetwork(EventLoop(), NetworkFabric())
+        self._move(net, 5)
+        window = net.trace_since(0)
+        restored = pickle.loads(pickle.dumps(window))
+        assert restored == window and len(restored) == 5
+        assert list(restored) == net.trace
+        self._move(net, 4, first_index=5)
+        # The network appended to a copy: the handed-over trace, and what it
+        # pickled to, still hold the first five transfers only.
+        assert restored == window and len(window) == 5
+        assert list(window) == net.trace[:5]
+        assert len(net.trace_since(0)) == 9
+
+    def test_a_trace_limit_eviction_does_not_reach_a_handed_over_trace(self):
+        net = FlowNetwork(EventLoop(), NetworkFabric(), trace_limit=2)
+        self._move(net, 2)
+        window = net.trace_since(0)
+        kept = list(window)
+        self._move(net, 6, first_index=2)
+        assert net.trace_dropped == 6 and len(net.trace) == 2
+        assert list(window) == kept
 
 
 # ---------------------------------------------------------------------- overlap counts

@@ -81,6 +81,30 @@ class TestClosedLoopDriver:
         assert client.get("obj").hit
         assert deployment.flows.trace == []
 
+    def test_releasing_a_report_leaves_the_network_trace(self):
+        """The report holds the network's store itself (copy-on-write):
+        dropping it from the report drops nothing from the network."""
+        deployment = small_deployment()
+        report = ClosedLoopDriver(deployment).run(seeded_plans(deployment, 2, 4))
+        trace = deployment.flows.trace
+        count = len(report.flow_intervals)
+        report.release_flow_intervals()
+        assert len(report.flow_intervals) == 0 and report.flow_intervals_dropped == count
+        assert count > 0 and deployment.flows.trace == trace and len(trace) == count
+
+    def test_a_second_run_gets_only_its_own_flow_intervals(self):
+        deployment = small_deployment()
+        driver = ClosedLoopDriver(deployment)
+        plans = seeded_plans(deployment, 2, 4)
+        first = driver.run(plans)
+        kept, fingerprint = list(first.flow_intervals), first.fingerprint()
+        second = driver.run(plans)
+        # The second run appended to a copy of the store the first report holds.
+        assert list(first.flow_intervals) == kept and first.fingerprint() == fingerprint
+        assert second.flow_intervals_dropped == 0 and len(second.flow_intervals) > 0
+        assert list(second.flow_intervals) == deployment.flows.trace[len(kept):]
+        assert list(first.flow_intervals) == deployment.flows.trace[:len(kept)]
+
     def test_seeds_fixed_runs_are_deterministic(self):
         def run(seed: int) -> str:
             deployment = small_deployment(seed=seed, straggler_probability=0.1)
@@ -106,7 +130,7 @@ class TestClosedLoopDriver:
         assert report.hits == 1
         assert report.resets == 0
 
-    def test_concurrent_billing_stays_physical(self):
+    def test_concurrent_billing_stays_physical(self, record_charges):
         """Overlapping requests must not bill more node-seconds than exist.
 
         Regression for two event-path billing defects: per-chunk service
@@ -115,18 +139,20 @@ class TestClosedLoopDriver:
         reopened an overlapping session anchored in the past.
         """
         deployment = small_deployment(seed=11)
+        nodes = [node for proxy in deployment.proxies for node in proxy.nodes]
+        charges = {node.node_id: record_charges(node.duration_controller) for node in nodes}
         report = ClosedLoopDriver(deployment).run(
             seeded_plans(deployment, 4, 20, objects=4, size=16 * MB)
         )
-        nodes = [node for proxy in deployment.proxies for node in proxy.nodes]
-        billed = sum(node.duration_controller.total_billed_seconds() for node in nodes)
+        billed = sum(
+            sum(charge.billed_duration_s for charge in charges[node.node_id])
+            for node in nodes
+        )
         # +1s slack: each session's billed window may overrun the last
         # request sample by up to a billing cycle per node.
         assert billed <= report.finished_at * len(nodes) + 1.0
         for node in nodes:
-            sessions = sorted(
-                node.duration_controller.closed_sessions, key=lambda s: s.started_at
-            )
+            sessions = sorted(charges[node.node_id], key=lambda s: s.started_at)
             for earlier, later in zip(sessions, sessions[1:]):
                 # duration_s, not billed_duration_s: the billed value is
                 # cycle-rounded upward, so only the physical window must
