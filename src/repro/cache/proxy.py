@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.cache.chunk import CacheChunk, ObjectDescriptor
 from repro.cache.clock_lru import ClockLRU
@@ -172,7 +172,7 @@ class _ChunkRace:
         hedge, self.hedge = self.hedge, None
         deadline, self.deadline = self.deadline, None
         if flow is not None:
-            flow.future.cancel()
+            flow.cancel()
         if hedge is not None:
             hedge.cancel()
         if deadline is not None:
@@ -183,7 +183,7 @@ class _ChunkRace:
         self.proxy.metrics.counter("proxy.chunk_hedges").increment()
         loop = process.loop
         hedge = loop.spawn(self.spawn_hedge(), label=process.label + ":hedge")
-        if hedge.future._done:
+        if hedge._done:
             # Refused by the breaker or faulted on invocation: the pair ends
             # with nothing at once, even though the original is still moving.
             self.deadline = None
@@ -191,7 +191,7 @@ class _ChunkRace:
             return
         self.hedge = hedge
         self.deadline = loop.schedule(self.timeout_s, self._expire_pair, "chunk.hedge_deadline")
-        hedge.future.add_done_callback(self._hedge_settled)
+        hedge.add_done_callback(self._hedge_settled)
 
     def _expire_pair(self) -> None:
         self.deadline = None
@@ -202,7 +202,7 @@ class _ChunkRace:
             self.process.interrupt(_PairSettled(bool(future._result)))
 
 
-def _chunk_quorum(futures: list[SimFuture], needed: int, label: str) -> SimFuture:
+def _chunk_quorum(futures: Sequence[SimFuture], needed: int, label: str) -> SimFuture:
     """A future resolving with the first ``needed`` truthy results in
     completion order, or ``None`` as soon as that quorum becomes impossible.
 
@@ -827,9 +827,7 @@ class Proxy:
             ))
         self._commit_put(key, descriptor, chunks, placement, start)
 
-        stored = yield all_of(
-            [task.future for task in tasks], label=f"{self.proxy_id}:put:{key}"
-        )
+        stored = yield all_of(tasks, label=f"{self.proxy_id}:put:{key}")
         complete = all(stored)
         if complete:
             tracer.finish(op_span)
@@ -994,10 +992,7 @@ class Proxy:
                     key, fetch.chunk, node, env, owner, "serving", op_span, fetch=fetch,
                 ))
             # First-d: the request completes when the fastest d chunks are in.
-            winners = yield _chunk_quorum(
-                [task.future for task in tasks], needed,
-                label=f"{self.proxy_id}:first_d:{key}",
-            )
+            winners = yield _chunk_quorum(tasks, needed, f"{self.proxy_id}:first_d:{key}")
             for (fetch, _node), task in zip(pending, tasks):
                 if not task.done:
                     fetch.abandoned = True
@@ -1149,7 +1144,7 @@ class Proxy:
                     )
                     if tracing:
                         flow.parent_span = span
-                    yield flow.future
+                    yield flow
                 finally:
                     # Runs on completion *and* on abandonment (generator
                     # close): the node is billed for the work it actually

@@ -246,15 +246,21 @@ class FlowTrace(Sequence[FlowInterval]):
             del column[:count]
 
 
-class Flow:
-    """One in-flight transfer between a Lambda node and its proxy."""
+class Flow(SimFuture):
+    """One in-flight transfer between a Lambda node and its proxy.
+
+    A flow is the future its waiters yield: it resolves (with ``None``) when
+    the last byte lands, and cancelling it — directly or through a process
+    abandoning the fetch — tears the transfer down and releases its
+    bandwidth shares.  Its label is the network's pooled transfer label.
+    """
 
     # The arbiter reads half a dozen of these per visited flow, hundreds of
     # thousands of times per fleet replay: slots skip the instance dict.
     __slots__ = (
-        "flow_id", "label", "size_bytes", "function_bandwidth_bps", "nic",
+        "flow_id", "size_bytes", "function_bandwidth_bps", "nic",
         "proxy_id", "started_at", "remaining", "rate_bps", "last_progress_at",
-        "future", "_completion", "_finish_label", "parent_span", "network",
+        "_completion", "parent_span", "network",
     )
 
     def __init__(
@@ -268,8 +274,8 @@ class Flow:
         started_at: float,
         network: FlowNetwork,
     ) -> None:
+        super().__init__(label)
         self.flow_id = flow_id
-        self.label = label
         self.size_bytes = size_bytes
         self.function_bandwidth_bps = function_bandwidth_bps
         self.nic = nic
@@ -278,30 +284,38 @@ class Flow:
         self.remaining = float(size_bytes)
         self.rate_bps = 0.0
         self.last_progress_at = started_at
-        #: Resolves with this flow when the last byte lands; cancelling it
-        #: (directly or through a process abandoning the fetch) tears the
-        #: flow down and releases its bandwidth shares.
-        self.future: SimFuture = SimFuture(label=f"flow:{label}")
         #: Pending completion: a lazy :class:`~repro.sim.loop.DeadlineTimer`
         #: under the incremental arbiter, a plain eager
         #: :class:`~repro.sim.loop.Event` under the reference arbiter (kept
         #: that way as the differential baseline for the lazy mechanism).
+        #: Either one calls the flow itself when it fires.
         self._completion: Optional[Any] = None
-        #: Precomputed completion-event label: re-aims happen on every rate
-        #: transition, so building the string once per flow matters at scale.
-        self._finish_label = "flow.finish:" + label
         #: Tracing linkage: the chunk-transfer span this flow serves, set by
         #: the request path when a tracer is attached (None otherwise).
         self.parent_span: Optional[Any] = None
-        #: The arbiter carrying this flow.  Its cancel hook and completion
-        #: callback are bound methods of the flow: one small object each,
-        #: where a ``functools.partial`` is three.
+        #: The arbiter carrying this flow.
         self.network = network
 
-    def _cancel(self) -> None:
-        self.network.cancel(self)
+    def cancel(self) -> bool:
+        """Abandon the transfer; returns ``False`` if it had already settled.
 
-    def _complete(self) -> None:
+        The network releases the flow's shares first (settling its partial
+        progress into the trace), then any other cancel hooks run, then the
+        done-callbacks fire with ``cancelled=True``.
+        """
+        if self._done:
+            return False
+        self._done = True
+        self._cancelled = True
+        self.network.cancel(self)
+        hooks, self._cancel_hooks = self._cancel_hooks, ()
+        for hook in hooks:
+            hook()
+        self._settle()
+        return True
+
+    def __call__(self) -> None:
+        """Complete the transfer: the flow is its completion timer's callback."""
         self.network._complete(self)
 
     @property
@@ -492,7 +506,7 @@ class FlowNetwork:
         proxy_id: str,
         label: str = "",
     ) -> Flow:
-        """Start a transfer now; returns the flow whose future resolves on finish."""
+        """Start a transfer now; returns the flow, a future resolving on finish."""
         if size_bytes <= 0:
             raise SimulationError(f"flow {label!r} must move a positive byte count")
         if function_bandwidth_bps <= 0:
@@ -517,7 +531,6 @@ class FlowNetwork:
         self._by_proxy.setdefault(proxy_id, {})[flow.flow_id] = flow
         if len(self._active) > self._peak_active:
             self._peak_active = len(self._active)
-        flow.future.on_cancel(flow._cancel)
         self._transition(nic.host_id, proxy_id)
         return flow
 
@@ -525,18 +538,18 @@ class FlowNetwork:
         """Abandon an in-flight transfer (the first-d straggler path).
 
         Settles its partial progress into the trace, releases its NIC and
-        uplink shares (speeding up the surviving flows), and cancels its
-        future if the caller has not already done so.
+        uplink shares (speeding up the surviving flows), and settles the
+        flow as cancelled unless :meth:`Flow.cancel` is what called here.
         """
         if flow.flow_id not in self._active:
             return False
         now = self.loop.clock._now
         self._settle_flow(flow, now)
         self._retire(flow, now, completed=False)
-        if not flow.future.done:
-            # Cancelling the future can resume the abandoning process, which
-            # may tear down sibling transfers in turn (see ``_dirty_hosts``).
-            flow.future.cancel()
+        if not flow._done:
+            # Settling the flow can resume the abandoning process, which may
+            # tear down sibling transfers in turn (see ``_dirty_hosts``).
+            SimFuture.cancel(flow)
         self._transition(flow.nic.host_id, flow.proxy_id)
         return True
 
@@ -698,9 +711,7 @@ class FlowNetwork:
         """
         timer = flow._completion
         if timer is None:
-            flow._completion = self.loop.schedule_deadline(
-                finish, flow._complete, label=flow._finish_label
-            )
+            flow._completion = self.loop.schedule_deadline(finish, flow, "flow.finish")
         else:
             timer.set_deadline(finish)
 
@@ -714,9 +725,9 @@ class FlowNetwork:
         # satisfied first-d-of-n quorum then cancels its straggler siblings
         # and the client may start its next transfer, all at this instant
         # and each with a transition of its own (see ``_dirty_hosts``).
-        # Resolved with nothing: the flow as its own future's result would
-        # be a reference cycle per transfer, and no waiter reads the value.
-        flow.future.resolve()
+        # Resolved with nothing: the flow as its own result would be a
+        # reference cycle per transfer, and no waiter reads the value.
+        flow.resolve()
         self._transition(flow.nic.host_id, flow.proxy_id)
 
     def _retire(self, flow: Flow, now: float, completed: bool) -> None:
@@ -794,9 +805,7 @@ class ReferenceFlowNetwork(FlowNetwork):
     def _aim(self, flow: Flow, finish: float) -> None:
         if flow._completion is not None:
             flow._completion.cancel()
-        flow._completion = self.loop.schedule_at(
-            finish, flow._complete, label=flow._finish_label
-        )
+        flow._completion = self.loop.schedule_at(finish, flow, "flow.finish")
 
 
 def resolve_arbiter(name: str) -> type[FlowNetwork]:

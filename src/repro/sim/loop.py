@@ -38,10 +38,11 @@ from repro.sim.process import Process, ProcessGenerator, SimFuture
 def _label_key(label: str) -> str:
     """Aggregation key for an event label: the text before the first colon.
 
-    Labels embed per-flow identity ("flow.finish:p0:serving:key#12"), so the
-    raw strings are unbounded; the prefix ("flow.finish", "sleep",
-    "billing.session_close") is the stable subsystem name the profiler keys
-    on.
+    A label may embed an owner's identity
+    ("billing.session_close:p0-node-3"), so the raw strings are unbounded;
+    the prefix ("billing.session_close") is the stable subsystem name the
+    profiler keys on.  The hottest kinds ("flow.finish", "sleep") carry no
+    identity at all.
     """
     return label.partition(":")[0] or "(unlabelled)"
 
@@ -253,7 +254,9 @@ class DeadlineTimer:
         self.callback = callback
         self.label = label
         self.deadline = deadline
-        self._event: Optional[Event] = loop.schedule_at(deadline, self._fire, label)
+        # The timer is its own event callback: arming it allocates no
+        # bound method.
+        self._event: Optional[Event] = loop.schedule_at(deadline, self, label)
         self._sequence: Optional[int] = None
 
     @property
@@ -290,17 +293,21 @@ class DeadlineTimer:
         if not loop.clock._now - 1e-12 <= when < math.inf:
             if not math.isfinite(when):
                 raise ValueError(
-                    f"timer deadline must be finite, got {when!r} (label={self.label!r})"
+                    f"timer deadline must be finite, got {when!r} "
+                    f"(label={self.label!r}, callback={self.callback!r})"
                 )
             raise SimulationError(
                 f"cannot move a timer deadline to {when}, which is before "
-                f"now={loop.clock._now} (label={self.label!r})"
+                f"now={loop.clock._now} (label={self.label!r}, callback={self.callback!r})"
             )
         self.deadline = when
         if event is not None:
             event.cancel()
         self._sequence = None
-        self._event = loop.schedule_at(when, self._fire, self.label)
+        self._event = loop.schedule_at(when, self, self.label)
+
+    def __repr__(self) -> str:
+        return f"DeadlineTimer({self.deadline}, {self.callback!r})"
 
     def cancel(self) -> None:
         """Cancel the pending firing (``set_deadline`` re-arms afterwards)."""
@@ -309,7 +316,8 @@ class DeadlineTimer:
         if event is not None:
             event.cancel()
 
-    def _fire(self) -> None:
+    def __call__(self) -> None:
+        """Fire: run the callback, or re-arm if the deadline moved later."""
         if self.deadline > self.loop.clock._now:
             # The deadline moved later since this entry was pushed: re-arm
             # once at the stored deadline instead of having churned the heap
@@ -317,10 +325,10 @@ class DeadlineTimer:
             # (most recent) extension.
             sequence, self._sequence = self._sequence, None
             if sequence is None:
-                self._event = self.loop.schedule_at(self.deadline, self._fire, self.label)
+                self._event = self.loop.schedule_at(self.deadline, self, self.label)
             else:
                 self._event = self.loop.queue.push_reserved(
-                    self.deadline, sequence, self._fire, self.label
+                    self.deadline, sequence, self, self.label
                 )
             return
         self._event = None
@@ -380,7 +388,7 @@ class EventQueue:
         if not math.isfinite(time) or time < 0:
             raise ValueError(
                 f"event time must be finite and non-negative, got {time!r} "
-                f"(label={label!r})"
+                f"(label={label!r}, callback={callback!r})"
             )
         event = Event(time, sequence, callback, label, self)
         heap = self._heap
@@ -512,10 +520,14 @@ class EventLoop:
         """
         if not math.isfinite(delay):
             raise ValueError(
-                f"event delay must be finite, got {delay!r} (label={label!r})"
+                f"event delay must be finite, got {delay!r} "
+                f"(label={label!r}, callback={callback!r})"
             )
         if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
+            raise SimulationError(
+                f"cannot schedule an event {delay} seconds in the past "
+                f"(label={label!r}, callback={callback!r})"
+            )
         queue = self.queue
         return queue.push_reserved(self.clock._now + delay, next(queue._counter), callback, label)
 
@@ -529,12 +541,14 @@ class EventLoop:
         """
         if not math.isfinite(time):
             raise ValueError(
-                f"event time must be finite, got {time!r} (label={label!r})"
+                f"event time must be finite, got {time!r} "
+                f"(label={label!r}, callback={callback!r})"
             )
         now = self.clock._now
         if time < now - 1e-12:
             raise SimulationError(
-                f"cannot schedule an event at {time}, which is before now={now}"
+                f"cannot schedule an event at {time}, which is before now={now} "
+                f"(label={label!r}, callback={callback!r})"
             )
         queue = self.queue
         return queue.push_reserved(max(time, now), next(queue._counter), callback, label)
@@ -573,7 +587,7 @@ class EventLoop:
     def spawn(self, generator: ProcessGenerator, label: str = "") -> Process:
         """Run a coroutine generator as a process, started immediately.
 
-        The returned :class:`~repro.sim.process.Process` exposes a ``future``
+        The returned :class:`~repro.sim.process.Process` is a future
         resolving with the generator's return value; other coroutines wait on
         it by yielding the process.
         """
@@ -738,7 +752,7 @@ class EventLoop:
             + (repr(obj._waiting_on.label) if obj._waiting_on is not None else "sleep")
             for obj in gc.get_objects()
             if isinstance(obj, Process) and obj.loop is self and obj._started
-            and not obj.future._done
+            and not obj._done
         )
         if not parked:
             return "no process (an unresolved future nobody waits on)"

@@ -37,6 +37,11 @@ if TYPE_CHECKING:
     from repro.sim.loop import Event, EventLoop
 
 
+#: What a future calls when it settles: a function, or a waiter that is
+#: its own callback (a parked :class:`Process`).
+_Callback = Callable[["SimFuture"], None]
+
+
 class SimFuture:
     """A single-assignment result that callbacks (and processes) can await."""
 
@@ -48,9 +53,10 @@ class SimFuture:
         self._done = False
         self._cancelled = False
         self._result: object = None
-        # Lists made on first use and dropped to ``()`` on settle: most
-        # futures get one callback, and many get no cancel hook at all.
-        self._callbacks: "list[Callable[[SimFuture], None]] | tuple[()]" = ()
+        # Most futures get one callback: a lone one is held as is and a list
+        # is made only at the second.  Hooks are a list made on first use
+        # (many futures get none).  Both are dropped on settle.
+        self._callbacks: "_Callback | list[_Callback] | None" = None
         self._cancel_hooks: "list[Callable[[], None]] | tuple[()]" = ()
 
     @property
@@ -74,16 +80,18 @@ class SimFuture:
             raise SimulationError(f"future {self.label!r} has not resolved yet")
         return self._result
 
-    def add_done_callback(self, callback: Callable[["SimFuture"], None]) -> None:
+    def add_done_callback(self, callback: _Callback) -> None:
         """Run ``callback(self)`` when the future settles (now, if already done)."""
         if self._done:
             callback(self)
             return
         callbacks = self._callbacks
-        if isinstance(callbacks, list):
+        if callbacks is None:
+            self._callbacks = callback
+        elif isinstance(callbacks, list):
             callbacks.append(callback)
         else:
-            self._callbacks = [callback]
+            self._callbacks = [callbacks, callback]
 
     def on_cancel(self, hook: Callable[[], None]) -> None:
         """Register a resource-release hook run if the future is cancelled."""
@@ -96,10 +104,13 @@ class SimFuture:
             self._cancel_hooks = [hook]
 
     def _settle(self) -> None:
-        callbacks, self._callbacks = self._callbacks, ()
+        callbacks, self._callbacks = self._callbacks, None
         self._cancel_hooks = ()
-        for callback in callbacks:
-            callback(self)
+        if isinstance(callbacks, list):
+            for callback in callbacks:
+                callback(self)
+        elif callbacks is not None:
+            callbacks(self)
 
     def resolve(self, result: object = None) -> None:
         """Resolve the future with ``result`` and fire the callbacks."""
@@ -112,8 +123,8 @@ class SimFuture:
     def cancel(self) -> bool:
         """Cancel the future; returns ``False`` if it had already settled.
 
-        Cancel hooks run first (releasing e.g. the network flow backing the
-        future), then done-callbacks fire with ``cancelled=True``.
+        Cancel hooks run first (releasing e.g. a timer backing the future),
+        then done-callbacks fire with ``cancelled=True``.
         """
         if self._done:
             return False
@@ -191,40 +202,30 @@ Waitable = object
 ProcessGenerator = Generator[Waitable, object, object]
 
 
-class Process:
+class Process(SimFuture):
     """Drives one coroutine generator over the event loop.
 
-    ``process.future`` resolves with the generator's ``return`` value when it
-    finishes; waiting on a :class:`Process` (by yielding it) therefore hands
-    the return value back to the waiter.
+    A process is the future of its generator's ``return`` value: waiting on
+    it (by yielding it) hands that value back to the waiter.  It is also its
+    own done-callback while it is parked on a future, so a wait allocates
+    nothing beyond the future's callback slot.
     """
 
-    __slots__ = (
-        "loop", "generator", "label", "future", "_waiting_on", "_sleep_event",
-        "_started", "_cancelling", "_sleep_label",
-    )
+    __slots__ = ("loop", "generator", "_waiting_on", "_sleep_event", "_started", "_cancelling")
 
     def __init__(self, loop: "EventLoop", generator: ProcessGenerator, label: str = "") -> None:
+        super().__init__(label or getattr(generator, "__name__", "process"))
         self.loop = loop
         self.generator = generator
-        self.label = label or getattr(generator, "__name__", "process")
-        self.future = SimFuture(label=f"process:{self.label}")
-        #: The future, or the child process, the coroutine is parked on.
-        self._waiting_on: Optional["SimFuture | Process"] = None
+        #: The future (a flow, a quorum, a child process) the coroutine is
+        #: parked on.
+        self._waiting_on: Optional[SimFuture] = None
         #: Pending plain-sleep event when the coroutine yielded a number; the
         #: numeric fast path schedules the resume directly instead of
         #: building a timeout future (see :meth:`_wait_on`).
         self._sleep_event: Optional["Event"] = None
         self._started = False
         self._cancelling = False
-        #: Precomputed sleep-future label: a coroutine may sleep on every
-        #: step, so the string is built once per process, not per yield.
-        self._sleep_label = "sleep:" + self.label
-
-    @property
-    def done(self) -> bool:
-        """Whether the process has finished (or been cancelled)."""
-        return self.future._done
 
     def start(self) -> None:
         """Run the coroutine up to its first wait (idempotent)."""
@@ -239,9 +240,10 @@ class Process:
         Closes the generator (running its ``finally`` blocks) and cancels
         whatever it was waiting on, so held resources — pending timers,
         in-flight network flows, a child process and what *it* holds — are
-        released.  Returns ``False`` if the process had already finished.
+        released; the process settles as a cancelled future last.  Returns
+        ``False`` if the process had already finished.
         """
-        if self.future.done:
+        if self._done:
             return False
         self._cancelling = True
         waiting, self._waiting_on = self._waiting_on, None
@@ -251,7 +253,7 @@ class Process:
             sleep_event.cancel()
         if waiting is not None:
             waiting.cancel()
-        self.future.cancel()
+        SimFuture.cancel(self)
         return True
 
     def interrupt(self, error: BaseException) -> bool:
@@ -267,7 +269,7 @@ class Process:
         propagates to the caller.  Returns ``False`` if the process had
         already finished.
         """
-        if self.future._done:
+        if self._done:
             return False
         waiting, self._waiting_on = self._waiting_on, None
         sleep_event, self._sleep_event = self._sleep_event, None
@@ -291,7 +293,7 @@ class Process:
                 waiting.cancel()
             self._cancelling = False
         if finished:
-            self.future.resolve(target)
+            self.resolve(target)
         else:
             self._wait_on(target)
         return True
@@ -303,7 +305,7 @@ class Process:
             try:
                 target = self.generator.send(value)
             except StopIteration as stop:
-                self.future.resolve(getattr(stop, "value", None))
+                self.resolve(getattr(stop, "value", None))
                 return
         else:
             # Meter only the generator resumption itself; the downstream
@@ -314,54 +316,50 @@ class Process:
             except StopIteration as stop:
                 profile.coroutine_steps += 1
                 profile.coroutine_s += perf_counter() - started  # repro: allow[D102] (profiling meter)
-                self.future.resolve(getattr(stop, "value", None))
+                self.resolve(getattr(stop, "value", None))
                 return
             profile.coroutine_steps += 1
             profile.coroutine_s += perf_counter() - started  # repro: allow[D102] (profiling meter)
         self._wait_on(target)
 
     def _wait_on(self, target: Waitable) -> None:
-        # Futures first: flows, quorums and child processes' gates are what
-        # request coroutines mostly wait on.
+        # Futures first: flows, quorums and child processes are what request
+        # coroutines mostly wait on.  A child process is parked on as itself,
+        # so cancelling this process cancels the child (its ``finally``
+        # blocks run now, its flows are released) instead of only ceasing
+        # to listen to it.
         if isinstance(target, SimFuture):
-            future = target
-        elif isinstance(target, Process):
-            # Park on the child itself, not its future: cancelling this
-            # process must cancel the child (its ``finally`` blocks run now,
-            # its flows are released), not just stop listening to it.
             self._waiting_on = target
-            target.future.add_done_callback(self._resume)
-            return
+            target.add_done_callback(self)
         elif isinstance(target, (int, float)):
             # Plain-sleep fast path: closed-loop clients sleep between every
             # operation, so skipping the timeout future (a SimFuture, two
             # closures, and a callback list per yield) is one of the hottest
-            # allocation savings in a macro run.  Timing, event label, and
+            # allocation savings in a macro run.  Timing, event kind, and
             # the value sent back into the generator (the wake-up time) are
             # identical to ``loop.timeout``.
-            self._sleep_event = self.loop.schedule(
-                float(target), self._resume_sleep, self._sleep_label
-            )
-            return
+            # A bad delay fails in ``schedule``, whose error names the
+            # callback and so this process.
+            self._sleep_event = self.loop.schedule(float(target), self._resume_sleep, "sleep")
         else:
             raise SimulationError(
                 f"process {self.label!r} yielded unsupported waitable {target!r}"
             )
-        self._waiting_on = future
-        future.add_done_callback(self._resume)
 
     def _resume_sleep(self) -> None:
         self._sleep_event = None
-        if self.future._done or self._cancelling:
+        if self._done or self._cancelling:
             return
         self._step(self.loop.clock._now)
 
-    def _resume(self, future: SimFuture) -> None:
-        if self.future._done or self._cancelling:
+    def __call__(self, future: SimFuture) -> None:
+        """Resume the coroutine with what ``future`` settled to: the process
+        is the done-callback of the future it is parked on."""
+        if self._done or self._cancelling:
             return
         self._waiting_on = None
         self._step(future._result if not future._cancelled else None)
 
     def __repr__(self) -> str:
-        state = "done" if self.done else ("running" if self._started else "new")
+        state = "done" if self._done else ("running" if self._started else "new")
         return f"Process({self.label!r}, {state})"

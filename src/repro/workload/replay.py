@@ -404,7 +404,7 @@ def _run_arrivals(loop: EventLoop, arrivals: Sequence[Arrival], latch_label: str
 
     def inject(label: str, factory: Callable[[], ProcessGenerator]) -> None:
         process = loop.spawn(factory(), label=label)
-        process.future.add_done_callback(latch.count_down)
+        process.add_done_callback(latch.count_down)
 
     for timestamp, label, factory in arrivals:
         loop.schedule_at(
@@ -604,7 +604,7 @@ class ClosedLoopDriver(_EventDriver):
             )
             for index, ops in enumerate(plans)
         ]
-        loop.run_until_complete(all_of([process.future for process in processes]))
+        loop.run_until_complete(all_of(processes))
         return self._finish(report, trace_marker)
 
 

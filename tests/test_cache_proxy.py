@@ -397,5 +397,5 @@ class TestGetAfterADecommissionDroppedAChunk:
         results = []
         for _ in range(2):
             request = loop.spawn(client.get_process("obj", deployment.request_env))
-            results.append(loop.run_until_complete(request.future))
+            results.append(loop.run_until_complete(request))
         self.check(*results, sized)

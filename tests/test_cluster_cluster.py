@@ -121,7 +121,7 @@ class TestTenantDataPath:
 
         def put(key):
             task = loop.spawn(media.put_sized_process(key, 2 * MB, deployment.request_env))
-            return loop.run_until_complete(task.future)
+            return loop.run_until_complete(task)
 
         def bytes_on_nodes():
             return sum(

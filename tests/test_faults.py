@@ -333,7 +333,7 @@ class TestHardenedRequestPath:
             monkeypatch.setattr(node, "ensure_active", always_faulting(node))
         loop = deployment.simulator
         request = loop.spawn(client.get_process("obj", deployment.request_env))
-        result = loop.run_until_complete(request.future)
+        result = loop.run_until_complete(request)
         assert result.degraded
         assert sorted(attempts) == sorted(placement[:3])
         for times in attempts.values():
@@ -409,7 +409,7 @@ class TestSingleRequestPath:
 
             monkeypatch.setattr(loop, "spawn", counting_spawn)
             request = spawn(client.get_process("obj", deployment.request_env))
-            assert loop.run_until_complete(request.future).hit
+            assert loop.run_until_complete(request).hit
             total_chunks = deployment.config.total_chunks
             hedges = deployment.counters().get("proxy.chunk_hedges", 0)
             assert hedges == (0 if factors is None else 3)
@@ -455,7 +455,7 @@ class TestSingleRequestPath:
         if event_driven:
             loop = deployment.simulator
             request = loop.spawn(client.get_process("obj", deployment.request_env))
-            result = loop.run_until_complete(request.future)
+            result = loop.run_until_complete(request)
         else:
             result = client.get("obj")
         assert result.hit and result.chunks_lost == 1
@@ -521,7 +521,7 @@ def race_get(monkeypatch, record_charges, factors, *, parity_shards=0,
     loop = deployment.simulator
     marker = deployment.flows.trace_marker()
     request = loop.spawn(proxy.get_process("obj", deployment.request_env))
-    result = loop.run_until_complete(request.future)
+    result = loop.run_until_complete(request)
     assert next(draws, None) is None, "a scripted attempt never started"
     flows = [
         (int(interval.label.rpartition("#")[2]), interval.completed,

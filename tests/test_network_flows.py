@@ -41,7 +41,7 @@ MB = 1_000_000.0
 def first_n(count: int, futures) -> SimFuture:
     """A gate resolving, inside the resolve of the ``count``-th input to
     resolve, with those inputs' results; a cancelled input never counts.
-    The first-d-of-n race of a GET, over bare flow futures."""
+    The first-d-of-n race of a GET, over bare flows."""
     gate = SimFuture("quorum")
     winners: list[object] = []
 
@@ -83,7 +83,7 @@ class TestSoloFlow:
         loop, net = make_network()
         flow = start(net, size=100 * MB)  # host NIC 100 MB/s is the bottleneck
         done = []
-        flow.future.add_done_callback(lambda f: done.append(loop.now))
+        flow.add_done_callback(lambda f: done.append(loop.now))
         loop.run_all()
         assert done == [pytest.approx(1.0)]
         assert net.active_count == 0
@@ -97,7 +97,7 @@ class TestSoloFlow:
         loop, net = make_network()
         flow = start(net, size=50 * MB, fn_cap=50 * MB)
         loop.run_all()
-        assert flow.future.done
+        assert flow.done
         assert net.trace[0].ended_at == pytest.approx(1.0)
 
     def test_rejects_degenerate_flows(self):
@@ -114,12 +114,12 @@ class TestJoinAndLeaveMidTransfer:
         nic_capacity = 100 * MB
         incumbent = start(net, size=100 * MB, cap=nic_capacity, label="incumbent")
         ends: dict[str, float] = {}
-        incumbent.future.add_done_callback(lambda f: ends.setdefault("incumbent", loop.now))
+        incumbent.add_done_callback(lambda f: ends.setdefault("incumbent", loop.now))
 
         # At t=0.5 the incumbent has moved 50 MB; a joiner halves its share.
         loop.run_until(0.5)
         joiner = start(net, size=25 * MB, cap=nic_capacity, label="joiner")
-        joiner.future.add_done_callback(lambda f: ends.setdefault("joiner", loop.now))
+        joiner.add_done_callback(lambda f: ends.setdefault("joiner", loop.now))
         nic = net.fabric.hosts["h0"]
         assert nic.concurrent_flows == 2
         assert incumbent.rate_bps == pytest.approx(nic_capacity / 2)
@@ -143,7 +143,7 @@ class TestJoinAndLeaveMidTransfer:
         assert net.fabric.hosts["h0"].effective_bandwidth() == pytest.approx(50 * MB)
         loop.run_all()
         assert net.flows_on_host("h0") == 0
-        assert first.future.done and second.future.done
+        assert first.done and second.done
 
     def test_byte_conservation_across_rate_changes(self):
         loop, net = make_network()
@@ -166,7 +166,7 @@ class TestCancellation:
         straggler = start(net, size=100 * MB, label="straggler")
         loop.run_until(0.5)  # each has moved 25 MB at 50 MB/s
         assert net.cancel(straggler) is True
-        assert straggler.future.cancelled
+        assert straggler.cancelled
         partial = [i for i in net.trace if not i.completed]
         assert len(partial) == 1
         assert partial[0].label == "straggler"
@@ -181,7 +181,7 @@ class TestCancellation:
         loop, net = make_network()
         flow = start(net, size=100 * MB)
         loop.run_until(0.25)
-        flow.future.cancel()
+        flow.cancel()
         assert net.active_count == 0
         assert not net.trace[0].completed
         loop.run_all()  # the stale completion event must not fire
@@ -192,6 +192,81 @@ class TestCancellation:
         flow = start(net, size=10 * MB)
         assert net.cancel(flow) is True
         assert net.cancel(flow) is False
+
+
+def _cancel_one_flow(arbiter, way: str):
+    """Cancel one of three flows mid-transfer, with a process waiting on it,
+    and return what every observer saw."""
+    loop = EventLoop()
+    net = arbiter(loop, NetworkFabric(proxy_uplink_bps=150 * MB))
+    doomed = start(net, size=100 * MB, label="doomed")
+    same_nic = start(net, size=100 * MB, label="same-nic")
+    same_uplink = start(net, size=100 * MB, host="h1", label="same-uplink")
+    log: list = []
+    closed: list = []
+
+    def waiter():
+        try:
+            yield doomed
+        finally:
+            closed.append(loop.now)
+
+    waiting = loop.spawn(waiter(), "waiter")
+    doomed.on_cancel(lambda: log.append(("hook", net.active_count)))
+    doomed.add_done_callback(lambda f: log.append(("first", f.cancelled, loop.now)))
+    doomed.add_done_callback(lambda f: log.append(("second", f.cancelled, loop.now)))
+    loop.run_until(0.4)
+    if way == "flow.cancel()":
+        assert doomed.cancel() is True
+    elif way == "its waiter cancelled":
+        assert waiting.cancel() is True
+    else:
+        assert net.cancel(doomed) is True
+    shares = [
+        (flow.label, flow.rate_bps, flow.nic.concurrent_flows) for flow in (same_nic, same_uplink)
+    ]
+    settled = list(log)
+    assert doomed.cancel() is False and net.cancel(doomed) is False
+    loop.run_all()
+    assert log == settled  # settled once: nothing ran again
+    assert closed == [0.4] and waiting.done
+    return list(net.trace), shares, log
+
+
+class TestOneFlowOneSettlement:
+    """The three ways to abandon a transfer end in the same state."""
+
+    @pytest.mark.parametrize("arbiter", ARBITERS)
+    def test_three_ways_to_cancel_agree(self, arbiter):
+        ways = ["flow.cancel()", "its waiter cancelled", "FlowNetwork.cancel(flow)"]
+        outcomes = [_cancel_one_flow(arbiter, way) for way in ways]
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        trace, shares, log = outcomes[0]
+        assert [(row.label, row.completed) for row in trace] == [
+            ("doomed", False), ("same-nic", True), ("same-uplink", True),
+        ]
+        assert shares == [("same-nic", 75 * MB, 1), ("same-uplink", 75 * MB, 1)]  # the uplink binds
+        # The shares go first, then the hooks, then the callbacks in the
+        # order they were added.
+        assert log == [("hook", 2), ("first", True, 0.4), ("second", True, 0.4)]
+
+    @pytest.mark.parametrize("arbiter", ARBITERS)
+    def test_a_bad_completion_deadline_names_the_flow(self, arbiter):
+        loop = EventLoop()
+        net = arbiter(loop, NetworkFabric())
+        flow = start(net, size=100 * MB, label="p0:serving:obj#3")
+        loop.run_until(0.5)
+        if arbiter is ReferenceFlowNetwork:
+            # Eager completion events: every re-aim is a fresh schedule.
+            with pytest.raises(ValueError, match="p0:serving:obj#3"):
+                net._aim(flow, float("nan"))
+            with pytest.raises(SimulationError, match="p0:serving:obj#3"):
+                net._aim(flow, 0.25)
+            return
+        with pytest.raises(ValueError, match="p0:serving:obj#3"):
+            flow._completion.set_deadline(float("nan"))
+        with pytest.raises(SimulationError, match="p0:serving:obj#3"):
+            flow._completion.set_deadline(0.25)
 
 
 class TestProxyUplinkSharing:
@@ -330,13 +405,13 @@ def _drive(network_cls, seed: int, uplink_mb: float = 400, **schedule_kwargs):
                 for params in stripe["follow_ups"]:
                     start(params)
             for flow in siblings:
-                if not flow.future.done:
+                if not flow.done:
                     net.cancel(flow)
             if not stripe["follow_ups_first"]:
                 for params in stripe["follow_ups"]:
                     start(params)
 
-        first_n(2, [flow.future for flow in siblings]).add_done_callback(settle)
+        first_n(2, siblings).add_done_callback(settle)
 
     def abandon(label):
         flow = flows.get(label)
@@ -512,7 +587,7 @@ class TestUplinkBindTest:
                     for flow in late:
                         net.cancel(flow)
 
-            first.future.add_done_callback(cascade)
+            first.add_done_callback(cascade)
             loop.run_until(0.1)  # `first` completes at t = 0.1 s
             seen["rates"] = [flow.rate_bps for flow in survivors]
             loop.run_all()
@@ -558,9 +633,9 @@ class TestUplinkBindTest:
                 late = [flow(f"h{n}", size_mb=100, fn_mb=30) for n in range(4)]
                 net.cancel(late[-1])
 
-            first.future.add_done_callback(cascade)
+            first.add_done_callback(cascade)
             loop.run_all()
-            assert low.future.done and high.future.done
+            assert low.done and high.done
             return net, loop, seen
 
         net, net_loop, seen = drive(FlowNetwork)
@@ -589,10 +664,10 @@ class TestArbiterMeters:
             net.cancel(loser)
             start(net, size=10 * MB, host="h3")
 
-        first.future.add_done_callback(cascade)
+        first.add_done_callback(cascade)
         loop.run_all()
         loop.disable_profiling()
-        assert kept.future.done and net.active_count == 0
+        assert kept.done and net.active_count == 0
         stats = net.flow_stats()
         assert (stats["completed_flows"], stats["abandoned_flows"]) == (3.0, 1.0)
         assert profile.arbiter_transitions == 4 + 4  # starts + retirements
@@ -615,7 +690,7 @@ class TestRunningPeak:
         loop, net = make_network()
         first = start(net, size=10 * MB)
         loop.run_all()
-        assert first.future.done
+        assert first.done
         start(net, size=10 * MB)
         loop.run_all()
         assert net.max_concurrent() == 1
@@ -727,11 +802,11 @@ class TestQuorumTieOrder:
             )
             for index in range(self.CHUNKS)
         ]
-        gate = first_n(self.QUORUM, [flow.future for flow in flows])
+        gate = first_n(self.QUORUM, flows)
 
         def abandon_stragglers(_):
             for flow in flows:
-                if not flow.future.done:
+                if not flow.done:
                     net.cancel(flow)
 
         gate.add_done_callback(abandon_stragglers)

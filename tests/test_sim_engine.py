@@ -6,6 +6,8 @@ import gc
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.client import GetResult
 from repro.cache.proxy import ChunkFetch, ProxyGetResult, _chunk_quorum
@@ -45,6 +47,106 @@ class TestSimFuture:
         assert order == ["hook", ("done", True)]
         # Cancelling a settled future is a no-op.
         assert future.cancel() is False
+
+
+class _ListFuture:
+    """The reference for :class:`SimFuture`: a callback list and a hook list
+    made eagerly, settled in registration order, hooks before callbacks."""
+
+    def __init__(self) -> None:
+        self.done = self.cancelled = False
+        self.result: object = None
+        self.callbacks: list = []
+        self.hooks: list = []
+
+    def add_done_callback(self, callback) -> None:
+        if self.done:
+            callback(self)
+        else:
+            self.callbacks.append(callback)
+
+    def on_cancel(self, hook) -> None:
+        if not self.done:
+            self.hooks.append(hook)
+
+    def _settle(self) -> None:
+        callbacks, self.callbacks, self.hooks = self.callbacks, [], []
+        for callback in callbacks:
+            callback(self)
+
+    def resolve(self, result: object = None) -> None:
+        if self.done:
+            raise SimulationError("resolved twice")
+        self.done, self.result = True, result
+        self._settle()
+
+    def cancel(self) -> bool:
+        if self.done:
+            return False
+        self.done = self.cancelled = True
+        hooks, self.hooks = self.hooks, []
+        for hook in hooks:
+            hook()
+        self._settle()
+        return True
+
+
+#: One future's life: callbacks (each of which may add another while the
+#: future settles) and cancel hooks in any order, one settlement, then late
+#: callbacks and a second settlement attempt.
+_FUTURE_SCRIPTS = st.tuples(
+    st.lists(
+        st.one_of(st.tuples(st.just("callback"), st.booleans()), st.just(("hook", False))),
+        max_size=6,
+    ).filter(lambda steps: sum(kind == "callback" for kind, _ in steps) <= 4),
+    st.sampled_from(["resolve", "cancel"]),
+    st.integers(0, 2),
+    st.sampled_from(["resolve", "cancel"]),
+)
+
+
+def _play(future, script) -> list:
+    steps, settle, late, again = script
+    log: list = []
+
+    def callback(name, nests):
+        def run(settled):
+            log.append((name, settled.done, settled.cancelled, settled.result))
+            if nests:
+                settled.add_done_callback(callback(name + ".nested", False))
+        return run
+
+    for index, (kind, nests) in enumerate(steps):
+        if kind == "callback":
+            future.add_done_callback(callback(f"callback-{index}", nests))
+        else:
+            future.on_cancel(lambda index=index: log.append(("hook", index, future.done)))
+    log.append(("settle", future.cancel() if settle == "cancel" else future.resolve(7)))
+    for index in range(late):
+        future.add_done_callback(callback(f"late-{index}", False))
+    try:
+        log.append(("again", future.cancel() if again == "cancel" else future.resolve(8)))
+    except SimulationError:
+        log.append(("again", "refused"))
+    return log
+
+
+class TestSimFutureMatchesTheListReference:
+    """A lone callback is held as is, and a list is made at the second one;
+    nothing of that may show."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(script=_FUTURE_SCRIPTS)
+    def test_same_calls_in_the_same_order(self, script):
+        assert _play(SimFuture("f"), script) == _play(_ListFuture(), script)
+
+    def test_a_settled_future_drops_its_callbacks(self):
+        future = SimFuture("f")
+        future.add_done_callback(lambda f: None)
+        future.add_done_callback(lambda f: None)
+        future.on_cancel(lambda: None)
+        future.resolve()
+        assert not future._callbacks and not future._cancel_hooks
 
 
 class TestCombinators:
@@ -144,7 +246,7 @@ class TestProcesses:
             return "done"
 
         process = loop.spawn(proc())
-        result = loop.run_until_complete(process.future)
+        result = loop.run_until_complete(process)
         assert result == "done"
         assert log == [1.5, 4.0]
 
@@ -162,7 +264,7 @@ class TestProcesses:
             return (value, other)
 
         process = loop.spawn(outer())
-        assert loop.run_until_complete(process.future) == ("inner-value", "inner-value")
+        assert loop.run_until_complete(process) == ("inner-value", "inner-value")
         assert loop.now == 2.0
 
     def test_concurrent_processes_interleave(self):
@@ -175,7 +277,7 @@ class TestProcesses:
 
         a = loop.spawn(proc("a", 2.0))
         b = loop.spawn(proc("b", 1.0))
-        loop.run_until_complete(all_of([a.future, b.future]))
+        loop.run_until_complete(all_of([a, b]))
         assert log == [("b", 1.0), ("a", 2.0)]
 
     def test_cancel_runs_finally_at_current_time(self):
@@ -191,7 +293,7 @@ class TestProcesses:
         process = loop.spawn(proc())
         loop.run_until(3.0)
         assert process.cancel() is True
-        assert process.future.cancelled
+        assert process.cancelled
         assert cleanup == [3.0]
         # The pending wake-up was cancelled along with the process.
         loop.run_all()
@@ -205,13 +307,13 @@ class TestProcesses:
             return name
 
         tasks = [loop.spawn(proc(d, n)) for d, n in ((3.0, "slow"), (1.0, "fast"), (2.0, "mid"))]
-        gate = _chunk_quorum([t.future for t in tasks], 2, "quorum")
+        gate = _chunk_quorum(tasks, 2, "quorum")
         winners = loop.run_until_complete(gate)
         assert winners == ["fast", "mid"]
         for task in tasks:
             if not task.done:
                 task.cancel()
-        assert tasks[0].future.cancelled
+        assert tasks[0].cancelled
 
     def test_run_until_complete_detects_deadlock(self):
         loop = EventLoop()
@@ -221,7 +323,7 @@ class TestProcesses:
 
         process = loop.spawn(proc())
         with pytest.raises(SimulationError):
-            loop.run_until_complete(process.future)
+            loop.run_until_complete(process)
 
     def test_deadlock_error_names_the_parked_processes(self):
         def wait_on(future):
@@ -233,7 +335,7 @@ class TestProcesses:
         # Parked too, but on another loop: not this run's deadlock.
         EventLoop().spawn(wait_on(SimFuture("elsewhere")), label="client-c")
         with pytest.raises(SimulationError) as error:
-            loop.run_until_complete(all_of([lease.future, ack.future]))
+            loop.run_until_complete(all_of([lease, ack]))
         message = str(error.value)
         assert "'client-a' waiting on 'lease'" in message
         assert "'client-b' waiting on 'ack'" in message
@@ -282,6 +384,62 @@ class TestProcesses:
         assert cleanup == [("parent", 1.0), ("child", 1.0)]
 
 
+class TestProcessIsItsOwnFuture:
+    """A process settles once, as the future of its return value."""
+
+    @pytest.mark.parametrize("wait", ["yield", "all_of", "run_until_complete"])
+    def test_a_waiter_resumes_once_with_the_return_value(self, wait):
+        loop = EventLoop()
+        resumed = []
+
+        def child():
+            yield 1.0
+            return "value"
+
+        process = loop.spawn(child(), "child")
+        if wait == "run_until_complete":
+            resumed.append(loop.run_until_complete(process))
+        else:
+            def waiter():
+                resumed.append((yield process if wait == "yield" else all_of([process])))
+                yield 5.0  # a second resume would append again
+
+            waiting = loop.spawn(waiter(), "waiter")
+            loop.run_all()
+            assert waiting.done and not waiting.cancelled
+        loop.run_all()
+        assert resumed == (["value"] if wait != "all_of" else [["value"]])
+        assert process.result == "value" and not process.cancelled
+        with pytest.raises(SimulationError, match="'child' resolved twice"):
+            process.resolve("again")
+
+    @pytest.mark.parametrize("cancel", ["process", "its waiter"])
+    def test_cancelling_closes_its_generator_once(self, cancel):
+        loop = EventLoop()
+        closed, resumed = [], []
+
+        def child():
+            try:
+                yield 10.0
+            finally:
+                closed.append(loop.now)
+
+        def waiter():
+            resumed.append((yield process))
+
+        process = loop.spawn(child(), "child")
+        waiting = loop.spawn(waiter(), "waiter")
+        loop.run_until(1.0)
+        (process if cancel == "process" else waiting).cancel()
+        assert process.cancelled and closed == [1.0]
+        assert process.cancel() is False and waiting.cancel() is False
+        loop.run_all()
+        assert closed == [1.0] and loop.now == 1.0  # its wake-up went with it
+        # Cancelled directly, the process resumes its waiter with nothing;
+        # cancelled through the waiter, nobody is left to resume.
+        assert resumed == ([None] if cancel == "process" else [])
+
+
 class TestInterrupt:
     def test_interrupt_raises_at_the_wait_and_the_coroutine_goes_on(self):
         loop = EventLoop()
@@ -307,7 +465,7 @@ class TestInterrupt:
         # its late callback does not resume the coroutine a second time.
         assert log == [("finally", 1.0), ("caught", "deadline", 1.0), ("flow released", 1.0)]
         assert flow.cancelled
-        assert loop.run_until_complete(process.future) == "went on"
+        assert loop.run_until_complete(process) == "went on"
         assert loop.now == 3.0
 
     def test_interrupt_cancels_the_abandoned_sleep(self):
@@ -322,7 +480,7 @@ class TestInterrupt:
         process = loop.spawn(proc())
         loop.run_until(1.0)
         process.interrupt(KeyError())
-        assert process.future.result == "interrupted"
+        assert process.result == "interrupted"
         loop.run_all()
         assert loop.now == 1.0
 
@@ -346,7 +504,7 @@ class TestInterrupt:
         process = loop.spawn(parent())
         loop.run_until(2.0)
         process.interrupt(KeyError())
-        assert process.future.result == "done"
+        assert process.result == "done"
         assert cleanup == [2.0]
 
     def test_uncaught_interrupt_propagates_and_finished_process_refuses(self):
@@ -360,7 +518,7 @@ class TestInterrupt:
         with pytest.raises(KeyError):
             process.interrupt(KeyError("unhandled"))
         finished = loop.spawn(proc())
-        loop.run_until_complete(finished.future)
+        loop.run_until_complete(finished)
         assert finished.interrupt(KeyError()) is False
 
 
@@ -374,7 +532,7 @@ class TestBackwardsCompatibility:
             yield 1.0
             return "ok"
 
-        assert loop.run_until_complete(loop.spawn(proc()).future) == "ok"
+        assert loop.run_until_complete(loop.spawn(proc())) == "ok"
 
 
 class TestDeadlineTimer:

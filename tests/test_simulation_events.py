@@ -389,6 +389,31 @@ class TestLoopProfiling:
 
         assert replay(profiled=True) == replay(profiled=False)
 
+    def test_profile_keys_and_counts_of_a_fleet_replay_are_pinned(self):
+        """Flow completions and sleeps are scheduled under the bare kinds
+        ``"flow.finish"`` and ``"sleep"``, the keys the profile aggregates
+        on.  A 64-client replay, counted when those labels still carried
+        the flow's and the process's label after a colon."""
+        from repro.cache.deployment import InfiniCacheDeployment
+        from repro.experiments.perf import _fleet_config
+        from repro.utils.units import MB
+        from repro.workload.replay import ClosedLoopDriver, seed_fleet
+
+        deployment = InfiniCacheDeployment(_fleet_config(64, "incremental", 2020))
+        plans = seed_fleet(deployment, "perf", 64, 2, 2 * MB, 6)
+        profile = deployment.simulator.enable_profiling()
+        ClosedLoopDriver(deployment).run(plans)
+        deployment.simulator.disable_profiling()
+        assert profile.scheduled == {
+            "billing.session_close": 128, "cache.cost_sample": 1, "cache.warmup": 1,
+            "faas.reclaim_sweep": 1, "flow.finish": 7701, "sleep": 2632,
+        }
+        assert profile.dispatched == {"flow.finish": 3230, "sleep": 2632}
+        assert profile.cancelled == {
+            "cache.cost_sample": 1, "cache.warmup": 1, "faas.reclaim_sweep": 1,
+            "flow.finish": 4471,
+        }
+
     def test_collector_hook_lives_exactly_as_long_as_profiling(self):
         hooks_before = list(gc.callbacks)
         simulator = Simulator()
@@ -457,6 +482,18 @@ class TestDelayValidation:
         simulator = Simulator()
         with pytest.raises(SimulationError):
             simulator.schedule(-0.5, lambda: None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_a_bad_sleep_names_its_process(self, bad):
+        """Sleep events carry the bare kind ``"sleep"``; the error names the
+        process through its resume callback."""
+        simulator = Simulator()
+
+        def coroutine():
+            yield bad
+
+        with pytest.raises((ValueError, SimulationError), match="p0:fetch:obj#2"):
+            simulator.spawn(coroutine(), label="p0:fetch:obj#2")
 
     def test_nan_push_does_not_corrupt_heap_order(self):
         """A rejected NaN push leaves the queue fully ordered."""
