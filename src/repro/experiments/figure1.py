@@ -10,11 +10,12 @@ Four CDFs over the (synthetic) London and Dallas traces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.experiments.report import format_cdf_summary
+from repro.utils.fanout import fan_out
 from repro.utils.stats import cdf_points
 from repro.utils.units import HOUR, MB
 from repro.workload.docker_registry import DockerRegistryTraceGenerator
@@ -66,21 +67,24 @@ def analyze_trace(trace: Trace, large_threshold: int = 10 * MB) -> Figure1Result
     )
 
 
+def _analyze_datacenter(unit: tuple[str, float]) -> Figure1Result:
+    """Generate one ``(datacentre, duration_hours)`` trace and compute its
+    series (a :func:`~repro.utils.fanout.fan_out` unit)."""
+    name, duration_hours = unit
+    generator = DockerRegistryTraceGenerator(name)
+    if duration_hours != generator.config.duration_hours:
+        generator = DockerRegistryTraceGenerator(
+            replace(generator.config, duration_hours=duration_hours)
+        )
+    return analyze_trace(generator.generate())
+
+
 def run(duration_hours: float = 50.0, datacenters: tuple[str, ...] = ("dallas", "london"),
         ) -> dict[str, Figure1Result]:
-    """Generate the traces and compute every Figure 1 series."""
-    results: dict[str, Figure1Result] = {}
-    for name in datacenters:
-        generator = DockerRegistryTraceGenerator(name)
-        if duration_hours != generator.config.duration_hours:
-            from dataclasses import replace
-
-            generator = DockerRegistryTraceGenerator(
-                replace(generator.config, duration_hours=duration_hours)
-            )
-        trace = generator.generate()
-        results[name] = analyze_trace(trace)
-    return results
+    """Generate the traces and compute every Figure 1 series, the
+    datacentres side by side on every usable core."""
+    results = fan_out(_analyze_datacenter, [(name, duration_hours) for name in datacenters])
+    return dict(zip(datacenters, results))
 
 
 def format_report(results: dict[str, Figure1Result]) -> str:

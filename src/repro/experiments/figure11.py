@@ -31,11 +31,13 @@ from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.report import format_table
+from repro.utils.fanout import fan_out
 from repro.utils.stats import summarize
 from repro.utils.units import MB, MIB
 from repro.workload.replay import (
     ClientOp,
     ClosedLoopDriver,
+    ConcurrentReplayReport,
     ElastiCacheTarget,
     OpenLoopBaselineDriver,
 )
@@ -93,12 +95,12 @@ class Figure11Result:
 
 
 def _measure_infinicache(
-    harness: ExperimentHarness,
-    memory_mib: int,
-    code: tuple[int, int],
-    object_size: int,
-    requests: int,
-) -> LatencySample:
+    unit: tuple[int, int, tuple[int, int], int, int],
+) -> ConcurrentReplayReport:
+    """Replay one ``(seed, memory, code, object size, requests)`` cell (a
+    :func:`~repro.utils.fanout.fan_out` unit), returning its report with the
+    digest fixed and the flow intervals released: no figure reads them."""
+    seed, memory_mib, code, object_size, requests = unit
     data_shards, parity_shards = code
     config = InfiniCacheConfig(
         lambdas_per_proxy=max(20, (data_shards + parity_shards) * 2),
@@ -106,7 +108,7 @@ def _measure_infinicache(
         data_shards=data_shards,
         parity_shards=parity_shards,
         backup_enabled=False,
-        seed=harness.seed_for(memory_mib, code, object_size),
+        seed=seed,
     )
     deployment = InfiniCacheDeployment(config)
     key = f"fig11/{memory_mib}/{data_shards}+{parity_shards}/{object_size}"
@@ -118,14 +120,9 @@ def _measure_infinicache(
     for _round in range(requests):
         plan.append(ClientOp("SLEEP", delay_s=1.0))
         plan.append(ClientOp("GET", key=key, size=object_size))
-    driver = ClosedLoopDriver(deployment)
-    label = f"cell.{memory_mib}.{data_shards}+{parity_shards}.{object_size}"
-    report = harness.record(label, driver.run([plan]))
-    sample = LatencySample(
-        lambda_memory_mib=memory_mib, rs_code=code, object_size=object_size
-    )
-    sample.latencies_s = [s.latency_s for s in report.hit_samples()]
-    return sample
+    report = ClosedLoopDriver(deployment).run([plan])
+    report.release_flow_intervals()
+    return report
 
 
 def _measure_elasticache(
@@ -155,17 +152,31 @@ def run(
     seed: int = 1111,
     harness: ExperimentHarness | None = None,
 ) -> Figure11Result:
-    """Measure every (memory, code, size) cell plus the ElastiCache baselines."""
+    """Measure every (memory, code, size) cell plus the ElastiCache baselines.
+
+    The cells are independent replays and run side by side on every usable
+    core; each is recorded here, in sweep order, so the fingerprints and the
+    ``--metrics`` export do not depend on where a cell ran.
+    """
     harness = harness or ExperimentHarness("figure11", seed)
     result = Figure11Result()
-    for memory_mib in lambda_memories_mib:
-        for code in rs_codes:
-            for object_size in object_sizes:
-                result.cells.append(
-                    _measure_infinicache(
-                        harness, memory_mib, code, object_size, requests_per_cell
-                    )
-                )
+    cells = [
+        (memory_mib, code, object_size)
+        for memory_mib in lambda_memories_mib
+        for code in rs_codes
+        for object_size in object_sizes
+    ]
+    reports = fan_out(_measure_infinicache, [
+        (harness.seed_for(*cell), *cell, requests_per_cell) for cell in cells
+    ])
+    for (memory_mib, code, object_size), report in zip(cells, reports):
+        harness.record(f"cell.{memory_mib}.{code[0]}+{code[1]}.{object_size}", report)
+        result.cells.append(LatencySample(
+            lambda_memory_mib=memory_mib,
+            rs_code=code,
+            object_size=object_size,
+            latencies_s=[sample.latency_s for sample in report.hit_samples()],
+        ))
     if include_elasticache:
         for object_size in object_sizes:
             result.elasticache[("ElastiCache(1-node)", object_size)] = _measure_elasticache(

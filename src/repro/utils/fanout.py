@@ -1,7 +1,9 @@
 """Run independent simulations side by side on every usable core.
 
-The evaluation is mostly independent runs: Figure 8's six reclamation
-days, the production trace's five replays, a scenario grid's
+The evaluation is mostly independent runs: Figure 1's two datacentre
+traces, Figure 8's six reclamation days, Figure 11's cells, Figure 12's
+client counts, the production trace's five replays, the chaos sweep's
+hardening levels, the autoscaler comparison's policies, a scenario grid's
 ``(cell, replication)`` units.  :func:`fan_out` maps a top-level function
 over such a list in ``fork``ed worker processes and hands the results back
 in unit order, so the caller cannot tell it from a list comprehension —

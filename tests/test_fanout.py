@@ -3,9 +3,10 @@
 ``fan_out`` must be indistinguishable from a list comprehension: results in
 unit order, a unit's exception raised to the caller, and a dead worker
 failing the run instead of hanging it.  Every experiment that fans out is
-replayed both ways at ``golden`` scale — forked, and in-process by
-reporting one usable CPU — and must agree on its fingerprints, its report
-text and its ``--metrics`` export.
+replayed both ways at ``golden`` scale (Figure 1 at one hour of both
+datacentres) — forked, and in-process by reporting one usable CPU — and
+must agree on its fingerprints, its report text and its ``--metrics``
+export.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ import pytest
 from repro.experiments import (
     autoscale_policies,
     chaos_availability,
+    figure1,
     figure8,
     figure9,
+    figure11,
+    figure12,
     figure13,
     figure14,
     figure15,
@@ -36,6 +40,7 @@ from repro.network.flows import FlowInterval
 from repro.obs.metrics import MetricRegistry
 from repro.utils import fanout
 from repro.utils.fanout import fan_out, usable_cpus
+from repro.utils.units import MB
 from repro.workload.replay import ConcurrentReplayReport, RequestSample
 
 
@@ -160,15 +165,30 @@ def _production_reports(results) -> list[str]:
 
 #: experiment -> (run it at golden scale, render every report it feeds,
 #: the harness its ``--metrics`` series are labelled with, if any).
-#: Figure 8 drives no replay driver, so it has no fingerprints; its whole
-#: result — every per-hour and per-sweep reclaim count — is compared instead.
+#: Figure 1 runs both datacentres, each for one hour: golden scale has one,
+#: which never forks.
 _FANNED_OUT = {
+    "figure1": (
+        lambda: figure1.run(duration_hours=1.0),
+        lambda results: [figure1.format_report(results)],
+        None,
+    ),
     "figure8": (
         lambda: figure8.run(**_golden("figure8")),
         lambda result: [
             figure8.format_report(result), figure9.format_report(figure9.run(result)),
         ],
         None,
+    ),
+    "figure11": (
+        lambda: figure11.run(**_golden("figure11")),
+        lambda result: [figure11.format_report(result)],
+        "figure11",
+    ),
+    "figure12": (
+        lambda: figure12.run(**_golden("figure12")),
+        lambda result: [figure12.format_report(result)],
+        "figure12",
     ),
     "production": (
         lambda: production.run(**_golden("production")),
@@ -186,6 +206,11 @@ _FANNED_OUT = {
         "autoscale_policies",
     ),
 }
+#: Compared whole, not only by their fingerprints: Figures 1 and 8 drive no
+#: replay driver, so every CDF point and reclaim count stands in for one,
+#: and Figures 11 and 12 keep each cell's latencies and each client count's
+#: report, intervals included.
+_COMPARED_WHOLE = {"figure1", "figure8", "figure11", "figure12"}
 
 
 @pytest.mark.parametrize("name", sorted(_FANNED_OUT))
@@ -200,7 +225,7 @@ def test_fanned_out_and_in_process_runs_are_identical(monkeypatch, name):
         metrics = MetricRegistry()
         monkeypatch.setattr(ExperimentHarness, "default_metrics", metrics)
         result = run()
-        pinned = result if name == "figure8" else result.fingerprints
+        pinned = result if name in _COMPARED_WHOLE else result.fingerprints
         return pinned, render(result), metrics.to_prometheus()
 
     fanned, in_process = replay(2), replay(1)
@@ -210,6 +235,37 @@ def test_fanned_out_and_in_process_runs_are_identical(monkeypatch, name):
     if harness is not None:
         # Recorded in this process, not lost in a worker's copy of the registry.
         assert f'experiment="{harness}"' in fanned[2]
+
+
+def test_figure12_ships_its_reports_with_their_intervals(monkeypatch):
+    """Figure 12's report prints each client count's peak concurrent flows,
+    which are read from the intervals, so its units keep them."""
+    def replay(cpus: int) -> dict[int, ConcurrentReplayReport]:
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+        return figure12.run(**_golden("figure12")).reports
+
+    fanned, in_process = replay(2), replay(1)
+    assert sorted(fanned) == [1, 2]
+    for clients, report in fanned.items():
+        assert len(report.flow_intervals) > 0 and report.flow_intervals_dropped == 0
+        peak = report.max_concurrent_flows()
+        assert peak == in_process[clients].max_concurrent_flows() > 0
+
+
+def test_figure11_ships_its_cells_with_the_full_digest_and_no_intervals(monkeypatch):
+    """A Figure 11 cell is hashed by the unit that ran it and comes back
+    without its flow intervals, counted as dropped."""
+    harness = ExperimentHarness("figure11", 1111)
+    cells = [(256, (10, 1), 10 * MB), (1024, (4, 2), 10 * MB)]
+    units = [(harness.seed_for(*cell), *cell, 4) for cell in cells]
+    shipped = fan_out(figure11._measure_infinicache, units, workers=2)
+    monkeypatch.setattr(ConcurrentReplayReport, "release_flow_intervals", lambda self: None)
+    full = [figure11._measure_infinicache(unit) for unit in units]
+    for cell, whole in zip(shipped, full):
+        assert len(cell.flow_intervals) == 0
+        assert cell.flow_intervals_dropped == len(whole.flow_intervals) > 0
+        assert cell.fingerprint() == whole.fingerprint()
+        assert cell.samples == whole.samples
 
 
 class TestProductionShipsDigests:
