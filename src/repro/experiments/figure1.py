@@ -10,13 +10,14 @@ Four CDFs over the (synthetic) London and Dallas traces:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.experiments.report import format_cdf_summary
 from repro.utils.fanout import fan_out
-from repro.utils.stats import cdf_points
+from repro.utils.stats import CdfSeries, cdf_points
 from repro.utils.units import HOUR, MB
 from repro.workload.docker_registry import DockerRegistryTraceGenerator
 from repro.workload.trace import Trace
@@ -27,23 +28,23 @@ class Figure1Result:
     """CDF series for one datacentre trace."""
 
     name: str
-    object_size_cdf: list[tuple[float, float]] = field(default_factory=list)
-    byte_fraction_cdf: list[tuple[float, float]] = field(default_factory=list)
-    access_count_cdf: list[tuple[float, float]] = field(default_factory=list)
-    reuse_interval_hours_cdf: list[tuple[float, float]] = field(default_factory=list)
+    object_size_cdf: CdfSeries = field(default_factory=CdfSeries)
+    byte_fraction_cdf: CdfSeries = field(default_factory=CdfSeries)
+    access_count_cdf: CdfSeries = field(default_factory=CdfSeries)
+    reuse_interval_hours_cdf: CdfSeries = field(default_factory=CdfSeries)
     large_object_fraction: float = 0.0
     large_byte_fraction: float = 0.0
     reuse_within_hour_fraction: float = 0.0
 
 
-def _byte_fraction_cdf(sizes: list[int]) -> list[tuple[float, float]]:
+def _byte_fraction_cdf(sizes: list[int]) -> CdfSeries:
     """CDF of cumulative byte footprint ordered by object size (Figure 1b)."""
     if not sizes:
-        return []
+        return CdfSeries()
     ordered = np.sort(np.asarray(sizes, dtype=float))
     cumulative = np.cumsum(ordered)
-    total = cumulative[-1]
-    return [(float(size), float(cum / total)) for size, cum in zip(ordered, cumulative)]
+    fractions = cumulative / cumulative[-1]
+    return CdfSeries(array("d", ordered.tobytes()), array("d", fractions.tobytes()))
 
 
 def analyze_trace(trace: Trace, large_threshold: int = 10 * MB) -> Figure1Result:
@@ -59,8 +60,8 @@ def analyze_trace(trace: Trace, large_threshold: int = 10 * MB) -> Figure1Result
         name=trace.name,
         object_size_cdf=cdf_points([size / MB for size in sizes]),
         byte_fraction_cdf=_byte_fraction_cdf(sizes),
-        access_count_cdf=cdf_points(access_counts) if access_counts else [],
-        reuse_interval_hours_cdf=cdf_points(reuse_hours) if reuse_hours else [],
+        access_count_cdf=cdf_points(access_counts),
+        reuse_interval_hours_cdf=cdf_points(reuse_hours),
         large_object_fraction=large_objects / len(sizes) if sizes else 0.0,
         large_byte_fraction=large_bytes / sum(sizes) if sizes else 0.0,
         reuse_within_hour_fraction=within_hour / len(reuse_intervals) if reuse_intervals else 0.0,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.production import ProductionResults
 from repro.experiments.report import format_cdf_summary
-from repro.utils.stats import cdf_points
+from repro.utils.stats import CdfSeries, cdf_points
 from repro.utils.units import MB
 from repro.workload.replay import ConcurrentReplayReport
 
@@ -23,9 +23,9 @@ class Figure15Result:
     """Latency CDFs per system, for the all-object and large-object panels."""
 
     #: system -> CDF of latency seconds (all objects)
-    all_objects: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    all_objects: dict[str, CdfSeries] = field(default_factory=dict)
     #: system -> CDF of latency seconds (objects > 10 MB)
-    large_objects: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    large_objects: dict[str, CdfSeries] = field(default_factory=dict)
     #: fraction of large requests where InfiniCache is at least 100x faster than S3
     large_speedup_100x_fraction: float = 0.0
     #: per-replay driver fingerprints (golden differential suite)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
+
+from repro.utils.stats import CdfSeries
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -42,13 +45,15 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     return "\n".join(parts)
 
 
-def format_cdf_summary(name: str, points: list[tuple[float, float]],
+def format_cdf_summary(name: str, points: CdfSeries,
                        fractions: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)) -> str:
-    """Summarise a CDF by reporting the value at a handful of fractions."""
+    """Summarise a CDF by reporting the value at a handful of fractions:
+    the first point whose fraction reaches each (a CDF's fractions never
+    decrease), else the last."""
     if not points:
         return f"{name}: (empty)"
     values = []
     for target in fractions:
-        value = next((v for v, frac in points if frac >= target), points[-1][0])
+        value = points.value[min(bisect_left(points.fraction, target), len(points) - 1)]
         values.append(f"p{int(target * 100)}={value:.4g}")
     return f"{name}: " + ", ".join(values)

@@ -67,14 +67,15 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Collection, Sequence
 from time import perf_counter
-from typing import Any, NamedTuple, Optional, Union, overload
+from typing import Any, NamedTuple, Optional
 
 from repro.exceptions import SimulationError
 from repro.network.topology import HostNic, NetworkFabric
 from repro.sim.loop import EventLoop
 from repro.sim.process import SimFuture
+from repro.utils.columns import FLAG, TEXT, ColumnStore
 
 #: Valid ``InfiniCacheConfig.flow_arbiter`` names (see :func:`resolve_arbiter`).
 ARBITER_NAMES = ("incremental", "reference")
@@ -149,7 +150,7 @@ class FlowInterval(NamedTuple):
         return self.started_at < other.ended_at and other.started_at < self.ended_at
 
 
-class FlowTrace(Sequence[FlowInterval]):
+class FlowTrace(ColumnStore[FlowInterval]):
     """Retired transfers, oldest first, stored as one column per field.
 
     Each :class:`FlowInterval` field is an attribute holding its column:
@@ -158,13 +159,15 @@ class FlowTrace(Sequence[FlowInterval]):
     for ``completed``, and lists of ``str`` for ``label``, ``host_id`` and
     ``proxy_id``.  Readers that scan every transfer (the report digest, the
     concurrency sweeps) read the columns; indexing and iteration build
-    :class:`FlowInterval` records on demand.  Only the :class:`FlowNetwork`
-    that fills it writes to it, and never after
-    :meth:`FlowNetwork.trace_since` has handed it out.  A slice is an owned
-    ``FlowTrace`` copy, and a trace pickles as its columns.
+    :class:`FlowInterval` records on demand (see
+    :class:`~repro.utils.columns.ColumnStore`).  Only the
+    :class:`FlowNetwork` that fills it writes to it, and never after
+    :meth:`FlowNetwork.trace_since` has handed it out.
     """
 
     __slots__ = FlowInterval._fields
+    ROW = FlowInterval
+    KINDS = ("q", TEXT, TEXT, TEXT, "q", "d", "d", FLAG, "d")
     flow_id: array[int]
     label: list[str]
     host_id: list[str]
@@ -174,58 +177,6 @@ class FlowTrace(Sequence[FlowInterval]):
     ended_at: array[float]
     completed: bytearray
     bytes_moved: array[float]
-
-    def __init__(self, *columns: Any) -> None:
-        (
-            self.flow_id, self.label, self.host_id, self.proxy_id, self.size_bytes,
-            self.started_at, self.ended_at, self.completed, self.bytes_moved,
-        ) = columns or (
-            array("q"), [], [], [], array("q"),
-            array("d"), array("d"), bytearray(), array("d"),
-        )
-
-    def _columns(self) -> tuple[Any, ...]:
-        return (
-            self.flow_id, self.label, self.host_id, self.proxy_id, self.size_bytes,
-            self.started_at, self.ended_at, self.completed, self.bytes_moved,
-        )
-
-    def __len__(self) -> int:
-        return len(self.flow_id)
-
-    @overload
-    def __getitem__(self, index: int) -> FlowInterval: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> "FlowTrace": ...
-
-    def __getitem__(self, index: Union[int, slice]) -> Union[FlowInterval, "FlowTrace"]:
-        if isinstance(index, slice):
-            return FlowTrace(*(column[index] for column in self._columns()))
-        return FlowInterval(
-            self.flow_id[index], self.label[index], self.host_id[index],
-            self.proxy_id[index], self.size_bytes[index], self.started_at[index],
-            self.ended_at[index], bool(self.completed[index]), self.bytes_moved[index],
-        )
-
-    def __iter__(self) -> Iterator[FlowInterval]:
-        return map(FlowInterval._make, zip(
-            self.flow_id, self.label, self.host_id, self.proxy_id, self.size_bytes,
-            self.started_at, self.ended_at, map(bool, self.completed), self.bytes_moved,
-        ))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlowTrace):
-            return NotImplemented
-        return self._columns() == other._columns()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return FlowTrace, self._columns()
-
-    def __repr__(self) -> str:
-        return f"FlowTrace({len(self)} intervals)"
 
     def _append(
         self, flow_id: int, label: str, host_id: str, proxy_id: str, size_bytes: int,

@@ -28,7 +28,7 @@ from repro.scenarios.spec import ClusterScenarioSpec, TenantSpec, default_tenant
 from repro.utils.rng import SeededRNG
 from repro.utils.stats import summarize
 from repro.utils.units import MIB
-from repro.workload.replay import ConcurrentReplayReport, OpenLoopDriver, RequestSample
+from repro.workload.replay import ConcurrentReplayReport, OpenLoopDriver
 
 __all__ = [
     "TenantSpec",
@@ -184,12 +184,11 @@ def run_cluster_scale(
             report.hits += 1
             report.total_bytes += result.size
             outcome.latencies_s.append(result.latency_s)
-            report.samples.append(RequestSample(
-                client_id=ts.tenant_id, key=key, size=ts.object_size,
-                started_at=start, finished_at=env.now, hit=True,
+            report.samples.append(
+                ts.tenant_id, key, ts.object_size, start, env.now, True,
                 recovery=result.recovery_performed,
                 hosts_touched=result.hosts_touched,
-            ))
+            )
             return
         outcome.misses += 1
         report.misses += 1
@@ -208,10 +207,9 @@ def run_cluster_scale(
             outcome.throttled += 1
         outcome.latencies_s.append(env.now - start)
         report.total_bytes += ts.object_size
-        report.samples.append(RequestSample(
-            client_id=ts.tenant_id, key=key, size=ts.object_size,
-            started_at=start, finished_at=env.now, hit=False, reset=reset,
-        ))
+        report.samples.append(
+            ts.tenant_id, key, ts.object_size, start, env.now, False, reset=reset,
+        )
 
     arrivals = [
         (

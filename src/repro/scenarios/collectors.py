@@ -71,7 +71,7 @@ def _requests(outcome: ScenarioOutcome) -> dict[str, float]:
 
 @register_collector("latency")
 def _latency(outcome: ScenarioOutcome) -> dict[str, float]:
-    latencies = [sample.latency_s for sample in outcome.report.samples]
+    latencies = outcome.report.latency_values()
     if not latencies:
         return {"count": 0.0, "mean_ms": math.nan, "p50_ms": math.nan,
                 "p90_ms": math.nan, "p99_ms": math.nan, "max_ms": math.nan}

@@ -45,7 +45,6 @@ class SeededRNG:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = np.random.default_rng(self.seed)
 
     def child(self, *labels: str | int) -> "SeededRNG":
         """Return an independent child RNG derived from this seed and labels."""
@@ -138,17 +137,25 @@ class SeededRNG:
             raise ValueError(f"log_uniform requires 0 < low <= high, got {low}, {high}")
         return float(np.exp(self._gen.uniform(np.log(low), np.log(high))))
 
+    _gen: np.random.Generator  # built on the first draw
     _zipf_cdf_cache: dict  # populated lazily per instance
 
     def __post_init__(self):  # pragma: no cover - dataclass compatibility guard
         self._zipf_cdf_cache = {}
 
-    def __getattr__(self, name):  # lazily create the cache on first use
-        if name == "_zipf_cdf_cache":
-            cache: dict = {}
-            object.__setattr__(self, "_zipf_cdf_cache", cache)
-            return cache
-        raise AttributeError(name)
+    def __getattr__(self, name):
+        # Called only while the attribute is unset.  A ``Generator`` costs
+        # about 2 KB, and many children (a proxy's ``retry`` stream, say)
+        # never draw; the stream depends on the seed alone, so building it
+        # on the first draw changes no value.
+        if name == "_gen":
+            value = np.random.default_rng(self.seed)
+        elif name == "_zipf_cdf_cache":
+            value = {}
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     def __repr__(self) -> str:
         return f"SeededRNG(seed={self.seed})"

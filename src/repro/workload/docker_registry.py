@@ -34,7 +34,7 @@ from repro.workload.distributions import (
     ZipfPopularity,
     diurnal_rate_multiplier,
 )
-from repro.workload.trace import Trace, TraceRecord
+from repro.workload.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,7 @@ class DockerRegistryTraceGenerator:
             else:
                 rank = popularity.sample_rank(rng)
             key, size = catalogue[rank]
-            trace.append(
-                TraceRecord(timestamp=timestamp, operation="GET", key=key, size=size)
-            )
+            trace.records.append(timestamp, "GET", key, size)
             recently_accessed.append(rank)
             # Keep the reuse window to roughly the last hour of requests.
             max_window = max(10, int(rate))

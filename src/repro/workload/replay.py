@@ -42,6 +42,7 @@ closed loop, or an open loop whose arrivals are spaced wider than a request.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Generator, NamedTuple, Optional, Sequence, Union
@@ -55,9 +56,10 @@ from repro.network.flows import FlowTrace, overlapping_pairs, peak_concurrency
 from repro.obs.metrics import MetricRegistry, TimeSeries
 from repro.sim.loop import EventLoop
 from repro.sim.process import CountdownLatch, ProcessGenerator, all_of
+from repro.utils.columns import FLAG, TEXT, ColumnStore
 from repro.utils.stats import summarize
 from repro.utils.units import HOUR
-from repro.workload.trace import Trace
+from repro.workload.trace import OPERATIONS, Trace
 
 
 #: The paper's Figure 16 object-size buckets.
@@ -91,11 +93,8 @@ def hourly_costs(metrics: MetricRegistry, end_time: float) -> dict[str, list[flo
 
 # ---------------------------------------------------------------------- samples and reports
 class RequestSample(NamedTuple):
-    """One request's interval on the virtual clock, as a driver recorded it.
-
-    A named tuple: one per request, and the production and autoscaling
-    reports carry them back from worker processes through ``pickle``.
-    """
+    """One request's interval on the virtual clock, as read from a
+    :class:`RequestSamples` store (built on demand; nothing keeps them)."""
 
     client_id: str
     key: str
@@ -125,6 +124,48 @@ class RequestSample(NamedTuple):
         return self.started_at < other.finished_at and other.started_at < self.finished_at
 
 
+class RequestSamples(ColumnStore[RequestSample]):
+    """Every request a replay recorded, in completion order, one column per
+    :class:`RequestSample` field: lists of the shared ``client_id`` and
+    ``key`` strings, ``array('q')`` for ``size``, ``array('d')`` for the
+    two instants, ``array('i')`` for ``hosts_touched`` and a ``bytearray``
+    per flag.  A row costs about 48 bytes; drivers append its fields
+    straight into the columns, and the production and autoscaling reports
+    carry the columns back from worker processes through ``pickle``.
+    """
+
+    __slots__ = RequestSample._fields
+    ROW = RequestSample
+    KINDS = (TEXT, TEXT, "q", "d", "d", FLAG, FLAG, FLAG, "i", FLAG)
+    client_id: list[str]
+    key: list[str]
+    size: array[int]
+    started_at: array[float]
+    finished_at: array[float]
+    hit: bytearray
+    reset: bytearray
+    recovery: bytearray
+    hosts_touched: array[int]
+    degraded: bytearray
+
+    def append(
+        self, client_id: str, key: str, size: int, started_at: float,
+        finished_at: float, hit: bool, reset: bool = False, recovery: bool = False,
+        hosts_touched: int = 0, degraded: bool = False,
+    ) -> None:
+        """Record one request (the fields of :class:`RequestSample`)."""
+        self.client_id.append(client_id)
+        self.key.append(key)
+        self.size.append(size)
+        self.started_at.append(started_at)
+        self.finished_at.append(finished_at)
+        self.hit.append(hit)
+        self.reset.append(reset)
+        self.recovery.append(recovery)
+        self.hosts_touched.append(hosts_touched)
+        self.degraded.append(degraded)
+
+
 @dataclass
 class ConcurrentReplayReport:
     """Everything measured by an event-driven (overlapping-request) replay."""
@@ -145,7 +186,7 @@ class ConcurrentReplayReport:
     #: Resilience counters harvested from the deployment after the run
     #: (chunk retries, hedges, breaker rejections, injected faults, ...).
     resilience: dict[str, float] = field(default_factory=dict)
-    samples: list[RequestSample] = field(default_factory=list)
+    samples: RequestSamples = field(default_factory=RequestSamples)
     #: RESET / recovery occurrences on the virtual clock (Figure 14's
     #: per-hour activity series).  Each event is stamped at the clock
     #: instant its outcome became known — miss detection for a RESET, GET
@@ -204,11 +245,21 @@ class ConcurrentReplayReport:
     @property
     def latencies(self) -> list[tuple[int, float]]:
         """``(object size, latency seconds)`` for every GET, hit or miss."""
-        return [(sample.size, sample.latency_s) for sample in self.samples]
+        samples = self.samples
+        return [
+            (size, finished_at - started_at)
+            for size, started_at, finished_at in zip(
+                samples.size, samples.started_at, samples.finished_at
+            )
+        ]
 
     def latency_values(self) -> list[float]:
         """All request latency samples in seconds."""
-        return [sample.latency_s for sample in self.samples]
+        samples = self.samples
+        return [
+            finished_at - started_at
+            for started_at, finished_at in zip(samples.started_at, samples.finished_at)
+        ]
 
     def latency_summary(self) -> dict[str, float]:
         """Percentile summary of the latency samples."""
@@ -239,8 +290,8 @@ class ConcurrentReplayReport:
         ``duration_s`` (and therefore throughput) identically.
         """
         if self.samples:
-            self.started_at = min(s.started_at for s in self.samples)
-            self.finished_at = max(s.finished_at for s in self.samples)
+            self.started_at = min(self.samples.started_at)
+            self.finished_at = max(self.samples.finished_at)
 
     def max_concurrent_flows(self) -> int:
         """Peak number of simultaneously in-flight chunk transfers."""
@@ -283,11 +334,14 @@ class ConcurrentReplayReport:
         if self._fixed_digest is not None:
             return self._fixed_digest
         hasher = hashlib.sha256()
-        for sample in self.samples:
+        samples = self.samples
+        for client_id, key, size, started_at, finished_at, hit, reset in zip(
+            samples.client_id, samples.key, samples.size, samples.started_at,
+            samples.finished_at, samples.hit, samples.reset,
+        ):
             hasher.update(
-                f"{sample.client_id}|{sample.key}|{sample.size}|"
-                f"{sample.started_at:.9f}|{sample.finished_at:.9f}|"
-                f"{int(sample.hit)}|{int(sample.reset)}\n".encode()
+                f"{client_id}|{key}|{size}|"
+                f"{started_at:.9f}|{finished_at:.9f}|{hit}|{reset}\n".encode()
             )
         intervals = self.flow_intervals
         for label, host_id, size_bytes, started_at, ended_at, completed in zip(
@@ -387,13 +441,17 @@ def _trace_arrivals(
 ) -> list[Arrival]:
     """One arrival per trace record, spawning ``put(key, size)`` for a PUT
     record and ``get(key, size)`` for a GET."""
+    records = trace.records
     return [
         (
-            record.timestamp,
-            f"{label}.{record.operation.lower()}.{record.key}",
-            partial(put if record.operation == "PUT" else get, record.key, record.size),
+            timestamp,
+            f"{label}.{operation.lower()}.{key}",
+            partial(put if operation == "PUT" else get, key, size),
         )
-        for record in trace.records
+        for timestamp, operation, key, size in zip(
+            records.timestamp, map(OPERATIONS.__getitem__, records.operation),
+            records.key, records.size,
+        )
     ]
 
 
@@ -498,14 +556,10 @@ class _EventDriver:
             report.total_bytes += size
         served = result.hit or degraded
         tracer.finish(span, hit=served, reset=reset, degraded=degraded)
-        report.samples.append(RequestSample(
-            client_id=client_id, key=key, size=size,
-            started_at=started, finished_at=env.now,
-            hit=served, reset=reset,
-            recovery=result.hit and result.recovery_performed,
-            hosts_touched=result.hosts_touched,
-            degraded=degraded,
-        ))
+        report.samples.append(
+            client_id, key, size, started, env.now, served, reset,
+            result.hit and result.recovery_performed, result.hosts_touched, degraded,
+        )
 
     def _collect(self, report: ConcurrentReplayReport, trace_marker: int) -> None:
         """Fold the run's flow-trace window and request bounds into the report."""
@@ -626,7 +680,7 @@ class OpenLoopDriver(_EventDriver):
         """Inject every trace record at its timestamp; returns when all finish."""
         if not trace.records:
             raise WorkloadError("cannot replay an empty trace")
-        self._reject_past_arrival(min(record.timestamp for record in trace.records))
+        self._reject_past_arrival(min(trace.records.timestamp))
         for key, size in trace.unique_objects().items():
             self.backing_store.put(key, size)
         report = ConcurrentReplayReport(
@@ -652,9 +706,9 @@ class OpenLoopDriver(_EventDriver):
 
         Each arrival is ``(timestamp, label, factory)`` where ``factory()``
         builds the coroutine to spawn at that virtual time.  The caller owns
-        the report (and may have its coroutines append
-        :class:`RequestSample` records to it); the driver owns the arrival
-        scheduling, the completion latch, and the flow-trace window.  With
+        the report (and may have its coroutines append requests to its
+        ``samples``); the driver owns the arrival scheduling, the completion
+        latch, and the flow-trace window.  With
         ``finalize=False`` the deployment is left running — the cluster
         experiments stop the cluster themselves and read costs from it.
         """
@@ -687,7 +741,7 @@ class ElastiCacheTarget:
 
     def finalize(self, trace: Trace, report: ConcurrentReplayReport) -> None:
         """Capacity-billed cost for the replay window."""
-        report.total_cost = self.cluster.cost_for_duration(trace.records[-1].timestamp)
+        report.total_cost = self.cluster.cost_for_duration(trace.records.timestamp[-1])
         report.cost_breakdown = {"capacity": report.total_cost, "total": report.total_cost}
 
 
@@ -758,11 +812,9 @@ class OpenLoopBaselineDriver:
             if insert_latency > 0:
                 yield insert_latency
             report.total_bytes += size
-        report.samples.append(RequestSample(
-            client_id=self.target.system, key=key, size=size,
-            started_at=started, finished_at=loop.now,
-            hit=latency is not None,
-        ))
+        report.samples.append(
+            self.target.system, key, size, started, loop.now, latency is not None,
+        )
 
     def _put_process(self, loop: EventLoop, key: str, size: int) -> VoidProcess:
         latency = self.target.put(key, size, loop.now)

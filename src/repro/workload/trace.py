@@ -9,39 +9,94 @@ request rate) for Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+import math
+from array import array
+from numbers import Integral
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.exceptions import WorkloadError
+from repro.utils.columns import TEXT, ColumnStore
 from repro.utils.units import HOUR, MB
 
+#: The operations a trace record may carry, in their stored order.
+OPERATIONS = ("GET", "PUT")
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One request in a workload trace."""
 
+def _check_record(timestamp: float, operation: str, key: str, size: int) -> None:
+    """Reject a record the replay could not schedule or serve.
+
+    ``math.isfinite`` first: a NaN passes every ``<`` and ``<=`` test, and a
+    NaN or infinite timestamp would fail mid-run in the event queue.  A
+    size is a positive whole number of bytes (a NaN or infinite one is not).
+    """
+    if not (math.isfinite(timestamp) and timestamp >= 0):
+        raise WorkloadError(f"timestamp must be finite and non-negative, got {timestamp}")
+    if operation not in OPERATIONS:
+        raise WorkloadError(f"operation must be GET or PUT, got {operation!r}")
+    if not key:
+        raise WorkloadError("record key must be non-empty")
+    if not (isinstance(size, Integral) and size > 0):
+        raise WorkloadError(f"record size must be a positive integer, got {size!r}")
+
+
+class _TraceRow(NamedTuple):
     timestamp: float
     operation: str
     key: str
     size: int
 
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise WorkloadError(f"timestamp must be non-negative, got {self.timestamp}")
-        if self.operation not in ("GET", "PUT"):
-            raise WorkloadError(f"operation must be GET or PUT, got {self.operation!r}")
-        if not self.key:
-            raise WorkloadError("record key must be non-empty")
-        if self.size <= 0:
-            raise WorkloadError(f"record size must be positive, got {self.size}")
+
+class TraceRecord(_TraceRow):
+    """One request in a workload trace, checked when it is declared."""
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: float, operation: str, key: str, size: int) -> "TraceRecord":
+        _check_record(timestamp, operation, key, size)
+        return super().__new__(cls, timestamp, operation, key, size)
 
 
-@dataclass
+class TraceRecords(ColumnStore[TraceRecord]):
+    """A trace's records, in timestamp order, one column per field:
+    ``array('d')`` timestamps, the operation as its index in
+    :data:`OPERATIONS` in a ``bytearray``, a list of the shared key strings
+    and ``array('q')`` sizes — about 25 bytes per record.
+    """
+
+    __slots__ = TraceRecord._fields
+    ROW = TraceRecord
+    KINDS = ("d", OPERATIONS, TEXT, "q")
+    timestamp: array[float]
+    operation: bytearray
+    key: list[str]
+    size: array[int]
+
+    def append(self, timestamp: float, operation: str, key: str, size: int) -> None:
+        """Append one record, checked like a :class:`TraceRecord` and no
+        earlier than the last one."""
+        _check_record(timestamp, operation, key, size)
+        if self.timestamp and timestamp < self.timestamp[-1]:
+            raise WorkloadError(
+                "trace records must be appended in timestamp order "
+                f"({timestamp} < {self.timestamp[-1]})"
+            )
+        self.timestamp.append(timestamp)
+        self.operation.append(operation == "PUT")
+        self.key.append(key)
+        self.size.append(size)
+
+
 class Trace:
     """An ordered sequence of trace records with convenience analytics."""
 
-    records: list[TraceRecord] = field(default_factory=list)
-    name: str = "trace"
+    __slots__ = ("records", "name")
+
+    def __init__(self, records: Iterable[TraceRecord] = (), name: str = "trace") -> None:
+        """A trace named ``name`` holding ``records`` (time-ordered)."""
+        self.records = TraceRecords()
+        self.name = name
+        for record in records:
+            self.append(record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -51,18 +106,13 @@ class Trace:
 
     def append(self, record: TraceRecord) -> None:
         """Append one record (timestamps must be non-decreasing)."""
-        if self.records and record.timestamp < self.records[-1].timestamp:
-            raise WorkloadError(
-                "trace records must be appended in timestamp order "
-                f"({record.timestamp} < {self.records[-1].timestamp})"
-            )
-        self.records.append(record)
+        self.records.append(*record)
 
     # ------------------------------------------------------------------ filtering
     def filter(self, predicate: Callable[[TraceRecord], bool], name: str | None = None) -> "Trace":
         """A new trace containing only records matching the predicate."""
         return Trace(
-            records=[record for record in self.records if predicate(record)],
+            (record for record in self.records if predicate(record)),
             name=name or f"{self.name}-filtered",
         )
 
@@ -73,16 +123,14 @@ class Trace:
     # ------------------------------------------------------------------ analytics
     def duration_s(self) -> float:
         """Time span covered by the trace."""
-        if not self.records:
+        timestamps = self.records.timestamp
+        if not timestamps:
             return 0.0
-        return self.records[-1].timestamp - self.records[0].timestamp
+        return timestamps[-1] - timestamps[0]
 
     def unique_objects(self) -> dict[str, int]:
         """Mapping of key to (last seen) object size."""
-        sizes: dict[str, int] = {}
-        for record in self.records:
-            sizes[record.key] = record.size
-        return sizes
+        return dict(zip(self.records.key, self.records.size))
 
     def working_set_bytes(self) -> int:
         """Working-set size: total bytes across unique objects (Table 1's WSS)."""
@@ -95,7 +143,7 @@ class Trace:
     def gets_per_hour(self) -> float:
         """Average GET throughput (Table 1's Thpt column)."""
         duration = self.duration_s()
-        gets = sum(1 for record in self.records if record.operation == "GET")
+        gets = self.records.operation.count(OPERATIONS.index("GET"))
         if duration <= 0:
             return float(gets)
         return gets / (duration / HOUR)
@@ -108,9 +156,9 @@ class Trace:
         """Per-object access counts, optionally only for objects above a size."""
         counts: dict[str, int] = {}
         sizes = self.unique_objects()
-        for record in self.records:
-            if sizes[record.key] >= min_size_bytes:
-                counts[record.key] = counts.get(record.key, 0) + 1
+        for key in self.records.key:
+            if sizes[key] >= min_size_bytes:
+                counts[key] = counts.get(key, 0) + 1
         return list(counts.values())
 
     def reuse_intervals_s(self, min_size_bytes: int = 0) -> list[float]:
@@ -118,19 +166,11 @@ class Trace:
         last_seen: dict[str, float] = {}
         sizes = self.unique_objects()
         intervals: list[float] = []
-        for record in self.records:
-            if sizes[record.key] < min_size_bytes:
+        for timestamp, key in zip(self.records.timestamp, self.records.key):
+            if sizes[key] < min_size_bytes:
                 continue
-            previous = last_seen.get(record.key)
+            previous = last_seen.get(key)
             if previous is not None:
-                intervals.append(record.timestamp - previous)
-            last_seen[record.key] = record.timestamp
+                intervals.append(timestamp - previous)
+            last_seen[key] = timestamp
         return intervals
-
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord], name: str = "trace") -> "Trace":
-        """Build a trace from an iterable of records (must be time-ordered)."""
-        trace = cls(name=name)
-        for record in records:
-            trace.append(record)
-        return trace

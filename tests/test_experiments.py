@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.experiments.figure11 import FIGURE11_OBJECT_SIZES, FIGURE11_RS_CODES
 from repro.experiments.figure9 import distribution_from_counts
 from repro.experiments.registry import EXPERIMENTS, build, names, scales
 from repro.experiments.report import format_cdf_summary, format_table
-from repro.utils.stats import summarize
+from repro.utils.stats import CdfSeries, summarize
 from repro.utils.units import MB
 
 #: The experiments whose report-scale text ``report_scale.json`` pins.
@@ -53,8 +54,9 @@ class TestReportHelpers:
         assert "T" in text and "a" in text and "x" in text
 
     def test_format_cdf_summary(self):
-        assert "p50" in format_cdf_summary("lat", [(1.0, 0.5), (2.0, 1.0)])
-        assert "(empty)" in format_cdf_summary("lat", [])
+        points = CdfSeries(array("d", [1.0, 2.0]), array("d", [0.5, 1.0]))
+        assert "p50" in format_cdf_summary("lat", points)
+        assert "(empty)" in format_cdf_summary("lat", CdfSeries())
 
 
 class TestReportTexts:

@@ -1,15 +1,16 @@
-"""What a fleet holds per proxy, per stored chunk, per in-flight flow and
-per parked coroutine, and what a replay keeps of its history.
+"""What a fleet holds per proxy, per stored chunk, per in-flight flow, per
+parked coroutine and per undrawn RNG, and what a replay keeps of its
+history.
 
 ``tracemalloc`` budgets for the structures that grow with a fleet — the
 hash ring every client shares, the store every chunk lands in, and the
 state every live transfer and every parked coroutine carries — and for the
 history a replay could pile up: closed billed sessions, the report's copy
-of the flow trace and one label string per transfer.  Plus the contract of
-the records that are slotted to fit those budgets: they have no instance
-dict, they still pickle (``fan_out`` ships results between processes),
-still work with ``dataclasses.replace`` and, where frozen, still refuse
-assignment.
+of the flow trace, one label string per transfer, and a row per recorded
+request and per trace record.  Plus the contract of the records that are
+slotted to fit those budgets: they have no instance dict, they still pickle
+(``fan_out`` ships results between processes), still work with
+``dataclasses.replace`` and, where frozen, still refuse assignment.
 """
 from __future__ import annotations
 
@@ -26,13 +27,21 @@ from repro.cache.chunk import CacheChunk, ObjectDescriptor
 from repro.cache.clock_lru import _ClockEntry
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
+from repro.baselines.s3 import ObjectStore
 from repro.cache.node import NodeAccess
+from repro.experiments import production
 from repro.faas.billing import BillingModel
 from repro.network.flows import FlowNetwork
 from repro.network.topology import NetworkFabric
 from repro.sim import EventLoop, SimFuture
+from repro.utils.rng import SeededRNG
 from repro.utils.units import MB, MIB
-from repro.workload.replay import ClientOp, ClosedLoopDriver
+from repro.workload.replay import (
+    ClientOp,
+    ClosedLoopDriver,
+    ObjectStoreTarget,
+    OpenLoopBaselineDriver,
+)
 
 
 def _retained(build):
@@ -156,6 +165,16 @@ class TestMemoryBudgets:
         per_process = (retained - bare) / len(processes)
         assert per_process <= 480, f"{per_process:.0f} B per parked process ({wait})"
 
+    def test_an_undrawn_rng_child_costs_under_256_bytes(self):
+        """1 000 children that never draw, like a proxy's ``retry`` stream
+        in a fleet without faults (3.11: about 128 B each).  A numpy
+        ``Generator`` built up front cost about 960 B more, traced, plus
+        its untraced state."""
+        rng = SeededRNG(2020)
+        retained, children = _retained(lambda: [rng.child("retry", index) for index in range(1000)])
+        assert len(children) == 1000
+        assert retained / 1000 <= 256, f"{retained / 1000:.0f} B per undrawn child"
+
     def test_in_flight_roles_have_no_instance_dict(self):
         """A subclass of a slotted class that forgets ``__slots__`` silently
         gains a dict of about 100 B per instance."""
@@ -227,6 +246,31 @@ class TestReplayHistoryBudgets:
         retained, window = _retained(lambda: network.trace_since(0))
         assert len(window) == network.retired_flows == 10_000
         assert retained <= 1024, f"{retained} B for a whole-store window"
+
+    def test_a_recorded_sample_costs_under_96_bytes(self):
+        """The requests of the figure suite's trace, replayed open loop
+        against the object store and unpickled as the parent receives them
+        from a ``fan_out`` worker: one row of columns per request (3.11:
+        about 61 B with its share of the key strings).  A list of
+        ``RequestSample`` tuples held about 227 B per request."""
+        trace = production.build_trace(production.ProductionScale())
+        store = ObjectStore()
+        report = OpenLoopBaselineDriver(ObjectStoreTarget(store), backing_store=store).run(trace)
+        retained, samples = _retained(lambda: pickle.loads(pickle.dumps(report.samples)))
+        assert len(samples) == len(trace) > 1000
+        per_sample = retained / len(samples)
+        assert per_sample <= 96, f"{per_sample:.0f} B per recorded sample"
+
+    def test_a_trace_record_costs_under_64_bytes(self):
+        """The figure suite's trace, unpickled as a ``fan_out`` worker
+        receives it: one row of columns per record (3.11: about 37 B with
+        its share of the key strings).  A list of ``TraceRecord``
+        dataclasses held about 307 B per record."""
+        trace = production.build_trace(production.ProductionScale())
+        retained, records = _retained(lambda: pickle.loads(pickle.dumps(trace.records)))
+        assert len(records) == len(trace) > 1000
+        per_record = retained / len(records)
+        assert per_record <= 64, f"{per_record:.0f} B per trace record"
 
     def test_a_label_is_one_string_however_often_it_moves(self):
         """Four clients re-reading four objects: every transfer of a chunk

@@ -33,7 +33,7 @@ from repro.network.flows import (
 )
 from repro.network.topology import NetworkFabric
 from repro.sim import EventLoop, SimFuture
-from repro.workload.replay import ConcurrentReplayReport, RequestSample
+from repro.workload.replay import ConcurrentReplayReport, RequestSample, RequestSamples
 
 MB = 1_000_000.0
 
@@ -875,6 +875,13 @@ def _trace_of(intervals) -> FlowTrace:
     return trace
 
 
+def _samples_of(samples) -> RequestSamples:
+    store = RequestSamples()
+    for sample in samples:
+        store.append(*sample)
+    return store
+
+
 def _tuple_fingerprint(samples, intervals) -> str:
     """``ConcurrentReplayReport.fingerprint`` as it read named tuples."""
     hasher = hashlib.sha256()
@@ -990,6 +997,9 @@ class TestFlowTraceMatchesTheTupleDeque:
                 finished_at=st.floats(0, 1e6, allow_nan=False),
                 hit=st.booleans(),
                 reset=st.booleans(),
+                # Stored as a 32-bit column: a request touches at most one
+                # host per chunk.
+                hosts_touched=st.integers(0, 2**31 - 1),
             ),
             max_size=4,
         ),
@@ -998,7 +1008,7 @@ class TestFlowTraceMatchesTheTupleDeque:
         net, _ = _replay_transfers(transfers, None, [])
         report = ConcurrentReplayReport(
             system="infinicache", mode="open-loop", clients=1,
-            samples=samples, flow_intervals=net.trace_since(0),
+            samples=_samples_of(samples), flow_intervals=net.trace_since(0),
         )
         assert report.fingerprint() == _tuple_fingerprint(samples, net.tuples)
 

@@ -94,6 +94,55 @@ def test_every_public_name_is_reached():
     )
 
 
+#: Classes whose public methods are held to the same rule: a method counts
+#: as reached when an identifier names it outside its own definition.
+CHECKED_CLASSES = {
+    "utils/columns.py": ["ColumnStore"],
+    "utils/stats.py": ["CdfSeries"],
+    "network/flows.py": ["FlowTrace"],
+    "workload/trace.py": ["TraceRecords", "Trace"],
+    "workload/replay.py": ["RequestSamples", "ConcurrentReplayReport"],
+}
+
+
+def _unreached_methods() -> list[str]:
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in (SRC, ROOT / "examples", ROOT / "bench")
+        for path in sorted(folder.rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    names = {path: _identifiers([tree]) for path, tree in trees.items()}
+    unreached = []
+    for relative, class_names in CHECKED_CLASSES.items():
+        path = SRC / relative
+        tree = trees[path]
+        others = set().union(*(found for other, found in names.items() if other != path))
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        for class_name in class_names:
+            definition = classes[class_name]
+            for method in definition.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if method.name.startswith("_") or method.name in others:
+                    continue
+                rest = [node for node in tree.body if node is not definition]
+                rest += [node for node in definition.body if node is not method]
+                if method.name not in _identifiers(rest):
+                    unreached.append(
+                        f"{path.relative_to(ROOT)}:{method.lineno} {class_name}.{method.name}"
+                    )
+    return unreached
+
+
+def test_every_public_method_of_the_checked_classes_is_reached():
+    unreached = _unreached_methods()
+    assert not unreached, (
+        "public methods only tests reach; delete them or give them a "
+        "caller:\n  " + "\n  ".join(unreached)
+    )
+
+
 def test_exceptions_are_still_defined():
     defined = {
         definition.name

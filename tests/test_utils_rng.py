@@ -1,6 +1,8 @@
 """Tests for the deterministic RNG wrapper."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.rng import SeededRNG, derive_seed
 
@@ -119,3 +121,59 @@ class TestSeededRNG:
 
     def test_repr_contains_seed(self):
         assert "1234" in repr(SeededRNG(1234))
+
+
+#: One step: (operation, which RNG of the pool, a label or bound).
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["child", "random", "integers", "exponential", "bounded_zipf"]),
+        st.integers(0, 15),
+        st.integers(1, 9),
+    ),
+    max_size=40,
+)
+
+
+def _interleave(steps, eager: bool):
+    """Run ``steps`` over a growing pool of RNGs; ``eager`` builds every
+    numpy generator the moment its RNG exists, as ``SeededRNG`` used to."""
+    pool = [SeededRNG(2020)]
+    if eager:
+        pool[0]._gen  # noqa: B018
+    drawn = []
+    drew = set()
+    for operation, which, value in steps:
+        rng = pool[which % len(pool)]
+        if operation == "child":
+            pool.append(rng.child("stream", value))
+            if eager:
+                pool[-1]._gen  # noqa: B018
+            continue
+        drew.add(which % len(pool))
+        if operation == "random":
+            drawn.append(rng.random())
+        elif operation == "integers":
+            drawn.append(rng.integers(0, value))
+        elif operation == "exponential":
+            drawn.append(rng.exponential(value))
+        else:
+            drawn.append(rng.bounded_zipf(value, 1.1))
+    return drawn, pool, drew
+
+
+class TestLazyGenerator:
+    @settings(max_examples=80, deadline=None)
+    @given(steps=_steps)
+    def test_eager_and_lazy_agree_draw_for_draw(self, steps):
+        lazy, pool, drew = _interleave(steps, eager=False)
+        eager, _, _ = _interleave(steps, eager=True)
+        assert lazy == eager
+        for index, rng in enumerate(pool):
+            assert ("_gen" in vars(rng)) == (index in drew)
+
+    def test_a_child_that_never_draws_builds_no_generator(self):
+        rng = SeededRNG(7)
+        child = rng.child("retry")
+        assert "_gen" not in vars(rng) and "_gen" not in vars(child)
+        assert child.random() == SeededRNG(child.seed).random()
+        assert "_gen" in vars(child)

@@ -30,7 +30,7 @@ class TestPercentile:
 
 class TestCdfPoints:
     def test_empty(self):
-        assert cdf_points([]) == []
+        assert list(cdf_points([])) == []
 
     def test_sorted_and_reaches_one(self):
         points = cdf_points([3, 1, 2])
@@ -43,7 +43,7 @@ class TestCdfPoints:
         assert fractions == sorted(fractions)
 
     def test_single_value(self):
-        assert cdf_points([7.0]) == [(7.0, 1.0)]
+        assert list(cdf_points([7.0])) == [(7.0, 1.0)]
 
 
 class TestSummarize:

@@ -193,7 +193,7 @@ class TestClosedLoopMatchesSequentialFacade:
             [[(key, size) for key in keys]]
         )
         opened = OpenLoopDriver(small_deployment(seed=99)).run(
-            Trace.from_records(
+            Trace(
                 [TraceRecord(timestamp=float(i), operation="GET", key=key, size=size)
                  for i, key in enumerate(keys)],
                 name="smoke",
@@ -297,7 +297,7 @@ class TestOpenLoopDriver:
         )
 
         # Arrivals at or after the clock still replay on the same deployment.
-        later = Trace.from_records([
+        later = Trace([
             TraceRecord(timestamp=loop.now + 1.0, operation="GET", key="k-0", size=6 * MB)
         ])
         assert driver.run(later).requests == 1

@@ -37,7 +37,7 @@ def build_trace(repeats: int = 3, objects: int = 5, size: int = 5 * MB) -> Trace
                             key=f"obj-{obj}", size=size)
             )
             timestamp += 1.0
-    return Trace.from_records(records, name="unit")
+    return Trace(records, name="unit")
 
 
 def build_deployment(reclamation_policy=None) -> InfiniCacheDeployment:
@@ -97,7 +97,7 @@ class TestInfiniCacheReplay:
                 TraceRecord(timestamp=minute * MINUTE, operation="GET",
                             key=f"obj-{minute % 3}", size=20 * MB)
             )
-        trace = Trace.from_records(trace_records, name="churn")
+        trace = Trace(trace_records, name="churn")
         deployment = build_deployment(reclamation_policy=policy)
         report = replay_infinicache(trace, deployment)
         assert report.resets > 0
@@ -118,7 +118,7 @@ class TestInfiniCacheReplay:
             TraceRecord(timestamp=0.0, operation="PUT", key="preloaded", size=5 * MB),
             TraceRecord(timestamp=1.0, operation="GET", key="preloaded", size=5 * MB),
         ]
-        trace = Trace.from_records(records)
+        trace = Trace(records)
         report = replay_infinicache(trace, build_deployment())
         assert report.requests == 1
         assert report.hits == 1
@@ -150,10 +150,10 @@ class TestObjectStoreReplay:
         assert report.misses == 0
 
     def test_latency_reflects_size(self):
-        small = Trace.from_records(
+        small = Trace(
             [TraceRecord(timestamp=0.0, operation="GET", key="s", size=1 * MB)]
         )
-        large = Trace.from_records(
+        large = Trace(
             [TraceRecord(timestamp=0.0, operation="GET", key="l", size=100 * MB)]
         )
         small_latency = replay_object_store(small).latencies[0][1]
@@ -164,7 +164,7 @@ class TestObjectStoreReplay:
 class TestReportHelpers:
     def test_latency_buckets(self):
         report = replay_object_store(
-            Trace.from_records(
+            Trace(
                 [
                     TraceRecord(timestamp=0.0, operation="GET", key="a", size=500_000),
                     TraceRecord(timestamp=1.0, operation="GET", key="b", size=5 * MB),

@@ -1,10 +1,12 @@
 """Tests for trace records, containers, and analytics."""
 
+import math
+
 import pytest
 
 from repro.exceptions import WorkloadError
 from repro.utils.units import HOUR, MB
-from repro.workload.trace import Trace, TraceRecord
+from repro.workload.trace import Trace, TraceRecord, TraceRecords
 
 
 def record(timestamp: float, key: str = "k", size: int = MB, op: str = "GET") -> TraceRecord:
@@ -27,6 +29,47 @@ class TestTraceRecord:
             TraceRecord(timestamp=0, operation="GET", key="k", size=0)
 
 
+class TestNonFiniteInput:
+    """A NaN passes every ``<`` and ``<=`` check, and the replay would only
+    fail mid-run in the event queue: non-finite input fails at declaration."""
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_record_rejects_a_non_finite_timestamp(self, timestamp):
+        with pytest.raises(WorkloadError):
+            TraceRecord(timestamp=timestamp, operation="GET", key="k", size=1)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf])
+    def test_record_rejects_a_non_finite_size(self, size):
+        with pytest.raises(WorkloadError):
+            TraceRecord(timestamp=0.0, operation="GET", key="k", size=size)
+
+    def test_a_nan_cannot_let_an_earlier_record_in(self):
+        """``[1.0, nan, 0.5]``: the NaN and the 0.5 are both refused."""
+        trace = Trace([record(1.0)])
+        with pytest.raises(WorkloadError):
+            trace.append(record(math.nan))
+        with pytest.raises(WorkloadError):
+            trace.append(record(0.5))
+        assert [rec.timestamp for rec in trace] == [1.0]
+
+    @pytest.mark.parametrize("fields", [
+        (math.nan, "GET", "k", 1),
+        (math.inf, "GET", "k", 1),
+        (0.5, "GET", "k", 1),
+        (2.0, "GET", "k", math.nan),
+        (2.0, "GET", "k", 1.5),
+        (2.0, "DELETE", "k", 1),
+        (2.0, "GET", "", 1),
+    ])
+    def test_the_column_append_checks_every_field(self, fields):
+        """The registry generator appends fields straight into the columns."""
+        records = TraceRecords()
+        records.append(1.0, "GET", "k", 1)
+        with pytest.raises(WorkloadError):
+            records.append(*fields)
+        assert list(records) == [record(1.0, size=1)]
+
+
 class TestTraceConstruction:
     def test_append_enforces_time_order(self):
         trace = Trace()
@@ -35,32 +78,32 @@ class TestTraceConstruction:
             trace.append(record(0.5))
 
     def test_from_records(self):
-        trace = Trace.from_records([record(0.0), record(1.0)], name="t")
+        trace = Trace([record(0.0), record(1.0)], name="t")
         assert len(trace) == 2
         assert trace.name == "t"
 
     def test_iteration(self):
-        trace = Trace.from_records([record(0.0, "a"), record(1.0, "b")])
+        trace = Trace([record(0.0, "a"), record(1.0, "b")])
         assert [rec.key for rec in trace] == ["a", "b"]
 
 
 class TestFiltering:
     def test_large_objects_only(self):
-        trace = Trace.from_records(
+        trace = Trace(
             [record(0.0, "small", 1 * MB), record(1.0, "large", 50 * MB)]
         )
         filtered = trace.large_objects_only()
         assert [rec.key for rec in filtered] == ["large"]
 
     def test_filter_preserves_original(self):
-        trace = Trace.from_records([record(0.0), record(1.0)])
+        trace = Trace([record(0.0), record(1.0)])
         trace.filter(lambda r: False)
         assert len(trace) == 2
 
 
 class TestAnalytics:
     def build(self) -> Trace:
-        return Trace.from_records(
+        return Trace(
             [
                 record(0.0, "a", 20 * MB),
                 record(10.0, "b", 1 * MB),
