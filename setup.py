@@ -3,7 +3,7 @@
 The project has no ``pyproject.toml``; this classic setuptools file is the
 single source of packaging truth.  ``pip install -e .`` gives you the
 ``repro`` package plus the ``repro`` console script (experiment runner and
-``repro cluster-demo``).
+its subcommands).
 """
 
 import pathlib

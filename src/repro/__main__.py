@@ -1,4 +1,4 @@
-"""``python -m repro`` — experiment runner plus cluster subcommands.
+"""``python -m repro`` — experiment runner plus subcommands.
 
 Without a subcommand this regenerates the paper's tables and figures (a
 thin alias for :mod:`repro.experiments.runner`; see that module for the
@@ -7,11 +7,6 @@ available flags — ``--only``, ``--output-dir``, ``--list``, and
 fingerprints as the JSON artifact the ``figures-smoke`` CI job uploads).
 Every experiment replays through the event-driven drivers of
 :mod:`repro.workload.replay`, the only replay stack.
-
-``python -m repro cluster-demo [--duration SECONDS]`` instead runs the
-:mod:`repro.cluster` orchestration demo: autoscaling under a load surge,
-tenant quota enforcement, a live proxy join with rebalancing, and an
-injected-failure repair sweep.
 
 ``python -m repro chargeback [--duration SECONDS] [--requests N]`` runs a
 small multi-tenant replay and prints the per-tenant GB-second chargeback
@@ -76,22 +71,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _cluster_demo(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro cluster-demo",
-        description="Exercise the autoscaling multi-tenant cluster subsystem.",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=240.0, metavar="SECONDS",
-        help="simulated seconds of load to drive (default: 240)",
-    )
-    args = parser.parse_args(argv)
-    from repro.cluster.demo import run_demo
-
-    run_demo(duration_s=args.duration)
-    return 0
 
 
 def _chargeback(argv: list[str]) -> int:
@@ -444,8 +423,6 @@ def _perf(argv: list[str]) -> int:
 
 
 def _dispatch(argv: list[str]) -> int:
-    if argv and argv[0] == "cluster-demo":
-        return _cluster_demo(argv[1:])
     if argv and argv[0] == "chargeback":
         return _chargeback(argv[1:])
     if argv and argv[0] == "chaos":

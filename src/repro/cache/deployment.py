@@ -33,7 +33,7 @@ from repro.network.flows import resolve_arbiter
 from repro.network.transfer import TransferModel
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import MetricRegistry
-from repro.sim.loop import PeriodicTask, Simulator
+from repro.sim.loop import EventLoop, PeriodicTask
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MINUTE
 
@@ -49,10 +49,10 @@ class InfiniCacheDeployment:
         self,
         config: InfiniCacheConfig | None = None,
         reclamation_policy: ReclamationPolicy | None = None,
-        simulator: Simulator | None = None,
+        simulator: EventLoop | None = None,
     ):
         self.config = config or InfiniCacheConfig()
-        self.simulator = simulator or Simulator()
+        self.simulator = simulator or EventLoop()
         self.metrics = MetricRegistry()
         self.billing = BillingModel()
         self.rng = SeededRNG(self.config.seed)

@@ -35,7 +35,7 @@ from repro.cluster.rebalancer import FailureDetector, Rebalancer
 from repro.cluster.router import ClusterRouter, TenantClient
 from repro.cluster.tenants import TenantManager, TenantQuota
 from repro.faas.reclamation import ReclamationPolicy
-from repro.sim import Simulator
+from repro.sim import EventLoop
 from repro.utils.units import MINUTE
 
 
@@ -48,7 +48,7 @@ class InfiniCacheCluster:
         autoscaler_config: AutoscalerConfig | None = None,
         failure_detector_interval_s: float = 1 * MINUTE,
         reclamation_policy: ReclamationPolicy | None = None,
-        simulator: Simulator | None = None,
+        simulator: EventLoop | None = None,
     ):
         self.deployment = InfiniCacheDeployment(
             config=config,

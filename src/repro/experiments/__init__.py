@@ -5,8 +5,8 @@ structures (lists of rows / dicts of series) plus a ``format_report(...)``
 helper that renders them as a text table.  The parameters each is run with
 are declared once, per named scale (``golden`` / ``quick`` / ``report`` /
 ``paper``), in :mod:`repro.experiments.registry`; ``build(name, scale)``
-there is how the runner and the tests obtain a result.  The ``run``
-defaults are the paper's own settings.
+there is how the runner and the tests obtain a result.  Paper settings
+are module constants; ``run()`` takes what a scale varies.
 
 | Module | Paper artefact |
 |---|---|

@@ -26,10 +26,12 @@ from repro.faas.billing import UNATTRIBUTED_TENANT
 from repro.obs.metrics import MetricRegistry
 from repro.utils.fanout import fan_out
 
-# The compared configurations live next to the ported replay body so the
-# scenario library's policy axis and this experiment share one definition;
-# re-exported here because this was their historical home.
-from repro.scenarios.cluster import DEFAULT_POLICIES  # noqa: F401  (re-export)
+#: The autoscaling policies the experiment compares, by policy name.
+DEFAULT_POLICIES: dict[str, AutoscalerConfig] = {
+    "reactive": AutoscalerConfig(interval_s=30.0, policy="reactive"),
+    "predictive": AutoscalerConfig(interval_s=30.0, policy="predictive"),
+    "predictive_trend": AutoscalerConfig(interval_s=30.0, policy="predictive_trend"),
+}
 
 
 @dataclass
@@ -46,18 +48,17 @@ class PolicyComparisonResult:
 
 
 def _run_policy(
-    unit: tuple[AutoscalerConfig, list[cluster_scale.TenantSpec] | None, float, int],
+    unit: tuple[AutoscalerConfig, float, int],
 ) -> cluster_scale.ClusterScaleResult:
-    """Replay one ``(policy, tenants, duration_s, seed)`` unit of
-    :func:`run` (a :func:`fan_out` unit).
+    """Replay one ``(policy, duration_s, seed)`` unit of :func:`run` (a
+    :func:`fan_out` unit) over ``cluster_scale``'s default tenant mix.
 
     Its harness publishes to a registry of its own: :func:`run` records the
     replay into the shared one, where it runs, so the ``--metrics`` export
     is the same whichever process replayed it.
     """
-    autoscaler_config, tenants, duration_s, seed = unit
+    autoscaler_config, duration_s, seed = unit
     return cluster_scale.run(
-        tenants=tenants,
         duration_s=duration_s,
         seed=seed,
         autoscaler_config=autoscaler_config,
@@ -65,19 +66,13 @@ def _run_policy(
     )
 
 
-def run(
-    policies: dict[str, AutoscalerConfig] | None = None,
-    tenants: list[cluster_scale.TenantSpec] | None = None,
-    duration_s: float = 600.0,
-    seed: int = 2020,
-) -> PolicyComparisonResult:
+def run(duration_s: float = 600.0, seed: int = 2020) -> PolicyComparisonResult:
     """Replay the multi-tenant mix once per autoscaling policy, the policies
     side by side on every usable core."""
-    configs = policies if policies is not None else DEFAULT_POLICIES
     results = fan_out(_run_policy, [
-        (policy, tenants, duration_s, seed) for policy in configs.values()
+        (policy, duration_s, seed) for policy in DEFAULT_POLICIES.values()
     ])
-    runs = dict(zip(configs, results))
+    runs = dict(zip(DEFAULT_POLICIES, results))
     # One harness for the comparison, one run label per policy, so each
     # policy's ``--metrics`` series is its own, apart from ``cluster_scale``.
     harness = ExperimentHarness("autoscale_policies", seed)

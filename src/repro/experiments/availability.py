@@ -22,6 +22,17 @@ from dataclasses import dataclass, field
 from repro.analysis.availability import AvailabilityModel
 from repro.experiments.report import format_table
 
+#: The case-study deployment: 400 nodes, RS(10+2).
+TOTAL_NODES = 400
+DATA_SHARDS = 10
+PARITY_SHARDS = 2
+
+#: The two reclaim-distribution fits of Figure 9, truncated at
+#: :data:`MAX_RECLAIMS` simultaneous reclaims.
+POISSON_MEAN = 0.6
+ZIPF_EXPONENT = 2.2
+MAX_RECLAIMS = 40
+
 
 @dataclass
 class AvailabilityResult:
@@ -37,29 +48,22 @@ class AvailabilityResult:
     simplification_error: dict[str, float] = field(default_factory=dict)
 
 
-def run(
-    total_nodes: int = 400,
-    data_shards: int = 10,
-    parity_shards: int = 2,
-    poisson_mean: float = 0.6,
-    zipf_exponent: float = 2.2,
-    max_reclaims: int = 40,
-) -> AvailabilityResult:
+def run() -> AvailabilityResult:
     """Evaluate the availability model for the paper's case study."""
     model = AvailabilityModel(
-        total_nodes=total_nodes, data_shards=data_shards, parity_shards=parity_shards
+        total_nodes=TOTAL_NODES, data_shards=DATA_SHARDS, parity_shards=PARITY_SHARDS
     )
     result = AvailabilityResult(
-        total_nodes=total_nodes, data_shards=data_shards, parity_shards=parity_shards
+        total_nodes=TOTAL_NODES, data_shards=DATA_SHARDS, parity_shards=PARITY_SHARDS
     )
     result.approximation_ratio_r12 = model.approximation_ratio(reclaimed=12)
 
     fits = {
         "Poisson fit (Oct/Dec/Jan)": AvailabilityModel.poisson_reclaim_distribution(
-            poisson_mean, max_reclaims
+            POISSON_MEAN, MAX_RECLAIMS
         ),
         "Zipf fit (Aug/Sep/Nov)": AvailabilityModel.zipf_reclaim_distribution(
-            zipf_exponent, max_reclaims
+            ZIPF_EXPONENT, MAX_RECLAIMS
         ),
     }
     for label, distribution in fits.items():

@@ -14,12 +14,10 @@ with different working sets and quotas share one autoscaling cluster:
 
 The execution body lives in :mod:`repro.scenarios.cluster` — this module is
 the experiment-facing wrapper: it builds a
-:class:`~repro.scenarios.spec.ClusterScenarioSpec` (whose defaults are this
-experiment's historical constants), runs it, and renders the report.  The
-golden differential suite pins the driver fingerprint, so the wrapper is
-replay-identical to the pre-port implementation.  The scenario engine runs
-the same replay as the ``cluster_scale`` library grid (``repro scenarios
-run cluster_scale``).
+:class:`~repro.scenarios.spec.ClusterScenarioSpec`, runs it, and renders
+the report.  The scenario engine runs the same replay body as the one-cell
+``cluster_scale`` library grid (``repro scenarios run cluster_scale``),
+seeded from the cell's coordinates.
 """
 
 from __future__ import annotations

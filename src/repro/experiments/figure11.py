@@ -148,9 +148,7 @@ def run(
     rs_codes: tuple[tuple[int, int], ...] = FIGURE11_RS_CODES,
     object_sizes: tuple[int, ...] = FIGURE11_OBJECT_SIZES,
     requests_per_cell: int = 15,
-    include_elasticache: bool = True,
     seed: int = 1111,
-    harness: ExperimentHarness | None = None,
 ) -> Figure11Result:
     """Measure every (memory, code, size) cell plus the ElastiCache baselines.
 
@@ -158,7 +156,7 @@ def run(
     core; each is recorded here, in sweep order, so the fingerprints and the
     ``--metrics`` export do not depend on where a cell ran.
     """
-    harness = harness or ExperimentHarness("figure11", seed)
+    harness = ExperimentHarness("figure11", seed)
     result = Figure11Result()
     cells = [
         (memory_mib, code, object_size)
@@ -177,14 +175,13 @@ def run(
             object_size=object_size,
             latencies_s=[sample.latency_s for sample in report.hit_samples()],
         ))
-    if include_elasticache:
-        for object_size in object_sizes:
-            result.elasticache[("ElastiCache(1-node)", object_size)] = _measure_elasticache(
-                harness, 1, object_size, requests_per_cell
-            )
-            result.elasticache[("ElastiCache(10-node)", object_size)] = _measure_elasticache(
-                harness, 10, object_size, requests_per_cell
-            )
+    for object_size in object_sizes:
+        result.elasticache[("ElastiCache(1-node)", object_size)] = _measure_elasticache(
+            harness, 1, object_size, requests_per_cell
+        )
+        result.elasticache[("ElastiCache(10-node)", object_size)] = _measure_elasticache(
+            harness, 10, object_size, requests_per_cell
+        )
     result.fingerprints = harness.fingerprints
     return result
 

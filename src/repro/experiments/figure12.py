@@ -29,12 +29,22 @@ from repro.utils.fanout import fan_out
 from repro.utils.units import GB, MB, MIB
 from repro.workload.replay import ClosedLoopDriver, ConcurrentReplayReport, seed_fleet
 
+#: The paper's deployment: 5 proxies, each managing 50 Lambdas of 1024 MB.
+NUM_PROXIES = 5
+LAMBDAS_PER_PROXY = 50
+
+#: Every client owns this many objects of this size.
+OBJECTS_PER_CLIENT = 4
+OBJECT_SIZE = 100 * MB
+
+#: Stragglers are on, as in the paper: the first-d abandonment hides them.
+STRAGGLER_PROBABILITY = 0.02
+
 
 @dataclass
 class Figure12Result:
     """Throughput per client count."""
 
-    object_size: int
     requests_per_client: int
     #: client count -> aggregate throughput (bytes/second)
     throughput_bps: dict[int, float] = field(default_factory=dict)
@@ -55,62 +65,53 @@ class Figure12Result:
 
 
 def _measure_clients(
-    unit: tuple[InfiniCacheConfig, int, int, int, int],
+    unit: tuple[InfiniCacheConfig, int, int],
 ) -> ConcurrentReplayReport:
-    """Seed and replay one ``(config, clients, objects per client, object
-    size, requests per client)`` point (a :func:`~repro.utils.fanout.fan_out`
-    unit), returning its full report: :func:`format_report` reads its flow
-    intervals."""
-    config, clients, objects_per_client, object_size, requests_per_client = unit
+    """Seed and replay one ``(config, clients, requests per client)`` point
+    (a :func:`~repro.utils.fanout.fan_out` unit), returning its full report:
+    :func:`format_report` reads its flow intervals."""
+    config, clients, requests_per_client = unit
     deployment = InfiniCacheDeployment(config)
     # Each client owns its own objects so requests spread over the proxies.
     plans = seed_fleet(
         deployment, f"fig12/{clients}", clients,
-        objects_per_client, object_size, requests_per_client,
+        OBJECTS_PER_CLIENT, OBJECT_SIZE, requests_per_client,
     )
     return ClosedLoopDriver(deployment).run(plans)
 
 
 def run(
     client_counts: tuple[int, ...] = (1, 2, 4, 6, 8, 10),
-    num_proxies: int = 5,
-    lambdas_per_proxy: int = 50,
-    object_size: int = 100 * MB,
-    objects_per_client: int = 4,
     requests_per_client: int = 20,
     seed: int = 1212,
-    straggler_probability: float = 0.02,
-    harness: ExperimentHarness | None = None,
 ) -> Figure12Result:
     """Measure aggregate closed-loop throughput for each client count.
 
     Per client count a fresh deployment is seeded with every client's
     objects (sized PUTs through the facade; the clock does not move), then
     the closed-loop driver runs the GET phase with truly concurrent clients.
-    Stragglers are enabled by default — the first-d abandonment hides them,
-    as in the paper.
 
     The client counts are independent replays and run side by side on every
     usable core, the largest (the longest) handed out first; each is
     recorded here, in the declared order, so the fingerprints and the
     ``--metrics`` export do not depend on where a count ran.
     """
-    harness = harness or ExperimentHarness("figure12", seed)
-    result = Figure12Result(object_size=object_size, requests_per_client=requests_per_client)
+    harness = ExperimentHarness("figure12", seed)
+    result = Figure12Result(requests_per_client=requests_per_client)
     longest_first = sorted(client_counts, reverse=True)
     units = [
         (
             InfiniCacheConfig(
-                num_proxies=num_proxies,
-                lambdas_per_proxy=lambdas_per_proxy,
+                num_proxies=NUM_PROXIES,
+                lambdas_per_proxy=LAMBDAS_PER_PROXY,
                 lambda_memory_bytes=1024 * MIB,
                 data_shards=10,
                 parity_shards=2,
                 backup_enabled=False,
-                straggler=StragglerModel(probability=straggler_probability),
+                straggler=StragglerModel(probability=STRAGGLER_PROBABILITY),
                 seed=harness.seed_for("clients", clients),
             ),
-            clients, objects_per_client, object_size, requests_per_client,
+            clients, requests_per_client,
         )
         for clients in longest_first
     ]

@@ -12,9 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.cost_model import CostModel, CostModelParams
+from repro.analysis.cost_model import CostModel
 from repro.experiments.report import format_table
-from repro.utils.units import MIB
+
+#: The sweep: 17 evenly spaced object access rates from 0 to 320 K per hour.
+MAX_RATE = 320_000
+STEPS = 17
+
+#: Lambda invocations per object GET: RS(10+2) fans out to 12 chunks.
+CHUNKS_PER_OBJECT = 12
+
+#: The flat ElastiCache line the paper compares against.
+ELASTICACHE_INSTANCE = "cache.r5.24xlarge"
 
 
 @dataclass
@@ -27,43 +36,26 @@ class Figure17Result:
     crossover_rate: float = 0.0
 
 
-def run(
-    max_rate: int = 320_000,
-    steps: int = 17,
-    total_nodes: int = 400,
-    lambda_memory_mib: int = 1536,
-    warmup_interval_min: float = 1.0,
-    backup_interval_min: float = 5.0,
-    backup_duration_s: float = 1.0,
-    chunks_per_object: int = 12,
-    elasticache_instance: str = "cache.r5.24xlarge",
-) -> Figure17Result:
+def run() -> Figure17Result:
     """Sweep the *object* access rate and locate the cost crossover.
 
-    Every object GET fans out to ``chunks_per_object`` Lambda invocations
-    (12 for the paper's RS(10+2) configuration), which is what makes the
-    serving cost climb steeply enough to cross ElastiCache's flat line
-    around 312 K requests/hour.
+    The cost model's defaults are the Section 5.2 configuration.  Every
+    object GET fans out to :data:`CHUNKS_PER_OBJECT` Lambda invocations,
+    which is what makes the serving cost climb steeply enough to cross
+    ElastiCache's flat line around 312 K requests/hour.
     """
-    params = CostModelParams(
-        total_nodes=total_nodes,
-        memory_bytes=lambda_memory_mib * MIB,
-        warmup_interval_min=warmup_interval_min,
-        backup_interval_min=backup_interval_min,
-        backup_duration_s=backup_duration_s,
-    )
-    model = CostModel(params)
+    model = CostModel()
     result = Figure17Result()
-    result.elasticache_hourly = model.elasticache_hourly_cost(elasticache_instance)
+    result.elasticache_hourly = model.elasticache_hourly_cost(ELASTICACHE_INSTANCE)
     fixed = model.warmup_cost_per_hour() + model.backup_cost_per_hour()
-    for step in range(steps):
-        rate = max_rate * step / (steps - 1) if steps > 1 else 0.0
+    for step in range(STEPS):
+        rate = MAX_RATE * step / (STEPS - 1)
         result.access_rates.append(rate)
         result.infinicache_hourly.append(
-            fixed + model.serving_cost_for_object_rate(rate, chunks_per_object)
+            fixed + model.serving_cost_for_object_rate(rate, CHUNKS_PER_OBJECT)
         )
     result.crossover_rate = model.crossover_access_rate(
-        elasticache_instance, chunks_per_object=chunks_per_object
+        ELASTICACHE_INSTANCE, chunks_per_object=CHUNKS_PER_OBJECT
     )
     return result
 

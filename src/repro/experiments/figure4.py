@@ -31,6 +31,13 @@ from repro.utils.stats import summarize
 from repro.utils.units import MB, MIB
 from repro.workload.replay import ClientOp, ClosedLoopDriver
 
+#: The paper's object: 100 MB, coded RS(10+1).
+OBJECT_SIZE = 100 * MB
+
+#: The paper's function memory: 256 MB, so small pools pack many functions
+#: per host.
+LAMBDA_MEMORY_BYTES = 256 * MIB
+
 
 @dataclass
 class Figure4Result:
@@ -56,19 +63,16 @@ class Figure4Result:
 
 def run(
     pool_sizes: tuple[int, ...] = (20, 50, 100, 150, 200),
-    object_size: int = 100 * MB,
     requests_per_pool: int = 30,
-    lambda_memory_bytes: int = 256 * MIB,
     seed: int = 400,
-    harness: ExperimentHarness | None = None,
 ) -> Figure4Result:
     """Sweep the pool size and collect latency grouped by hosts touched."""
-    harness = harness or ExperimentHarness("figure4", seed)
+    harness = ExperimentHarness("figure4", seed)
     result = Figure4Result(pool_sizes=list(pool_sizes))
     for pool_size in pool_sizes:
         config = InfiniCacheConfig(
             lambdas_per_proxy=pool_size,
-            lambda_memory_bytes=lambda_memory_bytes,
+            lambda_memory_bytes=LAMBDA_MEMORY_BYTES,
             data_shards=10,
             parity_shards=1,
             backup_enabled=False,
@@ -83,9 +87,9 @@ def run(
         plan: list[ClientOp] = []
         for _round in range(requests_per_pool):
             plan.append(ClientOp("SLEEP", delay_s=1.0))
-            plan.append(ClientOp("INVALIDATE", key=key, size=object_size))
-            plan.append(ClientOp("PUT", key=key, size=object_size))
-            plan.append(ClientOp("GET", key=key, size=object_size))
+            plan.append(ClientOp("INVALIDATE", key=key, size=OBJECT_SIZE))
+            plan.append(ClientOp("PUT", key=key, size=OBJECT_SIZE))
+            plan.append(ClientOp("GET", key=key, size=OBJECT_SIZE))
         driver = ClosedLoopDriver(deployment, warm_pool=True)
         report = harness.record(f"pool.{pool_size}", driver.run([plan]))
         for sample in report.hit_samples():

@@ -35,7 +35,7 @@ from repro.faas.reclamation import (
     ReclamationPolicy,
     ZipfBurstReclamationPolicy,
 )
-from repro.sim import Simulator
+from repro.sim import EventLoop
 from repro.utils.fanout import fan_out
 from repro.utils.rng import SeededRNG
 from repro.utils.units import HOUR, MINUTE, MIB
@@ -90,7 +90,7 @@ def _run_strategy(
     """Simulate one ``(strategy, fleet_size, hours, seed)`` fleet and return
     its per-hour and per-sweep reclaims (one :func:`fan_out` unit)."""
     strategy, fleet_size, hours, seed = unit
-    simulator = Simulator()
+    simulator = EventLoop()
     rng = SeededRNG(seed)
     platform = FaaSPlatform(
         simulator=simulator,

@@ -471,6 +471,16 @@ def open_loop_scales(quick: bool) -> tuple[ProductionScale, ...]:
     return (quick_scale, replace(ProductionScale.paper(), duration_hours=1.0))
 
 
+def open_loop_geometry(scale: ProductionScale) -> str:
+    """The pool, the code and the trace length of the open-loop rung at
+    ``scale``: the key :func:`check_regression` matches rungs on."""
+    return (
+        f"{scale.lambdas_per_proxy}x{production.LAMBDA_MEMORY_MIB}MiB "
+        f"RS({production.DATA_SHARDS}+{production.PARITY_SHARDS}) "
+        f"{scale.duration_hours:g}h"
+    )
+
+
 def macro_open_loop_production(scale: ProductionScale) -> PerfSample:
     """The ``infinicache.all`` production replay at ``scale``, instrumented.
 
@@ -494,11 +504,7 @@ def macro_open_loop_production(scale: ProductionScale) -> PerfSample:
         wall_s=wall,
         events=deployment.simulator.events_processed - events_before,
         extra={
-            "geometry": (
-                f"{scale.lambdas_per_proxy}x{scale.lambda_memory_mib}MiB "
-                f"RS({scale.data_shards}+{scale.parity_shards}) "
-                f"{scale.duration_hours:g}h"
-            ),
+            "geometry": open_loop_geometry(scale),
             "records": len(trace.records),
             "hit_ratio": report.hit_ratio,
             "flow_intervals": len(report.flow_intervals),

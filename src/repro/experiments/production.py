@@ -55,6 +55,18 @@ from repro.workload.replay import (
 )
 from repro.workload.trace import Trace
 
+#: The paper's Section 5.2 functions and code at every scale: 1.5 GB
+#: Lambdas, RS(10+2).
+LAMBDA_MEMORY_MIB = 1536
+DATA_SHARDS = 10
+PARITY_SHARDS = 2
+
+#: Zipf exponent of the reclamation burst sizes.
+RECLAIM_BURST_EXPONENT = 1.7
+
+#: The ElastiCache deployment the replays compare against.
+ELASTICACHE_INSTANCE = "cache.r5.24xlarge"
+
 
 @dataclass(frozen=True)
 class ProductionScale:
@@ -64,14 +76,9 @@ class ProductionScale:
     catalogue_size: int = 1_200
     base_requests_per_hour: float = 1_200.0
     lambdas_per_proxy: int = 60
-    lambda_memory_mib: int = 1536
-    data_shards: int = 10
-    parity_shards: int = 2
     #: Probability per minute that the provider reclaims a burst of instances
     #: (the bursty regime of Figure 9 is what produces the paper's RESETs).
     reclaim_burst_probability: float = 0.15
-    reclaim_burst_exponent: float = 1.7
-    elasticache_instance: str = "cache.r5.24xlarge"
     seed: int = 5050
 
     @property
@@ -87,7 +94,6 @@ class ProductionScale:
             catalogue_size=12_000,
             base_requests_per_hour=3_654.0,
             lambdas_per_proxy=400,
-            lambda_memory_mib=1536,
         )
 
     @classmethod
@@ -136,15 +142,15 @@ def build_deployment(scale: ProductionScale, backup_enabled: bool, seed_offset: 
     config = InfiniCacheConfig(
         num_proxies=1,
         lambdas_per_proxy=scale.lambdas_per_proxy,
-        lambda_memory_bytes=scale.lambda_memory_mib * MIB,
-        data_shards=scale.data_shards,
-        parity_shards=scale.parity_shards,
+        lambda_memory_bytes=LAMBDA_MEMORY_MIB * MIB,
+        data_shards=DATA_SHARDS,
+        parity_shards=PARITY_SHARDS,
         backup_enabled=backup_enabled,
         seed=scale.seed + seed_offset,
     )
     policy = ZipfBurstReclamationPolicy(
         SeededRNG(scale.seed + 7 + seed_offset),
-        exponent=scale.reclaim_burst_exponent,
+        exponent=RECLAIM_BURST_EXPONENT,
         max_burst=scale.reclaim_max_burst,
         burst_probability=scale.reclaim_burst_probability,
     )
@@ -190,7 +196,7 @@ def _replay(unit: tuple[str, Trace, ProductionScale]) -> ConcurrentReplayReport:
         report = OpenLoopDriver(deployment).run(trace)
     elif label == "elasticache.all":
         target = ElastiCacheTarget(
-            ElastiCacheCluster(instance_type_name=scale.elasticache_instance)
+            ElastiCacheCluster(instance_type_name=ELASTICACHE_INSTANCE)
         )
         report = OpenLoopBaselineDriver(target).run(trace)
     else:
@@ -237,7 +243,7 @@ def replay_elasticache_large(results: ProductionResults) -> ConcurrentReplayRepo
     """
     driver = OpenLoopBaselineDriver(
         ElastiCacheTarget(
-            ElastiCacheCluster(instance_type_name=results.scale.elasticache_instance)
+            ElastiCacheCluster(instance_type_name=ELASTICACHE_INSTANCE)
         )
     )
     return driver.run(results.trace_large)

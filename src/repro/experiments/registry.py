@@ -16,6 +16,9 @@ result, so the parameters of a scale are written down here and nowhere else:
   1-minute regime's peak hour reaches 0.4 of the fleet).
 * ``paper``  — the paper's own parameters (hours of CPU; never run by CI).
 
+Paper settings are module constants; ``run()`` takes what a scale (or, for
+``cluster_scale``, another caller) varies, plus ``seed``.
+
 A projection has the scales of its source.  The two sources memoise their
 own ``run`` (``production._run_cached``, ``figure8._run_cached``), so a
 source is simulated once per scale per process whichever experiment asks

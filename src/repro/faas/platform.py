@@ -48,7 +48,7 @@ from repro.faas.limits import (
 )
 from repro.faas.reclamation import NoReclamationPolicy, ReclamationPolicy
 from repro.obs.metrics import MetricRegistry
-from repro.sim.loop import PeriodicTask, Simulator
+from repro.sim.loop import EventLoop, PeriodicTask
 from repro.utils.units import MINUTE
 
 # Looking a member up on the enum class goes through its metaclass (~75 ns on
@@ -104,7 +104,7 @@ class FaaSPlatform:
 
     def __init__(
         self,
-        simulator: Simulator,
+        simulator: EventLoop,
         reclamation_policy: ReclamationPolicy | None = None,
         billing: BillingModel | None = None,
         metrics: MetricRegistry | None = None,

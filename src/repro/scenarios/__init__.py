@@ -9,8 +9,7 @@ across forked worker processes with byte-identical fingerprints either way
 paper's figures (:mod:`repro.scenarios.library`).
 
 The ``cluster_scale`` and ``autoscale_policies`` experiments execute
-through this package (:mod:`repro.scenarios.cluster`); their golden
-fingerprints pin that the port changed nothing.
+through this package (:mod:`repro.scenarios.cluster`).
 """
 
 from repro.scenarios.collectors import DATA_COLLECTORS, register_collector
@@ -19,7 +18,6 @@ from repro.scenarios.runner import CellResult, GridResult, ScenarioRunner, run_g
 from repro.scenarios.spec import (
     Axis,
     ClusterScenarioSpec,
-    ClusterSpec,
     FixedObjectSize,
     ScenarioCell,
     ScenarioGrid,
@@ -33,7 +31,6 @@ __all__ = [
     "Axis",
     "CellResult",
     "ClusterScenarioSpec",
-    "ClusterSpec",
     "DATA_COLLECTORS",
     "FixedObjectSize",
     "GridResult",

@@ -1,12 +1,10 @@
 """The multi-tenant autoscaling-cluster replay, driven by a scenario spec.
 
-This is the execution body of the ``cluster_scale`` experiment, ported
-behind :class:`~repro.scenarios.spec.ClusterScenarioSpec` so the scenario
-engine can sweep it (the ``autoscale_policies`` experiment is a one-axis
-grid over the autoscaler policy).  The experiment modules in
-:mod:`repro.experiments` are now thin wrappers constructing a spec and
-calling :func:`run_cluster_scale`; their golden fingerprints pin that the
-port is replay-identical.
+This is the execution body of the ``cluster_scale`` experiment, behind
+:class:`~repro.scenarios.spec.ClusterScenarioSpec` so the scenario engine
+can run it as a grid cell.  ``cluster_scale.run`` builds a spec and calls
+:func:`run_cluster_scale`; ``autoscale_policies`` calls ``cluster_scale.run``
+once per policy.
 
 Several tenants with different working sets and quotas share one
 autoscaling cluster; their requests inject **open-loop** at pre-drawn
@@ -17,13 +15,14 @@ conservation-checked chargeback decomposition of the bill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.baselines.s3 import ObjectStore
 from repro.cache.config import InfiniCacheConfig, StragglerModel
-from repro.cluster import AutoscalerConfig, InfiniCacheCluster
+from repro.cluster import InfiniCacheCluster
 from repro.exceptions import QuotaExceededError, RateLimitedError
 from repro.experiments.harness import ExperimentHarness
+from repro.scenarios.execute import FLOW_TRACE_LIMIT
 from repro.scenarios.spec import ClusterScenarioSpec, TenantSpec, default_tenants
 from repro.utils.rng import SeededRNG
 from repro.utils.stats import summarize
@@ -31,21 +30,36 @@ from repro.utils.units import MIB
 from repro.workload.replay import ConcurrentReplayReport, OpenLoopDriver
 
 __all__ = [
+    "CLUSTER_DEPLOYMENT",
+    "TENANT_ZIPF_EXPONENT",
     "TenantSpec",
     "default_tenants",
-    "DEFAULT_POLICIES",
     "TenantOutcome",
     "ClusterScaleResult",
     "run_cluster_scale",
 ]
 
-#: The autoscaling policies the ``autoscale_policies`` experiment compares,
-#: by policy name — also the values of the scenario library's policy axis.
-DEFAULT_POLICIES: dict[str, AutoscalerConfig] = {
-    "reactive": AutoscalerConfig(interval_s=30.0, policy="reactive"),
-    "predictive": AutoscalerConfig(interval_s=30.0, policy="predictive"),
-    "predictive_trend": AutoscalerConfig(interval_s=30.0, policy="predictive_trend"),
-}
+#: The cluster every replay starts: two proxies of eight 192 MiB Lambdas,
+#: RS(4+2), autoscaled between 6 and 48 Lambdas per proxy, stragglers off.
+#: A replay sets only its seed.
+CLUSTER_DEPLOYMENT = InfiniCacheConfig(
+    num_proxies=2,
+    lambdas_per_proxy=8,
+    lambda_memory_bytes=192 * MIB,
+    data_shards=4,
+    parity_shards=2,
+    min_lambdas_per_proxy=6,
+    max_lambdas_per_proxy=48,
+    straggler=StragglerModel(probability=0.0),
+    # Open-loop replays retire thousands of transfer intervals; the
+    # experiment only consumes aggregate flow statistics, so retain a
+    # bounded window instead of the whole run (peak/throughput numbers
+    # are maintained independently of the retained trace).
+    flow_trace_limit=FLOW_TRACE_LIMIT,
+)
+
+#: Zipf exponent of every tenant's key popularity.
+TENANT_ZIPF_EXPONENT = 0.9
 
 
 @dataclass
@@ -113,31 +127,12 @@ def run_cluster_scale(
     seed: int = 2020,
     harness: ExperimentHarness | None = None,
 ) -> ClusterScaleResult:
-    """Replay the spec's tenant mix against an autoscaling cluster.
-
-    The RNG stream layout, config construction, and request coroutines are
-    byte-identical to the pre-port ``cluster_scale.run`` — the committed
-    golden fingerprints pin this.
-    """
+    """Replay the spec's tenant mix against a :data:`CLUSTER_DEPLOYMENT`
+    cluster seeded with ``seed``."""
     harness = harness or ExperimentHarness("cluster_scale", seed)
     specs = list(spec.tenants)
     duration_s = spec.duration_s
-    config = InfiniCacheConfig(
-        num_proxies=spec.num_proxies,
-        lambdas_per_proxy=spec.lambdas_per_proxy,
-        lambda_memory_bytes=spec.lambda_memory_mib * MIB,
-        data_shards=spec.data_shards,
-        parity_shards=spec.parity_shards,
-        min_lambdas_per_proxy=spec.min_lambdas_per_proxy,
-        max_lambdas_per_proxy=spec.max_lambdas_per_proxy,
-        straggler=StragglerModel(probability=0.0),
-        # Open-loop replays retire thousands of transfer intervals; the
-        # experiment only consumes aggregate flow statistics, so retain a
-        # bounded window instead of the whole run (peak/throughput numbers
-        # are maintained independently of the retained trace).
-        flow_trace_limit=spec.flow_trace_limit,
-        seed=seed,
-    )
+    config = replace(CLUSTER_DEPLOYMENT, seed=seed)
     cluster = InfiniCacheCluster(config, autoscaler_config=spec.autoscaler)
     cluster.start()
     backing_store = ObjectStore()
@@ -159,7 +154,7 @@ def run_cluster_scale(
     key_rngs = {ts.tenant_id: rng.child(ts.tenant_id, "keys") for ts in specs}
     keyed_schedule: list[tuple[float, TenantSpec, str]] = []
     for timestamp, ts in schedule:
-        rank = key_rngs[ts.tenant_id].bounded_zipf(ts.num_objects, ts.zipf_exponent)
+        rank = key_rngs[ts.tenant_id].bounded_zipf(ts.num_objects, TENANT_ZIPF_EXPONENT)
         keyed_schedule.append((timestamp, ts, f"obj-{rank:05d}"))
 
     env = cluster.deployment.request_env

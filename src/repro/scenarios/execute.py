@@ -17,13 +17,13 @@ RNG stream layout (all children of ``SeededRNG(seed).child("scenario")``):
 * ``(tenant_id, "sizes")`` — one size per catalogue object, drawn up
   front (an object's size is a property of the object, not the request).
 
-The deployment itself seeds from ``seed`` via ``InfiniCacheConfig.seed``
-exactly like every experiment.
+Every workload cell replays against :data:`CELL_DEPLOYMENT`, seeded from
+``seed`` via ``InfiniCacheConfig.seed`` exactly like every experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
@@ -34,7 +34,25 @@ from repro.utils.units import MIB
 from repro.workload.arrivals import ClosedLoopArrivals
 from repro.workload.replay import ClosedLoopDriver, ConcurrentReplayReport, OpenLoopDriver
 
-__all__ = ["ScenarioOutcome", "execute_cell"]
+__all__ = ["CELL_DEPLOYMENT", "FLOW_TRACE_LIMIT", "ScenarioOutcome", "execute_cell"]
+
+#: Retired transfers a scenario deployment keeps, in both executors: the
+#: collectors read aggregate flow statistics, which are kept independently
+#: of the retained trace.
+FLOW_TRACE_LIMIT = 512
+
+#: The deployment of every workload cell: one proxy over eight 512 MiB
+#: Lambdas, RS(4+2), no backup.  A cell sets only its resilience profile and
+#: its seed.
+CELL_DEPLOYMENT = InfiniCacheConfig(
+    num_proxies=1,
+    lambdas_per_proxy=8,
+    lambda_memory_bytes=512 * MIB,
+    data_shards=4,
+    parity_shards=2,
+    backup_enabled=False,
+    flow_trace_limit=FLOW_TRACE_LIMIT,
+)
 
 
 @dataclass
@@ -47,18 +65,7 @@ class ScenarioOutcome:
 
 
 def _build_deployment(spec: ScenarioSpec, seed: int) -> InfiniCacheDeployment:
-    cluster = spec.cluster
-    config = InfiniCacheConfig(
-        num_proxies=cluster.num_proxies,
-        lambdas_per_proxy=cluster.lambdas_per_proxy,
-        lambda_memory_bytes=cluster.lambda_memory_mib * MIB,
-        data_shards=cluster.data_shards,
-        parity_shards=cluster.parity_shards,
-        backup_enabled=cluster.backup_enabled,
-        resilience=spec.resilience,
-        flow_trace_limit=512,
-        seed=seed,
-    )
+    config = replace(CELL_DEPLOYMENT, resilience=spec.resilience, seed=seed)
     deployment = InfiniCacheDeployment(config)
     if spec.faults is not None and len(spec.faults):
         ChaosEngine(deployment, spec.faults).install()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.exceptions import ConfigurationError
 from repro.faults.scenario import demo_resilience
 from repro.faults.spec import FaultSchedule, InvocationFaults, ReclamationStorm
-from repro.scenarios.cluster import DEFAULT_POLICIES, default_tenants
+from repro.scenarios.cluster import default_tenants
 from repro.scenarios.spec import (
     Axis,
     ClusterScenarioSpec,
@@ -294,21 +294,3 @@ register_grid(ScenarioGrid(
     collectors=("requests", "latency", "cost", "throughput", "autoscaling"),
 ))
 
-
-register_grid(ScenarioGrid(
-    name="autoscale_policies",
-    description=(
-        "Reactive watermarks vs. predictive EWMA (with/without trend) over "
-        "the same multi-tenant workload — the autoscale_policies experiment "
-        "as a one-axis grid."
-    ),
-    base=ClusterScenarioSpec(
-        tenants=tuple(default_tenants(40)),
-        duration_s=90.0,
-    ),
-    axes=(
-        Axis("policy", tuple(DEFAULT_POLICIES.items()), spec_field="autoscaler"),
-    ),
-    replications=1,
-    collectors=("requests", "latency", "cost", "throughput", "autoscaling"),
-))

@@ -2,8 +2,9 @@
 
 A scenario spec is a frozen, validated, picklable description of **one
 simulation cell**: the arrival process, the popularity model, the object
-sizes, the tenant mix, the cluster geometry, the optional resilience
-profile, and the optional fault schedule.  A :class:`ScenarioGrid` declares
+sizes, the tenant mix, the optional resilience profile, and the optional
+fault schedule.  The deployment a cell replays against is the executor's
+constant, not a spec field: no grid varies it.  A :class:`ScenarioGrid` declares
 axes over those fields and expands into concrete :class:`ScenarioCell`\\ s —
 the cartesian product the :class:`~repro.scenarios.runner.ScenarioRunner`
 fans out, serially or across processes.
@@ -13,8 +14,8 @@ Two spec kinds exist:
 * :class:`ScenarioSpec` — a single-deployment workload replay through the
   event-driven drivers (the general scenario shape; hundreds of cells).
 * :class:`ClusterScenarioSpec` — the multi-tenant autoscaling-cluster
-  replay (the ported ``cluster_scale`` / ``autoscale_policies``
-  experiments), executed by :mod:`repro.scenarios.cluster`.
+  replay of the ``cluster_scale`` experiment, executed by
+  :mod:`repro.scenarios.cluster`.
 
 Seeding contract: a cell's identity is its **coordinates** (sorted
 ``axis=label`` pairs), not its position in the expansion order, so adding
@@ -54,7 +55,6 @@ __all__ = [
     "FixedObjectSize",
     "SizeSpec",
     "TenantShare",
-    "ClusterSpec",
     "ScenarioSpec",
     "TenantSpec",
     "default_tenants",
@@ -85,7 +85,7 @@ class FixedObjectSize:
 SizeSpec = Union[FixedObjectSize, ObjectSizeDistribution]
 
 
-# ------------------------------------------------------------------ tenants & cluster
+# ------------------------------------------------------------------ tenants
 @dataclass(frozen=True)
 class TenantShare:
     """One tenant of a workload scenario: traffic share and catalogue."""
@@ -108,28 +108,6 @@ class TenantShare:
             raise ConfigurationError("catalogue size must be >= 1")
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Deployment geometry of a workload scenario cell."""
-
-    num_proxies: int = 1
-    lambdas_per_proxy: int = 8
-    lambda_memory_mib: int = 512
-    data_shards: int = 4
-    parity_shards: int = 2
-    backup_enabled: bool = False
-
-    def __post_init__(self):
-        if self.num_proxies < 1 or self.lambdas_per_proxy < 1:
-            raise ConfigurationError("cluster geometry must be positive")
-        if self.lambda_memory_mib < 128:
-            raise ConfigurationError("lambda memory must be at least 128 MiB")
-        if self.data_shards < 1 or self.parity_shards < 0:
-            raise ConfigurationError("invalid erasure code")
-        if self.data_shards + self.parity_shards > self.lambdas_per_proxy:
-            raise ConfigurationError("erasure stripe wider than the Lambda pool")
-
-
 # ------------------------------------------------------------------ workload scenario
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -139,7 +117,6 @@ class ScenarioSpec:
     popularity: PopularitySpec = field(default_factory=StaticZipf)
     object_size: SizeSpec = field(default_factory=FixedObjectSize)
     tenants: tuple[TenantShare, ...] = (TenantShare(),)
-    cluster: ClusterSpec = field(default_factory=ClusterSpec)
     resilience: Optional[ResilienceConfig] = None
     faults: Optional[FaultSchedule] = None
 
@@ -183,7 +160,6 @@ class TenantSpec:
     requests: int
     num_objects: int
     object_size: int
-    zipf_exponent: float = 0.9
     quota: TenantQuota = field(default_factory=TenantQuota)
 
     def __post_init__(self):
@@ -193,8 +169,6 @@ class TenantSpec:
             raise ConfigurationError(
                 "tenant requests, num_objects and object_size must be positive"
             )
-        if not math.isfinite(self.zipf_exponent) or self.zipf_exponent <= 0:
-            raise ConfigurationError("Zipf exponent must be positive and finite")
 
 
 def default_tenants(requests_per_tenant: int = 300) -> list[TenantSpec]:
@@ -229,9 +203,9 @@ def default_tenants(requests_per_tenant: int = 300) -> list[TenantSpec]:
 class ClusterScenarioSpec:
     """The multi-tenant autoscaling-cluster replay as a scenario spec.
 
-    Field defaults reproduce the ``cluster_scale`` experiment exactly —
-    the ported experiments are thin wrappers constructing this spec, and
-    their golden fingerprints pin that the port changed nothing.
+    The fields are what the ``cluster_scale`` experiment and its callers
+    vary; the cluster itself is
+    :data:`~repro.scenarios.cluster.CLUSTER_DEPLOYMENT`.
     """
 
     tenants: tuple[TenantSpec, ...] = field(
@@ -241,14 +215,6 @@ class ClusterScenarioSpec:
     autoscaler: AutoscalerConfig = field(
         default_factory=lambda: AutoscalerConfig(interval_s=30.0)
     )
-    num_proxies: int = 2
-    lambdas_per_proxy: int = 8
-    lambda_memory_mib: int = 192
-    data_shards: int = 4
-    parity_shards: int = 2
-    min_lambdas_per_proxy: int = 6
-    max_lambdas_per_proxy: int = 48
-    flow_trace_limit: int = 512
 
     def __post_init__(self):
         if not self.tenants:

@@ -8,7 +8,7 @@ shared virtual clock and event queue defined here.
 Three layers, lowest first:
 
 * **clock + events** — :class:`SimClock`, :class:`Event`,
-  :class:`EventQueue`, :class:`EventLoop` (alias ``Simulator``): callbacks
+  :class:`EventQueue`, :class:`EventLoop`: callbacks
   scheduled at absolute virtual times, executed in deterministic
   ``(time, insertion)`` order.
 * **timers** — :class:`PeriodicTask`: the refire-every-interval idiom the
@@ -25,7 +25,7 @@ See ``docs/simulation.md`` for the programming model and examples.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.loop import Event, EventLoop, EventQueue, PeriodicTask, Simulator
+from repro.sim.loop import Event, EventLoop, EventQueue, PeriodicTask
 from repro.sim.process import CountdownLatch, Process, SimFuture, all_of
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "EventLoop",
-    "Simulator",
     "PeriodicTask",
     "CountdownLatch",
     "Process",

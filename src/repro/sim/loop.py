@@ -15,9 +15,6 @@ On top of the callback layer the loop offers three higher-level primitives:
   (GETs racing d-of-n chunk fetches, closed-loop clients) are written as;
 * :class:`PeriodicTask` — a timer that refires every interval until stopped
   (warm-ups, backups, reclamation sweeps, autoscaler ticks).
-
-``Simulator`` remains as an alias of :class:`EventLoop` for the original
-synchronous facade; the two names are the same class.
 """
 
 from __future__ import annotations
@@ -760,11 +757,6 @@ class EventLoop:
         if len(parked) > limit:
             shown += f", and {len(parked) - limit} more"
         return shown
-
-
-#: Backwards-compatible name for the loop: the original synchronous facade
-#: calls it a Simulator; the event-driven drivers call it an EventLoop.
-Simulator = EventLoop
 
 
 class PeriodicTask:

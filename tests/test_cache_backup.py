@@ -9,7 +9,7 @@ from repro.cache.proxy import Proxy
 from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import TransferModel
 from repro.obs.metrics import MetricRegistry
-from repro.sim import Simulator
+from repro.sim import EventLoop
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MIB
 
@@ -24,7 +24,7 @@ def setup():
         straggler=StragglerModel(probability=0.0),
         seed=5,
     )
-    platform = FaaSPlatform(Simulator())
+    platform = FaaSPlatform(EventLoop())
     proxy = Proxy("proxy-0", config, platform, TransferModel(), SeededRNG(5))
     manager = BackupManager(proxy, platform, MetricRegistry())
     return platform, proxy, manager

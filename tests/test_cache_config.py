@@ -13,6 +13,8 @@ from repro.cache.config import (
 )
 from repro.cluster.autoscaler import AutoscalerConfig
 from repro.exceptions import ConfigurationError
+from repro.experiments.production import ProductionScale
+from repro.scenarios.spec import ClusterScenarioSpec, ScenarioSpec, TenantSpec
 from repro.utils.units import MIB
 
 
@@ -145,10 +147,14 @@ def test_non_finite_values_fail_at_construction(build):
 
 
 def test_only_the_settings_callers_vary_are_fields():
-    """Anything every caller sets the same way is a module constant."""
+    """Anything every caller sets the same way is a module constant: in the
+    deployment configs, the scenario specs and the production scale."""
     names = {
         cls.__name__: [f.name for f in dataclasses.fields(cls)]
-        for cls in (InfiniCacheConfig, StragglerModel, ResilienceConfig, AutoscalerConfig)
+        for cls in (
+            InfiniCacheConfig, StragglerModel, ResilienceConfig, AutoscalerConfig,
+            ScenarioSpec, ClusterScenarioSpec, TenantSpec, ProductionScale,
+        )
     }
     assert names == {
         "InfiniCacheConfig": [
@@ -160,4 +166,13 @@ def test_only_the_settings_callers_vary_are_fields():
         "StragglerModel": ["probability", "min_factor", "max_factor"],
         "ResilienceConfig": ["chunk_attempts", "chunk_timeout_s", "circuit_breaker"],
         "AutoscalerConfig": ["interval_s", "policy"],
+        "ScenarioSpec": [
+            "arrival", "popularity", "object_size", "tenants", "resilience", "faults",
+        ],
+        "ClusterScenarioSpec": ["tenants", "duration_s", "autoscaler"],
+        "TenantSpec": ["tenant_id", "requests", "num_objects", "object_size", "quota"],
+        "ProductionScale": [
+            "duration_hours", "catalogue_size", "base_requests_per_hour",
+            "lambdas_per_proxy", "reclaim_burst_probability", "seed",
+        ],
     }

@@ -12,7 +12,7 @@ from repro.cache.connection import (
 from repro.cache.proxy import Proxy
 from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import TransferModel
-from repro.sim import Simulator
+from repro.sim import EventLoop
 from repro.utils.rng import SeededRNG
 
 
@@ -93,7 +93,7 @@ def test_proxy_gives_every_node_its_own_breaker_only_when_enabled(enabled):
     proxy = Proxy(
         proxy_id="proxy-test",
         config=config,
-        platform=FaaSPlatform(Simulator()),
+        platform=FaaSPlatform(EventLoop()),
         transfer_model=TransferModel(),
         rng=SeededRNG(11),
     )

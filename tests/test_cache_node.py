@@ -10,13 +10,13 @@ from repro.cache.node import LambdaCacheNode
 from repro.exceptions import CacheError
 from repro.faas.limits import WARM_INVOCATION_OVERHEAD
 from repro.faas.platform import FaaSPlatform
-from repro.sim import Simulator
+from repro.sim import EventLoop
 from repro.utils.units import MIB
 
 
 @pytest.fixture
 def platform() -> FaaSPlatform:
-    return FaaSPlatform(Simulator())
+    return FaaSPlatform(EventLoop())
 
 
 @pytest.fixture

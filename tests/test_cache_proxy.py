@@ -8,7 +8,7 @@ from repro.cache.proxy import Proxy
 from repro.exceptions import CacheError, ObjectTooLargeError
 from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import TransferModel
-from repro.sim import Simulator
+from repro.sim import EventLoop
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MB, MIB
 
@@ -28,7 +28,7 @@ def build_proxy(
         straggler=StragglerModel(probability=straggler_probability),
         seed=7,
     )
-    platform = FaaSPlatform(Simulator())
+    platform = FaaSPlatform(EventLoop())
     return Proxy(
         proxy_id="proxy-test",
         config=config,

@@ -143,6 +143,14 @@ class TestClusterChargeback:
         cluster.stop()
 
 
+@pytest.fixture(scope="class")
+def policy_comparison():
+    """``autoscale_policies`` at its golden scale, built once per class."""
+    from repro.experiments import registry
+
+    return registry.build("autoscale_policies", "golden")
+
+
 class TestChargebackExperiments:
     def test_cluster_scale_conservation(self):
         from repro.experiments import cluster_scale
@@ -154,12 +162,10 @@ class TestChargebackExperiments:
         report = cluster_scale.format_report(result)
         assert "chargeback conservation" in report
 
-    def test_policy_comparison_reports_both_policies(self):
-        from repro.experiments import autoscale_policies, cluster_scale
+    def test_policy_comparison_reports_both_policies(self, policy_comparison):
+        from repro.experiments import autoscale_policies
 
-        result = autoscale_policies.run(
-            tenants=cluster_scale.default_tenants(30), duration_s=60.0
-        )
+        result = policy_comparison
         assert set(result.runs) == {"reactive", "predictive", "predictive_trend"}
         for run_result in result.runs.values():
             assert run_result.chargeback_total_cost == pytest.approx(
@@ -167,3 +173,27 @@ class TestChargebackExperiments:
             )
         report = autoscale_policies.format_report(result)
         assert "reactive" in report and "predictive" in report
+
+    def test_every_policy_replays_one_schedule(self, policy_comparison):
+        """The comparison's premise: every policy serves the same requests —
+        the same arrival instants, tenants and keys — and throttles the same
+        ones, so the policies differ only in how they size the pool."""
+        result = policy_comparison
+        schedules = {
+            policy: sorted(
+                (sample.started_at, sample.client_id, sample.key)
+                for sample in run_result.replay_report.samples
+            )
+            for policy, run_result in result.runs.items()
+        }
+        issued = {
+            policy: {
+                tenant_id: (outcome.requests_issued, outcome.throttled)
+                for tenant_id, outcome in run_result.tenants.items()
+            }
+            for policy, run_result in result.runs.items()
+        }
+        reactive = schedules.pop("reactive")
+        assert reactive and all(schedule == reactive for schedule in schedules.values())
+        assert sum(throttled for _issued, throttled in issued["reactive"].values()) > 0
+        assert all(counts == issued["reactive"] for counts in issued.values())

@@ -1,5 +1,6 @@
 """Tests for the experiment registry and the runner CLI on top of it."""
 
+import inspect
 import re
 from functools import lru_cache
 
@@ -43,6 +44,36 @@ class TestRegistry:
         declared = registry.EXPERIMENTS["production"].scales
         assert declared["report"] is declared["quick"]
         assert "smoke" not in {s for name in registry.names() for s in registry.scales(name)}
+
+    def test_run_takes_only_what_a_scale_varies(self):
+        """Paper settings are module constants: a ``run()`` takes what a
+        scale varies, the ``seed`` seed sweeps vary, and, for
+        ``cluster_scale``, what ``repro chargeback`` and
+        ``autoscale_policies`` pass.  A projection takes its source's result."""
+        parameters = {
+            name: list(inspect.signature(experiment.run).parameters)
+            for name, experiment in registry.EXPERIMENTS.items()
+        }
+        projections = {
+            name: parameters.pop(name)
+            for name, experiment in registry.EXPERIMENTS.items() if experiment.source
+        }
+        assert parameters == {
+            "figure1": ["duration_hours", "datacenters"],
+            "figure4": ["pool_sizes", "requests_per_pool", "seed"],
+            "figure8": ["fleet_size", "hours", "strategies", "seed"],
+            "figure11": ["lambda_memories_mib", "rs_codes", "object_sizes",
+                         "requests_per_cell", "seed"],
+            "figure12": ["client_counts", "requests_per_client", "seed"],
+            "production": ["scale"],
+            "figure17": [],
+            "availability": [],
+            "chaos_availability": ["seed", "clients", "rounds"],
+            "cluster_scale": ["tenants", "duration_s", "seed", "autoscaler_config",
+                              "harness"],
+            "autoscale_policies": ["duration_s", "seed"],
+        }
+        assert all(len(names) == 1 for names in projections.values()), projections
 
     def test_an_undeclared_scale_names_the_declared_ones(self):
         with pytest.raises(ConfigurationError) as error:

@@ -16,14 +16,14 @@ from repro.faas.function import FunctionState
 from repro.faas.limits import COLD_START_OVERHEAD, WARM_INVOCATION_OVERHEAD
 from repro.faas.platform import FaaSPlatform
 from repro.faas.reclamation import IdleTimeoutPolicy, PoissonReclamationPolicy
-from repro.sim import Simulator
+from repro.sim import EventLoop
 from repro.utils.rng import SeededRNG
 from repro.utils.units import HOUR, MINUTE, MIB
 
 
 @pytest.fixture
 def platform() -> FaaSPlatform:
-    return FaaSPlatform(Simulator())
+    return FaaSPlatform(EventLoop())
 
 
 class TestRegistration:
@@ -308,7 +308,7 @@ class TestBulkWarmUp:
         st.lists(_steps, min_size=1, max_size=25),
     )
     def test_random_fleets_end_in_the_per_call_state(self, memories, steps):
-        bulk, loop = FaaSPlatform(Simulator()), FaaSPlatform(Simulator())
+        bulk, loop = FaaSPlatform(EventLoop()), FaaSPlatform(EventLoop())
         names = [f"f{index}" for index in range(len(memories))]
         sides = []
         for platform in (bulk, loop):
@@ -510,7 +510,7 @@ class TestReclamation:
         assert host.occupancy == 0
 
     def test_sweeps_reclaim_idle_functions(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         platform = FaaSPlatform(
             simulator, reclamation_policy=IdleTimeoutPolicy(idle_timeout_s=27 * MINUTE)
         )
@@ -525,7 +525,7 @@ class TestReclamation:
     def test_warm_functions_survive_sweeps(self):
         """The 1-minute warm-up strategy keeps instances alive indefinitely
         under the idle-timeout policy."""
-        simulator = Simulator()
+        simulator = EventLoop()
         platform = FaaSPlatform(
             simulator, reclamation_policy=IdleTimeoutPolicy(idle_timeout_s=27 * MINUTE)
         )
@@ -544,7 +544,7 @@ class TestReclamation:
         assert result.instance.is_alive
 
     def test_stop_reclamation_sweeps(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         platform = FaaSPlatform(
             simulator,
             reclamation_policy=PoissonReclamationPolicy(SeededRNG(1), 5.0),

@@ -227,8 +227,7 @@ class TestMacroAndComparison:
     def test_full_suite_runs_the_quick_geometry_and_the_paper_pool(self):
         quick, paper = perf.open_loop_scales(quick=False)
         assert quick == perf.open_loop_scales(quick=True)[0]
-        assert (paper.lambdas_per_proxy, paper.lambda_memory_mib) == (400, 1536)
-        assert (paper.data_shards, paper.parity_shards, paper.duration_hours) == (10, 2, 1.0)
+        assert perf.open_loop_geometry(paper) == "400x1536MiB RS(10+2) 1h"
 
     def test_compare_arbiters_fingerprints_identical(self):
         comparison = perf.compare_arbiters(clients=8, requests_per_client=2)

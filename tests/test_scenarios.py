@@ -206,10 +206,6 @@ class TestLibrary:
 
     def test_cluster_experiments_available_as_scenarios(self):
         assert isinstance(get_grid("cluster_scale").base, ClusterScenarioSpec)
-        policies = get_grid("autoscale_policies")
-        assert [label for label, _ in policies.axes[0].values] == [
-            "reactive", "predictive", "predictive_trend",
-        ]
 
     def test_unknown_grid_error_lists_names(self):
         with pytest.raises(ConfigurationError, match="smoke"):

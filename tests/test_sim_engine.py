@@ -522,11 +522,9 @@ class TestInterrupt:
         assert finished.interrupt(KeyError()) is False
 
 
-class TestBackwardsCompatibility:
-    def test_simulator_alias_supports_processes(self):
-        from repro.sim import Simulator
-
-        loop = Simulator()
+class TestBareLoop:
+    def test_a_bare_loop_runs_processes(self):
+        loop = EventLoop()
 
         def proc():
             yield 1.0

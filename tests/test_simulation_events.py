@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim import EventQueue, Simulator
+from repro.sim import EventLoop, EventQueue
 
 
 class TestEventQueue:
@@ -65,7 +65,7 @@ class TestEventQueue:
 
 class TestSimulator:
     def test_schedule_and_run_until(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         fired = []
         simulator.schedule(5.0, lambda: fired.append(simulator.now))
         simulator.run_until(10.0)
@@ -73,7 +73,7 @@ class TestSimulator:
         assert simulator.now == 10.0
 
     def test_run_until_stops_before_later_events(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         fired = []
         simulator.schedule(5.0, lambda: fired.append("early"))
         simulator.schedule(15.0, lambda: fired.append("late"))
@@ -83,32 +83,32 @@ class TestSimulator:
         assert fired == ["early", "late"]
 
     def test_schedule_at_absolute_time(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         fired = []
         simulator.schedule_at(3.0, lambda: fired.append(simulator.now))
         simulator.run_until(5.0)
         assert fired == [3.0]
 
     def test_schedule_negative_delay_rejected(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         with pytest.raises(SimulationError):
             simulator.schedule(-1.0, lambda: None)
 
     def test_schedule_at_past_rejected(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         simulator.run_until(10.0)
         with pytest.raises(SimulationError):
             simulator.schedule_at(5.0, lambda: None)
 
     def test_run_until_past_rejected(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         simulator.run_until(10.0)
         with pytest.raises(SimulationError):
             simulator.run_until(5.0)
 
     def test_chained_scheduling(self):
         """An event can schedule a follow-up; both run within the horizon."""
-        simulator = Simulator()
+        simulator = EventLoop()
         fired = []
 
         def first():
@@ -120,7 +120,7 @@ class TestSimulator:
         assert fired == ["first", "second"]
 
     def test_periodic_rescheduling_respects_horizon(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         ticks = []
 
         def tick():
@@ -132,14 +132,14 @@ class TestSimulator:
         assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_events_processed_counter(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         simulator.schedule(1.0, lambda: None)
         simulator.schedule(2.0, lambda: None)
         simulator.run_until(3.0)
         assert simulator.events_processed == 2
 
     def test_run_all_drains_queue(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         fired = []
         simulator.schedule(1.0, lambda: fired.append(1))
         simulator.schedule(2.0, lambda: fired.append(2))
@@ -147,7 +147,7 @@ class TestSimulator:
         assert fired == [1, 2]
 
     def test_run_all_detects_runaway(self):
-        simulator = Simulator()
+        simulator = EventLoop()
 
         def forever():
             simulator.schedule(1.0, forever)
@@ -157,7 +157,7 @@ class TestSimulator:
             simulator.run_all(max_events=100)
 
     def test_cancelled_event_not_dispatched(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         fired = []
         event = simulator.schedule(1.0, lambda: fired.append("no"))
         event.cancel()
@@ -307,11 +307,11 @@ class TestLoopProfiling:
     """The opt-in event-loop profiler behind ``enable_profiling``."""
 
     def test_profiling_disabled_by_default(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         assert simulator.profile is None
 
     def test_profile_counts_by_label_key(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         simulator.enable_profiling()
         simulator.schedule(1.0, lambda: None, label="tick:a")
         simulator.schedule(2.0, lambda: None, label="tick:b")
@@ -328,7 +328,7 @@ class TestLoopProfiling:
         assert profile.self_time_s["tick"] >= 0.0
 
     def test_snapshot_schema(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         simulator.enable_profiling()
         simulator.schedule(1.0, lambda: None, label="work")
         simulator.run_until(2.0)
@@ -347,7 +347,7 @@ class TestLoopProfiling:
         simulator.disable_profiling()
 
     def test_disable_profiling_restores_the_fast_path(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         simulator.enable_profiling()
         simulator.schedule(1.0, lambda: None, label="a")
         simulator.run_until(2.0)
@@ -359,7 +359,7 @@ class TestLoopProfiling:
 
     def test_profiling_does_not_change_dispatch_order_or_time(self):
         def run(profiled):
-            simulator = Simulator()
+            simulator = EventLoop()
             if profiled:
                 simulator.enable_profiling()
             fired = []
@@ -416,7 +416,7 @@ class TestLoopProfiling:
 
     def test_collector_hook_lives_exactly_as_long_as_profiling(self):
         hooks_before = list(gc.callbacks)
-        simulator = Simulator()
+        simulator = EventLoop()
         first = simulator.enable_profiling()
         assert gc.callbacks == hooks_before + [first.note_gc]
         # Re-enabling swaps the hook instead of stacking a second one.
@@ -427,7 +427,7 @@ class TestLoopProfiling:
         assert simulator.disable_profiling() is None
 
     def test_collector_meter_tells_dispatch_from_outside(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         profile = simulator.enable_profiling()
         was_enabled = gc.isenabled()
         gc.disable()  # only the explicit passes below, whatever pytest allocates
@@ -457,13 +457,13 @@ class TestDelayValidation:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_schedule_rejects_non_finite_delay(self, bad):
-        simulator = Simulator()
+        simulator = EventLoop()
         with pytest.raises(ValueError):
             simulator.schedule(bad, lambda: None, label="bad")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_schedule_at_rejects_non_finite_time(self, bad):
-        simulator = Simulator()
+        simulator = EventLoop()
         with pytest.raises(ValueError):
             simulator.schedule_at(bad, lambda: None, label="bad")
 
@@ -474,12 +474,12 @@ class TestDelayValidation:
             queue.push(bad, lambda: None, label="bad")
 
     def test_timeout_rejects_nan_delay(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         with pytest.raises(ValueError):
             simulator.timeout(float("nan"))
 
     def test_negative_delay_still_raises_simulation_error(self):
-        simulator = Simulator()
+        simulator = EventLoop()
         with pytest.raises(SimulationError):
             simulator.schedule(-0.5, lambda: None)
 
@@ -487,7 +487,7 @@ class TestDelayValidation:
     def test_a_bad_sleep_names_its_process(self, bad):
         """Sleep events carry the bare kind ``"sleep"``; the error names the
         process through its resume callback."""
-        simulator = Simulator()
+        simulator = EventLoop()
 
         def coroutine():
             yield bad
@@ -497,7 +497,7 @@ class TestDelayValidation:
 
     def test_nan_push_does_not_corrupt_heap_order(self):
         """A rejected NaN push leaves the queue fully ordered."""
-        simulator = Simulator()
+        simulator = EventLoop()
         fired = []
         simulator.schedule(3.0, lambda: fired.append(3.0))
         with pytest.raises(ValueError):
@@ -510,7 +510,7 @@ class TestDelayValidation:
     def test_periodic_task_rejects_nan_interval(self):
         from repro.sim.loop import PeriodicTask
 
-        simulator = Simulator()
+        simulator = EventLoop()
         with pytest.raises(SimulationError):
             PeriodicTask(simulator, float("nan"), lambda: None)
 

@@ -390,21 +390,18 @@ class TestSeedFleet:
 
 
 class TestFigure12ConcurrentScaling:
-    def test_throughput_monotone_from_1_to_8_clients(self):
+    def test_throughput_monotone_from_1_to_8_clients(self, monkeypatch):
         """Acceptance: closed-loop throughput rises monotonically 1 -> 8."""
-        result = figure12.run(
-            client_counts=(1, 2, 4, 8),
-            requests_per_client=6,
-            straggler_probability=0.0,
-        )
+        monkeypatch.setattr(figure12, "STRAGGLER_PROBABILITY", 0.0)
+        result = figure12.run(client_counts=(1, 2, 4, 8), requests_per_client=6)
         ordered = [result.throughput_bps[c] for c in (1, 2, 4, 8)]
         assert all(later > earlier for earlier, later in zip(ordered, ordered[1:]))
         # Peak concurrency grows with the client count (12 chunks per GET).
         assert result.reports[8].max_concurrent_flows() > result.reports[1].max_concurrent_flows()
 
-    def test_two_client_run_reports_overlap_evidence(self):
-        result = figure12.run(client_counts=(2,), requests_per_client=4,
-                              straggler_probability=0.0)
+    def test_two_client_run_reports_overlap_evidence(self, monkeypatch):
+        monkeypatch.setattr(figure12, "STRAGGLER_PROBABILITY", 0.0)
+        result = figure12.run(client_counts=(2,), requests_per_client=4)
         report = result.reports[2]
         assert report.overlapping_flow_pairs() > 0
         assert "peak concurrent chunk flows" in figure12.format_report(result)
