@@ -28,12 +28,6 @@ from repro.cache import (
     PutResult,
 )
 from repro.analysis import AvailabilityModel, CostModel, CostModelParams
-from repro.cluster import (
-    AutoscalerConfig,
-    InfiniCacheCluster,
-    TenantClient,
-    TenantQuota,
-)
 from repro.erasure import ErasureCodec, ReedSolomon
 from repro.workload import (
     ClosedLoopDriver,
@@ -44,6 +38,19 @@ from repro.workload import (
 )
 
 __version__ = "1.0.0"
+
+#: Re-exported from :mod:`repro.cluster` on first use, so that importing a
+#: package that does not orchestrate clusters (``repro.scenarios``, the
+#: replay drivers) does not load the cluster subsystem.
+_CLUSTER_EXPORTS = ("AutoscalerConfig", "InfiniCacheCluster", "TenantClient", "TenantQuota")
+
+
+def __getattr__(name: str):
+    if name in _CLUSTER_EXPORTS:
+        import repro.cluster
+
+        return getattr(repro.cluster, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "InfiniCacheConfig",

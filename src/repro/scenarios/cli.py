@@ -56,7 +56,6 @@ def _describe(args: argparse.Namespace) -> int:
     grid = get_grid(args.name)
     print(f"scenario: {grid.name}")
     print(f"  {grid.description}")
-    print(f"  base spec: {type(grid.base).__name__}")
     print(f"  collectors: {', '.join(grid.collectors)}")
     print(f"  replications per cell: {grid.replications}")
     if grid.axes:
@@ -65,7 +64,7 @@ def _describe(args: argparse.Namespace) -> int:
             labels = ", ".join(label for label, _value in axis.values)
             print(f"    {axis.name} -> {axis.spec_field}: {labels}")
     print(f"  cells ({grid.cell_count}):")
-    for cell in grid.expand():
+    for cell in grid.cells:
         print(f"    [{cell.index:3d}] {cell.key() or '(base)'}")
     return 0
 

@@ -60,7 +60,7 @@ def resolve_collectors(names: tuple[str, ...] | list[str]) -> dict[str, Collecto
 def _requests(outcome: ScenarioOutcome) -> dict[str, float]:
     report = outcome.report
     return {
-        "offered": outcome.extras.get("offered_requests", float(report.requests)),
+        "offered": float(outcome.offered_requests),
         "completed": float(report.requests),
         "hits": float(report.hits),
         "misses": float(report.misses),
@@ -88,10 +88,7 @@ def _latency(outcome: ScenarioOutcome) -> dict[str, float]:
 @register_collector("cost")
 def _cost(outcome: ScenarioOutcome) -> dict[str, float]:
     report = outcome.report
-    # Cluster cells bill through the cluster's cost model and surface the
-    # total via extras; plain replays carry it on the report.
-    total = outcome.extras.get("total_cost", report.total_cost)
-    metrics = {"total_usd": total}
+    metrics = {"total_usd": report.total_cost}
     for category, amount in sorted(report.cost_breakdown.items()):
         metrics[f"{category}_usd"] = amount
     return metrics
@@ -118,13 +115,6 @@ def _resilience(outcome: ScenarioOutcome) -> dict[str, float]:
     for counter, value in sorted(report.resilience.items()):
         metrics[counter] = value
     return metrics
-
-
-@register_collector("autoscaling")
-def _autoscaling(outcome: ScenarioOutcome) -> dict[str, float]:
-    """Pool/quota extras from cluster cells (empty for plain replays)."""
-    keys = ("peak_pool_size", "final_pool_size", "throttled", "rejected_puts")
-    return {key: outcome.extras[key] for key in keys if key in outcome.extras}
 
 
 def metric_digest(metrics: dict[str, float]) -> str:

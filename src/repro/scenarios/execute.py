@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.faults.engine import ChaosEngine
-from repro.scenarios.spec import CellSpec, ClusterScenarioSpec, ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MIB
 from repro.workload.arrivals import ClosedLoopArrivals
@@ -36,9 +36,9 @@ from repro.workload.replay import ClosedLoopDriver, ConcurrentReplayReport, Open
 
 __all__ = ["CELL_DEPLOYMENT", "FLOW_TRACE_LIMIT", "ScenarioOutcome", "execute_cell"]
 
-#: Retired transfers a scenario deployment keeps, in both executors: the
-#: collectors read aggregate flow statistics, which are kept independently
-#: of the retained trace.
+#: Retired transfers a scenario cell's deployment (and the ``cluster_scale``
+#: experiment's) keeps: the collectors read aggregate flow statistics, which
+#: are kept independently of the retained trace.
 FLOW_TRACE_LIMIT = 512
 
 #: The deployment of every workload cell: one proxy over eight 512 MiB
@@ -60,8 +60,9 @@ class ScenarioOutcome:
     """What one cell execution produced, as the collectors consume it."""
 
     report: ConcurrentReplayReport
-    #: Executor-level extras the report does not carry (collector inputs).
-    extras: dict[str, float]
+    #: Requests the pre-drawn schedule offered (the report counts those
+    #: that completed).
+    offered_requests: int
 
 
 def _build_deployment(spec: ScenarioSpec, seed: int) -> InfiniCacheDeployment:
@@ -127,7 +128,8 @@ def _draw_schedule(spec: ScenarioSpec, rng: SeededRNG,
     return requests, catalogue
 
 
-def _execute_workload(spec: ScenarioSpec, seed: int) -> ScenarioOutcome:
+def execute_cell(spec: ScenarioSpec, seed: int) -> ScenarioOutcome:
+    """Run one cell to completion and return its outcome (picklable inputs)."""
     deployment = _build_deployment(spec, seed)
     rng = SeededRNG(seed).child("scenario")
 
@@ -137,7 +139,7 @@ def _execute_workload(spec: ScenarioSpec, seed: int) -> ScenarioOutcome:
         # time-dependent popularity under closed-loop arrivals).
         arrival = spec.arrival
         times = [0.0] * arrival.total_requests
-        requests, catalogue = _draw_schedule(spec, rng, times)
+        requests, _catalogue = _draw_schedule(spec, rng, times)
         plans = [
             [(request.key, request.size)
              for request in requests[index::arrival.clients]]
@@ -170,39 +172,4 @@ def _execute_workload(spec: ScenarioSpec, seed: int) -> ScenarioOutcome:
         ]
         driver.run_schedule(arrivals, report)
 
-    extras = {
-        "catalogue_objects": float(len(catalogue)),
-        "offered_requests": float(len(requests)),
-    }
-    return ScenarioOutcome(report=report, extras=extras)
-
-
-def execute_cell(spec: CellSpec, seed: int) -> ScenarioOutcome:
-    """Run one cell to completion and return its outcome (picklable inputs).
-
-    Dispatches on the spec kind; cluster scenarios delegate to
-    :func:`repro.scenarios.cluster.run_cluster_scale` and expose the
-    replay's driver report plus autoscaling extras.
-    """
-    if isinstance(spec, ScenarioSpec):
-        return _execute_workload(spec, seed)
-    if isinstance(spec, ClusterScenarioSpec):
-        from repro.scenarios.cluster import run_cluster_scale
-
-        result = run_cluster_scale(spec, seed=seed)
-        assert result.replay_report is not None
-        return ScenarioOutcome(
-            report=result.replay_report,
-            extras={
-                "total_cost": result.total_cost,
-                "peak_pool_size": float(result.peak_pool_size),
-                "final_pool_size": float(result.final_pool_size),
-                "throttled": float(sum(
-                    outcome.throttled for outcome in result.tenants.values()
-                )),
-                "rejected_puts": float(sum(
-                    outcome.rejected_puts for outcome in result.tenants.values()
-                )),
-            },
-        )
-    raise TypeError(f"unsupported cell spec {type(spec).__name__}")
+    return ScenarioOutcome(report=report, offered_requests=len(requests))

@@ -17,10 +17,8 @@ from __future__ import annotations
 from repro.exceptions import ConfigurationError
 from repro.faults.scenario import demo_resilience
 from repro.faults.spec import FaultSchedule, InvocationFaults, ReclamationStorm
-from repro.scenarios.cluster import default_tenants
 from repro.scenarios.spec import (
     Axis,
-    ClusterScenarioSpec,
     FixedObjectSize,
     ScenarioGrid,
     ScenarioSpec,
@@ -277,20 +275,3 @@ register_grid(ScenarioGrid(
     ),
     replications=2,
 ))
-
-
-# ------------------------------------------------------------------ cluster ports
-register_grid(ScenarioGrid(
-    name="cluster_scale",
-    description=(
-        "The multi-tenant autoscaling-cluster experiment as a one-cell "
-        "scenario (media/api/batch tenants, quotas, chargeback)."
-    ),
-    base=ClusterScenarioSpec(
-        tenants=tuple(default_tenants(40)),
-        duration_s=90.0,
-    ),
-    replications=1,
-    collectors=("requests", "latency", "cost", "throughput", "autoscaling"),
-))
-

@@ -1,4 +1,4 @@
-"""The scenario runner: expand a grid, execute every (cell, replication).
+"""The scenario runner: execute every (cell, replication) of a grid.
 
 Execution units are independent by construction — each gets a child seed
 derived in the **parent** from the grid name, the base seed, and the cell's
@@ -86,7 +86,7 @@ class GridResult:
     grid_name: str
     seed: int
     parallel: int
-    cells: list[ScenarioCell]
+    cells: tuple[ScenarioCell, ...]
     results: list[CellResult]
 
     def results_for(self, cell_key: str) -> list[CellResult]:
@@ -144,7 +144,7 @@ class GridResult:
 
 
 class ScenarioRunner:
-    """Expand a :class:`ScenarioGrid` and run every unit, serially or not.
+    """Run every unit of a :class:`ScenarioGrid`, serially or not.
 
     ``parallel=1`` executes in-process (and is the reference ordering);
     ``parallel=N`` fans units out over N forked workers.  Seeds are
@@ -159,7 +159,6 @@ class ScenarioRunner:
         self.harness = ExperimentHarness(f"scenarios.{grid.name}", seed)
 
     def work_units(self) -> list[_WorkUnit]:
-        cells = self.grid.expand()
         names = tuple(self.grid.collectors)
         return [
             _WorkUnit(
@@ -171,7 +170,7 @@ class ScenarioRunner:
                 seed=self.harness.seed_for("cell", cell.key(), "rep", rep),
                 collector_names=names,
             )
-            for cell in cells
+            for cell in self.grid.cells
             for rep in range(self.grid.replications)
         ]
 
@@ -183,7 +182,7 @@ class ScenarioRunner:
             grid_name=self.grid.name,
             seed=self.seed,
             parallel=parallel,
-            cells=self.grid.expand(),
+            cells=self.grid.cells,
             results=results,
         )
 

@@ -9,14 +9,6 @@ axes over those fields and expands into concrete :class:`ScenarioCell`\\ s —
 the cartesian product the :class:`~repro.scenarios.runner.ScenarioRunner`
 fans out, serially or across processes.
 
-Two spec kinds exist:
-
-* :class:`ScenarioSpec` — a single-deployment workload replay through the
-  event-driven drivers (the general scenario shape; hundreds of cells).
-* :class:`ClusterScenarioSpec` — the multi-tenant autoscaling-cluster
-  replay of the ``cluster_scale`` experiment, executed by
-  :mod:`repro.scenarios.cluster`.
-
 Seeding contract: a cell's identity is its **coordinates** (sorted
 ``axis=label`` pairs), not its position in the expansion order, so adding
 or re-ordering unrelated axis values never moves another cell's seed.  See
@@ -30,7 +22,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 from repro.cache.config import ResilienceConfig
-from repro.cluster import AutoscalerConfig, TenantQuota
 from repro.exceptions import ConfigurationError
 from repro.faults.spec import FaultSchedule
 from repro.utils.rng import SeededRNG
@@ -56,9 +47,6 @@ __all__ = [
     "SizeSpec",
     "TenantShare",
     "ScenarioSpec",
-    "TenantSpec",
-    "default_tenants",
-    "ClusterScenarioSpec",
     "Axis",
     "ScenarioCell",
     "ScenarioGrid",
@@ -151,85 +139,6 @@ class ScenarioSpec:
             )
 
 
-# ------------------------------------------------------------------ cluster scenario
-@dataclass(frozen=True)
-class TenantSpec:
-    """Workload and quota description of one tenant of a cluster replay."""
-
-    tenant_id: str
-    requests: int
-    num_objects: int
-    object_size: int
-    quota: TenantQuota = field(default_factory=TenantQuota)
-
-    def __post_init__(self):
-        if not self.tenant_id:
-            raise ConfigurationError("tenant_id must be non-empty")
-        if self.requests < 1 or self.num_objects < 1 or self.object_size < 1:
-            raise ConfigurationError(
-                "tenant requests, num_objects and object_size must be positive"
-            )
-
-
-def default_tenants(requests_per_tenant: int = 300) -> list[TenantSpec]:
-    """The canonical three-tenant mix of the ``cluster_scale`` experiment:
-    an unconstrained ``media`` tenant supplying memory pressure, a
-    rate-limited ``api`` tenant, and a byte-capped ``batch`` tenant."""
-    return [
-        TenantSpec(
-            tenant_id="media",
-            requests=requests_per_tenant,
-            num_objects=120,
-            object_size=12 * MB,
-        ),
-        TenantSpec(
-            tenant_id="api",
-            requests=requests_per_tenant,
-            num_objects=10,
-            object_size=1 * MB,
-            quota=TenantQuota(max_requests_per_s=1.0, burst_requests=5),
-        ),
-        TenantSpec(
-            tenant_id="batch",
-            requests=requests_per_tenant,
-            num_objects=40,
-            object_size=10 * MB,
-            quota=TenantQuota(max_bytes=120 * MB),
-        ),
-    ]
-
-
-@dataclass(frozen=True)
-class ClusterScenarioSpec:
-    """The multi-tenant autoscaling-cluster replay as a scenario spec.
-
-    The fields are what the ``cluster_scale`` experiment and its callers
-    vary; the cluster itself is
-    :data:`~repro.scenarios.cluster.CLUSTER_DEPLOYMENT`.
-    """
-
-    tenants: tuple[TenantSpec, ...] = field(
-        default_factory=lambda: tuple(default_tenants())
-    )
-    duration_s: float = 600.0
-    autoscaler: AutoscalerConfig = field(
-        default_factory=lambda: AutoscalerConfig(interval_s=30.0)
-    )
-
-    def __post_init__(self):
-        if not self.tenants:
-            raise ConfigurationError("a cluster scenario needs at least one tenant")
-        ids = [tenant.tenant_id for tenant in self.tenants]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError(f"duplicate tenant ids: {ids}")
-        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
-            raise ConfigurationError("duration must be positive and finite")
-
-
-#: Everything a grid cell may be.
-CellSpec = Union[ScenarioSpec, ClusterScenarioSpec]
-
-
 # ------------------------------------------------------------------ grid expansion
 @dataclass(frozen=True)
 class Axis:
@@ -272,7 +181,7 @@ class ScenarioCell:
     index: int
     #: ``(axis name, value label)`` in the grid's axis order.
     coords: tuple[tuple[str, str], ...]
-    spec: CellSpec
+    spec: ScenarioSpec
 
     def key(self) -> str:
         """Canonical coordinate key, independent of axis declaration order.
@@ -295,13 +204,19 @@ class ScenarioGrid:
     """A named grid: a base spec plus axes of labelled substitutions."""
 
     name: str
-    base: CellSpec
+    base: ScenarioSpec
     axes: tuple[Axis, ...] = ()
     #: Independent replications per cell (each gets its own child seed).
     replications: int = 2
     #: Data-collector names (see :mod:`repro.scenarios.collectors`).
     collectors: tuple[str, ...] = ("requests", "latency", "cost", "throughput")
     description: str = ""
+    #: The cartesian product of the axes, in deterministic order: the
+    #: **last** axis varies fastest (odometer order over the declared axes),
+    #: and each cell's spec is the base with every axis value substituted
+    #: via :func:`dataclasses.replace`.  Built, and so validated, once at
+    #: declaration.
+    cells: tuple[ScenarioCell, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
@@ -321,35 +236,23 @@ class ScenarioGrid:
         if not self.collectors:
             raise ConfigurationError("a grid needs at least one collector")
         # Fail at declaration time, not mid-run: every cell must validate.
-        self.expand()
-
-    def expand(self) -> list[ScenarioCell]:
-        """The cartesian product of the axes, in deterministic order.
-
-        Cells are ordered with the **last** axis varying fastest (odometer
-        order over the declared axes); each cell's spec is the base with
-        every axis value substituted via :func:`dataclasses.replace`.
-        """
-        cells: list[tuple[tuple[tuple[str, str], ...], CellSpec]] = [((), self.base)]
+        cells: list[tuple[tuple[tuple[str, str], ...], ScenarioSpec]] = [((), self.base)]
         for axis in self.axes:
             cells = [
                 (coords + ((axis.name, label),), replace(spec, **{axis.spec_field: value}))
                 for coords, spec in cells
                 for label, value in axis.values
             ]
-        return [
+        object.__setattr__(self, "cells", tuple(
             ScenarioCell(index=index, coords=coords, spec=spec)
             for index, (coords, spec) in enumerate(cells)
-        ]
+        ))
 
     @property
     def cell_count(self) -> int:
-        count = 1
-        for axis in self.axes:
-            count *= len(axis.values)
-        return count
+        return len(self.cells)
 
     @property
     def run_count(self) -> int:
         """Total simulations one full run executes."""
-        return self.cell_count * self.replications
+        return len(self.cells) * self.replications

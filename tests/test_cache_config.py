@@ -13,8 +13,9 @@ from repro.cache.config import (
 )
 from repro.cluster.autoscaler import AutoscalerConfig
 from repro.exceptions import ConfigurationError
+from repro.experiments.cluster_scale import TenantSpec
 from repro.experiments.production import ProductionScale
-from repro.scenarios.spec import ClusterScenarioSpec, ScenarioSpec, TenantSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.utils.units import MIB
 
 
@@ -153,7 +154,7 @@ def test_only_the_settings_callers_vary_are_fields():
         cls.__name__: [f.name for f in dataclasses.fields(cls)]
         for cls in (
             InfiniCacheConfig, StragglerModel, ResilienceConfig, AutoscalerConfig,
-            ScenarioSpec, ClusterScenarioSpec, TenantSpec, ProductionScale,
+            ScenarioSpec, TenantSpec, ProductionScale,
         )
     }
     assert names == {
@@ -169,7 +170,6 @@ def test_only_the_settings_callers_vary_are_fields():
         "ScenarioSpec": [
             "arrival", "popularity", "object_size", "tenants", "resilience", "faults",
         ],
-        "ClusterScenarioSpec": ["tenants", "duration_s", "autoscaler"],
         "TenantSpec": ["tenant_id", "requests", "num_objects", "object_size", "quota"],
         "ProductionScale": [
             "duration_hours", "catalogue_size", "base_requests_per_hour",

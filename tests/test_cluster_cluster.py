@@ -9,7 +9,12 @@ from repro.cluster import (
     InfiniCacheCluster,
     TenantQuota,
 )
-from repro.exceptions import QuotaExceededError, RateLimitedError, TenantError
+from repro.exceptions import (
+    ConfigurationError,
+    QuotaExceededError,
+    RateLimitedError,
+    TenantError,
+)
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MB, MIB
 
@@ -223,3 +228,14 @@ class TestClusterScaleExperiment:
         report = cluster_scale.format_report(result)
         assert "media" in report and "api" in report
         assert "pool size" in report
+
+    def test_run_rejects_tenant_mixes_it_cannot_replay(self):
+        from repro.experiments import cluster_scale
+
+        media = cluster_scale.TenantSpec(
+            tenant_id="media", requests=4, num_objects=2, object_size=1 * MB,
+        )
+        with pytest.raises(ConfigurationError, match="duplicate tenant ids"):
+            cluster_scale.run(tenants=[media, media], duration_s=10.0)
+        with pytest.raises(ConfigurationError, match="at least one tenant"):
+            cluster_scale.run(tenants=[], duration_s=10.0)

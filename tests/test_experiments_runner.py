@@ -215,6 +215,8 @@ class TestCli:
         ["chaos", "--clients", "0", "--rounds", "1"],
         ["chargeback", "--requests", "0"],
         ["chargeback", "--duration", "-5"],
+        pytest.param(["chargeback", "--duration", "nan"], id="chargeback --duration nan"),
+        pytest.param(["chargeback", "--duration", "inf"], id="chargeback --duration inf"),
         ["perf", "--quick", "--regression-baseline", "/nonexistent.json"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_bad_subcommand_arguments_exit_2_not_a_traceback(

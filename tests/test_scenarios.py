@@ -9,7 +9,12 @@ unrelated-value insertion, and independence from the parallelism level.
 
 from __future__ import annotations
 
+import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,13 +23,13 @@ from repro.faults.scenario import demo_resilience
 from repro.faults.spec import FaultSchedule, InvocationFaults, ReclamationStorm
 from repro.scenarios import (
     Axis,
-    ClusterScenarioSpec,
     ScenarioGrid,
     ScenarioRunner,
     ScenarioSpec,
     TenantShare,
     execute,
 )
+from repro.scenarios.cli import main as scenarios_cli
 from repro.scenarios.collectors import DATA_COLLECTORS, resolve_collectors
 from repro.scenarios.library import SCENARIOS, get_grid
 from repro.workload.arrivals import ClosedLoopArrivals, PoissonArrivals
@@ -84,7 +89,7 @@ class TestSpecValidation:
         report = outcome.report
         assert report.resilience["faas.injected_faults"] > 0
         assert report.resilience["faas.reclaims"] > 0
-        assert report.requests == outcome.extras["offered_requests"]
+        assert report.requests == outcome.offered_requests
         assert report.hits + report.misses + report.degraded_hits == report.requests
         assert len(report.samples) == report.requests
         (deployment,) = deployments
@@ -116,16 +121,15 @@ class TestSpecValidation:
 
     def test_specs_and_cells_are_picklable(self):
         grid = small_grid(axes=(ARRIVAL_AXIS, POPULARITY_AXIS))
-        for cell in grid.expand():
+        for cell in grid.cells:
             clone = pickle.loads(pickle.dumps(cell))
             assert clone.key() == cell.key()
-        pickle.loads(pickle.dumps(ClusterScenarioSpec()))
 
 
 class TestGridExpansion:
     def test_cartesian_product_order_and_count(self):
         grid = small_grid(axes=(ARRIVAL_AXIS, POPULARITY_AXIS))
-        cells = grid.expand()
+        cells = grid.cells
         assert len(cells) == grid.cell_count == 4
         assert [cell.coords for cell in cells] == [
             (("arrival", "slow"), ("popularity", "zipf")),
@@ -136,13 +140,21 @@ class TestGridExpansion:
 
     def test_key_is_sorted_and_index_free(self):
         grid = small_grid(axes=(POPULARITY_AXIS, ARRIVAL_AXIS))
-        keys = {cell.key() for cell in grid.expand()}
+        keys = {cell.key() for cell in grid.cells}
         assert "arrival=slow,popularity=zipf" in keys
 
     def test_axis_values_substitute_into_spec(self):
         grid = small_grid(axes=(ARRIVAL_AXIS,))
-        fast = [c for c in grid.expand() if c.coords[0][1] == "fast"]
+        fast = [c for c in grid.cells if c.coords[0][1] == "fast"]
         assert fast[0].spec.arrival.rate_rps == 4.0
+
+    def test_cells_are_expanded_once_at_declaration(self):
+        grid = small_grid(axes=(ARRIVAL_AXIS, POPULARITY_AXIS), replications=2)
+        units = ScenarioRunner(grid, seed=2020).work_units()
+        assert len(units) == 2 * len(grid.cells) == 8
+        assert all(
+            unit.cell is grid.cells[index // 2] for index, unit in enumerate(units)
+        )
 
 
 class TestSeedDerivation:
@@ -195,7 +207,7 @@ class TestLibrary:
     def test_registry_grids_are_well_formed(self):
         for name, grid in SCENARIOS.items():
             assert grid.name == name
-            assert grid.cell_count == len(grid.expand())
+            assert grid.cell_count == math.prod(len(axis.values) for axis in grid.axes)
             resolve_collectors(grid.collectors)
 
     def test_acceptance_scale_grid_present(self):
@@ -204,13 +216,56 @@ class TestLibrary:
         assert grid.cell_count >= 24
         assert grid.replications >= 2
 
-    def test_cluster_experiments_available_as_scenarios(self):
-        assert isinstance(get_grid("cluster_scale").base, ClusterScenarioSpec)
-
     def test_unknown_grid_error_lists_names(self):
         with pytest.raises(ConfigurationError, match="smoke"):
             get_grid("does-not-exist")
 
     def test_collector_registry_has_core_set(self):
         assert {"requests", "latency", "cost", "throughput",
-                "resilience", "autoscaling"} <= set(DATA_COLLECTORS)
+                "resilience"} <= set(DATA_COLLECTORS)
+
+
+class TestLayering:
+    def test_importing_the_engine_loads_no_cluster_module(self):
+        """The engine runs workload grids only; the cluster replay is an
+        experiment, so a fresh interpreter that imports the whole scenario
+        package (library and CLI included) never loads ``repro.cluster``."""
+        script = (
+            "import sys\n"
+            "import repro.scenarios, repro.scenarios.library, repro.scenarios.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.cluster')))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-"],
+            input=script,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
+class TestCli:
+    WORKLOAD_GRIDS = [
+        "bursty_arrivals", "fault_windows", "flash_crowd", "popularity_churn",
+        "scan_resistance", "smoke", "tenant_interference",
+    ]
+
+    def test_list_prints_the_workload_grids(self, capsys):
+        assert scenarios_cli(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Title, header and rule, then one row per grid.
+        assert [line.split()[0] for line in lines[3:]] == self.WORKLOAD_GRIDS
+        assert sorted(SCENARIOS) == self.WORKLOAD_GRIDS
+
+    def test_describe_prints_every_cell(self, capsys):
+        assert scenarios_cli(["describe", "tenant_interference"]) == 0
+        out = capsys.readouterr().out
+        cells = [line.split()[-1] for line in out.splitlines() if line.startswith("    [")]
+        grid = get_grid("tenant_interference")
+        assert "  cells (24):" in out.splitlines()
+        assert cells == [cell.key() for cell in grid.cells]
+        assert len(cells) == 24

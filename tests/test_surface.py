@@ -97,9 +97,9 @@ def test_every_public_name_is_reached():
 #: Classes whose public methods are held to the same rule: a method counts
 #: as reached when an identifier names it outside its own definition.
 CHECKED_CLASSES = {
-    "scenarios/spec.py": ["ScenarioSpec", "ClusterScenarioSpec", "ScenarioGrid"],
+    "scenarios/spec.py": ["ScenarioSpec", "ScenarioGrid"],
     "scenarios/runner.py": ["GridResult"],
-    "scenarios/cluster.py": ["ClusterScaleResult"],
+    "experiments/cluster_scale.py": ["ClusterScaleResult", "TenantOutcome"],
     "experiments/figure4.py": ["Figure4Result"],
     "experiments/figure11.py": ["Figure11Result"],
     "experiments/figure12.py": ["Figure12Result"],
