@@ -29,7 +29,10 @@ setup(
     python_requires=">=3.10",
     # numpy is imported at module level by ``utils/rng.py``,
     # ``utils/stats.py``, ``erasure/galois.py``, ``erasure/matrix.py`` and
-    # ``experiments/figure1.py``, so ``import repro`` needs it.
+    # ``experiments/figure1.py``, so ``erasure`` and every package that
+    # draws random numbers or computes statistics (``faas``, ``cache``,
+    # ``workload`` and everything above them) need it.  ``import repro``,
+    # ``repro.sim``, ``repro.utils.units`` and ``repro lint`` do not.
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "hypothesis"],

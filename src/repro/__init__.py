@@ -10,7 +10,7 @@ The most common entry points:
   :class:`repro.cache.InfiniCacheDeployment` — configure and build a cache.
 * :meth:`repro.cache.InfiniCacheDeployment.new_client` — obtain the
   application-facing GET/PUT client library.
-* :class:`repro.workload.DockerRegistryTraceGenerator` plus the
+* :class:`repro.workload.docker_registry.DockerRegistryTraceGenerator` plus the
   event-driven :class:`repro.workload.ClosedLoopDriver` /
   :class:`repro.workload.OpenLoopDriver` — synthesise and replay the
   production-style workload with genuinely overlapping requests.
@@ -20,57 +20,41 @@ The most common entry points:
 * :mod:`repro.experiments` — one module per figure/table of the paper.
 """
 
-from repro.cache import (
-    GetResult,
-    InfiniCacheClient,
-    InfiniCacheConfig,
-    InfiniCacheDeployment,
-    PutResult,
-)
-from repro.analysis import AvailabilityModel, CostModel, CostModelParams
-from repro.erasure import ErasureCodec, ReedSolomon
-from repro.workload import (
-    ClosedLoopDriver,
-    DockerRegistryTraceGenerator,
-    OpenLoopDriver,
-    Trace,
-    TraceRecord,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-#: Re-exported from :mod:`repro.cluster` on first use, so that importing a
-#: package that does not orchestrate clusters (``repro.scenarios``, the
-#: replay drivers) does not load the cluster subsystem.
-_CLUSTER_EXPORTS = ("AutoscalerConfig", "InfiniCacheCluster", "TenantClient", "TenantQuota")
+#: The public names, each with the module that defines it.  A name is
+#: imported on first use (PEP 562), so ``import repro.sim`` or ``repro lint``
+#: loads only what it runs and not the cache, the workload or numpy.
+_EXPORTS = {
+    "InfiniCacheConfig": "repro.cache.config",
+    "InfiniCacheDeployment": "repro.cache.deployment",
+    "InfiniCacheClient": "repro.cache.client",
+    "GetResult": "repro.cache.client",
+    "PutResult": "repro.cache.client",
+    "AutoscalerConfig": "repro.cluster.autoscaler",
+    "InfiniCacheCluster": "repro.cluster.cluster",
+    "TenantClient": "repro.cluster.router",
+    "TenantQuota": "repro.cluster.tenants",
+    "AvailabilityModel": "repro.analysis.availability",
+    "CostModel": "repro.analysis.cost_model",
+    "CostModelParams": "repro.analysis.cost_model",
+    "ErasureCodec": "repro.erasure.codec",
+    "ReedSolomon": "repro.erasure.reed_solomon",
+    "DockerRegistryTraceGenerator": "repro.workload.docker_registry",
+    "Trace": "repro.workload.trace",
+    "TraceRecord": "repro.workload.trace",
+    "ClosedLoopDriver": "repro.workload.replay",
+    "OpenLoopDriver": "repro.workload.replay",
+}
 
 
 def __getattr__(name: str):
-    if name in _CLUSTER_EXPORTS:
-        import repro.cluster
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
 
-        return getattr(repro.cluster, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "InfiniCacheConfig",
-    "InfiniCacheDeployment",
-    "InfiniCacheClient",
-    "GetResult",
-    "PutResult",
-    "AutoscalerConfig",
-    "InfiniCacheCluster",
-    "TenantClient",
-    "TenantQuota",
-    "AvailabilityModel",
-    "CostModel",
-    "CostModelParams",
-    "ErasureCodec",
-    "ReedSolomon",
-    "DockerRegistryTraceGenerator",
-    "Trace",
-    "TraceRecord",
-    "ClosedLoopDriver",
-    "OpenLoopDriver",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

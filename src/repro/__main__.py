@@ -62,7 +62,6 @@ import argparse
 import sys
 
 from repro.exceptions import ConfigurationError, WorkloadError
-from repro.experiments.runner import main as runner_main
 
 
 def _positive_int(text: str) -> int:
@@ -94,8 +93,8 @@ def _chargeback(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     from repro.cluster import AutoscalerConfig
     from repro.experiments import cluster_scale
-    from repro.experiments.report import format_table
     from repro.faas.billing import UNATTRIBUTED_TENANT
+    from repro.utils.report import format_table
 
     result = cluster_scale.run(
         tenants=cluster_scale.default_tenants(args.requests),
@@ -439,6 +438,8 @@ def _dispatch(argv: list[str]) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
+    from repro.experiments.runner import main as runner_main
+
     return runner_main(argv)
 
 

@@ -13,20 +13,3 @@
   tenant-side comparison focuses on the cache cost, but the model keeps the
   accounting anyway).
 """
-
-from repro.baselines.pricing import (
-    ELASTICACHE_INSTANCES,
-    ElastiCacheInstanceType,
-    S3Pricing,
-)
-from repro.baselines.elasticache import ElastiCacheCluster, ElastiCacheNode
-from repro.baselines.s3 import ObjectStore
-
-__all__ = [
-    "ELASTICACHE_INSTANCES",
-    "ElastiCacheInstanceType",
-    "S3Pricing",
-    "ElastiCacheCluster",
-    "ElastiCacheNode",
-    "ObjectStore",
-]

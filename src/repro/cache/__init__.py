@@ -25,28 +25,10 @@ that keeps a deployment alive:
 
 from repro.cache.admission import HybridCacheRouter
 from repro.cache.config import InfiniCacheConfig
-from repro.cache.chunk import CacheChunk, ObjectDescriptor
-from repro.cache.consistent_hash import ConsistentHashRing
-from repro.cache.clock_lru import ClockLRU
-from repro.cache.client import GetResult, InfiniCacheClient, PutResult
-from repro.cache.namespacing import NAMESPACE_SEPARATOR, owner_of
-from repro.cache.proxy import Proxy
-from repro.cache.node import LambdaCacheNode
 from repro.cache.deployment import InfiniCacheDeployment
 
 __all__ = [
     "HybridCacheRouter",
     "InfiniCacheConfig",
-    "CacheChunk",
-    "ObjectDescriptor",
-    "ConsistentHashRing",
-    "ClockLRU",
-    "GetResult",
-    "PutResult",
-    "InfiniCacheClient",
-    "NAMESPACE_SEPARATOR",
-    "owner_of",
-    "Proxy",
-    "LambdaCacheNode",
     "InfiniCacheDeployment",
 ]

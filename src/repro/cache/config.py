@@ -73,8 +73,13 @@ class ResilienceConfig:
     circuit_breaker: bool = False
 
     def __post_init__(self):
-        if self.chunk_attempts < 1:
-            raise ConfigurationError("chunk_attempts must be at least 1")
+        attempts = self.chunk_attempts
+        if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 1:
+            raise ConfigurationError(f"chunk_attempts must be an int >= 1, got {attempts!r}")
+        if not isinstance(self.circuit_breaker, bool):
+            raise ConfigurationError(
+                f"circuit_breaker must be a bool, got {self.circuit_breaker!r}"
+            )
         if self.chunk_timeout_s is not None and not 0.0 < self.chunk_timeout_s < math.inf:
             raise ConfigurationError(
                 f"chunk timeout must be positive and finite when set, got {self.chunk_timeout_s}"

@@ -13,20 +13,14 @@ id owning each point.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from bisect import bisect_right
 from typing import Generic, TypeVar
 
 from repro.exceptions import ConfigurationError
+from repro.utils.rng import stable_hash
 
 T = TypeVar("T")
-
-
-def stable_hash(value: str) -> int:
-    """A process-independent 64-bit hash of a string."""
-    digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 #: Virtual-node hash points per ``(member_id, virtual_nodes)``.  Every client

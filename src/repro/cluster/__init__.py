@@ -16,40 +16,13 @@ concerns the paper's production discussion (Section 6) leaves open:
   top-level entry point.
 """
 
-from repro.cluster.autoscaler import (
-    AutoscalerConfig,
-    PoolAutoscaler,
-    PredictiveEwmaPolicy,
-    ReactiveWatermarkPolicy,
-)
+from repro.cluster.autoscaler import AutoscalerConfig
 from repro.cluster.cluster import InfiniCacheCluster
-from repro.cluster.rebalancer import FailureDetector, Rebalancer
-from repro.cluster.router import ClusterRouter, TenantClient
-from repro.cluster.tenants import (
-    UNATTRIBUTED_TENANT,
-    Tenant,
-    TenantManager,
-    TenantQuota,
-    namespace_key,
-    split_namespaced_key,
-    validate_app_key,
-)
+from repro.cluster.tenants import UNATTRIBUTED_TENANT, TenantQuota
 
 __all__ = [
     "AutoscalerConfig",
-    "PoolAutoscaler",
-    "PredictiveEwmaPolicy",
-    "ReactiveWatermarkPolicy",
     "InfiniCacheCluster",
-    "FailureDetector",
-    "Rebalancer",
-    "ClusterRouter",
-    "TenantClient",
-    "Tenant",
-    "TenantManager",
     "TenantQuota",
     "UNATTRIBUTED_TENANT",
-    "namespace_key",
-    "split_namespaced_key",
-    "validate_app_key",
 ]

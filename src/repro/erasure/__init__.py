@@ -19,17 +19,3 @@ capability:
 The special case ``p == 0`` mirrors the paper's ``(10+0)`` baseline: the
 object is striped without parity and every chunk is required to decode.
 """
-
-from repro.erasure.galois import GF256
-from repro.erasure.matrix import GFMatrix
-from repro.erasure.reed_solomon import ReedSolomon
-from repro.erasure.codec import Chunk, ErasureCodec, StripeMetadata
-
-__all__ = [
-    "GF256",
-    "GFMatrix",
-    "ReedSolomon",
-    "Chunk",
-    "ErasureCodec",
-    "StripeMetadata",
-]

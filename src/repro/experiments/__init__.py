@@ -37,24 +37,3 @@ Beyond the paper:
 (``python -m repro perf``), not an experiment.
 """
 
-__all__ = [
-    "figure1",
-    "figure4",
-    "figure8",
-    "figure9",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure14",
-    "figure15",
-    "figure16",
-    "figure17",
-    "table1",
-    "availability",
-    "chaos_availability",
-    "cluster_scale",
-    "autoscale_policies",
-    "production",
-    "registry",
-    "report",
-]

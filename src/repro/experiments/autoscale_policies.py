@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from repro.cluster import AutoscalerConfig
 from repro.experiments import cluster_scale
 from repro.experiments.harness import ExperimentHarness
-from repro.experiments.report import format_table
 from repro.faas.billing import UNATTRIBUTED_TENANT
 from repro.obs.metrics import MetricRegistry
 from repro.utils.fanout import fan_out
+from repro.utils.report import format_table
 
 #: The autoscaling policies the experiment compares, by policy name.
 DEFAULT_POLICIES: dict[str, AutoscalerConfig] = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.availability import AvailabilityModel
-from repro.experiments.report import format_table
+from repro.utils.report import format_table
 
 #: The case-study deployment: 400 nodes, RS(10+2).
 TOTAL_NODES = 400

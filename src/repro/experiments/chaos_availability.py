@@ -21,7 +21,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.cache.config import InfiniCacheConfig, ResilienceConfig
-from repro.experiments.report import format_table
 from repro.faults.report import ResilienceReport
 from repro.faults.scenario import (
     demo_config,
@@ -31,6 +30,7 @@ from repro.faults.scenario import (
 )
 from repro.faults.spec import FaultSchedule
 from repro.utils.fanout import fan_out
+from repro.utils.report import format_table
 
 
 def hardening_levels() -> dict[str, ResilienceConfig]:

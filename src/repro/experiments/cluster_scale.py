@@ -31,9 +31,9 @@ from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cluster import AutoscalerConfig, InfiniCacheCluster, TenantQuota
 from repro.exceptions import ConfigurationError, QuotaExceededError, RateLimitedError
 from repro.experiments.harness import ExperimentHarness
-from repro.experiments.report import format_table
 from repro.faas.billing import UNATTRIBUTED_TENANT
-from repro.scenarios.execute import FLOW_TRACE_LIMIT
+from repro.network.flows import FLOW_TRACE_LIMIT
+from repro.utils.report import format_table
 from repro.utils.rng import SeededRNG
 from repro.utils.stats import summarize
 from repro.utils.units import MB, MIB

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.experiments.report import format_cdf_summary
 from repro.utils.fanout import fan_out
+from repro.utils.report import format_cdf_summary
 from repro.utils.stats import CdfSeries, cdf_points
 from repro.utils.units import HOUR, MB
 from repro.workload.docker_registry import DockerRegistryTraceGenerator

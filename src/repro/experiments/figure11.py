@@ -30,8 +30,8 @@ from repro.baselines.elasticache import ElastiCacheCluster
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.experiments.harness import ExperimentHarness
-from repro.experiments.report import format_table
 from repro.utils.fanout import fan_out
+from repro.utils.report import format_table
 from repro.utils.stats import summarize
 from repro.utils.units import MB, MIB
 from repro.workload.replay import (

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.experiments.harness import ExperimentHarness
-from repro.experiments.report import format_table
 from repro.utils.fanout import fan_out
+from repro.utils.report import format_table
 from repro.utils.units import GB, MB, MIB
 from repro.workload.replay import ClosedLoopDriver, ConcurrentReplayReport, seed_fleet
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.production import ProductionResults
-from repro.experiments.report import format_table
+from repro.utils.report import format_table
 
 
 @dataclass

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.experiments.production import ProductionResults
-from repro.experiments.report import format_table
+from repro.utils.report import format_table
 from repro.utils.units import HOUR
 from repro.workload.replay import ConcurrentReplayReport
 

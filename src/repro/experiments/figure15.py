@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.production import ProductionResults
-from repro.experiments.report import format_cdf_summary
+from repro.utils.report import format_cdf_summary
 from repro.utils.stats import CdfSeries, cdf_points
 from repro.utils.units import MB
 from repro.workload.replay import ConcurrentReplayReport

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.cost_model import CostModel
-from repro.experiments.report import format_table
+from repro.utils.report import format_table
 
 #: The sweep: 17 evenly spaced object access rates from 0 to 320 K per hour.
 MAX_RATE = 320_000

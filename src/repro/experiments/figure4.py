@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.experiments.harness import ExperimentHarness
-from repro.experiments.report import format_table
+from repro.utils.report import format_table
 from repro.utils.stats import summarize
 from repro.utils.units import MB, MIB
 from repro.workload.replay import ClientOp, ClosedLoopDriver

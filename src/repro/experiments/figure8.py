@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.experiments.report import format_table
 from repro.faas.platform import FaaSPlatform
 from repro.faas.reclamation import (
     PeriodicSpikePolicy,
@@ -37,6 +36,7 @@ from repro.faas.reclamation import (
 )
 from repro.sim import EventLoop
 from repro.utils.fanout import fan_out
+from repro.utils.report import format_table
 from repro.utils.rng import SeededRNG
 from repro.utils.units import HOUR, MINUTE, MIB
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import figure8
-from repro.experiments.report import format_table
+from repro.utils.report import format_table
 
 
 @dataclass

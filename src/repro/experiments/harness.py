@@ -21,8 +21,8 @@ from __future__ import annotations
 import hashlib
 from typing import ClassVar, Optional
 
-from repro.cache.consistent_hash import stable_hash
 from repro.obs.metrics import MetricRegistry
+from repro.utils.rng import sweep_seed
 from repro.workload.replay import ConcurrentReplayReport
 
 
@@ -48,14 +48,9 @@ class ExperimentHarness:
 
     # ------------------------------------------------------------------ seeding
     def seed_for(self, *parts: object) -> int:
-        """A stable sub-seed for one sweep coordinate.
-
-        Derived from the experiment name, the base seed, and the coordinate
-        parts via the same process-independent hash the CH ring uses, so the
-        stream is reproducible across platforms and Python versions.
-        """
-        token = f"{self.experiment}:{self.seed}:" + "/".join(str(part) for part in parts)
-        return stable_hash(token) % (2 ** 31)
+        """A stable sub-seed for one sweep coordinate of this experiment
+        (:func:`repro.utils.rng.sweep_seed`)."""
+        return sweep_seed(self.experiment, self.seed, *parts)
 
     # ------------------------------------------------------------------ fingerprints
     def record(self, label: str, report: ConcurrentReplayReport) -> ConcurrentReplayReport:

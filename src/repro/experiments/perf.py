@@ -860,7 +860,7 @@ def run_suite(
 
 def format_report(payload: dict[str, object]) -> str:
     """Human-readable rendering of a ``run_suite`` payload."""
-    from repro.experiments.report import format_table
+    from repro.utils.report import format_table
 
     micro_rows = [
         [sample["name"], sample["wall_s"], sample["events"], sample["events_per_s"]]

@@ -18,35 +18,10 @@ the cache above it faces the same constraints:
   (:mod:`repro.faas.platform`).
 """
 
-from repro.faas.limits import bandwidth_for_memory
-from repro.faas.billing import BillingModel, InvocationCharge
-from repro.faas.host import VMHost, HostManager
-from repro.faas.function import FunctionInstance, FunctionState
-from repro.faas.reclamation import (
-    ReclamationPolicy,
-    IdleTimeoutPolicy,
-    PeriodicSpikePolicy,
-    PoissonReclamationPolicy,
-    ZipfBurstReclamationPolicy,
-    NoReclamationPolicy,
-)
-from repro.faas.platform import FaaSPlatform, FunctionConfig, InvocationResult
+from repro.faas.billing import InvocationCharge
+from repro.faas.platform import InvocationResult
 
 __all__ = [
-    "bandwidth_for_memory",
-    "BillingModel",
     "InvocationCharge",
-    "VMHost",
-    "HostManager",
-    "FunctionInstance",
-    "FunctionState",
-    "ReclamationPolicy",
-    "IdleTimeoutPolicy",
-    "PeriodicSpikePolicy",
-    "PoissonReclamationPolicy",
-    "ZipfBurstReclamationPolicy",
-    "NoReclamationPolicy",
-    "FaaSPlatform",
-    "FunctionConfig",
     "InvocationResult",
 ]

@@ -9,23 +9,11 @@ for the full model and the request-path hardening it exercises.
 """
 
 from repro.faults.engine import ChaosEngine
-from repro.faults.report import (
-    FaultWindow,
-    ResilienceReport,
-    WindowStats,
-    build_resilience_report,
-)
-from repro.faults.scenario import (
-    ChaosRunResult,
-    demo_config,
-    demo_resilience,
-    demo_schedule,
-    run_chaos_scenario,
-)
+from repro.faults.report import FaultWindow
+from repro.faults.scenario import run_chaos_scenario
 from repro.faults.spec import (
     BLACKHOLE_FACTOR,
     FaultSchedule,
-    FaultSpec,
     InvocationFaults,
     LinkBlackhole,
     LinkDegradation,
@@ -37,21 +25,13 @@ from repro.faults.spec import (
 __all__ = [
     "BLACKHOLE_FACTOR",
     "ChaosEngine",
-    "ChaosRunResult",
     "FaultSchedule",
-    "FaultSpec",
     "FaultWindow",
     "InvocationFaults",
     "LinkBlackhole",
     "LinkDegradation",
     "ProxyCrash",
     "ReclamationStorm",
-    "ResilienceReport",
     "StragglerInflation",
-    "WindowStats",
-    "build_resilience_report",
-    "demo_config",
-    "demo_resilience",
-    "demo_schedule",
     "run_chaos_scenario",
 ]

@@ -24,23 +24,17 @@ Intentional exceptions are suppressed inline with ``# repro: allow[CODE]``;
 ``repro lint`` is the CLI and the CI gate.  See ``docs/static-analysis.md``.
 """
 
-from repro.lint.context import FileContext
-from repro.lint.engine import lint_file, lint_paths, lint_source
-from repro.lint.registry import Rule, all_rules, get_rule, register_rule, rule_codes
+from repro.lint.engine import lint_paths, lint_source
+from repro.lint.registry import Rule, get_rule, register_rule, rule_codes
 from repro.lint.reporting import render_github, render_json, render_text
-from repro.lint.violations import Violation
 
 # Importing the rule modules registers every built-in rule.
 from repro.lint import rules_determinism as _rules_determinism  # noqa: F401
 from repro.lint import rules_simprotocol as _rules_simprotocol  # noqa: F401
 
 __all__ = [
-    "FileContext",
     "Rule",
-    "Violation",
-    "all_rules",
     "get_rule",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "register_rule",

@@ -15,17 +15,3 @@ The paper's performance results hinge on a few network facts:
 timing estimates, and :class:`~repro.network.flows.FlowNetwork` shares
 bandwidth between the flows of the event-driven request path.
 """
-
-from repro.network.flows import FlowInterval, FlowNetwork, FlowTrace, ReferenceFlowNetwork
-from repro.network.topology import HostNic, NetworkFabric
-from repro.network.transfer import TransferModel
-
-__all__ = [
-    "FlowInterval",
-    "FlowNetwork",
-    "FlowTrace",
-    "HostNic",
-    "NetworkFabric",
-    "ReferenceFlowNetwork",
-    "TransferModel",
-]

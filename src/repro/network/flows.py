@@ -80,6 +80,12 @@ from repro.utils.columns import FLAG, TEXT, ColumnStore
 #: Valid ``InfiniCacheConfig.flow_arbiter`` names (see :func:`resolve_arbiter`).
 ARBITER_NAMES = ("incremental", "reference")
 
+#: Retired transfers a scenario cell's deployment and the ``cluster_scale``
+#: experiment's keep (``InfiniCacheConfig.flow_trace_limit``): their readers
+#: use aggregate flow statistics, which are kept independently of the
+#: retained trace.
+FLOW_TRACE_LIMIT = 512
+
 
 def peak_concurrency(starts: Sequence[float], ends: Sequence[float]) -> int:
     """Peak number of intervals alive at one instant, given their

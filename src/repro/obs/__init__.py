@@ -6,28 +6,19 @@ nothing else — so any component can emit spans without import cycles, and a
 disabled tracer costs one no-op call per span boundary.
 """
 
-from repro.obs.critical_path import (
-    CriticalPathSummary,
-    RequestBreakdown,
-    analyze,
-    format_summary,
-)
+from repro.obs.critical_path import analyze, format_summary
 from repro.obs.export import (
-    TRACE_EVENT_SCHEMA,
     to_chrome_trace,
     to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, SpanTracer
+from repro.obs.tracer import NULL_SPAN, NULL_TRACER, SpanTracer
 
 __all__ = [
-    "CriticalPathSummary",
-    "RequestBreakdown",
     "analyze",
     "format_summary",
-    "TRACE_EVENT_SCHEMA",
     "to_chrome_trace",
     "to_jsonl",
     "validate_chrome_trace",
@@ -35,7 +26,5 @@ __all__ = [
     "write_jsonl",
     "NULL_SPAN",
     "NULL_TRACER",
-    "NullTracer",
-    "Span",
     "SpanTracer",
 ]

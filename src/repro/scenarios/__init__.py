@@ -15,31 +15,14 @@ not a grid: the runner seeds each cell from its coordinates, and that
 experiment replays at the experiment seed.
 """
 
-from repro.scenarios.collectors import DATA_COLLECTORS, register_collector
-from repro.scenarios.execute import ScenarioOutcome, execute_cell
-from repro.scenarios.runner import CellResult, GridResult, ScenarioRunner, run_grid
-from repro.scenarios.spec import (
-    Axis,
-    FixedObjectSize,
-    ScenarioCell,
-    ScenarioGrid,
-    ScenarioSpec,
-    TenantShare,
-)
+from repro.scenarios.runner import ScenarioRunner, run_grid
+from repro.scenarios.spec import Axis, ScenarioGrid, ScenarioSpec, TenantShare
 
 __all__ = [
     "Axis",
-    "CellResult",
-    "DATA_COLLECTORS",
-    "FixedObjectSize",
-    "GridResult",
-    "ScenarioCell",
     "ScenarioGrid",
-    "ScenarioOutcome",
     "ScenarioRunner",
     "ScenarioSpec",
     "TenantShare",
-    "execute_cell",
-    "register_collector",
     "run_grid",
 ]

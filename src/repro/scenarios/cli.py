@@ -16,9 +16,9 @@ import sys
 from dataclasses import replace
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.report import format_table
 from repro.scenarios.library import SCENARIOS, get_grid
 from repro.scenarios.runner import GridResult, ScenarioRunner
+from repro.utils.report import format_table
 
 __all__ = ["main"]
 

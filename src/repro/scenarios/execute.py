@@ -28,18 +28,14 @@ from dataclasses import dataclass, replace
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.faults.engine import ChaosEngine
+from repro.network.flows import FLOW_TRACE_LIMIT
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.rng import SeededRNG
 from repro.utils.units import MIB
 from repro.workload.arrivals import ClosedLoopArrivals
 from repro.workload.replay import ClosedLoopDriver, ConcurrentReplayReport, OpenLoopDriver
 
-__all__ = ["CELL_DEPLOYMENT", "FLOW_TRACE_LIMIT", "ScenarioOutcome", "execute_cell"]
-
-#: Retired transfers a scenario cell's deployment (and the ``cluster_scale``
-#: experiment's) keeps: the collectors read aggregate flow statistics, which
-#: are kept independently of the retained trace.
-FLOW_TRACE_LIMIT = 512
+__all__ = ["CELL_DEPLOYMENT", "ScenarioOutcome", "execute_cell"]
 
 #: The deployment of every workload cell: one proxy over eight 512 MiB
 #: Lambdas, RS(4+2), no backup.  A cell sets only its resilience profile and

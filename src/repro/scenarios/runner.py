@@ -20,11 +20,11 @@ import json
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.harness import ExperimentHarness
 from repro.scenarios.collectors import metric_digest, resolve_collectors
 from repro.scenarios.execute import execute_cell
 from repro.scenarios.spec import ScenarioCell, ScenarioGrid
 from repro.utils.fanout import fan_out
+from repro.utils.rng import sweep_seed
 
 __all__ = ["CellResult", "GridResult", "ScenarioRunner", "run_grid"]
 
@@ -156,10 +156,10 @@ class ScenarioRunner:
     def __init__(self, grid: ScenarioGrid, seed: int = 2020):
         self.grid = grid
         self.seed = seed
-        self.harness = ExperimentHarness(f"scenarios.{grid.name}", seed)
 
     def work_units(self) -> list[_WorkUnit]:
         names = tuple(self.grid.collectors)
+        run = f"scenarios.{self.grid.name}"
         return [
             _WorkUnit(
                 cell=cell,
@@ -167,7 +167,7 @@ class ScenarioRunner:
                 # The coordinate key — not the expansion index — feeds the
                 # seed, so adding/reordering unrelated axis values never
                 # changes an existing cell's stream.
-                seed=self.harness.seed_for("cell", cell.key(), "rep", rep),
+                seed=sweep_seed(run, self.seed, "cell", cell.key(), "rep", rep),
                 collector_names=names,
             )
             for cell in self.grid.cells

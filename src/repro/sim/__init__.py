@@ -25,12 +25,11 @@ See ``docs/simulation.md`` for the programming model and examples.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.loop import Event, EventLoop, EventQueue, PeriodicTask
+from repro.sim.loop import EventLoop, EventQueue, PeriodicTask
 from repro.sim.process import CountdownLatch, Process, SimFuture, all_of
 
 __all__ = [
     "SimClock",
-    "Event",
     "EventQueue",
     "EventLoop",
     "PeriodicTask",

@@ -7,7 +7,10 @@ never reach for a global RNG.
 
 ``derive_seed`` produces independent child seeds from a parent seed and a
 label, so a single experiment seed can deterministically fan out to many
-sub-components without their streams being correlated.
+sub-components without their streams being correlated.  ``sweep_seed`` is
+the sub-seed of one sweep coordinate (an experiment's sweep point, a
+scenario grid's cell), hashed with the same ``stable_hash`` the CH ring
+places proxies with.
 """
 
 from __future__ import annotations
@@ -17,6 +20,23 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+
+def stable_hash(value: str) -> int:
+    """A process-independent 64-bit hash of a string."""
+    digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def sweep_seed(name: str, seed: int, *parts: object) -> int:
+    """A stable 31-bit sub-seed for one sweep coordinate of run ``name``.
+
+    Derived from the name, the base seed and the coordinate parts, so two
+    experiments (or two sweep points) never share an RNG stream by accident,
+    and the stream is reproducible across platforms and Python versions.
+    """
+    token = f"{name}:{seed}:" + "/".join(str(part) for part in parts)
+    return stable_hash(token) % (2 ** 31)
 
 
 def derive_seed(parent_seed: int, *labels: str | int) -> int:

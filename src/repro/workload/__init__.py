@@ -20,49 +20,20 @@ other replay path.
 """
 
 from repro.workload.trace import TraceRecord, Trace
-from repro.workload.arrivals import (
-    ClosedLoopArrivals,
-    DiurnalArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-)
-from repro.workload.distributions import ObjectSizeDistribution, ZipfPopularity
-from repro.workload.popularity import FlashCrowd, ScanMix, StaticZipf, ZipfChurn
-from repro.workload.docker_registry import DockerRegistryTraceGenerator, RegistryTraceConfig
 from repro.workload.replay import (
     ClientOp,
     ClosedLoopDriver,
     ConcurrentReplayReport,
-    ElastiCacheTarget,
-    ObjectStoreTarget,
-    OpenLoopBaselineDriver,
     OpenLoopDriver,
-    RequestSample,
     seed_fleet,
 )
 
 __all__ = [
     "TraceRecord",
     "Trace",
-    "ClosedLoopArrivals",
-    "PoissonArrivals",
-    "MMPPArrivals",
-    "DiurnalArrivals",
-    "ObjectSizeDistribution",
-    "ZipfPopularity",
-    "StaticZipf",
-    "ZipfChurn",
-    "FlashCrowd",
-    "ScanMix",
-    "DockerRegistryTraceGenerator",
-    "RegistryTraceConfig",
     "ClientOp",
     "ClosedLoopDriver",
     "OpenLoopDriver",
-    "OpenLoopBaselineDriver",
-    "ElastiCacheTarget",
-    "ObjectStoreTarget",
     "ConcurrentReplayReport",
-    "RequestSample",
     "seed_fleet",
 ]

@@ -19,9 +19,9 @@ import hashlib
 from repro.cache.billed_duration import BilledDurationController
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
-from repro.experiments.report import format_table
 from repro.faas.billing import BILLING_CYCLE_SECONDS, BillingModel
 from repro.faas.reclamation import ZipfBurstReclamationPolicy
+from repro.utils.report import format_table
 from repro.utils.rng import SeededRNG
 from repro.utils.stats import summarize
 from repro.utils.units import GIB, MB, MIB, MINUTE

@@ -128,6 +128,10 @@ class TestResilienceConfig:
 @pytest.mark.parametrize("build", [
     lambda: ResilienceConfig(chunk_timeout_s=math.nan),
     lambda: ResilienceConfig(chunk_timeout_s=math.inf),
+    lambda: ResilienceConfig(chunk_attempts=math.nan),
+    lambda: ResilienceConfig(chunk_attempts=2.5),
+    lambda: ResilienceConfig(chunk_attempts=True),
+    lambda: ResilienceConfig(circuit_breaker=1),
     lambda: StragglerModel(probability=1.0, max_factor=math.inf),
     lambda: StragglerModel(min_factor=math.nan),
     lambda: StragglerModel(max_factor=math.nan),
@@ -136,13 +140,15 @@ class TestResilienceConfig:
     lambda: AutoscalerConfig(interval_s=math.nan),
     lambda: AutoscalerConfig(interval_s=math.inf),
 ], ids=[
-    "timeout-nan", "timeout-inf", "straggler-max-inf", "straggler-min-nan",
+    "timeout-nan", "timeout-inf", "attempts-nan", "attempts-fraction",
+    "attempts-bool", "breaker-int", "straggler-max-inf", "straggler-min-nan",
     "straggler-max-nan", "backup-nan", "backup-inf", "autoscaler-nan",
     "autoscaler-inf",
 ])
 def test_non_finite_values_fail_at_construction(build):
-    """NaN and infinity are rejected where the config is built, not mid-run
-    by the deadline timer, ``rng.uniform`` or ``deployment.start()``."""
+    """NaN, infinity and values of the wrong type are rejected where the
+    config is built, not mid-run by the deadline timer, ``range(attempts)``,
+    ``rng.uniform`` or ``deployment.start()``."""
     with pytest.raises(ConfigurationError):
         build()
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cache.consistent_hash import ConsistentHashRing, stable_hash
+from repro.cache.consistent_hash import ConsistentHashRing
 from repro.exceptions import ConfigurationError
+from repro.utils.rng import stable_hash
 
 
 class TestStableHash:

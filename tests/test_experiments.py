@@ -19,7 +19,7 @@ import pytest
 from repro.experiments.figure11 import FIGURE11_OBJECT_SIZES, FIGURE11_RS_CODES
 from repro.experiments.figure9 import distribution_from_counts
 from repro.experiments.registry import EXPERIMENTS, build, names, scales
-from repro.experiments.report import format_cdf_summary, format_table
+from repro.utils.report import format_cdf_summary, format_table
 from repro.utils.stats import CdfSeries, summarize
 from repro.utils.units import MB
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.availability import AvailabilityModel
 from repro.cache.clock_lru import ClockLRU
-from repro.cache.consistent_hash import ConsistentHashRing, stable_hash
+from repro.cache.consistent_hash import ConsistentHashRing
 from repro.faas.billing import BILLING_CYCLE_SECONDS, BillingModel, ceil_to_billing_cycle
+from repro.utils.rng import stable_hash
 from repro.utils.units import GIB
 
 keys = st.text(alphabet="abcdefghij", min_size=1, max_size=6)

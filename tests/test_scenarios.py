@@ -10,15 +10,12 @@ unrelated-value insertion, and independence from the parallelism level.
 from __future__ import annotations
 
 import math
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments.harness import ExperimentHarness
 from repro.faults.scenario import demo_resilience
 from repro.faults.spec import FaultSchedule, InvocationFaults, ReclamationStorm
 from repro.scenarios import (
@@ -197,6 +194,14 @@ class TestSeedDerivation:
         b = [u.seed for u in ScenarioRunner(grid, seed=2).work_units()]
         assert a != b
 
+    def test_seeds_are_the_experiment_sweep_formula(self):
+        grid = small_grid(axes=(ARRIVAL_AXIS,), replications=2)
+        harness = ExperimentHarness(f"scenarios.{grid.name}", 2020)
+        for unit in ScenarioRunner(grid, seed=2020).work_units():
+            assert unit.seed == harness.seed_for(
+                "cell", unit.cell.key(), "rep", unit.replication
+            )
+
     def test_replications_get_distinct_seeds(self):
         grid = small_grid(replications=4)
         seeds = [u.seed for u in ScenarioRunner(grid, seed=11).work_units()]
@@ -223,29 +228,6 @@ class TestLibrary:
     def test_collector_registry_has_core_set(self):
         assert {"requests", "latency", "cost", "throughput",
                 "resilience"} <= set(DATA_COLLECTORS)
-
-
-class TestLayering:
-    def test_importing_the_engine_loads_no_cluster_module(self):
-        """The engine runs workload grids only; the cluster replay is an
-        experiment, so a fresh interpreter that imports the whole scenario
-        package (library and CLI included) never loads ``repro.cluster``."""
-        script = (
-            "import sys\n"
-            "import repro.scenarios, repro.scenarios.library, repro.scenarios.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('repro.cluster')))\n"
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        result = subprocess.run(
-            [sys.executable, "-"],
-            input=script,
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
 
 
 class TestCli:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import SeededRNG, derive_seed
+from repro.utils.rng import SeededRNG, derive_seed, sweep_seed
 
 
 class TestDeriveSeed:
@@ -20,6 +20,23 @@ class TestDeriveSeed:
     def test_seed_is_non_negative_63_bit(self):
         seed = derive_seed(7, "x")
         assert 0 <= seed < 2**63
+
+
+class TestSweepSeed:
+    def test_values_are_pinned(self):
+        # Computed with the formula ExperimentHarness.seed_for inlined before
+        # it moved here; every experiment and grid-cell seed depends on it.
+        assert sweep_seed("figure12", 2020, "clients", 64) == 1332925638
+        assert sweep_seed("scenarios.smoke", 7, "cell", "arrival=poisson", "rep", 1) == 432626206
+
+    def test_seed_is_non_negative_31_bit(self):
+        assert 0 <= sweep_seed("x", 1, "a") < 2**31
+
+    def test_every_part_changes_the_seed(self):
+        base = sweep_seed("x", 1, "a", 0)
+        assert base != sweep_seed("y", 1, "a", 0)
+        assert base != sweep_seed("x", 2, "a", 0)
+        assert base != sweep_seed("x", 1, "a", 1)
 
 
 class TestSeededRNG:
