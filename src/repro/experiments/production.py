@@ -33,6 +33,7 @@ hold at either scale.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,6 +41,7 @@ from repro.baselines.elasticache import ElastiCacheCluster
 from repro.baselines.s3 import ObjectStore
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
+from repro.exceptions import ConfigurationError
 from repro.experiments.harness import ExperimentHarness
 from repro.faas.reclamation import ZipfBurstReclamationPolicy
 from repro.utils.fanout import fan_out
@@ -80,6 +82,27 @@ class ProductionScale:
     #: (the bursty regime of Figure 9 is what produces the paper's RESETs).
     reclaim_burst_probability: float = 0.15
     seed: int = 5050
+
+    def __post_init__(self):
+        # Written so that NaN fails too: a bad scale fails here, not once the
+        # replay runs (numpy rejects a negative seed only when it draws).
+        for name in ("duration_hours", "base_requests_per_hour"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+        for name, least in (
+            ("catalogue_size", 1),
+            ("lambdas_per_proxy", DATA_SHARDS + PARITY_SHARDS),
+            ("seed", 0),
+        ):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")
+        if not 0.0 <= self.reclaim_burst_probability <= 1.0:
+            raise ConfigurationError(
+                "reclaim_burst_probability must be in [0, 1], got "
+                f"{self.reclaim_burst_probability!r}"
+            )
 
     @property
     def reclaim_max_burst(self) -> int:

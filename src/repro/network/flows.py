@@ -605,7 +605,7 @@ class FlowNetwork:
         """
         self._dirty_hosts[host_id] = None
         self._dirty_proxies[proxy_id] = None
-        profile = self.loop._profile
+        profile = self.loop.profile
         if profile is not None:
             transition_started = perf_counter()  # repro: allow[D102] (profiling meter)
         now = self.loop.clock._now

@@ -22,10 +22,9 @@ from __future__ import annotations
 import gc
 import itertools
 import math
-from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.clock import SimClock
@@ -88,6 +87,11 @@ class LoopProfile:
             self.gc_collections_in_dispatch += self.active_runs > 0
         else:
             self.gc_s += perf_counter() - self._gc_started  # repro: allow[D102] (profiling meter)
+
+    def note_step(self, started: float) -> None:
+        """Meter one coroutine step that began at ``perf_counter()`` ``started``."""
+        self.coroutine_steps += 1
+        self.coroutine_s += perf_counter() - started  # repro: allow[D102] (profiling meter)
 
     def note_scheduled(self, label: str) -> None:
         key = _label_key(label)
@@ -466,7 +470,11 @@ class EventLoop:
         self.clock = clock or SimClock()
         self.queue = EventQueue()
         self._events_processed = 0
-        self._profile: Optional[LoopProfile] = None
+        #: The active :class:`LoopProfile`, or ``None`` when not profiling.
+        #: A plain attribute, read on every coroutine step and flow-arbiter
+        #: transition; only :meth:`enable_profiling` and
+        #: :meth:`disable_profiling` set it.
+        self.profile: Optional[LoopProfile] = None
 
     @property
     def now(self) -> float:
@@ -479,11 +487,6 @@ class EventLoop:
         return self._events_processed
 
     # ------------------------------------------------------------------ profiling
-    @property
-    def profile(self) -> Optional[LoopProfile]:
-        """The active :class:`LoopProfile`, or ``None`` when not profiling."""
-        return self._profile
-
     def enable_profiling(self) -> LoopProfile:
         """Start wall-clock profiling; returns the (fresh) profile.
 
@@ -492,15 +495,14 @@ class EventLoop:
         until the next ``run_*`` call.
         """
         self.disable_profiling()
-        self._profile = LoopProfile()
-        self.queue.profile = self._profile
-        gc.callbacks.append(self._profile.note_gc)
-        return self._profile
+        profile = self.profile = self.queue.profile = LoopProfile()
+        gc.callbacks.append(profile.note_gc)
+        return profile
 
     def disable_profiling(self) -> Optional[LoopProfile]:
         """Stop profiling; returns the profile collected so far (if any)."""
-        profile, self._profile = self._profile, None
-        self.queue.profile = None
+        profile = self.profile
+        self.profile = self.queue.profile = None
         if profile is not None:
             gc.callbacks.remove(profile.note_gc)
         return profile
@@ -589,32 +591,69 @@ class EventLoop:
         it by yielding the process.
         """
         process = Process(self, generator, label=label)
-        if self._profile is not None:
-            self._profile.processes_spawned += 1
+        if self.profile is not None:
+            self.profile.processes_spawned += 1
         process.start()
         return process
 
     # ------------------------------------------------------------------ running
-    @contextmanager
-    def _dispatching(self) -> Iterator[Optional[LoopProfile]]:
-        """The scope of one ``run*`` call: automatic cyclic collection is off.
+    def _dispatch(self, end_time: float, future: Optional[SimFuture], max_events: float) -> int:
+        """The one dispatch loop every ``run*`` call goes through.
 
-        No request path leaves cyclic garbage (``tests/test_sim_gc.py``), so
-        a pass here would only re-scan a heap that grows with the fleet.
-        Exit restores the state found on entry (nested runs, a caller who
-        disabled the collector); explicit ``gc.collect()`` calls still work.
+        Runs events in order until the next one is later than ``end_time``,
+        ``future`` settles, the queue drains or ``max_events`` have run, and
+        returns how many it ran; the caller decides which stop is an error.
+        The profile is read once, on entry, and meters the heap and every
+        callback.
+
+        Automatic cyclic collection is off meanwhile: no request path leaves
+        cyclic garbage (``tests/test_sim_gc.py``), so a pass here would only
+        re-scan a heap that grows with the fleet.  Exit restores the state
+        found on entry (nested runs, a caller who disabled the collector);
+        explicit ``gc.collect()`` calls still work.
         """
-        profile, was_enabled = self._profile, gc.isenabled()
+        clock, queue, profile = self.clock, self.queue, self.profile
+        # Only a finite end needs the next event's time: ``peek_time`` is a
+        # second queue call per event.
+        bounded = end_time < math.inf
+        dispatched = 0
+        was_enabled = gc.isenabled()
         gc.disable()
         if profile is not None:
             profile.active_runs += 1
         try:
-            yield profile
+            while dispatched < max_events and (future is None or not future._done):
+                if profile is not None:
+                    started = perf_counter()  # repro: allow[D102] (profiling meter)
+                if bounded:
+                    next_time = queue.peek_time()
+                    event = None if next_time is None or next_time > end_time else queue.pop()
+                else:
+                    event = queue.pop()
+                if profile is not None:
+                    profile.heap_s += perf_counter() - started  # repro: allow[D102] (profiling meter)
+                if event is None:
+                    break
+                # ``SimClock.advance_to`` inlined, its backwards check kept.
+                time = event.time
+                if time > clock._now:
+                    clock._now = float(time)
+                elif time < clock._now - 1e-12:
+                    clock.advance_to(time)  # raises: the clock never runs backwards
+                self._events_processed += 1
+                dispatched += 1
+                if profile is None:
+                    event.callback()
+                else:
+                    started = perf_counter()  # repro: allow[D102] (profiling meter)
+                    event.callback()
+                    profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
         finally:
             if profile is not None:
                 profile.active_runs -= 1
             if was_enabled:
                 gc.enable()
+        return dispatched
 
     def run_until(self, end_time: float) -> None:
         """Dispatch events in order until the queue is empty or ``end_time``.
@@ -622,70 +661,34 @@ class EventLoop:
         The clock ends exactly at ``end_time`` even if the last event fires
         earlier, so periodic reports (hourly cost buckets, for example) cover
         the full requested window.
+
+        Raises:
+            ValueError: if ``end_time`` is NaN or infinite.
+            SimulationError: if ``end_time`` is before now.
         """
+        if not math.isfinite(end_time):
+            raise ValueError(f"run_until end time must be finite, got {end_time!r}")
         if end_time < self.clock.now:
             raise SimulationError(
                 f"run_until({end_time}) is before current time {self.clock.now}"
             )
-        with self._dispatching() as profile:
-            while True:
-                if profile is None:
-                    next_time = self.queue.peek_time()
-                    if next_time is None or next_time > end_time:
-                        break
-                    event = self.queue.pop()
-                else:
-                    heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
-                    next_time = self.queue.peek_time()
-                    if next_time is None or next_time > end_time:
-                        profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
-                        break
-                    event = self.queue.pop()
-                    profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
-                if event is None:
-                    break
-                self.clock.advance_to(event.time)
-                self._events_processed += 1
-                if profile is None:
-                    event.callback()
-                else:
-                    started = perf_counter()  # repro: allow[D102] (profiling meter)
-                    event.callback()
-                    profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
+        self._dispatch(end_time, None, math.inf)
         self.clock.advance_to(end_time)
 
     def run_all(self, max_events: int = 10_000_000) -> None:
         """Dispatch every pending event (bounded by ``max_events``).
 
         Raises:
-            SimulationError: if the bound is hit, which almost always means a
-                component is rescheduling itself unconditionally.
+            SimulationError: if ``max_events`` have run and the queue still
+                holds events, which almost always means a component is
+                rescheduling itself unconditionally.
         """
-        dispatched = 0
-        with self._dispatching() as profile:
-            while True:
-                if profile is None:
-                    event = self.queue.pop()
-                else:
-                    heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
-                    event = self.queue.pop()
-                    profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
-                if event is None:
-                    return
-                self.clock.advance_to(event.time)
-                self._events_processed += 1
-                if profile is None:
-                    event.callback()
-                else:
-                    started = perf_counter()  # repro: allow[D102] (profiling meter)
-                    event.callback()
-                    profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
-                dispatched += 1
-                if dispatched >= max_events:
-                    raise SimulationError(
-                        f"run_all dispatched {max_events} events without draining the queue; "
-                        "a component is likely rescheduling itself forever"
-                    )
+        self._dispatch(math.inf, None, max_events)
+        if self.queue:
+            raise SimulationError(
+                f"run_all dispatched {max_events} events without draining the queue; "
+                "a component is likely rescheduling itself forever"
+            )
 
     def run_until_complete(self, future: SimFuture, max_events: int = 10_000_000) -> object:
         """Dispatch events until ``future`` settles; returns its result.
@@ -698,42 +701,19 @@ class EventLoop:
             SimulationError: if the queue drains with the future still
                 pending (a deadlocked process: the message names every
                 parked process and the future it waits on), or
-                ``max_events`` is hit.
+                ``max_events`` have run and it is still pending.
         """
-        dispatched = 0
-        clock, queue = self.clock, self.queue
-        with self._dispatching() as profile:
-            while not future._done:
-                if profile is None:
-                    event = queue.pop()
-                else:
-                    heap_started = perf_counter()  # repro: allow[D102] (profiling meter)
-                    event = queue.pop()
-                    profile.heap_s += perf_counter() - heap_started  # repro: allow[D102] (profiling meter)
-                if event is None:
-                    raise SimulationError(
-                        f"event queue drained but {future.label!r} never resolved; "
-                        f"parked: {self._parked_processes()}"
-                    )
-                # ``SimClock.advance_to`` inlined, its backwards check kept.
-                time = event.time
-                if time > clock._now:
-                    clock._now = float(time)
-                elif time < clock._now - 1e-12:
-                    clock.advance_to(time)  # raises: the clock never runs backwards
-                self._events_processed += 1
-                if profile is None:
-                    event.callback()
-                else:
-                    started = perf_counter()  # repro: allow[D102] (profiling meter)
-                    event.callback()
-                    profile.note_dispatch(event.label, perf_counter() - started)  # repro: allow[D102] (profiling meter)
-                dispatched += 1
-                if dispatched >= max_events:
-                    raise SimulationError(
-                        f"run_until_complete dispatched {max_events} events while waiting "
-                        f"for {future.label!r}"
-                    )
+        dispatched = self._dispatch(math.inf, future, max_events)
+        if not future._done:
+            if dispatched < max_events:
+                raise SimulationError(
+                    f"event queue drained but {future.label!r} never resolved; "
+                    f"parked: {self._parked_processes()}"
+                )
+            raise SimulationError(
+                f"run_until_complete dispatched {max_events} events while waiting "
+                f"for {future.label!r}"
+            )
         return future.result if not future.cancelled else None
 
     def _parked_processes(self) -> str:

@@ -277,7 +277,7 @@ class Process(SimFuture):
         # error (it can release the wait itself); that must not resume it.
         self._cancelling = True
         finished = False
-        profile = self.loop._profile
+        profile = self.loop.profile
         started = perf_counter() if profile is not None else 0.0  # repro: allow[D102] (profiling meter)
         try:
             target = self.generator.throw(error)
@@ -285,8 +285,7 @@ class Process(SimFuture):
             finished, target = True, getattr(stop, "value", None)
         finally:
             if profile is not None:
-                profile.coroutine_steps += 1
-                profile.coroutine_s += perf_counter() - started  # repro: allow[D102] (profiling meter)
+                profile.note_step(started)
             if sleep_event is not None:
                 sleep_event.cancel()
             if waiting is not None:
@@ -300,26 +299,19 @@ class Process(SimFuture):
 
     # ------------------------------------------------------------------ driving
     def _step(self, value: object) -> None:
-        profile = self.loop._profile
-        if profile is None:
-            try:
-                target = self.generator.send(value)
-            except StopIteration as stop:
-                self.resolve(getattr(stop, "value", None))
-                return
-        else:
-            # Meter only the generator resumption itself; the downstream
-            # future callbacks fired by resolve() bill to their own meters.
-            started = perf_counter()  # repro: allow[D102] (profiling meter)
-            try:
-                target = self.generator.send(value)
-            except StopIteration as stop:
-                profile.coroutine_steps += 1
-                profile.coroutine_s += perf_counter() - started  # repro: allow[D102] (profiling meter)
-                self.resolve(getattr(stop, "value", None))
-                return
-            profile.coroutine_steps += 1
-            profile.coroutine_s += perf_counter() - started  # repro: allow[D102] (profiling meter)
+        # Meter only the generator resumption itself; the downstream future
+        # callbacks fired by resolve() bill to their own meters.
+        profile = self.loop.profile
+        started = perf_counter() if profile is not None else 0.0  # repro: allow[D102] (profiling meter)
+        try:
+            target = self.generator.send(value)
+        except StopIteration as stop:
+            if profile is not None:
+                profile.note_step(started)
+            self.resolve(getattr(stop, "value", None))
+            return
+        if profile is not None:
+            profile.note_step(started)
         self._wait_on(target)
 
     def _wait_on(self, target: Waitable) -> None:

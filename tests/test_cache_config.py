@@ -139,16 +139,29 @@ class TestResilienceConfig:
     lambda: InfiniCacheConfig(backup_interval_s=math.inf),
     lambda: AutoscalerConfig(interval_s=math.nan),
     lambda: AutoscalerConfig(interval_s=math.inf),
+    lambda: ProductionScale(duration_hours=math.nan),
+    lambda: ProductionScale(duration_hours=0.0),
+    lambda: ProductionScale(base_requests_per_hour=math.inf),
+    lambda: ProductionScale(lambdas_per_proxy=0),
+    lambda: ProductionScale(lambdas_per_proxy=2.5),
+    lambda: ProductionScale(lambdas_per_proxy=11),
+    lambda: ProductionScale(catalogue_size=0),
+    lambda: ProductionScale(reclaim_burst_probability=1.5),
+    lambda: ProductionScale(reclaim_burst_probability=math.nan),
+    lambda: ProductionScale(seed=-1),
 ], ids=[
     "timeout-nan", "timeout-inf", "attempts-nan", "attempts-fraction",
     "attempts-bool", "breaker-int", "straggler-max-inf", "straggler-min-nan",
     "straggler-max-nan", "backup-nan", "backup-inf", "autoscaler-nan",
-    "autoscaler-inf",
+    "autoscaler-inf", "production-hours-nan", "production-hours-zero",
+    "production-rate-inf", "production-lambdas-zero", "production-lambdas-fraction",
+    "production-lambdas-below-stripe", "production-catalogue-zero",
+    "production-burst-above-one", "production-burst-nan", "production-seed-negative",
 ])
 def test_non_finite_values_fail_at_construction(build):
     """NaN, infinity and values of the wrong type are rejected where the
     config is built, not mid-run by the deadline timer, ``range(attempts)``,
-    ``rng.uniform`` or ``deployment.start()``."""
+    ``rng.uniform``, ``deployment.start()`` or the production replay."""
     with pytest.raises(ConfigurationError):
         build()
 

@@ -178,6 +178,25 @@ def test_function_level_imports_are_listed():
     assert {package: tuple(sorted(targets)) for package, targets in found.items()} == LAZY_IMPORTS
 
 
+def test_no_module_outside_the_engine_reaches_into_the_event_loop():
+    """A component reads the loop's public attributes (``loop.profile``,
+    ``loop.queue``, ``loop.clock``) and never an underscore one of an
+    expression named ``loop`` or ``simulator``; ``clock._now``, read on hot
+    paths for speed, is the clock's and stays allowed."""
+    reach_ins = []
+    for path in sorted(SRC.rglob("*.py")):
+        if _package(path) == "sim":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name in ("loop", "simulator"):
+                reach_ins.append(f"{path.relative_to(ROOT)}:{node.lineno} reads {name}.{node.attr}")
+    assert not reach_ins, "\n  ".join(["private event-loop state read outside repro.sim:"] + reach_ins)
+
+
 def _loaded_after(script: str) -> list[str]:
     """The ``repro`` and ``numpy`` modules a fresh interpreter holds after
     running ``script``."""

@@ -721,7 +721,7 @@ RUNNERS = pytest.mark.parametrize(
 
 class TestCollectorPause:
     """``run*`` dispatches with automatic cyclic collection off and then
-    puts back whatever state it found (see ``EventLoop._dispatching``)."""
+    puts back whatever state it found (see ``EventLoop._dispatch``)."""
 
     @RUNNERS
     def test_paused_in_callbacks_and_restored_afterwards(self, run, collector_state):
@@ -780,6 +780,29 @@ class TestCollectorPause:
                 loop.run_until_complete(SimFuture("never"), max_events=5)
         assert gc.isenabled() is collector_state
 
+    def test_run_all_that_drains_on_its_last_allowed_event_is_no_runaway(
+        self, collector_state
+    ):
+        loop = EventLoop()
+        fired = []
+        loop.schedule(1.0, lambda: fired.append(1.0))
+        loop.schedule(2.0, lambda: fired.append(2.0))
+        loop.run_all(max_events=2)
+        assert (fired, len(loop.queue), loop.now) == ([1.0, 2.0], 0, 2.0)
+        assert gc.isenabled() is collector_state
+
+    def test_a_future_resolved_by_the_last_allowed_event_is_no_runaway(
+        self, collector_state
+    ):
+        loop = EventLoop()
+        future = SimFuture("done on the second event")
+        loop.schedule(1.0, lambda: None)
+        loop.schedule(2.0, lambda: future.resolve("ok"))
+        loop.schedule(3.0, lambda: None)
+        assert loop.run_until_complete(future, max_events=2) == "ok"
+        assert (loop.events_processed, len(loop.queue)) == (2, 1)
+        assert gc.isenabled() is collector_state
+
     def test_an_explicit_collect_in_a_callback_still_collects(self):
         loop = EventLoop()
         found = []
@@ -793,3 +816,40 @@ class TestCollectorPause:
         loop.schedule(1.0, make_and_collect)
         loop.run_all()
         assert found[0] >= 1
+
+
+class TestProfilingObservesEveryRun:
+    """The profile is an observer: on or off, every ``run*`` method
+    dispatches the same events at the same times, and it counts each."""
+
+    @RUNNERS
+    def test_profiling_does_not_change_dispatch_order_or_time(self, run):
+        def replay(profiled):
+            loop = EventLoop()
+            profile = loop.enable_profiling() if profiled else None
+            fired = []
+
+            def log(label):
+                return lambda: fired.append((loop.now, label))
+
+            loop.schedule(1.0, log("tie-a"), label="tie")
+            loop.schedule(1.0, log("tie-b"), label="tie")
+            loop.schedule(1.5, log("cancelled"), label="cancelled").cancel()
+            timer = loop.schedule_deadline(2.0, log("deadline"), label="deadline")
+            timer.set_deadline(3.0)
+            loop.schedule(12.0, log("after run_until's end"), label="late")
+
+            def process():
+                yield 0.5
+                fired.append((loop.now, "process woke"))
+                yield loop.timeout(2.0)
+                fired.append((loop.now, "process done"))
+
+            loop.spawn(process(), label="process")
+            run(loop, loop.timeout(4.0))
+            loop.disable_profiling()
+            if profile is not None:
+                assert profile.events_dispatched == loop.events_processed
+            return fired, loop.events_processed, loop.now
+
+        assert replay(profiled=True) == replay(profiled=False)
