@@ -312,7 +312,7 @@ def _trace(argv: list[str]) -> int:
     return 0
 
 
-def _perf(argv: list[str]) -> int:
+def _perf_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro perf",
         description="Simulator performance harness: events/sec, fleet sweep, "
@@ -320,23 +320,14 @@ def _perf(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke mode: small fleets only, seconds-fast",
+        help="CI smoke mode: small fleets, the arbiter comparison at the "
+        "largest of them, seconds-fast",
     )
     parser.add_argument(
-        "--rungs", "--clients", type=int, nargs="+", default=None, metavar="N",
-        dest="clients",
+        "--rungs", type=_positive_int, nargs="+", default=None, metavar="N",
         help="fleet-size rungs for the closed-loop macro sweep (default: "
         "8 64 256 1024 4096, or 8 64 256 under --quick; explicit values "
         "are honored as given)",
-    )
-    parser.add_argument(
-        "--compare-clients", type=int, default=None, metavar="N",
-        help="fleet size for the arbiter comparison (default: 256, or the "
-        "largest swept fleet under --quick)",
-    )
-    parser.add_argument(
-        "--skip-compare", action="store_true",
-        help="skip the incremental-vs-reference comparison",
     )
     parser.add_argument(
         "--output", default="BENCH_perf.json", metavar="PATH",
@@ -345,37 +336,24 @@ def _perf(argv: list[str]) -> int:
     parser.add_argument(
         "--regression-baseline", default=None, metavar="PATH",
         help="committed BENCH_perf.json to guard against: exit non-zero if "
-        "any macro rung present in both runs lost more than the threshold "
-        "of its committed events/s or swept or re-aimed more flows than "
-        "committed, or if the micro.faas_cycle billing ledger, the "
-        "micro.hardened_chunk counts or the open-loop production rung's "
-        "events, flow intervals or fingerprint (same geometry) differ "
-        "(read before --output is written, so the same path can serve as "
-        "both)",
+        "any macro rung of 256 clients or more present in both runs lost "
+        "more than 30%% of its committed events/s, if any shared rung swept "
+        "or re-aimed more flows than committed, or if the micro ledgers and "
+        "counts or the open-loop production rung's events, flow intervals "
+        "or fingerprint (same geometry) differ (read before --output is "
+        "written, so the same path can serve as both)",
     )
-    parser.add_argument(
-        "--regression-threshold", type=float, default=0.30, metavar="FRACTION",
-        help="allowed fractional events/s drop before the regression guard "
-        "fails (default: 0.30)",
-    )
-    parser.add_argument(
-        "--regression-min-clients", type=int, default=256, metavar="N",
-        help="smallest macro rung the regression guard considers (default: "
-        "256 — sub-second rungs are too noisy to gate on)",
-    )
+    return parser
+
+
+def _perf(argv: list[str]) -> int:
+    parser = _perf_parser()
     args = parser.parse_args(argv)
     import json
+    import pathlib
 
     from repro.experiments import perf
 
-    if args.compare_clients is not None and args.compare_clients < 1:
-        parser.error("--compare-clients must be a positive client count")
-    if args.clients is not None and any(count < 1 for count in args.clients):
-        parser.error("--rungs values must be positive client counts")
-    if not 0.0 <= args.regression_threshold < 1.0:
-        parser.error("--regression-threshold must be in [0, 1)")
-    if args.regression_min_clients < 0:
-        parser.error("--regression-min-clients must be non-negative")
     baseline = None
     if args.regression_baseline is not None:
         try:
@@ -383,11 +361,11 @@ def _perf(argv: list[str]) -> int:
                 baseline = json.load(handle)
         except (OSError, ValueError) as error:
             parser.error(f"cannot read --regression-baseline: {error}")
+    # Before the suite, so its run is never thrown away on a path that
+    # cannot be written.
+    pathlib.Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     payload = perf.run_suite(
-        client_counts=tuple(args.clients) if args.clients else None,
-        compare_clients=args.compare_clients,
-        quick=args.quick,
-        skip_compare=args.skip_compare,
+        client_counts=tuple(args.rungs) if args.rungs else None, quick=args.quick
     )
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -399,8 +377,7 @@ def _perf(argv: list[str]) -> int:
         for error in schema_errors:
             print(f"FAIL: malformed payload: {error}", file=sys.stderr)
         return 1
-    comparison = payload.get("arbiter_comparison")
-    if comparison and not comparison["fingerprints_identical"]:
+    if not payload["arbiter_comparison"]["fingerprints_identical"]:
         print(
             "FAIL: the arbiters' replay fingerprints diverged (incremental "
             "vs reference must be byte-identical)",
@@ -408,12 +385,7 @@ def _perf(argv: list[str]) -> int:
         )
         return 1
     if baseline is not None:
-        regressions = perf.check_regression(
-            payload,
-            baseline,
-            threshold=args.regression_threshold,
-            min_clients=args.regression_min_clients,
-        )
+        regressions = perf.check_regression(payload, baseline)
         if regressions:
             for regression in regressions:
                 print(f"FAIL: {regression}", file=sys.stderr)

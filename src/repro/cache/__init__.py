@@ -16,11 +16,10 @@ that keeps a deployment alive:
   failover between peer replicas.
 * :mod:`repro.cache.backup` — the delta-sync backup protocol through a
   relay, run every ``T_bak`` per node.
-* :mod:`repro.cache.warmup` — the periodic warm-up invoker (every
-  ``T_warm``).
 * :mod:`repro.cache.deployment` — a builder that wires the client, proxies,
   pool, simulated platform, warm-up and backup schedulers together from one
-  :class:`~repro.cache.config.InfiniCacheConfig`.
+  :class:`~repro.cache.config.InfiniCacheConfig`; its warm-up tick (every
+  ``T_warm``) re-invokes each proxy's pool (``Proxy.warm_up_pool``).
 """
 
 from repro.cache.admission import HybridCacheRouter

@@ -15,7 +15,7 @@ benchmark their event cores.  This module is that measurement layer:
   deadline-bounded chunk attempts under a link blackhole with exact counts
   of what they spawn and schedule;
 * **macro benchmarks** run the closed-loop replay driver end to end at
-  fleet sizes (8 → 1024 clients) and report wall-clock, events/sec, and
+  fleet sizes (8 → 4096 clients) and report wall-clock, events/sec, and
   the peak number of simultaneously active flows; one more rung replays
   one trace hour of the production ``infinicache.all`` run open-loop, at
   the paper's pool geometry (the quick geometry under ``--quick``);
@@ -57,6 +57,10 @@ DEFAULT_CLIENT_COUNTS = (8, 64, 256, 1024, 4096)
 #: Fleet size used for the incremental-vs-reference arbiter comparison.
 DEFAULT_COMPARE_CLIENTS = 256
 
+#: The seed of every seeded run in the suite: the fleet, the warm-up
+#: sweeps' reclamation draws and the hardened deployment.
+SEED = 2020
+
 
 @dataclass
 class PerfSample:
@@ -85,8 +89,12 @@ class PerfSample:
 
 
 # ---------------------------------------------------------------------- micro
-def micro_event_queue(events: int = 50_000, cancel_every: int = 2) -> PerfSample:
-    """Push ``events`` timers, cancel every ``cancel_every``-th, drain the rest.
+#: ``micro_event_queue`` cancels every ``EVENT_QUEUE_CANCEL_EVERY``-th timer.
+EVENT_QUEUE_CANCEL_EVERY = 2
+
+
+def micro_event_queue(events: int = 50_000) -> PerfSample:
+    """Push ``events`` timers, cancel every ``EVENT_QUEUE_CANCEL_EVERY``-th, drain the rest.
 
     Exercises the O(1) live counter and the tombstone compaction path: the
     cancelled half must neither linger in the heap nor slow the pops.
@@ -97,16 +105,17 @@ def micro_event_queue(events: int = 50_000, cancel_every: int = 2) -> PerfSample
         loop.schedule((index % 97) * 0.001 + 0.001, lambda: None, label="perf.noop")
         for index in range(events)
     ]
-    for index in range(0, events, cancel_every):
+    cancelled = range(0, events, EVENT_QUEUE_CANCEL_EVERY)
+    for index in cancelled:
         scheduled[index].cancel()
-    assert len(loop.queue) == events - len(range(0, events, cancel_every))
+    assert len(loop.queue) == events - len(cancelled)
     loop.run_all(max_events=events + 1)
     wall = time.perf_counter() - start
     return PerfSample(
         name="micro.event_queue",
         wall_s=wall,
         events=loop.events_processed,
-        extra={"scheduled": events, "cancelled": len(range(0, events, cancel_every))},
+        extra={"scheduled": events, "cancelled": len(cancelled)},
     )
 
 
@@ -211,24 +220,22 @@ def micro_erasure() -> PerfSample:
     )
 
 
-#: The ``micro.faas_cycle`` fields that are exact on every host, and so gated.
-FAAS_MICRO_EXACT_KEYS = (
-    "cycles", "reclaims", "cold_starts",
-    "total_invocations", "total_billed_seconds", "total_cost",
-)
+#: ``micro_faas_cycle``: invocations, and every how many one is reclaimed.
+FAAS_CYCLES = 100_000
+FAAS_RECLAIM_EVERY = 1_000
 
 
-def micro_faas_cycle(cycles: int = 100_000, reclaim_every: int = 1_000) -> PerfSample:
+def micro_faas_cycle() -> PerfSample:
     """The invoke -> complete -> bill cycle on one platform, ledger included.
 
-    ``cycles`` invocations of one 1536 MiB function, rotating through four
-    durations, the ``serving`` / ``warmup`` categories and unattributed,
-    one-tenant and three-tenant charges.  Every ``reclaim_every``-th
+    ``FAAS_CYCLES`` invocations of one 1536 MiB function, rotating through
+    four durations, the ``serving`` / ``warmup`` categories and unattributed,
+    one-tenant and three-tenant charges.  Every ``FAAS_RECLAIM_EVERY``-th
     instance is reclaimed *mid-flight* — it is still billed, and the next
     invocation cold-starts.  Reports cycles/s (noise) beside the ledger
     (exact: floats are carried as ``repr`` so JSON cannot round them).  The
-    suite runs the defaults in quick and in full mode alike, because CI's
-    quick run is gated against the full committed payload.
+    suite runs it in quick and in full mode alike, because CI's quick run is
+    gated against the full committed payload.
     """
     platform = FaaSPlatform(EventLoop())
     platform.register_function("perf-faas", 1536 * MIB)
@@ -240,9 +247,9 @@ def micro_faas_cycle(cycles: int = 100_000, reclaim_every: int = 1_000) -> PerfS
     )
     gc.collect()
     start = time.perf_counter()
-    for index in range(cycles):
+    for index in range(FAAS_CYCLES):
         instance = platform.invoke("perf-faas").instance
-        if index % reclaim_every == reclaim_every - 1:
+        if index % FAAS_RECLAIM_EVERY == FAAS_RECLAIM_EVERY - 1:
             platform.reclaim_instance(instance)
         platform.complete_invocation(
             instance,
@@ -255,9 +262,9 @@ def micro_faas_cycle(cycles: int = 100_000, reclaim_every: int = 1_000) -> PerfS
     return PerfSample(
         name="micro.faas_cycle",
         wall_s=wall,
-        events=cycles,
+        events=FAAS_CYCLES,
         extra={
-            "cycles": cycles,
+            "cycles": FAAS_CYCLES,
             "reclaims": int(counters.get("faas.reclaims", 0.0)),
             "cold_starts": int(counters["faas.cold_starts"]),
             "total_invocations": billing.total_invocations,
@@ -267,35 +274,33 @@ def micro_faas_cycle(cycles: int = 100_000, reclaim_every: int = 1_000) -> PerfS
     )
 
 
-#: The ``micro.fleet_warm_up`` fields that are exact on every host, and so gated.
-FLEET_WARM_UP_EXACT_KEYS = (
-    "rounds", "invocations", "cold_starts", "reclaims",
-    "total_billed_seconds", "total_cost",
-)
+#: ``micro_fleet_warm_up``: the fleet, and the one-minute rounds it is kept warm.
+WARM_UP_FUNCTIONS = 150
+WARM_UP_ROUNDS = 240
 
 
-def micro_fleet_warm_up(functions: int = 150, rounds: int = 240, seed: int = 2020) -> PerfSample:
+def micro_fleet_warm_up() -> PerfSample:
     """Figure 8's keep-alive loop: one ``warm_up`` round per virtual minute.
 
-    ``functions`` 256 MiB functions are all re-invoked (1 ms, ``warmup``)
-    once a minute for ``rounds`` minutes, while the platform's one-minute
-    sweeps reclaim instances under a Poisson policy (mean 0.6 per sweep,
-    as Figure 8's 1-minute days); a reclaimed function cold-starts at the
-    next round.  Reports rounds/s (noise) beside the exact ledger:
+    ``WARM_UP_FUNCTIONS`` 256 MiB functions are all re-invoked (1 ms,
+    ``warmup``) once a minute for ``WARM_UP_ROUNDS`` minutes, while the
+    platform's one-minute sweeps reclaim instances under a Poisson policy
+    (mean 0.6 per sweep, as Figure 8's 1-minute days); a reclaimed function
+    cold-starts at the next round.  Reports rounds/s (noise) beside the exact ledger:
     invocations, cold starts, reclaims, and the billed seconds and cost as
     ``repr`` strings.
     """
     loop = EventLoop()
     platform = FaaSPlatform(
-        loop, reclamation_policy=PoissonReclamationPolicy(SeededRNG(seed), 0.6)
+        loop, reclamation_policy=PoissonReclamationPolicy(SeededRNG(SEED), 0.6)
     )
-    for index in range(functions):
+    for index in range(WARM_UP_FUNCTIONS):
         platform.register_function(f"probe-{index:04d}", 256 * MIB)
     names = platform.registered_functions()
     platform.start_reclamation_sweeps()
     gc.collect()
     start = time.perf_counter()
-    for round_index in range(rounds):
+    for round_index in range(WARM_UP_ROUNDS):
         platform.warm_up(names)
         loop.run_until((round_index + 1) * MINUTE)
     wall = time.perf_counter() - start
@@ -303,10 +308,10 @@ def micro_fleet_warm_up(functions: int = 150, rounds: int = 240, seed: int = 202
     return PerfSample(
         name="micro.fleet_warm_up",
         wall_s=wall,
-        events=rounds,
+        events=WARM_UP_ROUNDS,
         extra={
-            "functions": functions,
-            "rounds": rounds,
+            "functions": WARM_UP_FUNCTIONS,
+            "rounds": WARM_UP_ROUNDS,
             "invocations": int(counters["faas.invocations"]),
             "cold_starts": int(counters["faas.cold_starts"]),
             "reclaims": int(counters.get("faas.reclaims", 0.0)),
@@ -316,25 +321,24 @@ def micro_fleet_warm_up(functions: int = 150, rounds: int = 240, seed: int = 202
     )
 
 
-#: The ``micro.hardened_chunk`` fields that are exact per seed, and so gated.
-HARDENED_MICRO_EXACT_KEYS = (
-    "attempts", "processes_spawned", "deadlines_scheduled", "deadlines_cancelled", "hedges",
-)
+#: ``micro_hardened_chunk``: closed-loop readers, and the GETs each one issues.
+HARDENED_CLIENTS = 16
+HARDENED_ROUNDS = 40
 
 #: Event labels of the attempt deadline and of the hedge pair's deadline.
 _DEADLINE_LABELS = ("chunk.deadline", "chunk.hedge_deadline")
 
 
-def micro_hardened_chunk(clients: int = 16, rounds: int = 40, seed: int = 2020) -> PerfSample:
+def micro_hardened_chunk() -> PerfSample:
     """Deadline-bounded chunk attempts under a link blackhole, counted exactly.
 
     The demo hardened deployment (three attempts per chunk, a 1 s chunk
-    deadline, breakers) serves ``clients`` closed-loop readers ``rounds``
-    GETs each, one second apart, while every host link is blackholed from
-    t = 4 s to 10 s and from 20 s to 26 s: chunks in flight then miss their
-    deadline, hedge, and run out the hedge deadline into a retry.  The
-    replay runs twice,
-    timed (attempts/s: noise) and profiled for the exact counts —
+    deadline, breakers) serves ``HARDENED_CLIENTS`` closed-loop readers
+    ``HARDENED_ROUNDS`` GETs each, one second apart, while every host link
+    is blackholed from t = 4 s to 10 s and from 20 s to 26 s: chunks in
+    flight then miss their deadline, hedge, and run out the hedge deadline
+    into a retry.  The replay runs twice, timed (attempts/s: noise) and
+    profiled for the exact counts —
     deadline-bounded attempts (each arms one ``chunk.deadline`` event),
     processes spawned, deadline events scheduled and cancelled (attempt and
     hedge deadlines together) and hedges.
@@ -344,13 +348,13 @@ def micro_hardened_chunk(clients: int = 16, rounds: int = 40, seed: int = 2020) 
     from repro.faults.scenario import demo_config, demo_plans
 
     def replay(profiled: bool):
-        deployment = InfiniCacheDeployment(demo_config(seed))
+        deployment = InfiniCacheDeployment(demo_config(SEED))
         ChaosEngine(deployment, FaultSchedule((
             LinkBlackhole(at_s=4.0, duration_s=6.0, host_fraction=1.0),
             LinkBlackhole(at_s=20.0, duration_s=6.0, host_fraction=1.0),
         ))).install()
         driver = ClosedLoopDriver(deployment, warm_pool=True)
-        plans = demo_plans(clients=clients, rounds=rounds, think_s=1.0)
+        plans = demo_plans(clients=HARDENED_CLIENTS, rounds=HARDENED_ROUNDS, think_s=1.0)
         gc.collect()
         profile = deployment.simulator.enable_profiling() if profiled else None
         start = time.perf_counter()
@@ -379,19 +383,30 @@ def micro_hardened_chunk(clients: int = 16, rounds: int = 40, seed: int = 2020) 
 
 
 # ---------------------------------------------------------------------- macro
-def _fleet_config(clients: int, arbiter: str, seed: int) -> InfiniCacheConfig:
-    """A deployment sized for ``clients`` concurrent closed-loop clients.
+#: The closed-loop fleet: each client re-reads its own objects.
+FLEET_REQUESTS_PER_CLIENT = 6
+FLEET_OBJECTS_PER_CLIENT = 2
+FLEET_OBJECT_BYTES = 2 * MB
+
+
+def fleet(
+    clients: int, arbiter: str
+) -> tuple[InfiniCacheDeployment, list[list[tuple[str, int]]]]:
+    """A seeded ``arbiter`` deployment for ``clients`` closed-loop clients,
+    and their plans.
 
     Proxies scale with the fleet (as the cluster autoscaler would provision
     them) so the scenario stays in the regime the paper evaluates — client
     count grows, per-proxy load stays bounded.  1536 MiB functions get a VM
     host to themselves (paper §2.2), so NIC contention is per-node and the
     proxy uplinks stay unsaturated: each flow transition touches a handful
-    of flows, not the fleet.
+    of flows, not the fleet.  Client ``i`` owns ``FLEET_OBJECTS_PER_CLIENT``
+    objects ``perf/{i}/obj-{n}`` of ``FLEET_OBJECT_BYTES``, seeded before
+    the clock starts, and its plan is ``FLEET_REQUESTS_PER_CLIENT`` GETs
+    over them (``bench/workloads.py`` mirrors this geometry and these keys).
     """
-    num_proxies = max(2, min(256, clients // 4))
-    return InfiniCacheConfig(
-        num_proxies=num_proxies,
+    deployment = InfiniCacheDeployment(InfiniCacheConfig(
+        num_proxies=max(2, min(256, clients // 4)),
         lambdas_per_proxy=8,
         lambda_memory_bytes=1536 * MIB,
         data_shards=4,
@@ -399,19 +414,17 @@ def _fleet_config(clients: int, arbiter: str, seed: int) -> InfiniCacheConfig:
         backup_enabled=False,
         straggler=StragglerModel(probability=0.05),
         flow_arbiter=arbiter,
-        seed=seed,
+        seed=SEED,
+    ))
+    plans = seed_fleet(
+        deployment, "perf", clients,
+        FLEET_OBJECTS_PER_CLIENT, FLEET_OBJECT_BYTES, FLEET_REQUESTS_PER_CLIENT,
     )
+    return deployment, plans
 
 
-def macro_closed_loop(
-    clients: int,
-    requests_per_client: int = 6,
-    objects_per_client: int = 2,
-    object_size: int = 2 * MB,
-    arbiter: str = "incremental",
-    seed: int = 2020,
-) -> PerfSample:
-    """One closed-loop replay at fleet size ``clients``, instrumented.
+def macro_closed_loop(clients: int, arbiter: str = "incremental") -> PerfSample:
+    """One closed-loop replay of :func:`fleet` under ``arbiter``, instrumented.
 
     Returns wall-clock, total dispatched events, events/sec, the peak
     number of simultaneously active flows, the flows the arbiter swept and
@@ -420,10 +433,7 @@ def macro_closed_loop(
     before the clock starts so successive measurements do not bleed into
     each other.
     """
-    deployment = InfiniCacheDeployment(_fleet_config(clients, arbiter, seed))
-    plans = seed_fleet(
-        deployment, "perf", clients, objects_per_client, object_size, requests_per_client
-    )
+    deployment, plans = fleet(clients, arbiter)
     events_before = deployment.simulator.events_processed
     gc.collect()
     start = time.perf_counter()
@@ -453,10 +463,6 @@ def macro_closed_loop(
 
 #: The production replay the open-loop rung runs, for one trace hour.
 OPEN_LOOP_REPLAY = "infinicache.all"
-
-#: Open-loop rung fields that are exact per seed and geometry, so
-#: :func:`check_regression` gates them on equality.
-OPEN_LOOP_EXACT_KEYS = ("events", "flow_intervals", "fingerprint")
 
 
 def open_loop_scales(quick: bool) -> tuple[ProductionScale, ...]:
@@ -513,14 +519,8 @@ def macro_open_loop_production(scale: ProductionScale) -> PerfSample:
     )
 
 
-def profile_closed_loop(
-    clients: int,
-    requests_per_client: int = 6,
-    objects_per_client: int = 2,
-    object_size: int = 2 * MB,
-    seed: int = 2020,
-) -> dict[str, object]:
-    """One closed-loop replay with event-loop profiling on: where time goes.
+def profile_closed_loop(clients: int) -> dict[str, object]:
+    """One :func:`fleet` replay with event-loop profiling on: where time goes.
 
     Produces the ``profile`` section of ``BENCH_perf.json``: wall-clock
     split into the loop's own phases — heap push/pop, coroutine steps,
@@ -534,10 +534,7 @@ def profile_closed_loop(
     not spent in callback dispatch or heap operations (driver and loop
     bookkeeping, including those spawn-time steps).
     """
-    deployment = InfiniCacheDeployment(_fleet_config(clients, "incremental", seed))
-    plans = seed_fleet(
-        deployment, "perf", clients, objects_per_client, object_size, requests_per_client
-    )
+    deployment, plans = fleet(clients, "incremental")
     gc.collect()
     deployment.simulator.enable_profiling()
     start = time.perf_counter()
@@ -623,17 +620,41 @@ def validate_profile(section: object) -> list[str]:
     return errors
 
 
+#: Per sample name, the fields that repeat exactly per seed (ledgers, counts
+#: and digests, never rates): :func:`check_regression` gates them on
+#: equality and :func:`format_report` prints them.  The billing ledgers
+#: carry their floats as ``repr`` strings, so JSON cannot round them.
+EXACT_KEYS = {
+    "micro.faas_cycle": (
+        "cycles", "reclaims", "cold_starts",
+        "total_invocations", "total_billed_seconds", "total_cost",
+    ),
+    "micro.fleet_warm_up": (
+        "rounds", "invocations", "cold_starts", "reclaims",
+        "total_billed_seconds", "total_cost",
+    ),
+    "micro.hardened_chunk": (
+        "attempts", "processes_spawned", "deadlines_scheduled", "deadlines_cancelled", "hedges",
+    ),
+    "macro.open_loop_production": ("events", "flow_intervals", "fingerprint"),
+}
+
+
 def validate_faas_cycle(payload: dict[str, object]) -> list[str]:
     """Schema-validate the ``micro.faas_cycle`` sample; returns readable errors.
 
     Runs beside :func:`validate_profile`: the ledger fields CI gates on must
     be present, the counts integers and the two floats ``repr`` strings.
     """
-    sample = _micro_sample(payload, "micro.faas_cycle")
+    sample = next(
+        (sample for sample in payload.get("micro", ())
+         if isinstance(sample, dict) and sample.get("name") == "micro.faas_cycle"),
+        None,
+    )
     if sample is None:
         return ["payload has no micro.faas_cycle sample"]
     errors: list[str] = []
-    for key in FAAS_MICRO_EXACT_KEYS:
+    for key in EXACT_KEYS["micro.faas_cycle"]:
         value = sample.get(key)
         if key in ("total_billed_seconds", "total_cost"):
             try:
@@ -647,25 +668,7 @@ def validate_faas_cycle(payload: dict[str, object]) -> list[str]:
     return errors
 
 
-#: Micro samples whose listed fields are exact on every host (ledgers and
-#: counts, not rates), so :func:`check_regression` gates them on equality.
-MICRO_EXACT_KEYS = {
-    "micro.faas_cycle": FAAS_MICRO_EXACT_KEYS,
-    "micro.fleet_warm_up": FLEET_WARM_UP_EXACT_KEYS,
-    "micro.hardened_chunk": HARDENED_MICRO_EXACT_KEYS,
-}
-
-
-def _micro_sample(payload: dict[str, object], name: str) -> dict[str, object] | None:
-    for sample in payload.get("micro", ()):
-        if isinstance(sample, dict) and sample.get("name") == name:
-            return sample
-    return None
-
-
-def compare_arbiters(
-    clients: int = DEFAULT_COMPARE_CLIENTS, **macro_kwargs: object
-) -> dict[str, object]:
+def compare_arbiters(clients: int = DEFAULT_COMPARE_CLIENTS) -> dict[str, object]:
     """Same scenario, both arbiters: speedup plus a fingerprint-drift check.
 
     The reference arbiter re-examines *every* active flow on each
@@ -674,8 +677,8 @@ def compare_arbiters(
     identically — ``fingerprints_identical`` is what CI gates on, because
     it is immune to timing noise.
     """
-    incremental = macro_closed_loop(clients, arbiter="incremental", **macro_kwargs)
-    reference = macro_closed_loop(clients, arbiter="reference", **macro_kwargs)
+    incremental = macro_closed_loop(clients, arbiter="incremental")
+    reference = macro_closed_loop(clients, arbiter="reference")
     return {
         "clients": clients,
         "incremental_wall_s": incremental.wall_s,
@@ -695,37 +698,36 @@ def compare_arbiters(
 #: ``events_per_s`` to compare against at a meaningful fleet size.
 QUICK_CLIENT_COUNTS = (8, 64, 256)
 
+#: The throughput floor: a macro rung of at least ``REGRESSION_MIN_CLIENTS``
+#: fails when its ``events_per_s`` drops more than ``REGRESSION_THRESHOLD``
+#: below the committed rate.  Smaller fleets finish in well under a second
+#: and swing ±30 % run to run on interpreter warm-up alone.
+REGRESSION_THRESHOLD = 0.30
+REGRESSION_MIN_CLIENTS = 256
 
-def check_regression(
-    payload: dict[str, object],
-    baseline: dict[str, object],
-    threshold: float = 0.30,
-    min_clients: int = 256,
-) -> list[str]:
+
+def check_regression(payload: dict[str, object], baseline: dict[str, object]) -> list[str]:
     """Compare a fresh suite payload against a committed baseline.
 
     Returns one error string per macro rung present in *both* payloads whose
-    fresh ``events_per_s`` fell more than ``threshold`` below the committed
-    value.  Rungs only one side ran (quick mode trims the sweep) are
-    skipped, as are rungs below ``min_clients`` — the small fleets finish
-    in well under a second, so their events/s swings ±30 % run to run on
-    interpreter warm-up alone and would make the gate flake.  Micro timings
-    and wall-clocks are too noisy to gate on and are ignored.
+    fresh ``events_per_s`` fell more than :data:`REGRESSION_THRESHOLD` below
+    the committed value.  Rungs only one side ran (quick mode trims the
+    sweep) are skipped, as are rungs below :data:`REGRESSION_MIN_CLIENTS`.
+    Micro timings and wall-clocks are too noisy to gate on and are ignored.
 
     ``flows_swept`` and ``flows_reaimed`` are gated on every shared rung,
     with no tolerance: the counts are exact per seed, so a rung that sweeps
     or re-aims more flows than the committed payload says is a code change,
-    never noise.  The ``micro.faas_cycle`` and ``micro.fleet_warm_up``
-    ledgers and the ``micro.hardened_chunk`` counts are gated the same way,
-    on equality
-    (:data:`MICRO_EXACT_KEYS`): a difference is a billing-arithmetic change,
-    or a change in what a deadline-bounded chunk attempt spawns and
-    schedules.  So is the
-    profile's ``gc_collections_in_dispatch``, against zero: ``EventLoop.run*``
-    pauses the cyclic collector, so one pass inside it means the pause broke.
-    The open-loop production rung's :data:`OPEN_LOOP_EXACT_KEYS` are gated
-    on equality against the committed rung of the same name and geometry;
-    a rung the baseline lacks gates nothing.
+    never noise.  Every sample named in :data:`EXACT_KEYS` is gated the same
+    way, on equality, against the committed sample of the same name and
+    ``geometry``: a difference is a billing-arithmetic change, a change in
+    what a deadline-bounded chunk attempt spawns and schedules, or a changed
+    replay.  A micro sample has no geometry, so a payload that lost one
+    fails on every field; an open-loop rung the fresh run did not reach
+    (``--quick`` runs the quick geometry only) gates nothing.  The
+    profile's ``gc_collections_in_dispatch`` is gated against zero:
+    ``EventLoop.run*`` pauses the cyclic collector, so one pass inside it
+    means the pause broke.
     """
     errors: list[str] = []
     in_dispatch = (payload.get("profile") or {}).get("counts", {}).get(
@@ -736,33 +738,26 @@ def check_regression(
             f"profile: {in_dispatch} cyclic-collector passes started inside "
             "EventLoop.run*, which pauses the collector (exact: must be 0)"
         )
-    for name, keys in MICRO_EXACT_KEYS.items():
-        committed_sample = _micro_sample(baseline, name)
-        if committed_sample is None:
+
+    def exact_samples(source: dict[str, object]) -> dict[tuple[object, object], dict]:
+        return {
+            (sample.get("name"), sample.get("geometry")): sample
+            for sample in (*source.get("micro", ()), *source.get("open_loop", ()))
+            if isinstance(sample, dict) and sample.get("name") in EXACT_KEYS
+        }
+
+    fresh_samples = exact_samples(payload)
+    for (name, geometry), reference in exact_samples(baseline).items():
+        sample = fresh_samples.get((name, geometry))
+        if sample is None and geometry is not None:
             continue
-        fresh_sample = _micro_sample(payload, name) or {}
-        for key in keys:
-            if fresh_sample.get(key) != committed_sample.get(key):
-                errors.append(
-                    f"{name} changed: {key} is {fresh_sample.get(key)!r}, the "
-                    f"committed payload has {committed_sample.get(key)!r} "
-                    "(exact on every host)"
-                )
-    committed_open_loop = {
-        (sample.get("name"), sample.get("geometry")): sample
-        for sample in baseline.get("open_loop", ())
-        if isinstance(sample, dict)
-    }
-    for sample in payload.get("open_loop", ()):
-        reference = committed_open_loop.get((sample.get("name"), sample.get("geometry")))
-        if reference is None:
-            continue
-        for key in OPEN_LOOP_EXACT_KEYS:
+        sample = sample or {}
+        label = f"{name}[{geometry}]" if geometry is not None else name
+        for key in EXACT_KEYS[name]:
             if sample.get(key) != reference.get(key):
                 errors.append(
-                    f"{sample['name']}[{sample['geometry']}] changed: {key} is "
-                    f"{sample.get(key)!r}, the committed payload has "
-                    f"{reference.get(key)!r} (exact per seed)"
+                    f"{label} changed: {key} is {sample.get(key)!r}, the committed "
+                    f"payload has {reference.get(key)!r} (exact per seed)"
                 )
     committed = {
         sample["clients"]: sample
@@ -783,24 +778,21 @@ def check_regression(
                     f"{fresh_count} flows {verb}, the committed payload has "
                     f"{committed_count} (the count is exact per seed)"
                 )
-        if (sample.get("clients") or 0) < min_clients:
+        if (sample.get("clients") or 0) < REGRESSION_MIN_CLIENTS:
             continue
         committed_rate = reference.get("events_per_s", 0.0)
         fresh_rate = sample.get("events_per_s", 0.0)
-        if committed_rate > 0 and fresh_rate < (1.0 - threshold) * committed_rate:
+        if committed_rate > 0 and fresh_rate < (1.0 - REGRESSION_THRESHOLD) * committed_rate:
             errors.append(
                 f"macro.closed_loop[{sample['clients']}] throughput regressed: "
-                f"{fresh_rate:.0f} events/s is more than {threshold:.0%} below "
-                f"the committed {committed_rate:.0f} events/s"
+                f"{fresh_rate:.0f} events/s is more than {REGRESSION_THRESHOLD:.0%} "
+                f"below the committed {committed_rate:.0f} events/s"
             )
     return errors
 
 
 def run_suite(
-    client_counts: tuple[int, ...] | None = None,
-    compare_clients: int | None = None,
-    quick: bool = False,
-    skip_compare: bool = False,
+    client_counts: tuple[int, ...] | None = None, quick: bool = False
 ) -> dict[str, object]:
     """Run the full perf suite; returns the ``BENCH_perf.json`` payload.
 
@@ -808,17 +800,13 @@ def run_suite(
         client_counts: fleet sizes for the closed-loop macro sweep; when
             omitted, ``quick`` picks between the default and the trimmed
             CI sweep.  An explicit value is always honored as given.
-        compare_clients: fleet size for the incremental-vs-reference
-            comparison; when omitted, 256 (or the largest swept fleet
-            under ``quick``).  An explicit value is always honored.
-        quick: CI smoke mode — defaults to small fleets and compares at
-            the largest of them, keeping the step seconds-fast.
-        skip_compare: omit the arbiter comparison entirely.
+        quick: CI smoke mode — smaller micros, the trimmed sweep by
+            default, and the arbiter comparison at the largest swept fleet
+            instead of :data:`DEFAULT_COMPARE_CLIENTS`, keeping the step
+            seconds-fast.
     """
     if client_counts is None:
         client_counts = QUICK_CLIENT_COUNTS if quick else DEFAULT_CLIENT_COUNTS
-    if compare_clients is None:
-        compare_clients = max(client_counts) if quick else DEFAULT_COMPARE_CLIENTS
     micro = [
         micro_event_queue(events=10_000 if quick else 50_000),
         micro_flow_churn(flows=500 if quick else 2_000, arbiter="incremental"),
@@ -840,22 +828,19 @@ def run_suite(
     # inside ``run*`` its timing no longer depends on that (measured either
     # side of the 1024 and 4096 rungs, docs/performance.md).  The micro pass
     # above doubles as cache warm-up (hash-ring points, shared RS matrices).
-    comparison = None if skip_compare else compare_arbiters(compare_clients)
+    comparison = compare_arbiters(max(client_counts) if quick else DEFAULT_COMPARE_CLIENTS)
     macro = [macro_closed_loop(clients) for clients in client_counts]
     open_loop = [macro_open_loop_production(scale) for scale in open_loop_scales(quick)]
-    profile = profile_closed_loop(max(client_counts))
-    payload: dict[str, object] = {
+    return {
         "schema": "repro.perf/1",
         "quick": quick,
         "unix_time": time.time(),
         "micro": [sample.as_dict() for sample in micro],
         "macro": [sample.as_dict() for sample in macro],
         "open_loop": [sample.as_dict() for sample in open_loop],
-        "profile": profile,
+        "profile": profile_closed_loop(max(client_counts)),
+        "arbiter_comparison": comparison,
     }
-    if comparison is not None:
-        payload["arbiter_comparison"] = comparison
-    return payload
 
 
 def format_report(payload: dict[str, object]) -> str:
@@ -894,31 +879,10 @@ def format_report(payload: dict[str, object]) -> str:
                 f"decode (2 data chunks lost) {sample['decode_MBps']:.0f} MB/s, "
                 f"rebuild {sample['rebuild_MBps']:.0f} MB/s"
             )
-    cycle = _micro_sample(payload, "micro.faas_cycle")
-    if cycle is not None:
-        lines.append(
-            f"{cycle['name']}: {cycle['cycles']} invoke -> complete -> bill cycles "
-            f"at {cycle['events_per_s']:.0f}/s ({cycle['reclaims']} reclaimed "
-            f"mid-flight, {cycle['cold_starts']} cold starts); ledger: "
-            f"{cycle['total_invocations']} invocations, "
-            f"{cycle['total_billed_seconds']} billed s, ${cycle['total_cost']}"
-        )
-    fleet = _micro_sample(payload, "micro.fleet_warm_up")
-    if fleet is not None:
-        lines.append(
-            f"{fleet['name']}: {fleet['rounds']} warm-up rounds of {fleet['functions']} "
-            f"functions at {fleet['events_per_s']:.0f}/s ({fleet['reclaims']} reclaimed, "
-            f"{fleet['cold_starts']} cold starts); ledger: {fleet['invocations']} "
-            f"invocations, {fleet['total_billed_seconds']} billed s, ${fleet['total_cost']}"
-        )
-    race = _micro_sample(payload, "micro.hardened_chunk")
-    if race is not None:
-        lines.append(
-            f"{race['name']}: {race['attempts']} deadline-bounded chunk attempts "
-            f"at {race['events_per_s']:.0f}/s; {race['processes_spawned']} processes "
-            f"spawned, {race['deadlines_scheduled']} deadlines scheduled "
-            f"({race['deadlines_cancelled']} cancelled), {race['hedges']} hedges"
-        )
+        if sample["name"] in EXACT_KEYS:
+            lines.append(f"{sample['name']}, exact per seed: " + ", ".join(
+                f"{sample[key]} {key.replace('_', ' ')}" for key in EXACT_KEYS[sample["name"]]
+            ))
     lines += [
         "",
         format_table(
@@ -980,15 +944,14 @@ def format_report(payload: dict[str, object]) -> str:
                     title="Hottest callback labels",
                 )
             )
-    comparison = payload.get("arbiter_comparison")
-    if comparison:
-        lines.append("")
-        lines.append(
-            f"arbiter comparison at {comparison['clients']} clients: "
-            f"incremental {comparison['incremental_wall_s']:.2f}s vs "
-            f"reference {comparison['reference_wall_s']:.2f}s "
-            f"-> {comparison['speedup']:.1f}x speedup; "
-            "fingerprints "
-            + ("identical" if comparison["fingerprints_identical"] else "DIVERGED")
-        )
+    comparison = payload["arbiter_comparison"]
+    lines.append("")
+    lines.append(
+        f"arbiter comparison at {comparison['clients']} clients: "
+        f"incremental {comparison['incremental_wall_s']:.2f}s vs "
+        f"reference {comparison['reference_wall_s']:.2f}s "
+        f"-> {comparison['speedup']:.1f}x speedup; "
+        "fingerprints "
+        + ("identical" if comparison["fingerprints_identical"] else "DIVERGED")
+    )
     return "\n".join(lines)

@@ -7,10 +7,10 @@ going through pytest, and so CI can diff the regenerated reports.
 
 Every experiment is declared once in :mod:`repro.experiments.registry`;
 this module builds each at the ``quick`` scale, renders it and collects
-the driver fingerprints.  The replay-driving experiments construct their
-workloads through the shared
-:class:`repro.experiments.harness.ExperimentHarness` (re-exported here),
-which owns seeding, driver construction, and report fingerprinting.
+the driver fingerprints.  The replay-driving experiments build their
+deployments and drivers themselves and record each run in an
+:class:`repro.experiments.harness.ExperimentHarness`, which owns seeding
+and report fingerprinting.
 ``--fingerprints PATH`` writes the collected per-figure fingerprints as
 JSON; the ``figures-smoke`` CI job uploads that file as an artifact so
 fingerprint drift between commits is visible at a glance.
@@ -30,7 +30,7 @@ from repro.experiments.harness import ExperimentHarness
 from repro.experiments.registry import EXPERIMENTS, build, names
 from repro.obs.metrics import MetricRegistry
 
-__all__ = ["ExperimentHarness", "run_all", "main"]
+__all__ = ["run_all", "main"]
 
 
 def run_all(

@@ -186,21 +186,24 @@ class TestCli:
         ["--only", "figure17", "--output-dir", "FILE"],
         ["chaos", "--clients", "2", "--rounds", "4", "--json", "FILE/r.json"],
         ["trace", "--clients", "2", "--requests", "1", "--output", "FILE/t.json"],
-        ["perf", "--quick", "--clients", "2", "--skip-compare", "--output", "FILE/b.json"],
+        ["perf", "--quick", "--output", "FILE/b.json"],
         ["scenarios", "run", "smoke", "--output", "FILE/s.json"],
     ], ids=lambda argv: " ".join(argv[:2] + argv[-2:-1]))
     def test_unwritable_output_path_exits_2_not_a_traceback(
         self, argv, capsys, tmp_path, monkeypatch
     ):
         """A path under a regular file is unwritable for every user, root
-        included.  The runner's three fail before any experiment has run."""
+        included.  The runner's three and ``perf`` fail before anything has
+        run."""
         from repro import __main__ as cli
+        from repro.experiments import perf
 
         monkeypatch.chdir(tmp_path)
         blocker = tmp_path / "FILE"
         blocker.write_text("not a directory")
         built = []
         monkeypatch.setattr(runner, "build", lambda name, scale: built.append(name))
+        monkeypatch.setattr(perf, "run_suite", lambda **kwargs: built.append("perf"))
         argv = [arg.replace("FILE", str(blocker)) for arg in argv]
         assert cli.main(argv) == 2
         error_lines = capsys.readouterr().err.strip().splitlines()

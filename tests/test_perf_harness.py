@@ -8,6 +8,8 @@ when the gate trips, not just that it exits zero on the happy path.
 
 from __future__ import annotations
 
+import copy
+import inspect
 import json
 import pathlib
 import re
@@ -17,10 +19,31 @@ import pytest
 from repro.experiments import perf
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+COMMITTED = json.loads((ROOT / "BENCH_perf.json").read_text())
+#: The committed sample of each name, the open-loop rung at the quick geometry.
+COMMITTED_SAMPLES = {
+    sample["name"]: sample for sample in COMMITTED["micro"] + COMMITTED["open_loop"][:1]
+}
+
+
+@pytest.fixture(scope="module")
+def quick_payload() -> dict:
+    """One quick suite for the module, round-tripped through JSON: every
+    micro at the size the suite runs, rungs of 4 and 8 clients, the arbiter
+    comparison at 8, the quick open-loop rung and the profile at 8."""
+    return json.loads(json.dumps(perf.run_suite(client_counts=(4, 8), quick=True)))
+
+
+def _micro(payload: dict, name: str) -> dict:
+    [sample] = [sample for sample in payload["micro"] if sample["name"] == name]
+    return sample
+
+
 class TestMicroBenchmarks:
     @pytest.mark.parametrize("events", [2_000, 20_000])
     def test_event_queue_micro_counts_survivors_only(self, events):
-        sample = perf.micro_event_queue(events=events, cancel_every=2)
+        sample = perf.micro_event_queue(events=events)
         # Half the scheduled events are cancelled before dispatch; exactly
         # the surviving half runs.
         assert sample.extra["scheduled"] == events
@@ -57,124 +80,95 @@ class TestMicroBenchmarks:
         assert incremental.extra["flows_reaimed"] == reference.extra["flows_reaimed"]
         assert 0 < incremental.extra["flows_swept"] < reference.extra["flows_swept"] / 4
 
-    def test_erasure_micro_reports_three_rates_and_renders(self):
-        sample = perf.micro_erasure()
-        assert sample.events == 3 * perf.ERASURE_MICRO_CALLS == 12
-        assert sample.extra["code"] == "RS(10+2)"
-        assert sample.extra["object_bytes"] == 4_000_000
+    def test_erasure_micro_reports_three_rates_and_renders(self, quick_payload):
+        sample = _micro(quick_payload, "micro.erasure")
+        assert sample["events"] == 3 * perf.ERASURE_MICRO_CALLS == 12
+        assert sample["code"] == "RS(10+2)"
+        assert sample["object_bytes"] == 4_000_000
         for key in ("encode_MBps", "decode_MBps", "rebuild_MBps"):
-            assert sample.extra[key] > 0
-        text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
+            assert sample[key] > 0
+        text = perf.format_report(quick_payload)
         assert "decode (2 data chunks lost)" in text and "MB/s" in text
 
+    def test_faas_cycle_micro_reports_the_exact_ledger(self, quick_payload):
+        sample = _micro(quick_payload, "micro.faas_cycle")
+        assert sample["events"] == 100_000 and sample["events_per_s"] > 0
+        assert (sample["cycles"], sample["total_invocations"]) == (100_000, 100_000)
+        # Every 1000th instance is reclaimed mid-flight and still billed; the
+        # cycle after it cold-starts (the last reclaim has no cycle after it,
+        # the first cycle cold-starts).
+        assert (sample["reclaims"], sample["cold_starts"]) == (100, 100)
+        # 25 000 each of 0.1 / 0.1 / 0.2 / 0.2 billed s, carried as a repr.
+        assert sample["total_billed_seconds"] == repr(float(sample["total_billed_seconds"]))
+        assert float(sample["total_billed_seconds"]) == pytest.approx(15_000.0)
+        text = perf.format_report(quick_payload)
+        assert "micro.faas_cycle, exact per seed: 100000 cycles, 100 reclaims" in text
+        assert "100 cold starts" in text
 
-    def test_faas_cycle_micro_reports_the_exact_ledger(self):
-        sample = perf.micro_faas_cycle(cycles=3_000, reclaim_every=500)
-        assert sample.name == "micro.faas_cycle" and sample.events == 3_000
-        assert sample.events_per_s > 0
-        extra = sample.extra
-        assert (extra["cycles"], extra["total_invocations"]) == (3_000, 3_000)
-        # Every 500th instance is reclaimed mid-flight and still billed; the
-        # cycle after it cold-starts (the last reclaim has no cycle after it).
-        assert (extra["reclaims"], extra["cold_starts"]) == (6, 6)
-        # Exact on any host, so pinned: 750 each of 0.1 / 0.1 / 0.2 / 0.2 s.
-        assert extra["total_billed_seconds"] == repr(float(extra["total_billed_seconds"]))
-        assert float(extra["total_billed_seconds"]) == pytest.approx(450.0)
-        assert extra == perf.micro_faas_cycle(cycles=3_000, reclaim_every=500).extra
-        text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
-        assert "3000 invoke -> complete -> bill cycles" in text and "6 cold starts" in text
+    def test_committed_faas_cycle_ledger_is_what_the_code_computes(self, quick_payload):
+        """``BENCH_perf.json`` is the gate's reference; it must not go stale:
+        the quick payload passes every gate against it, as in CI."""
+        assert perf.validate_faas_cycle(COMMITTED) == []
+        assert perf.check_regression(quick_payload, COMMITTED) == []
 
-    def test_committed_faas_cycle_ledger_is_what_the_code_computes(self):
-        """``BENCH_perf.json`` is the gate's reference; it must not go stale
-        (the ledger, and the hardened-chunk counts gated beside it)."""
-        committed = json.loads(
-            (pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json").read_text()
-        )
-        fresh = {"micro": [
-            perf.micro_faas_cycle().as_dict(),
-            perf.micro_fleet_warm_up().as_dict(),
-            perf.micro_hardened_chunk().as_dict(),
-        ]}
-        assert perf.validate_faas_cycle(committed) == []
-        assert perf.check_regression(fresh, committed) == []
-
-    def test_fleet_warm_up_micro_reports_the_per_call_ledger(self):
-        sample = perf.micro_fleet_warm_up()
-        assert sample.name == "micro.fleet_warm_up" and sample.events == 240
-        assert sample.events_per_s > 0
+    def test_fleet_warm_up_micro_reports_the_per_call_ledger(self, quick_payload):
+        sample = _micro(quick_payload, "micro.fleet_warm_up")
+        assert sample["events"] == 240 and sample["events_per_s"] > 0
         # The same ledger, float for float, as 36 000 invoke -> complete
         # pairs: what the per-call warm-up loop books for this fleet.
-        assert {key: sample.extra[key] for key in perf.FLEET_WARM_UP_EXACT_KEYS} == {
+        assert {key: sample[key] for key in perf.EXACT_KEYS["micro.fleet_warm_up"]} == {
             "rounds": 240, "invocations": 36_000, "cold_starts": 316, "reclaims": 166,
             "total_billed_seconds": "3599.9999999978213",
             "total_cost": "0.015720029999986895",
         }
         # Every reclaimed function cold-starts at the next round.
-        assert sample.extra["cold_starts"] == 150 + sample.extra["reclaims"]
-        text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
-        assert "240 warm-up rounds of 150 functions" in text and "316 cold starts" in text
+        assert sample["functions"] == 150
+        assert sample["cold_starts"] == 150 + sample["reclaims"]
+        text = perf.format_report(quick_payload)
+        assert "micro.fleet_warm_up, exact per seed: 240 rounds" in text
+        assert "316 cold starts" in text
 
-    def test_fleet_warm_up_ledger_is_gated_on_equality(self):
-        def ledger(**changed):
-            sample = {"name": "micro.fleet_warm_up", "rounds": 240, "invocations": 36_000,
-                      "cold_starts": 316, "reclaims": 166,
-                      "total_billed_seconds": "3599.9999999978213",
-                      "total_cost": "0.015720029999986895", "events_per_s": 1.0}
-            sample.update(changed)
-            return {"micro": [sample], "macro": []}
-
-        assert perf.check_regression(ledger(events_per_s=9e9), ledger()) == []
-        for key, value in (
-            ("rounds", 241), ("invocations", 35_999), ("cold_starts", 317),
-            ("reclaims", 165), ("total_billed_seconds", "3600.0"),
-            ("total_cost", "0.015720029999986897"),
-        ):
-            errors = perf.check_regression(ledger(**{key: value}), ledger())
-            assert len(errors) == 1 and key in errors[0] and "micro.fleet_warm_up" in errors[0]
-        assert len(perf.check_regression({"macro": []}, ledger())) == len(
-            perf.FLEET_WARM_UP_EXACT_KEYS
-        )
-
-    def test_hardened_chunk_micro_counts_one_process_per_chunk_plus_hedges(self):
-        sample = perf.micro_hardened_chunk(clients=4, rounds=12)
-        extra = sample.extra
-        assert sample.name == "micro.hardened_chunk" and sample.events == extra["attempts"]
-        assert extra["hedges"] > 0 and extra["retries"] > 0
-        # Four client processes, one per chunk of every GET (RS(4+2)), one
+    def test_hardened_chunk_micro_counts_one_process_per_chunk_plus_hedges(
+        self, quick_payload
+    ):
+        sample = _micro(quick_payload, "micro.hardened_chunk")
+        assert sample["events"] == sample["attempts"]
+        assert sample["hedges"] > 0 and sample["retries"] > 0
+        # Sixteen client processes, one per chunk of every GET (RS(4+2)), one
         # per hedge: the attempts themselves run inside the chunk processes.
-        assert extra["processes_spawned"] == 4 + 6 * extra["requests"] + extra["hedges"]
+        assert sample["processes_spawned"] == 16 + 6 * sample["requests"] + sample["hedges"]
         # One deadline per attempt and one per hedge pair; the ones that do
         # not fire are cancelled.
-        assert extra["deadlines_scheduled"] == extra["attempts"] + extra["hedges"]
-        assert extra["deadlines_cancelled"] < extra["deadlines_scheduled"]
-        assert extra == perf.micro_hardened_chunk(clients=4, rounds=12).extra
-        text = perf.format_report({"micro": [sample.as_dict()], "macro": []})
-        assert f"{extra['attempts']} deadline-bounded chunk attempts" in text
-
-    def test_hardened_chunk_counts_are_gated_on_equality(self):
-        def counts(**changed):
-            sample = {"name": "micro.hardened_chunk", "attempts": 10, "processes_spawned": 20,
-                      "deadlines_scheduled": 12, "deadlines_cancelled": 9, "hedges": 2,
-                      "events_per_s": 1.0}
-            sample.update(changed)
-            return {"micro": [sample], "macro": []}
-
-        assert perf.check_regression(counts(events_per_s=9e9), counts()) == []
-        for key in perf.HARDENED_MICRO_EXACT_KEYS:
-            errors = perf.check_regression(counts(**{key: 0}), counts())
-            assert len(errors) == 1 and key in errors[0] and "micro.hardened_chunk" in errors[0]
-
+        assert sample["deadlines_scheduled"] == sample["attempts"] + sample["hedges"]
+        assert sample["deadlines_cancelled"] < sample["deadlines_scheduled"]
+        text = perf.format_report(quick_payload)
+        assert f"exact per seed: {sample['attempts']} attempts" in text
 
 class TestMacroAndComparison:
-    def test_macro_closed_loop_reports_fleet_metrics(self):
-        sample = perf.macro_closed_loop(4, requests_per_client=2)
-        assert sample.extra["clients"] == 4
-        assert sample.extra["requests"] == 8
-        assert sample.extra["peak_active_flows"] > 0
-        assert sample.events > 0
-        assert len(sample.extra["fingerprint"]) == 64
+    def test_fleet_is_the_geometry_bench_mirrors(self):
+        """``bench/workloads.py`` copies this fleet's geometry and key names."""
+        deployment, plans = perf.fleet(8, "incremental")
+        assert len(deployment.proxies) == 2
+        assert deployment.config.flow_arbiter == "incremental"
+        assert plans == [
+            [(f"perf/{client}/obj-{request % 2}", 2_000_000) for request in range(6)]
+            for client in range(8)
+        ]
+        assert deployment.simulator.now == 0.0
+        # A proxy per four clients, at least two.
+        deployment, _plans = perf.fleet(64, "reference")
+        assert len(deployment.proxies) == 16
+        assert deployment.config.flow_arbiter == "reference"
 
-    def test_64_client_macro_dispatches_the_pinned_event_sequence(self):
+    def test_macro_closed_loop_reports_fleet_metrics(self, quick_payload):
+        sample = quick_payload["macro"][0]
+        assert sample["clients"] == 4
+        assert sample["requests"] == 24
+        assert sample["peak_active_flows"] > 0
+        assert sample["events"] > 0
+        assert len(sample["fingerprint"]) == 64
+
+    def test_64_client_macro_dispatches_the_pinned_event_sequence(self, quick_payload):
         """The chunk supervisor must stay invisible on a fault-free fleet:
         5 862 events and this fingerprint are what a bare, un-supervised
         transfer per chunk dispatches for 64 clients at seed 2020 (recorded
@@ -190,63 +184,56 @@ class TestMacroAndComparison:
             "f77e93cfc09199aabdbb780ae20c17f62b5ab96ce64e57bab7e49679b8895985"
         )
         # The 8-client rung of the same sweep, equally exact.
-        small = perf.macro_closed_loop(8)
+        small = quick_payload["macro"][1]
         assert (
-            small.events,
-            small.extra["peak_active_flows"],
-            small.extra["flows_swept"],
-            small.extra["flows_reaimed"],
-        ) == (715, 48, 2087, 1261)
+            small["clients"],
+            small["events"],
+            small["peak_active_flows"],
+            small["flows_swept"],
+            small["flows_reaimed"],
+        ) == (8, 715, 48, 2087, 1261)
 
-    def test_open_loop_production_rung_replays_the_pinned_run(self):
+    def test_open_loop_production_rung_replays_the_pinned_run(self, quick_payload):
         """One trace hour of ``infinicache.all`` at the quick geometry: the
         counts and the digest the replay gave before its flow trace became
         columnar."""
+        [sample] = quick_payload["open_loop"]
         [scale] = perf.open_loop_scales(quick=True)
-        sample = perf.macro_open_loop_production(scale)
-        assert sample.name == "macro.open_loop_production"
-        assert sample.extra["geometry"] == "24x1536MiB RS(10+2) 1h"
-        assert (sample.events, sample.extra["records"], sample.extra["flow_intervals"]) == (
+        assert sample["name"] == "macro.open_loop_production"
+        assert sample["geometry"] == perf.open_loop_geometry(scale) == "24x1536MiB RS(10+2) 1h"
+        assert (sample["events"], sample["records"], sample["flow_intervals"]) == (
             11034, 298, 3560
         )
-        assert sample.extra["hit_ratio"] == pytest.approx(0.738255033557047, abs=1e-12)
-        assert sample.extra["fingerprint"] == (
+        assert sample["hit_ratio"] == pytest.approx(0.738255033557047, abs=1e-12)
+        assert sample["fingerprint"] == (
             "f3853935f3b138e1c1fbb0b803913601111370b003ee70e5179897b88eaba501"
         )
         # The committed payload holds this rung, so ``--quick`` is gated on it.
-        committed = json.loads(
-            (pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json").read_text()
-        )
-        assert sample.extra["geometry"] in {
-            rung["geometry"] for rung in committed["open_loop"]
-        }
-        assert perf.check_regression(
-            {"open_loop": [sample.as_dict()]}, {"open_loop": committed["open_loop"]}
-        ) == []
+        assert sample["geometry"] in {rung["geometry"] for rung in COMMITTED["open_loop"]}
 
     def test_full_suite_runs_the_quick_geometry_and_the_paper_pool(self):
         quick, paper = perf.open_loop_scales(quick=False)
         assert quick == perf.open_loop_scales(quick=True)[0]
         assert perf.open_loop_geometry(paper) == "400x1536MiB RS(10+2) 1h"
 
-    def test_compare_arbiters_fingerprints_identical(self):
-        comparison = perf.compare_arbiters(clients=8, requests_per_client=2)
+    def test_compare_arbiters_fingerprints_identical(self, quick_payload):
+        # Under --quick the comparison runs at the largest swept fleet.
+        comparison = quick_payload["arbiter_comparison"]
+        assert comparison["clients"] == 8
         assert comparison["fingerprints_identical"] is True
+        assert comparison["fingerprint"] == quick_payload["macro"][1]["fingerprint"]
         assert comparison["incremental_wall_s"] > 0
         assert comparison["reference_wall_s"] > 0
         assert not any("vectorized" in key for key in comparison)
 
-    def test_run_suite_quick_payload_is_json_ready(self):
-        payload = perf.run_suite(quick=True, client_counts=(4, 8), compare_clients=8)
-        encoded = json.loads(json.dumps(payload))
-        assert encoded["schema"] == "repro.perf/1"
-        assert encoded["quick"] is True
-        assert [sample["clients"] for sample in encoded["macro"]] == [4, 8]
+    def test_run_suite_quick_payload_is_json_ready(self, quick_payload):
+        assert quick_payload["schema"] == "repro.perf/1"
+        assert quick_payload["quick"] is True
+        assert [sample["clients"] for sample in quick_payload["macro"]] == [4, 8]
         assert [
-            (sample["name"], sample["geometry"]) for sample in encoded["open_loop"]
+            (sample["name"], sample["geometry"]) for sample in quick_payload["open_loop"]
         ] == [("macro.open_loop_production", "24x1536MiB RS(10+2) 1h")]
-        assert encoded["arbiter_comparison"]["fingerprints_identical"] is True
-        assert [sample["name"] for sample in encoded["micro"]] == [
+        assert [sample["name"] for sample in quick_payload["micro"]] == [
             "micro.event_queue",
             "micro.flow_churn[incremental]",
             "micro.flow_churn[reference]",
@@ -256,28 +243,27 @@ class TestMacroAndComparison:
             "micro.fleet_warm_up",
             "micro.hardened_chunk",
         ]
-        assert perf.validate_faas_cycle(encoded) == []
-        for sample in encoded["micro"] + encoded["macro"]:
+        assert perf.validate_faas_cycle(quick_payload) == []
+        for sample in quick_payload["micro"] + quick_payload["macro"]:
             assert sample["events_per_s"] >= 0
         # The profile section rides along at the largest swept fleet and
         # must satisfy the same schema the CI step validates.
-        assert encoded["profile"]["clients"] == 8
-        assert perf.validate_profile(encoded["profile"]) == []
+        assert quick_payload["profile"]["clients"] == 8
+        assert perf.validate_profile(quick_payload["profile"]) == []
 
-    def test_format_report_renders_the_comparison(self):
-        payload = perf.run_suite(quick=True, client_counts=(4,), compare_clients=4)
-        text = perf.format_report(payload)
-        assert "arbiter comparison" in text
+    def test_format_report_renders_the_comparison(self, quick_payload):
+        text = perf.format_report(quick_payload)
+        assert "arbiter comparison at 8 clients" in text
         assert "fingerprints identical" in text
 
 
 class TestProfileSection:
     """The event-loop ``profile`` section and its schema validator."""
 
-    def test_profile_closed_loop_meters_the_run(self):
-        section = perf.profile_closed_loop(4, requests_per_client=2)
+    def test_profile_closed_loop_meters_the_run(self, quick_payload):
+        section = quick_payload["profile"]
         assert perf.validate_profile(section) == []
-        assert section["clients"] == 4
+        assert section["clients"] == 8
         assert section["events"] > 0
         assert section["counts"]["dispatched"] == section["events"]
         assert section["counts"]["coroutine_steps"] > 0
@@ -292,29 +278,28 @@ class TestProfileSection:
         assert section["top_labels"]
         assert section["top_labels"][0]["dispatched"] > 0
 
-    def test_validate_profile_rejects_malformed_sections(self):
+    def test_validate_profile_rejects_malformed_sections(self, quick_payload):
         assert perf.validate_profile(None) != []
         assert perf.validate_profile([]) != []
         assert perf.validate_profile({"schema": "repro.perf.profile/1"}) != []
-        good = perf.profile_closed_loop(2, requests_per_client=1)
+        good = quick_payload["profile"]
         for key in perf.PROFILE_PHASE_KEYS:
-            broken = json.loads(json.dumps(good))
+            broken = copy.deepcopy(good)
             del broken["phases"][key]
             assert any(key in error for error in perf.validate_profile(broken))
         for key in perf.PROFILE_COUNT_KEYS:
-            broken = json.loads(json.dumps(good))
+            broken = copy.deepcopy(good)
             broken["counts"][key] = -1
             assert any(key in error for error in perf.validate_profile(broken))
 
-    def test_format_report_renders_the_profile(self):
-        payload = perf.run_suite(quick=True, client_counts=(4,), compare_clients=4)
-        text = perf.format_report(payload)
-        assert "Event-loop profile at 4 clients" in text
+    def test_format_report_renders_the_profile(self, quick_payload):
+        text = perf.format_report(quick_payload)
+        assert "Event-loop profile at 8 clients" in text
         assert "Hottest callback labels" in text
-        counts = payload["profile"]["counts"]
+        counts = quick_payload["profile"]["counts"]
         assert counts["flows_swept"] >= counts["flows_reaimed"] > 0
-        # The profiled replay is the 4-client macro rung again.
-        assert counts["flows_swept"] == payload["macro"][0]["flows_swept"]
+        # The profiled replay is the 8-client macro rung again.
+        assert counts["flows_swept"] == quick_payload["macro"][1]["flows_swept"]
         assert f"swept {counts['flows_swept']} flows" in text
         assert "per transition" in text
         # The collector row: a phase in the table and its counts in a line.
@@ -323,40 +308,40 @@ class TestProfileSection:
         assert "0 of them inside EventLoop.run*" in text
 
 
+def _run_cli(tmp_path, monkeypatch, payload: dict, *extra: str) -> int:
+    """``repro perf --quick --rungs 4 8`` on a canned suite ``payload``."""
+    from repro import __main__ as cli
+
+    calls = []
+
+    def fake_run_suite(client_counts=None, quick=False):
+        calls.append((client_counts, quick))
+        return payload
+
+    monkeypatch.setattr(perf, "run_suite", fake_run_suite)
+    output = tmp_path / "bench.json"
+    exit_code = cli.main([
+        "perf", "--quick", "--rungs", "4", "8", "--output", str(output), *extra,
+    ])
+    assert calls == [((4, 8), True)]
+    assert json.loads(output.read_text()) == payload
+    return exit_code
+
+
 class TestCliFingerprintGate:
     """``repro perf`` must fail the build on fingerprint drift."""
 
-    def _run_cli(self, tmp_path, monkeypatch, drifted: bool) -> int:
-        from repro import __main__ as cli
+    def test_exit_zero_when_fingerprints_match(self, tmp_path, monkeypatch, quick_payload):
+        assert _run_cli(tmp_path, monkeypatch, copy.deepcopy(quick_payload)) == 0
 
-        def fake_compare(clients=perf.DEFAULT_COMPARE_CLIENTS, **kwargs):
-            return {
-                "clients": clients,
-                "incremental_wall_s": 0.1,
-                "reference_wall_s": 0.2,
-                "speedup": 2.0,
-                "incremental_events_per_s": 10.0,
-                "reference_events_per_s": 5.0,
-                "fingerprints_identical": not drifted,
-                "fingerprint": "f" * 64,
-            }
-
-        monkeypatch.setattr(perf, "compare_arbiters", fake_compare)
-        output = tmp_path / "bench.json"
-        exit_code = cli.main([
-            "perf", "--quick", "--clients", "2", "--compare-clients", "2",
-            "--output", str(output),
-        ])
-        assert output.exists()
-        return exit_code
-
-    def test_exit_zero_when_fingerprints_match(self, tmp_path, monkeypatch):
-        assert self._run_cli(tmp_path, monkeypatch, drifted=False) == 0
-
-    def test_exit_nonzero_on_injected_fingerprint_drift(self, tmp_path, monkeypatch, capsys):
+    def test_exit_nonzero_on_injected_fingerprint_drift(
+        self, tmp_path, monkeypatch, capsys, quick_payload
+    ):
         """Regression for the coverage gap: the gate's failure path was
         never exercised, so a broken exit code would have shipped green."""
-        assert self._run_cli(tmp_path, monkeypatch, drifted=True) == 1
+        drifted = copy.deepcopy(quick_payload)
+        drifted["arbiter_comparison"]["fingerprints_identical"] = False
+        assert _run_cli(tmp_path, monkeypatch, drifted) == 1
         assert "diverged" in capsys.readouterr().err
 
 
@@ -382,12 +367,6 @@ class TestRegressionGuard:
         assert len(errors) == 1
         assert "macro.closed_loop[256]" in errors[0]
 
-    def test_threshold_is_configurable(self):
-        tight = perf.check_regression(
-            self._payload(80.0), self._payload(100.0), threshold=0.10
-        )
-        assert len(tight) == 1
-
     def test_rungs_only_one_side_ran_are_skipped(self):
         # Quick mode trims the sweep; a 1024 baseline rung must not fail a
         # payload that only ran 256 (and vice versa).
@@ -398,11 +377,10 @@ class TestRegressionGuard:
     def test_sub_second_rungs_are_exempt_by_default(self):
         # The 8/64-client rungs finish in well under a second and swing
         # past the threshold on warm-up noise alone; the guard ignores
-        # anything below min_clients unless the caller opts in.
+        # anything below REGRESSION_MIN_CLIENTS.
         small = self._payload(10.0, clients=8)
         baseline = self._payload(100.0, clients=8)
         assert perf.check_regression(small, baseline) == []
-        assert len(perf.check_regression(small, baseline, min_clients=8)) == 1
 
     def test_improvements_never_fail(self):
         assert perf.check_regression(self._payload(500.0), self._payload(100.0)) == []
@@ -416,7 +394,7 @@ class TestRegressionGuard:
         return payload
 
     def test_one_more_flow_swept_fails_on_any_shared_rung(self):
-        # Exact per seed, so no tolerance and no min_clients exemption.
+        # Exact per seed, so no tolerance and no REGRESSION_MIN_CLIENTS exemption.
         errors = perf.check_regression(self._swept(1001), self._swept(1000))
         assert len(errors) == 1
         assert "macro.closed_loop[64]" in errors[0] and "1001" in errors[0]
@@ -461,19 +439,27 @@ class TestRegressionGuard:
         sample.update(changed)
         return {"macro": [], "open_loop": [sample]}
 
-    def test_open_loop_counts_and_fingerprint_are_gated_exactly(self):
-        assert perf.check_regression(self._open_loop(), self._open_loop()) == []
+    @pytest.mark.parametrize("name", sorted(perf.EXACT_KEYS))
+    def test_every_exact_key_is_gated_on_equality(self, name):
+        """One loop gates every sample of ``perf.EXACT_KEYS`` against the
+        committed one of the same name and geometry."""
+        section = "open_loop" if "geometry" in COMMITTED_SAMPLES[name] else "micro"
+
+        def payload(**changed) -> dict:
+            return {section: [dict(COMMITTED_SAMPLES[name], **changed)]}
+
+        assert perf.check_regression(payload(), payload()) == []
         # Timings are never gated.
-        assert perf.check_regression(
-            self._open_loop(wall_s=9.0, events_per_s=1.0), self._open_loop()
-        ) == []
-        for key, value in (
-            ("events", 11035), ("events", 11033), ("flow_intervals", 3561),
-            ("fingerprint", "e" * 64),
-        ):
-            errors = perf.check_regression(self._open_loop(**{key: value}), self._open_loop())
-            assert len(errors) == 1
-            assert key in errors[0] and "macro.open_loop_production" in errors[0]
+        assert perf.check_regression(payload(wall_s=9.0, events_per_s=9e9), payload()) == []
+        for key in perf.EXACT_KEYS[name]:
+            errors = perf.check_regression(payload(**{key: "drifted"}), payload())
+            assert len(errors) == 1 and key in errors[0] and name in errors[0]
+            # A baseline written before the sample existed gates nothing.
+            assert perf.check_regression(payload(**{key: "drifted"}), {}) == []
+        # A payload that lost a micro sample fails on every gated field; an
+        # open-loop geometry the run did not reach (--quick) gates nothing.
+        lost = perf.check_regression({}, payload())
+        assert len(lost) == (0 if section == "open_loop" else len(perf.EXACT_KEYS[name]))
 
     def test_open_loop_gate_matches_by_geometry(self):
         # A baseline without the rung, or with it at another geometry only,
@@ -500,24 +486,6 @@ class TestRegressionGuard:
         sample.update(changed)
         return {"micro": [sample], "macro": []}
 
-    def test_faas_ledger_is_gated_on_equality(self):
-        assert perf.check_regression(self._ledger(), self._ledger()) == []
-        assert perf.check_regression(self._ledger(events_per_s=9e9), self._ledger()) == []
-        for key, value in (
-            ("total_cost", "0.25000000000000006"),
-            ("total_billed_seconds", "1.4"),
-            ("total_invocations", 9),
-            ("cold_starts", 2),
-        ):
-            errors = perf.check_regression(self._ledger(**{key: value}), self._ledger())
-            assert len(errors) == 1 and key in errors[0] and "micro.faas_cycle" in errors[0]
-        # A payload that lost the sample fails on every gated field ...
-        assert len(perf.check_regression({"macro": []}, self._ledger())) == len(
-            perf.FAAS_MICRO_EXACT_KEYS
-        )
-        # ... and a baseline written before the micro existed gates nothing.
-        assert perf.check_regression(self._ledger(), {"macro": []}) == []
-
     def test_validate_faas_cycle_rejects_malformed_samples(self):
         assert perf.validate_faas_cycle(self._ledger()) == []
         assert perf.validate_faas_cycle({"micro": []}) != []
@@ -532,41 +500,69 @@ class TestRegressionGuard:
 class TestCliRegressionGate:
     """``repro perf --regression-baseline`` must fail on throughput floors."""
 
-    def _run_cli(self, tmp_path, monkeypatch, committed_rate: float) -> int:
-        from repro import __main__ as cli
-
-        def fake_compare(clients=perf.DEFAULT_COMPARE_CLIENTS, **kwargs):
-            return {
-                "clients": clients,
-                "incremental_wall_s": 0.1,
-                "reference_wall_s": 0.2,
-                "speedup": 2.0,
-                "incremental_events_per_s": 10.0,
-                "reference_events_per_s": 5.0,
-                "fingerprints_identical": True,
-                "fingerprint": "f" * 64,
-            }
-
-        monkeypatch.setattr(perf, "compare_arbiters", fake_compare)
+    def _run(self, tmp_path, monkeypatch, quick_payload, committed_rate: float) -> int:
+        # The floor's 256-client minimum, lowered to the canned 8-client rung.
+        monkeypatch.setattr(perf, "REGRESSION_MIN_CLIENTS", 8)
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({
-            "macro": [{"clients": 2, "events_per_s": committed_rate}],
+            "macro": [{"clients": 8, "events_per_s": committed_rate}],
         }))
-        output = tmp_path / "bench.json"
-        exit_code = cli.main([
-            "perf", "--quick", "--clients", "2", "--compare-clients", "2",
-            "--output", str(output),
+        return _run_cli(
+            tmp_path, monkeypatch, copy.deepcopy(quick_payload),
             "--regression-baseline", str(baseline),
-            "--regression-min-clients", "2",
-        ])
-        assert output.exists()
-        return exit_code
+        )
 
-    def test_exit_zero_when_throughput_holds(self, tmp_path, monkeypatch):
+    def test_exit_zero_when_throughput_holds(self, tmp_path, monkeypatch, quick_payload):
         # A microscopic committed rate can never be regressed against.
-        assert self._run_cli(tmp_path, monkeypatch, committed_rate=1e-6) == 0
+        assert self._run(tmp_path, monkeypatch, quick_payload, committed_rate=1e-6) == 0
 
-    def test_exit_nonzero_on_throughput_regression(self, tmp_path, monkeypatch, capsys):
+    def test_exit_nonzero_on_throughput_regression(
+        self, tmp_path, monkeypatch, capsys, quick_payload
+    ):
         # An absurd committed rate guarantees the fresh run lands >30% below.
-        assert self._run_cli(tmp_path, monkeypatch, committed_rate=1e15) == 1
-        assert "regressed" in capsys.readouterr().err
+        assert self._run(tmp_path, monkeypatch, quick_payload, committed_rate=1e15) == 1
+        assert "macro.closed_loop[8] throughput regressed" in capsys.readouterr().err
+
+
+def test_perf_takes_only_what_a_caller_varies():
+    """A perf setting is a parameter or a flag only where callers use more
+    than one value: the sizes the suite and ``bench/micros.py`` pass, the
+    arbiter the comparison varies, the fleet size of each rung.  Every
+    other one is a module constant beside its reader (``perf.SEED``,
+    ``perf.FAAS_CYCLES``, ``perf.REGRESSION_THRESHOLD``, ...)."""
+    from repro import __main__ as cli
+
+    parameters = {
+        name: [
+            parameter.name if parameter.default is inspect.Parameter.empty
+            else f"{parameter.name}={parameter.default!r}"
+            for parameter in inspect.signature(function).parameters.values()
+        ]
+        for name, function in vars(perf).items()
+        if inspect.isfunction(function) and function.__module__ == perf.__name__
+        and not name.startswith("_")
+    }
+    flags = [
+        flag for action in cli._perf_parser()._actions for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    ]
+    assert parameters == {
+        "micro_event_queue": ["events=50000"],
+        "micro_flow_churn": [
+            "flows=2000", "hosts=32", "proxies=8", "arbiter='incremental'", "tag=''",
+        ],
+        "micro_erasure": [], "micro_faas_cycle": [],
+        "micro_fleet_warm_up": [], "micro_hardened_chunk": [],
+        "fleet": ["clients", "arbiter"],
+        "macro_closed_loop": ["clients", "arbiter='incremental'"],
+        "open_loop_scales": ["quick"], "open_loop_geometry": ["scale"],
+        "macro_open_loop_production": ["scale"], "profile_closed_loop": ["clients"],
+        "validate_profile": ["section"], "validate_faas_cycle": ["payload"],
+        "compare_arbiters": ["clients=256"],
+        "check_regression": ["payload", "baseline"],
+        "run_suite": ["client_counts=None", "quick=False"],
+        "format_report": ["payload"],
+    }
+    assert flags == ["--quick", "--rungs", "--output", "--regression-baseline"]
+    defaulted = sum("=" in entry for entries in parameters.values() for entry in entries)
+    assert defaulted + len(flags) == 14

@@ -19,8 +19,7 @@ from repro.experiments import perf, production
 from repro.faults import FaultSchedule, LinkBlackhole
 from repro.faults.engine import ChaosEngine
 from repro.faults.scenario import demo_config, demo_schedule
-from repro.utils.units import MB
-from repro.workload.replay import ClientOp, ClosedLoopDriver, OpenLoopDriver, seed_fleet
+from repro.workload.replay import ClientOp, ClosedLoopDriver, OpenLoopDriver
 
 
 def _type_name(obj: object) -> str:
@@ -67,8 +66,7 @@ def _assert_cycle_free(replay) -> None:
 
 def test_plain_closed_loop_makes_no_cycles():
     def replay():
-        deployment = InfiniCacheDeployment(perf._fleet_config(64, "incremental", 2020))
-        plans = seed_fleet(deployment, "perf", 64, 2, 2 * MB, 6)
+        deployment, plans = perf.fleet(64, "incremental")
         gc.collect()
         report = ClosedLoopDriver(deployment).run(plans)
         assert report.requests == 64 * 6 and report.hit_ratio == 1.0

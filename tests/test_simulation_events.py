@@ -359,14 +359,11 @@ class TestLoopProfiling:
 
     def test_profiled_replay_is_byte_identical(self):
         # The collector hook included: profiling observes, it never steers.
-        from repro.cache.deployment import InfiniCacheDeployment
-        from repro.experiments.perf import _fleet_config
-        from repro.utils.units import MB
-        from repro.workload.replay import ClosedLoopDriver, seed_fleet
+        from repro.experiments.perf import fleet
+        from repro.workload.replay import ClosedLoopDriver
 
         def replay(profiled):
-            deployment = InfiniCacheDeployment(_fleet_config(8, "incremental", 7))
-            plans = seed_fleet(deployment, "perf", 8, 2, 2 * MB, 4)
+            deployment, plans = fleet(8, "incremental")
             if profiled:
                 deployment.simulator.enable_profiling()
             report = ClosedLoopDriver(deployment).run(plans)
@@ -380,13 +377,10 @@ class TestLoopProfiling:
         ``"flow.finish"`` and ``"sleep"``, the keys the profile aggregates
         on.  A 64-client replay, counted when those labels still carried
         the flow's and the process's label after a colon."""
-        from repro.cache.deployment import InfiniCacheDeployment
-        from repro.experiments.perf import _fleet_config
-        from repro.utils.units import MB
-        from repro.workload.replay import ClosedLoopDriver, seed_fleet
+        from repro.experiments.perf import fleet
+        from repro.workload.replay import ClosedLoopDriver
 
-        deployment = InfiniCacheDeployment(_fleet_config(64, "incremental", 2020))
-        plans = seed_fleet(deployment, "perf", 64, 2, 2 * MB, 6)
+        deployment, plans = fleet(64, "incremental")
         profile = deployment.simulator.enable_profiling()
         ClosedLoopDriver(deployment).run(plans)
         deployment.simulator.disable_profiling()
