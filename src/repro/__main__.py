@@ -350,9 +350,9 @@ def _perf(argv: list[str]) -> int:
     parser = _perf_parser()
     args = parser.parse_args(argv)
     import json
-    import pathlib
 
     from repro.experiments import perf
+    from repro.utils.report import prepare_output_file
 
     baseline = None
     if args.regression_baseline is not None:
@@ -363,7 +363,7 @@ def _perf(argv: list[str]) -> int:
             parser.error(f"cannot read --regression-baseline: {error}")
     # Before the suite, so its run is never thrown away on a path that
     # cannot be written.
-    pathlib.Path(args.output).parent.mkdir(parents=True, exist_ok=True)
+    prepare_output_file(args.output)
     payload = perf.run_suite(
         client_counts=tuple(args.rungs) if args.rungs else None, quick=args.quick
     )

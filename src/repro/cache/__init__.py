@@ -6,9 +6,11 @@ that keeps a deployment alive:
 * :mod:`repro.cache.client` — the client library: GET/PUT API, erasure
   encoding/decoding, consistent-hash load balancing over proxies, and
   first-d reconstruction.
-* :mod:`repro.cache.proxy` — the proxy: Lambda pool management, the
-  chunk-to-node mapping table, CLOCK-based LRU eviction at object
-  granularity, parallel chunk I/O with first-d streaming.
+* :mod:`repro.cache.proxy` — the proxy's request path: CLOCK-based LRU
+  eviction at object granularity, parallel chunk I/O with first-d streaming.
+* :mod:`repro.cache.ledger` — a proxy's pool ledger: the chunk-to-node
+  mapping table and the byte totals kept with it (placed bytes per node per
+  tenant, the pool total), plus draining, decommissioning, export and repair.
 * :mod:`repro.cache.node` — one Lambda cache node: the runtime's chunk
   store (kept inside the simulated function instance's memory), the
   connection protocol's effect on a request (``NodeAccess``: preflight,

@@ -206,9 +206,7 @@ class InfiniCacheDeployment:
             self.metrics.series(f"cost.cumulative.{category}").record(
                 now, breakdown.get(category, 0.0)
             )
-        self.metrics.series("cache.bytes_used").record(
-            now, float(sum(proxy.pool_bytes_used() for proxy in self.proxies))
-        )
+        self.metrics.series("cache.bytes_used").record(now, float(self.pool_bytes_used()))
 
     def run_until(self, time_s: float) -> None:
         """Advance the simulation (warm-ups, backups, reclamations) to ``time_s``."""

@@ -23,7 +23,7 @@ platform when the window ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cache.billed_duration import BilledDurationController, SessionCharge
 from repro.cache.chunk import CacheChunk
@@ -33,6 +33,9 @@ from repro.exceptions import CacheError
 from repro.faas.function import FunctionInstance, FunctionState
 from repro.faas.limits import bandwidth_for_memory, usable_cache_bytes
 from repro.faas.platform import FaaSPlatform
+
+if TYPE_CHECKING:
+    from repro.cache.ledger import PoolLedger
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,6 +78,8 @@ class LambdaCacheNode:
         self.chunks_lost = 0
         #: Number of failovers from the primary to the backup peer.
         self.failovers = 0
+        #: Told whenever the primary's byte total moves; ``None`` outside a pool.
+        self.ledger: Optional[PoolLedger] = None
 
     def __repr__(self) -> str:
         return f"LambdaCacheNode({self.node_id}, chunks={self.chunk_count()})"
@@ -123,6 +128,10 @@ class LambdaCacheNode:
 
     def _primary_state(self) -> Optional[dict]:
         return self._state_of(self.primary)
+
+    def _report_bytes(self) -> None:
+        if self.ledger is not None:
+            self.ledger.node_resized(self.node_id, self.bytes_used())
 
     @property
     def is_alive(self) -> bool:
@@ -194,6 +203,7 @@ class LambdaCacheNode:
             overhead = result.invoke_overhead_s
             cold_start = result.cold_start
             self.primary = invoked_instance
+            self._report_bytes()
         self._session_instance = invoked_instance
         return NodeAccess(overhead, True, cold_start)
 
@@ -232,6 +242,7 @@ class LambdaCacheNode:
                 f"cannot store {chunk.size} more)"
             )
         self._put_chunk(state, chunk)
+        self._report_bytes()
 
     def fetch_chunk(self, chunk_id: str) -> Optional[CacheChunk]:
         """Return a chunk from the primary replica, or ``None`` if it is gone."""
@@ -276,6 +287,8 @@ class LambdaCacheNode:
                 state["clock"].remove(chunk_id)
                 if instance is self.primary:
                     freed = chunk.size
+        if freed:
+            self._report_bytes()
         return freed
 
     # ------------------------------------------------------------------ replica management
@@ -284,6 +297,7 @@ class LambdaCacheNode:
         self.primary = self.backup_peer
         self.backup_peer = None
         self.failovers += 1
+        self._report_bytes()
 
     def on_instance_reclaimed(self, instance: FunctionInstance) -> None:
         """Handle the provider reclaiming one of this node's replicas."""
@@ -293,6 +307,7 @@ class LambdaCacheNode:
             self.primary = None
             if self.backup_peer is not None and self.backup_peer.is_alive:
                 self._failover_to_backup()
+            self._report_bytes()
         elif instance is self.backup_peer:
             self.backup_peer = None
 

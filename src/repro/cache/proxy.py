@@ -3,9 +3,9 @@
 Each proxy owns a pool of Lambda cache nodes and performs, per the paper's
 Section 3.2:
 
-* **Pool management** — the chunk-to-node mapping table, per-node and
-  pool-level memory accounting, and CLOCK-based LRU eviction at *object*
-  granularity when the pool runs out of memory.
+* **Pool management** — CLOCK-based LRU eviction at *object* granularity
+  when the pool runs out of memory; the chunk-to-node mapping table and the
+  byte accounting live in the proxy's :class:`~repro.cache.ledger.PoolLedger`.
 * **Parallel chunk I/O** — all chunks of a request are transferred
   concurrently; the contention model (per-VM-host NIC sharing plus the proxy
   uplink) determines each chunk's transfer time.
@@ -13,10 +13,9 @@ Section 3.2:
   have arrived; straggling chunks are abandoned, which is what keeps tail
   latency down for codes with parity.
 * **Degraded-read recovery** — if some chunks were lost to reclamation but at
-  least ``d`` survive, the proxy records a recovery and re-inserts the
-  missing chunks onto fresh nodes; if more than ``p`` chunks
-  are gone the object is lost and the caller must RESET it from the backing
-  store.
+  least ``d`` survive, the lost ones are re-inserted onto fresh nodes
+  (:func:`~repro.cache.ledger.repair_object`); if more than ``p`` are gone
+  the object is lost and the caller must RESET it from the backing store.
 """
 
 from __future__ import annotations
@@ -29,17 +28,11 @@ from repro.cache.chunk import CacheChunk, ObjectDescriptor
 from repro.cache.clock_lru import ClockLRU
 from repro.cache.config import InfiniCacheConfig, ResilienceConfig, StragglerModel
 from repro.cache.connection import CircuitBreaker
+from repro.cache.ledger import ObjectEntry, PoolLedger, repair_object
 from repro.cache.namespacing import owner_of
 from repro.cache.node import LambdaCacheNode
 from repro.cache.runtime import RequestEnv
-from repro.erasure.codec import Chunk as ErasureChunk
-from repro.erasure.codec import ErasureCodec
-from repro.exceptions import (
-    CacheError,
-    DecodingError,
-    ObjectTooLargeError,
-    TransientFaultError,
-)
+from repro.exceptions import CacheError, ObjectTooLargeError, TransientFaultError
 from repro.faas.limits import HOST_NIC_BANDWIDTH
 from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import BASE_LATENCY_S, TransferModel
@@ -56,6 +49,8 @@ from repro.utils.units import MILLISECOND
 RETRY_BASE_BACKOFF_S = 10 * MILLISECOND
 RETRY_BACKOFF_MULTIPLIER = 2.0
 RETRY_JITTER_FRACTION = 0.5
+#: Busy time each node's keep-alive invocation is billed for.
+WARMUP_SERVICE_S = 1 * MILLISECOND
 
 
 @dataclass(slots=True)
@@ -94,11 +89,6 @@ class ProxyGetResult:
     #: stripe.
     degraded: bool = False
 
-    @property
-    def is_miss(self) -> bool:
-        """Whether the caller must fall back to the backing store."""
-        return not self.found or not self.recoverable
-
 
 @dataclass
 class ProxyPutResult:
@@ -113,14 +103,6 @@ class ProxyPutResult:
     #: exhausted its attempts, in which case the partial object was rolled
     #: back out of the mapping table (the caller may re-try the PUT later).
     complete: bool = True
-
-
-@dataclass
-class _ObjectEntry:
-    descriptor: ObjectDescriptor
-    #: chunk index -> node id
-    placement: dict[int, str]
-    inserted_at: float
 
 
 class _PairSettled(Exception):
@@ -262,16 +244,15 @@ class Proxy:
         #: fault-free run's randomness is untouched.
         self._retry_rng = rng.child("retry")
         self.nodes: list[LambdaCacheNode] = []
-        self._nodes_by_id: dict[str, LambdaCacheNode] = {}
+        self.nodes_by_id: dict[str, LambdaCacheNode] = {}
+        #: The mapping table and the pool's byte totals.
+        self.ledger = PoolLedger(self.nodes)
         #: Monotonic node-name counter; decommissioned names are never reused
         #: because the platform's function registry is append-only.
         self._next_node_index = 0
         for _ in range(config.lambdas_per_proxy):
             self._create_node()
-        self._objects: dict[str, _ObjectEntry] = {}
         self._lru: ClockLRU[int] = ClockLRU()
-        #: Codecs for stripe reconstruction, cached per (d, p) geometry.
-        self._codecs: dict[tuple[int, int], ErasureCodec] = {}
         #: GET + PUT requests handled so far (the autoscaler samples deltas).
         self.requests_served = 0
         platform.on_reclaim(self._handle_reclaim)
@@ -286,11 +267,12 @@ class Proxy:
             node.breaker = CircuitBreaker()
         self._next_node_index += 1
         self.nodes.append(node)
-        self._nodes_by_id[node.node_id] = node
+        self.nodes_by_id[node.node_id] = node
+        self.ledger.attach(node)
         return node
 
     def __repr__(self) -> str:
-        return f"Proxy({self.proxy_id}, nodes={len(self.nodes)}, objects={len(self._objects)})"
+        return f"Proxy({self.proxy_id}, nodes={len(self.nodes)}, objects={len(self.ledger.table)})"
 
     # ------------------------------------------------------------------ introspection
     @property
@@ -310,264 +292,39 @@ class Proxy:
 
     def object_keys(self) -> list[str]:
         """Keys of every object this proxy currently tracks."""
-        return list(self._objects)
+        return list(self.ledger.table)
 
     def pool_bytes_used(self) -> int:
         """Bytes of chunk data currently stored across the pool."""
-        return sum(node.bytes_used() for node in self.nodes)
+        return self.ledger.bytes_used
 
     def object_count(self) -> int:
         """Number of objects this proxy currently tracks."""
-        return len(self._objects)
+        return len(self.ledger.table)
 
     def contains(self, key: str) -> bool:
         """Whether the mapping table still has an entry for this key."""
-        return key in self._objects
+        return key in self.ledger.table
 
     def node(self, node_id: str) -> LambdaCacheNode:
         """Look up a node by identifier."""
-        node = self._nodes_by_id.get(node_id)
+        node = self.nodes_by_id.get(node_id)
         if node is None:
             raise CacheError(f"proxy {self.proxy_id} has no node {node_id!r}")
         return node
 
-    # ------------------------------------------------------------------ reclaim handling
+    # ------------------------------------------------------------------ membership
     def _handle_reclaim(self, instance) -> None:
         # A node's function is registered under its ``node_id``.
-        node = self._nodes_by_id.get(instance.function_name)
+        node = self.nodes_by_id.get(instance.function_name)
         if node is not None:
             node.on_instance_reclaimed(instance)
 
-    # ------------------------------------------------------------------ pool elasticity
     def add_node(self) -> LambdaCacheNode:
         """Grow the pool by one freshly registered Lambda node."""
         node = self._create_node()
         self.metrics.counter("proxy.nodes_added").increment()
         return node
-
-    def drain_node(self, node_id: str, now: float) -> tuple[int, int]:
-        """Migrate every chunk off a node onto the rest of the pool.
-
-        Chunks whose bytes are gone (the node was reclaimed) are EC-decoded
-        back from the surviving stripe when possible, and rebuilt as
-        size-only placeholders only when the stripe is unrecoverable.
-        Returns ``(moved, dropped)`` chunk counts; a chunk is dropped when no
-        other node has room for it, in which case its object keeps the stale
-        placement and relies on erasure parity.  The migration traffic is
-        billed under ``rebalance`` and charged back to the owning tenant.
-        """
-        return self._drain_chunks(self.node(node_id), now)
-
-    def _drain_chunks(self, node: LambdaCacheNode, now: float) -> tuple[int, int]:
-        moved = dropped = 0
-        for key, entry in self._objects.items():
-            reconstructed: Optional[dict[int, CacheChunk]] = None
-            owner = owner_of(key)
-            for chunk_index, placed_on in list(entry.placement.items()):
-                if placed_on != node.node_id:
-                    continue
-                chunk_id = f"{key}#{chunk_index}"
-                chunk: Optional[CacheChunk] = None
-                if node.is_alive and node.has_chunk(chunk_id):
-                    chunk = node.fetch_chunk(chunk_id)
-                if chunk is None:
-                    if reconstructed is None:
-                        reconstructed = self._reconstruct_missing(
-                            key, entry, self._surviving_chunks(key, entry)
-                        )
-                    chunk = self._rebuilt_chunk(key, entry, chunk_index, reconstructed)
-                target = self._migration_target(entry, chunk.size, exclude=node.node_id)
-                if target is None:
-                    dropped += 1
-                    continue
-                target.ensure_active(now, "rebalance")
-                target.record_service(
-                    now, chunk.size / target.bandwidth_bps, "rebalance", owner
-                )
-                target.store_chunk(chunk)
-                node.delete_chunk(chunk_id)
-                entry.placement[chunk_index] = target.node_id
-                moved += 1
-        self.metrics.counter("proxy.chunks_drained").increment(moved)
-        return moved, dropped
-
-    def _migration_target(
-        self, entry: _ObjectEntry, chunk_size: int, exclude: str
-    ) -> Optional[LambdaCacheNode]:
-        """An alive node with room that holds no other chunk of this object."""
-        occupied = set(entry.placement.values())
-        candidates = [
-            node
-            for node in self.nodes
-            if node.node_id != exclude
-            and node.node_id not in occupied
-            and node.is_alive
-            and node.free_bytes() >= chunk_size
-        ]
-        if not candidates:
-            return None
-        # Fill the emptiest node first to keep the pool balanced.
-        return max(candidates, key=lambda node: (node.free_bytes(), node.node_id))
-
-    def decommission_node(self, node_id: str, now: float) -> tuple[int, int]:
-        """Drain a node, release its function instances, and shrink the pool."""
-        if len(self.nodes) <= 1:
-            raise CacheError(f"proxy {self.proxy_id} cannot drop its last node")
-        node = self.node(node_id)
-        self.nodes.remove(node)
-        self._nodes_by_id.pop(node_id)
-        moved, dropped = self._drain_chunks(node, now)
-        for instance in (node.primary, node.backup_peer):
-            if instance is not None and instance.is_alive:
-                self.platform.reclaim_instance(instance)
-        node.finish_sessions()
-        self.metrics.counter("proxy.nodes_removed").increment()
-        return moved, dropped
-
-    # ------------------------------------------------------------------ export / audit
-    def _codec_for(self, descriptor: ObjectDescriptor) -> ErasureCodec:
-        geometry = (descriptor.data_shards, descriptor.parity_shards)
-        codec = self._codecs.get(geometry)
-        if codec is None:
-            codec = ErasureCodec(*geometry)
-            self._codecs[geometry] = codec
-        return codec
-
-    def _surviving_chunks(self, key: str, entry: _ObjectEntry) -> dict[int, CacheChunk]:
-        """Every stripe chunk whose bytes are still present, by index."""
-        survivors: dict[int, CacheChunk] = {}
-        for chunk_index, node_id in entry.placement.items():
-            node = self._nodes_by_id.get(node_id)
-            if node is None:
-                continue
-            chunk = node.peek_chunk(f"{key}#{chunk_index}")
-            if chunk is not None:
-                survivors[chunk_index] = chunk
-        return survivors
-
-    def _reconstruct_missing(
-        self, key: str, entry: _ObjectEntry, survivors: dict[int, CacheChunk]
-    ) -> dict[int, CacheChunk]:
-        """EC-decode the lost chunks' real payloads from the survivors.
-
-        Returns the rebuilt payload-carrying chunks by index — empty when the
-        stripe cannot be reconstructed (size-only chunks, or fewer than
-        ``data_shards`` payload-carrying survivors), in which case callers
-        fall back to size-only placeholders.
-        """
-        descriptor = entry.descriptor
-        with_payload = [
-            chunk for chunk in survivors.values() if chunk.payload is not None
-        ]
-        if len(with_payload) < descriptor.data_shards:
-            return {}
-        metadata = descriptor.stripe_metadata()
-        erasure_chunks = [
-            ErasureChunk(key=key, index=chunk.index, payload=chunk.payload,
-                         metadata=metadata)
-            for chunk in with_payload
-        ]
-        try:
-            stripe = self._codec_for(descriptor).rebuild_missing(erasure_chunks)
-        except DecodingError:
-            return {}
-        missing = set(range(descriptor.total_chunks)) - set(survivors)
-        return {
-            chunk.index: CacheChunk.from_erasure_chunk(chunk)
-            for chunk in stripe
-            if chunk.index in missing
-        }
-
-    def _rebuilt_chunk(
-        self,
-        key: str,
-        entry: _ObjectEntry,
-        chunk_index: int,
-        reconstructed: dict[int, CacheChunk],
-    ) -> CacheChunk:
-        """A lost chunk's replacement: real payload if decodable, else a
-        size-only placeholder (the stripe is then only nominally whole)."""
-        rebuilt = reconstructed.get(chunk_index)
-        if rebuilt is not None:
-            return rebuilt
-        return CacheChunk.sized(key, chunk_index, entry.descriptor.chunk_size)
-
-    def export_object(
-        self, key: str
-    ) -> Optional[tuple[ObjectDescriptor, list[CacheChunk]]]:
-        """Read an object's descriptor and chunks for cross-proxy migration.
-
-        Chunks whose bytes were lost to reclamation are EC-decoded back from
-        the surviving chunks whenever at least ``data_shards`` payload-carrying
-        chunks remain, so migrated objects keep their real data.  Only a
-        genuinely unrecoverable stripe (or a size-only replay stripe) falls
-        back to size-only placeholders, and the export still always has
-        ``total_chunks`` entries.
-        """
-        entry = self._objects.get(key)
-        if entry is None:
-            return None
-        survivors = self._surviving_chunks(key, entry)
-        reconstructed: dict[int, CacheChunk] = {}
-        if len(survivors) < entry.descriptor.total_chunks:
-            reconstructed = self._reconstruct_missing(key, entry, survivors)
-        chunks: list[CacheChunk] = []
-        for chunk_index in range(entry.descriptor.total_chunks):
-            chunk = survivors.get(chunk_index)
-            if chunk is None:
-                chunk = self._rebuilt_chunk(key, entry, chunk_index, reconstructed)
-            chunks.append(chunk)
-        return entry.descriptor, chunks
-
-    def audit_and_repair(
-        self, now: float, on_loss: Optional[Callable[[str], None]] = None
-    ) -> tuple[int, int]:
-        """Proactively repair objects whose chunks were lost to reclamation.
-
-        The failure detector calls this between requests so that losses are
-        healed before the next degraded read.  Returns ``(repaired, lost)``
-        object counts; objects with more than ``p`` chunks gone are dropped
-        (the next GET would RESET them from the backing store anyway) and
-        reported through ``on_loss`` so callers can reconcile accounting.
-        """
-        repaired = lost = 0
-        for key in list(self._objects):
-            entry = self._objects.get(key)
-            if entry is None:
-                # Dropped by a reclaim listener while an earlier repair in
-                # this same sweep cold-started a replacement node.
-                continue
-            missing = [
-                ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=None,
-                           time_s=float("inf"), lost=True)
-                for chunk_index, node_id in sorted(entry.placement.items())
-                if not self._chunk_present(key, chunk_index, node_id)
-            ]
-            if not missing:
-                continue
-            surviving = entry.descriptor.total_chunks - len(missing)
-            if surviving < entry.descriptor.data_shards:
-                self._remove_object(key)
-                self.metrics.counter("proxy.object_losses").increment()
-                lost += 1
-                if on_loss is not None:
-                    on_loss(key)
-                continue
-            try:
-                healed = self._repair_object(key, entry, missing, now, category="repair")
-            except TransientFaultError:
-                # A replacement node failed to come up (injected invocation
-                # fault, reclaim racing the repair): leave the stale
-                # placement for the next sweep instead of aborting it.
-                self.metrics.counter("proxy.repair_faults").increment()
-                continue
-            if healed and key in self._objects:
-                repaired += 1
-        return repaired, lost
-
-    def _chunk_present(self, key: str, chunk_index: int, node_id: str) -> bool:
-        node = self._nodes_by_id.get(node_id)
-        return node is not None and node.has_chunk(f"{key}#{chunk_index}")
 
     # ------------------------------------------------------------------ placement
     def choose_placement(self, total_chunks: int) -> list[str]:
@@ -585,14 +342,8 @@ class Proxy:
 
     # ------------------------------------------------------------------ timing helpers
     def _chunk_transfer_time(
-        self,
-        chunk_size: int,
-        node: LambdaCacheNode,
-        flows_per_host: dict[str, int],
-        concurrent_streams: int,
-        now: float,
-        category: str,
-        tenant: Optional[str] = None,
+        self, chunk_size: int, node: LambdaCacheNode, flows_per_host: dict[str, int],
+        concurrent_streams: int, now: float, category: str, tenant: Optional[str] = None,
     ) -> float:
         """Invocation overhead + contention-aware transfer time for one chunk."""
         access = node.ensure_active(now, category)
@@ -620,39 +371,24 @@ class Proxy:
         """Chunk flows per host; a node that left the pool (``None``) has none."""
         flows: dict[str, int] = {}
         for node in nodes:
-            if node is None:
-                continue
-            host_id = node.primary.host_id if node.primary is not None else node.node_id
-            flows[host_id] = flows.get(host_id, 0) + 1
+            if node is not None:
+                host_id = node.primary.host_id if node.primary is not None else node.node_id
+                flows[host_id] = flows.get(host_id, 0) + 1
         return flows
 
     def _hosts_touched(self, nodes: list[Optional[LambdaCacheNode]]) -> int:
-        hosts = set()
-        for node in nodes:
-            if node is not None and node.primary is not None:
-                hosts.add(node.primary.host_id)
-        return len(hosts)
+        return len({node.primary.host_id for node in nodes
+                    if node is not None and node.primary is not None})
 
     # ------------------------------------------------------------------ eviction
-    def _evict_until_fits(
-        self, needed_by_node: dict[str, int], total_needed: int
-    ) -> list[str]:
-        """Evict whole objects (CLOCK order) until the new object fits.
-
-        Eviction stops when both the pool as a whole and every destination
-        node individually have room for the incoming chunks.
-        """
+    def _evict_until_fits(self, needed_by_node: dict[str, int], total_needed: int) -> list[str]:
+        """Evict whole objects (CLOCK order) until both the pool and every
+        destination node have room for the incoming chunks."""
         evicted: list[str] = []
-
-        def fits() -> bool:
-            if self.pool_bytes_used() + total_needed > self.pool_capacity_bytes:
-                return False
-            for node_id, needed in needed_by_node.items():
-                if self.node(node_id).free_bytes() < needed:
-                    return False
-            return True
-
-        while not fits():
+        capacity = self.pool_capacity_bytes
+        while self.pool_bytes_used() + total_needed > capacity or any(
+            self.node(node_id).free_bytes() < needed for node_id, needed in needed_by_node.items()
+        ):
             victim = self._lru.evict()
             if victim is None:
                 raise ObjectTooLargeError(
@@ -665,19 +401,18 @@ class Proxy:
         return evicted
 
     def _remove_object(self, key: str) -> None:
-        entry = self._objects.pop(key, None)
+        entry = self.ledger.remove(key)
         if entry is None:
             return
         self._lru.remove(key)
         for chunk_index, node_id in entry.placement.items():
-            chunk_id = f"{key}#{chunk_index}"
-            node = self._nodes_by_id.get(node_id)
+            node = self.nodes_by_id.get(node_id)
             if node is not None:
-                node.delete_chunk(chunk_id)
+                node.delete_chunk(f"{key}#{chunk_index}")
 
     def invalidate(self, key: str) -> bool:
         """Drop an object from the cache (client-side invalidation on overwrite)."""
-        existed = key in self._objects
+        existed = key in self.ledger.table
         self._remove_object(key)
         return existed
 
@@ -706,26 +441,15 @@ class Proxy:
             raise CacheError("placement vector must name distinct nodes")
         # Overwrite: drop the previous version first (write-through semantics).
         self._remove_object(key)
-        needed_by_node = {
-            node_id: chunk.size for node_id, chunk in zip(placement, chunks)
-        }
+        needed_by_node = {node_id: chunk.size for node_id, chunk in zip(placement, chunks)}
         evicted = self._evict_until_fits(needed_by_node, sum(needed_by_node.values()))
         return placement, [self.node(node_id) for node_id in placement], evicted
 
     def _commit_put(
-        self,
-        key: str,
-        descriptor: ObjectDescriptor,
-        chunks: list[CacheChunk],
-        placement: list[str],
-        now: float,
+        self, key: str, descriptor: ObjectDescriptor, chunks: list[CacheChunk], placement: list[str]
     ) -> None:
         """Record the object in the mapping table and the CLOCK ring."""
-        self._objects[key] = _ObjectEntry(
-            descriptor=descriptor,
-            placement={chunk.index: node_id for chunk, node_id in zip(chunks, placement)},
-            inserted_at=now,
-        )
+        self.ledger.insert(key, descriptor, {c.index: n for c, n in zip(chunks, placement)})
         self._lru.insert(key, descriptor.stored_bytes)
 
     def _put_result(
@@ -755,12 +479,8 @@ class Proxy:
                 self.metrics.counter(f"proxy.{category}_puts").increment()
             self.metrics.gauge("proxy.bytes_used").set(self.pool_bytes_used())
         return ProxyPutResult(
-            key=key,
-            latency_s=latency_s,
-            node_ids=list(placement),
-            evicted_keys=evicted,
-            hosts_touched=self._hosts_touched(target_nodes),
-            complete=complete,
+            key=key, latency_s=latency_s, node_ids=list(placement), evicted_keys=evicted,
+            hosts_touched=self._hosts_touched(target_nodes), complete=complete,
         )
 
     def put(
@@ -778,9 +498,7 @@ class Proxy:
         eviction and bookkeeping, with each chunk's transfer time computed
         analytically at ``now`` instead of streamed on the event loop.
         """
-        placement, target_nodes, evicted = self._admit_put(
-            key, descriptor, chunks, placement
-        )
+        placement, target_nodes, evicted = self._admit_put(key, descriptor, chunks, placement)
         flows = self._flows_per_host(target_nodes)
         owner = owner_of(key)
         latency = 0.0
@@ -789,7 +507,7 @@ class Proxy:
                 chunk.size, node, flows, len(chunks), now, category, owner
             ))
             node.store_chunk(chunk)
-        self._commit_put(key, descriptor, chunks, placement, now)
+        self._commit_put(key, descriptor, chunks, placement)
         return self._put_result(key, latency, placement, target_nodes, evicted, category)
 
     def put_process(
@@ -805,19 +523,14 @@ class Proxy:
         """Event-driven PUT coroutine: all chunk uploads stream concurrently.
 
         Chunks are reserved on their nodes at arrival (so racing requests
-        cannot oversubscribe a node's memory) and the coroutine completes
-        when the slowest upload settles.  A chunk store that exhausts its
-        attempts rolls the partial object back out of the mapping table and
-        flags the result ``complete=False`` instead of raising into the
-        driver.
+        cannot oversubscribe a node) and the coroutine completes when the
+        slowest upload settles.  A chunk store that exhausts its attempts
+        rolls the object back and flags the result ``complete=False``.
         """
-        placement, target_nodes, evicted = self._admit_put(
-            key, descriptor, chunks, placement
-        )
+        placement, target_nodes, evicted = self._admit_put(key, descriptor, chunks, placement)
         start = env.now
         tracer = env.tracer
-        op_span = tracer.begin("proxy.put", span, proxy=self.proxy_id, key=key,
-                               category=category)
+        op_span = tracer.begin("proxy.put", span, proxy=self.proxy_id, key=key, category=category)
         owner = owner_of(key)
         tasks = []
         for chunk, node in zip(chunks, target_nodes):
@@ -825,7 +538,7 @@ class Proxy:
                 f"{self.proxy_id}:store:{key}#{chunk.index}",
                 key, chunk, node, env, owner, category, op_span, store=True,
             ))
-        self._commit_put(key, descriptor, chunks, placement, start)
+        self._commit_put(key, descriptor, chunks, placement)
 
         stored = yield all_of(tasks, label=f"{self.proxy_id}:put:{key}")
         complete = all(stored)
@@ -840,7 +553,7 @@ class Proxy:
     # ------------------------------------------------------------------ GET
     def _locate_chunks(
         self, key: str
-    ) -> Optional[tuple[_ObjectEntry, list[ChunkFetch], list[Optional[LambdaCacheNode]]]]:
+    ) -> Optional[tuple[ObjectEntry, list[ChunkFetch], list[Optional[LambdaCacheNode]]]]:
         """Look an object up and check which of its chunks are still there.
 
         Returns the mapping entry, one :class:`ChunkFetch` per stripe chunk in
@@ -851,7 +564,7 @@ class Proxy:
         ``None``: the read degrades and its repair re-places the chunk.
         """
         self.requests_served += 1
-        entry = self._objects.get(key)
+        entry = self.ledger.table.get(key)
         if entry is None:
             self.metrics.counter("proxy.misses").increment()
             return None
@@ -859,7 +572,7 @@ class Proxy:
         fetches: list[ChunkFetch] = []
         nodes: list[Optional[LambdaCacheNode]] = []
         for chunk_index, node_id in sorted(entry.placement.items()):
-            node = self._nodes_by_id.get(node_id)
+            node = self.nodes_by_id.get(node_id)
             chunk = (
                 node.fetch_chunk(f"{key}#{chunk_index}")
                 if node is not None and node.is_alive else None
@@ -872,35 +585,21 @@ class Proxy:
         return entry, fetches, nodes
 
     def _get_result(
-        self,
-        key: str,
-        entry: _ObjectEntry,
-        fetches: list[ChunkFetch],
-        hosts_touched: int,
-        winners: Optional[list[ChunkFetch]],
-        latency_s: float,
-        now: float,
-        degraded: bool = False,
+        self, key: str, entry: ObjectEntry, fetches: list[ChunkFetch], hosts_touched: int,
+        winners: Optional[list[ChunkFetch]], latency_s: float, now: float, degraded: bool = False,
     ) -> ProxyGetResult:
         """Count a located GET and build its result.
 
         ``winners`` are the fastest-d fetches.  ``None`` means no quorum:
-        either the chunks were only transiently unreachable (``degraded``:
-        the mapping stays for the failure detector to heal), or fewer than
-        ``data_shards`` survive, so the object is dropped and the caller
-        must RESET it from the backing store.
+        the chunks were only transiently unreachable (``degraded``: the
+        mapping stays for the failure detector to heal), or fewer than
+        ``data_shards`` survive and the object is dropped (the caller RESETs).
         """
         lost_count = sum(fetch.lost for fetch in fetches)
         result = ProxyGetResult(
-            key=key,
-            found=True,
-            recoverable=degraded or winners is not None,
-            descriptor=entry.descriptor,
-            fetches=fetches,
-            latency_s=latency_s,
-            chunks_lost=lost_count,
-            hosts_touched=hosts_touched,
-            degraded=degraded,
+            key=key, found=True, recoverable=degraded or winners is not None,
+            descriptor=entry.descriptor, fetches=fetches, latency_s=latency_s,
+            chunks_lost=lost_count, hosts_touched=hosts_touched, degraded=degraded,
         )
         if degraded:
             return result
@@ -913,7 +612,9 @@ class Proxy:
         if lost_count > 0:
             self.metrics.counter("proxy.degraded_reads").increment()
             try:
-                result.recovery_performed = self._repair_object(key, entry, fetches, now)
+                result.recovery_performed = repair_object(
+                    self, key, entry, [fetch.chunk_index for fetch in fetches if fetch.lost], now
+                )
             except TransientFaultError:
                 # A repair node faulted mid-repair; the stripe keeps its
                 # stale placement and the next audit sweep re-detects it.
@@ -957,14 +658,11 @@ class Proxy:
     def get_process(self, key: str, env: RequestEnv, span=None):
         """Event-driven GET coroutine: the d-of-n chunk fetches genuinely race.
 
-        Matches :meth:`get` for hits, misses, and degraded reads, with the
-        refinements only the event engine can express: concurrent chunk
-        flows share bandwidth dynamically while in flight; once the fastest
-        ``data_shards`` chunks have landed the stragglers are *abandoned*
-        (billed for their partial transfer), as in the paper's first-d
-        streaming; and a request whose chunks are unreachable rather than
-        gone degrades gracefully (backing-store fallback, mapping left
-        intact) instead of raising or dropping the object.
+        Matches :meth:`get`, except that concurrent chunk flows share
+        bandwidth while in flight, the stragglers behind the fastest
+        ``data_shards`` are *abandoned* (billed for their partial transfer),
+        and a request whose chunks are unreachable rather than gone degrades
+        (backing-store fallback, mapping left intact).
         """
         start = env.now
         tracer = env.tracer
@@ -1015,17 +713,9 @@ class Proxy:
 
     # ------------------------------------------------------------------ chunk supervision
     def _spawn_chunk(
-        self,
-        label: str,
-        key: str,
-        chunk: CacheChunk,
-        node: LambdaCacheNode,
-        env: RequestEnv,
-        owner: Optional[str],
-        category: str,
-        span_parent,
-        fetch: Optional[ChunkFetch] = None,
-        store: bool = False,
+        self, label: str, key: str, chunk: CacheChunk, node: LambdaCacheNode, env: RequestEnv,
+        owner: Optional[str], category: str, span_parent,
+        fetch: Optional[ChunkFetch] = None, store: bool = False,
     ) -> Process:
         """Spawn one chunk's coroutine under the configured budget: one
         process per chunk, plus a :class:`_ChunkRace` when a deadline is set."""
@@ -1046,18 +736,9 @@ class Proxy:
         return task
 
     def _chunk_process(
-        self,
-        key: str,
-        chunk: CacheChunk,
-        node: LambdaCacheNode,
-        env: RequestEnv,
-        owner: Optional[str],
-        category: str,
-        span_parent,
-        attempts: int,
-        race: Optional[_ChunkRace] = None,
-        fetch: Optional[ChunkFetch] = None,
-        store: bool = False,
+        self, key: str, chunk: CacheChunk, node: LambdaCacheNode, env: RequestEnv,
+        owner: Optional[str], category: str, span_parent, attempts: int,
+        race: Optional[_ChunkRace] = None, fetch: Optional[ChunkFetch] = None, store: bool = False,
     ):
         """Supervised coroutine moving one chunk between a node and this proxy.
 
@@ -1131,9 +812,7 @@ class Proxy:
                         finally:
                             if tracing:
                                 tracer.finish(invoke_span)
-                    host_id = (
-                        node.primary.host_id if node.primary is not None else node.node_id
-                    )
+                    host_id = node.primary.host_id if node.primary is not None else node.node_id
                     flow = env.flows.transfer(
                         size_bytes=effective_bytes,
                         function_bandwidth_bps=node.bandwidth_bps,
@@ -1190,88 +869,20 @@ class Proxy:
             return fetch or True
         return None
 
-    # ------------------------------------------------------------------ recovery
-    def _repair_object(
-        self,
-        key: str,
-        entry: _ObjectEntry,
-        fetches: list[ChunkFetch],
-        now: float,
-        category: str = "serving",
-    ) -> bool:
-        """Re-insert chunks lost to reclamation onto fresh nodes (EC recovery).
-
-        When at least ``data_shards`` payload-carrying chunks survive, the
-        lost chunks are EC-decoded and re-inserted with their *real* bytes;
-        a size-only placeholder is stored only for stripes that carry no
-        payloads (trace-replay mode).  The repair traffic is charged back to
-        the owning tenant under ``category`` (``"serving"`` on the degraded
-        GET path, ``"repair"`` from the failure detector's audit sweep).
-        """
-        descriptor = entry.descriptor
-        lost_fetches = [fetch for fetch in fetches if fetch.lost]
-        if not lost_fetches:
-            return False
-        occupied = set(entry.placement.values())
-        replacements: list[LambdaCacheNode] = []
-        candidates = [node for node in self.nodes if node.node_id not in occupied]
-        if len(candidates) < len(lost_fetches):
-            return False
-        indices = self.rng.sample_without_replacement(len(candidates), len(lost_fetches))
-        replacements = [candidates[i] for i in indices]
-
-        reconstructed = self._reconstruct_missing(
-            key, entry, self._surviving_chunks(key, entry)
-        )
-        owner = owner_of(key)
-        placed = payload_repairs = 0
-        for fetch, replacement in zip(lost_fetches, replacements):
-            rebuilt = self._rebuilt_chunk(key, entry, fetch.chunk_index, reconstructed)
-            if replacement.free_bytes() < rebuilt.size:
-                continue
-            replacement.ensure_active(now, category)
-            replacement.record_service(
-                now, rebuilt.size / replacement.bandwidth_bps, category, owner
-            )
-            replacement.store_chunk(rebuilt)
-            entry.placement[fetch.chunk_index] = replacement.node_id
-            placed += 1
-            if rebuilt.payload is not None:
-                payload_repairs += 1
-        if placed:
-            self.metrics.counter("proxy.recoveries").increment()
-            self.metrics.series("proxy.recovery_events").record(now, 1.0)
-        if payload_repairs:
-            self.metrics.counter("proxy.payload_repairs").increment(payload_repairs)
-        # Only a full repair counts: partially healed objects keep stale
-        # placements and must be re-detected by the next audit sweep.
-        return placed == len(lost_fetches)
-
     # ------------------------------------------------------------------ maintenance hooks
-    def _tenant_bytes_by_node(self) -> dict[str, dict[str, int]]:
-        """Per node: bytes stored for each owning tenant (chargeback weights)."""
-        weights: dict[str, dict[str, int]] = {}
-        for key, entry in self._objects.items():
-            owner = owner_of(key)
-            chunk_size = entry.descriptor.chunk_size
-            for node_id in entry.placement.values():
-                per_tenant = weights.setdefault(node_id, {})
-                per_tenant[owner] = per_tenant.get(owner, 0) + chunk_size
-        return weights
-
-    def warm_up_pool(self, now: float, warmup_service_s: float = 0.001) -> None:
+    def warm_up_pool(self, now: float) -> None:
         """Invoke every node briefly so the provider keeps it warm.
 
         Each node's warm-up is charged back to the tenants whose bytes it is
-        keeping warm, pro-rata by stored bytes; warming an empty node is
+        keeping warm, pro-rata by placed bytes; warming an empty node is
         unattributed (it lands in the cluster's own chargeback row).
         """
-        tenant_bytes = self._tenant_bytes_by_node()
+        tenant_bytes = self.ledger.tenant_bytes
         for node in self.nodes:
             node.ensure_active(now, "warmup")
-            weights = tenant_bytes.get(node.node_id)
-            attribution = {t: float(b) for t, b in weights.items()} if weights else None
-            node.record_service(now, warmup_service_s, "warmup", attribution)
+            weights = tenant_bytes(node.node_id)
+            attribution = {t: float(b) for t, b in weights} if weights else None
+            node.record_service(now, WARMUP_SERVICE_S, "warmup", attribution)
         self.metrics.counter("proxy.warmups").increment()
 
     def finish_sessions(self) -> None:

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 from repro.cache.deployment import InfiniCacheDeployment
+from repro.cache.ledger import decommission_node
 from repro.cache.proxy import Proxy
 from repro.cluster.rebalancer import Rebalancer
 from repro.exceptions import ConfigurationError
@@ -257,8 +258,6 @@ class PoolAutoscaler:
         return deltas
 
     def _snapshot(self, proxy: Proxy) -> PoolSnapshot:
-        # One O(nodes x chunks) byte traversal per tick; pressure is derived
-        # rather than re-sampled through proxy.memory_pressure().
         used = proxy.pool_bytes_used()
         capacity = proxy.pool_capacity_bytes
         return PoolSnapshot(
@@ -312,7 +311,7 @@ class PoolAutoscaler:
             if self.rebalancer is not None:
                 self.rebalancer.decommission_node(proxy, victim.node_id, now)
             else:
-                proxy.decommission_node(victim.node_id, now)
+                decommission_node(proxy, victim.node_id, now)
             removed += 1
         if removed:
             self.metrics.counter("cluster.autoscaler.scale_downs").increment()

@@ -6,10 +6,10 @@ Two maintenance actors keep placements healthy as the cluster changes shape:
   objects so placement always matches the consistent-hash ring.  When a
   proxy **joins**, the keys the ring now assigns to it are migrated off
   their old owners; when a proxy **leaves**, everything it held is
-  evacuated to the surviving owners.  It also fronts the proxy-level drain
-  path the autoscaler uses when shrinking a pool.  Migrations reuse the
-  proxy's export/placement machinery and are billed under the
-  ``"rebalance"`` cost category so experiments can price elasticity.
+  evacuated to the surviving owners.  It also fronts the node drain of
+  :mod:`repro.cache.ledger` the autoscaler uses when shrinking a pool.
+  Migrations export through the ledger, put through the proxy, and are
+  billed under ``"rebalance"`` so experiments can price elasticity.
 * :class:`FailureDetector` — a periodic sweep (driven by the shared
   simulator) that audits every proxy for chunks lost to function
   reclamation and repairs them proactively through the same EC-recovery
@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 from repro.cache.consistent_hash import ConsistentHashRing
 from repro.cache.deployment import InfiniCacheDeployment
+from repro.cache.ledger import audit_and_repair, decommission_node, drain_node, export_object
 from repro.cache.proxy import Proxy
 from repro.exceptions import CacheError, TransientFaultError
 from repro.obs.metrics import MetricRegistry
@@ -107,7 +108,7 @@ class Rebalancer:
         return moved
 
     def _migrate(self, source: Proxy, destination: Proxy, key: str, now: float) -> bool:
-        exported = source.export_object(key)
+        exported = export_object(source, key)
         if exported is None:
             return False
         descriptor, chunks = exported
@@ -126,13 +127,13 @@ class Rebalancer:
     # ------------------------------------------------------------------ pool resize
     def drain_node(self, proxy: Proxy, node_id: str, now: float) -> tuple[int, int]:
         """Drain one node's chunks onto the rest of its proxy's pool."""
-        moved, dropped = proxy.drain_node(node_id, now)
+        moved, dropped = drain_node(proxy, node_id, now)
         self._record_drain(moved, dropped)
         return moved, dropped
 
     def decommission_node(self, proxy: Proxy, node_id: str, now: float) -> tuple[int, int]:
         """Drain a node and remove it from its proxy's pool (scale-down)."""
-        moved, dropped = proxy.decommission_node(node_id, now)
+        moved, dropped = decommission_node(proxy, node_id, now)
         self._record_drain(moved, dropped)
         return moved, dropped
 
@@ -195,8 +196,8 @@ class FailureDetector:
             for proxy in list(self.deployment.proxies):
                 dead_nodes += sum(1 for node in proxy.nodes if not node.is_alive)
                 try:
-                    repaired, lost = proxy.audit_and_repair(
-                        now, on_loss=self.on_object_gone
+                    repaired, lost = audit_and_repair(
+                        proxy, now, on_loss=self.on_object_gone
                     )
                 except TransientFaultError:
                     self.metrics.counter(

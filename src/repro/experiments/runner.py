@@ -29,6 +29,7 @@ import time
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.registry import EXPERIMENTS, build, names
 from repro.obs.metrics import MetricRegistry
+from repro.utils.report import prepare_output_file
 
 __all__ = ["run_all", "main"]
 
@@ -69,7 +70,7 @@ def run_all(
     out_path.mkdir(parents=True, exist_ok=True)
     for path in (fingerprints_path, metrics_path):
         if path is not None:
-            pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
+            prepare_output_file(path)
     reports: dict[str, str] = {}
     fingerprints: dict[str, dict[str, str]] = {}
     previous_default = ExperimentHarness.default_metrics

@@ -1,7 +1,10 @@
-"""Small helpers for rendering experiment results as text tables."""
+"""Small helpers for rendering experiment results as text tables and writing them."""
 
 from __future__ import annotations
 
+import errno
+import os
+import pathlib
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
@@ -57,3 +60,11 @@ def format_cdf_summary(name: str, points: CdfSeries,
         value = points.value[min(bisect_left(points.fraction, target), len(points) - 1)]
         values.append(f"p{int(target * 100)}={value:.4g}")
     return f"{name}: " + ", ".join(values)
+
+
+def prepare_output_file(path: str | os.PathLike) -> None:
+    """Create the parent directory of a file a run will write, and refuse an
+    existing directory at ``path`` now rather than after the run."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
+from repro.cache.ledger import export_object
 from repro.exceptions import ConfigurationError
 from repro.utils.units import MB, MIB
 
@@ -56,7 +57,7 @@ class TestPutGetRoundtrip:
         data = payload(4093)
         value = wrap(data)
         client.put("buffer", value)
-        _descriptor, stored = deployment.proxies[0].export_object("buffer")
+        _descriptor, stored = export_object(deployment.proxies[0], "buffer")
         views = [chunk.payload for chunk in stored if type(chunk.payload) is memoryview]
         assert len(views) == 3  # three full 1024-byte data shards, then the tail
         assert all(type(chunk.payload) in (bytes, memoryview) for chunk in stored)
@@ -70,7 +71,7 @@ class TestPutGetRoundtrip:
     def test_bytes_values_are_stored_without_a_copy(self, client, deployment):
         data = payload(4096)
         client.put("zero-copy", data)
-        _descriptor, stored = deployment.proxies[0].export_object("zero-copy")
+        _descriptor, stored = export_object(deployment.proxies[0], "zero-copy")
         assert [type(chunk.payload) for chunk in stored] == [memoryview] * 4 + [bytes] * 2
         assert all(chunk.payload.obj is data for chunk in stored[:4])
         assert client.get("zero-copy").value == data

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.chunk import CacheChunk
+from repro.cache.chunk import CacheChunk, descriptor_for
 from repro.cache.config import InfiniCacheConfig
 from repro.cache.deployment import InfiniCacheDeployment
+from repro.cache.ledger import audit_and_repair, decommission_node, drain_node
 from repro.cache.node import LambdaCacheNode
 from repro.exceptions import CacheError
 from repro.faas.limits import WARM_INVOCATION_OVERHEAD
@@ -211,7 +212,12 @@ class TestBackupDelta:
 class TestRunningByteTotal:
     """``bytes_used()`` is a running total kept in the replica's state; it
     must equal a fresh sum over the chunk store after any mutation, on the
-    primary and on the backup peer, through reclamation and fail-over."""
+    primary and on the backup peer, through reclamation and fail-over.  The
+    proxy's ledger must equal its rescan after every step, through the
+    proxy-level steps too: put, invalidate, drain, decommission, repair."""
+
+    #: Namespaced, so the nodes hold several tenants' objects.
+    KEYS = ("A::v", "B::w", "A::x", "C::y", "B::z")
 
     OPERATIONS = st.one_of(
         st.tuples(
@@ -222,6 +228,12 @@ class TestRunningByteTotal:
         st.tuples(st.just("backup"), st.integers(0, 1)),
         st.tuples(st.just("reclaim_primary"), st.integers(0, 1)),
         st.tuples(st.just("reclaim_backup"), st.integers(0, 1)),
+        st.tuples(st.just("put"), st.integers(0, 1), st.sampled_from(KEYS),
+                  st.integers(1, 400_000)),
+        st.tuples(st.just("invalidate"), st.integers(0, 1), st.sampled_from(KEYS)),
+        st.tuples(st.just("drain"), st.integers(0, 1)),
+        st.tuples(st.just("decommission"), st.integers(0, 1)),
+        st.tuples(st.just("repair"), st.integers(0, 1)),
     )
 
     @staticmethod
@@ -233,13 +245,14 @@ class TestRunningByteTotal:
     def test_matches_a_fresh_sum_after_every_step(self, operations):
         deployment = InfiniCacheDeployment(
             InfiniCacheConfig(
-                num_proxies=1, lambdas_per_proxy=6, data_shards=4, parity_shards=2, seed=1
+                num_proxies=1, lambdas_per_proxy=8, data_shards=4, parity_shards=2, seed=1
             )
         )
         platform = deployment.platform
         (proxy,) = deployment.proxies
         (backups,) = deployment.backup_managers
         failovers = 0
+        retired = []
         for step, (operation, index, *args) in enumerate(operations):
             node = proxy.nodes[index]
             now = 10.0 * step  # past every billing window: sessions close
@@ -258,6 +271,20 @@ class TestRunningByteTotal:
                 platform.reclaim_instance(node.primary)
             elif operation == "reclaim_backup" and node.backup_peer is not None:
                 platform.reclaim_instance(node.backup_peer)
+            elif operation == "put":
+                key, size = args
+                descriptor = descriptor_for(key, size, 4, 2)
+                chunks = [CacheChunk.sized(key, i, descriptor.chunk_size) for i in range(6)]
+                proxy.put(key, descriptor, chunks, now)
+            elif operation == "invalidate":
+                proxy.invalidate(args[0])
+            elif operation == "drain":
+                drain_node(proxy, node.node_id, now)
+            elif operation == "decommission" and len(proxy.nodes) > 6:
+                decommission_node(proxy, node.node_id, now)
+                retired.append(node)
+            elif operation == "repair":
+                audit_and_repair(proxy, now)
             for checked in proxy.nodes[:2]:
                 assert checked.bytes_used() == self._fresh_sum(checked)
                 for replica in (checked.primary, checked.backup_peer):
@@ -269,4 +296,5 @@ class TestRunningByteTotal:
             assert proxy.pool_bytes_used() == sum(
                 self._fresh_sum(checked) for checked in proxy.nodes
             )
-        assert sum(node.failovers for node in proxy.nodes) == failovers
+            assert proxy.ledger.rescan() == []
+        assert sum(node.failovers for node in proxy.nodes + retired) == failovers

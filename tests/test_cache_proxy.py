@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.chunk import CacheChunk, descriptor_for
 from repro.cache.config import InfiniCacheConfig, StragglerModel
+from repro.cache.ledger import audit_and_repair, decommission_node, drain_node, export_object
 from repro.cache.proxy import Proxy
 from repro.exceptions import CacheError, ObjectTooLargeError
 from repro.faas.platform import FaaSPlatform
@@ -116,8 +117,7 @@ class TestGet:
     def test_get_miss_for_unknown_key(self):
         proxy = build_proxy()
         result = proxy.get("ghost", now=0.0)
-        assert result.is_miss
-        assert result.found is False
+        assert result.found is False and result.recoverable is False
 
     def test_first_d_latency_not_worse_than_slowest_chunk(self):
         proxy = build_proxy(straggler_probability=0.5)
@@ -149,7 +149,6 @@ class TestGet:
         result = proxy.get("obj", now=1.0)
         assert result.found is True
         assert result.recoverable is False
-        assert result.is_miss
         # The unrecoverable entry is dropped from the mapping table.
         assert not proxy.contains("obj")
 
@@ -277,9 +276,9 @@ class TestPayloadCarryingRepair:
         descriptor, chunks = make_real_chunks("obj", self.PAYLOAD)
         put_result = proxy.put("obj", descriptor, chunks, now=0.0)
         self._lose_nodes(proxy, put_result.node_ids[:2])
-        repaired, lost = proxy.audit_and_repair(now=1.0)
+        repaired, lost = audit_and_repair(proxy, now=1.0)
         assert (repaired, lost) == (1, 0)
-        exported_descriptor, exported = proxy.export_object("obj")
+        exported_descriptor, exported = export_object(proxy, "obj")
         assert all(chunk.payload is not None for chunk in exported)
         assert decode_export(exported_descriptor, exported) == self.PAYLOAD
         counters = proxy.metrics.counters()
@@ -292,7 +291,7 @@ class TestPayloadCarryingRepair:
         self._lose_nodes(proxy, put_result.node_ids[:1])
         result = proxy.get("obj", now=1.0)
         assert result.recovery_performed is True
-        _descriptor, exported = proxy.export_object("obj")
+        _descriptor, exported = export_object(proxy, "obj")
         assert all(chunk.payload is not None for chunk in exported)
 
     def test_export_reconstructs_lost_chunks_without_repair(self):
@@ -300,7 +299,7 @@ class TestPayloadCarryingRepair:
         descriptor, chunks = make_real_chunks("obj", self.PAYLOAD)
         put_result = proxy.put("obj", descriptor, chunks, now=0.0)
         self._lose_nodes(proxy, put_result.node_ids[:2])
-        exported_descriptor, exported = proxy.export_object("obj")
+        exported_descriptor, exported = export_object(proxy, "obj")
         assert len(exported) == descriptor.total_chunks
         assert all(chunk.payload is not None for chunk in exported)
         assert decode_export(exported_descriptor, exported) == self.PAYLOAD
@@ -311,7 +310,7 @@ class TestPayloadCarryingRepair:
         put_result = proxy.put("obj", descriptor, chunks, now=0.0)
         # Lose more than p chunks: the stripe is genuinely unrecoverable.
         self._lose_nodes(proxy, put_result.node_ids[:3])
-        _descriptor, exported = proxy.export_object("obj")
+        _descriptor, exported = export_object(proxy, "obj")
         assert len(exported) == descriptor.total_chunks
         assert sum(1 for chunk in exported if chunk.payload is None) == 3
 
@@ -325,7 +324,7 @@ class TestPayloadCarryingRepair:
             CacheChunk(key="obj", index=1, size=100, payload=chunks[1].payload[:100])
         )
         self._lose_nodes(proxy, put_result.node_ids[:1])
-        _descriptor, exported = proxy.export_object("obj")
+        _descriptor, exported = export_object(proxy, "obj")
         assert len(exported) == descriptor.total_chunks
         assert exported[0].payload is None and exported[0].size == descriptor.chunk_size
 
@@ -334,7 +333,7 @@ class TestPayloadCarryingRepair:
         descriptor, chunks = make_chunks("obj", 6 * MB)
         put_result = proxy.put("obj", descriptor, chunks, now=0.0)
         self._lose_nodes(proxy, put_result.node_ids[:1])
-        repaired, lost = proxy.audit_and_repair(now=1.0)
+        repaired, lost = audit_and_repair(proxy, now=1.0)
         assert (repaired, lost) == (1, 0)
         assert proxy.metrics.counters().get("proxy.payload_repairs", 0.0) == 0
 
@@ -345,9 +344,9 @@ class TestPayloadCarryingRepair:
         proxy.warm_up_pool(now=0.5)  # activate the unplaced migration targets
         victim_id = put_result.node_ids[0]
         self._lose_nodes(proxy, [victim_id])
-        moved, dropped = proxy.drain_node(victim_id, now=1.0)
+        moved, dropped = drain_node(proxy, victim_id, now=1.0)
         assert moved == 1 and dropped == 0
-        exported_descriptor, exported = proxy.export_object("obj")
+        exported_descriptor, exported = export_object(proxy, "obj")
         assert all(chunk.payload is not None for chunk in exported)
         assert decode_export(exported_descriptor, exported) == self.PAYLOAD
 
@@ -374,7 +373,7 @@ class TestGetAfterADecommissionDroppedAChunk:
         proxy = deployment.proxies[0]
         # The six unplaced nodes were never invoked, so none of them is
         # alive to take the chunk: it is dropped, not moved.
-        assert proxy.decommission_node(put.node_ids[0], deployment.simulator.now) == (0, 1)
+        assert decommission_node(proxy, put.node_ids[0], deployment.simulator.now) == (0, 1)
         assert proxy.pool_size == 11
         return deployment, client
 

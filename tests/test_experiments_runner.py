@@ -188,26 +188,32 @@ class TestCli:
         ["trace", "--clients", "2", "--requests", "1", "--output", "FILE/t.json"],
         ["perf", "--quick", "--output", "FILE/b.json"],
         ["scenarios", "run", "smoke", "--output", "FILE/s.json"],
+        pytest.param(["--only", "figure17", "--fingerprints", "DIR"], id="--only --fingerprints DIR"),
+        pytest.param(["--only", "figure17", "--metrics", "DIR"], id="--only --metrics DIR"),
+        pytest.param(["perf", "--quick", "--output", "DIR"], id="perf --quick --output DIR"),
     ], ids=lambda argv: " ".join(argv[:2] + argv[-2:-1]))
     def test_unwritable_output_path_exits_2_not_a_traceback(
         self, argv, capsys, tmp_path, monkeypatch
     ):
         """A path under a regular file is unwritable for every user, root
-        included.  The runner's three and ``perf`` fail before anything has
-        run."""
+        included, and an existing directory cannot be written as a file.
+        The runner's three and ``perf`` fail before anything has run."""
         from repro import __main__ as cli
         from repro.experiments import perf
 
         monkeypatch.chdir(tmp_path)
         blocker = tmp_path / "FILE"
         blocker.write_text("not a directory")
+        (tmp_path / "DIR").mkdir()
         built = []
         monkeypatch.setattr(runner, "build", lambda name, scale: built.append(name))
         monkeypatch.setattr(perf, "run_suite", lambda **kwargs: built.append("perf"))
-        argv = [arg.replace("FILE", str(blocker)) for arg in argv]
+        argv = [arg.replace("FILE", str(blocker)).replace("DIR", str(tmp_path / "DIR"))
+                for arg in argv]
         assert cli.main(argv) == 2
         error_lines = capsys.readouterr().err.strip().splitlines()
-        assert error_lines[-1].startswith("error: ") and "FILE" in error_lines[-1]
+        assert error_lines[-1].startswith("error: ")
+        assert "FILE" in error_lines[-1] or "DIR" in error_lines[-1]
         assert "Traceback" not in "\n".join(error_lines)
         assert built == []
         assert blocker.read_text() == "not a directory"

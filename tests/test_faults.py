@@ -553,7 +553,7 @@ class TestChunkDeadlineRace:
 
     def test_attempt_lands_before_its_deadline(self, monkeypatch, record_charges):
         run = race_get(monkeypatch, record_charges, [1.0])
-        assert not run.result.is_miss
+        assert run.result.found and run.result.recoverable
         assert run.counters == {"proxy.hits": 1.0, "proxy.puts": 1.0}
         assert [(f.time_s, f.abandoned) for f in run.result.fetches] == [
             (0.032927835051546395, False),
@@ -565,7 +565,7 @@ class TestChunkDeadlineRace:
 
     def test_original_beats_its_hedge(self, monkeypatch, record_charges):
         run = race_get(monkeypatch, record_charges, [40.0, 40.0])
-        assert not run.result.is_miss
+        assert run.result.found and run.result.recoverable
         assert run.counters == {
             "proxy.chunk_hedges": 1.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
         }
@@ -586,7 +586,7 @@ class TestChunkDeadlineRace:
 
     def test_hedge_lands_first(self, monkeypatch, record_charges):
         run = race_get(monkeypatch, record_charges, [100.0, 1.0])
-        assert not run.result.is_miss
+        assert run.result.found and run.result.recoverable
         assert run.counters == {
             "proxy.chunk_hedges": 1.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
         }
@@ -608,7 +608,7 @@ class TestChunkDeadlineRace:
         """The hedge's invocation faults: the pair ends with nothing at once,
         the still-running original is abandoned, and the retry lands."""
         run = race_get(monkeypatch, record_charges, [100.0, 1.0, 1.0], faulting_invocations=(2,))
-        assert not run.result.is_miss
+        assert run.result.found and run.result.recoverable
         assert run.counters == {
             "proxy.chunk_faults": 1.0, "proxy.chunk_hedges": 1.0,
             "proxy.chunk_retries": 1.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
@@ -629,7 +629,7 @@ class TestChunkDeadlineRace:
         """Neither side lands by the hedge deadline: both are abandoned, the
         original's flow first, and the retry after the backoff lands."""
         run = race_get(monkeypatch, record_charges, [100.0, 100.0, 1.0])
-        assert not run.result.is_miss
+        assert run.result.found and run.result.recoverable
         assert run.counters == {
             "proxy.chunk_hedges": 1.0, "proxy.chunk_retries": 1.0,
             "proxy.hits": 1.0, "proxy.puts": 1.0,
@@ -655,7 +655,7 @@ class TestChunkDeadlineRace:
         run = race_get(
             monkeypatch, record_charges, [100.0, 40.0, 100.0, 100.0], parity_shards=1,
         )
-        assert not run.result.is_miss
+        assert run.result.found and run.result.recoverable
         assert run.counters == {
             "proxy.chunk_hedges": 2.0, "proxy.hits": 1.0, "proxy.puts": 1.0,
         }
@@ -954,12 +954,17 @@ class TestFailureDetectorUnderFaults:
         proxy = deployment.proxies[0]
         for node in proxy.nodes[:2]:
             kill_node(deployment, node)
+        from repro.cluster import rebalancer
         from repro.exceptions import TransientFaultError
 
-        def exploding_audit(now, on_loss=None):
-            raise TransientFaultError("audit died mid-repair")
+        audit = rebalancer.audit_and_repair
 
-        monkeypatch.setattr(proxy, "audit_and_repair", exploding_audit)
+        def exploding_audit(audited, now, on_loss=None):
+            if audited is proxy:
+                raise TransientFaultError("audit died mid-repair")
+            return audit(audited, now, on_loss=on_loss)
+
+        monkeypatch.setattr(rebalancer, "audit_and_repair", exploding_audit)
         assert detector.sweep_once() == (0, 0)  # must not raise
         aborted = deployment.metrics.counter(
             "cluster.failure_detector.aborted_audits"

@@ -27,10 +27,30 @@ import pathlib
 
 import pytest
 
+from repro.cache.ledger import PoolLedger
 from repro.experiments.registry import EXPERIMENTS, build, names
+from repro.utils import fanout
 from repro.utils.units import MB
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.fixture(autouse=True)
+def ledgers_agree_with_their_rescan(monkeypatch):
+    """Every pool ledger a golden replay builds equals its own rescan when
+    the replay is over.  Units that would run on forked workers run in this
+    process instead, so their ledgers are checked too."""
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+    ledgers = []
+    init = PoolLedger.__init__
+
+    def recording_init(self, nodes):
+        init(self, nodes)
+        ledgers.append(self)
+
+    monkeypatch.setattr(PoolLedger, "__init__", recording_init)
+    yield
+    assert [difference for ledger in ledgers for difference in ledger.rescan()] == []
 
 
 def _drop_nan(values: dict) -> dict:

@@ -197,6 +197,29 @@ def test_no_module_outside_the_engine_reaches_into_the_event_loop():
     assert not reach_ins, "\n  ".join(["private event-loop state read outside repro.sim:"] + reach_ins)
 
 
+def test_only_the_ledger_writes_the_mapping_table():
+    """``repro.cache.ledger`` is the only module that assigns or deletes an
+    entry of a placement map (``.placement``) or of the mapping table
+    (``.table``), by subscript or by a mutating method, so no write can
+    bypass the ledger's byte totals."""
+    writes = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "cache" / "ledger.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                table = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr in ("pop", "popitem", "clear", "update", "setdefault")
+            ):
+                table = node.func.value
+            else:
+                continue
+            if isinstance(table, ast.Attribute) and table.attr in ("placement", "table"):
+                writes.append(f"{path.relative_to(ROOT)}:{node.lineno} writes .{table.attr}")
+    assert not writes, "\n  ".join(["mapping-table writes outside repro.cache.ledger:"] + writes)
+
+
 def _loaded_after(script: str) -> list[str]:
     """The ``repro`` and ``numpy`` modules a fresh interpreter holds after
     running ``script``."""

@@ -17,11 +17,16 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
-#: Public names kept without a caller, each with the reason.
+#: Public names (and ``Class.method`` names of the checked classes below)
+#: kept without a caller, each with the reason.
 UNREACHED_ON_PURPOSE = {
     "IdleTimeoutPolicy": (
         "the provider's idle reclaim from the paper, the fixture behind the "
         "warm-up tests"
+    ),
+    "PoolLedger.rescan": (
+        "the oracle the tests hold the pool ledger's kept totals to; the "
+        "invariant monitor planned in ROADMAP item 1(a) is its next caller"
     ),
 }
 
@@ -109,6 +114,9 @@ CHECKED_CLASSES = {
     "network/flows.py": ["FlowTrace"],
     "workload/trace.py": ["TraceRecords", "Trace"],
     "workload/replay.py": ["RequestSamples", "ConcurrentReplayReport"],
+    "cache/proxy.py": ["Proxy", "ProxyGetResult"],
+    "cache/node.py": ["LambdaCacheNode"],
+    "cache/ledger.py": ["PoolLedger"],
 }
 
 
@@ -133,6 +141,8 @@ def _unreached_methods() -> list[str]:
                     continue
                 if method.name.startswith("_") or method.name in others:
                     continue
+                if f"{class_name}.{method.name}" in UNREACHED_ON_PURPOSE:
+                    continue
                 rest = [node for node in tree.body if node is not definition]
                 rest += [node for node in definition.body if node is not method]
                 if method.name not in _identifiers(rest):
@@ -151,10 +161,15 @@ def test_every_public_method_of_the_checked_classes_is_reached():
 
 
 def test_exceptions_are_still_defined():
-    defined = {
-        definition.name
-        for path in SRC.rglob("*.py")
-        if path.name != "__init__.py"
-        for definition in _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
-    }
+    defined = set()
+    for path in SRC.rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for definition in _public_definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            defined.add(definition.name)
+            if isinstance(definition, ast.ClassDef):
+                defined.update(
+                    f"{definition.name}.{method.name}" for method in definition.body
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
     assert set(UNREACHED_ON_PURPOSE) <= defined
